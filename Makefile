@@ -4,7 +4,7 @@
 GO ?= go
 BENCH_FILE ?= BENCH_10.json
 
-.PHONY: build test race bench bench-json bench-gate fuzz-smoke e2e-restart e2e-churn e2e-cluster lint fmt ci
+.PHONY: build test race bench bench-json bench-gate fuzz-smoke e2e-restart e2e-churn e2e-cluster perfbench-smoke lint fmt ci
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,17 @@ e2e-churn:
 # PR 9 acceptance check).
 e2e-cluster:
 	$(GO) test -count=1 -race -run 'TestClusterChaosConvergence' -v ./internal/cluster
+
+# The repository benchmark's harness (perfbench/, its own module that
+# builds against this checkout's packages): its tests, then a
+# seconds-long churn-json smoke run whose contract line must report
+# correct outputs. Catches an ingest/agg change that breaks the
+# benchmark before the benchmark is next run.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+	mkdir -p .bench_build
+	bash perfbench/run.sh --workload churn-json --smoke | tee .bench_build/smoke.txt
+	tail -n 1 .bench_build/smoke.txt | grep -q '"correct":true'
 
 # lint = formatting + go vet + the project-invariant analyzer suite.
 # acutemon-vet is the hard gate on the repo's own safety rules (sim

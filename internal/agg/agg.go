@@ -19,6 +19,7 @@
 package agg
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"time"
@@ -140,12 +141,24 @@ func (m Moments) MeanDuration() time.Duration { return time.Duration(m.Mean) }
 // two histograms with identical geometry add exactly, so — unlike exact
 // quantiles — histogram-based quantile estimates are order- and
 // partition-independent.
+//
+// A Hist also keeps a conservative bound on its occupied bins, so Merge,
+// N and Quantile cost O(occupied span) rather than O(bins): an ingest
+// cell holding a few RTTs touches a few bins, not all 1000. The bound is
+// maintained by every write through the methods (Add, AddN, AddMulti,
+// Merge, SetCount); code that writes Counts directly must use SetCount.
 type Hist struct {
 	Lo     time.Duration `json:"lo_ns"`
 	Hi     time.Duration `json:"hi_ns"`
 	Counts []int64       `json:"counts"`
 	Under  int64         `json:"under"`
 	Over   int64         `json:"over"`
+
+	// zeroLo and zeroHi count the bins at the low and high ends of
+	// Counts known to be zero. The zero value knows nothing — every bin
+	// may be occupied — which keeps a Hist built as a literal or decoded
+	// from JSON correct; NewHist starts both at len(Counts), empty.
+	zeroLo, zeroHi int
 }
 
 // Campaign-level user-RTT histogram geometry: 0.5 ms resolution up to
@@ -162,7 +175,52 @@ func NewHist(lo, hi time.Duration, bins int) *Hist {
 	if bins <= 0 {
 		bins = 1
 	}
-	return &Hist{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
+	return &Hist{Lo: lo, Hi: hi, Counts: make([]int64, bins), zeroLo: bins, zeroHi: bins}
+}
+
+// UnmarshalJSON decodes the wire form and forgets any occupancy bound
+// the receiver held: a decoded Hist counts as fully occupied.
+func (h *Hist) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	type plain Hist
+	var p plain
+	if err := json.Unmarshal(b, &p); err != nil {
+		return err
+	}
+	*h = Hist(p)
+	return nil
+}
+
+// occupied returns the bin span [lo,hi) outside of which every count is
+// known to be zero.
+func (h *Hist) occupied() (lo, hi int) {
+	n := len(h.Counts)
+	lo, hi = min(h.zeroLo, n), n-h.zeroHi
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi
+}
+
+// widen marks bins [lo,hi) as possibly occupied; lo < hi.
+func (h *Hist) widen(lo, hi int) {
+	if lo < h.zeroLo {
+		h.zeroLo = lo
+	}
+	if z := len(h.Counts) - hi; z < h.zeroHi {
+		h.zeroHi = z
+	}
+}
+
+// SetCount overwrites bin i's count — the writer for decoders that
+// rebuild a Hist bin by bin.
+func (h *Hist) SetCount(i int, c int64) {
+	h.Counts[i] = c
+	if c != 0 {
+		h.widen(i, i+1)
+	}
 }
 
 // NewDurationHist builds a histogram with the repo-standard user-RTT
@@ -197,6 +255,7 @@ func (h *Hist) AddN(d time.Duration, n int64) {
 			idx = len(h.Counts) - 1
 		}
 		h.Counts[idx] += n
+		h.widen(idx, idx+1)
 	}
 }
 
@@ -211,6 +270,10 @@ func (h *Hist) AddMulti(ds []time.Duration) {
 	nb := int64(len(counts))
 	span := int64(hi - lo)
 	under, over := h.Under, h.Over
+	// The occupied span lives in locals too, seeded from the current
+	// bound (an empty Hist seeds lo > hi) so the widening branches are
+	// almost never taken once a cell's bins are established.
+	olo, ohi := h.zeroLo, len(counts)-h.zeroHi
 	for _, d := range ds {
 		switch {
 		case d < lo:
@@ -223,9 +286,18 @@ func (h *Hist) AddMulti(ds []time.Duration) {
 				idx = len(counts) - 1
 			}
 			counts[idx]++
+			if idx < olo {
+				olo = idx
+			}
+			if idx >= ohi {
+				ohi = idx + 1
+			}
 		}
 	}
 	h.Under, h.Over = under, over
+	if olo < ohi {
+		h.widen(olo, ohi)
+	}
 }
 
 // CheckGeometry reports whether o can merge into h, without mutating
@@ -243,7 +315,8 @@ func (h *Hist) CheckGeometry(o *Hist) error {
 	return nil
 }
 
-// Merge adds another histogram's counts; geometries must match.
+// Merge adds another histogram's counts; geometries must match. Only
+// o's occupied span is visited.
 func (h *Hist) Merge(o *Hist) error {
 	if o == nil {
 		return nil
@@ -253,8 +326,14 @@ func (h *Hist) Merge(o *Hist) error {
 	}
 	h.Under += o.Under
 	h.Over += o.Over
-	for i, c := range o.Counts {
-		h.Counts[i] += c
+	lo, hi := o.occupied()
+	if lo == hi {
+		return nil
+	}
+	h.widen(lo, hi)
+	dst := h.Counts[lo:hi]
+	for i, c := range o.Counts[lo:hi] {
+		dst[i] += c
 	}
 	return nil
 }
@@ -273,7 +352,8 @@ func (h *Hist) Clone() *Hist {
 // N returns the total count including out-of-range observations.
 func (h *Hist) N() int64 {
 	n := h.Under + h.Over
-	for _, c := range h.Counts {
+	lo, hi := h.occupied()
+	for _, c := range h.Counts[lo:hi] {
 		n += c
 	}
 	return n
@@ -301,7 +381,9 @@ func (h *Hist) Quantile(q float64) time.Duration {
 		return h.Lo
 	}
 	width := float64(h.Hi-h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
+	lo, hi := h.occupied()
+	for i := lo; i < hi; i++ {
+		c := h.Counts[i]
 		if c == 0 {
 			continue
 		}

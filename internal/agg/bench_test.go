@@ -83,3 +83,22 @@ func BenchmarkHistQuantile(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHistMergeSparse prices merging a three-RTT cell's histogram
+// into a query accumulator — the shape of every churn cell: three
+// occupied bins of 1000, so the merge costs the occupied span, not the
+// geometry.
+func BenchmarkHistMergeSparse(b *testing.B) {
+	b.ReportAllocs()
+	src := NewDurationHist()
+	for _, ms := range []time.Duration{21, 34, 55} {
+		src.Add(ms * time.Millisecond)
+	}
+	acc := NewDurationHist()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := acc.Merge(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -106,16 +106,6 @@ type peer struct {
 	knowledge *puncture.Snapshot
 }
 
-type replicaRemoval struct {
-	epoch int64
-	key   ingest.Key
-}
-
-// replicaRemovalCap bounds the replica retraction ring, mirroring the
-// store's own removal log: a stream cursor older than the floor takes
-// a full resync.
-const replicaRemovalCap = 8192
-
 // Node is one cluster member riding a running ingest server. It is the
 // server's ReplicaSource: everything it replicates from peers flows
 // into the fleet-wide /stats, /v1/stream, and /v1/profiles answers.
@@ -132,9 +122,7 @@ type Node struct {
 	// with store epochs so stream cursors span them. Kept separate from
 	// the store's own removal log — entries here must never be
 	// re-gossiped as local removals.
-	remMu        sync.Mutex
-	removals     []replicaRemoval
-	removalFloor int64
+	removals ingest.RemovalLog
 
 	rounds          atomic.Int64
 	roundErrors     atomic.Int64
@@ -403,17 +391,7 @@ func (n *Node) apply(p *peer, d *Delta) {
 // logRemoval records one replica retraction under a fresh store epoch.
 // The ring is bounded exactly like the store's own removal log; a
 // stream cursor older than the floor forces a full resync.
-func (n *Node) logRemoval(k ingest.Key) {
-	e := n.store.NextEpoch()
-	n.remMu.Lock()
-	n.removals = append(n.removals, replicaRemoval{epoch: e, key: k})
-	if len(n.removals) > replicaRemovalCap {
-		drop := len(n.removals) - replicaRemovalCap
-		n.removalFloor = n.removals[drop-1].epoch
-		n.removals = append(n.removals[:0], n.removals[drop:]...)
-	}
-	n.remMu.Unlock()
-}
+func (n *Node) logRemoval(k ingest.Key) { n.removals.Log(n.store.NextEpoch(), k) }
 
 // handleDelta answers GET /v1/cluster/delta?since=N&know=N&boot=ID
 // with an ACMG frame. A cursor from another boot of this process — or
@@ -585,20 +563,7 @@ func (n *Node) ReplicaCells() []*ingest.Cell {
 
 // ReplicaRemovals returns replica retractions past the cursor; ok is
 // false when the bounded ring wrapped and the caller must resync.
-func (n *Node) ReplicaRemovals(since int64) ([]ingest.Key, bool) {
-	n.remMu.Lock()
-	defer n.remMu.Unlock()
-	if since < n.removalFloor {
-		return nil, false
-	}
-	var out []ingest.Key
-	for _, rm := range n.removals {
-		if rm.epoch > since {
-			out = append(out, rm.key)
-		}
-	}
-	return out, true
-}
+func (n *Node) ReplicaRemovals(since int64) ([]ingest.Key, bool) { return n.removals.Since(since) }
 
 // Knowledge returns each peer's replicated knowledge snapshot.
 func (n *Node) Knowledge() []*puncture.Snapshot {

@@ -449,7 +449,7 @@ func (d *gossipCursor) hist() (*agg.Hist, error) {
 		if bin < 0 || bin >= len(h.Counts) || cnt == 0 || cnt > math.MaxInt64 {
 			return nil, fmt.Errorf("cluster: histogram bin %d/count %d out of range", bin, cnt)
 		}
-		h.Counts[bin] = int64(cnt)
+		h.SetCount(bin, int64(cnt))
 	}
 	return h, nil
 }

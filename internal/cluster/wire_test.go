@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"testing"
 	"time"
@@ -307,4 +308,61 @@ func FuzzDecodeGossipDelta(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDecodedHistMergesLikeDense: the ACMG decoder rebuilds histograms
+// bin by bin through agg.Hist.SetCount, which keeps the occupancy bound
+// the bounded Merge/N/Quantile loops rely on. A decoded Hist merged in
+// either direction with a dense (literal-built) Hist must give exactly
+// the dense result.
+func TestDecodedHistMergesLikeDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	dense := func(h *agg.Hist) *agg.Hist {
+		return &agg.Hist{Lo: h.Lo, Hi: h.Hi, Counts: append([]int64(nil), h.Counts...), Under: h.Under, Over: h.Over}
+	}
+	random := func() *agg.Hist {
+		h := agg.NewDurationHist()
+		for n := rng.Intn(5); n > 0; n-- {
+			h.AddN(time.Duration(rng.Int63n(int64(510*time.Millisecond)))-5*time.Millisecond, 1+rng.Int63n(3))
+		}
+		return h
+	}
+	for trial := 0; trial < 500; trial++ {
+		a, b := random(), random()
+		dec, err := (&gossipCursor{buf: appendHist(nil, a)}).hist()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := dense(a)
+		for i, c := range b.Counts {
+			want.Counts[i] += c
+		}
+		want.Under += b.Under
+		want.Over += b.Over
+
+		into := dense(b) // decoded merged into a dense Hist
+		if err := into.Merge(dec); err != nil {
+			t.Fatal(err)
+		}
+		from := dec.Clone() // a dense Hist merged into the decoded one
+		if err := from.Merge(dense(b)); err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []*agg.Hist{into, from} {
+			if fmt.Sprint(got.Counts, got.Under, got.Over) != fmt.Sprint(want.Counts, want.Under, want.Over) {
+				t.Fatalf("trial %d: merged counts diverge from dense", trial)
+			}
+			if got.N() != want.N() {
+				t.Fatalf("trial %d: N = %d, want %d", trial, got.N(), want.N())
+			}
+			for _, q := range []float64{0.01, 0.5, 0.99} {
+				if got.Quantile(q) != want.Quantile(q) {
+					t.Fatalf("trial %d: Quantile(%v) = %v, want %v", trial, q, got.Quantile(q), want.Quantile(q))
+				}
+			}
+		}
+		if dec.N() != a.N() || dec.Quantile(0.5) != a.Quantile(0.5) {
+			t.Fatalf("trial %d: decoded hist answers differently from its source", trial)
+		}
+	}
 }

@@ -129,7 +129,7 @@ func (st *Store) CellDeltasSince(since int64) CellDelta {
 		since = 0
 		d.Reset = true
 	}
-	removed, logOK := st.removalsSince(since)
+	removed, logOK := st.removals.Since(since)
 	if !logOK {
 		since = 0
 		d.Reset = true
@@ -163,13 +163,18 @@ func (st *Store) CellDeltasSince(since int64) CellDelta {
 }
 
 // QueryWith merges the store's own cells with replicated cells at the
-// rollup — the fleet-wide query path. Unlike Query, RollupCell also
-// goes through the merging accumulators: the same key can hold
-// sessions on several peers and the fleet view must fold them into one
-// row (reduce is the identity there, so keys are preserved).
+// rollup — the fleet-wide query path. Every rollup but RollupCell
+// merges each live cell straight into its accumulator under the stripe
+// lock — Merge only reads its argument, so no per-cell clone is needed,
+// keeping a /stats poll cheap even with the store near its cell cap.
+// RollupCell without replicated cells is a plain Snapshot (the caller
+// gets every cell); with them it also goes through the merging
+// accumulators: the same key can hold sessions on several peers and the
+// fleet view must fold them into one row (reduce is the identity there,
+// so keys are preserved).
 func (st *Store) QueryWith(r Rollup, extra []*Cell) ([]*Cell, error) {
-	if len(extra) == 0 {
-		return st.Query(r)
+	if len(extra) == 0 && (r == RollupCell || r == "") {
+		return st.Snapshot(), nil
 	}
 	merged := map[Key]*Cell{}
 	mergeInto := func(c *Cell) error {

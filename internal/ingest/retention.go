@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -44,6 +45,52 @@ const removalLogCap = 8192
 type removal struct {
 	epoch int64
 	key   Key
+}
+
+// RemovalLog is the bounded retraction log behind /v1/stream and gossip
+// deltas: removed cell keys stamped with their removal epochs, kept in a
+// fixed ring of removalLogCap entries so logging costs O(1) however full
+// the log is. Once the ring is full each entry overwrites the oldest and
+// raises the floor to that entry's epoch; a cursor below the floor has
+// missed retractions and must resync. The zero value is an empty log;
+// it is safe for concurrent use.
+type RemovalLog struct {
+	mu    sync.Mutex
+	ring  []removal // grows to removalLogCap, then wraps
+	head  int       // oldest entry once the ring is full
+	floor int64
+}
+
+// Log records key k as removed at epoch e.
+func (l *RemovalLog) Log(e int64, k Key) {
+	l.mu.Lock()
+	if len(l.ring) < removalLogCap {
+		l.ring = append(l.ring, removal{epoch: e, key: k})
+	} else {
+		l.floor = max(l.floor, l.ring[l.head].epoch)
+		l.ring[l.head] = removal{epoch: e, key: k}
+		l.head = (l.head + 1) % removalLogCap
+	}
+	l.mu.Unlock()
+}
+
+// Since returns the keys removed after the cursor, oldest first. ok is
+// false when the log has already overwritten entries past since: the
+// caller must resync from scratch.
+func (l *RemovalLog) Since(since int64) (keys []Key, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if since < l.floor {
+		return nil, false
+	}
+	for _, part := range [2][]removal{l.ring[l.head:], l.ring[:l.head]} {
+		for _, r := range part {
+			if r.epoch > since {
+				keys = append(keys, r.key)
+			}
+		}
+	}
+	return keys, true
 }
 
 // EnableCompaction turns expired-window compaction on with the given
@@ -236,7 +283,10 @@ func (st *Store) evictColdestLocked(sh *storeShard, newWindowMS int64) bool {
 // so shard-local eviction alone strands cold cells in other shards and
 // forces drops even though the store as a whole has room to reclaim.
 // Shard locks are taken one at a time (never nested), so this cannot
-// deadlock against concurrent folds.
+// deadlock against concurrent folds. It reports whether a strictly
+// older cell existed — true even when a concurrent compaction or
+// eviction removed the victim first, since either way the caller's
+// retry may find room; false only when nothing older is left anywhere.
 func (st *Store) evictColdestGlobal(newWindowMS int64) bool {
 	if !st.CompactionEnabled() {
 		return false
@@ -270,7 +320,7 @@ func (st *Store) evictColdestGlobal(newWindowMS int64) bool {
 	}
 	sh.mu.Unlock()
 	if !ok {
-		return false // raced with compaction or another eviction
+		return true // raced with compaction or another eviction
 	}
 	st.evicted.Add(1)
 	st.compactedSessions.Add(c.Sessions)
@@ -352,32 +402,5 @@ func (st *Store) capRollupsLocked() {
 }
 
 // logRemoval records a deleted cell key at a fresh epoch so stream
-// subscribers retract the row; the bounded log discards oldest-first,
-// raising the resync floor.
-func (st *Store) logRemoval(k Key) {
-	e := st.epoch.Add(1)
-	st.removalMu.Lock()
-	st.removals = append(st.removals, removal{epoch: e, key: k})
-	if n := len(st.removals) - removalLogCap; n > 0 {
-		st.removalFloor = st.removals[n-1].epoch
-		st.removals = append(st.removals[:0], st.removals[n:]...)
-	}
-	st.removalMu.Unlock()
-}
-
-// removalsSince returns the keys removed after the cursor. ok=false
-// means the log has already discarded entries past since: the caller
-// must resync from scratch (DeltasSince turns that into Reset).
-func (st *Store) removalsSince(since int64) (keys []Key, ok bool) {
-	st.removalMu.Lock()
-	defer st.removalMu.Unlock()
-	if since < st.removalFloor {
-		return nil, false
-	}
-	for _, r := range st.removals {
-		if r.epoch > since {
-			keys = append(keys, r.key)
-		}
-	}
-	return keys, true
-}
+// subscribers retract the row.
+func (st *Store) logRemoval(k Key) { st.removals.Log(st.epoch.Add(1), k) }

@@ -1,8 +1,10 @@
 package ingest
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 )
@@ -346,5 +348,100 @@ func TestRemovalLogOverflowForcesResync(t *testing.T) {
 	}
 	if len(ev.Cells) == 0 {
 		t.Fatal("reset event must carry the full snapshot")
+	}
+}
+
+// TestRemovalLogRingWrap: the removal log is a fixed ring. Through
+// three full wraps, every cursor at or above the floor gets exactly the
+// keys removed after it, in epoch order, and a cursor below the floor
+// is refused so the caller resyncs.
+func TestRemovalLogRingWrap(t *testing.T) {
+	st := NewStore(time.Second, 4)
+	base := st.Epoch()
+	logged := 0
+	for _, upTo := range []int{1, removalLogCap / 2, removalLogCap, removalLogCap + 1,
+		2*removalLogCap + 7, 3 * removalLogCap} {
+		for ; logged < upTo; logged++ {
+			// Removal i is stamped epoch base+i+1; its key carries i.
+			st.logRemoval(Key{Device: "churn", Group: "g", WindowMS: int64(logged)})
+		}
+		last := base + int64(logged)
+		floor := base
+		if logged > removalLogCap {
+			floor = last - removalLogCap
+		}
+		for _, cursor := range []int64{floor, floor + 1, (floor + last) / 2, last - 1, last} {
+			keys, ok := st.removals.Since(cursor)
+			if !ok {
+				t.Fatalf("%d logged: cursor %d at or above floor %d refused", logged, cursor, floor)
+			}
+			if want := int(last - cursor); len(keys) != want {
+				t.Fatalf("%d logged: cursor %d got %d keys, want %d", logged, cursor, len(keys), want)
+			}
+			for i, k := range keys {
+				if want := cursor - base + int64(i); k.WindowMS != want {
+					t.Fatalf("%d logged: cursor %d key %d is removal %d, want %d", logged, cursor, i, k.WindowMS, want)
+				}
+			}
+		}
+		if floor > base {
+			if _, ok := st.removals.Since(floor - 1); ok {
+				t.Fatalf("%d logged: cursor %d below floor %d not refused", logged, floor-1, floor)
+			}
+		}
+	}
+}
+
+// TestCapEvictionRaceNoDrops: fold workers racing to mint new-window
+// cells at the cell cap must keep evicting older cells until their mint
+// wins — a worker whose freshly evicted slot is taken by a concurrent
+// mint evicts again rather than dropping. The store holds as many
+// older-window cells as the workers mint, so nothing may drop and every
+// folded session stays queryable. Half the workers fold through Fold,
+// half through FoldRun.
+func TestCapEvictionRaceNoDrops(t *testing.T) {
+	const workers, perWorker, rounds = 8, 64, 4
+	const capCells = workers * perWorker
+	st := NewStore(time.Second, DefaultStoreShards)
+	st.SetMaxCells(capCells)
+	st.EnableCompaction(time.Hour)
+	for i := 0; i < capCells; i++ {
+		foldOne(t, st, fmt.Sprintf("seed-%d", i), "g", 0, 1000)
+	}
+	for r := 1; r <= rounds; r++ {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				cc, fs := newCellCache(), foldScratch{}
+				corrs, srcs := []time.Duration{0}, []CorrectionSource{SourceNone}
+				for i := 0; i < perWorker; i++ {
+					s := Summary{Device: fmt.Sprintf("r%d-w%d-%d", r, w, i), Group: "g", Scenario: "test",
+						TimeMS: int64(r) * 1000, RTTs: []int64{1000}, Sent: 1}
+					if w%2 == 0 {
+						st.Fold(&s, 0, SourceNone)
+					} else {
+						k := st.KeyFor(&s)
+						st.FoldRun(k, keyHash(k), []Summary{s}, corrs, srcs, cc, &fs)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	if d := st.Dropped(); d != 0 {
+		t.Fatalf("%d summaries dropped at the cap with older cells to evict", d)
+	}
+	cells, err := st.Query(RollupGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sessions int64
+	for _, c := range cells {
+		sessions += c.Sessions
+	}
+	if want := int64(capCells * (rounds + 1)); sessions != want {
+		t.Fatalf("%d sessions queryable; want %d", sessions, want)
 	}
 }

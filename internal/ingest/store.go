@@ -357,9 +357,7 @@ type Store struct {
 	// (compaction, eviction, overflow collapse, prune) is recorded with
 	// its removal epoch so stream clients can retract stale rows. The
 	// log is bounded; a cursor older than its floor forces a resync.
-	removalMu    sync.Mutex
-	removals     []removal
-	removalFloor int64
+	removals RemovalLog
 }
 
 type storeShard struct {
@@ -490,16 +488,18 @@ func (st *Store) KeyFor(s *Summary) Key {
 func (st *Store) Fold(s *Summary, corr time.Duration, src CorrectionSource) bool {
 	k := st.KeyFor(s)
 	sh := st.shardFor(k)
-	for attempt := 0; ; attempt++ {
+	for {
 		sh.mu.Lock()
 		c, ok := sh.cells[k]
 		if !ok {
 			if st.cells.Load() >= st.maxCells && !st.evictColdestLocked(sh, k.WindowMS) {
 				sh.mu.Unlock()
 				// The cold cells may live in other shards; evict
-				// globally (no shard lock held) and retry the mint
-				// once — a concurrent fold may reclaim the slot.
-				if attempt == 0 && st.evictColdestGlobal(k.WindowMS) {
+				// globally (no shard lock held) and retry the mint. A
+				// concurrent fold may take the freed slot first, so
+				// keep evicting until the mint wins or nothing older
+				// is left anywhere.
+				if st.evictColdestGlobal(k.WindowMS) {
 					continue
 				}
 				st.dropped.Add(1)
@@ -560,12 +560,12 @@ func (cc *cellCache) put(k Key, c *Cell) {
 // results for sums[i], resolved by the caller before the lock is
 // taken. cc (optional) is the worker's handle cache; fs is the
 // worker's fold scratch. Cap handling matches Fold exactly — evict
-// shard-locally, then globally once, else drop — but drops the whole
-// run (it would mint the same cell). Returns how many summaries were
-// folded: len(sums) or 0.
+// shard-locally, then globally until the mint wins, else drop — but
+// drops the whole run (it would mint the same cell). Returns how many
+// summaries were folded: len(sums) or 0.
 func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration, srcs []CorrectionSource, cc *cellCache, fs *foldScratch) int {
 	sh := &st.shards[h%uint64(len(st.shards))]
-	for attempt := 0; ; attempt++ {
+	for {
 		sh.mu.Lock()
 		var c *Cell
 		if cc != nil {
@@ -578,7 +578,7 @@ func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration,
 			if !ok {
 				if st.cells.Load() >= st.maxCells && !st.evictColdestLocked(sh, k.WindowMS) {
 					sh.mu.Unlock()
-					if attempt == 0 && st.evictColdestGlobal(k.WindowMS) {
+					if st.evictColdestGlobal(k.WindowMS) {
 						continue
 					}
 					st.dropped.Add(int64(len(sums)))
@@ -729,49 +729,6 @@ func (r Rollup) reduce(k Key) Key {
 
 // Query merges cells down to the rollup's dimensions — retention
 // rollup cells included, so aged queries transparently read compacted
-// history alongside the live fine-grained windows. RollupCell
-// deep-copies (the caller gets every cell); every other rollup merges
-// each live cell straight into its accumulator under the stripe lock —
-// Merge only reads its argument, so no per-cell clone of the two 1000-
-// bucket histograms is needed, keeping a /stats poll cheap even with
-// the store near its cell cap.
-func (st *Store) Query(r Rollup) ([]*Cell, error) {
-	if r == RollupCell || r == "" {
-		return st.Snapshot(), nil
-	}
-	merged := map[Key]*Cell{}
-	mergeInto := func(c *Cell) error {
-		k := r.reduce(c.Key)
-		dst, ok := merged[k]
-		if !ok {
-			dst = newCell(k)
-			merged[k] = dst
-		}
-		return dst.Merge(c)
-	}
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for _, c := range sh.cells {
-			if err := mergeInto(c); err != nil {
-				sh.mu.Unlock()
-				return nil, err
-			}
-		}
-		sh.mu.Unlock()
-	}
-	st.rollupMu.Lock()
-	for _, c := range st.rollups {
-		if err := mergeInto(c); err != nil {
-			st.rollupMu.Unlock()
-			return nil, err
-		}
-	}
-	st.rollupMu.Unlock()
-	out := make([]*Cell, 0, len(merged))
-	for _, c := range merged {
-		out = append(out, c)
-	}
-	sortCells(out)
-	return out, nil
-}
+// history alongside the live fine-grained windows. It is QueryWith
+// without replicated cells.
+func (st *Store) Query(r Rollup) ([]*Cell, error) { return st.QueryWith(r, nil) }

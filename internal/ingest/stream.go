@@ -67,7 +67,7 @@ func (st *Store) DeltasSince(since int64, r Rollup) (StreamEvent, error) {
 // because the same key can hold sessions on several peers.
 func (st *Store) deltasWith(since int64, r Rollup, src ReplicaSource) (StreamEvent, error) {
 	ev := StreamEvent{Rollup: r, WindowMS: st.windowMS}
-	removed, logOK := st.removalsSince(since)
+	removed, logOK := st.removals.Since(since)
 	var extraRemoved []Key
 	if src != nil {
 		var rok bool
