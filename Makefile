@@ -91,15 +91,18 @@ e2e-cluster:
 	$(GO) test -count=1 -race -run 'TestClusterChaosConvergence' -v ./internal/cluster
 
 # The repository benchmark's harness (perfbench/, its own module that
-# builds against this checkout's packages): its tests, then a
-# seconds-long churn-json smoke run whose contract line must report
-# correct outputs. Catches an ingest/agg change that breaks the
-# benchmark before the benchmark is next run.
+# builds against this checkout's packages): its tests, then seconds-long
+# churn-json and hot-cells smoke runs whose contract lines must report
+# correct outputs. hot-cells is the only workload whose frames reach
+# Store.FoldRun in long same-cell runs. Catches an ingest/agg change
+# that breaks the benchmark before the benchmark is next run.
 perfbench-smoke:
 	cd perfbench && $(GO) test ./...
 	mkdir -p .bench_build
 	bash perfbench/run.sh --workload churn-json --smoke | tee .bench_build/smoke.txt
 	tail -n 1 .bench_build/smoke.txt | grep -q '"correct":true'
+	bash perfbench/run.sh --workload hot-cells --smoke | tee .bench_build/smoke-hot-cells.txt
+	tail -n 1 .bench_build/smoke-hot-cells.txt | grep -q '"correct":true'
 
 # lint = formatting + go vet + the project-invariant analyzer suite.
 # acutemon-vet is the hard gate on the repo's own safety rules (sim

@@ -28,17 +28,16 @@
 // crowd scale.
 //
 // Also exported: NewTestbed (the simulated rig, for calibration, pcap
-// export, and layer attribution on a shared capture), Calibrate (the
-// Tis/Tip training procedure), and the per-tool entry points of earlier
-// versions (Measure, Ping, HTTPing, JavaPing, Ping2, LiveMeasure) —
-// now deprecated thin wrappers over Run. The experiments subpackage
+// export, and layer attribution on a shared capture — hand it to Run
+// via SessionSpec.Testbed), Calibrate (the Tis/Tip training
+// procedure), and the device-knowledge store (KnowledgeStore) that
+// carries calibrations and learned overheads across sessions,
+// campaigns, and the ingest service. The experiments subpackage
 // regenerates every table and figure.
 package acutemon
 
 import (
 	"context"
-	"io"
-	"time"
 
 	"repro/internal/agg"
 	"repro/internal/android"
@@ -86,9 +85,9 @@ var ErrUnsupported = session.ErrUnsupported
 
 // Run executes one measurement session: resolve spec.Backend and
 // spec.Method by name, build the environment, run the scheme. The
-// single entry point behind every deprecated per-tool function, the
-// fleet campaign scheduler, and the CLIs. A cancelled ctx aborts the
-// run and returns the partial result alongside ctx's error.
+// single entry point behind the fleet campaign scheduler and the CLIs.
+// A cancelled ctx aborts the run and returns the partial result
+// alongside ctx's error.
 func Run(ctx context.Context, spec SessionSpec) (*SessionResult, error) {
 	return session.Run(ctx, spec)
 }
@@ -118,8 +117,6 @@ type (
 	Phone = android.Phone
 	// Profile describes one of the paper's five phones.
 	Profile = android.Profile
-	// Config parameterises an AcuteMon run.
-	Config = core.Config
 	// Result is an AcuteMon run result.
 	Result = core.Result
 	// Calibration carries inferred Tis/Tip values.
@@ -128,21 +125,11 @@ type (
 	CalibrateOptions = core.CalibrateOptions
 	// ToolResult is a comparison-tool run result.
 	ToolResult = tools.Result
-	// LiveConfig parameterises a real-socket measurement.
-	LiveConfig = live.Config
 	// LiveResult is a real-socket measurement result.
 	LiveResult = live.Result
 	// Sample is a set of duration observations with the paper's
 	// statistics (mean ±CI, boxplot, ECDF) attached.
 	Sample = stats.Sample
-)
-
-// Probe types for Config.Probe.
-const (
-	ProbeTCPSyn   = core.ProbeTCPSyn
-	ProbeHTTPGet  = core.ProbeHTTPGet
-	ProbeUDPEcho  = core.ProbeUDPEcho
-	ProbeICMPEcho = core.ProbeICMPEcho
 )
 
 // DefaultTestbedConfig returns a Nexus 5 testbed with a 30 ms emulated
@@ -158,67 +145,9 @@ func Profiles() []Profile { return android.Profiles() }
 // ProfileByName resolves a phone model name ("Nexus 5", "nexus4", …).
 func ProfileByName(name string) (Profile, bool) { return android.ProfileByName(name) }
 
-// DefaultConfig returns the paper's empirical AcuteMon parameters
-// (K=100, dpre=db=20 ms, TTL=1).
-func DefaultConfig() Config { return core.DefaultConfig() }
-
-// mustSim delegates a deprecated simulated-backend wrapper to Run and
-// unwraps the backend-native result. With a background context and a
-// caller-supplied testbed the pipeline cannot fail; a failure here is a
-// programming error, matching the wrappers' historic can't-fail
-// signatures.
-func mustSim[T any](spec SessionSpec) T {
-	res, err := session.Run(context.Background(), spec)
-	if err != nil {
-		panic("acutemon: " + spec.Method + ": " + err.Error())
-	}
-	return res.Raw.(T)
-}
-
-// probeName maps a core probe constant onto the canonical spec name.
-func probeName(p core.ProbeType) string { return p.String() }
-
-// Measure runs AcuteMon on the testbed and drives the simulation until
-// the run completes.
-//
-// Deprecated: use Run with SessionSpec{Backend: "sim", Method:
-// "acutemon", Testbed: tb} — one pipeline, context cancellation, and a
-// per-probe observation stream. Measure remains a thin wrapper over it.
-func Measure(tb *Testbed, cfg Config) *Result {
-	var zero Config
-	if cfg.Target != zero.Target || cfg.TargetPort != 0 ||
-		cfg.WarmupTarget != zero.WarmupTarget || cfg.WarmupTargetPort != 0 {
-		// The spec deliberately does not expose the testbed's internal
-		// addressing, so runs that override the Target*/WarmupTarget*
-		// fields keep the historic direct path rather than silently
-		// probing the default server.
-		return core.New(tb, cfg).Run()
-	}
-	return mustSim[*Result](SessionSpec{
-		Backend: "sim", Method: "acutemon", Testbed: tb,
-		K: cfg.K, Probe: probeName(cfg.Probe),
-		WarmupDelay: cfg.WarmupDelay, BackgroundInterval: cfg.BackgroundInterval,
-		BackgroundTTL: int(cfg.BackgroundTTL), NoBackground: cfg.NoBackground,
-		Timeout: cfg.ProbeTimeout,
-	})
-}
-
 // Calibrate infers the phone's Tis and Tip (the paper's future-work
 // training procedure) from sniffer and user-level observations only.
 func Calibrate(tb *Testbed, opts CalibrateOptions) Calibration { return core.Calibrate(tb, opts) }
-
-// MeasureCalibrated calibrates, then measures with the recommended
-// dpre/db.
-//
-// Deprecated: call Calibrate, then Run with the recommended
-// WarmupDelay/BackgroundInterval in the SessionSpec (which is exactly
-// what this wrapper does).
-func MeasureCalibrated(tb *Testbed, cfg Config, opts CalibrateOptions) (*Result, Calibration) {
-	cal := core.Calibrate(tb, opts)
-	cfg.WarmupDelay = cal.RecommendedWarmup
-	cfg.BackgroundInterval = cal.RecommendedInterval
-	return Measure(tb, cfg), cal
-}
 
 // Overheads extracts Δdu−k and Δdk−n samples for an AcuteMon result —
 // the quantities of the paper's Figure 7.
@@ -226,111 +155,19 @@ func Overheads(tb *Testbed, res *Result) (duk, dkn Sample) {
 	return core.OverheadStats(tb, res)
 }
 
-// Ping runs stock ICMP ping on the testbed phone (§3.1), quirks
-// included.
-//
-// Deprecated: use Run with SessionSpec{Backend: "sim", Method: "ping",
-// Testbed: tb, K: count, Interval: interval}.
-func Ping(tb *Testbed, count int, interval time.Duration) *ToolResult {
-	return mustSim[*ToolResult](SessionSpec{
-		Backend: "sim", Method: "ping", Testbed: tb, K: count, Interval: interval,
-	})
-}
-
-// HTTPing runs the cross-compiled httping comparison tool.
-//
-// Deprecated: use Run with SessionSpec{Backend: "sim", Method:
-// "httping", Testbed: tb, K: count, Interval: interval}.
-func HTTPing(tb *Testbed, count int, interval time.Duration) *ToolResult {
-	return mustSim[*ToolResult](SessionSpec{
-		Backend: "sim", Method: "httping", Testbed: tb, K: count, Interval: interval,
-	})
-}
-
-// JavaPing runs the MobiPerf-style Dalvik SYN/RST prober.
-//
-// Deprecated: use Run with SessionSpec{Backend: "sim", Method:
-// "javaping", Testbed: tb, K: count, Interval: interval}.
-func JavaPing(tb *Testbed, count int, interval time.Duration) *ToolResult {
-	return mustSim[*ToolResult](SessionSpec{
-		Backend: "sim", Method: "javaping", Testbed: tb, K: count, Interval: interval,
-	})
-}
-
-// Ping2 runs the server-side double-ping baseline of Sui et al.
-//
-// Deprecated: use Run with SessionSpec{Backend: "sim", Method:
-// "ping2", Testbed: tb, K: rounds, Interval: gap}.
-func Ping2(tb *Testbed, rounds int, gap time.Duration) *ToolResult {
-	return mustSim[*ToolResult](SessionSpec{
-		Backend: "sim", Method: "ping2", Testbed: tb, K: rounds, Interval: gap,
-	})
-}
-
 // ToolLayerSamples extracts du/dk/dn samples for a tool run.
 func ToolLayerSamples(tb *Testbed, res *ToolResult) (du, dk, dn Sample) {
 	return tools.LayerSamples(tb, *res)
-}
-
-// LiveMeasure runs the AcuteMon scheme over real sockets.
-//
-// Deprecated: use Run with SessionSpec{Backend: "live", Method:
-// "acutemon", Target: …} — same scheme, same cancellation contract,
-// plus the per-probe observation stream.
-func LiveMeasure(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
-	spec := SessionSpec{
-		Backend: "live", Method: "acutemon",
-		Target: cfg.Target, WarmupAddr: cfg.WarmupAddr,
-		Probe: cfg.Probe.String(), K: cfg.K,
-		WarmupDelay: cfg.WarmupDelay, BackgroundInterval: cfg.BackgroundInterval,
-		BackgroundTTL: cfg.BackgroundTTL, NoBackground: cfg.NoBackground,
-		Timeout: cfg.ProbeTimeout,
-	}
-	if cfg.OnProbe != nil {
-		// The hook rides the pipeline's observation stream (the method
-		// installs its own live.Config.OnProbe to feed the Sink).
-		spec.Sink = SessionSinkFunc(func(o SessionObservation) {
-			cfg.OnProbe(live.ProbeRecord{Seq: o.Seq, RTT: o.RTT, Err: o.Err})
-		})
-	}
-	res, err := session.Run(ctx, spec)
-	if res == nil || res.Raw == nil {
-		return nil, err
-	}
-	return res.Raw.(*LiveResult), err
 }
 
 // StartLiveServers starts the loopback-testable live measurement target
 // (TCP connect/HTTP + UDP echo).
 func StartLiveServers(addr string) (*live.Servers, error) { return live.StartServers(addr) }
 
-// Registry is the per-model calibration database (the paper's §4.1
-// future-work item), persistable as JSON.
-type Registry = core.Registry
-
-// RegistryEntry is one phone model's calibrated parameters.
-type RegistryEntry = core.RegistryEntry
-
-// NewRegistry returns an empty calibration database.
-func NewRegistry() *Registry { return core.NewRegistry() }
-
-// LoadRegistry parses a calibration database from JSON.
-func LoadRegistry(r io.Reader) (*Registry, error) { return core.LoadRegistry(r) }
-
-// ShardedRegistry is the concurrency-safe calibration database used by
-// fleet campaigns: workers read and record per-model parameters without
-// a global lock.
-type ShardedRegistry = core.ShardedRegistry
-
-// NewShardedRegistry returns an empty sharded calibration database
-// (shards < 1 selects the default shard count).
-func NewShardedRegistry(shards int) *ShardedRegistry { return core.NewShardedRegistry(shards) }
-
-// RegistryView wraps an existing device-knowledge store in the
-// deprecated ShardedRegistry interface, so calibrations recorded
-// through the legacy surface land in the same store as the learned
-// overhead profiles (nil store → nil view).
-func RegistryView(st *KnowledgeStore) *ShardedRegistry { return core.RegistryView(st) }
+// RegistryEntry is one phone model's calibrated parameters — an entry
+// of a -registry file and the unit KnowledgeStore.RecordCalibration
+// and Calibration speak.
+type RegistryEntry = puncture.CalEntry
 
 // Fleet-scale campaign surface. A Campaign runs hundreds to thousands
 // of independent simulated measurement sessions on a bounded worker
@@ -359,9 +196,11 @@ func RunCampaignContext(ctx context.Context, c Campaign) (*CampaignReport, error
 }
 
 // RunCampaign executes a fleet campaign and returns the merged report.
-// A context, if any, rides Campaign.Context; new code prefers
-// RunCampaignContext.
-func RunCampaign(c Campaign) (*CampaignReport, error) { return fleet.Run(c) }
+// A context, if any, rides Campaign.Context; RunCampaignContext takes
+// it as an argument instead.
+func RunCampaign(c Campaign) (*CampaignReport, error) {
+	return fleet.RunContext(c.Context, c)
+}
 
 // CampaignScenarios lists the built-in campaign presets (device-model
 // mixes, cross-traffic levels, PSM timer sweeps, RTT sweeps).

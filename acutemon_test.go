@@ -14,7 +14,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	cfg.EmulatedRTT = 50 * time.Millisecond
 	tb := NewTestbed(cfg)
 	tb.Sim.RunUntil(300 * time.Millisecond)
-	res := Measure(tb, Config{K: 50})
+	sess, err := Run(context.Background(), SessionSpec{Backend: "sim", Method: "acutemon", Testbed: tb, K: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sess.Raw.(*Result)
 	if len(res.Sample()) < 45 {
 		t.Fatalf("completed %d/50", len(res.Sample()))
 	}
@@ -41,7 +45,13 @@ func TestFacadeTools(t *testing.T) {
 	cfg := DefaultTestbedConfig()
 	cfg.Seed = 12
 	tb := NewTestbed(cfg)
-	res := Ping(tb, 20, 20*time.Millisecond)
+	sess, err := Run(context.Background(), SessionSpec{
+		Backend: "sim", Method: "ping", Testbed: tb, K: 20, Interval: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sess.Raw.(*ToolResult)
 	if len(res.Sample()) < 18 {
 		t.Fatalf("ping completed %d/20", len(res.Sample()))
 	}
@@ -67,7 +77,8 @@ func TestFacadeLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	res, err := LiveMeasure(context.Background(), LiveConfig{
+	res, err := Run(context.Background(), SessionSpec{
+		Backend: "live", Method: "acutemon",
 		Target: srv.Addr(), K: 5, WarmupAddr: srv.Addr(),
 		WarmupDelay: 5 * time.Millisecond, BackgroundInterval: 10 * time.Millisecond,
 	})

@@ -3,33 +3,33 @@ package acutemon_test
 // The Session API contract test: every registered (backend × method)
 // pair goes through Run with one set of semantics — cancelled contexts
 // abort cleanly, zero-value specs error instead of panicking, sinks see
-// every probe, and the deprecated per-tool wrappers stay pinned to
-// their historic signatures while delegating to Run.
+// every probe, and the backend-native results and the knowledge store
+// stay pinned to their signatures.
 
 import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	acutemon "repro"
 )
 
-// Compile-time pins: the deprecated facade wrappers keep their historic
-// signatures (and the new pipeline its contract) — a redesign that
-// breaks any of these fails to build, not at runtime.
+// Compile-time pins: the session pipeline and the device-knowledge
+// store keep their contracts — a redesign that breaks any of these
+// fails to build, not at runtime.
 var (
 	_ func(context.Context, acutemon.SessionSpec) (*acutemon.SessionResult, error) = acutemon.Run
 
-	_ func(*acutemon.Testbed, acutemon.Config) *acutemon.Result                                                    = acutemon.Measure
-	_ func(*acutemon.Testbed, acutemon.Config, acutemon.CalibrateOptions) (*acutemon.Result, acutemon.Calibration) = acutemon.MeasureCalibrated
-	_ func(*acutemon.Testbed, int, time.Duration) *acutemon.ToolResult                                             = acutemon.Ping
-	_ func(*acutemon.Testbed, int, time.Duration) *acutemon.ToolResult                                             = acutemon.HTTPing
-	_ func(*acutemon.Testbed, int, time.Duration) *acutemon.ToolResult                                             = acutemon.JavaPing
-	_ func(*acutemon.Testbed, int, time.Duration) *acutemon.ToolResult                                             = acutemon.Ping2
-	_ func(context.Context, acutemon.LiveConfig) (*acutemon.LiveResult, error)                                     = acutemon.LiveMeasure
+	_ func(st *acutemon.KnowledgeStore) []acutemon.DeviceProfile                                   = (*acutemon.KnowledgeStore).Profiles
+	_ func(st *acutemon.KnowledgeStore, e acutemon.RegistryEntry) error                            = (*acutemon.KnowledgeStore).RecordCalibration
+	_ func(st *acutemon.KnowledgeStore, o *acutemon.KnowledgeStore) error                          = (*acutemon.KnowledgeStore).Merge
+	_ func(st *acutemon.KnowledgeStore, m string) (acutemon.RegistryEntry, bool)                   = (*acutemon.KnowledgeStore).Calibration
+	_ func(st *acutemon.KnowledgeStore, m, chip string) (time.Duration, acutemon.CorrectionSource) = (*acutemon.KnowledgeStore).Resolve
+	_ func(st *acutemon.KnowledgeStore, path string) error                                         = (*acutemon.KnowledgeStore).SaveCalibrationsFile
 )
 
 func TestRegistriesComplete(t *testing.T) {
@@ -275,84 +275,77 @@ func TestRunCellular(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersDelegate confirms the old facade entry points
-// produce through the new pipeline: the unwrapped backend-native
-// results keep their historic shapes and values.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
+// TestRunRawResults: a sim session on a caller-supplied testbed keeps
+// the backend-native result in Raw, in the shapes the layer helpers
+// (Overheads, ToolLayerSamples) take.
+func TestRunRawResults(t *testing.T) {
+	ctx := context.Background()
 	cfg := acutemon.DefaultTestbedConfig()
 	cfg.Seed = 77
 	tb := acutemon.NewTestbed(cfg)
 	tb.Sim.RunUntil(300 * time.Millisecond)
-	res := acutemon.Measure(tb, acutemon.Config{K: 10})
+	sess, err := acutemon.Run(ctx, acutemon.SessionSpec{Backend: "sim", Method: "acutemon", Testbed: tb, K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sess.Raw.(*acutemon.Result)
 	if len(res.Records) != 10 || res.Tool != "acutemon" {
-		t.Fatalf("Measure: %d records, tool %q", len(res.Records), res.Tool)
+		t.Fatalf("acutemon: %d records, tool %q", len(res.Records), res.Tool)
 	}
 	if res.BackgroundSent == 0 {
-		t.Error("Measure lost the BT accounting through the pipeline")
+		t.Error("acutemon lost the BT accounting through the pipeline")
+	}
+	if duk, dkn := acutemon.Overheads(tb, res); len(duk) == 0 || len(dkn) == 0 {
+		t.Error("acutemon result lost overhead extraction")
 	}
 
 	tb2 := acutemon.NewTestbed(acutemon.DefaultTestbedConfig())
-	ping := acutemon.Ping(tb2, 5, 20*time.Millisecond)
+	sess, err = acutemon.Run(ctx, acutemon.SessionSpec{
+		Backend: "sim", Method: "ping", Testbed: tb2, K: 5, Interval: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ping := sess.Raw.(*acutemon.ToolResult)
 	if ping.Tool != "ping" || ping.Sent != 5 {
-		t.Fatalf("Ping: tool=%q sent=%d", ping.Tool, ping.Sent)
+		t.Fatalf("ping: tool=%q sent=%d", ping.Tool, ping.Sent)
 	}
 	if du, _, _ := acutemon.ToolLayerSamples(tb2, ping); len(du) == 0 {
-		t.Error("Ping result lost layer extraction compatibility")
+		t.Error("ping result lost layer extraction")
 	}
 }
 
-// TestDeprecatedRegistryFacades pins the legacy calibration-database
-// surface compile-time: Registry and ShardedRegistry are now thin
-// views over the device-knowledge store, but every historic method
-// keeps its exact signature and the JSON file format is unchanged.
-func TestDeprecatedRegistryFacades(t *testing.T) {
-	// Compile-time signature pins (like the PR 4 facade pins): a drift
-	// in any deprecated method breaks this assignment list.
-	var (
-		_ func() *acutemon.Registry                                                                    = acutemon.NewRegistry
-		_ func(io.Reader) (*acutemon.Registry, error)                                                  = acutemon.LoadRegistry
-		_ func(int) *acutemon.ShardedRegistry                                                          = acutemon.NewShardedRegistry
-		_ func(r *acutemon.Registry, e acutemon.RegistryEntry) error                                   = (*acutemon.Registry).Put
-		_ func(r *acutemon.Registry) int                                                               = (*acutemon.Registry).Len
-		_ func(r *acutemon.Registry, m string, base acutemon.Config) (acutemon.Config, bool)           = (*acutemon.Registry).ConfigFor
-		_ func(s *acutemon.ShardedRegistry, e acutemon.RegistryEntry) error                            = (*acutemon.ShardedRegistry).Record
-		_ func(s *acutemon.ShardedRegistry) *acutemon.Registry                                         = (*acutemon.ShardedRegistry).Snapshot
-		_ func(s *acutemon.ShardedRegistry, r *acutemon.Registry) error                                = (*acutemon.ShardedRegistry).Load
-		_ func(s *acutemon.ShardedRegistry) *acutemon.KnowledgeStore                                   = (*acutemon.ShardedRegistry).Store
-		_ func(s *acutemon.ShardedRegistry, m string) (acutemon.RegistryEntry, bool)                   = (*acutemon.ShardedRegistry).Lookup
-		_ func(st *acutemon.KnowledgeStore) []acutemon.DeviceProfile                                   = (*acutemon.KnowledgeStore).Profiles
-		_ func(st *acutemon.KnowledgeStore, e acutemon.RegistryEntry) error                            = (*acutemon.KnowledgeStore).RecordCalibration
-		_ func(st *acutemon.KnowledgeStore, o *acutemon.KnowledgeStore) error                          = (*acutemon.KnowledgeStore).Merge
-		_ func(st *acutemon.KnowledgeStore, m string) (acutemon.RegistryEntry, bool)                   = (*acutemon.KnowledgeStore).Calibration
-		_ func(st *acutemon.KnowledgeStore, m, chip string) (time.Duration, acutemon.CorrectionSource) = (*acutemon.KnowledgeStore).Resolve
-	)
-
-	// The view and the store share state: a Record through the facade
-	// is visible as a DeviceProfile, and the old JSON array format
-	// round-trips.
-	reg := acutemon.NewShardedRegistry(0)
+// TestKnowledgeStoreCalibrations: a calibration recorded in the store
+// is visible as a DeviceProfile, and the -registry file format (a plain
+// entry array) round-trips through SaveCalibrationsFile/LoadKnowledge.
+func TestKnowledgeStoreCalibrations(t *testing.T) {
+	st := acutemon.NewKnowledgeStore(0)
 	e := acutemon.RegistryEntry{
 		Model: "Pin Phone", Chipset: "BCM-pin",
 		Tip: 200 * time.Millisecond, Tis: 300 * time.Millisecond,
 		Warmup: 20 * time.Millisecond, Interval: 20 * time.Millisecond, Samples: 3,
 	}
-	if err := reg.Record(e); err != nil {
+	if err := st.RecordCalibration(e); err != nil {
 		t.Fatal(err)
 	}
-	p, ok := reg.Store().Lookup("Pin Phone")
+	p, ok := st.Lookup("Pin Phone")
 	if !ok || p.CalEntry != e {
-		t.Fatalf("facade record invisible in store: %+v", p)
+		t.Fatalf("calibration invisible as a profile: %+v", p)
 	}
-	var buf bytes.Buffer
-	if err := reg.Snapshot().Save(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "registry.json")
+	if err := st.SaveCalibrationsFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := acutemon.LoadRegistry(&buf)
-	if err != nil {
-		t.Fatal(err)
+	raw, err := os.ReadFile(path)
+	if err != nil || !bytes.HasPrefix(raw, []byte("[")) {
+		t.Fatalf("registry file is not an entry array: %s (%v)", raw, err)
 	}
-	if got, ok := back.Get("Pin Phone"); !ok || got != e {
-		t.Fatalf("registry JSON round trip: %+v ok=%v", got, ok)
+	back, found, err := acutemon.LoadKnowledge(path, 0)
+	if err != nil || !found {
+		t.Fatalf("load: found=%v err=%v", found, err)
+	}
+	if got, ok := back.Calibration("Pin Phone"); !ok || got != e {
+		t.Fatalf("registry file round trip: %+v ok=%v", got, ok)
 	}
 }
 

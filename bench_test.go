@@ -256,8 +256,12 @@ func BenchmarkAcuteMonRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultTestbedConfig()
 		cfg.Seed = int64(i + 1)
-		tb := NewTestbed(cfg)
-		res := Measure(tb, Config{K: 100})
+		res, err := Run(context.Background(), SessionSpec{
+			Backend: "sim", Method: "acutemon", Testbed: NewTestbed(cfg), K: 100,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(res.Sample()) < 90 {
 			b.Fatalf("completed %d/100", len(res.Sample()))
 		}

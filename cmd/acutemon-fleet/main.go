@@ -43,7 +43,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "campaign seed (results are reproducible per seed)")
 	registryPath := flag.String("registry", "", "calibration database JSON: loaded if present, saved after the run")
 	profilesPath := flag.String("profiles", "", "device-knowledge snapshot: loaded if present, taught by every attributing session (and -calibrate), saved after the run; POST it to a live ingestd's /v1/profiles to merge the delta")
-	calibrate := flag.Bool("calibrate", false, "auto-calibrate models missing from the registry (implies a shared registry)")
+	calibrate := flag.Bool("calibrate", false, "auto-calibrate models missing from the knowledge store before sessions start")
 	progress := flag.Bool("progress", false, "print one line per 100 finished sessions")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable CampaignReport as JSON on stdout")
 	flag.Parse()
@@ -159,32 +159,27 @@ func main() {
 		c.Profiles = st
 	}
 	if *registryPath != "" || *calibrate {
-		// With -profiles, the registry is a view over the same knowledge
-		// store, so -calibrate calibrations (and a loaded -registry
-		// database) land in the saved snapshot too.
-		reg := acutemon.RegistryView(c.Profiles)
-		if reg == nil {
-			reg = acutemon.NewShardedRegistry(0)
+		// One knowledge store carries the calibrations: with -profiles
+		// they land in the saved snapshot too.
+		if c.Profiles == nil {
+			c.Profiles = acutemon.NewKnowledgeStore(0)
 		}
 		if *registryPath != "" {
-			if f, err := os.Open(*registryPath); err == nil {
-				plain, err := acutemon.LoadRegistry(f)
-				f.Close()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "registry %s: %v\n", *registryPath, err)
-					os.Exit(1)
-				}
-				if err := reg.Load(plain); err != nil {
-					fmt.Fprintf(os.Stderr, "registry %s: %v\n", *registryPath, err)
-					os.Exit(1)
-				}
-				fmt.Fprintf(info, "loaded %d calibrated model(s) from %s\n", reg.Len(), *registryPath)
-			} else if !os.IsNotExist(err) {
+			reg, found, err := acutemon.LoadKnowledge(*registryPath, 0)
+			if err != nil {
 				fmt.Fprintln(os.Stderr, "registry:", err)
 				os.Exit(1)
 			}
+			if found {
+				for _, e := range reg.Calibrations() {
+					if err := c.Profiles.RecordCalibration(e); err != nil {
+						fmt.Fprintf(os.Stderr, "registry %s: %v\n", *registryPath, err)
+						os.Exit(1)
+					}
+				}
+				fmt.Fprintf(info, "loaded %d calibrated model(s) from %s\n", c.Profiles.CalibratedLen(), *registryPath)
+			}
 		}
-		c.Registry = reg
 		c.AutoCalibrate = *calibrate
 	}
 
@@ -228,19 +223,12 @@ func main() {
 		fmt.Fprintf(info, "saved %d device profiles (%d calibrated) to %s\n",
 			c.Profiles.Len(), c.Profiles.CalibratedLen(), *profilesPath)
 	}
-	if c.Registry != nil && *registryPath != "" {
-		f, err := os.Create(*registryPath)
-		if err != nil {
+	if *registryPath != "" {
+		if err := c.Profiles.SaveCalibrationsFile(*registryPath); err != nil {
 			fmt.Fprintln(os.Stderr, "registry:", err)
 			os.Exit(1)
 		}
-		if err := c.Registry.Snapshot().Save(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "registry:", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Fprintf(info, "saved %d calibrated model(s) to %s\n", c.Registry.Len(), *registryPath)
+		fmt.Fprintf(info, "saved %d calibrated model(s) to %s\n", c.Profiles.CalibratedLen(), *registryPath)
 	}
 
 	if rep.Errors > 0 {

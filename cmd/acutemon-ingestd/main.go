@@ -46,9 +46,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/ingest"
+	"repro/internal/puncture"
 )
 
 func main() {
@@ -60,7 +60,7 @@ func main() {
 	tcpAddr := flag.String("tcp-addr", "", "raw binary-wire TCP listen address (empty disables; see README Wire formats)")
 	maxCells := flag.Int64("max-cells", 0, "distinct aggregation cell cap (0 = default, negative = uncapped)")
 	retention := flag.Duration("retention", 0, "compact windows older than this into rollups (0 = 24h, negative = keep forever)")
-	compactWindow := flag.Duration("compact-window", 0, "rollup window width expired cells merge into (0 = 10x window; negative reverts to lossy pruning)")
+	compactWindow := flag.Duration("compact-window", 0, "rollup window width expired cells merge into (0 = 10x window; must not be negative)")
 	streamInterval := flag.Duration("stream-interval", 0, "/v1/stream broadcast coalescing interval (0 = 100ms)")
 	maxSubscribers := flag.Int("max-subscribers", 0, "max concurrent /v1/stream clients (0 = 64)")
 	registryPath := flag.String("registry", "", "calibration database JSON to serve and puncture against")
@@ -97,22 +97,10 @@ func main() {
 		startPprof(*pprofAddr)
 	}
 
-	var registry *core.ShardedRegistry
+	var knowledge *puncture.Store
 	if *registryPath != "" {
-		f, err := os.Open(*registryPath)
-		if err != nil {
-			fatal("registry: %v", err)
-		}
-		plain, err := core.LoadRegistry(f)
-		f.Close()
-		if err != nil {
-			fatal("registry %s: %v", *registryPath, err)
-		}
-		registry = core.NewShardedRegistry(0)
-		if err := registry.Load(plain); err != nil {
-			fatal("registry %s: %v", *registryPath, err)
-		}
-		fmt.Printf("loaded %d calibrated model(s) from %s\n", registry.Len(), *registryPath)
+		knowledge = loadRegistry(*registryPath)
+		fmt.Printf("loaded %d calibrated model(s) from %s\n", knowledge.CalibratedLen(), *registryPath)
 	}
 
 	cfg := ingest.Config{
@@ -127,7 +115,7 @@ func main() {
 		CompactWindow:    *compactWindow,
 		StreamInterval:   *streamInterval,
 		MaxSubscribers:   *maxSubscribers,
-		Registry:         registry,
+		Profiles:         knowledge,
 		ProfilesPath:     *profilesPath,
 		ProfilesInterval: *profilesInterval,
 	}
@@ -144,7 +132,7 @@ func main() {
 		runLoadgen(ctx, cfg, loadgenSpec{
 			scenario: *scenario, sessions: *sessions, workers: *workers,
 			probes: *probes, rtt: *rtt, seed: *seed, batch: *batch,
-			target: *target, wire: *wire,
+			target: *target, wire: *wire, registry: *registryPath,
 		})
 	default:
 		serve(ctx, cfg, cluster.Config{
@@ -192,6 +180,20 @@ func splitPeers(s string) []string {
 		}
 	}
 	return out
+}
+
+// loadRegistry reads a -registry calibration file (a CalEntry array or
+// a knowledge snapshot) into a fresh store; unlike -profiles, the file
+// must exist.
+func loadRegistry(path string) *puncture.Store {
+	st, found, err := puncture.LoadFile(path, 0)
+	if err != nil {
+		fatal("registry %s: %v", path, err)
+	}
+	if !found {
+		fatal("registry: %s does not exist", path)
+	}
+	return st
 }
 
 func fatal(format string, args ...any) {
@@ -265,17 +267,22 @@ type loadgenSpec struct {
 	batch    int
 	target   string
 	wire     string
+	// registry is the -registry file the campaign reads calibrations
+	// from ("" → none).
+	registry string
 }
 
-// runLoadgen streams a seeded campaign through the real wire protocol
-// and, when the server is embedded, verifies the queried aggregates
-// against the campaign's own offline report.
-func runLoadgen(ctx context.Context, cfg ingest.Config, spec loadgenSpec) {
+// loadgenCampaign builds the seeded campaign a -loadgen run streams.
+// With -registry the campaign reads calibrations from its own store
+// loaded from the same file: sharing the server's store would teach it
+// every attribution twice (once by the fleet, once by ingest) and make
+// the server's corrections depend on that interleaving.
+func loadgenCampaign(spec loadgenSpec) fleet.Campaign {
 	sc, ok := fleet.ScenarioByName(spec.scenario)
 	if !ok {
 		fatal("unknown scenario %q; see acutemon-fleet -list", spec.scenario)
 	}
-	campaign := fleet.Campaign{
+	c := fleet.Campaign{
 		Name:     spec.scenario,
 		Scenario: spec.scenario,
 		Seed:     spec.seed,
@@ -283,9 +290,18 @@ func runLoadgen(ctx context.Context, cfg ingest.Config, spec loadgenSpec) {
 		Sessions: sc.Build(fleet.Params{
 			Sessions: spec.sessions, Seed: spec.seed, Probes: spec.probes, BaseRTT: spec.rtt,
 		}),
-		Registry: cfg.Registry,
 	}
+	if spec.registry != "" {
+		c.Profiles = loadRegistry(spec.registry)
+	}
+	return c
+}
 
+// runLoadgen streams a seeded campaign through the real wire protocol
+// and, when the server is embedded, verifies the queried aggregates
+// against the campaign's own offline report.
+func runLoadgen(ctx context.Context, cfg ingest.Config, spec loadgenSpec) {
+	campaign := loadgenCampaign(spec)
 	url, embedded := spec.target, (*ingest.Server)(nil)
 	lg := &ingest.LoadGen{URL: url, Wire: spec.wire, BatchSize: spec.batch}
 	defer lg.Close()

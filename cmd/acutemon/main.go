@@ -11,7 +11,7 @@
 //	acutemon -list
 //
 // The -backend/-method pair is the same vocabulary acutemon-live and
-// acutemon-fleet speak; -tool is kept as a deprecated alias of -method.
+// acutemon-fleet speak.
 package main
 
 import (
@@ -31,7 +31,6 @@ import (
 func main() {
 	backend := flag.String("backend", "sim", "session backend (see -list)")
 	method := flag.String("method", "acutemon", "probing method (see -list)")
-	tool := flag.String("tool", "", "deprecated alias of -method")
 	list := flag.Bool("list", false, "list registered backends and methods, then exit")
 	phone := flag.String("phone", "Google Nexus 5", "phone model (see Table 1)")
 	rtt := flag.Duration("rtt", 30*time.Millisecond, "emulated path RTT (operator-core RTT on cellular)")
@@ -56,19 +55,6 @@ func main() {
 			fmt.Printf("  %-10s %s\n", m.Name(), m.Description())
 		}
 		return
-	}
-	if *tool != "" {
-		methodSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "method" {
-				methodSet = true
-			}
-		})
-		if methodSet && *method != *tool {
-			fmt.Fprintf(os.Stderr, "-tool is a deprecated alias of -method; got both (-method %s, -tool %s)\n", *method, *tool)
-			os.Exit(2)
-		}
-		*method = *tool
 	}
 	if *pcapPath != "" && *backend != "sim" {
 		fmt.Fprintln(os.Stderr, "-pcap needs the sim backend (no sniffers elsewhere)")

@@ -1,6 +1,7 @@
 package acutemon_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,7 +9,7 @@ import (
 )
 
 // The canonical workflow: build a testbed, let the phone idle, measure
-// with AcuteMon, inspect the overheads.
+// with AcuteMon through Run, inspect the overheads.
 func Example() {
 	cfg := acutemon.DefaultTestbedConfig()
 	cfg.Seed = 1234
@@ -16,7 +17,13 @@ func Example() {
 	tb := acutemon.NewTestbed(cfg)
 	tb.Sim.RunUntil(500 * time.Millisecond) // the idle phone dozes
 
-	res := acutemon.Measure(tb, acutemon.Config{K: 100})
+	sess, err := acutemon.Run(context.Background(), acutemon.SessionSpec{
+		Backend: "sim", Method: "acutemon", Testbed: tb, K: 100,
+	})
+	if err != nil {
+		panic(err)
+	}
+	res := sess.Raw.(*acutemon.Result)
 	duk, dkn := acutemon.Overheads(tb, res)
 	fmt.Printf("completed: %d/100\n", len(res.Sample()))
 	fmt.Printf("median within 3ms of path: %v\n",
@@ -38,12 +45,22 @@ func Example_inflation() {
 	cfg.Phone = prof
 	cfg.EmulatedRTT = 60 * time.Millisecond
 
-	tbPing := acutemon.NewTestbed(cfg)
-	ping := acutemon.Ping(tbPing, 50, time.Second)
+	ctx := context.Background()
+	ping, err := acutemon.Run(ctx, acutemon.SessionSpec{
+		Backend: "sim", Method: "ping", Testbed: acutemon.NewTestbed(cfg), K: 50, Interval: time.Second,
+	})
+	if err != nil {
+		panic(err)
+	}
 
 	tbAM := acutemon.NewTestbed(cfg)
 	tbAM.Sim.RunUntil(500 * time.Millisecond)
-	am := acutemon.Measure(tbAM, acutemon.Config{K: 50})
+	am, err := acutemon.Run(ctx, acutemon.SessionSpec{
+		Backend: "sim", Method: "acutemon", Testbed: tbAM, K: 50,
+	})
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("ping median inflated beyond 100ms: %v\n",
 		ping.Sample().Median() > 100*time.Millisecond)

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -30,7 +31,15 @@ func main() {
 	cfg.Phone = prof
 	cfg.EmulatedRTT = 85 * time.Millisecond
 	tb := acutemon.NewTestbed(cfg)
-	res, cal := acutemon.MeasureCalibrated(tb, acutemon.Config{K: 100}, acutemon.CalibrateOptions{})
+	cal := acutemon.Calibrate(tb, acutemon.CalibrateOptions{})
+	sess, err := acutemon.Run(context.Background(), acutemon.SessionSpec{
+		Backend: "sim", Method: "acutemon", Testbed: tb, K: 100,
+		WarmupDelay: cal.RecommendedWarmup, BackgroundInterval: cal.RecommendedInterval,
+	})
+	if err != nil {
+		panic(err)
+	}
+	res := sess.Raw.(*acutemon.Result)
 	duk, dkn := acutemon.Overheads(tb, res)
 	fmt.Printf("  calibrated dpre=db=%v; median RTT %.2fms; median overhead %.2fms\n",
 		cal.RecommendedInterval,

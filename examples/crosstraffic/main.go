@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -19,7 +20,9 @@ func main() {
 			label = "with 10×2.5 Mbps iPerf cross traffic"
 		}
 		fmt.Printf("\n%s:\n", label)
-		for _, tool := range []string{"AcuteMon", "httping", "ping", "Java ping"} {
+		for _, tool := range []struct{ label, method string }{
+			{"AcuteMon", "acutemon"}, {"httping", "httping"}, {"ping", "ping"}, {"Java ping", "javaping"},
+		} {
 			cfg := acutemon.DefaultTestbedConfig()
 			cfg.Seed = 42
 			tb := acutemon.NewTestbed(cfg)
@@ -28,19 +31,15 @@ func main() {
 			}
 			tb.Sim.RunUntil(300 * time.Millisecond)
 
-			var s acutemon.Sample
-			switch tool {
-			case "AcuteMon":
-				s = acutemon.Measure(tb, acutemon.Config{K: 100}).Sample()
-			case "httping":
-				s = acutemon.HTTPing(tb, 100, time.Second).Sample()
-			case "ping":
-				s = acutemon.Ping(tb, 100, time.Second).Sample()
-			case "Java ping":
-				s = acutemon.JavaPing(tb, 100, time.Second).Sample()
+			res, err := acutemon.Run(context.Background(), acutemon.SessionSpec{
+				Backend: "sim", Method: tool.method, Testbed: tb, K: 100, Interval: time.Second,
+			})
+			if err != nil {
+				panic(err)
 			}
+			s := res.Sample()
 			fmt.Printf("  %-10s median=%6.2fms  p90=%6.2fms  (n=%d)\n",
-				tool, stats.Millis(s.Median()), stats.Millis(s.Percentile(90)), len(s))
+				tool.label, stats.Millis(s.Median()), stats.Millis(s.Percentile(90)), len(s))
 		}
 		if cross {
 			fmt.Println("  (all curves shift right, but AcuteMon stays lowest — Fig 8b)")

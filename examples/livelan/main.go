@@ -21,10 +21,12 @@ func main() {
 	fmt.Printf("measurement target on %s\n\n", srv.Addr())
 
 	for _, probe := range []live.ProbeType{live.ProbeTCPConnect, live.ProbeHTTPGet, live.ProbeUDPEcho} {
-		res, err := acutemon.LiveMeasure(context.Background(), acutemon.LiveConfig{
+		res, err := acutemon.Run(context.Background(), acutemon.SessionSpec{
+			Backend:            "live",
+			Method:             "acutemon",
 			Target:             srv.Addr(),
 			WarmupAddr:         srv.Addr(),
-			Probe:              probe,
+			Probe:              probe.String(),
 			K:                  20,
 			WarmupDelay:        20 * time.Millisecond,
 			BackgroundInterval: 20 * time.Millisecond,

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -26,8 +27,13 @@ func run(phoneName string, rtt, interval time.Duration) {
 	cfg.EmulatedRTT = rtt
 	tb := acutemon.NewTestbed(cfg)
 
-	res := acutemon.Ping(tb, 100, interval)
-	du, _, dn := acutemon.ToolLayerSamples(tb, res)
+	sess, err := acutemon.Run(context.Background(), acutemon.SessionSpec{
+		Backend: "sim", Method: "ping", Testbed: tb, K: 100, Interval: interval,
+	})
+	if err != nil {
+		panic(err)
+	}
+	du, _, dn := acutemon.ToolLayerSamples(tb, sess.Raw.(*acutemon.ToolResult))
 	fmt.Printf("  %-16s interval=%-5v du=%6.2fms  dn=%6.2fms  (inflation: %+.2fms user, %+.2fms network)\n",
 		prof.Model, interval,
 		stats.Millis(du.Mean()), stats.Millis(dn.Mean()),

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -19,7 +20,13 @@ func main() {
 	// Let the idle phone settle — it will doze, like a phone in a pocket.
 	tb.Sim.RunUntil(500 * time.Millisecond)
 
-	res := acutemon.Measure(tb, acutemon.Config{K: 100})
+	sess, err := acutemon.Run(context.Background(), acutemon.SessionSpec{
+		Backend: "sim", Method: "acutemon", Testbed: tb, K: 100,
+	})
+	if err != nil {
+		panic(err)
+	}
+	res := sess.Raw.(*acutemon.Result)
 	sample := res.Sample()
 	fmt.Printf("AcuteMon on %s over an %v path:\n", tb.Phone.Profile.Model, cfg.EmulatedRTT)
 	fmt.Printf("  measured RTT: %s\n", sample.Summarize())

@@ -93,7 +93,7 @@ func buildCampaign(t testing.TB, sessions int, seed int64) (fleet.Campaign, *fle
 		Workers:  4,
 		Sessions: sc.Build(fleet.Params{Sessions: sessions, Seed: seed, Probes: 12}),
 	}
-	offline, err := fleet.Run(campaign)
+	offline, err := fleet.RunContext(context.Background(), campaign)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/android"
 	"repro/internal/packet"
+	"repro/internal/puncture"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 )
@@ -214,6 +215,24 @@ func estimateTis(tb *testbed.Testbed, opts CalibrateOptions) time.Duration {
 		}
 	}
 	return 0
+}
+
+// CalibrateInto runs the calibration procedure on the testbed's phone
+// and records the result in the device-knowledge store under the
+// phone's model. The simulation runs outside any lock; only the final
+// record synchronizes.
+func CalibrateInto(st *puncture.Store, tb *testbed.Testbed, opts CalibrateOptions) (puncture.CalEntry, error) {
+	cal := Calibrate(tb, opts)
+	e := puncture.CalEntry{
+		Model:    tb.Phone.Profile.Model,
+		Chipset:  tb.Phone.Profile.Chipset,
+		Tip:      cal.Tip,
+		Tis:      cal.Tis,
+		Warmup:   cal.RecommendedWarmup,
+		Interval: cal.RecommendedInterval,
+		Samples:  len(cal.TipSamples),
+	}
+	return e, st.RecordCalibration(e)
 }
 
 // RunCalibrated calibrates and then runs AcuteMon with the recommended

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/puncture"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 )
@@ -81,5 +82,40 @@ func TestRunCalibratedEndToEnd(t *testing.T) {
 	total := stats.Millis(duk.Median()) + stats.Millis(dkn.Median())
 	if total > 3.5 {
 		t.Errorf("calibrated run median overhead = %.2fms", total)
+	}
+}
+
+func TestCalibrateIntoBuildsDatabase(t *testing.T) {
+	st := puncture.NewStore(0)
+	for _, phone := range []string{"Google Nexus 4", "Google Nexus 5"} {
+		tb := newTB(int64(len(phone)), phone, 30*time.Millisecond)
+		e, err := CalibrateInto(st, tb, CalibrateOptions{TipRounds: 4, PairsPerGap: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", phone, err)
+		}
+		if e.Samples < 3 {
+			t.Errorf("%s: only %d Tip samples", phone, e.Samples)
+		}
+		if got, ok := st.Calibration(phone); !ok || got != e {
+			t.Errorf("%s: stored %+v, returned %+v", phone, got, e)
+		}
+	}
+	if n := st.CalibratedLen(); n != 2 {
+		t.Fatalf("store has %d calibrations", n)
+	}
+	// The database then drives a measurement without re-calibrating.
+	tb := newTB(99, "Google Nexus 4", 60*time.Millisecond)
+	e, ok := st.Calibration("Google Nexus 4")
+	if !ok {
+		t.Fatal("no stored calibration for Nexus 4")
+	}
+	tb.Sim.RunUntil(300 * time.Millisecond)
+	res := New(tb, Config{K: 30, WarmupDelay: e.Warmup, BackgroundInterval: e.Interval}).Run()
+	if len(res.Sample()) < 27 {
+		t.Fatalf("completed %d/30", len(res.Sample()))
+	}
+	med := res.Sample().Median()
+	if med < 60*time.Millisecond || med > 66*time.Millisecond {
+		t.Fatalf("median = %v, want ≈61-64ms (no PSM inflation)", med)
 	}
 }

@@ -11,26 +11,7 @@ import (
 	"repro/internal/stats"
 )
 
-// Moments and Hist were born here and now live in internal/agg so the
-// ingest service folds with the same implementation the campaign
-// scheduler merges with. The aliases keep every existing fleet caller
-// compiling unchanged.
-type (
-	// Moments is a mergeable streaming accumulator for count, mean,
-	// variance, min, and max. See agg.Moments.
-	Moments = agg.Moments
-	// Hist is a mergeable fixed-range histogram over durations. See
-	// agg.Hist.
-	Hist = agg.Hist
-	// Sketch is a mergeable t-digest-style quantile sketch. See
-	// agg.Sketch.
-	Sketch = agg.Sketch
-)
-
-// NewHist builds a histogram with the given geometry.
-func NewHist(lo, hi time.Duration, bins int) *Hist { return agg.NewHist(lo, hi, bins) }
-
-func newDuHist() *Hist { return agg.NewDurationHist() }
+func newDuHist() *agg.Hist { return agg.NewDurationHist() }
 
 // GroupAggregate is the campaign-level fold of every session sharing one
 // scenario label. All fields merge exactly (counts, histogram), stably
@@ -53,25 +34,25 @@ type GroupAggregate struct {
 	// unclamped and tail-accurate where the fixed-range DuHist saturates
 	// every observation ≥ 500 ms into Over; DuHist stays for
 	// fixed-resolution CDF/table rendering and replay.
-	Du       Moments `json:"du"`
-	DuHist   *Hist   `json:"du_hist"`
-	DuSketch *Sketch `json:"du_sketch,omitempty"`
+	Du       agg.Moments `json:"du"`
+	DuHist   *agg.Hist   `json:"du_hist"`
+	DuSketch *agg.Sketch `json:"du_sketch,omitempty"`
 
 	// Inflation folds per-session inflation factors
 	// (mean du ÷ emulated path RTT; dimensionless).
-	Inflation Moments `json:"inflation"`
+	Inflation agg.Moments `json:"inflation"`
 
 	// UserOverhead / SDIOOverhead fold per-session mean Δdu−k and Δdk−n
 	// (ns): the paper's user-space and host-bus attribution.
-	UserOverhead Moments `json:"user_overhead"`
-	SDIOOverhead Moments `json:"sdio_overhead"`
+	UserOverhead agg.Moments `json:"user_overhead"`
+	SDIOOverhead agg.Moments `json:"sdio_overhead"`
 	// PSMInflation folds per-session mean(dn) − emulated RTT (ns): delay
 	// added on the air path itself, the PSM/AP-buffering share.
-	PSMInflation Moments `json:"psm_inflation"`
+	PSMInflation agg.Moments `json:"psm_inflation"`
 
 	// PSMActiveSessions counts sessions whose capture showed power-save
 	// activity; CalibratedSessions counts sessions that measured with
-	// registry-supplied dpre/db.
+	// dpre/db from the campaign's knowledge store.
 	PSMActiveSessions  int64 `json:"psm_active_sessions"`
 	CalibratedSessions int64 `json:"calibrated_sessions"`
 }

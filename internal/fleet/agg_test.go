@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/stats"
 )
 
@@ -30,17 +31,17 @@ func TestMomentsMergeMatchesSinglePass(t *testing.T) {
 		values[i] = 30e6 + rng.NormFloat64()*5e6 // ~30ms ± 5ms in ns
 	}
 
-	var single Moments
+	var single agg.Moments
 	for _, v := range values {
 		single.Add(v)
 	}
 
 	for _, shards := range []int{2, 3, 7, 16} {
-		parts := make([]Moments, shards)
+		parts := make([]agg.Moments, shards)
 		for i, v := range values {
 			parts[i%shards].Add(v)
 		}
-		var merged Moments
+		var merged agg.Moments
 		for _, p := range parts {
 			merged.Merge(p)
 		}
@@ -62,7 +63,7 @@ func TestMomentsMergeMatchesSinglePass(t *testing.T) {
 func TestHistMergeExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	single := newDuHist()
-	parts := []*Hist{newDuHist(), newDuHist(), newDuHist()}
+	parts := []*agg.Hist{newDuHist(), newDuHist(), newDuHist()}
 	for i := 0; i < 50_000; i++ {
 		d := time.Duration(rng.Int63n(int64(600 * time.Millisecond)))
 		if i%100 == 0 {
@@ -93,7 +94,7 @@ func TestHistMergeExact(t *testing.T) {
 			t.Errorf("q=%.2f: %v vs %v", q, merged.Quantile(q), single.Quantile(q))
 		}
 	}
-	if err := merged.Merge(NewHist(0, time.Second, 10)); err == nil {
+	if err := merged.Merge(agg.NewHist(0, time.Second, 10)); err == nil {
 		t.Error("geometry mismatch accepted")
 	}
 }
@@ -184,7 +185,7 @@ func TestGroupAggregateMergeMatchesSinglePass(t *testing.T) {
 			t.Fatalf("hist bin %d: %d vs %d", i, merged.DuHist.Counts[i], single.DuHist.Counts[i])
 		}
 	}
-	for _, pair := range [][2]Moments{
+	for _, pair := range [][2]agg.Moments{
 		{merged.Inflation, single.Inflation},
 		{merged.UserOverhead, single.UserOverhead},
 		{merged.SDIOOverhead, single.SDIOOverhead},
@@ -316,7 +317,7 @@ func TestMergeGeometryMismatchLeavesReceiverUnchanged(t *testing.T) {
 
 	bad := newGroupAggregate("bad")
 	bad.fold(&r, stats.Sample{60 * time.Millisecond})
-	bad.DuHist = NewHist(0, time.Second, 7) // incompatible geometry
+	bad.DuHist = agg.NewHist(0, time.Second, 7) // incompatible geometry
 
 	before := g.Du
 	beforeSessions := g.Sessions

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -19,7 +20,7 @@ func BenchmarkCampaign(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := Run(Campaign{
+				rep, err := RunContext(context.Background(), Campaign{
 					Name:     "bench",
 					Scenario: "device-mix",
 					Seed:     9,

@@ -18,8 +18,9 @@
 //   - workers fold finished sessions into worker-local GroupAggregates
 //     (mergeable moments + histograms) and the aggregates merge at the
 //     end — no raw sample ever outlives its session;
-//   - an optional core.ShardedRegistry shares calibrated Tis/Tip
-//     parameters across workers without a global lock.
+//   - an optional puncture.Store (Campaign.Profiles) shares calibrated
+//     Tis/Tip parameters across workers without a global lock and
+//     learns every attributing session's overheads.
 package fleet
 
 import (
@@ -40,14 +41,14 @@ import (
 )
 
 // Session specifies one simulated measurement session. It is a thin
-// campaign-side view of a session.Spec: Run hands each one to the
-// unified Session API, so campaigns mix backends (sim, cellular) and
+// campaign-side view of a session.Spec: RunContext hands each one to
+// the unified Session API, so campaigns mix backends (sim, cellular) and
 // methods (acutemon, ping, httping, javaping, ping2) freely within one
 // report.
 type Session struct {
 	// ID is the session's index within the campaign; it keys the
-	// session's deterministic seed. Filled by Run when building from a
-	// scenario.
+	// session's deterministic seed. Filled by RunContext when building
+	// from a scenario.
 	ID int
 	// Label is the aggregation group ("" defaults to the phone model,
 	// suffixed with the method/backend when those are non-default).
@@ -158,7 +159,7 @@ type SessionResult struct {
 	// PSMActive reports power-save activity in the merged capture.
 	PSMActive bool
 	// CalibratedConfig reports that the session's dpre/db came from the
-	// shared registry.
+	// campaign's knowledge store.
 	CalibratedConfig bool
 }
 
@@ -175,20 +176,17 @@ type Campaign struct {
 	Workers int
 	// Sessions is the work list. Build one by hand or from a Scenario.
 	Sessions []Session
-	// Registry, when non-nil, supplies calibrated dpre/db per model and
-	// receives fresh calibrations.
-	Registry *core.ShardedRegistry
-	// Profiles, when non-nil, is the device-knowledge store the
-	// campaign teaches: every session with extractable per-layer
-	// attribution folds its Δdu−k / Δdk−n / PSM-share means in (keyed
-	// by model and chipset family), and — when Registry is unset — a
-	// registry view over the same store receives the calibrations, so
-	// one snapshot carries everything the campaign learned. Save it
-	// with Profiles.SaveFile and merge it into a live ingestd via POST
-	// /v1/profiles (the fleet→ingest knowledge path).
+	// Profiles, when non-nil, is the campaign's device-knowledge store:
+	// it supplies calibrated dpre/db per model, receives fresh
+	// calibrations, and learns from every session with extractable
+	// per-layer attribution (Δdu−k / Δdk−n / PSM-share means, keyed by
+	// model and chipset family), so one snapshot carries everything the
+	// campaign learned. Save it with Profiles.SaveFile and merge it into
+	// a live ingestd via POST /v1/profiles (the fleet→ingest knowledge
+	// path).
 	Profiles *puncture.Store
 	// AutoCalibrate runs the training procedure once per distinct model
-	// missing from Registry before sessions start — a deterministic
+	// missing from Profiles before sessions start — a deterministic
 	// pre-pass (model list and calibration seeds derive from the
 	// campaign seed), so campaign results stay independent of worker
 	// scheduling.
@@ -208,47 +206,26 @@ type Campaign struct {
 	// the callee must not retain the slice past the call.
 	OnSample func(SessionResult, stats.Sample)
 	// Context, when non-nil, cancels the campaign: dispatching stops at
-	// the next session boundary, in-flight sessions drain, and Run
-	// returns a partial report with Interrupted set.
+	// the next session boundary, in-flight sessions drain, and
+	// RunContext returns a partial report with Interrupted set.
 	Context context.Context
 }
 
 // RunContext executes the campaign under ctx and returns the merged
 // report: dispatching stops at the next session boundary once ctx is
 // done, in-flight sessions drain, and the partial report comes back
-// with Interrupted set. This is the contract entry point (context
-// first, like session.Run); ctx takes precedence over any
+// with Interrupted set. This is the one entry point (context first,
+// like session.Run); a non-nil ctx takes precedence over any
 // Campaign.Context already set.
 func RunContext(ctx context.Context, c Campaign) (*Report, error) {
 	if ctx != nil {
 		c.Context = ctx
 	}
-	return run(c)
-}
-
-// Run executes the campaign and returns the merged report.
-//
-// Deprecated: Run predates the context-first session contract and
-// reads its context, if any, from Campaign.Context. New code calls
-// RunContext.
-//
-//acutemon:ignore AM005 deprecated pre-contract wrapper; ctx rides Campaign.Context and RunContext is the canonical path
-func Run(c Campaign) (*Report, error) {
-	return run(c)
-}
-
-func run(c Campaign) (*Report, error) {
 	if len(c.Sessions) == 0 {
 		return nil, fmt.Errorf("fleet: campaign %q has no sessions", c.Name)
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Profiles != nil && c.Registry == nil {
-		// One store carries both halves of the campaign's knowledge:
-		// calibrations go through the legacy registry view, attribution
-		// through session.FeedKnowledge.
-		c.Registry = core.RegistryView(c.Profiles)
 	}
 	workers := c.Workers
 	if workers <= 0 {
@@ -270,7 +247,7 @@ func run(c Campaign) (*Report, error) {
 	}
 	rep := &Report{Name: c.Name, Scenario: scenario, Workers: workers}
 	start := time.Now()
-	if c.Registry != nil && c.AutoCalibrate {
+	if c.Profiles != nil && c.AutoCalibrate {
 		var calErrs []string
 		rep.CalibratedModels, calErrs = precalibrate(&c, sessions, workers)
 		rep.FirstErrors = append(rep.FirstErrors, calErrs...)
@@ -350,9 +327,9 @@ dispatch:
 }
 
 // precalibrate runs the training procedure for every distinct session
-// model missing from the registry, in parallel over dedicated testbeds.
-// Model order and per-model seeds derive from the campaign alone, so
-// the resulting registry is reproducible for any worker count or
+// model missing from the knowledge store, in parallel over dedicated
+// testbeds. Model order and per-model seeds derive from the campaign alone, so
+// the resulting calibrations are reproducible for any worker count or
 // session schedule. Returns the calibrated models plus one error string
 // per model whose calibration failed (those sessions run uncalibrated).
 func precalibrate(c *Campaign, sessions []Session, workers int) (models, errs []string) {
@@ -370,7 +347,7 @@ func precalibrate(c *Campaign, sessions []Session, workers int) (models, errs []
 			continue
 		}
 		seen[s.Phone] = true
-		if _, ok := c.Registry.Lookup(s.Phone); !ok {
+		if !c.Profiles.Calibrated(s.Phone) {
 			missing = append(missing, s.Phone)
 		}
 	}
@@ -388,7 +365,7 @@ func precalibrate(c *Campaign, sessions []Session, workers int) (models, errs []
 		cfg := testbed.DefaultConfig()
 		cfg.Seed = SeedFor(c.Seed, -100-i)
 		cfg.Phone = prof
-		_, err := c.Registry.CalibrateInto(testbed.New(cfg), opts)
+		_, err := core.CalibrateInto(c.Profiles, testbed.New(cfg), opts)
 		return err
 	})
 	for i, err := range done {
@@ -434,11 +411,11 @@ func runSession(c *Campaign, s Session) (SessionResult, stats.Sample) {
 		// keeps its own default (TCP SYN on sim, UDP echo on cellular).
 		spec.Probe = s.Probe.String()
 	}
-	if c.Registry != nil && s.Method == "acutemon" && s.Backend == "sim" {
+	if c.Profiles != nil && s.Method == "acutemon" && s.Backend == "sim" {
 		if prof, ok := android.ProfileByName(s.Phone); ok {
-			if withCal, ok := c.Registry.ConfigFor(prof.Model, core.Config{}); ok {
-				spec.WarmupDelay = withCal.WarmupDelay
-				spec.BackgroundInterval = withCal.BackgroundInterval
+			if e, ok := c.Profiles.Calibration(prof.Model); ok {
+				spec.WarmupDelay = e.Warmup
+				spec.BackgroundInterval = e.Interval
 				out.CalibratedConfig = true
 			}
 		}

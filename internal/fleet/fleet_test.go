@@ -1,12 +1,14 @@
 package fleet
 
 import (
+	"context"
+	"encoding/json"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/puncture"
 )
 
 func smallCampaign(workers int) Campaign {
@@ -29,7 +31,7 @@ func TestCampaignRuns(t *testing.T) {
 		}
 		seen.Add(1)
 	}
-	rep, err := Run(c)
+	rep, err := RunContext(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +69,11 @@ func TestCampaignRuns(t *testing.T) {
 // guarantee: per-session seeding makes results identical no matter how
 // many workers ran them.
 func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
-	rep1, err := Run(smallCampaign(1))
+	rep1, err := RunContext(context.Background(), smallCampaign(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep4, err := Run(smallCampaign(4))
+	rep4, err := RunContext(context.Background(), smallCampaign(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,23 +99,27 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestCampaignSharedRegistry: the campaign's knowledge store is its
+// calibration database — the pre-pass calibrates every missing model
+// into it and every acutemon session measures with the stored dpre/db.
 func TestCampaignSharedRegistry(t *testing.T) {
-	reg := core.NewShardedRegistry(4)
+	st := puncture.NewStore(4)
 	c := smallCampaign(4)
-	c.Registry = reg
+	c.Profiles = st
 	c.AutoCalibrate = true
-	rep, err := Run(c)
+	rep, err := RunContext(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Errors != 0 {
 		t.Fatalf("errors: %v", rep.FirstErrors)
 	}
-	if reg.Len() == 0 {
+	cals := st.Calibrations()
+	if len(cals) == 0 {
 		t.Fatal("auto-calibration recorded nothing")
 	}
-	if len(rep.CalibratedModels) != reg.Len() {
-		t.Errorf("CalibratedModels = %v, registry has %d entries", rep.CalibratedModels, reg.Len())
+	if len(rep.CalibratedModels) != len(cals) {
+		t.Errorf("CalibratedModels = %v, store has %d calibrations", rep.CalibratedModels, len(cals))
 	}
 	var calibrated int64
 	for _, g := range rep.Groups {
@@ -122,33 +128,62 @@ func TestCampaignSharedRegistry(t *testing.T) {
 	if calibrated != rep.Sessions {
 		t.Errorf("%d/%d sessions used calibrated configs", calibrated, rep.Sessions)
 	}
-	for _, m := range reg.Models() {
-		e, _ := reg.Lookup(m)
+	for _, e := range cals {
 		if e.Interval <= 0 || e.Tip <= 0 {
-			t.Errorf("%s: bad calibration %+v", m, e)
+			t.Errorf("%s: bad calibration %+v", e.Model, e)
 		}
 	}
 
-	// Determinism: the pre-pass makes the registry itself reproducible
-	// for a different worker count.
-	reg2 := core.NewShardedRegistry(2)
+	// Determinism: the pre-pass makes the calibrations themselves
+	// reproducible for a different worker count.
+	st2 := puncture.NewStore(2)
 	c2 := smallCampaign(1)
-	c2.Registry = reg2
+	c2.Profiles = st2
 	c2.AutoCalibrate = true
-	if _, err := Run(c2); err != nil {
+	if _, err := RunContext(context.Background(), c2); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range reg.Models() {
-		a, _ := reg.Lookup(m)
-		b, ok := reg2.Lookup(m)
+	for _, a := range cals {
+		b, ok := st2.Calibration(a.Model)
 		if !ok || a != b {
-			t.Errorf("%s: calibration differs across worker counts: %+v vs %+v", m, a, b)
+			t.Errorf("%s: calibration differs across worker counts: %+v vs %+v", a.Model, a, b)
 		}
+	}
+
+	// A store that already holds the calibrations skips the pre-pass
+	// and yields the same report: calibration reads do not depend on
+	// how the store was filled.
+	pre := puncture.NewStore(0)
+	for _, e := range cals {
+		if err := pre.RecordCalibration(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c3 := smallCampaign(1)
+	c3.Profiles = pre
+	rep3, err := RunContext(context.Background(), c3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c4 := smallCampaign(1)
+	c4.Profiles = puncture.NewStore(0)
+	c4.AutoCalibrate = true
+	rep4, err := RunContext(context.Background(), c4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep3.CalibratedModels) != 0 {
+		t.Errorf("pre-calibrated store re-calibrated %v", rep3.CalibratedModels)
+	}
+	g3, _ := json.Marshal(rep3.Groups)
+	g4, _ := json.Marshal(rep4.Groups)
+	if string(g3) != string(g4) {
+		t.Error("pre-loaded and auto-calibrated stores produced different campaign groups")
 	}
 }
 
 func TestCampaignReportsBadModel(t *testing.T) {
-	rep, err := Run(Campaign{
+	rep, err := RunContext(context.Background(), Campaign{
 		Name: "bad",
 		Sessions: []Session{
 			{Phone: "Nokia 3310", Probes: 5},
@@ -167,7 +202,7 @@ func TestCampaignReportsBadModel(t *testing.T) {
 	if g := rep.Group("Google Nexus 5"); g == nil || g.Du.N == 0 {
 		t.Error("healthy session did not aggregate")
 	}
-	if _, err := Run(Campaign{Name: "empty"}); err == nil {
+	if _, err := RunContext(context.Background(), Campaign{Name: "empty"}); err == nil {
 		t.Error("empty campaign accepted")
 	}
 }
@@ -212,7 +247,7 @@ func TestScenarioPresets(t *testing.T) {
 // campaign runs all arms and reports sane aggregates.
 func TestPSMSweepShiftsInflation(t *testing.T) {
 	sc, _ := ScenarioByName("psm-sweep")
-	rep, err := Run(Campaign{
+	rep, err := RunContext(context.Background(), Campaign{
 		Name:     "psm",
 		Scenario: "psm-sweep",
 		Seed:     5,
@@ -283,7 +318,7 @@ func TestToolMixCampaign(t *testing.T) {
 	if !ok {
 		t.Fatal("tool-mix scenario missing")
 	}
-	rep, err := Run(Campaign{
+	rep, err := RunContext(context.Background(), Campaign{
 		Name:     "mix",
 		Scenario: "tool-mix",
 		Seed:     11,
@@ -326,7 +361,7 @@ func TestWifiVsCellularCampaign(t *testing.T) {
 	if !ok {
 		t.Fatal("wifi-vs-cellular scenario missing")
 	}
-	rep, err := Run(Campaign{
+	rep, err := RunContext(context.Background(), Campaign{
 		Name:     "wvc",
 		Scenario: "wifi-vs-cellular",
 		Seed:     13,

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/puncture"
@@ -14,7 +15,7 @@ func TestCampaignTeachesProfiles(t *testing.T) {
 	c := smallCampaign(4)
 	c.Profiles = puncture.NewStore(0)
 	c.AutoCalibrate = true
-	rep, err := Run(c)
+	rep, err := RunContext(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +28,7 @@ func TestCampaignTeachesProfiles(t *testing.T) {
 	}
 	// The device-mix scenario runs the paper's five models; every one
 	// should have attributed (sim sessions always extract layers) and —
-	// with AutoCalibrate and no explicit Registry — been calibrated
-	// into the same store.
+	// with AutoCalibrate — been calibrated into the same store.
 	if got := st.CalibratedLen(); got != len(rep.CalibratedModels) || got == 0 {
 		t.Fatalf("calibrated %d models in store, report says %v", got, rep.CalibratedModels)
 	}

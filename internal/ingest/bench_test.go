@@ -203,15 +203,14 @@ func groupBenchRuns(st *Store, batch []Summary) []benchRun {
 // BenchmarkStoreFold prices the pure fold path (no HTTP, no decode) as
 // the pipelines drive it: the batch pre-grouped into same-cell runs,
 // each run folded under one stripe-lock acquisition via FoldRun with a
-// warm worker cache and scratch. ns/op is per summary; steady state
+// warm worker scratch. ns/op is per summary; steady state
 // must be allocation-free.
 func BenchmarkStoreFold(b *testing.B) {
 	b.ReportAllocs()
 	st := NewStore(0, 0)
-	p := NewPuncturer(nil, 0)
+	p := NewPuncturerStore(nil)
 	batch := benchBatch(100, 20)
 	runs := groupBenchRuns(st, batch)
-	cc := newCellCache()
 	var fs foldScratch
 	var atts []puncture.Attribution
 	corrs := make([]time.Duration, len(batch))
@@ -221,7 +220,7 @@ func BenchmarkStoreFold(b *testing.B) {
 	for i := 0; i < b.N; i += len(batch) {
 		for _, r := range runs {
 			atts = p.CorrectionRun(r.sums, corrs[:len(r.sums)], srcs[:len(r.sums)], atts)
-			if st.FoldRun(r.key, r.hash, r.sums, corrs[:len(r.sums)], srcs[:len(r.sums)], cc, &fs) == 0 {
+			if st.FoldRun(r.key, r.hash, r.sums, corrs[:len(r.sums)], srcs[:len(r.sums)], &fs) == 0 {
 				b.Fatal("run dropped")
 			}
 		}
@@ -236,7 +235,7 @@ func BenchmarkStoreFold(b *testing.B) {
 func BenchmarkStoreFoldSerial(b *testing.B) {
 	b.ReportAllocs()
 	st := NewStore(0, 0)
-	p := NewPuncturer(nil, 0)
+	p := NewPuncturerStore(nil)
 	batch := benchBatch(100, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -45,8 +45,7 @@ func snapshotJSON(t *testing.T, st *Store) []byte {
 // ops at random points.
 func TestFoldRunSerialEquivalenceUnderRetention(t *testing.T) {
 	ref, batch := foldRunStores(6)
-	punc := NewPuncturer(nil, 1)
-	cc := newCellCache()
+	punc := NewPuncturerStore(nil)
 	var fs foldScratch
 
 	rng := rand.New(rand.NewSource(7))
@@ -102,7 +101,7 @@ func TestFoldRunSerialEquivalenceUnderRetention(t *testing.T) {
 				ref.Fold(&run[i], corrs[i], srcs[i])
 			}
 			k := batch.KeyFor(&run[0])
-			batch.FoldRun(k, keyHash(k), run, corrs, srcs, cc, &fs)
+			batch.FoldRun(k, keyHash(k), run, corrs, srcs, &fs)
 		}
 		if step%150 == 149 {
 			if got, want := snapshotJSON(t, batch), snapshotJSON(t, ref); !bytes.Equal(got, want) {
@@ -163,7 +162,7 @@ func TestPipelineShuffledBatchEquivalence(t *testing.T) {
 			})
 			ref := NewStore(time.Second, 1)
 			ref.EnableCompaction(time.Second)
-			refPunc := NewPuncturer(nil, 1)
+			refPunc := NewPuncturerStore(nil)
 			foldSerial := func(sums []Summary) {
 				for i := range sums {
 					corr, src := refPunc.Correction(&sums[i])
@@ -191,8 +190,7 @@ func TestPipelineShuffledBatchEquivalence(t *testing.T) {
 			waitFolded(t, s, int64(half))
 
 			// Mid-stream retention: demote every fine cell, then keep
-			// folding — the pipes' cell-handle caches must drop their
-			// now-dead handles and re-mint.
+			// folding — the pipes must re-mint the demoted cells.
 			cutoff := window + 1000
 			ref.Compact(cutoff)
 			s.Store().Compact(cutoff)
@@ -211,18 +209,16 @@ func TestPipelineShuffledBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestCellCacheInvalidationAcrossRetention churns windows through every
-// retention path — Compact, EnforceCap, fold-time cap eviction, and the
-// legacy lossy Prune — while one worker keeps folding through a single
-// cellCache. If any removal failed to bump the store generation (or the
-// cache failed to honor it), folds after the removal would land in
-// orphaned cells outside the shard maps and the session conservation
-// checks here would come up short.
-func TestCellCacheInvalidationAcrossRetention(t *testing.T) {
+// TestFoldRunConservesSessionsAcrossRetention churns windows through
+// every retention path — Compact, EnforceCap, and fold-time cap
+// eviction — while one worker keeps folding through FoldRun. Every
+// folded session must stay queryable: a fold that landed in a cell
+// already demoted out of the shard map would vanish, and the
+// conservation checks here would come up short.
+func TestFoldRunConservesSessionsAcrossRetention(t *testing.T) {
 	st := NewStore(time.Second, 4)
 	st.EnableCompaction(time.Second)
-	punc := NewPuncturer(nil, 1)
-	cc := newCellCache()
+	punc := NewPuncturerStore(nil)
 	var fs foldScratch
 
 	var folded int64
@@ -240,7 +236,7 @@ func TestCellCacheInvalidationAcrossRetention(t *testing.T) {
 			corrs[i], srcs[i] = punc.Correction(&run[i])
 		}
 		k := st.KeyFor(&run[0])
-		folded += int64(st.FoldRun(k, keyHash(k), run, corrs, srcs, cc, &fs))
+		folded += int64(st.FoldRun(k, keyHash(k), run, corrs, srcs, &fs))
 	}
 	sessions := func() int64 {
 		var total int64
@@ -252,54 +248,36 @@ func TestCellCacheInvalidationAcrossRetention(t *testing.T) {
 	devices := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 
 	// Rounds of fold → compact → refold into the compacted window. Every
-	// refold hits a key whose cached handle a Compact just killed.
+	// refold hits a key whose fine cell a Compact just demoted.
 	for w := int64(0); w < 6; w++ {
 		for _, d := range devices {
 			fold(d, w, 3)
 		}
-		if len(cc.cells) == 0 {
-			t.Fatal("cell cache never populated; the test exercises nothing")
+		if n, _ := st.Compact((w + 1) * 1000); n == 0 {
+			t.Fatal("compaction demoted nothing; the test lost its teeth")
 		}
-		st.Compact((w + 1) * 1000)
 		for _, d := range devices {
 			fold(d, w, 2) // re-mint the cell Compact just demoted
 		}
 		if got := sessions(); got != folded {
-			t.Fatalf("window %d: %d sessions queryable, %d folded — lost into a dead cached handle", w, got, folded)
+			t.Fatalf("window %d: %d sessions queryable, %d folded", w, got, folded)
 		}
 	}
 
 	// Cap pressure: shrink the cap so both EnforceCap and fold-time
-	// eviction demote cells out from under the cache.
+	// eviction demote cells between folds.
 	st.SetMaxCells(4)
 	st.EnforceCap(6 * 1000)
 	for _, d := range devices {
 		fold(d, 6, 1) // mints at the cap: fold-time eviction fires
+	}
+	for _, d := range devices {
+		fold(d, 6, 2) // refolds into cells eviction may have demoted
 	}
 	if got := sessions(); got != folded {
 		t.Fatalf("after cap churn: %d sessions queryable, %d folded", got, folded)
 	}
 	if st.Evicted() == 0 {
 		t.Fatal("cap churn never evicted; the test lost its teeth")
-	}
-
-	// Legacy lossy prune: sessions in pruned fine cells are gone by
-	// design; everything else must still balance and refolds must
-	// re-mint rather than resurrect pruned handles.
-	var prunedSessions int64
-	for _, c := range st.Snapshot() {
-		if c.SpanMS == 0 && c.Key.WindowMS+1000 <= 7*1000 {
-			prunedSessions += c.Sessions
-		}
-	}
-	if st.Prune(7*1000) == 0 {
-		t.Fatal("prune removed nothing; the test lost its teeth")
-	}
-	for _, d := range devices {
-		fold(d, 6, 2)
-	}
-	if got, want := sessions(), folded-prunedSessions; got != want {
-		t.Fatalf("after prune: %d sessions queryable, want %d (%d folded - %d pruned)",
-			got, want, folded, prunedSessions)
 	}
 }

@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"repro/internal/agg"
-	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/puncture"
 	"repro/internal/stats"
 )
 
@@ -49,7 +49,7 @@ func waitFolded(t *testing.T, s *Server, n int64) {
 
 // TestEndToEndDeterminism is the subsystem's acceptance check: a seeded
 // campaign streamed through a loopback ingestd yields queried per-group
-// aggregates equal to the offline fleet.Run report for the same seed —
+// aggregates equal to the offline fleet.RunContext report for the same seed —
 // session/probe counts and histograms exact, means within float
 // rounding. The same check runs once per wire (JSON lines, HTTP binary,
 // raw TCP binary): every transport must carry the records losslessly.
@@ -68,7 +68,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 	}
 
 	// Ground truth: the same seeded campaign run offline.
-	offline, err := fleet.Run(campaign)
+	offline, err := fleet.RunContext(context.Background(), campaign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ func TestEndToEndDeterminism(t *testing.T) {
 }
 
 func TestPuncturerSources(t *testing.T) {
-	reg := core.NewShardedRegistry(0)
-	p := NewPuncturer(reg, 0)
+	st := puncture.NewStore(0)
+	p := NewPuncturerStore(st)
 
 	attributed := Summary{
 		Device: "Google Nexus 5", Chipset: "BCM4339",
@@ -160,22 +160,22 @@ func TestPuncturerSources(t *testing.T) {
 	}
 
 	// On an empty store nothing corrects at all.
-	empty := NewPuncturer(nil, 1)
+	empty := NewPuncturerStore(nil)
 	if corr, src = empty.Correction(&unknown); src != SourceNone || corr != 0 {
 		t.Fatalf("empty store: %v/%v", corr, src)
 	}
 
-	if p.Calibrated("Google Nexus 5") {
-		t.Fatal("model should not be registry-calibrated yet")
+	if p.Store().Calibrated("Google Nexus 5") {
+		t.Fatal("model should not be calibrated yet")
 	}
-	if err := reg.Record(core.RegistryEntry{
+	if err := st.RecordCalibration(puncture.CalEntry{
 		Model: "Google Nexus 5", Tip: 200 * time.Millisecond, Tis: 300 * time.Millisecond,
 		Warmup: 20 * time.Millisecond, Interval: 20 * time.Millisecond, Samples: 4,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Calibrated("Google Nexus 5") {
-		t.Fatal("registry entry not visible through puncturer")
+	if !p.Store().Calibrated("Google Nexus 5") {
+		t.Fatal("calibration not visible through puncturer")
 	}
 
 	ovh := p.Overheads()
@@ -224,10 +224,10 @@ func TestStoreWindowingAndRollups(t *testing.T) {
 	}
 }
 
-// TestStoreCellCapAndPrune covers the two memory bounds: the
-// distinct-cell cap (cardinality abuse) and window retention pruning
-// (benign long-running growth).
-func TestStoreCellCapAndPrune(t *testing.T) {
+// TestStoreCellCapAndCompact covers the two memory bounds: the
+// distinct-cell cap (cardinality abuse) and window retention
+// compaction (benign long-running growth).
+func TestStoreCellCapAndCompact(t *testing.T) {
 	st := NewStore(time.Minute, 2)
 	st.SetMaxCells(2)
 	mk := func(device string, tms int64) *Summary {
@@ -246,43 +246,46 @@ func TestStoreCellCapAndPrune(t *testing.T) {
 		t.Fatalf("cells=%d dropped=%d", st.Cells(), st.Dropped())
 	}
 
-	// A later window for an existing device is a new cell — also capped.
+	// Without compaction nothing can be reclaimed: a later window for
+	// an existing device is a new cell — also refused at the cap.
 	if st.Fold(mk("A", 61_000), 0, SourceNone) {
 		t.Fatal("new-window cell must be refused at the cap")
 	}
 
 	// Retention: both live cells sit in window 0 (closes at 60s).
-	if n := st.Prune(59_999); n != 0 {
-		t.Fatalf("pruned %d cells before the window closed", n)
+	st.EnableCompaction(10 * time.Minute)
+	if n, _ := st.Compact(59_999); n != 0 {
+		t.Fatalf("compacted %d cells before the window closed", n)
 	}
-	if n := st.Prune(60_000); n != 2 {
-		t.Fatalf("pruned %d cells, want 2", n)
+	if n, sessions := st.Compact(60_000); n != 2 || sessions != 3 {
+		t.Fatalf("compacted %d cells (%d sessions), want 2 (3)", n, sessions)
 	}
-	if st.Cells() != 0 {
-		t.Fatalf("cells=%d after prune", st.Cells())
+	if st.Cells() != 0 || st.RollupCells() != 2 {
+		t.Fatalf("cells=%d rollups=%d after compaction", st.Cells(), st.RollupCells())
 	}
-	// Capacity freed by pruning is reusable.
+	// Capacity freed by compaction is reusable.
 	if !st.Fold(mk("C", 61_000), 0, SourceNone) {
-		t.Fatal("fold after prune must succeed")
+		t.Fatal("fold after compaction must succeed")
 	}
 
-	// Unwindowed stores never prune: the single cell is deliberate.
+	// Unwindowed stores never compact: the single cell is deliberate.
 	flat := NewStore(0, 1)
+	flat.EnableCompaction(time.Minute)
 	flat.Fold(mk("A", 1), 0, SourceNone)
-	if n := flat.Prune(1 << 60); n != 0 {
-		t.Fatalf("unwindowed store pruned %d cells", n)
+	if n, _ := flat.Compact(1 << 60); n != 0 {
+		t.Fatalf("unwindowed store compacted %d cells", n)
 	}
 }
 
 func TestHTTPEndpoints(t *testing.T) {
-	reg := core.NewShardedRegistry(0)
-	if err := reg.Record(core.RegistryEntry{
+	know := puncture.NewStore(0)
+	if err := know.RecordCalibration(puncture.CalEntry{
 		Model: "Google Nexus 5", Tip: 200 * time.Millisecond,
 		Warmup: 20 * time.Millisecond, Interval: 20 * time.Millisecond,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s := startTestServer(t, Config{Window: -1, Registry: reg})
+	s := startTestServer(t, Config{Window: -1, Profiles: know})
 
 	lg := &LoadGen{URL: s.URL(), TimeMS: 1}
 	batch := []Summary{
@@ -357,7 +360,7 @@ func TestHTTPEndpoints(t *testing.T) {
 // TestBackpressure exercises the credit-pool path white-box: with every
 // batch credit held, a post must shed with 503 + Retry-After, not block.
 func TestBackpressure(t *testing.T) {
-	s := &Server{cfg: Config{QueueDepth: 1}, store: NewStore(0, 1), punc: NewPuncturer(nil, 1),
+	s := &Server{cfg: Config{QueueDepth: 1}, store: NewStore(0, 1), punc: NewPuncturerStore(nil),
 		pipes: []chan pipeJob{make(chan pipeJob, 1)}, credits: make(chan struct{}, 1)}
 	s.cfg.fill()
 	s.credits <- struct{}{} // exhaust the credit pool; no fold workers running
@@ -441,7 +444,7 @@ func TestReplayReport(t *testing.T) {
 		Name: "replay", Scenario: "baseline", Seed: 7, Workers: 2,
 		Sessions: sc.Build(fleet.Params{Sessions: 12, Seed: 7, Probes: 10}),
 	}
-	rep, err := fleet.Run(campaign)
+	rep, err := fleet.RunContext(context.Background(), campaign)
 	if err != nil {
 		t.Fatal(err)
 	}

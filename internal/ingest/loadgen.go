@@ -404,9 +404,8 @@ func (lg *LoadGen) ReplayReport(ctx context.Context, rep *fleet.Report) (int, er
 // ChurnSpec parameterises LoadGen.Churn, the retention workout: rounds
 // of *rotating* device identities marching forward through event time,
 // so cells are minted and expire continuously — the traffic shape that
-// used to grow the store without bound (or silently lose history to
-// Prune) and now must hold resident cells at the cap with compaction
-// preserving every count.
+// must hold resident cells at the cap with compaction preserving every
+// count.
 type ChurnSpec struct {
 	// Rounds is how many identity generations to push (<1 → 10).
 	Rounds int

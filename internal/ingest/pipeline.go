@@ -145,7 +145,7 @@ func (s *Server) enqueue(batch []Summary) bool {
 	// contract promises arrival-time windows for unstamped summaries.
 	// When windowing is on, event times are also clamped to a sane
 	// horizon around arrival — far-future stamps would mint windows the
-	// retention janitor can never prune, permanently pinning the cell
+	// retention janitor can never compact, permanently pinning the cell
 	// cap against legitimate traffic. Stamping must precede hashing:
 	// the window is part of the cell key.
 	now := time.Now().UnixMilli()
@@ -258,7 +258,6 @@ func (s *Server) enqueue(batch []Summary) bool {
 // worker-local and reused across jobs.
 func (s *Server) foldLoop(i int) {
 	defer s.foldWG.Done()
-	cc := newCellCache()
 	var fs foldScratch
 	var corrs []time.Duration
 	var srcs []CorrectionSource
@@ -279,7 +278,7 @@ func (s *Server) foldLoop(i int) {
 			for j := range rs {
 				samples += int64(len(rs[j].RTTs))
 			}
-			if folded := s.store.FoldRun(run.key, run.hash, rs, corrs, srcs, cc, &fs); folded > 0 {
+			if folded := s.store.FoldRun(run.key, run.hash, rs, corrs, srcs, &fs); folded > 0 {
 				s.metrics.FoldedSummaries.Add(int64(folded))
 				s.metrics.FoldedSamples.Add(samples)
 			} // else: drops counted by the store itself

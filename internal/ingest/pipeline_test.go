@@ -49,7 +49,7 @@ func TestPipelineShardingEquivalence(t *testing.T) {
 
 	// Serial reference: same summaries, same order, one goroutine.
 	ref := NewStore(0, 1)
-	refPunc := NewPuncturer(nil, 1)
+	refPunc := NewPuncturerStore(nil)
 	for _, batch := range batches {
 		for i := range batch {
 			corr, src := refPunc.Correction(&batch[i])

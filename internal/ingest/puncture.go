@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/agg"
-	"repro/internal/core"
 	"repro/internal/puncture"
 )
 
@@ -75,17 +74,6 @@ type Puncturer struct {
 	store *puncture.Store
 }
 
-// NewPuncturer builds a puncturer. When reg is non-nil the puncturer
-// rides reg's backing knowledge store (calibrations and learned
-// overheads live side by side); otherwise it builds a fresh store with
-// the given stripe count (< 1 selects the default).
-func NewPuncturer(reg *core.ShardedRegistry, shards int) *Puncturer {
-	if reg != nil {
-		return &Puncturer{store: reg.Store()}
-	}
-	return &Puncturer{store: puncture.NewStore(shards)}
-}
-
 // NewPuncturerStore builds a puncturer over an existing knowledge
 // store (nil builds a fresh default store).
 func NewPuncturerStore(st *puncture.Store) *Puncturer {
@@ -152,13 +140,6 @@ func (p *Puncturer) CorrectionRun(rs []Summary, corrs []time.Duration, srcs []Co
 	p.store.CountReportedN(int64(len(rs)))
 	return atts
 }
-
-// Calibrated reports whether the knowledge store has calibrated timers
-// for the model.
-func (p *Puncturer) Calibrated(model string) bool { return p.store.Calibrated(model) }
-
-// Registry exposes the calibration view over the backing store.
-func (p *Puncturer) Registry() *core.ShardedRegistry { return core.RegistryView(p.store) }
 
 // Overheads snapshots the learned table, sorted by model — the /models
 // compatibility projection (models that only have calibrations, never

@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// Lossless retention. The original janitor *deleted* expired windows
-// (Store.Prune) — silent data loss the moment a campaign outlived the
-// retention horizon. Compaction replaces deletion with demotion:
+// Lossless retention. Expired windows are never deleted — that would
+// be silent data loss the moment a campaign outlived the retention
+// horizon. Compaction demotes them instead:
 //
 //   - Expired fine-grained window cells merge into coarse *rollup*
 //     cells (same identity, a rollupMS-wide window). Cell.Merge is the
@@ -24,7 +24,7 @@ import (
 //     time and identity granularity degrade coldest-first, but fleet
 //     totals survive forever in bounded memory.
 //
-// Every removal (compaction, eviction, collapse, legacy prune) is
+// Every removal (compaction, eviction, collapse) is
 // counted and logged, so /healthz, /metrics, the /stats footer, and
 // /v1/stream retractions all see exactly what retention did.
 
@@ -113,7 +113,8 @@ func (st *Store) EnableCompaction(rollup time.Duration) {
 }
 
 // CompactionEnabled reports whether expired windows compact into
-// rollups (true) or are deleted by the legacy Prune janitor (false).
+// rollups; without it (no time bucketing, or EnableCompaction never
+// called) fine cells are never removed.
 func (st *Store) CompactionEnabled() bool { return st.windowMS > 0 && st.rollupMS > 0 }
 
 // RollupWindow returns the rollup window width (ms); 0 when compaction
@@ -147,9 +148,9 @@ func (st *Store) rollupKey(k Key) Key {
 
 // Compact folds every fine cell whose window closed at or before
 // cutoffMS into its rollup cell, returning how many cells (and the
-// sessions they carried) were demoted. The compaction analogue of
-// Prune — lossless for counts/moments/histograms, bounded-error for
-// sketch quantiles per the agg merge laws.
+// sessions they carried) were demoted — lossless for
+// counts/moments/histograms, bounded-error for sketch quantiles per the
+// agg merge laws.
 func (st *Store) Compact(cutoffMS int64) (cells, sessions int64) {
 	if !st.CompactionEnabled() {
 		return 0, 0
@@ -163,9 +164,6 @@ func (st *Store) Compact(cutoffMS int64) (cells, sessions int64) {
 				delete(sh.cells, k)
 				expired = append(expired, c)
 			}
-		}
-		if len(expired) > 0 {
-			st.gen.Add(1) // invalidate cached handles (under this shard's lock)
 		}
 		sh.mu.Unlock()
 		if len(expired) == 0 {
@@ -230,7 +228,6 @@ func (st *Store) EnforceCap(nowMS int64) int64 {
 		if ok {
 			delete(sh.cells, e.k)
 			st.cells.Add(-1)
-			st.gen.Add(1) // invalidate cached handles (under this shard's lock)
 		}
 		sh.mu.Unlock()
 		if !ok {
@@ -269,7 +266,6 @@ func (st *Store) evictColdestLocked(sh *storeShard, newWindowMS int64) bool {
 	}
 	delete(sh.cells, vk)
 	st.cells.Add(-1)
-	st.gen.Add(1) // invalidate cached handles (caller holds this shard's lock)
 	st.evicted.Add(1)
 	st.compactedSessions.Add(victim.Sessions)
 	st.absorbIntoRollup(victim)
@@ -316,7 +312,6 @@ func (st *Store) evictColdestGlobal(newWindowMS int64) bool {
 	if ok {
 		delete(sh.cells, vk)
 		st.cells.Add(-1)
-		st.gen.Add(1) // invalidate cached handles (under this shard's lock)
 	}
 	sh.mu.Unlock()
 	if !ok {

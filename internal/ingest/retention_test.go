@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -20,9 +21,8 @@ func foldOne(t *testing.T, st *Store, device, group string, timeMS int64, rtts .
 	}
 }
 
-// TestCompactionWindowBoundary pins the cutoff semantics Compact shares
-// with Prune: a window compacts exactly when it has fully closed at the
-// cutoff (start + width <= cutoff) — the window closing *exactly at*
+// TestCompactionWindowBoundary pins Compact's cutoff semantics: a
+// window compacts exactly when it has fully closed at the cutoff (start + width <= cutoff) — the window closing *exactly at*
 // the cutoff goes, the next one stays.
 func TestCompactionWindowBoundary(t *testing.T) {
 	st := NewStore(time.Second, 4)
@@ -414,7 +414,7 @@ func TestCapEvictionRaceNoDrops(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				cc, fs := newCellCache(), foldScratch{}
+				var fs foldScratch
 				corrs, srcs := []time.Duration{0}, []CorrectionSource{SourceNone}
 				for i := 0; i < perWorker; i++ {
 					s := Summary{Device: fmt.Sprintf("r%d-w%d-%d", r, w, i), Group: "g", Scenario: "test",
@@ -423,7 +423,7 @@ func TestCapEvictionRaceNoDrops(t *testing.T) {
 						st.Fold(&s, 0, SourceNone)
 					} else {
 						k := st.KeyFor(&s)
-						st.FoldRun(k, keyHash(k), []Summary{s}, corrs, srcs, cc, &fs)
+						st.FoldRun(k, keyHash(k), []Summary{s}, corrs, srcs, &fs)
 					}
 				}
 			}(w)
@@ -443,5 +443,15 @@ func TestCapEvictionRaceNoDrops(t *testing.T) {
 	}
 	if want := int64(capCells * (rounds + 1)); sessions != want {
 		t.Fatalf("%d sessions queryable; want %d", sessions, want)
+	}
+}
+
+// TestStartRejectsNegativeCompactWindow: retention always compacts, so
+// a negative rollup width is a configuration error, not a mode.
+func TestStartRejectsNegativeCompactWindow(t *testing.T) {
+	s, err := Start(Config{Window: time.Second, CompactWindow: -1})
+	if err == nil {
+		s.Shutdown(context.Background())
+		t.Fatal("negative CompactWindow accepted")
 	}
 }

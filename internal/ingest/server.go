@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/agg"
-	"repro/internal/core"
 	"repro/internal/puncture"
 	"repro/internal/report"
 )
@@ -58,15 +57,13 @@ type Config struct {
 	// OOM the daemon.
 	MaxCells int64
 	// Retention is how long closed windows are kept at fine granularity
-	// before the janitor compacts them into rollups (or, with
-	// compaction disabled, prunes them; 0 → 24h; negative → keep
-	// forever). Irrelevant when time bucketing is off.
+	// before the janitor compacts them into rollups (0 → 24h; negative
+	// → keep forever). Irrelevant when time bucketing is off.
 	Retention time.Duration
 	// CompactWindow is the rollup window width expired fine cells merge
-	// into (0 → 10× Window; negative disables compaction, reverting the
-	// janitor to the legacy lossy Prune). Counts/moments/histograms stay
-	// exact through compaction; sketch quantiles keep the agg merge
-	// bound.
+	// into (0 → 10× Window; negative is rejected by Start).
+	// Counts/moments/histograms stay exact through compaction; sketch
+	// quantiles keep the agg merge bound.
 	CompactWindow time.Duration
 	// StreamInterval is the /v1/stream broadcast coalescing interval
 	// (0 → 100ms; negative broadcasts on every fold with no coalescing
@@ -75,14 +72,11 @@ type Config struct {
 	// MaxSubscribers caps concurrent /v1/stream clients (<1 → 64);
 	// past it new subscriptions get 503 + Retry-After, counted.
 	MaxSubscribers int
-	// Registry, when non-nil, is the calibration database consulted per
-	// device model and served under /models. Its backing knowledge
-	// store becomes the server's device-knowledge store, so learned
-	// overheads and calibrations live side by side.
-	Registry *core.ShardedRegistry
 	// Profiles, when non-nil, is the device-knowledge store the server
-	// rides (takes precedence over Registry's backing store). Served
-	// whole under /v1/profiles; fleet deltas POSTed there merge into it.
+	// rides (nil → a fresh store): calibrated timers and learned
+	// overheads side by side. Its calibrations and learned table are
+	// served under /models, the whole store under /v1/profiles; fleet
+	// deltas POSTed there merge into it.
 	Profiles *puncture.Store
 	// ProfilesPath, when set, persists the knowledge store: loaded (and
 	// merged into the store) on boot if the file exists, snapshotted
@@ -154,7 +148,6 @@ type Metrics struct {
 	RejectedBatches   atomic.Int64 // backpressure 503s
 	BadBatches        atomic.Int64 // malformed 400s
 	OversizedBatches  atomic.Int64 // 413s (client should split and retry)
-	PrunedCells       atomic.Int64 // windows deleted by legacy lossy retention
 	ProfileMerges     atomic.Int64 // fleet deltas accepted at POST /v1/profiles
 	ProfileSaves      atomic.Int64 // knowledge snapshots written to disk
 	ProfileSaveErrors atomic.Int64
@@ -211,8 +204,8 @@ type Server struct {
 	servErr     chan error
 	// ageClampMS is the accepted event-time age horizon: never older
 	// than the retention window, else a 202-accepted late batch would
-	// fold into an already-expired window and be pruned before anyone
-	// could query it.
+	// fold into an already-expired window and be compacted before
+	// anyone could query it at fine granularity.
 	ageClampMS int64
 }
 
@@ -221,17 +214,16 @@ type Server struct {
 //
 //acutemon:ignore AM005 bind-only constructor (the net.Listen is a local bind, not a wait); the server's lifecycle context lives in Shutdown(ctx)
 func Start(cfg Config) (*Server, error) {
+	if cfg.CompactWindow < 0 {
+		return nil, fmt.Errorf("ingest: negative compact window %v (retention always compacts; 0 selects 10x the window)", cfg.CompactWindow)
+	}
 	cfg.fill()
 	window := cfg.Window
 	if window < 0 {
 		window = 0
 	}
-	// One knowledge store serves the whole daemon: an explicit Profiles
-	// store wins, else the Registry's backing store, else a fresh one.
+	// One knowledge store serves the whole daemon.
 	knowledge := cfg.Profiles
-	if knowledge == nil && cfg.Registry != nil {
-		knowledge = cfg.Registry.Store()
-	}
 	if knowledge == nil {
 		knowledge = puncture.NewStore(cfg.PunctureShards)
 	}
@@ -262,7 +254,7 @@ func Start(cfg Config) (*Server, error) {
 	if cfg.MaxCells != 0 {
 		s.store.SetMaxCells(cfg.MaxCells)
 	}
-	if window > 0 && cfg.CompactWindow > 0 {
+	if window > 0 {
 		s.store.EnableCompaction(cfg.CompactWindow)
 	}
 	s.bcast = newBroadcaster(cfg.StreamInterval, cfg.MaxSubscribers)
@@ -316,11 +308,9 @@ func Start(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// janitor bounds a long-running daemon's memory: with compaction
-// enabled (the default) expired windows demote losslessly into rollup
-// cells and the fine tier is re-capped globally; with it disabled
-// (CompactWindow < 0) the legacy lossy Prune runs, counted. Either
-// way the cell cap handles hostile key cardinality.
+// janitor bounds a long-running daemon's memory: expired windows
+// demote losslessly into rollup cells and the fine tier is re-capped
+// globally, so the cell cap handles hostile key cardinality.
 func (s *Server) janitor(window, retention time.Duration) {
 	interval := window
 	if interval > time.Minute {
@@ -332,19 +322,11 @@ func (s *Server) janitor(window, retention time.Duration) {
 		select {
 		case <-t.C:
 			now := time.Now()
-			cutoff := now.Add(-retention).UnixMilli()
-			if s.store.CompactionEnabled() {
-				cells, _ := s.store.Compact(cutoff)
-				cells += s.store.EnforceCap(now.UnixMilli())
-				s.metrics.CompactionCycles.Add(1)
-				if cells > 0 && s.bcast != nil {
-					s.bcast.poke()
-				}
-			} else if n := s.store.Prune(cutoff); n > 0 {
-				s.metrics.PrunedCells.Add(int64(n))
-				if s.bcast != nil {
-					s.bcast.poke()
-				}
+			cells, _ := s.store.Compact(now.Add(-retention).UnixMilli())
+			cells += s.store.EnforceCap(now.UnixMilli())
+			s.metrics.CompactionCycles.Add(1)
+			if cells > 0 && s.bcast != nil {
+				s.bcast.poke()
 			}
 		case <-s.janitorStop:
 			return
@@ -423,11 +405,10 @@ func (s *Server) MetricsSnapshot() map[string]int64 {
 		"bad_batches":        s.metrics.BadBatches.Load(),
 		"oversized_batches":  s.metrics.OversizedBatches.Load(),
 		"dropped_summaries":  s.store.Dropped(),
-		"pruned_cells":       s.metrics.PrunedCells.Load(),
 		// Retention accounting: every cell that leaves the fine tier is
-		// either compacted (janitor, lossless), evicted (cap pressure,
-		// lossless), or — legacy mode only — pruned (lossy). Sessions
-		// demoted into rollups are preserved, not lost; a nonzero
+		// either compacted (janitor, lossless) or evicted (cap pressure,
+		// lossless). Sessions demoted into rollups are preserved, not
+		// lost; a nonzero
 		// rollup_merge_errors would mean loss and is therefore counted.
 		"compacted_cells":     s.store.Compacted(),
 		"compacted_sessions":  s.store.CompactedSessions(),
@@ -898,12 +879,13 @@ func RenderStats(resp StatsResponse) string {
 	}
 	out := t.String()
 	// Footer: where the history that is *not* in the table went. Only
-	// pruned cells are loss; compacted/evicted cells live on in rollups.
+	// cap-dropped summaries are loss; compacted/evicted cells live on in
+	// rollups.
 	if c := resp.Counters; c != nil {
 		out += fmt.Sprintf(
-			"retention: compacted=%d cells (%d sessions, lossless) evicted=%d rollups=%d pruned=%d (lossy) cap-dropped=%d summaries\n",
+			"retention: compacted=%d cells (%d sessions, lossless) evicted=%d rollups=%d cap-dropped=%d summaries (lossy)\n",
 			c["compacted_cells"], c["compacted_sessions"], c["evicted_cells"],
-			c["rollup_cells"], c["pruned_cells"], c["dropped_summaries"])
+			c["rollup_cells"], c["dropped_summaries"])
 		// On a clustered node the table above is fleet-wide; say which
 		// sessions this node folded itself vs received via gossip.
 		if peers, ok := c["cluster_peers"]; ok {
@@ -947,8 +929,8 @@ func cellLabel(k Key, r Rollup) string {
 // ModelsResponse is the /models JSON payload: the calibration database
 // plus the learned per-model overhead profiles driving live puncturing.
 type ModelsResponse struct {
-	Registry []core.RegistryEntry `json:"registry"`
-	Learned  []ModelOverhead      `json:"learned"`
+	Registry []puncture.CalEntry `json:"registry"`
+	Learned  []ModelOverhead     `json:"learned"`
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -956,12 +938,9 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	// Both halves come from the one knowledge store: the calibration
-	// view and the learned-overhead projection.
-	resp := ModelsResponse{Learned: s.punc.Overheads()}
-	if reg := s.punc.Registry(); reg != nil {
-		resp.Registry = reg.Snapshot().Entries()
-	}
+	// Both halves come from the one knowledge store: the calibrated
+	// timers and the learned-overhead projection.
+	resp := ModelsResponse{Registry: s.punc.Store().Calibrations(), Learned: s.punc.Overheads()}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -328,16 +328,6 @@ type Store struct {
 	epoch  atomic.Int64
 	shards []storeShard
 
-	// gen is the cell-removal generation: bumped — always while holding
-	// the shard lock the cell is deleted under — whenever a fine cell
-	// leaves its shard map (compaction, eviction, prune). Fold workers
-	// cache *Cell handles keyed by this counter (see cellCache): a
-	// worker that re-reads gen under a shard lock and finds it unchanged
-	// knows no fine cell anywhere was removed since the cache was
-	// filled, so its cached handles are still the live map entries.
-	// Inserts don't bump it — a new cell can't invalidate a handle.
-	gen atomic.Int64
-
 	// Lossless-retention state (see retention.go). rollupMS > 0 turns
 	// expired-window compaction on: fine cells past the retention
 	// cutoff merge into coarse rollup cells instead of being deleted,
@@ -354,7 +344,7 @@ type Store struct {
 	rollupErrors      atomic.Int64 // rollup merges refused (geometry mismatch — never expected)
 
 	// Removal log: every cell deleted from the fine or rollup maps
-	// (compaction, eviction, overflow collapse, prune) is recorded with
+	// (compaction, eviction, overflow collapse) is recorded with
 	// its removal epoch so stream clients can retract stale rows. The
 	// log is bounded; a cursor older than its floor forces a resync.
 	removals RemovalLog
@@ -516,84 +506,32 @@ func (st *Store) Fold(s *Summary, corr time.Duration, src CorrectionSource) bool
 	}
 }
 
-// cellCacheCap bounds a worker's handle cache; at ~100 B per entry the
-// cap costs well under a MiB per fold worker, and a cache that grows
-// past it (cardinality churn) is cheaper to restart than to manage.
-const cellCacheCap = 8192
-
-// cellCache is one fold worker's private map from cell key to the live
-// *Cell handle, skipping the shard-map lookup on the hot path. Safe
-// because each cell is pinned to one pipe (routing and sharding use the
-// same full-key hash), so only the owning worker ever folds into it —
-// but retention can *remove* a cell at any time, so every use
-// revalidates against the store's removal generation under the shard
-// lock (see Store.gen). Not safe for concurrent use; one per worker.
-type cellCache struct {
-	gen   int64
-	cells map[Key]*Cell
-}
-
-func newCellCache() *cellCache { return &cellCache{cells: make(map[Key]*Cell, 64)} }
-
-// sync discards every cached handle if any fine cell was removed since
-// the cache last validated. Must be called with a shard lock held (the
-// happens-before edge that makes the gen read conclusive — see
-// Store.gen).
-func (cc *cellCache) sync(gen int64) {
-	if cc.gen != gen {
-		clear(cc.cells)
-		cc.gen = gen
-	}
-}
-
-func (cc *cellCache) put(k Key, c *Cell) {
-	if len(cc.cells) >= cellCacheCap {
-		clear(cc.cells)
-	}
-	cc.cells[k] = c
-}
-
 // FoldRun folds a contiguous run of summaries that all belong to cell
 // k — h must be keyHash(k), computed once by the pipeline router —
 // under ONE stripe-lock acquisition and ONE epoch bump, using the agg
 // batch entry points per summary. corrs[i]/srcs[i] are the puncturing
 // results for sums[i], resolved by the caller before the lock is
-// taken. cc (optional) is the worker's handle cache; fs is the
-// worker's fold scratch. Cap handling matches Fold exactly — evict
-// shard-locally, then globally until the mint wins, else drop — but
-// drops the whole run (it would mint the same cell). Returns how many
-// summaries were folded: len(sums) or 0.
-func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration, srcs []CorrectionSource, cc *cellCache, fs *foldScratch) int {
+// taken; fs is the worker's fold scratch. Cap handling matches Fold
+// exactly — evict shard-locally, then globally until the mint wins,
+// else drop — but drops the whole run (it would mint the same cell).
+// Returns how many summaries were folded: len(sums) or 0.
+func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration, srcs []CorrectionSource, fs *foldScratch) int {
 	sh := &st.shards[h%uint64(len(st.shards))]
 	for {
 		sh.mu.Lock()
-		var c *Cell
-		if cc != nil {
-			cc.sync(st.gen.Load())
-			c = cc.cells[k]
-		}
-		if c == nil {
-			var ok bool
-			c, ok = sh.cells[k]
-			if !ok {
-				if st.cells.Load() >= st.maxCells && !st.evictColdestLocked(sh, k.WindowMS) {
-					sh.mu.Unlock()
-					if st.evictColdestGlobal(k.WindowMS) {
-						continue
-					}
-					st.dropped.Add(int64(len(sums)))
-					return 0
+		c, ok := sh.cells[k]
+		if !ok {
+			if st.cells.Load() >= st.maxCells && !st.evictColdestLocked(sh, k.WindowMS) {
+				sh.mu.Unlock()
+				if st.evictColdestGlobal(k.WindowMS) {
+					continue
 				}
-				c = newCell(k)
-				sh.cells[k] = c
-				st.cells.Add(1)
+				st.dropped.Add(int64(len(sums)))
+				return 0
 			}
-			if cc != nil {
-				// The mint path may have evicted (bumping gen); re-sync so
-				// the fresh handle isn't dropped by the next validation.
-				cc.sync(st.gen.Load())
-				cc.put(k, c)
-			}
+			c = newCell(k)
+			sh.cells[k] = c
+			st.cells.Add(1)
 		}
 		for i := range sums {
 			c.foldBatch(&sums[i], corrs[i], srcs[i], fs)
@@ -602,39 +540,6 @@ func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration,
 		sh.mu.Unlock()
 		return len(sums)
 	}
-}
-
-// Prune deletes every cell whose window closed at or before cutoffMS
-// (Unix ms), returning how many were removed. This is the lossy legacy
-// janitor (compaction-enabled stores use Compact instead); removals
-// are still logged so stream clients retract the rows. A no-op when
-// time bucketing is off — the single eternal window is the caller's
-// choice.
-func (st *Store) Prune(cutoffMS int64) int {
-	if st.windowMS <= 0 {
-		return 0
-	}
-	var removedKeys []Key
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		before := len(removedKeys)
-		for k := range sh.cells {
-			if k.WindowMS+st.windowMS <= cutoffMS {
-				delete(sh.cells, k)
-				removedKeys = append(removedKeys, k)
-			}
-		}
-		if len(removedKeys) > before {
-			st.gen.Add(1) // invalidate cached handles (under this shard's lock)
-		}
-		sh.mu.Unlock()
-	}
-	st.cells.Add(int64(-len(removedKeys)))
-	for _, k := range removedKeys {
-		st.logRemoval(k)
-	}
-	return len(removedKeys)
 }
 
 // Snapshot deep-copies every cell — fine-grained and rollup — sorted by

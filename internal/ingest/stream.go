@@ -44,8 +44,9 @@ type StreamEvent struct {
 	Reset bool `json:"reset,omitempty"`
 	// Cells are the changed cells' current cumulative stats.
 	Cells []CellStats `json:"cells,omitempty"`
-	// Removed lists keys retention deleted (compaction, eviction,
-	// prune) that have no surviving row at this rollup.
+	// Removed lists keys retention removed from the fine or rollup
+	// tier (compaction, eviction, overflow collapse) that have no
+	// surviving row at this rollup.
 	Removed []Key `json:"removed,omitempty"`
 }
 

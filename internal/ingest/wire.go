@@ -7,7 +7,7 @@
 // mergeable aggregates served over HTTP.
 //
 // The fleet package simulates the million phones; ingest is the server
-// they report to. A load-generator mode wires fleet.Run sessions
+// they report to. A load-generator mode wires fleet campaign sessions
 // through the real wire protocol, so a seeded campaign streamed over
 // loopback reproduces the offline campaign report exactly — the
 // end-to-end determinism check that keeps both halves honest.

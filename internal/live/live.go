@@ -226,10 +226,13 @@ func startBackground(cfg Config) (*backgroundThread, error) {
 	bt.sent++
 	bt.mu.Unlock()
 
+	// The period counts from the warm-up packet, not from whenever the
+	// goroutine is first scheduled: a late start must not stretch the
+	// first gap past db.
+	tick := time.NewTicker(cfg.BackgroundInterval)
 	bt.wg.Add(1)
 	go func() {
 		defer bt.wg.Done()
-		tick := time.NewTicker(cfg.BackgroundInterval)
 		defer tick.Stop()
 		for {
 			select {

@@ -6,8 +6,8 @@
 // needs.
 //
 // Its unit is the DeviceProfile: the model's calibrated energy-saving
-// timers (Tip/Tis and the derived dpre/db, previously a
-// core.RegistryEntry) fused with the learned per-model overhead moments
+// timers (Tip/Tis and the derived dpre/db — a CalEntry) fused with the
+// learned per-model overhead moments
 // (previously ingest.ModelOverhead, which evaporated on every ingestd
 // restart), plus sample counts, an update epoch, and the chipset-family
 // key that lets models of the same WiFi chip teach each other.
@@ -29,8 +29,11 @@
 //     save→load→save round trip is bit-for-bit identical, so learned
 //     knowledge survives restarts.
 //
-// core.Registry and core.ShardedRegistry are deprecated thin views over
-// this store; ingest.Puncturer rides it for live puncturing.
+// The store is the only calibration surface: fleet campaigns calibrate
+// into it (core.CalibrateInto), sessions and campaigns read dpre/db
+// from it, and ingest.Puncturer rides it for live puncturing. The
+// plain CalEntry-array file of the -registry flags loads through the
+// same LoadFile and is written by SaveCalibrationsFile.
 package puncture
 
 import (
@@ -83,9 +86,8 @@ func (s Source) String() string {
 
 // CalEntry is one device model's calibrated energy-saving parameters:
 // the measured demotion timers Tip/Tis and the derived AcuteMon
-// settings dpre (Warmup) and db (Interval). It is the JSON wire form
-// of the historic core.RegistryEntry (core keeps a type alias), so
-// registry databases saved by earlier versions load unchanged.
+// settings dpre (Warmup) and db (Interval). A -registry file is a JSON
+// array of these (see SaveCalibrationsFile); LoadFile reads it back.
 type CalEntry struct {
 	Model   string `json:"model"`
 	Chipset string `json:"chipset,omitempty"`

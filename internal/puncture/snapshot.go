@@ -1,6 +1,7 @@
 package puncture
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -141,16 +142,35 @@ func (st *Store) Merge(other *Store) error {
 }
 
 // WriteSnapshot serializes the store as indented JSON.
-func (st *Store) WriteSnapshot(w io.Writer) error {
+func (st *Store) WriteSnapshot(w io.Writer) error { return writeJSON(w, st.Snapshot()) }
+
+func writeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(st.Snapshot())
+	return enc.Encode(v)
 }
 
-// ReadSnapshot parses and validates a snapshot.
+// ReadSnapshot parses and validates a snapshot. It also accepts the
+// plain CalEntry array of a -registry file: every entry is validated
+// and recorded as RecordCalibration would (a later duplicate replaces
+// an earlier one), so both file formats share one loader.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
+	br := bufio.NewReader(r)
+	if isArray(br) {
+		var entries []CalEntry
+		if err := json.NewDecoder(br).Decode(&entries); err != nil {
+			return nil, fmt.Errorf("puncture: decoding calibrations: %w", err)
+		}
+		st := NewStore(1)
+		for _, e := range entries {
+			if err := st.RecordCalibration(e); err != nil {
+				return nil, err
+			}
+		}
+		return st.Snapshot(), nil
+	}
 	var snap Snapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
+	if err := json.NewDecoder(br).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("puncture: decoding snapshot: %w", err)
 	}
 	if err := snap.Validate(); err != nil {
@@ -159,18 +179,42 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return &snap, nil
 }
 
+// isArray reports whether the next JSON value in br is an array,
+// consuming only leading whitespace.
+func isArray(br *bufio.Reader) bool {
+	for {
+		b, err := br.ReadByte()
+		if err != nil {
+			return false
+		}
+		switch b {
+		case ' ', '\t', '\n', '\r':
+			continue
+		}
+		br.UnreadByte()
+		return b == '['
+	}
+}
+
 // SaveFile atomically writes the store's snapshot to path: the JSON is
 // written to a temp file in the same directory and renamed into place,
 // so a crash mid-save can never leave a truncated knowledge base — the
 // previous snapshot survives intact.
-func (st *Store) SaveFile(path string) error {
+func (st *Store) SaveFile(path string) error { return saveAtomic(path, st.Snapshot()) }
+
+// SaveCalibrationsFile atomically writes only the calibrated timers, as
+// the plain CalEntry array of a -registry file, with SaveFile's
+// temp-file-and-rename guarantee.
+func (st *Store) SaveCalibrationsFile(path string) error { return saveAtomic(path, st.Calibrations()) }
+
+func saveAtomic(path string, v any) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("puncture: snapshot temp: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := st.WriteSnapshot(tmp); err != nil {
+	if err := writeJSON(tmp, v); err != nil {
 		tmp.Close()
 		return fmt.Errorf("puncture: writing snapshot: %w", err)
 	}
@@ -183,8 +227,8 @@ func (st *Store) SaveFile(path string) error {
 	return nil
 }
 
-// LoadFile builds a store from a snapshot file (shards < 1 selects the
-// default stripe count). A missing file is not an error: it returns an
+// LoadFile builds a store from a snapshot or -registry calibration file
+// (shards < 1 selects the default stripe count). A missing file is not an error: it returns an
 // empty store and found=false — the first boot of a daemon that will
 // create the file on its first save.
 func LoadFile(path string, shards int) (st *Store, found bool, err error) {

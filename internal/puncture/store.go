@@ -9,7 +9,7 @@ import (
 
 // DefaultShards balances footprint against contention for the paper's
 // five-model inventory scaled up to a realistic device census; it
-// matches the historic registry and puncturer stripe defaults.
+// matches the ingest puncturer's stripe default.
 const DefaultShards = 16
 
 // DefaultMaxModels bounds the profile table: a real device census is a
@@ -382,20 +382,22 @@ func (st *Store) Models() []string {
 	return out
 }
 
-// CalibratedModels lists the models with calibrated timers, sorted.
-func (st *Store) CalibratedModels() []string {
-	var out []string
+// Calibrations returns every calibrated model's timers, sorted by
+// model — the entries /models serves and SaveCalibrationsFile writes.
+// Never nil, so an empty store serializes as [].
+func (st *Store) Calibrations() []CalEntry {
+	out := []CalEntry{}
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
-		for m, p := range sh.profiles {
+		for _, p := range sh.profiles {
 			if p.Calibrated() {
-				out = append(out, m)
+				out = append(out, p.CalEntry)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Model < out[j].Model })
 	return out
 }
 

@@ -136,10 +136,9 @@ type Spec struct {
 	WarmupAddr string
 
 	// Testbed, when non-nil, supplies a pre-built simulated rig to the
-	// sim backend instead of building one from the fields above. The
-	// deprecated facade wrappers use this, and it keeps workflows that
-	// need rig access (pcap export, calibration, layer extraction on
-	// the same capture) on the unified pipeline.
+	// sim backend instead of building one from the fields above. It
+	// keeps workflows that need rig access (pcap export, calibration,
+	// layer extraction on the same capture) on the unified pipeline.
 	Testbed *testbed.Testbed
 
 	// Sink, when non-nil, receives one Observation per probe.
@@ -270,7 +269,8 @@ type Result struct {
 
 	// Raw is the backend-native result (*core.Result, *tools.Result,
 	// *live.Result, *cellular.AcuteMonResult, …) for callers that need
-	// tool-specific detail; the deprecated facade wrappers unwrap it.
+	// tool-specific detail, such as the layer helpers that take the
+	// native result and the testbed it ran on.
 	Raw any
 
 	// analyze is the deferred sim-capture analysis hook.
