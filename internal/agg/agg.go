@@ -7,6 +7,8 @@
 // is what lets both the fleet scheduler (worker-local folds merged at
 // campaign end) and the ingest service (lock-striped windowed cells
 // merged at query time) aggregate without ever holding raw samples.
+// Hist and Sketch also reset in place, so a store that recycles dead
+// aggregates refills them without allocating.
 //
 // The division of labor: Moments carry mean/variance, Hist renders
 // fixed-resolution CDFs and tables over the paper's 0–500 ms range,
@@ -14,8 +16,8 @@
 // heavy-tailed cells (cellular promotion, PSM sweeps) whose upper
 // percentiles the histogram saturates at its range cap.
 //
-// Promoted out of internal/fleet so fleet and ingest share one
-// implementation; fleet keeps type aliases for compatibility.
+// fleet and ingest import these types directly; there is one
+// implementation and no alias layer.
 package agg
 
 import (
@@ -146,7 +148,8 @@ func (m Moments) MeanDuration() time.Duration { return time.Duration(m.Mean) }
 // N and Quantile cost O(occupied span) rather than O(bins): an ingest
 // cell holding a few RTTs touches a few bins, not all 1000. The bound is
 // maintained by every write through the methods (Add, AddN, AddMulti,
-// Merge, SetCount); code that writes Counts directly must use SetCount.
+// Merge, SetCount, Reset); code that writes Counts directly must use
+// SetCount.
 type Hist struct {
 	Lo     time.Duration `json:"lo_ns"`
 	Hi     time.Duration `json:"hi_ns"`
@@ -336,6 +339,16 @@ func (h *Hist) Merge(o *Hist) error {
 		dst[i] += c
 	}
 	return nil
+}
+
+// Reset empties the histogram in place, keeping its geometry and bin
+// array. Only the occupied span is zeroed, so resetting a cell that
+// held a few RTTs touches a few bins, not all of them.
+func (h *Hist) Reset() {
+	lo, hi := h.occupied()
+	clear(h.Counts[lo:hi])
+	h.Under, h.Over = 0, 0
+	h.zeroLo, h.zeroHi = len(h.Counts), len(h.Counts)
 }
 
 // Clone returns a deep copy.

@@ -51,6 +51,23 @@ func BenchmarkSketchMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkSketchMergeSmall prices the query-time shape: a cell
+// sketch holding three buffered observations merged into a compressed
+// ~200-centroid group accumulator.
+func BenchmarkSketchMergeSmall(b *testing.B) {
+	b.ReportAllocs()
+	vals := benchValues(1 << 15)
+	acc := NewSketch(0)
+	acc.AddMulti(vals)
+	acc.Flush()
+	cell := NewSketch(0)
+	cell.AddMulti(vals[:3])
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.Merge(cell)
+	}
+}
+
 // BenchmarkSketchQuantile prices one p99 read on a compressed sketch —
 // the /stats serving path.
 func BenchmarkSketchQuantile(b *testing.B) {

@@ -25,10 +25,18 @@ type Centroid struct {
 // and merged in any order describe the same distribution within
 // QuantileErrorBound of the whole-stream sketch.
 //
-// The compression pass is deterministic: given the same insertion
-// order, Add and Merge always produce the same centroids. Different
-// fold orders (different worker schedules) produce different centroids
-// but the same quantiles within the documented bound — which is why
+// Merge is buffered like Add: a merged sketch's centroids wait in a
+// pending list and its unflushed observations join the buffer, and the
+// next Flush sorts both in with one compression pass. Folding many
+// small sketches into one accumulator therefore costs per merged
+// centroid, not per accumulator centroid per merge.
+//
+// The compression pass is deterministic: given the same sequence of
+// Add and Merge calls, a sketch always produces the same centroids.
+// Within one flush the pending centroids are sorted by (mean, weight),
+// so merges between two flushes commute; different fold orders
+// (different worker schedules) still produce different centroids but
+// the same quantiles within the documented bound — which is why
 // cross-run comparisons (ingested vs offline aggregates) check
 // quantile agreement within the bound rather than centroid equality.
 //
@@ -44,11 +52,12 @@ type Sketch struct {
 	MinV float64
 	MaxV float64
 	// Centroids is the compressed summary, sorted by mean. Buffered
-	// observations not yet compressed are excluded; call Flush before
+	// observations and pending merges are excluded; call Flush before
 	// reading Centroids directly.
 	Centroids []Centroid
 
-	buf []float64 // uncompressed recent observations
+	buf  []float64  // uncompressed recent observations
+	pend []Centroid // merged-in centroid runs awaiting the next Flush
 }
 
 // Sketch sizing. The default compression keeps ≤ ~2·Compression
@@ -91,8 +100,8 @@ func (s *Sketch) normalize() {
 	}
 }
 
-// bufLimit is the buffered-observation count that triggers a
-// compression pass; compression cost amortizes over it.
+// bufLimit is the buffered-observation plus pending-centroid count that
+// triggers a compression pass; compression cost amortizes over it.
 func (s *Sketch) bufLimit() int {
 	n := int(4 * s.Compression)
 	if n < 64 {
@@ -112,7 +121,7 @@ func (s *Sketch) Add(v float64) {
 	}
 	s.Count++
 	s.buf = append(s.buf, v)
-	if len(s.buf) >= s.bufLimit() {
+	if len(s.buf)+len(s.pend) >= s.bufLimit() {
 		s.Flush()
 	}
 }
@@ -133,7 +142,7 @@ func (s *Sketch) AddMulti(vs []float64) {
 	s.normalize()
 	limit := s.bufLimit()
 	for len(vs) > 0 {
-		n := limit - len(s.buf)
+		n := limit - len(s.buf) - len(s.pend)
 		if n > len(vs) {
 			n = len(vs)
 		}
@@ -154,7 +163,7 @@ func (s *Sketch) AddMulti(vs []float64) {
 		s.Count, s.MinV, s.MaxV = count, minv, maxv
 		s.buf = append(s.buf, chunk...)
 		vs = vs[n:]
-		if len(s.buf) >= limit {
+		if len(s.buf)+len(s.pend) >= limit {
 			s.Flush()
 		}
 	}
@@ -163,42 +172,63 @@ func (s *Sketch) AddMulti(vs []float64) {
 // N returns the total observation count.
 func (s *Sketch) N() int64 { return s.Count }
 
-// Flush compresses any buffered observations into the centroid list.
-// Idempotent; called automatically by Quantile, Merge, and JSON
-// marshalling. The sort keys and merge workspace come from the pooled
-// flushScratch and the centroid list itself is reused across flushes,
-// so a steady-state flush allocates nothing — this is the allocation
-// the ingest fold path used to pay once per bufLimit observations.
+// Flush compresses any buffered observations and pending merges into
+// the centroid list. Idempotent; called automatically by Quantile,
+// Shifted, and both marshallers. The sort keys and merge workspace come
+// from the pooled flushScratch and the centroid list itself is reused
+// across flushes, so a steady-state flush allocates nothing — this is
+// the allocation the ingest fold path used to pay once per bufLimit
+// observations.
 func (s *Sketch) Flush() {
 	s.normalize()
-	if len(s.buf) == 0 {
+	if len(s.buf) == 0 && len(s.pend) == 0 {
 		return
 	}
 	fs := flushScratchPool.Get().(*flushScratch)
-	fs.sortObservations(s.buf)
-	// Linearly merge the sorted centroid list with the sorted buffer
-	// (each buffered value a weight-1 centroid) into the scratch space;
-	// existing centroids win ties, matching a two-list centroid merge.
-	sc := fs.merged[:0]
-	i, j := 0, 0
-	for i < len(s.Centroids) || j < len(s.buf) {
-		if j >= len(s.buf) || (i < len(s.Centroids) && s.Centroids[i].Mean <= s.buf[j]) {
-			sc = append(sc, s.Centroids[i])
-			i++
-		} else {
-			sc = append(sc, Centroid{Mean: s.buf[j], Weight: 1})
-			j++
+	// Pending merges join the centroid list first (existing centroids
+	// win ties); a sketch that never received a Merge skips this step,
+	// so its flush is exactly the two-list merge below.
+	cs := s.Centroids
+	if len(s.pend) > 0 {
+		dst := &fs.merged // the final list unless observations follow
+		if len(s.buf) > 0 {
+			dst = &fs.pending
 		}
+		*dst = mergeSortedCentroids((*dst)[:0], cs, fs.sortCentroids(s.pend))
+		cs = *dst
+		s.pend = s.pend[:0]
 	}
-	s.buf = s.buf[:0]
-	s.Centroids = compressInto(s.Centroids[:0], sc, s.Count, s.Compression)
-	fs.merged = sc
+	if len(s.buf) > 0 {
+		fs.sortObservations(s.buf)
+		fs.merged = mergeObservations(fs.merged[:0], cs, s.buf)
+		cs = fs.merged
+		s.buf = s.buf[:0]
+	}
+	s.Centroids = compressInto(s.Centroids[:0], cs, s.Count, s.Compression)
 	flushScratchPool.Put(fs)
 }
 
+// mergeObservations linearly merges a mean-sorted centroid list with a
+// sorted observation buffer (each value a weight-1 centroid) into dst;
+// existing centroids win ties, matching a two-list centroid merge.
+func mergeObservations(dst, cs []Centroid, buf []float64) []Centroid {
+	i, j := 0, 0
+	for i < len(cs) || j < len(buf) {
+		if j >= len(buf) || (i < len(cs) && cs[i].Mean <= buf[j]) {
+			dst = append(dst, cs[i])
+			i++
+		} else {
+			dst = append(dst, Centroid{Mean: buf[j], Weight: 1})
+			j++
+		}
+	}
+	return dst
+}
+
 // mergeSortedCentroids linearly merges two mean-sorted centroid lists
-// into dst — both Flush and Merge combine lists that are sorted by
-// construction, so no comparison sort is needed.
+// into dst, a's centroids first on equal means — Flush and Merge
+// combine lists that are sorted by construction, so no comparison sort
+// is needed.
 func mergeSortedCentroids(dst, a, b []Centroid) []Centroid {
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
@@ -278,6 +308,18 @@ func compressInto(dst, sorted []Centroid, total int64, compression float64) []Ce
 // lower-compression input cannot be recovered by re-labelling, so
 // keeping the finer value would make QuantileErrorBound silently
 // understate the true error of the merged data.
+//
+// Merge is buffered: o's centroids and pending merges are appended to
+// the receiver's pending list and its unflushed observations to the
+// receiver's observation buffer, and compression waits for the next
+// Flush — forced here once the buffer and pending list together reach
+// bufLimit, so the uncompressed backlog is bounded exactly as Add
+// bounds it. The exception is a flushed o holding at least as many
+// centroids as the receiver (a worker-local or replica sketch merged
+// into a campaign total): deferring its compression would save nothing
+// — the pass costs about what the merge does — and re-sorting its run
+// at flush time would cost more, so it merges linearly at once.
+// Merging a sketch into itself is allowed.
 func (s *Sketch) Merge(o *Sketch) {
 	s.normalize()
 	if o == nil || o.Count == 0 {
@@ -292,21 +334,25 @@ func (s *Sketch) Merge(o *Sketch) {
 	if s.Count == 0 || o.MaxV > s.MaxV {
 		s.MaxV = o.MaxV
 	}
-	// Both centroid lists are sorted by construction, so the combine is
-	// a linear merge; only buffered observations (never present on
-	// wire-decoded sketches) need a sort, via Flush. o is cloned before
-	// flushing so Merge never mutates its argument.
-	s.Flush()
-	flat := o
-	if len(o.buf) > 0 {
-		flat = o.Clone()
-		flat.Flush()
+	// Read o's lists before appending: when o == s the appends below
+	// grow the very lists being copied.
+	cs, pend, buf := o.Centroids, o.pend, o.buf
+	if len(pend) == 0 && len(buf) == 0 && len(cs) > 0 && len(cs) >= len(s.Centroids) {
+		s.Flush()
+		s.Count += o.Count
+		fs := flushScratchPool.Get().(*flushScratch)
+		fs.merged = mergeSortedCentroids(fs.merged[:0], s.Centroids, cs)
+		s.Centroids = compressInto(s.Centroids[:0], fs.merged, s.Count, s.Compression)
+		flushScratchPool.Put(fs)
+		return
 	}
 	s.Count += o.Count
-	fs := flushScratchPool.Get().(*flushScratch)
-	fs.merged = mergeSortedCentroids(fs.merged[:0], s.Centroids, flat.Centroids)
-	s.Centroids = compressInto(s.Centroids[:0], fs.merged, s.Count, s.Compression)
-	flushScratchPool.Put(fs)
+	s.pend = append(s.pend, cs...)
+	s.pend = append(s.pend, pend...)
+	s.buf = append(s.buf, buf...)
+	if len(s.buf)+len(s.pend) >= s.bufLimit() {
+		s.Flush()
+	}
 }
 
 // MergeSketches merges src into *dst for a pair of aggregates that
@@ -342,7 +388,20 @@ func (s *Sketch) Clone() *Sketch {
 	c := *s
 	c.Centroids = append([]Centroid(nil), s.Centroids...)
 	c.buf = append([]float64(nil), s.buf...)
+	c.pend = append([]Centroid(nil), s.pend...)
 	return &c
+}
+
+// Reset empties the sketch into the state NewSketch(compression)
+// returns, keeping the capacity of its centroid list, buffer and
+// pending list so a recycled aggregate refills without allocating.
+func (s *Sketch) Reset(compression float64) {
+	*s = Sketch{
+		Compression: clampCompression(compression),
+		Centroids:   s.Centroids[:0],
+		buf:         s.buf[:0],
+		pend:        s.pend[:0],
+	}
 }
 
 // Shifted returns an independent copy with delta added to every value,
@@ -495,8 +554,14 @@ func (s *Sketch) Valid() error {
 			return fmt.Errorf("agg: sketch centroid weights exceed count %d", s.Count)
 		}
 	}
-	if sum+int64(len(s.buf)) != s.Count {
-		return fmt.Errorf("agg: sketch count %d != centroid weight sum %d", s.Count, sum+int64(len(s.buf)))
+	// Pending centroids came from sketches that were valid when merged,
+	// so only their weights need counting.
+	sum += int64(len(s.buf))
+	for _, c := range s.pend {
+		sum += c.Weight
+	}
+	if sum != s.Count {
+		return fmt.Errorf("agg: sketch count %d != centroid weight sum %d", s.Count, sum)
 	}
 	if s.Count > 0 {
 		if math.IsNaN(s.MinV) || math.IsInf(s.MinV, 0) || math.IsNaN(s.MaxV) || math.IsInf(s.MaxV, 0) {
@@ -513,8 +578,9 @@ func (s *Sketch) Valid() error {
 	return nil
 }
 
-// sketchWire is the JSON shape; the buffer is always flushed into
-// centroids before encoding, so the wire form is canonical.
+// sketchWire is the JSON shape; the buffer and pending merges are
+// always flushed into centroids before encoding, so the wire form is
+// canonical.
 type sketchWire struct {
 	Compression float64    `json:"compression"`
 	Count       int64      `json:"count"`

@@ -7,15 +7,18 @@ import (
 )
 
 // Flush-time workspace. A compression pass needs a merged centroid
-// list roughly the size of centroids+buffer and, for the radix sort,
-// two key buffers the size of the buffer. Held per sketch that would
-// pin tens of KiB on every resident cell aggregate, so the workspace
-// is pooled package-wide instead: peak memory tracks concurrent
-// flushes (a handful of fold workers), not live sketches, and a
-// steady-state flush still allocates nothing.
+// list roughly the size of centroids+buffer, the centroid list with
+// pending merges folded in, a merge-sort buffer and run index for the
+// pending list, and, for the radix sort, two key buffers the size of
+// the buffer. Held per sketch that would pin tens of KiB on every
+// resident cell aggregate, so the workspace is pooled package-wide
+// instead: peak memory tracks concurrent flushes (a handful of fold
+// workers), not live sketches, and a steady-state flush still
+// allocates nothing.
 type flushScratch struct {
-	merged    []Centroid
-	keys, tmp []uint64
+	merged, pending, sortTmp []Centroid
+	runs                     []int
+	keys, tmp                []uint64
 }
 
 var flushScratchPool = sync.Pool{New: func() any { return new(flushScratch) }}
@@ -26,6 +29,73 @@ func growU64(s []uint64, n int) []uint64 {
 		return make([]uint64, n)
 	}
 	return s[:n]
+}
+
+// centroidLess orders centroids by (mean, weight).
+func centroidLess(a, b Centroid) bool {
+	return a.Mean < b.Mean || (a.Mean == b.Mean && a.Weight < b.Weight)
+}
+
+// sortCentroids orders a pending-merge list by (mean, weight) and
+// returns the sorted list, which lives either in cs or in the scratch.
+// Equal pairs are interchangeable, so the result depends only on the
+// multiset of pending centroids, never on the order they were merged.
+//
+// The list is a concatenation of sorted runs — each merged sketch's
+// centroid list is one — so a bottom-up natural merge sort pays
+// log2(runs) linear passes, not a comparison sort's log2(n): a few
+// large merged sketches cost about one pass. A list holding a NaN mean
+// (only a direct Add of NaN makes one) comes out in no defined order;
+// Valid rejects such sketches.
+func (fs *flushScratch) sortCentroids(cs []Centroid) []Centroid {
+	runs := append(fs.runs[:0], 0)
+	for i := 1; i < len(cs); i++ {
+		if centroidLess(cs[i], cs[i-1]) {
+			runs = append(runs, i)
+		}
+	}
+	runs = append(runs, len(cs))
+	if cap(fs.sortTmp) < len(cs) {
+		fs.sortTmp = make([]Centroid, len(cs))
+	}
+	src, dst := cs, fs.sortTmp[:len(cs)]
+	for len(runs) > 2 {
+		// Merge adjacent run pairs from src into dst; the run index
+		// shrinks in place, each pass writing behind its read position.
+		next := runs[:1]
+		i := 0
+		for ; i+2 < len(runs); i += 2 {
+			lo, mid, hi := runs[i], runs[i+1], runs[i+2]
+			mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi])
+			next = append(next, hi)
+		}
+		if i+1 < len(runs) { // odd run out: carried over unchanged
+			copy(dst[runs[i]:], src[runs[i]:runs[i+1]])
+			next = append(next, runs[i+1])
+		}
+		runs = next
+		src, dst = dst, src
+	}
+	fs.runs = runs
+	return src
+}
+
+// mergeRuns merges two sorted runs into dst, a's centroids first on
+// equal keys; len(dst) == len(a)+len(b).
+func mergeRuns(dst, a, b []Centroid) {
+	k := 0
+	for len(a) > 0 && len(b) > 0 {
+		if centroidLess(b[0], a[0]) {
+			dst[k] = b[0]
+			b = b[1:]
+		} else {
+			dst[k] = a[0]
+			a = a[1:]
+		}
+		k++
+	}
+	k += copy(dst[k:], a)
+	copy(dst[k:], b)
 }
 
 // radixMinLen is the buffer length below which the comparison sort

@@ -245,6 +245,43 @@ func BenchmarkStoreFoldSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreFoldChurn prices the churn shape: every summary a new
+// identity, folded at the cell cap, so each fold mints a fine cell and
+// evicts an older one into a per-identity rollup, and the rollup tier
+// collapses into the overflow cell at its own cap. ns/op and allocs/op
+// are per summary, measured after the rollup tier has filled.
+func BenchmarkStoreFoldChurn(b *testing.B) {
+	b.ReportAllocs()
+	const capCells = 1024
+	st := NewStore(time.Second, 0)
+	st.SetMaxCells(capCells)
+	st.EnableCompaction(time.Second)
+	sums := make([]Summary, 4*capCells)
+	for i := range sums {
+		sums[i] = Summary{Device: fmt.Sprintf("dev-%d", i), Group: "g", Scenario: "bench", Sent: 3,
+			RTTs: []int64{int64(30 * time.Millisecond), int64(31 * time.Millisecond), int64(45 * time.Millisecond)}}
+	}
+	corrs, srcs := []time.Duration{time.Millisecond}, []CorrectionSource{SourceGlobal}
+	var fs foldScratch
+	n := 0
+	fold := func() {
+		s := sums[n%len(sums) : n%len(sums)+1]
+		s[0].TimeMS = int64(n/capCells) * 1000 // a new window every capCells identities
+		k := st.KeyFor(&s[0])
+		if st.FoldRun(k, keyHash(k), s, corrs, srcs, &fs) == 0 {
+			b.Fatal("churn fold dropped")
+		}
+		n++
+	}
+	for n < 3*capCells {
+		fold()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fold()
+	}
+}
+
 // BenchmarkDecodeBatch prices wire parsing, usually the hot half of the
 // handler.
 func BenchmarkDecodeBatch(b *testing.B) {

@@ -324,33 +324,39 @@ func (st *Store) evictColdestGlobal(newWindowMS int64) bool {
 }
 
 // absorbIntoRollup merges one demoted fine cell into its rollup cell,
-// logging the fine key's removal for stream retraction. rollupMu is a
-// leaf lock (never taken before a shard lock inside this package), so
-// calling this while holding a shard lock is safe.
+// logging the fine key's removal for stream retraction, and recycles
+// the dead fine cell. rollupMu is a leaf lock (never taken before a
+// shard lock inside this package), so calling this while holding a
+// shard lock is safe.
 func (st *Store) absorbIntoRollup(c *Cell) {
 	rk := st.rollupKey(c.Key)
 	st.rollupMu.Lock()
 	dst, ok := st.rollups[rk]
 	if !ok {
-		dst = newCell(rk)
+		dst = st.mintCell(rk)
 		dst.SpanMS = st.rollupMS
 		st.rollups[rk] = dst
 		st.rollupN.Add(1)
 	}
-	if err := dst.Merge(c); err != nil {
+	err := dst.Merge(c)
+	if err != nil {
 		st.rollupErrors.Add(1)
 	}
 	dst.Epoch = st.epoch.Add(1)
 	st.capRollupsLocked()
 	st.rollupMu.Unlock()
 	st.logRemoval(c.Key)
+	if err == nil {
+		st.recycle(c)
+	}
 }
 
 // capRollupsLocked bounds the rollup tier at MaxCells: past it, the
 // coldest non-overflow rollups collapse into the single overflow cell
-// (identity and window dropped, totals preserved). Evicts down to
-// ~7/8 of the cap in one sorted pass so the scan amortizes instead of
-// running per absorbed cell. Called with rollupMu held.
+// (identity and window dropped, totals preserved) and are recycled.
+// Evicts down to ~7/8 of the cap in one sorted pass so the scan
+// amortizes instead of running per absorbed cell. Called with rollupMu
+// held.
 func (st *Store) capRollupsLocked() {
 	if st.rollupN.Load() <= st.maxCells {
 		return
@@ -383,13 +389,15 @@ func (st *Store) capRollupsLocked() {
 		st.rollupN.Add(-1)
 		dst, exists := st.rollups[ok]
 		if !exists {
-			dst = newCell(ok)
+			dst = st.mintCell(ok)
 			dst.SpanMS = -1
 			st.rollups[ok] = dst
 			st.rollupN.Add(1)
 		}
 		if err := dst.Merge(c); err != nil {
 			st.rollupErrors.Add(1)
+		} else {
+			st.recycle(c)
 		}
 		dst.Epoch = st.epoch.Add(1)
 		st.logRemoval(e.k)

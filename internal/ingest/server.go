@@ -186,9 +186,13 @@ type Server struct {
 	mux    *http.ServeMux
 	repl   atomic.Pointer[replicaHolder]
 	tcpLn  net.Listener
-	tcp    tcpConns
+	tcp    connSet
 	tcpWG  sync.WaitGroup
 	foldWG sync.WaitGroup
+	// fresh holds accepted HTTP connections still in StateNew (no
+	// request read yet). http.Server.Shutdown waits up to 5 s for such a
+	// connection before treating it as idle, so Shutdown closes them.
+	fresh connSet
 	// inflight counts ingest handlers past the draining check. A plain
 	// atomic (polled in Shutdown) rather than a WaitGroup: an abandoned
 	// WaitGroup.Wait from a timed-out drain could race a later Add from
@@ -198,6 +202,7 @@ type Server struct {
 	closeOnce   sync.Once
 	janitorStop chan struct{}
 	janitorOnce sync.Once
+	janitorWG   sync.WaitGroup
 	persistWG   sync.WaitGroup
 	started     time.Time
 	draining    atomic.Bool
@@ -278,7 +283,7 @@ func Start(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("ingest: listen %s: %w", cfg.Addr, err)
 	}
 	s.ln = &boundedListener{Listener: ln, sem: make(chan struct{}, cfg.MaxConns)}
-	s.http = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	s.http = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second, ConnState: s.trackFresh}
 
 	s.foldWG.Add(cfg.FoldWorkers)
 	for i := 0; i < cfg.FoldWorkers; i++ {
@@ -294,6 +299,7 @@ func Start(cfg Config) (*Server, error) {
 		}
 	}
 	if window > 0 && cfg.Retention > 0 {
+		s.janitorWG.Add(1)
 		go s.janitor(window, cfg.Retention)
 	}
 	if cfg.ProfilesPath != "" && cfg.ProfilesInterval > 0 {
@@ -312,6 +318,7 @@ func Start(cfg Config) (*Server, error) {
 // demote losslessly into rollup cells and the fine tier is re-capped
 // globally, so the cell cap handles hostile key cardinality.
 func (s *Server) janitor(window, retention time.Duration) {
+	defer s.janitorWG.Done()
 	interval := window
 	if interval > time.Minute {
 		interval = time.Minute
@@ -464,6 +471,11 @@ func (s *Server) streamCoalesced() int64 {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.janitorOnce.Do(func() { close(s.janitorStop) })
+	// Join the janitor: a compaction pass still running when Shutdown
+	// returns could be caught mid-demotion by the caller's next query,
+	// which would then count the demoted cell in its shard and again in
+	// its rollup.
+	s.janitorWG.Wait()
 	// Drain the stream before http.Shutdown: SSE handlers hold their
 	// connections open forever, so Shutdown would wait on them until its
 	// context expired. The drain signal makes each handler flush its
@@ -480,6 +492,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.tcpLn.Close()
 		s.tcp.closeAll()
 	}
+	// Close HTTP connections that never sent a request; trackFresh
+	// closes any accepted after this sweep.
+	s.fresh.closeAll()
 	err := s.http.Shutdown(ctx)
 
 	// Wait for every handler that got past the draining check before
@@ -1049,6 +1064,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(payload)
+}
+
+// trackFresh is the HTTP server's ConnState hook: it keeps the set of
+// connections in StateNew for Shutdown to close. Registration precedes
+// the draining check, so a connection accepted during Shutdown's sweep
+// is closed either by the sweep or here.
+func (s *Server) trackFresh(c net.Conn, state http.ConnState) {
+	if state != http.StateNew {
+		s.fresh.remove(c)
+		return
+	}
+	s.fresh.add(c)
+	if s.draining.Load() {
+		c.Close()
+	}
 }
 
 // boundedListener caps concurrently open accepted connections: Accept

@@ -89,6 +89,31 @@ func newCell(k Key) *Cell {
 	}
 }
 
+// reset turns a dead store-minted cell back into newCell(k)'s state,
+// keeping its histograms' bin arrays and its sketches' capacity.
+func (c *Cell) reset(k Key) {
+	rh, ph := c.RawHist, c.PuncturedHist
+	rh.Reset()
+	ph.Reset()
+	*c = Cell{
+		Key:             k,
+		RawHist:         rh,
+		PuncturedHist:   ph,
+		RawSketch:       resetSketch(c.RawSketch),
+		PuncturedSketch: resetSketch(c.PuncturedSketch),
+	}
+}
+
+// resetSketch empties sk for reuse; a sketch a coverage-aware merge
+// dropped is replaced.
+func resetSketch(sk *agg.Sketch) *agg.Sketch {
+	if sk == nil {
+		return agg.NewSketch(0)
+	}
+	sk.Reset(0)
+	return sk
+}
+
 // fold absorbs one summary with its puncturing correction.
 func (c *Cell) fold(s *Summary, corr time.Duration, src CorrectionSource) {
 	c.Sessions++
@@ -348,6 +373,11 @@ type Store struct {
 	// its removal epoch so stream clients can retract stale rows. The
 	// log is bounded; a cursor older than its floor forces a resync.
 	removals RemovalLog
+
+	// Recycled cells (see mintCell). freeMu is a leaf lock below both
+	// the shard locks and rollupMu.
+	freeMu sync.Mutex
+	free   []*Cell
 }
 
 type storeShard struct {
@@ -361,11 +391,53 @@ const DefaultStoreShards = 32
 
 // DefaultMaxCells bounds distinct aggregation cells. Each cell carries
 // two 1000-bucket histograms (~17 KiB) plus two quantile sketches
-// (bounded centroids + fold buffer, ~10 KiB each when hot), so the
-// default caps aggregate state near a GiB — without a cap, one hostile
-// batch of unique device names per POST would mint unreclaimable heap
-// until OOM.
+// (bounded centroids + fold buffer + pending merges, ~10 KiB each when
+// hot), so the default caps aggregate state near a GiB — without a
+// cap, one hostile batch of unique device names per POST would mint
+// unreclaimable heap until OOM. The rollup tier holds up to as many
+// again, and the recycled-cell free list at most maxFreeCells more.
 const DefaultMaxCells = 32768
+
+// maxFreeCells bounds the recycled-cell free list. A rollup-cap
+// collapse frees MaxCells/8 rollups at once; past this bound the rest
+// are left to the garbage collector instead of pinning their
+// histograms.
+const maxFreeCells = 256
+
+// mintCell returns an empty cell for key k — a recycled one when the
+// free list has any, else a fresh newCell. Under churn every summary
+// mints two cells (its fine cell, and the rollup its evicted
+// predecessor lands in) that die within about a window; recycling them
+// spares two 1000-bin histogram allocations per mint, and the reset
+// zeroes only the bins the previous life occupied.
+func (st *Store) mintCell(k Key) *Cell {
+	st.freeMu.Lock()
+	n := len(st.free)
+	if n == 0 {
+		st.freeMu.Unlock()
+		return newCell(k)
+	}
+	c := st.free[n-1]
+	st.free[n-1] = nil
+	st.free = st.free[:n-1]
+	st.freeMu.Unlock()
+	c.reset(k)
+	return c
+}
+
+// recycle hands a dead cell to the free list. Callers pass only a cell
+// they have just removed from the store's maps and merged successfully
+// into another store cell: the store minted it (so its histograms have
+// the standard geometry), and no reader still holds it, since every
+// reader copies what it needs under the lock that guarded the map.
+// Replica and decoded cells never reach here.
+func (st *Store) recycle(c *Cell) {
+	st.freeMu.Lock()
+	if len(st.free) < maxFreeCells {
+		st.free = append(st.free, c)
+	}
+	st.freeMu.Unlock()
+}
 
 // NewStore builds a store. window <= 0 disables time bucketing (one
 // window forever — what deterministic replay tests use); shards < 1
@@ -495,7 +567,7 @@ func (st *Store) Fold(s *Summary, corr time.Duration, src CorrectionSource) bool
 				st.dropped.Add(1)
 				return false
 			}
-			c = newCell(k)
+			c = st.mintCell(k)
 			sh.cells[k] = c
 			st.cells.Add(1)
 		}
@@ -529,7 +601,7 @@ func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration,
 				st.dropped.Add(int64(len(sums)))
 				return 0
 			}
-			c = newCell(k)
+			c = st.mintCell(k)
 			sh.cells[k] = c
 			st.cells.Add(1)
 		}

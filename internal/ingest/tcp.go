@@ -30,14 +30,15 @@ const (
 	tcpIdleTimeout = 5 * time.Minute
 )
 
-// tcpConns tracks live raw-TCP connections so Shutdown can force
-// readers blocked on idle sockets to exit after the drain.
-type tcpConns struct {
+// connSet tracks live connections so Shutdown can force readers
+// blocked on idle sockets to exit: raw-TCP connections, and HTTP
+// connections that have not yet sent a request.
+type connSet struct {
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
 }
 
-func (t *tcpConns) add(c net.Conn) {
+func (t *connSet) add(c net.Conn) {
 	t.mu.Lock()
 	if t.conns == nil {
 		t.conns = make(map[net.Conn]struct{})
@@ -46,13 +47,13 @@ func (t *tcpConns) add(c net.Conn) {
 	t.mu.Unlock()
 }
 
-func (t *tcpConns) remove(c net.Conn) {
+func (t *connSet) remove(c net.Conn) {
 	t.mu.Lock()
 	delete(t.conns, c)
 	t.mu.Unlock()
 }
 
-func (t *tcpConns) closeAll() {
+func (t *connSet) closeAll() {
 	t.mu.Lock()
 	for c := range t.conns {
 		c.Close()
