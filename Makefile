@@ -76,11 +76,12 @@ e2e-restart:
 # Steady-state churn e2e: rotating cell keys through a capped store
 # must hold resident cells at the cap with compaction preserving every
 # session count (the bounded-memory/lossless-retention acceptance
-# check), plus the stream-replica equivalence e2e. Runs both the Go
-# test and the CLI churn mode, so the operator-facing command is
-# exercised too.
+# check), plus the stream-replica equivalence e2e and the replay of
+# stream and gossip deltas racing compaction (every removal retracted).
+# Runs both the Go test and the CLI churn mode, so the operator-facing
+# command is exercised too.
 e2e-churn:
-	$(GO) test -count=1 -run 'TestChurnSteadyState|TestStreamDeltasReproduceStats' -v ./internal/ingest
+	$(GO) test -count=1 -run 'TestChurnSteadyState|TestStreamDeltasReproduceStats|TestDeltaReplayRetractsRacingRemovals' -v ./internal/ingest
 	$(GO) run ./cmd/acutemon-ingestd -churn 12 -churn-keys 64 -window 500ms -retention 2s
 
 # Cluster chaos e2e under -race: three gossiping nodes split a

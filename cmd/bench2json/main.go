@@ -3,7 +3,8 @@
 // (BENCH_N.json artifacts) and trend-track ns/op and summaries/sec
 // across PRs without scraping logs. The schema and parser live in
 // internal/benchfmt, shared with cmd/benchdiff which gates CI on the
-// same records.
+// same records. A benchmark that ran more than once (the 1-iteration
+// sweep, then the steady pass) keeps one row: its last.
 //
 // Usage:
 //

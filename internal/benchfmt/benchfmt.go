@@ -62,9 +62,12 @@ func (o *Output) ByKey() map[string]Benchmark {
 
 // Parse reads `go test -bench` text output and collects benchmark
 // lines, platform headers, and FAIL lines. Unrecognized lines are
-// ignored, so mixed test/bench logs parse cleanly.
+// ignored, so mixed test/bench logs parse cleanly. A benchmark run
+// twice (a 1-iteration sweep, then a steady pass) keeps one row per Key:
+// the last occurrence, the one ByKey gates on, in the first one's place.
 func Parse(r io.Reader) (Output, error) {
 	out := Output{Benchmarks: []Benchmark{}}
+	row := map[string]int{}
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -82,7 +85,14 @@ func Parse(r io.Reader) (Output, error) {
 		case strings.HasPrefix(line, "FAIL"):
 			out.Failures = append(out.Failures, strings.TrimSpace(line))
 		case strings.HasPrefix(line, "Benchmark"):
-			if b, ok := ParseLine(pkg, line); ok {
+			b, ok := ParseLine(pkg, line)
+			if !ok {
+				continue
+			}
+			if i, seen := row[b.Key()]; seen {
+				out.Benchmarks[i] = b
+			} else {
+				row[b.Key()] = len(out.Benchmarks)
 				out.Benchmarks = append(out.Benchmarks, b)
 			}
 		}

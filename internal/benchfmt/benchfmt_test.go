@@ -17,6 +17,8 @@ BenchmarkCorrectionLookup-8 	 5000000	     240 ns/op
 --- FAIL: TestBroken
 FAIL	repro/internal/broken	0.1s
 not a benchmark line
+pkg: repro/internal/ingest
+BenchmarkIngestLoopback-8   	     480	 108000 ns/op	  92592 summaries/sec
 `
 
 func TestParse(t *testing.T) {
@@ -27,8 +29,13 @@ func TestParse(t *testing.T) {
 	if out.Goos != "linux" || out.Goarch != "amd64" || out.CPU != "AMD EPYC 7B13" {
 		t.Fatalf("platform headers: %+v", out)
 	}
+	// The steady re-run of BenchmarkIngestLoopback replaces the sweep
+	// row: one row per key.
 	if len(out.Benchmarks) != 3 {
 		t.Fatalf("want 3 benchmarks, got %d: %+v", len(out.Benchmarks), out.Benchmarks)
+	}
+	if b := out.Benchmarks[0]; b.Name != "BenchmarkIngestLoopback-8" || b.Iterations != 480 {
+		t.Fatalf("first row %+v; want the steady loopback re-run in the sweep row's place", b)
 	}
 	if len(out.Failures) != 1 || !strings.Contains(out.Failures[0], "repro/internal/broken") {
 		t.Fatalf("failures: %v", out.Failures)
@@ -38,7 +45,7 @@ func TestParse(t *testing.T) {
 	if !ok {
 		t.Fatalf("loopback key missing (GOMAXPROCS suffix not stripped?): %v", by)
 	}
-	if lb.Metrics["summaries/sec"] != 89682 {
+	if lb.Metrics["summaries/sec"] != 92592 {
 		t.Fatalf("summaries/sec = %v", lb.Metrics["summaries/sec"])
 	}
 	if cl := by["repro/internal/puncture.BenchmarkCorrectionLookup"]; cl.Metrics["ns/op"] != 240 {

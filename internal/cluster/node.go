@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -391,7 +392,7 @@ func (n *Node) apply(p *peer, d *Delta) {
 // logRemoval records one replica retraction under a fresh store epoch.
 // The ring is bounded exactly like the store's own removal log; a
 // stream cursor older than the floor forces a full resync.
-func (n *Node) logRemoval(k ingest.Key) { n.removals.Log(n.store.NextEpoch(), k) }
+func (n *Node) logRemoval(k ingest.Key) { n.removals.Log(n.store.NextEpoch, k) }
 
 // handleDelta answers GET /v1/cluster/delta?since=N&know=N&boot=ID
 // with an ACMG frame. A cursor from another boot of this process — or
@@ -561,9 +562,13 @@ func (n *Node) ReplicaCells() []*ingest.Cell {
 	return out
 }
 
-// ReplicaRemovals returns replica retractions past the cursor; ok is
-// false when the bounded ring wrapped and the caller must resync.
-func (n *Node) ReplicaRemovals(since int64) ([]ingest.Key, bool) { return n.removals.Since(since) }
+// ReplicaRemovals returns every replica retraction past the cursor; ok
+// is false when the bounded ring wrapped and the caller must resync.
+// There is no upper bound: fleet deltas always merge, so a retraction
+// that also reaches the next delta only re-emits a row.
+func (n *Node) ReplicaRemovals(since int64) ([]ingest.Key, bool) {
+	return n.removals.Since(since, math.MaxInt64)
+}
 
 // Knowledge returns each peer's replicated knowledge snapshot.
 func (n *Node) Knowledge() []*puncture.Snapshot {

@@ -211,7 +211,6 @@ func BenchmarkStoreFold(b *testing.B) {
 	p := NewPuncturerStore(nil)
 	batch := benchBatch(100, 20)
 	runs := groupBenchRuns(st, batch)
-	var fs foldScratch
 	var atts []puncture.Attribution
 	corrs := make([]time.Duration, len(batch))
 	srcs := make([]CorrectionSource, len(batch))
@@ -220,7 +219,7 @@ func BenchmarkStoreFold(b *testing.B) {
 	for i := 0; i < b.N; i += len(batch) {
 		for _, r := range runs {
 			atts = p.CorrectionRun(r.sums, corrs[:len(r.sums)], srcs[:len(r.sums)], atts)
-			if st.FoldRun(r.key, r.hash, r.sums, corrs[:len(r.sums)], srcs[:len(r.sums)], &fs) == 0 {
+			if st.FoldRun(r.key, r.hash, r.sums, corrs[:len(r.sums)], srcs[:len(r.sums)]) == 0 {
 				b.Fatal("run dropped")
 			}
 		}
@@ -262,13 +261,12 @@ func BenchmarkStoreFoldChurn(b *testing.B) {
 			RTTs: []int64{int64(30 * time.Millisecond), int64(31 * time.Millisecond), int64(45 * time.Millisecond)}}
 	}
 	corrs, srcs := []time.Duration{time.Millisecond}, []CorrectionSource{SourceGlobal}
-	var fs foldScratch
 	n := 0
 	fold := func() {
 		s := sums[n%len(sums) : n%len(sums)+1]
 		s[0].TimeMS = int64(n/capCells) * 1000 // a new window every capCells identities
 		k := st.KeyFor(&s[0])
-		if st.FoldRun(k, keyHash(k), s, corrs, srcs, &fs) == 0 {
+		if st.FoldRun(k, keyHash(k), s, corrs, srcs) == 0 {
 			b.Fatal("churn fold dropped")
 		}
 		n++

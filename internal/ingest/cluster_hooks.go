@@ -117,46 +117,21 @@ type CellDelta struct {
 	Removed []Key
 }
 
-// CellDeltasSince computes the gossip delta for a cursor: the PR 7
-// DeltasSince cursor semantics (removals first, bounded-log wrap →
-// full-snapshot reset, epoch read before the scan so racing folds are
-// re-delivered) applied to whole cells instead of derived stats. A
-// cursor from the future — the store restarted and its epoch counter
-// rewound — forces the same reset a stream client gets on log wrap.
+// CellDeltasSince computes the gossip delta for a cursor: the
+// DeltasSince cursor semantics (epoch read first, removals up to it,
+// bounded-log wrap → full-snapshot reset, racing folds re-delivered)
+// applied to whole cells instead of derived stats. A cursor from the
+// future — the store restarted and its epoch counter rewound — forces
+// the same reset a stream client gets on log wrap.
 func (st *Store) CellDeltasSince(since int64) CellDelta {
-	var d CellDelta
-	if since > st.epoch.Load() {
-		since = 0
-		d.Reset = true
-	}
-	removed, logOK := st.removals.Since(since)
-	if !logOK {
-		since = 0
-		d.Reset = true
-	}
-	if d.Reset {
+	d := CellDelta{Epoch: st.epoch.Load()}
+	removed, logOK := st.removals.Since(since, d.Epoch)
+	if since > d.Epoch || !logOK {
 		// A reset delta is a full snapshot; retractions are subsumed by
 		// the receiver-side wipe.
-		removed = nil
+		since, removed, d.Reset = 0, nil, true
 	}
-	d.Epoch = st.epoch.Load()
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for _, c := range sh.cells {
-			if c.Epoch > since {
-				d.Cells = append(d.Cells, c.clone())
-			}
-		}
-		sh.mu.Unlock()
-	}
-	st.rollupMu.Lock()
-	for _, c := range st.rollups {
-		if c.Epoch > since {
-			d.Cells = append(d.Cells, c.clone())
-		}
-	}
-	st.rollupMu.Unlock()
+	st.each(since, func(c *Cell) { d.Cells = append(d.Cells, c.clone()) })
 	sortCells(d.Cells)
 	d.Removed = dedupKeys(removed)
 	return d
@@ -177,38 +152,25 @@ func (st *Store) QueryWith(r Rollup, extra []*Cell) ([]*Cell, error) {
 		return st.Snapshot(), nil
 	}
 	merged := map[Key]*Cell{}
-	mergeInto := func(c *Cell) error {
+	var err error
+	mergeInto := func(c *Cell) {
+		if err != nil {
+			return
+		}
 		k := r.reduce(c.Key)
 		dst, ok := merged[k]
 		if !ok {
 			dst = newCell(k)
 			merged[k] = dst
 		}
-		return dst.Merge(c)
+		err = dst.Merge(c)
 	}
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for _, c := range sh.cells {
-			if err := mergeInto(c); err != nil {
-				sh.mu.Unlock()
-				return nil, err
-			}
-		}
-		sh.mu.Unlock()
-	}
-	st.rollupMu.Lock()
-	for _, c := range st.rollups {
-		if err := mergeInto(c); err != nil {
-			st.rollupMu.Unlock()
-			return nil, err
-		}
-	}
-	st.rollupMu.Unlock()
+	st.each(0, mergeInto)
 	for _, c := range extra {
-		if err := mergeInto(c); err != nil {
-			return nil, err
-		}
+		mergeInto(c)
+	}
+	if err != nil {
+		return nil, err
 	}
 	out := make([]*Cell, 0, len(merged))
 	for _, c := range merged {
@@ -218,10 +180,20 @@ func (st *Store) QueryWith(r Rollup, extra []*Cell) ([]*Cell, error) {
 	return out, nil
 }
 
-// StatsQueryWith is StatsQuery over the fleet-wide merged view.
-func (st *Store) StatsQueryWith(r Rollup, extra []*Cell) ([]CellStats, error) {
-	if len(extra) == 0 {
-		return st.StatsQuery(r)
+// statsWith derives the /stats view of the store merged with the
+// replicated cells extra (none on a single node). The by=cell path
+// without replicas computes each cell's derived stats under the stripe
+// lock rather than deep-cloning every histogram (~17 KiB per cell) only
+// to read three quantiles — with the store near its cell cap that clone
+// would be hundreds of MiB of transient allocation per dashboard poll.
+// Every other view goes through QueryWith, which merges without
+// cloning.
+func (st *Store) statsWith(r Rollup, extra []*Cell) ([]CellStats, error) {
+	if r == RollupCell && len(extra) == 0 {
+		var out []CellStats
+		st.each(0, func(c *Cell) { out = append(out, StatsFor(c)) })
+		sortCellStats(out)
+		return out, nil
 	}
 	cells, err := st.QueryWith(r, extra)
 	if err != nil {
@@ -234,30 +206,18 @@ func (st *Store) StatsQueryWith(r Rollup, extra []*Cell) ([]CellStats, error) {
 	return out, nil
 }
 
-// statsQuery is the /stats query path: local-only without a cluster,
-// fleet-wide with one.
-func (s *Server) statsQuery(r Rollup) ([]CellStats, error) {
-	src := s.replicaSource()
-	if src == nil {
-		return s.store.StatsQuery(r)
+// replicaCells returns every replicated cell, or nil on a single node.
+func (s *Server) replicaCells() []*Cell {
+	if src := s.replicaSource(); src != nil {
+		return src.ReplicaCells()
 	}
-	return s.store.StatsQueryWith(r, src.ReplicaCells())
+	return nil
 }
 
 // deltasSince is the /v1/stream delta path: local-only without a
 // cluster, fleet-wide with one.
 func (s *Server) deltasSince(since int64, r Rollup) (StreamEvent, error) {
 	return s.store.deltasWith(since, r, s.replicaSource())
-}
-
-// FleetQuery merges local and replicated cells at the rollup — what
-// /stats serves when clustered. Without a cluster it is exactly Query.
-func (s *Server) FleetQuery(r Rollup) ([]*Cell, error) {
-	src := s.replicaSource()
-	if src == nil {
-		return s.store.Query(r)
-	}
-	return s.store.QueryWith(r, src.ReplicaCells())
 }
 
 // GroupQuerier is the slice of the store VerifyAgainstReport needs.
@@ -272,8 +232,12 @@ type queryFunc func(Rollup) ([]*Cell, error)
 
 func (f queryFunc) Query(r Rollup) ([]*Cell, error) { return f(r) }
 
-// Fleet returns the fleet-wide query view as a GroupQuerier.
-func (s *Server) Fleet() GroupQuerier { return queryFunc(s.FleetQuery) }
+// Fleet returns the fleet-wide query view as a GroupQuerier: local and
+// replicated cells merged at the rollup — what /stats serves when
+// clustered. Without a cluster it is exactly Store.Query.
+func (s *Server) Fleet() GroupQuerier {
+	return queryFunc(func(r Rollup) ([]*Cell, error) { return s.store.QueryWith(r, s.replicaCells()) })
+}
 
 // fleetProfiles builds the fleet-wide knowledge view: the local store's
 // snapshot merged with every peer's replicated snapshot in a fresh

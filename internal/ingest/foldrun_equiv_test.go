@@ -46,7 +46,6 @@ func snapshotJSON(t *testing.T, st *Store) []byte {
 func TestFoldRunSerialEquivalenceUnderRetention(t *testing.T) {
 	ref, batch := foldRunStores(6)
 	punc := NewPuncturerStore(nil)
-	var fs foldScratch
 
 	rng := rand.New(rand.NewSource(7))
 	devices := []string{"Google Nexus 5", "Samsung Grand", "HTC One", "Sony Xperia J"}
@@ -101,7 +100,7 @@ func TestFoldRunSerialEquivalenceUnderRetention(t *testing.T) {
 				ref.Fold(&run[i], corrs[i], srcs[i])
 			}
 			k := batch.KeyFor(&run[0])
-			batch.FoldRun(k, keyHash(k), run, corrs, srcs, &fs)
+			batch.FoldRun(k, keyHash(k), run, corrs, srcs)
 		}
 		if step%150 == 149 {
 			if got, want := snapshotJSON(t, batch), snapshotJSON(t, ref); !bytes.Equal(got, want) {
@@ -219,7 +218,6 @@ func TestFoldRunConservesSessionsAcrossRetention(t *testing.T) {
 	st := NewStore(time.Second, 4)
 	st.EnableCompaction(time.Second)
 	punc := NewPuncturerStore(nil)
-	var fs foldScratch
 
 	var folded int64
 	fold := func(dev string, w int64, n int) {
@@ -236,7 +234,7 @@ func TestFoldRunConservesSessionsAcrossRetention(t *testing.T) {
 			corrs[i], srcs[i] = punc.Correction(&run[i])
 		}
 		k := st.KeyFor(&run[0])
-		folded += int64(st.FoldRun(k, keyHash(k), run, corrs, srcs, &fs))
+		folded += int64(st.FoldRun(k, keyHash(k), run, corrs, srcs))
 	}
 	sessions := func() int64 {
 		var total int64

@@ -30,7 +30,10 @@ import (
 // computed here for routing rides along in the run, so the store never
 // rehashes. All of the sort's scratch (including the scatter array the
 // jobs point into) comes from a pool and is returned when the batch's
-// last job folds, so a steady-state enqueue allocates nothing.
+// last job folds, so a steady-state enqueue allocates nothing. The
+// fold's own observation scratch lives in the store shard it folds
+// into; when the shard count is a multiple of the pipe count, each
+// shard is folded by one worker only.
 //
 // The non-blocking send invariant: credits caps outstanding batches at
 // QueueDepth, each batch contributes at most one job per pipe, and each
@@ -254,11 +257,11 @@ func (s *Server) enqueue(batch []Summary) bool {
 // same-cell runs: the worker resolves the run's corrections first
 // (puncturer locks never nest inside store stripe locks), then folds
 // the whole run with one FoldRun call — one stripe-lock acquisition,
-// one epoch bump, zero steady-state allocations. All mutable state is
-// worker-local and reused across jobs.
+// one epoch bump, zero steady-state allocations. The correction
+// buffers are worker-local and reused across jobs; the fold scratch
+// belongs to the store shard.
 func (s *Server) foldLoop(i int) {
 	defer s.foldWG.Done()
-	var fs foldScratch
 	var corrs []time.Duration
 	var srcs []CorrectionSource
 	var atts []puncture.Attribution
@@ -278,7 +281,7 @@ func (s *Server) foldLoop(i int) {
 			for j := range rs {
 				samples += int64(len(rs[j].RTTs))
 			}
-			if folded := s.store.FoldRun(run.key, run.hash, rs, corrs, srcs, &fs); folded > 0 {
+			if folded := s.store.FoldRun(run.key, run.hash, rs, corrs, srcs); folded > 0 {
 				s.metrics.FoldedSummaries.Add(int64(folded))
 				s.metrics.FoldedSamples.Add(samples)
 			} // else: drops counted by the store itself

@@ -20,7 +20,7 @@ import (
 func deadCell(st *Store) *Cell {
 	c := st.mintCell(Key{Device: "old", Group: "old", WindowMS: 7000})
 	var fs foldScratch
-	c.foldBatch(&Summary{Device: "old", Sent: 5, Lost: 1, BackgroundSent: 2,
+	c.fold(&Summary{Device: "old", Sent: 5, Lost: 1, BackgroundSent: 2,
 		RTTs:      []int64{-5, 0, int64(499 * time.Millisecond), int64(2 * time.Second), 1234567},
 		Inflation: 1.5, LayersOK: true, UserOverheadNS: 7, SDIOOverheadNS: 8, PSMInflationNS: 9,
 		PSMActive: true, Calibrated: true}, 3*time.Millisecond, SourceLearned, &fs)
@@ -28,11 +28,11 @@ func deadCell(st *Store) *Cell {
 	for i := 0; i < 40; i++ {
 		coarse.Add(float64(int64(i) * int64(time.Millisecond)))
 	}
-	c.fold(&Summary{Device: "old", Sent: 40, Sketch: coarse}, time.Millisecond, SourceFamily)
+	c.fold(&Summary{Device: "old", Sent: 40, Sketch: coarse}, time.Millisecond, SourceFamily, &fs)
 	// Flushed sketches on both sides, the smaller merged into the larger,
 	// leave a merge pending in each of c's sketches.
 	other := newCell(Key{Device: "other"})
-	other.fold(&Summary{Device: "other", Sent: 2, RTTs: []int64{int64(30 * time.Millisecond), int64(31 * time.Millisecond)}}, 0, SourceNone)
+	other.fold(&Summary{Device: "other", Sent: 2, RTTs: []int64{int64(30 * time.Millisecond), int64(31 * time.Millisecond)}}, 0, SourceNone, &fs)
 	for _, sk := range []*agg.Sketch{c.RawSketch, c.PuncturedSketch, other.RawSketch, other.PuncturedSketch} {
 		sk.Flush()
 	}
@@ -73,8 +73,8 @@ func TestRecycledCellEncodesLikeNew(t *testing.T) {
 			fresh := newCell(k)
 			var fs foldScratch
 			for i := range sums {
-				recycled.foldBatch(&sums[i], corrs[i], srcs[i], &fs)
-				fresh.fold(&sums[i], corrs[i], srcs[i])
+				recycled.fold(&sums[i], corrs[i], srcs[i], &fs)
+				fresh.fold(&sums[i], corrs[i], srcs[i], &fs)
 			}
 			got, err := json.Marshal(recycled)
 			if err != nil {
@@ -107,7 +107,6 @@ func TestStoreRecyclingIsInvisible(t *testing.T) {
 		dirty.recycle(deadCell(dirty))
 	}
 	rng := rand.New(rand.NewSource(61))
-	var fs foldScratch
 	for w := int64(0); w < 12; w++ {
 		for i := 0; i < 6; i++ {
 			s := Summary{Device: fmt.Sprintf("dev-%d", rng.Intn(9)), Group: "g", Scenario: "s",
@@ -118,7 +117,7 @@ func TestStoreRecyclingIsInvisible(t *testing.T) {
 			}
 			for _, st := range []*Store{clean, dirty} {
 				k := st.KeyFor(&s)
-				st.FoldRun(k, keyHash(k), []Summary{s}, []time.Duration{time.Millisecond}, []CorrectionSource{SourceGlobal}, &fs)
+				st.FoldRun(k, keyHash(k), []Summary{s}, []time.Duration{time.Millisecond}, []CorrectionSource{SourceGlobal})
 			}
 		}
 		if w%3 == 2 {
@@ -157,7 +156,6 @@ func TestRecycleRaceStress(t *testing.T) {
 		fold.Add(1)
 		go func(w int) {
 			defer fold.Done()
-			var fs foldScratch
 			corrs, srcs := []time.Duration{0, 0}, []CorrectionSource{SourceNone, SourceNone}
 			for i := 0; i < perWorker; i++ {
 				win := int64(i / 16)
@@ -167,7 +165,7 @@ func TestRecycleRaceStress(t *testing.T) {
 				s := Summary{Device: fmt.Sprintf("w%d-%d", w, i), Group: fmt.Sprintf("g%d", i%3),
 					TimeMS: win*1000 + int64(w), Sent: 2, RTTs: []int64{int64(i+1) * 1000, 5000}}
 				k := st.KeyFor(&s)
-				folded.Add(int64(st.FoldRun(k, keyHash(k), []Summary{s, s}, corrs, srcs, &fs)))
+				folded.Add(int64(st.FoldRun(k, keyHash(k), []Summary{s, s}, corrs, srcs)))
 			}
 		}(w)
 	}

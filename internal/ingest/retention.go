@@ -61,9 +61,13 @@ type RemovalLog struct {
 	floor int64
 }
 
-// Log records key k as removed at epoch e.
-func (l *RemovalLog) Log(e int64, k Key) {
+// Log records key k as removed at an epoch drawn from next under the
+// log lock. Drawing it inside the lock is what makes a reader that
+// loads the epoch before calling Since see every removal at or below
+// that epoch: the removal's draw, and so its append, precede the load.
+func (l *RemovalLog) Log(next func() int64, k Key) {
 	l.mu.Lock()
+	e := next()
 	if len(l.ring) < removalLogCap {
 		l.ring = append(l.ring, removal{epoch: e, key: k})
 	} else {
@@ -74,10 +78,14 @@ func (l *RemovalLog) Log(e int64, k Key) {
 	l.mu.Unlock()
 }
 
-// Since returns the keys removed after the cursor, oldest first. ok is
-// false when the log has already overwritten entries past since: the
-// caller must resync from scratch.
-func (l *RemovalLog) Since(since int64) (keys []Key, ok bool) {
+// Since returns the keys removed at epochs in (since, upto], oldest
+// first. ok is false when the log has already overwritten entries past
+// since: the caller must resync from scratch. A delta reader passes the
+// epoch it returns as its next cursor as upto, so a removal past it
+// waits for the next delta: repeating it there would retract a same-key
+// rollup (one whose window aligns with the fine cell's) this delta
+// already delivered.
+func (l *RemovalLog) Since(since, upto int64) (keys []Key, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if since < l.floor {
@@ -85,7 +93,7 @@ func (l *RemovalLog) Since(since int64) (keys []Key, ok bool) {
 	}
 	for _, part := range [2][]removal{l.ring[l.head:], l.ring[:l.head]} {
 		for _, r := range part {
-			if r.epoch > since {
+			if r.epoch > since && r.epoch <= upto {
 				keys = append(keys, r.key)
 			}
 		}
@@ -194,85 +202,70 @@ func (st *Store) EnforceCap(nowMS int64) int64 {
 	if over <= 0 {
 		return 0
 	}
-	type windowedKey struct {
-		w     int64
+	type shardKey struct {
 		k     Key
 		shard int
 	}
-	var all []windowedKey
+	var all []shardKey
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
 		for k := range sh.cells {
-			all = append(all, windowedKey{k.WindowMS, k, i})
+			all = append(all, shardKey{k, i})
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].w != all[j].w {
-			return all[i].w < all[j].w
-		}
-		return keyLess(all[i].k, all[j].k)
-	})
+	sort.Slice(all, func(i, j int) bool { return colder(all[i].k, all[j].k) })
 	var n int64
 	for _, e := range all {
 		if n >= over {
 			break
 		}
-		if e.w+st.windowMS > nowMS {
+		if e.k.WindowMS+st.windowMS > nowMS {
 			break // sorted ascending: everything from here is still open
 		}
-		sh := &st.shards[e.shard]
-		sh.mu.Lock()
-		c, ok := sh.cells[e.k]
-		if ok {
-			delete(sh.cells, e.k)
-			st.cells.Add(-1)
+		// A miss raced with fold-time eviction or compaction.
+		if st.evict(&st.shards[e.shard], e.k) {
+			n++
 		}
-		sh.mu.Unlock()
-		if !ok {
-			continue // raced with fold-time eviction or compaction
-		}
-		st.evicted.Add(1)
-		st.compactedSessions.Add(c.Sessions)
-		st.absorbIntoRollup(c)
-		n++
 	}
 	return n
 }
 
-// evictColdestLocked demotes this shard's oldest-window cell into its
-// rollup to make room for a new cell, called with sh.mu held. Only
-// cells in a window strictly older than the incoming key's qualify —
-// a same-window cardinality flood finds nothing to evict and is
-// dropped (and counted) by the caller instead of churning live cells.
+// colder orders keys coldest first: the older window, then keyLess.
+// Every eviction and collapse picks its victims in this order.
+func colder(a, b Key) bool {
+	if a.WindowMS != b.WindowMS {
+		return a.WindowMS < b.WindowMS
+	}
+	return keyLess(a, b)
+}
+
+// evictColdestLocked demotes this shard's coldest cell into its rollup
+// to make room for a new cell, called with sh.mu held. Only cells in a
+// window strictly older than the incoming key's qualify — a
+// same-window cardinality flood finds nothing to evict and is dropped
+// (and counted) by the caller instead of churning live cells.
 func (st *Store) evictColdestLocked(sh *storeShard, newWindowMS int64) bool {
 	if !st.CompactionEnabled() {
 		return false
 	}
 	var victim *Cell
-	var vk Key
 	for k, c := range sh.cells {
-		if k.WindowMS >= newWindowMS {
-			continue
-		}
-		if victim == nil || k.WindowMS < vk.WindowMS ||
-			(k.WindowMS == vk.WindowMS && keyLess(k, vk)) {
-			victim, vk = c, k
+		if k.WindowMS < newWindowMS && (victim == nil || colder(k, victim.Key)) {
+			victim = c
 		}
 	}
 	if victim == nil {
 		return false
 	}
-	delete(sh.cells, vk)
+	delete(sh.cells, victim.Key)
 	st.cells.Add(-1)
-	st.evicted.Add(1)
-	st.compactedSessions.Add(victim.Sessions)
-	st.absorbIntoRollup(victim)
+	st.demote(victim)
 	return true
 }
 
-// evictColdestGlobal demotes the store's oldest strictly-older-window
+// evictColdestGlobal demotes the store's coldest strictly-older-window
 // cell across ALL shards, called with no shard lock held. It exists
 // because key hashing redistributes every window: under churn a shard
 // can receive more new-window cells than it holds old-window victims,
@@ -293,11 +286,7 @@ func (st *Store) evictColdestGlobal(newWindowMS int64) bool {
 		sh := &st.shards[i]
 		sh.mu.Lock()
 		for k := range sh.cells {
-			if k.WindowMS >= newWindowMS {
-				continue
-			}
-			if vs < 0 || k.WindowMS < vk.WindowMS ||
-				(k.WindowMS == vk.WindowMS && keyLess(k, vk)) {
+			if k.WindowMS < newWindowMS && (vs < 0 || colder(k, vk)) {
 				vk, vs = k, i
 			}
 		}
@@ -306,21 +295,33 @@ func (st *Store) evictColdestGlobal(newWindowMS int64) bool {
 	if vs < 0 {
 		return false
 	}
-	sh := &st.shards[vs]
+	st.evict(&st.shards[vs], vk)
+	return true
+}
+
+// evict unlinks fine cell k from shard sh under the shard lock, then
+// demotes it. False when the cell was already gone (a concurrent
+// compaction or eviction took it).
+func (st *Store) evict(sh *storeShard, k Key) bool {
 	sh.mu.Lock()
-	c, ok := sh.cells[vk]
+	c, ok := sh.cells[k]
 	if ok {
-		delete(sh.cells, vk)
+		delete(sh.cells, k)
 		st.cells.Add(-1)
 	}
 	sh.mu.Unlock()
-	if !ok {
-		return true // raced with compaction or another eviction
+	if ok {
+		st.demote(c)
 	}
+	return ok
+}
+
+// demote counts an unlinked fine cell as evicted and absorbs it into
+// its rollup.
+func (st *Store) demote(c *Cell) {
 	st.evicted.Add(1)
 	st.compactedSessions.Add(c.Sessions)
 	st.absorbIntoRollup(c)
-	return true
 }
 
 // absorbIntoRollup merges one demoted fine cell into its rollup cell,
@@ -362,30 +363,20 @@ func (st *Store) capRollupsLocked() {
 		return
 	}
 	target := st.maxCells - st.maxCells/8
-	type windowedKey struct {
-		w int64
-		k Key
-	}
-	var all []windowedKey
+	var all []Key
 	for k := range st.rollups {
-		if k.WindowMS == overflowWindowMS {
-			continue
+		if k.WindowMS != overflowWindowMS {
+			all = append(all, k)
 		}
-		all = append(all, windowedKey{k.WindowMS, k})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].w != all[j].w {
-			return all[i].w < all[j].w
-		}
-		return keyLess(all[i].k, all[j].k)
-	})
+	sort.Slice(all, func(i, j int) bool { return colder(all[i], all[j]) })
 	ok := Key{Device: OverflowLabel, Group: OverflowLabel, WindowMS: overflowWindowMS}
-	for _, e := range all {
+	for _, k := range all {
 		if st.rollupN.Load() <= target {
 			break
 		}
-		c := st.rollups[e.k]
-		delete(st.rollups, e.k)
+		c := st.rollups[k]
+		delete(st.rollups, k)
 		st.rollupN.Add(-1)
 		dst, exists := st.rollups[ok]
 		if !exists {
@@ -400,10 +391,10 @@ func (st *Store) capRollupsLocked() {
 			st.recycle(c)
 		}
 		dst.Epoch = st.epoch.Add(1)
-		st.logRemoval(e.k)
+		st.logRemoval(k)
 	}
 }
 
 // logRemoval records a deleted cell key at a fresh epoch so stream
 // subscribers retract the row.
-func (st *Store) logRemoval(k Key) { st.removals.Log(st.epoch.Add(1), k) }
+func (st *Store) logRemoval(k Key) { st.removals.Log(st.NextEpoch, k) }

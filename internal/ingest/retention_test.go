@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -260,6 +261,64 @@ func TestRollupOverflowCollapse(t *testing.T) {
 	if sum != total {
 		t.Fatalf("%d sessions across tiers; want %d", sum, total)
 	}
+
+	// With a live fine cell beside the rollups and the overflow cell,
+	// every reader must list the same rows.
+	foldOne(t, st, "live", "g", 16*1000, 1000)
+	type row struct {
+		key  Key
+		span int64
+	}
+	rowsOf := func(cells []*Cell) (rows []row) {
+		for _, c := range cells {
+			rows = append(rows, row{c.Key, c.SpanMS})
+		}
+		return rows
+	}
+	keysOf := func(stats []CellStats) (keys []Key) {
+		for _, c := range stats {
+			keys = append(keys, c.Key)
+		}
+		return keys
+	}
+	want := rowsOf(st.Snapshot())
+	spans := map[int64]bool{}
+	var wantKeys []Key
+	for _, r := range want {
+		spans[r.span] = true
+		wantKeys = append(wantKeys, r.key)
+	}
+	if !spans[0] || !spans[1000] || !spans[-1] {
+		t.Fatalf("store lacks a fine, rollup or overflow row: %+v", want)
+	}
+	queried, err := st.QueryWith(RollupCell, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := st.StatsQuery(RollupCell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := st.DeltasSince(0, RollupCell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]row{
+		"QueryWith":       rowsOf(queried),
+		"CellDeltasSince": rowsOf(st.CellDeltasSince(0).Cells),
+	} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s rows %+v; Snapshot has %+v", name, got, want)
+		}
+	}
+	for name, got := range map[string][]Key{
+		"StatsQuery":  keysOf(stats),
+		"DeltasSince": keysOf(ev.Cells),
+	} {
+		if !reflect.DeepEqual(got, wantKeys) {
+			t.Errorf("%s keys %+v; Snapshot has %+v", name, got, wantKeys)
+		}
+	}
 }
 
 // TestEnforceCapSparesOpenWindows: the janitor's global cap pass must
@@ -326,6 +385,126 @@ func TestStreamSeesCompaction(t *testing.T) {
 	}
 }
 
+// TestDeltaReplayRetractsRacingRemovals: readers replaying stream and
+// gossip deltas in a tight loop, while folds and compaction race them,
+// must end with exactly the store's rows. A removal whose epoch landed
+// at or below a returned cursor but outside that delta's removal-log
+// read would never be delivered, and its row would stay stale. No
+// window aligns with a 10 s rollup, so fine and rollup keys never
+// collide and a key set describes each view.
+func TestDeltaReplayRetractsRacingRemovals(t *testing.T) {
+	apply := func(rows map[Key]bool, reset bool, removed []Key, cells []Key) {
+		if reset {
+			clear(rows)
+		}
+		for _, k := range removed {
+			delete(rows, k)
+		}
+		for _, k := range cells {
+			rows[k] = true
+		}
+	}
+	streamDelta := func(st *Store, rows map[Key]bool, cursor int64) int64 {
+		ev, err := st.DeltasSince(cursor, RollupCell)
+		if err != nil {
+			t.Error(err)
+			return cursor
+		}
+		keys := make([]Key, len(ev.Cells))
+		for i, c := range ev.Cells {
+			keys[i] = c.Key
+		}
+		apply(rows, ev.Reset, ev.Removed, keys)
+		return ev.Epoch
+	}
+	gossipDelta := func(st *Store, rows map[Key]bool, cursor int64) int64 {
+		d := st.CellDeltasSince(cursor)
+		keys := make([]Key, len(d.Cells))
+		for i, c := range d.Cells {
+			keys[i] = c.Key
+		}
+		apply(rows, d.Reset, d.Removed, keys)
+		return d.Epoch
+	}
+	diff := func(got map[Key]bool, want []Key) (stale, missing int) {
+		in := map[Key]bool{}
+		for _, k := range want {
+			in[k] = true
+			if !got[k] {
+				missing++
+			}
+		}
+		for k := range got {
+			if !in[k] {
+				stale++
+			}
+		}
+		return stale, missing
+	}
+
+	for round := 0; round < 40; round++ {
+		st := NewStore(time.Second, 4)
+		st.EnableCompaction(10 * time.Second)
+		stream, gossip := map[Key]bool{}, map[Key]bool{}
+		var streamCursor, gossipCursor int64
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		replay := func(rows map[Key]bool, cursor *int64,
+			delta func(*Store, map[Key]bool, int64) int64) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				*cursor = delta(st, rows, *cursor)
+			}
+		}
+		wg.Add(2)
+		go replay(stream, &streamCursor, streamDelta)
+		go replay(gossip, &gossipCursor, gossipDelta)
+		for w := int64(1); w < 50; w++ {
+			if w%10 == 0 {
+				continue
+			}
+			for d := 0; d < 16; d++ {
+				s := Summary{Device: fmt.Sprintf("dev-%d", d), Group: "g", TimeMS: w * 1000,
+					Sent: 1, RTTs: []int64{int64(time.Millisecond)}}
+				if !st.Fold(&s, 0, SourceNone) {
+					t.Fatalf("round %d: fold dropped", round)
+				}
+			}
+			st.Compact(w * 1000)
+		}
+		close(stop)
+		wg.Wait()
+		// Catch up once now that the store holds still.
+		streamDelta(st, stream, streamCursor)
+		gossipDelta(st, gossip, gossipCursor)
+
+		stats, err := st.StatsQuery(RollupCell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var statsKeys, snapKeys []Key
+		for _, c := range stats {
+			statsKeys = append(statsKeys, c.Key)
+		}
+		for _, c := range st.Snapshot() {
+			snapKeys = append(snapKeys, c.Key)
+		}
+		if stale, missing := diff(stream, statsKeys); stale+missing > 0 {
+			t.Fatalf("round %d: stream replay has %d stale and %d missing rows against %d in StatsQuery",
+				round, stale, missing, len(statsKeys))
+		}
+		if stale, missing := diff(gossip, snapKeys); stale+missing > 0 {
+			t.Fatalf("round %d: gossip replay has %d stale and %d missing rows against %d in Snapshot",
+				round, stale, missing, len(snapKeys))
+		}
+	}
+}
+
 // TestRemovalLogOverflowForcesResync: a cursor older than the bounded
 // removal log's floor gets Reset (full snapshot) instead of silently
 // missing retractions.
@@ -371,7 +550,7 @@ func TestRemovalLogRingWrap(t *testing.T) {
 			floor = last - removalLogCap
 		}
 		for _, cursor := range []int64{floor, floor + 1, (floor + last) / 2, last - 1, last} {
-			keys, ok := st.removals.Since(cursor)
+			keys, ok := st.removals.Since(cursor, last)
 			if !ok {
 				t.Fatalf("%d logged: cursor %d at or above floor %d refused", logged, cursor, floor)
 			}
@@ -385,7 +564,7 @@ func TestRemovalLogRingWrap(t *testing.T) {
 			}
 		}
 		if floor > base {
-			if _, ok := st.removals.Since(floor - 1); ok {
+			if _, ok := st.removals.Since(floor-1, last); ok {
 				t.Fatalf("%d logged: cursor %d below floor %d not refused", logged, floor-1, floor)
 			}
 		}
@@ -414,7 +593,6 @@ func TestCapEvictionRaceNoDrops(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				var fs foldScratch
 				corrs, srcs := []time.Duration{0}, []CorrectionSource{SourceNone}
 				for i := 0; i < perWorker; i++ {
 					s := Summary{Device: fmt.Sprintf("r%d-w%d-%d", r, w, i), Group: "g", Scenario: "test",
@@ -423,7 +601,7 @@ func TestCapEvictionRaceNoDrops(t *testing.T) {
 						st.Fold(&s, 0, SourceNone)
 					} else {
 						k := st.KeyFor(&s)
-						st.FoldRun(k, keyHash(k), []Summary{s}, corrs, srcs, &fs)
+						st.FoldRun(k, keyHash(k), []Summary{s}, corrs, srcs)
 					}
 				}
 			}(w)

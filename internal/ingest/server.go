@@ -749,41 +749,8 @@ type StatsResponse struct {
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
-// StatsQuery derives the /stats view. The by=cell path computes each
-// cell's derived stats under the stripe lock rather than deep-cloning
-// every histogram (~17 KiB per cell) only to read three quantiles —
-// with the store near its cell cap that clone would be hundreds of MiB
-// of transient allocation per dashboard poll. Merging rollups go
-// through Query, which already merges without cloning.
-func (st *Store) StatsQuery(r Rollup) ([]CellStats, error) {
-	if r == RollupCell {
-		var out []CellStats
-		for i := range st.shards {
-			sh := &st.shards[i]
-			sh.mu.Lock()
-			for _, c := range sh.cells {
-				out = append(out, StatsFor(c))
-			}
-			sh.mu.Unlock()
-		}
-		st.rollupMu.Lock()
-		for _, c := range st.rollups {
-			out = append(out, StatsFor(c))
-		}
-		st.rollupMu.Unlock()
-		sortCellStats(out)
-		return out, nil
-	}
-	cells, err := st.Query(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CellStats, 0, len(cells))
-	for _, c := range cells {
-		out = append(out, StatsFor(c))
-	}
-	return out, nil
-}
+// StatsQuery derives the /stats view of the store alone.
+func (st *Store) StatsQuery(r Rollup) ([]CellStats, error) { return st.statsWith(r, nil) }
 
 // cellFilter is the key filter /stats and /v1/stream share: empty
 // fields match everything; set fields must match exactly.
@@ -826,7 +793,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	cellStats, err := s.statsQuery(rollup)
+	cellStats, err := s.store.statsWith(rollup, s.replicaCells())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

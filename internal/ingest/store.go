@@ -114,33 +114,10 @@ func resetSketch(sk *agg.Sketch) *agg.Sketch {
 	return sk
 }
 
-// fold absorbs one summary with its puncturing correction.
-func (c *Cell) fold(s *Summary, corr time.Duration, src CorrectionSource) {
-	c.Sessions++
-	c.ProbesSent += int64(s.Sent)
-	c.ProbesLost += int64(s.Lost)
-	c.BackgroundSent += int64(s.BackgroundSent)
-	for _, v := range s.RTTs {
-		d := time.Duration(v)
-		c.Raw.Add(float64(d))
-		c.RawHist.Add(d)
-		c.RawSketch.AddDuration(d)
-		p := d - corr
-		if p < 0 {
-			p = 0
-		}
-		c.Punctured.Add(float64(p))
-		c.PuncturedHist.Add(p)
-		c.PuncturedSketch.AddDuration(p)
-	}
-	c.foldTail(s, corr, src)
-}
-
-// foldScratch is a fold worker's reusable workspace for the batched
-// fold path: the raw and punctured observation runs are materialized
-// once per summary, then each aggregate absorbs its run with one
-// AddMulti call. One scratch per worker; never shared, never retained
-// past the call.
+// foldScratch is a store shard's reusable fold workspace: the raw and
+// punctured observation runs are materialized once per summary, then
+// each aggregate absorbs its run with one AddMulti call. Used only
+// under the shard lock; never retained past the call.
 type foldScratch struct {
 	rawF []float64
 	rawD []time.Duration
@@ -159,13 +136,12 @@ func (fs *foldScratch) ensure(n int) {
 	fs.punF, fs.punD = fs.punF[:n], fs.punD[:n]
 }
 
-// foldBatch is fold with the per-observation loop replaced by the agg
-// batch entry points: one pass builds the raw and clamped-punctured
-// runs in the scratch, then each aggregate absorbs its whole run. The
-// aggregates are independent and every AddMulti is defined to match
-// its serial Add sequence exactly, so foldBatch and fold produce
-// byte-identical cells — the equivalence property tests pin this.
-func (c *Cell) foldBatch(s *Summary, corr time.Duration, src CorrectionSource, fs *foldScratch) {
+// fold absorbs one summary with its puncturing correction. One pass
+// builds the raw and clamped-punctured runs in fs, then each aggregate
+// absorbs its whole run. Every AddMulti is defined to match its serial
+// Add sequence exactly (the agg batch tests pin this), so the cell is
+// the same whether its summaries arrive one by one or in runs.
+func (c *Cell) fold(s *Summary, corr time.Duration, src CorrectionSource, fs *foldScratch) {
 	c.Sessions++
 	c.ProbesSent += int64(s.Sent)
 	c.ProbesLost += int64(s.Lost)
@@ -189,15 +165,7 @@ func (c *Cell) foldBatch(s *Summary, corr time.Duration, src CorrectionSource, f
 		c.Punctured.AddMulti(fs.punF)
 		c.PuncturedHist.AddMulti(fs.punD)
 		c.PuncturedSketch.AddMulti(fs.punF)
-	}
-	c.foldTail(s, corr, src)
-}
-
-// foldTail is the per-summary (not per-observation) part of a fold,
-// shared by the serial and batched paths: sketch-only summaries,
-// overhead moments, session flags, and correction provenance.
-func (c *Cell) foldTail(s *Summary, corr time.Duration, src CorrectionSource) {
-	if len(s.RTTs) == 0 && s.Sketch != nil && s.Sketch.Count > 0 {
+	} else if s.Sketch != nil && s.Sketch.Count > 0 {
 		c.foldSketch(s.Sketch, corr)
 	}
 	if s.Inflation > 0 {
@@ -380,9 +348,14 @@ type Store struct {
 	free   []*Cell
 }
 
+// storeShard is one lock stripe. fs is touched only under mu. When the
+// shard count is a multiple of the pipe count (32 shards and a
+// power-of-two worker count), every key of a shard routes to one pipe,
+// so its scratch stays warm on one fold worker.
 type storeShard struct {
 	mu    sync.Mutex
 	cells map[Key]*Cell
+	fs    foldScratch
 }
 
 // DefaultStoreShards is sized for tens of fold workers over a
@@ -489,7 +462,7 @@ func (st *Store) WindowFor(timeMS int64) int64 {
 	return w
 }
 
-// Inlined FNV-1a: shardFor runs once per folded summary, and the
+// Inlined FNV-1a: keyHash runs once per routed cell run, and the
 // hash/fnv hasher would be a heap allocation per call on that path.
 const (
 	fnvOffset64 uint64 = 14695981039346656037
@@ -523,10 +496,6 @@ func keyHash(k Key) uint64 {
 	return h
 }
 
-func (st *Store) shardFor(k Key) *storeShard {
-	return &st.shards[keyHash(k)%uint64(len(st.shards))]
-}
-
 // KeyFor returns the aggregation cell key s folds into — exposed so the
 // ingest pipelines can route a summary to the pipe owning its cell.
 func (st *Store) KeyFor(s *Summary) Key {
@@ -538,18 +507,30 @@ func (st *Store) KeyFor(s *Summary) Key {
 	}
 }
 
-// Fold routes one summary into its cell under the stripe lock. When
-// the summary would mint a new cell past the cap, compaction-enabled
-// stores first try to evict the coldest strictly-older-window cell
-// into its rollup (lossless — see retention.go): this shard's first,
-// then any shard's, since hashing can strand all the cold cells in
-// other shards. Only if nothing older exists anywhere (or compaction
-// is off) is the summary dropped and counted, so a same-window
-// cardinality attack degrades only attack traffic, not the census
-// already being served.
+// Fold routes one summary into its cell: a one-summary FoldRun. The
+// slice literals stay on the stack, so this allocates nothing.
 func (st *Store) Fold(s *Summary, corr time.Duration, src CorrectionSource) bool {
 	k := st.KeyFor(s)
-	sh := st.shardFor(k)
+	return st.FoldRun(k, keyHash(k), []Summary{*s}, []time.Duration{corr}, []CorrectionSource{src}) == 1
+}
+
+// FoldRun folds a contiguous run of summaries that all belong to cell
+// k — h must be keyHash(k), computed once by the pipeline router —
+// under ONE stripe-lock acquisition and ONE epoch bump. corrs[i]/srcs[i]
+// are the puncturing results for sums[i], resolved by the caller before
+// the lock is taken. Returns how many summaries were folded: len(sums)
+// or 0.
+//
+// When the run would mint a new cell past the cap, compaction-enabled
+// stores first try to evict the coldest strictly-older-window cell into
+// its rollup (lossless — see retention.go): this shard's first, then
+// any shard's, since hashing can strand all the cold cells in other
+// shards. Only if nothing older exists anywhere (or compaction is off)
+// is the whole run dropped and counted, so a same-window cardinality
+// attack degrades only attack traffic, not the census already being
+// served.
+func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration, srcs []CorrectionSource) int {
+	sh := &st.shards[h%uint64(len(st.shards))]
 	for {
 		sh.mu.Lock()
 		c, ok := sh.cells[k]
@@ -564,40 +545,6 @@ func (st *Store) Fold(s *Summary, corr time.Duration, src CorrectionSource) bool
 				if st.evictColdestGlobal(k.WindowMS) {
 					continue
 				}
-				st.dropped.Add(1)
-				return false
-			}
-			c = st.mintCell(k)
-			sh.cells[k] = c
-			st.cells.Add(1)
-		}
-		c.fold(s, corr, src)
-		c.Epoch = st.epoch.Add(1)
-		sh.mu.Unlock()
-		return true
-	}
-}
-
-// FoldRun folds a contiguous run of summaries that all belong to cell
-// k — h must be keyHash(k), computed once by the pipeline router —
-// under ONE stripe-lock acquisition and ONE epoch bump, using the agg
-// batch entry points per summary. corrs[i]/srcs[i] are the puncturing
-// results for sums[i], resolved by the caller before the lock is
-// taken; fs is the worker's fold scratch. Cap handling matches Fold
-// exactly — evict shard-locally, then globally until the mint wins,
-// else drop — but drops the whole run (it would mint the same cell).
-// Returns how many summaries were folded: len(sums) or 0.
-func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration, srcs []CorrectionSource, fs *foldScratch) int {
-	sh := &st.shards[h%uint64(len(st.shards))]
-	for {
-		sh.mu.Lock()
-		c, ok := sh.cells[k]
-		if !ok {
-			if st.cells.Load() >= st.maxCells && !st.evictColdestLocked(sh, k.WindowMS) {
-				sh.mu.Unlock()
-				if st.evictColdestGlobal(k.WindowMS) {
-					continue
-				}
 				st.dropped.Add(int64(len(sums)))
 				return 0
 			}
@@ -606,7 +553,7 @@ func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration,
 			st.cells.Add(1)
 		}
 		for i := range sums {
-			c.foldBatch(&sums[i], corrs[i], srcs[i], fs)
+			c.fold(&sums[i], corrs[i], srcs[i], &sh.fs)
 		}
 		c.Epoch = st.epoch.Add(1)
 		sh.mu.Unlock()
@@ -614,24 +561,37 @@ func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration,
 	}
 }
 
-// Snapshot deep-copies every cell — fine-grained and rollup — sorted by
-// (group, device, scenario, window). Consistent per stripe, not across
-// stripes — the right trade for serving queries while folds continue.
-func (st *Store) Snapshot() []*Cell {
-	var out []*Cell
+// each visits every cell whose Epoch exceeds since: the fine cells
+// shard by shard under each shard's lock, then the rollups under
+// rollupMu. Every cell a reader can see carries an epoch of at least
+// 1, so since 0 visits them all. fn runs under those locks: it must
+// take no lock and keep no reference to the cell.
+func (st *Store) each(since int64, fn func(*Cell)) {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
 		for _, c := range sh.cells {
-			out = append(out, c.clone())
+			if c.Epoch > since {
+				fn(c)
+			}
 		}
 		sh.mu.Unlock()
 	}
 	st.rollupMu.Lock()
 	for _, c := range st.rollups {
-		out = append(out, c.clone())
+		if c.Epoch > since {
+			fn(c)
+		}
 	}
 	st.rollupMu.Unlock()
+}
+
+// Snapshot deep-copies every cell — fine-grained and rollup — sorted by
+// (group, device, scenario, window). Consistent per stripe, not across
+// stripes — the right trade for serving queries while folds continue.
+func (st *Store) Snapshot() []*Cell {
+	var out []*Cell
+	st.each(0, func(c *Cell) { out = append(out, c.clone()) })
 	sortCells(out)
 	return out
 }

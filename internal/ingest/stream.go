@@ -52,8 +52,9 @@ type StreamEvent struct {
 
 // DeltasSince computes the stream event for a cursor at the given
 // rollup: every cell whose epoch exceeds since, plus retractions. The
-// returned event's Epoch was read before the scan, so a fold racing
-// the scan is re-delivered next time rather than lost (deltas are
+// returned event's Epoch is read before the removal log and the scan:
+// every removal at or below it is in the event, and a fold racing the
+// scan is re-delivered next time rather than lost (deltas are
 // idempotent — latest state per key).
 func (st *Store) DeltasSince(since int64, r Rollup) (StreamEvent, error) {
 	return st.deltasWith(since, r, nil)
@@ -67,10 +68,12 @@ func (st *Store) DeltasSince(since int64, r Rollup) (StreamEvent, error) {
 // the merging path — even at RollupCell, where reduce is the identity —
 // because the same key can hold sessions on several peers.
 func (st *Store) deltasWith(since int64, r Rollup, src ReplicaSource) (StreamEvent, error) {
-	ev := StreamEvent{Rollup: r, WindowMS: st.windowMS}
-	removed, logOK := st.removals.Since(since)
+	ev := StreamEvent{Rollup: r, WindowMS: st.windowMS, Epoch: st.epoch.Load()}
+	removed, logOK := st.removals.Since(since, ev.Epoch)
 	var extraRemoved []Key
 	if src != nil {
+		// Replica removals past ev.Epoch come again next time; this
+		// subscription merges, where a repeat only re-emits a row.
 		var rok bool
 		extraRemoved, rok = src.ReplicaRemovals(since)
 		logOK = logOK && rok
@@ -79,7 +82,6 @@ func (st *Store) deltasWith(since int64, r Rollup, src ReplicaSource) (StreamEve
 		since, removed, extraRemoved = 0, nil, nil
 		ev.Reset = true
 	}
-	ev.Epoch = st.epoch.Load()
 	// Replica cells are collected after the epoch read for the same
 	// reason the scans below are: an apply racing this call stamps a
 	// higher epoch and is re-delivered next time rather than lost.
@@ -90,23 +92,7 @@ func (st *Store) deltasWith(since int64, r Rollup, src ReplicaSource) (StreamEve
 	removed = append(removed, extraRemoved...)
 
 	if r == RollupCell && src == nil {
-		for i := range st.shards {
-			sh := &st.shards[i]
-			sh.mu.Lock()
-			for _, c := range sh.cells {
-				if c.Epoch > since {
-					ev.Cells = append(ev.Cells, StatsFor(c))
-				}
-			}
-			sh.mu.Unlock()
-		}
-		st.rollupMu.Lock()
-		for _, c := range st.rollups {
-			if c.Epoch > since {
-				ev.Cells = append(ev.Cells, StatsFor(c))
-			}
-		}
-		st.rollupMu.Unlock()
+		st.each(since, func(c *Cell) { ev.Cells = append(ev.Cells, StatsFor(c)) })
 		sortCellStats(ev.Cells)
 		ev.Removed = dedupKeys(removed)
 		return ev, nil
@@ -117,26 +103,12 @@ func (st *Store) deltasWith(since int64, r Rollup, src ReplicaSource) (StreamEve
 	// its reduced key changed too — the surviving row re-emits (same
 	// totals, fewer constituents), or retracts if nothing survived.
 	changed := map[Key]bool{}
-	collect := func(c *Cell) {
+	collect := func(c *Cell) { changed[r.reduce(c.Key)] = true }
+	st.each(since, collect)
+	for _, c := range extra {
 		if c.Epoch > since {
-			changed[r.reduce(c.Key)] = true
-		}
-	}
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for _, c := range sh.cells {
 			collect(c)
 		}
-		sh.mu.Unlock()
-	}
-	st.rollupMu.Lock()
-	for _, c := range st.rollups {
-		collect(c)
-	}
-	st.rollupMu.Unlock()
-	for _, c := range extra {
-		collect(c)
 	}
 	for _, k := range removed {
 		changed[r.reduce(k)] = true
