@@ -9,10 +9,11 @@
 //     loopback and wire-decode benchmarks) — higher is better;
 //   - "ns/op" on the correction-lookup, sketch fold/merge, and
 //     store-fold benchmarks — lower is better;
-//   - "allocs/op" on the fold/decode/gossip/compaction hot paths —
-//     lower is better, and a zero baseline still gates: the fold path
-//     is allocation-free by contract, so a 0→1 move is a regression
-//     the ratio test must not skip (the divisor is max(base, 1)).
+//   - "allocs/op" on the fold/decode/gossip/compaction hot paths and
+//     the simulated producer's session benchmarks — lower is better,
+//     and a zero baseline still gates: the fold path is
+//     allocation-free by contract, so a 0→1 move is a regression the
+//     ratio test must not skip (the divisor is max(base, 1)).
 //
 // Benchmarks match across runs by package + name with the trailing
 // GOMAXPROCS suffix stripped, so a baseline recorded on an 8-core host
@@ -70,8 +71,12 @@ var nsOpWatch = map[string]bool{
 // a pooled buffer escaping the pool shows up here before it shows up
 // in ns/op), the wire decoders, the sketch fold/merge underneath the
 // store, and the gossip/compaction passes whose garbage scales with
-// cluster size and retention churn. Baselines of zero are expected
-// and still gate; see the package comment.
+// cluster size and retention churn, and the simulated producer's
+// session (run alone, and run plus capture analysis): the sim is
+// deterministic, so a single iteration counts what steady state does,
+// and a per-probe capture merge or a per-tap frame copy coming back
+// multiplies the count. Baselines of zero are expected and still
+// gate; see the package comment.
 var allocsWatch = map[string]bool{
 	"BenchmarkStoreFold":         true,
 	"BenchmarkStoreFoldSerial":   true,
@@ -82,6 +87,8 @@ var allocsWatch = map[string]bool{
 	"BenchmarkCompaction":        true,
 	"BenchmarkGossipRound":       true,
 	"BenchmarkReplicaMerge":      true,
+	"BenchmarkSession":           true,
+	"BenchmarkSessionRun":        true,
 }
 
 type row struct {

@@ -95,3 +95,42 @@ func TestDiffWarnsOnVanishedBenchmark(t *testing.T) {
 		t.Fatalf("want 1 vanished-benchmark warning, got %v", warnings)
 	}
 }
+
+// TestDiffGatesSessionAllocs: the producer's session benchmarks gate on
+// allocs/op alone (their ns/op is unwatched), sub-benchmarks key under
+// their parent's name, and a per-probe capture merge coming back (41k
+// allocs against a 29k baseline) fails while a few extra allocations
+// pass.
+func TestDiffGatesSessionAllocs(t *testing.T) {
+	baseline := &benchfmt.Output{Benchmarks: []benchfmt.Benchmark{
+		bench("repro/internal/fleet", "BenchmarkSession-8",
+			map[string]float64{"ns/op": 6e6, "allocs/op": 29000}),
+		bench("repro", "BenchmarkSessionRun/acutemon-8",
+			map[string]float64{"ns/op": 4e6, "allocs/op": 28800}),
+		bench("repro", "BenchmarkSessionRun/ping-8",
+			map[string]float64{"ns/op": 2e6, "allocs/op": 15300}),
+	}}
+	current := &benchfmt.Output{Benchmarks: []benchfmt.Benchmark{
+		bench("repro/internal/fleet", "BenchmarkSession-2",
+			map[string]float64{"ns/op": 22e6, "allocs/op": 41000}), // +41%: fails
+		bench("repro", "BenchmarkSessionRun/acutemon-2",
+			map[string]float64{"ns/op": 9e6, "allocs/op": 28900}), // ns/op unwatched
+		bench("repro", "BenchmarkSessionRun/ping-2",
+			map[string]float64{"ns/op": 2e6, "allocs/op": 15300}),
+	}}
+	rows, warnings := diff(baseline, current, 0.30)
+	if len(warnings) != 0 {
+		t.Fatalf("unexpected warnings: %v", warnings)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("want 3 allocs/op rows, got %d: %+v", len(rows), rows)
+	}
+	for _, r := range rows {
+		if r.metric != "allocs/op" {
+			t.Fatalf("unexpected watched metric %s on %s", r.metric, r.key)
+		}
+		if want := r.key == "repro/internal/fleet.BenchmarkSession"; r.failed != want {
+			t.Fatalf("%s: failed=%v, want %v", r.key, r.failed, want)
+		}
+	}
+}

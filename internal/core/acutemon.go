@@ -320,6 +320,6 @@ func (m *Monitor) runProbes(res *Result, i int, finish func()) {
 // OverheadStats extracts the Fig 7 quantities for an AcuteMon run via
 // the shared tools.ExtractLayers capture walk.
 func OverheadStats(tb *testbed.Testbed, res *Result) (duk, dkn stats.Sample) {
-	l := tools.ExtractLayers(tb, res.Records)
+	l := tools.ExtractLayers(tb, tb.MergedCapture(), res.Records)
 	return l.DuK, l.DkN
 }

@@ -111,30 +111,28 @@ func estimateTip(tb *testbed.Testbed, opts CalibrateOptions) stats.Sample {
 	tb.Sim.RunFor(time.Duration(opts.TipRounds+2) * gap)
 
 	// Post-process the merged capture: for each round packet, find the
-	// next PM=1 null-data frame from the phone.
+	// next PM=1 null-data frame from the phone. The capture is in time
+	// order and so are the rounds (one gap apart), so one pointer walks
+	// the nulls forward across all rounds.
 	merged := tb.MergedCapture()
 	var nulls []time.Duration
-	for _, sn := range tb.Sniffers {
-		for _, r := range sn.Records() {
-			d11 := r.Frame.Dot11()
-			if d11 != nil && d11.IsNullData() && d11.PwrMgmt && d11.Addr2 == phone.MACAddr {
-				nulls = append(nulls, r.Timestamp())
-			}
+	for _, r := range merged.Records() {
+		d11 := r.Frame.Dot11()
+		if d11 != nil && d11.IsNullData() && d11.PwrMgmt && d11.Addr2 == phone.MACAddr {
+			nulls = append(nulls, r.Timestamp())
 		}
 	}
+	next := 0
 	for _, rd := range rounds {
 		ton, ok := merged.TimeOf(rd.pktID)
 		if !ok {
 			continue
 		}
-		best := time.Duration(-1)
-		for _, tn := range nulls {
-			if tn > ton && (best < 0 || tn < best) {
-				best = tn
-			}
+		for next < len(nulls) && nulls[next] <= ton {
+			next++
 		}
-		if best > 0 && best-ton < gap {
-			samples = append(samples, best-ton)
+		if next < len(nulls) && nulls[next]-ton < gap {
+			samples = append(samples, nulls[next]-ton)
 		}
 	}
 	return samples

@@ -56,7 +56,7 @@ func Table2Run(opts Options) []Table2Cell {
 		tb := newTB(opts.subSeed(int64(i+1)), sp.phone, sp.rtt, nil)
 		res := tools.Ping(tb, tools.PingOptions{Count: opts.probes(), Interval: sp.interval})
 		// One capture walk yields every per-layer quantity at once.
-		l := tools.ExtractLayers(tb, res.Records)
+		l := tools.ExtractLayers(tb, tb.MergedCapture(), res.Records)
 		return Table2Cell{
 			Phone: sp.phone, RTT: sp.rtt, Interval: sp.interval,
 			Du: l.Du, Dk: l.Dk, Dn: l.Dn, DeltaUK: l.DuK, DeltaKN: l.DkN,

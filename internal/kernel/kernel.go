@@ -69,12 +69,13 @@ func ServerConfig(ip packet.IPv4Addr) Config {
 	}
 }
 
-// Capture is one bpf record.
+// Capture is one bpf record: which packet crossed the tap, when, and
+// in which direction. It keeps no copy of the packet; every reader
+// needs only its ID and timestamp.
 type Capture struct {
 	PktID    uint64
 	At       time.Duration
 	Outgoing bool
-	Pkt      *packet.Packet
 }
 
 // BPF is the stack's capture tap (tcpdump).
@@ -106,7 +107,7 @@ func (b *BPF) capture(p *packet.Packet, at time.Duration, out bool) {
 	if b.byID == nil {
 		b.byID = map[uint64]time.Duration{}
 	}
-	b.records = append(b.records, Capture{PktID: p.ID, At: at, Outgoing: out, Pkt: p.Clone()})
+	b.records = append(b.records, Capture{PktID: p.ID, At: at, Outgoing: out})
 	if _, dup := b.byID[p.ID]; !dup {
 		b.byID[p.ID] = at
 	}

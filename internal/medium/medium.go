@@ -35,6 +35,11 @@ type Station interface {
 
 // Tap observes every frame on the air, like the paper's wireless
 // sniffers. Taps see frames regardless of destination or radio states.
+// The medium clones each completed frame once and hands that one copy
+// to every tap, so the frame is shared and read-only: a tap may keep
+// the pointer but must not modify the packet. The receiving station
+// gets the original, so nothing a receiver does to its frame reaches
+// the taps.
 type Tap interface {
 	CaptureFrame(p *packet.Packet, airStart, airEnd time.Duration)
 }
@@ -282,8 +287,11 @@ const phyControlType = packet.Dot11Control
 // complete delivers a successfully transmitted frame.
 func (m *Medium) complete(job *txJob, airStart, airEnd time.Duration) {
 	frame := job.frame
-	for _, t := range m.taps {
-		t.CaptureFrame(frame.Clone(), airStart, airEnd)
+	if len(m.taps) > 0 {
+		shared := frame.Clone()
+		for _, t := range m.taps {
+			t.CaptureFrame(shared, airStart, airEnd)
+		}
 	}
 	d11 := frame.Dot11()
 	if d11.Addr1.IsBroadcast() {

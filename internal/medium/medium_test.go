@@ -327,3 +327,51 @@ func TestDeterministicAcrossSeeds(t *testing.T) {
 		t.Fatalf("runs diverged: (%d,%v) vs (%d,%v)", d1, t1, d2, t2)
 	}
 }
+
+// mutatingStation rewrites every frame it receives, as a forwarding
+// station may.
+type mutatingStation struct{ fakeStation }
+
+func (s *mutatingStation) DeliverFrame(p *packet.Packet) {
+	p.Dot11().Retry = true
+	p.IPv4().TTL--
+	s.fakeStation.DeliverFrame(p)
+}
+
+func TestTapsShareOneCopyTheReceiverNeverSees(t *testing.T) {
+	sim, m, f := newTestMedium(1)
+	a := &fakeStation{mac: packet.MAC(1), radio: true}
+	b := &mutatingStation{fakeStation{mac: packet.MAC(2), radio: true}}
+	m.Attach(a)
+	m.Attach(b)
+	tap1, tap2, tap3 := &fakeTap{}, &fakeTap{}, &fakeTap{}
+	m.AttachTap(tap1)
+	m.AttachTap(tap2)
+	m.AttachTap(tap3)
+	sent := dataFrame(f, a.mac, b.mac, 100)
+	m.Transmit(a, sent, false, nil)
+	sim.Run()
+	if len(b.received) != 1 || len(tap1.frames) != 1 {
+		t.Fatalf("received %d, tapped %d; want 1 and 1", len(b.received), len(tap1.frames))
+	}
+	shared := tap1.frames[0]
+	if tap2.frames[0] != shared || tap3.frames[0] != shared {
+		t.Fatal("taps received different copies of one frame")
+	}
+	if b.received[0] != sent {
+		t.Fatal("receiver did not get the original frame")
+	}
+	if shared == sent {
+		t.Fatal("taps share the receiver's frame")
+	}
+	if shared.ID != sent.ID {
+		t.Fatalf("tap copy has ID %d, want %d", shared.ID, sent.ID)
+	}
+	if !sent.Dot11().Retry || sent.IPv4().TTL != 63 {
+		t.Fatal("receiver's mutation did not land on its own frame")
+	}
+	if shared.Dot11().Retry || shared.IPv4().TTL != 64 {
+		t.Fatalf("receiver's mutation reached the taps: retry=%v ttl=%d",
+			shared.Dot11().Retry, shared.IPv4().TTL)
+	}
+}

@@ -143,18 +143,8 @@ func AnalyzeCapture(s *Sniffer) *Analysis {
 
 // AnalyzeMerged inspects a merged multi-sniffer capture in time order.
 func AnalyzeMerged(m *Merged) *Analysis {
-	// Collect and sort by timestamp.
-	recs := make([]Record, 0, len(m.byID))
-	for _, r := range m.byID {
-		recs = append(recs, r)
-	}
-	for i := 1; i < len(recs); i++ { // insertion sort: captures are near-ordered
-		for j := i; j > 0 && recs[j].Timestamp() < recs[j-1].Timestamp(); j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
 	an := newAnalyzer()
-	for _, r := range recs {
+	for _, r := range m.recs {
 		an.frame(r.Frame, r.Timestamp())
 	}
 	out := an.out

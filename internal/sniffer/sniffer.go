@@ -36,7 +36,6 @@ type Sniffer struct {
 
 	sim     *simtime.Sim
 	records []Record
-	byID    map[uint64]Record
 
 	Captured uint64
 	Missed   uint64
@@ -44,39 +43,28 @@ type Sniffer struct {
 
 // New creates a sniffer.
 func New(sim *simtime.Sim, name string, lossProb float64) *Sniffer {
-	return &Sniffer{Name: name, LossProb: lossProb, sim: sim, byID: make(map[uint64]Record)}
+	return &Sniffer{Name: name, LossProb: lossProb, sim: sim}
 }
 
-// CaptureFrame implements medium.Tap.
+// CaptureFrame implements medium.Tap. The frame is the medium's shared
+// read-only copy; the sniffer keeps the pointer without copying it.
 func (s *Sniffer) CaptureFrame(p *packet.Packet, airStart, airEnd time.Duration) {
 	if s.LossProb > 0 && s.sim.Rand().Float64() < s.LossProb {
 		s.Missed++
 		return
 	}
-	rec := Record{PktID: p.ID, AirStart: airStart, AirEnd: airEnd, Frame: p}
-	s.records = append(s.records, rec)
-	if _, dup := s.byID[p.ID]; !dup {
-		s.byID[p.ID] = rec
-	}
+	s.records = append(s.records, Record{PktID: p.ID, AirStart: airStart, AirEnd: airEnd, Frame: p})
 	s.Captured++
 }
 
-// Records returns all captures in order.
+// Records returns all captures in capture order, which is also
+// timestamp order: the medium hands a frame to its taps at the end of
+// its airtime.
 func (s *Sniffer) Records() []Record { return s.records }
-
-// TimeOf returns the air timestamp of a frame by packet ID.
-func (s *Sniffer) TimeOf(id uint64) (time.Duration, bool) {
-	r, ok := s.byID[id]
-	if !ok {
-		return 0, false
-	}
-	return r.Timestamp(), true
-}
 
 // Reset clears the capture buffer.
 func (s *Sniffer) Reset() {
 	s.records = nil
-	s.byID = make(map[uint64]Record)
 	s.Captured, s.Missed = 0, 0
 }
 
@@ -98,40 +86,64 @@ func (s *Sniffer) WritePcap(w io.Writer) error {
 
 // Merged is the union of several sniffers' captures, deduplicated by
 // packet ID with the earliest timestamp winning — the paper's rationale
-// for deploying sniffers A, B, and C.
+// for deploying sniffers A, B, and C. Records are in timestamp order;
+// distinct frames with equal timestamps keep the order of the sniffers
+// passed to Merge, then each sniffer's capture order, so the order is
+// the same on every run. Build it once per analysis and share it.
 type Merged struct {
-	byID map[uint64]Record
+	recs []Record
+	byID map[uint64]int // packet ID → index into recs
 }
 
-// Merge combines captures.
+// Merge combines captures with a k-way merge of the sniffers' records,
+// each already in timestamp order. The first record taken for a packet
+// ID is its earliest, so later copies (another sniffer's, or a frame
+// the AP re-sent) are dropped.
 func Merge(sniffers ...*Sniffer) *Merged {
-	m := &Merged{byID: make(map[uint64]Record)}
+	// Size for the fullest capture: with low per-sniffer loss the union
+	// is barely larger, and duplicates make the sum three times too big.
+	n := 0
 	for _, s := range sniffers {
-		for _, r := range s.records {
-			if prev, ok := m.byID[r.PktID]; !ok || r.Timestamp() < prev.Timestamp() {
-				m.byID[r.PktID] = r
+		n = max(n, len(s.records))
+	}
+	m := &Merged{recs: make([]Record, 0, n), byID: make(map[uint64]int, n)}
+	next := make([]int, len(sniffers))
+	for {
+		pick := -1
+		for i, s := range sniffers {
+			if next[i] == len(s.records) {
+				continue
+			}
+			if pick < 0 || s.records[next[i]].Timestamp() < sniffers[pick].records[next[pick]].Timestamp() {
+				pick = i
 			}
 		}
+		if pick < 0 {
+			return m
+		}
+		r := sniffers[pick].records[next[pick]]
+		next[pick]++
+		if _, dup := m.byID[r.PktID]; !dup {
+			m.byID[r.PktID] = len(m.recs)
+			m.recs = append(m.recs, r)
+		}
 	}
-	return m
 }
 
 // Count returns the number of distinct frames captured.
-func (m *Merged) Count() int { return len(m.byID) }
+func (m *Merged) Count() int { return len(m.recs) }
+
+// Records returns the deduplicated records in timestamp order. The
+// slice is shared; callers must not modify it.
+func (m *Merged) Records() []Record { return m.recs }
 
 // TimeOf returns the merged air timestamp for a packet ID.
 func (m *Merged) TimeOf(id uint64) (time.Duration, bool) {
-	r, ok := m.byID[id]
+	i, ok := m.byID[id]
 	if !ok {
 		return 0, false
 	}
-	return r.Timestamp(), true
-}
-
-// Record returns the merged record for a packet ID.
-func (m *Merged) Record(id uint64) (Record, bool) {
-	r, ok := m.byID[id]
-	return r, ok
+	return m.recs[i].Timestamp(), true
 }
 
 // RTT computes dn = tin − ton for a request/response packet-ID pair; ok

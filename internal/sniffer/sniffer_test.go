@@ -24,7 +24,7 @@ func TestCaptureAndLookup(t *testing.T) {
 	fac := &packet.Factory{}
 	p := frame(fac)
 	s.CaptureFrame(p, time.Millisecond, 1200*time.Microsecond)
-	ts, ok := s.TimeOf(p.ID)
+	ts, ok := Merge(s).TimeOf(p.ID)
 	if !ok || ts != 1200*time.Microsecond {
 		t.Fatalf("TimeOf = %v,%v; want frame end", ts, ok)
 	}

@@ -209,7 +209,9 @@ func (tb *Testbed) StartCrossTraffic() { tb.LoadGen.Start() }
 // StopCrossTraffic halts it.
 func (tb *Testbed) StopCrossTraffic() { tb.LoadGen.Stop() }
 
-// MergedCapture unions the three sniffers.
+// MergedCapture unions the three sniffers into one time-ordered
+// capture. Each call re-merges everything captured so far, so an
+// analysis builds it once and passes it along.
 func (tb *Testbed) MergedCapture() *sniffer.Merged {
 	return sniffer.Merge(tb.Sniffers...)
 }
@@ -231,8 +233,9 @@ func (l LayerRTTs) DeltaUK() (time.Duration, bool) { return l.Du - l.Dk, l.DuOK 
 func (l LayerRTTs) DeltaKN() (time.Duration, bool) { return l.Dk - l.Dn, l.DkOK && l.DnOK }
 
 // ExtractRTTs assembles per-layer RTTs for a request/response pair given
-// the app-level send/receive instants.
-func (tb *Testbed) ExtractRTTs(reqID, respID uint64, tou, tiu time.Duration) LayerRTTs {
+// the app-level send/receive instants; dn comes from m, the analysis's
+// merged capture.
+func (tb *Testbed) ExtractRTTs(m *sniffer.Merged, reqID, respID uint64, tou, tiu time.Duration) LayerRTTs {
 	var out LayerRTTs
 	if tiu > tou {
 		out.Du = tiu - tou
@@ -245,7 +248,7 @@ func (tb *Testbed) ExtractRTTs(reqID, respID uint64, tou, tiu time.Duration) Lay
 		out.Dk = tik - tok
 		out.DkOK = true
 	}
-	if dn, ok := tb.MergedCapture().RTT(reqID, respID); ok {
+	if dn, ok := m.RTT(reqID, respID); ok {
 		out.Dn = dn
 		out.DnOK = true
 	}

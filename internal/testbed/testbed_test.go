@@ -43,11 +43,12 @@ func rawPingSeries(tb *Testbed, n int, interval time.Duration) []pingRecord {
 }
 
 func collect(tb *Testbed, recs []pingRecord) (du, dk, dn stats.Sample) {
+	m := tb.MergedCapture()
 	for _, r := range recs {
 		if !r.ok {
 			continue
 		}
-		l := tb.ExtractRTTs(r.reqID, r.respID, r.tou, r.tiu)
+		l := tb.ExtractRTTs(m, r.reqID, r.respID, r.tou, r.tiu)
 		if l.DuOK {
 			du = append(du, l.Du)
 		}
@@ -157,11 +158,12 @@ func TestLayerOrderingInvariant(t *testing.T) {
 	cfg.SnifferLoss = 0
 	tb := New(cfg)
 	recs := rawPingSeries(tb, 50, 100*time.Millisecond)
+	m := tb.MergedCapture()
 	for i, r := range recs {
 		if !r.ok {
 			continue
 		}
-		l := tb.ExtractRTTs(r.reqID, r.respID, r.tou, r.tiu)
+		l := tb.ExtractRTTs(m, r.reqID, r.respID, r.tou, r.tiu)
 		if !l.DuOK || !l.DkOK || !l.DnOK {
 			t.Fatalf("probe %d missing layers: %+v", i, l)
 		}

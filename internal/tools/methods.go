@@ -61,11 +61,12 @@ func FinishSim(tb *testbed.Testbed, r *Result, cancelled bool, resolved int, sin
 		session.Emit(sink, o)
 	}
 	out.DeferAnalysis(func() (*session.Layers, bool) {
+		m := tb.MergedCapture()
 		var lp *session.Layers
-		if l := ExtractLayers(tb, recs); len(l.Du) > 0 {
+		if l := ExtractLayers(tb, m, recs); len(l.Du) > 0 {
 			lp = &l
 		}
-		return lp, sniffer.AnalyzeMerged(tb.MergedCapture()).PSMActive()
+		return lp, sniffer.AnalyzeMerged(m).PSMActive()
 	})
 	return out
 }
