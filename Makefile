@@ -59,12 +59,15 @@ bench-gate:
 # accepted sketch through the agg batch entry points (AddMulti on
 # Sketch/Hist/Moments, Merge) so the buffered fold path keeps
 # rejecting hostile blobs at the same caps and stays byte-identical to
-# the serial path.
+# the serial path. FuzzHistOps applies random operation sequences to
+# the span-stored Hist and a dense reference model and requires
+# identical bins, N, quantiles and JSON.
 fuzz-smoke:
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=30s
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBinaryBatch$$' -fuzztime=30s
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz '^FuzzDecodeGossipDelta$$' -fuzztime=30s
 	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzSketchBatchFold$$' -fuzztime=30s
+	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzHistOps$$' -fuzztime=30s
 
 # The ingestd persistence e2e in isolation: kill → reboot → learned
 # overhead table identical, plus the fleet→ingest delta merge. CI runs

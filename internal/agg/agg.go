@@ -144,24 +144,25 @@ func (m Moments) MeanDuration() time.Duration { return time.Duration(m.Mean) }
 // quantiles — histogram-based quantile estimates are order- and
 // partition-independent.
 //
-// A Hist also keeps a conservative bound on its occupied bins, so Merge,
-// N and Quantile cost O(occupied span) rather than O(bins): an ingest
-// cell holding a few RTTs touches a few bins, not all 1000. The bound is
-// maintained by every write through the methods (Add, AddN, AddMulti,
-// Merge, SetCount, Reset); code that writes Counts directly must use
-// SetCount.
+// A Hist stores only the span of bins it has touched: counts holds
+// bins [base, base+len(counts)) and every bin outside that span is
+// zero. An ingest cell holding a few RTTs therefore costs a few words,
+// not the geometry's 1000, and Merge, N and Quantile cost the stored
+// span rather than the bin count. The span grows on demand,
+// geometrically toward the side that grows, and never past the
+// geometry, so a wide hot cell costs what a dense array would. Read
+// bins through Count (or Span, for codecs) and write them through the
+// methods; SetCount is the writer for decoders that rebuild a Hist bin
+// by bin. The zero value is a valid empty histogram with no bins.
 type Hist struct {
-	Lo     time.Duration `json:"lo_ns"`
-	Hi     time.Duration `json:"hi_ns"`
-	Counts []int64       `json:"counts"`
-	Under  int64         `json:"under"`
-	Over   int64         `json:"over"`
+	Lo    time.Duration
+	Hi    time.Duration
+	Under int64
+	Over  int64
 
-	// zeroLo and zeroHi count the bins at the low and high ends of
-	// Counts known to be zero. The zero value knows nothing — every bin
-	// may be occupied — which keeps a Hist built as a literal or decoded
-	// from JSON correct; NewHist starts both at len(Counts), empty.
-	zeroLo, zeroHi int
+	bins   int     // the geometry's bin count
+	base   int     // first stored bin
+	counts []int64 // bins [base, base+len(counts)); the rest are zero
 }
 
 // Campaign-level user-RTT histogram geometry: 0.5 ms resolution up to
@@ -173,57 +174,12 @@ const (
 	DurationHistBins = 1000
 )
 
-// NewHist builds a histogram with the given geometry.
+// NewHist builds an empty histogram with the given geometry.
 func NewHist(lo, hi time.Duration, bins int) *Hist {
 	if bins <= 0 {
 		bins = 1
 	}
-	return &Hist{Lo: lo, Hi: hi, Counts: make([]int64, bins), zeroLo: bins, zeroHi: bins}
-}
-
-// UnmarshalJSON decodes the wire form and forgets any occupancy bound
-// the receiver held: a decoded Hist counts as fully occupied.
-func (h *Hist) UnmarshalJSON(b []byte) error {
-	if string(b) == "null" {
-		return nil
-	}
-	type plain Hist
-	var p plain
-	if err := json.Unmarshal(b, &p); err != nil {
-		return err
-	}
-	*h = Hist(p)
-	return nil
-}
-
-// occupied returns the bin span [lo,hi) outside of which every count is
-// known to be zero.
-func (h *Hist) occupied() (lo, hi int) {
-	n := len(h.Counts)
-	lo, hi = min(h.zeroLo, n), n-h.zeroHi
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
-
-// widen marks bins [lo,hi) as possibly occupied; lo < hi.
-func (h *Hist) widen(lo, hi int) {
-	if lo < h.zeroLo {
-		h.zeroLo = lo
-	}
-	if z := len(h.Counts) - hi; z < h.zeroHi {
-		h.zeroHi = z
-	}
-}
-
-// SetCount overwrites bin i's count — the writer for decoders that
-// rebuild a Hist bin by bin.
-func (h *Hist) SetCount(i int, c int64) {
-	h.Counts[i] = c
-	if c != 0 {
-		h.widen(i, i+1)
-	}
+	return &Hist{Lo: lo, Hi: hi, bins: bins}
 }
 
 // NewDurationHist builds a histogram with the repo-standard user-RTT
@@ -231,12 +187,135 @@ func (h *Hist) SetCount(i int, c int64) {
 // their quantile estimates are directly comparable.
 func NewDurationHist() *Hist { return NewHist(DurationHistLo, DurationHistHi, DurationHistBins) }
 
+// histJSON is the wire form: the full dense bin array.
+type histJSON struct {
+	Lo     time.Duration `json:"lo_ns"`
+	Hi     time.Duration `json:"hi_ns"`
+	Counts []int64       `json:"counts"`
+	Under  int64         `json:"under"`
+	Over   int64         `json:"over"`
+}
+
+// MarshalJSON writes the dense wire form, every bin included.
+func (h Hist) MarshalJSON() ([]byte, error) {
+	p := histJSON{Lo: h.Lo, Hi: h.Hi, Under: h.Under, Over: h.Over}
+	if h.bins > 0 {
+		p.Counts = make([]int64, h.bins)
+		copy(p.Counts[h.base:], h.counts)
+	}
+	return json.Marshal(p)
+}
+
+// UnmarshalJSON decodes the dense wire form, replacing everything the
+// receiver held, and stores only the span between its first and last
+// nonzero bins. A non-empty range must have bins, and its width times
+// the bin count must fit in an int64, or no duration maps to a bin.
+func (h *Hist) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	var p histJSON
+	if err := json.Unmarshal(b, &p); err != nil {
+		return err
+	}
+	if w, n := int64(p.Hi-p.Lo), int64(len(p.Counts)); p.Lo < p.Hi && (w <= 0 || n == 0 || w > math.MaxInt64/n) {
+		return fmt.Errorf("agg: histogram range [%v,%v) with %d bins has no valid bin mapping", p.Lo, p.Hi, len(p.Counts))
+	}
+	lo, hi := 0, len(p.Counts)
+	for lo < hi && p.Counts[lo] == 0 {
+		lo++
+	}
+	for hi > lo && p.Counts[hi-1] == 0 {
+		hi--
+	}
+	h.Lo, h.Hi, h.Under, h.Over = p.Lo, p.Hi, p.Under, p.Over
+	h.bins, h.base = len(p.Counts), lo
+	h.counts = make([]int64, hi-lo)
+	copy(h.counts, p.Counts[lo:hi])
+	return nil
+}
+
+// Bins returns the geometry's bin count.
+func (h *Hist) Bins() int { return h.bins }
+
+// Count returns bin i's count (zero outside the stored span).
+func (h *Hist) Count(i int) int64 {
+	if j := i - h.base; uint(j) < uint(len(h.counts)) {
+		return h.counts[j]
+	}
+	return 0
+}
+
+// Span returns the stored bins: counts[k] is bin base+k, and every bin
+// outside the span is zero. The slice is the Hist's own storage — read
+// it, never write it. The sparse codecs walk it instead of every bin.
+func (h *Hist) Span() (base int, counts []int64) { return h.base, h.counts }
+
+// SetCount overwrites bin i's count — the writer for decoders that
+// rebuild a Hist bin by bin. It panics if i is outside the geometry.
+func (h *Hist) SetCount(i int, c int64) {
+	if uint(i) >= uint(h.bins) {
+		panic(fmt.Sprintf("agg: SetCount bin %d outside [0,%d)", i, h.bins))
+	}
+	j := i - h.base
+	if uint(j) >= uint(len(h.counts)) {
+		if c == 0 {
+			return
+		}
+		h.grow(i, i+1)
+		j = i - h.base
+	}
+	h.counts[j] = c
+}
+
+// grow widens the stored span to cover bins [lo,hi), a range inside
+// the geometry (anything else is a bug, and panics). A span that
+// already holds bins at least doubles toward each side that grows
+// (clamped to the geometry), so a widening hot cell reallocates
+// O(log bins) times. The new length depends only on
+// the old span and the request, never on spare capacity, so a reset
+// Hist refills exactly like a new one; spare capacity only spares the
+// allocation.
+func (h *Hist) grow(lo, hi int) {
+	if lo < 0 || hi > h.bins {
+		panic(fmt.Sprintf("agg: bins [%d,%d) outside [0,%d)", lo, hi, h.bins))
+	}
+	n, shift := len(h.counts), 0
+	if n > 0 {
+		oldLo, oldHi := h.base, h.base+n
+		if lo >= oldLo {
+			lo = oldLo
+		} else {
+			lo = max(min(lo, oldHi-2*n), 0)
+		}
+		if hi <= oldHi {
+			hi = oldHi
+		} else {
+			hi = min(max(hi, oldLo+2*n), h.bins)
+		}
+		shift = oldLo - lo
+	}
+	// Reuse the backing array when it is big enough: move the old span
+	// into place (copy is a memmove), then zero everything else the new
+	// span exposes — including stale bins a Reset left behind.
+	c := h.counts[:0]
+	if size := hi - lo; size <= cap(c) {
+		c = c[:size]
+	} else {
+		c = make([]int64, size)
+	}
+	copy(c[shift:], h.counts)
+	clear(c[:shift])
+	clear(c[shift+n:])
+	h.base, h.counts = lo, c
+}
+
 // BucketWidth returns the width of one bin.
 func (h *Hist) BucketWidth() time.Duration {
-	if len(h.Counts) == 0 {
+	if h.bins == 0 {
 		return 0
 	}
-	return (h.Hi - h.Lo) / time.Duration(len(h.Counts))
+	return (h.Hi - h.Lo) / time.Duration(h.bins)
 }
 
 // Add folds one duration in.
@@ -253,54 +332,68 @@ func (h *Hist) AddN(d time.Duration, n int64) {
 	case d >= h.Hi:
 		h.Over += n
 	default:
-		idx := int(int64(d-h.Lo) * int64(len(h.Counts)) / int64(h.Hi-h.Lo))
-		if idx >= len(h.Counts) {
-			idx = len(h.Counts) - 1
+		i := int(int64(d-h.Lo) * int64(h.bins) / int64(h.Hi-h.Lo))
+		if i >= h.bins {
+			i = h.bins - 1
 		}
-		h.Counts[idx] += n
-		h.widen(idx, idx+1)
+		j := i - h.base
+		if uint(j) >= uint(len(h.counts)) {
+			h.grow(i, i+1)
+			j = i - h.base
+		}
+		h.counts[j] += n
 	}
 }
 
 // AddMulti folds a run of durations in one call — the ingest fold
 // path's batch entry point. Bin counts are integers, so the result is
 // identical to repeated Add in any order; the win is hoisting the
-// geometry loads and bounds computation out of the per-observation
-// loop.
+// geometry and span loads out of the per-observation loop. Each
+// observation costs one in-span check; only a miss leaves the loop to
+// grow the span, and folding resumes at the missed observation.
 func (h *Hist) AddMulti(ds []time.Duration) {
-	lo, hi := h.Lo, h.Hi
-	counts := h.Counts
-	nb := int64(len(counts))
+	for {
+		k, i := h.addInSpan(ds)
+		if k == len(ds) {
+			return
+		}
+		h.grow(i, i+1)
+		ds = ds[k:]
+	}
+}
+
+// addInSpan folds ds up to its first in-range duration whose bin lies
+// outside the stored span, and returns that duration's index and bin
+// (len(ds) when every duration was folded). The loop makes no calls,
+// so the geometry and span stay in registers.
+func (h *Hist) addInSpan(ds []time.Duration) (k, bin int) {
+	lo, hi, bins := h.Lo, h.Hi, h.bins
 	span := int64(hi - lo)
 	under, over := h.Under, h.Over
-	// The occupied span lives in locals too, seeded from the current
-	// bound (an empty Hist seeds lo > hi) so the widening branches are
-	// almost never taken once a cell's bins are established.
-	olo, ohi := h.zeroLo, len(counts)-h.zeroHi
-	for _, d := range ds {
-		switch {
-		case d < lo:
+	base, counts := h.base, h.counts
+	for k = 0; k < len(ds); k++ {
+		d := ds[k]
+		if d < lo {
 			under++
-		case d >= hi:
-			over++
-		default:
-			idx := int(int64(d-lo) * nb / span)
-			if idx >= len(counts) {
-				idx = len(counts) - 1
-			}
-			counts[idx]++
-			if idx < olo {
-				olo = idx
-			}
-			if idx >= ohi {
-				ohi = idx + 1
-			}
+			continue
 		}
+		if d >= hi {
+			over++
+			continue
+		}
+		i := int(int64(d-lo) * int64(bins) / span)
+		if i >= bins {
+			i = bins - 1
+		}
+		j := i - base
+		if uint(j) >= uint(len(counts)) {
+			bin = i
+			break
+		}
+		counts[j]++
 	}
 	h.Under, h.Over = under, over
-	if olo < ohi {
-		h.widen(olo, ohi)
-	}
+	return k, bin
 }
 
 // CheckGeometry reports whether o can merge into h, without mutating
@@ -311,15 +404,16 @@ func (h *Hist) CheckGeometry(o *Hist) error {
 	if o == nil {
 		return nil
 	}
-	if h.Lo != o.Lo || h.Hi != o.Hi || len(h.Counts) != len(o.Counts) {
+	if h.Lo != o.Lo || h.Hi != o.Hi || h.bins != o.bins {
 		return fmt.Errorf("agg: merging histograms with different geometry: [%v,%v)×%d vs [%v,%v)×%d",
-			h.Lo, h.Hi, len(h.Counts), o.Lo, o.Hi, len(o.Counts))
+			h.Lo, h.Hi, h.bins, o.Lo, o.Hi, o.bins)
 	}
 	return nil
 }
 
 // Merge adds another histogram's counts; geometries must match. Only
-// o's occupied span is visited.
+// o's stored span is visited, and h's span grows only when o's does
+// not fit inside it.
 func (h *Hist) Merge(o *Hist) error {
 	if o == nil {
 		return nil
@@ -329,44 +423,49 @@ func (h *Hist) Merge(o *Hist) error {
 	}
 	h.Under += o.Under
 	h.Over += o.Over
-	lo, hi := o.occupied()
-	if lo == hi {
+	src := o.counts
+	if len(src) == 0 {
 		return nil
 	}
-	h.widen(lo, hi)
-	dst := h.Counts[lo:hi]
-	for i, c := range o.Counts[lo:hi] {
+	j := o.base - h.base
+	if j < 0 || j+len(src) > len(h.counts) {
+		h.grow(o.base, o.base+len(src))
+		j = o.base - h.base
+	}
+	dst := h.counts[j:][:len(src)]
+	for i, c := range src {
 		dst[i] += c
 	}
 	return nil
 }
 
-// Reset empties the histogram in place, keeping its geometry and bin
-// array. Only the occupied span is zeroed, so resetting a cell that
-// held a few RTTs touches a few bins, not all of them.
+// Reset empties the histogram in place in O(1), keeping its geometry
+// and backing array: a recycled cell refills without allocating. The
+// stale bins beyond the emptied span are zeroed when growth exposes
+// them again.
 func (h *Hist) Reset() {
-	lo, hi := h.occupied()
-	clear(h.Counts[lo:hi])
 	h.Under, h.Over = 0, 0
-	h.zeroLo, h.zeroHi = len(h.Counts), len(h.Counts)
+	h.base, h.counts = 0, h.counts[:0]
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy holding only the stored span.
 func (h *Hist) Clone() *Hist {
 	if h == nil {
 		return nil
 	}
 	c := *h
-	c.Counts = make([]int64, len(h.Counts))
-	copy(c.Counts, h.Counts)
+	c.counts = nil
+	if len(h.counts) > 0 {
+		c.counts = make([]int64, len(h.counts))
+		copy(c.counts, h.counts)
+	}
 	return &c
 }
 
 // N returns the total count including out-of-range observations.
 func (h *Hist) N() int64 {
 	n := h.Under + h.Over
-	lo, hi := h.occupied()
-	for _, c := range h.Counts[lo:hi] {
+	for _, c := range h.counts {
 		n += c
 	}
 	return n
@@ -393,16 +492,14 @@ func (h *Hist) Quantile(q float64) time.Duration {
 	if cum >= target {
 		return h.Lo
 	}
-	width := float64(h.Hi-h.Lo) / float64(len(h.Counts))
-	lo, hi := h.occupied()
-	for i := lo; i < hi; i++ {
-		c := h.Counts[i]
+	width := float64(h.Hi-h.Lo) / float64(h.bins)
+	for k, c := range h.counts {
 		if c == 0 {
 			continue
 		}
 		if cum+c >= target {
 			frac := float64(target-cum) / float64(c)
-			return h.Lo + time.Duration((float64(i)+frac)*width)
+			return h.Lo + time.Duration((float64(h.base+k)+frac)*width)
 		}
 		cum += c
 	}

@@ -117,9 +117,9 @@ func TestHistMergeProperty(t *testing.T) {
 			t.Fatalf("trial %d: out-of-range (%d,%d) != (%d,%d)",
 				trial, merged.Under, merged.Over, whole.Under, whole.Over)
 		}
-		for i := range whole.Counts {
-			if merged.Counts[i] != whole.Counts[i] {
-				t.Fatalf("trial %d: bucket %d: %d != %d", trial, i, merged.Counts[i], whole.Counts[i])
+		for i := 0; i < whole.Bins(); i++ {
+			if merged.Count(i) != whole.Count(i) {
+				t.Fatalf("trial %d: bucket %d: %d != %d", trial, i, merged.Count(i), whole.Count(i))
 			}
 		}
 		for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {

@@ -3,6 +3,8 @@ package agg
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -121,6 +123,148 @@ func FuzzSketchBatchFold(f *testing.F) {
 		}
 		if mb != ms {
 			t.Fatalf("Moments.AddMulti diverged from serial Add: %+v vs %+v", mb, ms)
+		}
+	})
+}
+
+// FuzzHistOps decodes a byte string into a sequence of Hist operations
+// over three slots — Add, AddN, AddMulti, SetCount, Merge in either
+// direction (self-merges and geometry mismatches included), Reset,
+// Clone, JSON decode into a used or a fresh Hist, and the zero value —
+// and applies each to the span-stored Hist and to the dense reference
+// model. After every operation the touched Hist must match its model:
+// every bin, N, quantiles, JSON bytes, and a span and capacity inside
+// the geometry.
+func FuzzHistOps(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 1, 0, 250, 0, 3, 2, 1, 5, 7, 9, 11, 13, 4, 1, 5, 0, 2, 9, 9, 9})
+	f.Add([]byte{2, 0, 7, 0, 0, 255, 255, 10, 10, 20, 20, 30, 30, 40, 40, 50, 50, 4, 3, 6, 7, 8, 2, 4, 0})
+	f.Add([]byte{9, 0, 0, 1, 0, 5, 4, 4, 4, 2, 10, 0, 3, 1, 1, 200, 7, 7, 1, 4, 5, 8, 6, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const slots, maxOps = 3, 64
+		hs := make([]*Hist, slots)
+		ds := make([]*denseHist, slots)
+		for i := range hs {
+			hs[i], ds[i] = NewDurationHist(), newDense(DurationHistBins)
+		}
+		next := func() (byte, bool) {
+			if len(data) == 0 {
+				return 0, false
+			}
+			b := data[0]
+			data = data[1:]
+			return b, true
+		}
+		dur := func() (time.Duration, bool) {
+			hi, ok1 := next()
+			lo, ok2 := next()
+			v := int64(hi)<<8 | int64(lo)
+			// Bins -50..1049 of the standard geometry at sub-bin offsets:
+			// mostly in range, some under, some over.
+			return time.Duration(v%1100-50)*500*time.Microsecond + time.Duration(v/1100)*7*time.Microsecond, ok1 && ok2
+		}
+		for op := 0; op < maxOps; op++ {
+			code, ok := next()
+			if !ok {
+				return
+			}
+			arg, ok := next()
+			if !ok {
+				return
+			}
+			a, b := int(arg)%slots, int(arg/slots)%slots
+			h, d := hs[a], ds[a]
+			var name string
+			switch code % 11 {
+			case 0:
+				x, ok := dur()
+				if !ok {
+					return
+				}
+				name = "Add"
+				h.Add(x)
+				d.addN(x, 1)
+			case 1:
+				x, ok := dur()
+				n, ok2 := next()
+				if !ok || !ok2 {
+					return
+				}
+				name = "AddN"
+				h.AddN(x, int64(n%6)-1)
+				d.addN(x, int64(n%6)-1)
+			case 2:
+				name = "AddMulti"
+				var xs []time.Duration
+				for k := int(arg / 9 % 8); k > 0; k-- {
+					x, ok := dur()
+					if !ok {
+						return
+					}
+					xs = append(xs, x)
+				}
+				h.AddMulti(xs)
+				for _, x := range xs {
+					d.addN(x, 1)
+				}
+			case 3:
+				hi, ok1 := next()
+				lo, ok2 := next()
+				c, ok3 := next()
+				if !ok1 || !ok2 || !ok3 {
+					return
+				}
+				if h.Bins() == 0 {
+					continue
+				}
+				name = "SetCount"
+				i := (int(hi)<<8 | int(lo)) % h.Bins()
+				h.SetCount(i, int64(c))
+				d.counts[i] = int64(c)
+			case 4:
+				name = "Merge"
+				err := h.Merge(hs[b])
+				if matched := d.merge(ds[b]); matched != (err == nil) {
+					t.Fatalf("op %d: Merge(slot %d into %d) error %v, dense geometry match %v", op, b, a, err, matched)
+				}
+			case 5:
+				name = "Reset"
+				h.Reset()
+				d.reset()
+			case 6:
+				name = "Clone"
+				hs[a], ds[a] = hs[b].Clone(), ds[b].clone()
+			case 7:
+				name = "json-used"
+				js, err := json.Marshal(hs[b])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal(js, h); err != nil {
+					t.Fatal(err)
+				}
+				ds[a] = ds[b].clone()
+			case 8:
+				name = "json-fresh"
+				js, err := json.Marshal(hs[b])
+				if err != nil {
+					t.Fatal(err)
+				}
+				var fresh Hist
+				if err := json.Unmarshal(js, &fresh); err != nil {
+					t.Fatal(err)
+				}
+				hs[a], ds[a] = &fresh, ds[b].clone()
+			case 9:
+				name = "zero"
+				hs[a], ds[a] = &Hist{}, &denseHist{}
+			default:
+				name = "new"
+				hs[a], ds[a] = NewDurationHist(), newDense(DurationHistBins)
+			}
+			checkDense(t, fmt.Sprintf("op %d %s slot %d", op, name, a), hs[a], ds[a])
+			if code%11 == 6 || code%11 == 4 {
+				checkDense(t, fmt.Sprintf("op %d %s source slot %d", op, name, b), hs[b], ds[b])
+			}
 		}
 	})
 }

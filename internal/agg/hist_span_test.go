@@ -1,0 +1,365 @@
+package agg
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+)
+
+// A Hist stores only the span of bins it has touched. These tests pin
+// it against denseHist, a reference model that keeps every bin in a
+// plain array and runs the straightforward loops over all of them: for
+// every way a Hist is built or changed, N, every bin, Quantile and the
+// JSON bytes must match the model's.
+
+// denseHist is the reference model: the geometry's full bin array.
+// A model with no bins is the zero Hist.
+type denseHist struct {
+	lo, hi      time.Duration
+	counts      []int64
+	under, over int64
+}
+
+func newDense(bins int) *denseHist {
+	return &denseHist{lo: DurationHistLo, hi: DurationHistHi, counts: make([]int64, bins)}
+}
+
+func (d *denseHist) clone() *denseHist {
+	c := *d
+	if d.counts != nil {
+		c.counts = append([]int64{}, d.counts...)
+	}
+	return &c
+}
+
+func (d *denseHist) addN(x time.Duration, n int64) {
+	if n <= 0 {
+		return
+	}
+	switch {
+	case x < d.lo:
+		d.under += n
+	case x >= d.hi:
+		d.over += n
+	default:
+		i := int(int64(x-d.lo) * int64(len(d.counts)) / int64(d.hi-d.lo))
+		if i >= len(d.counts) {
+			i = len(d.counts) - 1
+		}
+		d.counts[i] += n
+	}
+}
+
+// merge reports whether the geometries matched; on a mismatch d is
+// left untouched, as Hist.Merge leaves its receiver.
+func (d *denseHist) merge(o *denseHist) bool {
+	if d.lo != o.lo || d.hi != o.hi || len(d.counts) != len(o.counts) {
+		return false
+	}
+	d.under += o.under
+	d.over += o.over
+	for i, c := range o.counts {
+		d.counts[i] += c
+	}
+	return true
+}
+
+func (d *denseHist) reset() {
+	clear(d.counts)
+	d.under, d.over = 0, 0
+}
+
+func (d *denseHist) n() int64 {
+	n := d.under + d.over
+	for _, c := range d.counts {
+		n += c
+	}
+	return n
+}
+
+func (d *denseHist) quantile(q float64) time.Duration {
+	n := d.n()
+	if n == 0 {
+		return 0
+	}
+	target := int64(math.Ceil(q * float64(n)))
+	if target < 1 {
+		target = 1
+	}
+	cum := d.under
+	if cum >= target {
+		return d.lo
+	}
+	width := float64(d.hi-d.lo) / float64(len(d.counts))
+	for i, c := range d.counts {
+		if c == 0 {
+			continue
+		}
+		if cum+c >= target {
+			frac := float64(target-cum) / float64(c)
+			return d.lo + time.Duration((float64(i)+frac)*width)
+		}
+		cum += c
+	}
+	return d.hi
+}
+
+// json is the wire form as encoding/json writes a dense struct.
+func (d *denseHist) json() []byte {
+	b, err := json.Marshal(struct {
+		Lo     time.Duration `json:"lo_ns"`
+		Hi     time.Duration `json:"hi_ns"`
+		Counts []int64       `json:"counts"`
+		Under  int64         `json:"under"`
+		Over   int64         `json:"over"`
+	}{d.lo, d.hi, d.counts, d.under, d.over})
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+var checkQs = []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 1}
+
+// checkDense asserts that h answers exactly like its model and that
+// its stored span lies inside the geometry.
+func checkDense(t testing.TB, what string, h *Hist, d *denseHist) {
+	t.Helper()
+	base, span := h.Span()
+	if len(span) > 0 && (base < 0 || base+len(span) > h.Bins()) {
+		t.Fatalf("%s: span [%d,%d) outside %d bins", what, base, base+len(span), h.Bins())
+	}
+	if cap(span) > h.Bins() {
+		t.Fatalf("%s: capacity %d exceeds the geometry's %d bins", what, cap(span), h.Bins())
+	}
+	if h.Lo != d.lo || h.Hi != d.hi || h.Bins() != len(d.counts) || h.Under != d.under || h.Over != d.over {
+		t.Fatalf("%s: geometry or out-of-range mass diverges", what)
+	}
+	for i, c := range d.counts {
+		if got := h.Count(i); got != c {
+			t.Fatalf("%s: bin %d = %d, dense %d", what, i, got, c)
+		}
+	}
+	if got, want := h.N(), d.n(); got != want {
+		t.Fatalf("%s: N = %d, dense %d", what, got, want)
+	}
+	for _, q := range checkQs {
+		if got, want := h.Quantile(q), d.quantile(q); got != want {
+			t.Fatalf("%s: Quantile(%v) = %v, dense %v", what, q, got, want)
+		}
+	}
+	got, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := d.json(); !bytes.Equal(got, want) {
+		t.Fatalf("%s: JSON diverges from dense:\n got %.200s\nwant %.200s", what, got, want)
+	}
+}
+
+// randomHist builds a standard-geometry Hist and its model one of six
+// ways: by Add, AddN or AddMulti; JSON decoded into a used or a fresh
+// Hist; or bin by bin through SetCount, as the gossip decoder does.
+// Values are sparse — a few bins, sometimes none, and sometimes only
+// out-of-range mass — and land anywhere in the geometry, so merged
+// spans straddle each other.
+func randomHist(rng *rand.Rand) (*Hist, *denseHist, string) {
+	src, d := NewDurationHist(), newDense(DurationHistBins)
+	for n := rng.Intn(6); n > 0; n-- {
+		x := time.Duration(rng.Int63n(int64(520*time.Millisecond))) - 10*time.Millisecond
+		switch rng.Intn(3) {
+		case 0:
+			src.Add(x)
+			d.addN(x, 1)
+		case 1:
+			k := 1 + rng.Int63n(5)
+			src.AddN(x, k)
+			d.addN(x, k)
+		default:
+			y := x + time.Duration(rng.Int63n(int64(time.Millisecond)))
+			src.AddMulti([]time.Duration{x, y})
+			d.addN(x, 1)
+			d.addN(y, 1)
+		}
+	}
+	switch rng.Intn(4) {
+	case 0:
+		return src, d, "added"
+	case 1:
+		// Decode into a Hist that already holds other bins: none of
+		// them may survive.
+		h := NewDurationHist()
+		h.AddMulti([]time.Duration{0, 250 * time.Millisecond, DurationHistHi - 1, -1})
+		if err := json.Unmarshal(d.json(), h); err != nil {
+			panic(err)
+		}
+		return h, d, "json-used"
+	case 2:
+		var h Hist
+		if err := json.Unmarshal(d.json(), &h); err != nil {
+			panic(err)
+		}
+		return &h, d, "json-fresh"
+	default:
+		h := NewDurationHist()
+		h.Under, h.Over = d.under, d.over
+		for _, i := range rng.Perm(len(d.counts)) {
+			if c := d.counts[i]; c != 0 {
+				h.SetCount(i, c)
+			}
+		}
+		return h, d, "setcount"
+	}
+}
+
+func TestHistBoundMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 2000; trial++ {
+		// Fold a random chain of Hists into one accumulator, merging in
+		// both directions (acc into a fresh Hist, and a fresh Hist into
+		// acc), with the model updated alongside.
+		acc, ref, kind := randomHist(rng)
+		checkDense(t, kind, acc, ref)
+		for step := rng.Intn(4); step >= 0; step-- {
+			o, oref, okind := randomHist(rng)
+			if rng.Intn(2) == 0 {
+				if err := acc.Merge(o); err != nil {
+					t.Fatal(err)
+				}
+				ref.merge(oref)
+			} else {
+				if err := o.Merge(acc); err != nil {
+					t.Fatal(err)
+				}
+				oref.merge(ref)
+				acc, ref = o, oref
+			}
+			kind += "+" + okind
+			checkDense(t, kind, acc, ref)
+		}
+		// A clone answers like its source and stays independent of it
+		// in both directions.
+		c, cref := acc.Clone(), ref.clone()
+		checkDense(t, kind+" clone", c, cref)
+		c.Add(499 * time.Millisecond)
+		cref.addN(499*time.Millisecond, 1)
+		acc.Add(time.Millisecond)
+		ref.addN(time.Millisecond, 1)
+		checkDense(t, kind+" clone after write", c, cref)
+		checkDense(t, kind+" source after clone write", acc, ref)
+	}
+}
+
+// TestHistResetReuse: Reset keeps the backing array, so a recycled
+// Hist refills without allocating, and no bin of its previous life
+// reappears — whichever side the new span grows toward.
+func TestHistResetReuse(t *testing.T) {
+	h, d := NewDurationHist(), newDense(DurationHistBins)
+	for i := 0; i < DurationHistBins; i += 7 {
+		x := time.Duration(i) * h.BucketWidth()
+		h.AddN(x, int64(i+1))
+		d.addN(x, int64(i+1))
+	}
+	checkDense(t, "wide", h, d)
+	_, span := h.Span()
+	wideCap := cap(span)
+	h.Reset()
+	d.reset()
+	checkDense(t, "reset", h, d)
+	if _, span := h.Span(); cap(span) != wideCap {
+		t.Fatalf("Reset dropped the backing array: cap %d, was %d", cap(span), wideCap)
+	}
+	// Grow downward from the middle, then upward, then merge a span
+	// straddling both ends: every newly exposed bin must read zero.
+	ms := []time.Duration{300, 299, 120, 410, 5, 499}
+	runs := int64(0) // AllocsPerRun adds a warm-up run
+	allocs := testing.AllocsPerRun(1, func() {
+		runs++
+		for _, m := range ms {
+			h.Add(m * time.Millisecond)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("refilling a reset Hist allocated %v times", allocs)
+	}
+	fresh := NewDurationHist()
+	for _, m := range ms {
+		d.addN(m*time.Millisecond, runs)
+		fresh.AddN(m*time.Millisecond, runs)
+	}
+	checkDense(t, "refilled", h, d)
+	fb, fs := fresh.Span()
+	hb, hs := h.Span()
+	if fb != hb || len(fs) != len(hs) {
+		t.Fatalf("reset Hist grew to [%d,+%d), a new one to [%d,+%d)", hb, len(hs), fb, len(fs))
+	}
+}
+
+// TestHistZeroValue: a zero-value Hist is a valid empty histogram with
+// no bins. It answers like one, folds everything out of range, merges
+// with another zero Hist, and refuses a real geometry.
+func TestHistZeroValue(t *testing.T) {
+	var h Hist
+	d := &denseHist{}
+	checkDense(t, "zero", &h, d)
+	if err := h.Merge(&Hist{}); err != nil {
+		t.Fatal(err)
+	}
+	h.AddMulti([]time.Duration{-1, 0, time.Second})
+	h.Add(-time.Second)
+	for _, x := range []time.Duration{-1, 0, time.Second, -time.Second} {
+		d.addN(x, 1)
+	}
+	checkDense(t, "zero after adds", &h, d)
+	if err := h.Merge(NewDurationHist()); err == nil {
+		t.Fatal("zero Hist merged a 1000-bin Hist")
+	}
+	c := h.Clone()
+	checkDense(t, "zero clone", c, d)
+	h.Reset()
+	checkDense(t, "zero reset", &h, &denseHist{})
+}
+
+// TestHistSetCountZero: writing zero outside the span stores nothing,
+// and writing zero inside it clears the bin.
+func TestHistSetCountZero(t *testing.T) {
+	h, d := NewDurationHist(), newDense(DurationHistBins)
+	h.SetCount(10, 0)
+	if _, span := h.Span(); span != nil {
+		t.Fatalf("SetCount(_, 0) on an empty Hist stored %d bins", len(span))
+	}
+	h.SetCount(10, 4)
+	h.SetCount(12, 2)
+	h.SetCount(10, 0)
+	d.counts[12] = 2
+	checkDense(t, "setcount", h, d)
+}
+
+// TestHistJSONRejectsBadGeometry: a decoded range that no duration can
+// map into a bin is refused at the wire instead of failing on the
+// first in-range Add; the zero value's wire form still decodes.
+func TestHistJSONRejectsBadGeometry(t *testing.T) {
+	for _, in := range []string{
+		`{"lo_ns":0,"hi_ns":500000000,"counts":[],"under":0,"over":0}`,
+		`{"lo_ns":0,"hi_ns":500000000,"under":1}`,
+		`{"lo_ns":-9000000000000000000,"hi_ns":9000000000000000000,"counts":[0,0]}`,
+		`{"lo_ns":0,"hi_ns":9000000000000000000,"counts":[0,0,0]}`,
+	} {
+		var h Hist
+		if err := json.Unmarshal([]byte(in), &h); err == nil {
+			t.Errorf("%s decoded", in)
+		}
+	}
+	zero, err := json.Marshal(&Hist{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h Hist
+	if err := json.Unmarshal(zero, &h); err != nil {
+		t.Fatalf("zero Hist wire form %s refused: %v", zero, err)
+	}
+	checkDense(t, "zero round trip", &h, &denseHist{})
+}

@@ -243,7 +243,8 @@ func TestHistResetClearsEverything(t *testing.T) {
 	wide.AddN(-time.Millisecond, 3)
 	wide.AddN(2*time.Second, 5)
 
-	// A decoded Hist knows no occupancy bound: Reset must clear it all.
+	// A decoded Hist stores the span the wire form implies: Reset must
+	// clear it too.
 	raw, err := json.Marshal(wide)
 	if err != nil {
 		t.Fatal(err)
@@ -258,8 +259,8 @@ func TestHistResetClearsEverything(t *testing.T) {
 		if h.Under != 0 || h.Over != 0 {
 			t.Fatalf("%s: under=%d over=%d after Reset", name, h.Under, h.Over)
 		}
-		for i, c := range h.Counts {
-			if c != 0 {
+		for i := 0; i < h.Bins(); i++ {
+			if c := h.Count(i); c != 0 {
 				t.Fatalf("%s: bin %d holds %d after Reset", name, i, c)
 			}
 		}

@@ -193,25 +193,28 @@ func appendMoments(dst []byte, m agg.Moments) []byte {
 // appendHist encodes a histogram sparsely: geometry, out-of-range
 // mass, then (bin-gap, count) pairs for the nonzero bins only — a
 // mostly-empty 1000-bin histogram costs a handful of bytes instead of
-// a kilobyte.
+// a kilobyte. Only the Hist's stored span is walked; every bin outside
+// it is zero.
 func appendHist(dst []byte, h *agg.Hist) []byte {
 	dst = binary.AppendUvarint(dst, zigzag(int64(h.Lo)))
 	dst = binary.AppendUvarint(dst, zigzag(int64(h.Hi)))
-	dst = binary.AppendUvarint(dst, uint64(len(h.Counts)))
+	dst = binary.AppendUvarint(dst, uint64(h.Bins()))
 	dst = binary.AppendUvarint(dst, uint64(h.Under))
 	dst = binary.AppendUvarint(dst, uint64(h.Over))
+	base, span := h.Span()
 	nnz := 0
-	for _, c := range h.Counts {
+	for _, c := range span {
 		if c != 0 {
 			nnz++
 		}
 	}
 	dst = binary.AppendUvarint(dst, uint64(nnz))
 	prev := 0
-	for i, c := range h.Counts {
+	for k, c := range span {
 		if c == 0 {
 			continue
 		}
+		i := base + k
 		dst = binary.AppendUvarint(dst, uint64(i-prev))
 		dst = binary.AppendUvarint(dst, uint64(c))
 		prev = i
@@ -409,7 +412,7 @@ func (d *gossipCursor) hist() (*agg.Hist, error) {
 		return nil, err
 	}
 	h := agg.NewDurationHist()
-	if time.Duration(lo) != h.Lo || time.Duration(hi) != h.Hi || nbins != uint64(len(h.Counts)) {
+	if time.Duration(lo) != h.Lo || time.Duration(hi) != h.Hi || nbins != uint64(h.Bins()) {
 		return nil, fmt.Errorf("cluster: histogram geometry [%d,%d)/%d does not match the duration hist", lo, hi, nbins)
 	}
 	under, err := d.uvarint()
@@ -424,7 +427,7 @@ func (d *gossipCursor) hist() (*agg.Hist, error) {
 		return nil, fmt.Errorf("%w: histogram out-of-range mass", ErrFrameTooBig)
 	}
 	h.Under, h.Over = int64(under), int64(over)
-	nnz, err := d.count(len(h.Counts))
+	nnz, err := d.count(h.Bins())
 	if err != nil {
 		return nil, err
 	}
@@ -441,12 +444,12 @@ func (d *gossipCursor) hist() (*agg.Hist, error) {
 		if i == 0 {
 			bin = int(gap)
 		} else {
-			if gap == 0 || gap > uint64(len(h.Counts)) {
+			if gap == 0 || gap > uint64(h.Bins()) {
 				return nil, fmt.Errorf("cluster: histogram bin gap %d out of order", gap)
 			}
 			bin += int(gap)
 		}
-		if bin < 0 || bin >= len(h.Counts) || cnt == 0 || cnt > math.MaxInt64 {
+		if bin < 0 || bin >= h.Bins() || cnt == 0 || cnt > math.MaxInt64 {
 			return nil, fmt.Errorf("cluster: histogram bin %d/count %d out of range", bin, cnt)
 		}
 		h.SetCount(bin, int64(cnt))

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -311,14 +312,26 @@ func FuzzDecodeGossipDelta(f *testing.F) {
 }
 
 // TestDecodedHistMergesLikeDense: the ACMG decoder rebuilds histograms
-// bin by bin through agg.Hist.SetCount, which keeps the occupancy bound
-// the bounded Merge/N/Quantile loops rely on. A decoded Hist merged in
-// either direction with a dense (literal-built) Hist must give exactly
-// the dense result.
+// bin by bin through agg.Hist.SetCount, which grows the stored span
+// the Merge/N/Quantile loops walk. A decoded Hist merged in either
+// direction with a Hist written bin by bin across the whole geometry
+// must give exactly the dense result.
 func TestDecodedHistMergesLikeDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	denseCounts := func(h *agg.Hist) []int64 {
+		out := make([]int64, h.Bins())
+		for i := range out {
+			out[i] = h.Count(i)
+		}
+		return out
+	}
 	dense := func(h *agg.Hist) *agg.Hist {
-		return &agg.Hist{Lo: h.Lo, Hi: h.Hi, Counts: append([]int64(nil), h.Counts...), Under: h.Under, Over: h.Over}
+		d := agg.NewDurationHist()
+		d.Under, d.Over = h.Under, h.Over
+		for i := 0; i < h.Bins(); i++ {
+			d.SetCount(i, h.Count(i))
+		}
+		return d
 	}
 	random := func() *agg.Hist {
 		h := agg.NewDurationHist()
@@ -334,8 +347,8 @@ func TestDecodedHistMergesLikeDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := dense(a)
-		for i, c := range b.Counts {
-			want.Counts[i] += c
+		for i := 0; i < b.Bins(); i++ {
+			want.SetCount(i, want.Count(i)+b.Count(i))
 		}
 		want.Under += b.Under
 		want.Over += b.Over
@@ -349,7 +362,7 @@ func TestDecodedHistMergesLikeDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, got := range []*agg.Hist{into, from} {
-			if fmt.Sprint(got.Counts, got.Under, got.Over) != fmt.Sprint(want.Counts, want.Under, want.Over) {
+			if fmt.Sprint(denseCounts(got), got.Under, got.Over) != fmt.Sprint(denseCounts(want), want.Under, want.Over) {
 				t.Fatalf("trial %d: merged counts diverge from dense", trial)
 			}
 			if got.N() != want.N() {
@@ -364,5 +377,65 @@ func TestDecodedHistMergesLikeDense(t *testing.T) {
 		if dec.N() != a.N() || dec.Quantile(0.5) != a.Quantile(0.5) {
 			t.Fatalf("trial %d: decoded hist answers differently from its source", trial)
 		}
+	}
+}
+
+// goldenDelta is testDelta plus cells whose histograms reach both ends
+// of the geometry, hold out-of-range mass, or were merged from
+// straddling spans, so the pinned bytes cover every shape of stored
+// span.
+func goldenDelta(t testing.TB) *Delta {
+	t.Helper()
+	d := testDelta(t)
+	st := ingest.NewStore(-1, 1)
+	ms := int64(time.Millisecond)
+	for i, rtts := range [][]int64{
+		{0, 499*ms + ms/2, 250 * ms},           // first and last bin
+		{-ms, 2000 * ms, 40 * ms, 40*ms + 1},   // under, over, one bin twice
+		{400 * ms, 401 * ms, 5 * ms, 6 * ms},   // two separate spans
+		{120 * ms, 3 * ms, 480 * ms, 121 * ms}, // straddles the one above
+	} {
+		s := ingest.Summary{Device: "Phone C", Group: "wifi-3", Scenario: fmt.Sprint("edge-", i%3), Sent: len(rtts), RTTs: rtts}
+		if !st.Fold(&s, time.Duration(ms), ingest.SourceGlobal) {
+			t.Fatal("fold refused")
+		}
+	}
+	d.Cells = append(d.Cells, st.Snapshot()...)
+	return d
+}
+
+// TestGossipFrameGolden pins the ACMG frame and the cells' JSON for a
+// fixed set of cells byte for byte: a change to how histograms are
+// stored must not move either encoding. The digests were recorded when
+// histograms stored every bin densely.
+func TestGossipFrameGolden(t *testing.T) {
+	const (
+		wantFrame = "35b298017e65446e77ee9eb8f46cdaaf6fcb774b96c521580fe6ab1fdd995588"
+		wantJSON  = "f0900e277e8e497b5ff2c87e3ad5d636667ba934d723a18af7fd032b87c719e5"
+	)
+	d := goldenDelta(t)
+	frame, err := AppendDelta(nil, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js := cellsJSON(t, d.Cells)
+	gotFrame, gotJSON := fmt.Sprintf("%x", sha256.Sum256(frame)), fmt.Sprintf("%x", sha256.Sum256([]byte(js)))
+	if gotFrame != wantFrame {
+		t.Errorf("ACMG frame digest %s, want %s", gotFrame, wantFrame)
+	}
+	if gotJSON != wantJSON {
+		t.Errorf("cells JSON digest %s, want %s", gotJSON, wantJSON)
+	}
+	// A decoded frame re-encodes to the same bytes.
+	back, err := DecodeDelta(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := AppendDelta(nil, back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, frame) {
+		t.Error("decoded frame re-encodes to different bytes")
 	}
 }

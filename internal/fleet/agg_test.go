@@ -81,9 +81,9 @@ func TestHistMergeExact(t *testing.T) {
 	if merged.Under != single.Under || merged.Over != single.Over {
 		t.Fatalf("under/over: %d/%d vs %d/%d", merged.Under, merged.Over, single.Under, single.Over)
 	}
-	for i := range merged.Counts {
-		if merged.Counts[i] != single.Counts[i] {
-			t.Fatalf("bin %d: %d vs %d", i, merged.Counts[i], single.Counts[i])
+	for i := 0; i < merged.Bins(); i++ {
+		if merged.Count(i) != single.Count(i) {
+			t.Fatalf("bin %d: %d vs %d", i, merged.Count(i), single.Count(i))
 		}
 	}
 	if merged.N() != single.N() {
@@ -180,9 +180,9 @@ func TestGroupAggregateMergeMatchesSinglePass(t *testing.T) {
 		!approxEq(merged.Du.Variance(), single.Du.Variance(), 1e-6) {
 		t.Errorf("Du moments diverge: %+v vs %+v", merged.Du, single.Du)
 	}
-	for i := range merged.DuHist.Counts {
-		if merged.DuHist.Counts[i] != single.DuHist.Counts[i] {
-			t.Fatalf("hist bin %d: %d vs %d", i, merged.DuHist.Counts[i], single.DuHist.Counts[i])
+	for i := 0; i < merged.DuHist.Bins(); i++ {
+		if merged.DuHist.Count(i) != single.DuHist.Count(i) {
+			t.Fatalf("hist bin %d: %d vs %d", i, merged.DuHist.Count(i), single.DuHist.Count(i))
 		}
 	}
 	for _, pair := range [][2]agg.Moments{

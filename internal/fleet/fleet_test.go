@@ -91,8 +91,8 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 		if !approxEq(g1.Du.Mean, g4.Du.Mean, 1e-9) {
 			t.Errorf("group %s: mean %v vs %v", g1.Label, g1.Du.Mean, g4.Du.Mean)
 		}
-		for b := range g1.DuHist.Counts {
-			if g1.DuHist.Counts[b] != g4.DuHist.Counts[b] {
+		for b := 0; b < g1.DuHist.Bins(); b++ {
+			if g1.DuHist.Count(b) != g4.DuHist.Count(b) {
 				t.Fatalf("group %s: histogram bin %d diverges", g1.Label, b)
 			}
 		}

@@ -183,11 +183,12 @@ func (st *Store) QueryWith(r Rollup, extra []*Cell) ([]*Cell, error) {
 // statsWith derives the /stats view of the store merged with the
 // replicated cells extra (none on a single node). The by=cell path
 // without replicas computes each cell's derived stats under the stripe
-// lock rather than deep-cloning every histogram (~17 KiB per cell) only
-// to read three quantiles — with the store near its cell cap that clone
-// would be hundreds of MiB of transient allocation per dashboard poll.
-// Every other view goes through QueryWith, which merges without
-// cloning.
+// lock rather than deep-cloning every cell only to read three
+// quantiles — a clone copies both histograms' stored spans (up to
+// ~16 KiB for a wide cell) and both sketches, so with the store near
+// its cell cap it would be tens to hundreds of MiB of transient
+// allocation per dashboard poll. Every other view goes through
+// QueryWith, which merges without cloning.
 func (st *Store) statsWith(r Rollup, extra []*Cell) ([]CellStats, error) {
 	if r == RollupCell && len(extra) == 0 {
 		var out []CellStats

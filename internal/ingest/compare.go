@@ -88,10 +88,10 @@ func VerifyAgainstReport(st GroupQuerier, rep *fleet.Report) (mismatches []strin
 			add("%s: histogram out-of-range mass (%d,%d) != offline (%d,%d)",
 				g.Label, c.RawHist.Under, c.RawHist.Over, g.DuHist.Under, g.DuHist.Over)
 		}
-		for b := range g.DuHist.Counts {
-			if c.RawHist.Counts[b] != g.DuHist.Counts[b] {
+		for b := 0; b < g.DuHist.Bins(); b++ {
+			if c.RawHist.Count(b) != g.DuHist.Count(b) {
 				add("%s: histogram bucket %d: %d != offline %d",
-					g.Label, b, c.RawHist.Counts[b], g.DuHist.Counts[b])
+					g.Label, b, c.RawHist.Count(b), g.DuHist.Count(b))
 				break
 			}
 		}

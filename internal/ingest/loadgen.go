@@ -562,11 +562,11 @@ func (c *histCursor) take(n int) []int64 {
 			}
 			c.phase, c.emitted = 1, 0
 		case 1:
-			if c.bucket >= len(c.h.Counts) {
+			if c.bucket >= c.h.Bins() {
 				c.phase, c.emitted = 2, 0
 				continue
 			}
-			if c.emitted < c.h.Counts[c.bucket] {
+			if c.emitted < c.h.Count(c.bucket) {
 				out = append(out, int64(c.h.Lo+time.Duration(c.bucket)*w+w/2))
 				c.emitted++
 				continue

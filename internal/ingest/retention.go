@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -355,23 +356,28 @@ func (st *Store) absorbIntoRollup(c *Cell) {
 // capRollupsLocked bounds the rollup tier at MaxCells: past it, the
 // coldest non-overflow rollups collapse into the single overflow cell
 // (identity and window dropped, totals preserved) and are recycled.
-// Evicts down to ~7/8 of the cap in one sorted pass so the scan
-// amortizes instead of running per absorbed cell. Called with rollupMu
-// held.
+// Evicts down to ~7/8 of the cap in one pass so the scan amortizes
+// instead of running per absorbed cell. The pass orders only its
+// victims — rollupN−target of them, plus one when it mints the
+// overflow cell — not the whole tier. Called with rollupMu held.
 func (st *Store) capRollupsLocked() {
-	if st.rollupN.Load() <= st.maxCells {
+	n := st.rollupN.Load()
+	if n <= st.maxCells {
 		return
 	}
 	target := st.maxCells - st.maxCells/8
-	var all []Key
+	ok := Key{Device: OverflowLabel, Group: OverflowLabel, WindowMS: overflowWindowMS}
+	victims := n - target
+	if _, exists := st.rollups[ok]; !exists {
+		victims++
+	}
+	all := st.rollupScratch[:0]
 	for k := range st.rollups {
 		if k.WindowMS != overflowWindowMS {
 			all = append(all, k)
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return colder(all[i], all[j]) })
-	ok := Key{Device: OverflowLabel, Group: OverflowLabel, WindowMS: overflowWindowMS}
-	for _, k := range all {
+	for _, k := range coldestKeys(all, int(min(victims, int64(len(all))))) {
 		if st.rollupN.Load() <= target {
 			break
 		}
@@ -393,6 +399,64 @@ func (st *Store) capRollupsLocked() {
 		dst.Epoch = st.epoch.Add(1)
 		st.logRemoval(k)
 	}
+	clear(all) // drop the key strings until the next pass
+	st.rollupScratch = all[:0]
+}
+
+// coldestKeys reorders keys so that its first n entries are the n
+// coldest in colder order, sorted, and returns them; 0 <= n <=
+// len(keys). A quickselect partitions the rest without ordering it.
+// colder is a strict total order over distinct keys, so the result is
+// exactly the first n keys of a full sort.
+func coldestKeys(keys []Key, n int) []Key {
+	lo, hi := 0, len(keys)-1
+	for n > 0 && lo < hi {
+		p := partitionColder(keys, lo, hi)
+		switch {
+		case p == n-1:
+			lo = hi
+		case p < n-1:
+			lo = p + 1
+		default:
+			hi = p - 1
+		}
+	}
+	out := keys[:n]
+	slices.SortFunc(out, func(a, b Key) int {
+		if colder(a, b) {
+			return -1
+		}
+		if colder(b, a) {
+			return 1
+		}
+		return 0
+	})
+	return out
+}
+
+// partitionColder partitions keys[lo..hi] around a median-of-three
+// pivot and returns the pivot's final index: everything before it is
+// colder, everything after it warmer.
+func partitionColder(keys []Key, lo, hi int) int {
+	mid := lo + (hi-lo)/2
+	if colder(keys[mid], keys[lo]) {
+		keys[mid], keys[lo] = keys[lo], keys[mid]
+	}
+	if colder(keys[hi], keys[lo]) {
+		keys[hi], keys[lo] = keys[lo], keys[hi]
+	}
+	if colder(keys[mid], keys[hi]) {
+		keys[mid], keys[hi] = keys[hi], keys[mid]
+	}
+	pivot, i := keys[hi], lo
+	for j := lo; j < hi; j++ {
+		if colder(keys[j], pivot) {
+			keys[i], keys[j] = keys[j], keys[i]
+			i++
+		}
+	}
+	keys[i], keys[hi] = keys[hi], keys[i]
+	return i
 }
 
 // logRemoval records a deleted cell key at a fresh epoch so stream

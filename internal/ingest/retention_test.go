@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"sync"
@@ -123,10 +124,10 @@ func TestCompactionLossless(t *testing.T) {
 			t.Errorf("%s: raw moments n=%d mean=%g vs n=%d mean=%g", g.Key.Group,
 				g.Raw.N, g.Raw.Mean, w.Raw.N, w.Raw.Mean)
 		}
-		for b := range g.RawHist.Counts {
-			if g.RawHist.Counts[b] != w.RawHist.Counts[b] {
+		for b := 0; b < g.RawHist.Bins(); b++ {
+			if g.RawHist.Count(b) != w.RawHist.Count(b) {
 				t.Fatalf("%s: histogram bucket %d diverged: %d vs %d", g.Key.Group,
-					b, g.RawHist.Counts[b], w.RawHist.Counts[b])
+					b, g.RawHist.Count(b), w.RawHist.Count(b))
 			}
 		}
 		// Sketch guarantee: the quantile's true rank in the raw sample
@@ -318,6 +319,77 @@ func TestRollupOverflowCollapse(t *testing.T) {
 		if !reflect.DeepEqual(got, wantKeys) {
 			t.Errorf("%s keys %+v; Snapshot has %+v", name, got, wantKeys)
 		}
+	}
+}
+
+// TestColdestKeysMatchesSort: the collapse pass's partial selection
+// picks exactly the prefix a full colder-order sort would, in the same
+// order — over random keys, many sharing a window, for every victim
+// count from none to all.
+func TestColdestKeysMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		seen := map[Key]bool{}
+		var keys []Key
+		for n := rng.Intn(200); len(keys) < n; {
+			k := Key{
+				Device:   fmt.Sprintf("dev-%d", rng.Intn(60)),
+				Group:    fmt.Sprintf("g%d", rng.Intn(3)),
+				Scenario: fmt.Sprintf("s%d", rng.Intn(2)),
+				WindowMS: int64(rng.Intn(4)) * 1000,
+			}
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+		want := append([]Key(nil), keys...)
+		sort.Slice(want, func(i, j int) bool { return colder(want[i], want[j]) })
+		for _, n := range []int{0, 1, rng.Intn(len(keys) + 1), len(keys) / 8, len(keys)} {
+			got := coldestKeys(append([]Key(nil), keys...), n)
+			if !reflect.DeepEqual(got, want[:n]) && (n > 0 || len(got) != 0) {
+				t.Fatalf("trial %d: %d coldest of %d keys = %v, full sort gives %v", trial, n, len(keys), got, want[:n])
+			}
+		}
+	}
+}
+
+// TestRollupCollapseKeepsWarmest: one collapse pass leaves exactly the
+// warmest rollups a full sort of the tier would keep, and the overflow
+// cell holds everything else.
+func TestRollupCollapseKeepsWarmest(t *testing.T) {
+	const capCells = 64
+	st := NewStore(time.Second, 4)
+	st.SetMaxCells(capCells)
+	st.EnableCompaction(time.Second)
+	var all []Key
+	for i := 0; i <= capCells; i++ {
+		// Many rollups share each window, so keyLess decides most of
+		// the order.
+		w := int64(i%5) * 1000
+		dev := fmt.Sprintf("dev-%03d", (i*37)%101)
+		foldOne(t, st, dev, "g", w, 1000)
+		all = append(all, Key{Device: dev, Group: "g", Scenario: "test", WindowMS: w})
+	}
+	st.Compact(10_000) // demote every fine cell; the last absorb collapses the tier
+	sort.Slice(all, func(i, j int) bool { return colder(all[i], all[j]) })
+	target := capCells - capCells/8
+	wantKept := all[len(all)-(target-1):] // target rollups, one of them the overflow cell
+	var kept []Key
+	var overflow *Cell
+	for _, c := range st.Snapshot() {
+		if c.Key.WindowMS == overflowWindowMS {
+			overflow = c
+			continue
+		}
+		kept = append(kept, c.Key)
+	}
+	sort.Slice(kept, func(i, j int) bool { return colder(kept[i], kept[j]) })
+	if !reflect.DeepEqual(kept, wantKept) {
+		t.Fatalf("collapse kept %v\nwant %v", kept, wantKept)
+	}
+	if overflow == nil || overflow.Sessions != int64(len(all)-len(wantKept)) {
+		t.Fatalf("overflow cell %+v; want %d sessions", overflow, len(all)-len(wantKept))
 	}
 }
 

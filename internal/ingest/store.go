@@ -330,6 +330,7 @@ type Store struct {
 	rollupMS          int64
 	rollupMu          sync.Mutex
 	rollups           map[Key]*Cell
+	rollupScratch     []Key // capRollupsLocked's key list, reused under rollupMu
 	rollupN           atomic.Int64
 	evicted           atomic.Int64 // fine cells folded into rollups at the cap
 	compacted         atomic.Int64 // fine cells folded into rollups by retention
@@ -363,10 +364,12 @@ type storeShard struct {
 const DefaultStoreShards = 32
 
 // DefaultMaxCells bounds distinct aggregation cells. Each cell carries
-// two 1000-bucket histograms (~17 KiB) plus two quantile sketches
-// (bounded centroids + fold buffer + pending merges, ~10 KiB each when
-// hot), so the default caps aggregate state near a GiB — without a
-// cap, one hostile batch of unique device names per POST would mint
+// two 1000-bucket histograms that store only their occupied span (a
+// few words for a churn cell's handful of RTTs, ~16 KiB at worst when
+// every bucket is hit) plus two quantile sketches (bounded centroids +
+// fold buffer + pending merges, ~10 KiB each when hot), so the default
+// caps worst-case aggregate state near a GiB — without a cap, one
+// hostile batch of unique device names per POST would mint
 // unreclaimable heap until OOM. The rollup tier holds up to as many
 // again, and the recycled-cell free list at most maxFreeCells more.
 const DefaultMaxCells = 32768
@@ -381,8 +384,8 @@ const maxFreeCells = 256
 // free list has any, else a fresh newCell. Under churn every summary
 // mints two cells (its fine cell, and the rollup its evicted
 // predecessor lands in) that die within about a window; recycling them
-// spares two 1000-bin histogram allocations per mint, and the reset
-// zeroes only the bins the previous life occupied.
+// reuses their histograms' span arrays and their sketches' buffers, and
+// the histogram reset is O(1).
 func (st *Store) mintCell(k Key) *Cell {
 	st.freeMu.Lock()
 	n := len(st.free)
