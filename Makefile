@@ -122,4 +122,7 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: build lint race bench-json bench-gate
+# Every step the workflow runs, in its job order: test (build, lint,
+# race, the three e2e suites, the benchmark harness smoke), fuzz-smoke,
+# then bench (record + regression gate).
+ci: build lint race e2e-restart e2e-churn e2e-cluster perfbench-smoke fuzz-smoke bench-json bench-gate

@@ -541,5 +541,8 @@ func decodeReport(r io.Reader) (*fleet.Report, error) {
 	if len(rep.Groups) == 0 {
 		return nil, fmt.Errorf("report has no groups")
 	}
+	if err := rep.Validate(); err != nil {
+		return nil, err
+	}
 	return &rep, nil
 }

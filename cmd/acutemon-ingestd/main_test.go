@@ -2,11 +2,15 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/android"
+	"repro/internal/fleet"
 	"repro/internal/ingest"
 	"repro/internal/puncture"
 )
@@ -69,5 +73,35 @@ func TestLoadgenCampaignOwnsItsStore(t *testing.T) {
 	}
 	if campaignAtts != rep.Sessions {
 		t.Errorf("campaign store learned %d attributions for %d sessions", campaignAtts, rep.Sessions)
+	}
+}
+
+// TestDecodeReportRefusesPreSketch: -replay refuses a report file whose
+// group has no du_sketch (written before sketches existed), naming the
+// group, and reads a current report.
+func TestDecodeReportRefusesPreSketch(t *testing.T) {
+	encode := func(sketched bool) string {
+		g := &fleet.GroupAggregate{Label: "old-group", Sessions: 1, DuHist: agg.NewDurationHist()}
+		if sketched {
+			g.DuSketch = agg.NewSketch(0)
+			g.DuSketch.AddDuration(600 * time.Millisecond)
+		}
+		g.Du.Add(float64(600 * time.Millisecond))
+		g.DuHist.Add(600 * time.Millisecond)
+		b, err := json.Marshal(&fleet.Report{Name: "r", Groups: []*fleet.GroupAggregate{g}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if _, err := decodeReport(strings.NewReader(encode(true))); err != nil {
+		t.Fatalf("current report refused: %v", err)
+	}
+	old := encode(false)
+	if strings.Contains(old, "du_sketch") {
+		t.Fatalf("pre-sketch report carries a sketch: %s", old)
+	}
+	if _, err := decodeReport(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "old-group") {
+		t.Fatalf("pre-sketch report: err = %v, want an error naming the group", err)
 	}
 }

@@ -471,6 +471,26 @@ func (h *Hist) N() int64 {
 	return n
 }
 
+// countUpTo is N for a histogram from outside this process: it reports
+// false instead of a total when a count is negative or the running sum
+// passes max, so hostile counts cannot wrap the sum back into range.
+func (h *Hist) countUpTo(max int64) (int64, bool) {
+	var n int64
+	for _, c := range [2]int64{h.Under, h.Over} {
+		if c < 0 || c > max-n {
+			return 0, false
+		}
+		n += c
+	}
+	for _, c := range h.counts {
+		if c < 0 || c > max-n {
+			return 0, false
+		}
+		n += c
+	}
+	return n, true
+}
+
 // Quantile estimates the q-th quantile (0..1) by interpolating within
 // the bin where the cumulative count crosses q·N, assuming the bin's
 // mass is spread uniformly across its width — snapping to the bin's

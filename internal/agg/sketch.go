@@ -355,29 +355,38 @@ func (s *Sketch) Merge(o *Sketch) {
 	}
 }
 
-// MergeSketches merges src into *dst for a pair of aggregates that
-// folded dstN and srcN observations respectively. A sketch may only
-// serve quantiles when it covers every observation its aggregate
-// folded; when either side folded observations without a sketch (a
-// record predating sketches), the merged sketch would silently describe
-// a subset of the distribution, so it is dropped instead and callers
-// fall back to their histogram path. Shared by the fleet group merge
-// and the ingest cell merge so the coverage rule cannot drift.
-func MergeSketches(dst **Sketch, dstN int64, src *Sketch, srcN int64) {
-	dstCovers := dstN == 0 || (*dst != nil && (*dst).Count == dstN)
-	srcCovers := srcN == 0 || (src != nil && src.Count == srcN)
-	if !dstCovers || !srcCovers {
-		*dst = nil
-		return
+// CheckCoverage enforces the coverage invariant of an aggregate track:
+// its moments folded n observations, and its sketch and each of its
+// histograms describe exactly those n. The sketch must be present and
+// pass Valid — it is the track's only quantile source, so a record
+// without one (written before sketches existed) cannot serve
+// percentiles. Each histogram must be present, have the duration-hist
+// geometry (NewDurationHist) and count n. Aggregates built in this
+// process hold the invariant by construction; every decoder that
+// builds one from outside runs this check, so merges and readers rely
+// on it instead of re-checking.
+func CheckCoverage(n int64, sk *Sketch, hs ...*Hist) error {
+	if sk == nil {
+		return fmt.Errorf("agg: no sketch covers the track's %d observations (a record written before sketches existed)", n)
 	}
-	if src == nil || src.Count == 0 {
-		return
+	if err := sk.Valid(); err != nil {
+		return err
 	}
-	if *dst == nil {
-		*dst = src.Clone()
-		return
+	if sk.Count != n {
+		return fmt.Errorf("agg: sketch covers %d of the track's %d observations", sk.Count, n)
 	}
-	(*dst).Merge(src)
+	for _, h := range hs {
+		if h == nil {
+			return fmt.Errorf("agg: no histogram covers the track's %d observations", n)
+		}
+		if h.Lo != DurationHistLo || h.Hi != DurationHistHi || h.bins != DurationHistBins {
+			return fmt.Errorf("agg: histogram geometry [%v,%v)×%d is not the duration hist", h.Lo, h.Hi, h.bins)
+		}
+		if hn, ok := h.countUpTo(n); !ok || hn != n {
+			return fmt.Errorf("agg: histogram does not cover exactly the track's %d observations", n)
+		}
+	}
+	return nil
 }
 
 // Clone returns an independent deep copy.

@@ -292,47 +292,58 @@ func TestMomentsAddNAndHistAddN(t *testing.T) {
 	}
 }
 
-// TestMergeSketchesCoverage pins the coverage rule: a sketch only
-// survives an aggregate merge when both sides' observations are fully
-// covered; otherwise serving its quantiles would pass a subset off as
-// the whole distribution.
-func TestMergeSketchesCoverage(t *testing.T) {
-	mk := func(n int) *Sketch {
-		s := NewSketch(0)
+// TestCheckCoverage pins the coverage rule: a track's sketch and
+// histograms must each describe exactly the observations its moments
+// folded, the sketch must be valid, and every histogram must have the
+// duration geometry; otherwise serving its quantiles would pass a
+// subset (or garbage) off as the whole distribution.
+func TestCheckCoverage(t *testing.T) {
+	track := func(n int) (*Sketch, *Hist) {
+		s, h := NewSketch(0), NewDurationHist()
 		for i := 0; i < n; i++ {
-			s.Add(float64(i + 1))
+			d := time.Duration(i+1) * 40 * time.Millisecond // some past the cap
+			s.AddDuration(d)
+			h.Add(d)
 		}
-		return s
+		return s, h
 	}
-	// Both covered: merged normally.
-	dst := mk(10)
-	MergeSketches(&dst, 10, mk(5), 5)
-	if dst == nil || dst.Count != 15 {
-		t.Fatalf("covered merge lost data: %+v", dst)
+	sk, h := track(32)
+	if err := CheckCoverage(32, sk, h); err != nil {
+		t.Fatalf("covering track refused: %v", err)
 	}
-	// Source side folded samples without a sketch: drop.
-	dst = mk(10)
-	MergeSketches(&dst, 10, nil, 100)
-	if dst != nil {
-		t.Fatal("merge with uncovered source kept a subset sketch")
+	if err := CheckCoverage(32, sk); err != nil {
+		t.Fatalf("covering sketch-only track refused: %v", err)
 	}
-	// Destination is the pre-sketch record: stay nil, don't adopt.
-	dst = nil
-	MergeSketches(&dst, 100, mk(5), 5)
-	if dst != nil {
-		t.Fatal("uncovered destination adopted a subset sketch")
+	empty, emptyH := track(0)
+	if err := CheckCoverage(0, empty, emptyH); err != nil {
+		t.Fatalf("empty track refused: %v", err)
 	}
-	// Destination empty (0 observations): adopting is correct.
-	dst = nil
-	MergeSketches(&dst, 0, mk(5), 5)
-	if dst == nil || dst.Count != 5 {
-		t.Fatal("empty destination should adopt a covering sketch")
-	}
-	// Sketch undercounting its own aggregate (tampered record): drop.
-	dst = mk(3)
-	MergeSketches(&dst, 10, mk(5), 5)
-	if dst != nil {
-		t.Fatal("undercounting destination sketch survived")
+	one, _ := track(1)
+	nanSk, _ := track(32)
+	nanSk.Flush()
+	nanSk.Centroids[0].Mean = math.NaN()
+	wide := NewHist(0, time.Second, DurationHistBins)
+	wide.AddN(time.Millisecond, 32)
+	overflow := NewDurationHist()
+	overflow.SetCount(0, math.MaxInt64)
+	overflow.SetCount(1, math.MaxInt64)
+	overflow.SetCount(2, 34) // the int64 sum wraps to 32
+	short := NewDurationHist()
+	short.AddN(time.Millisecond, 31)
+	for name, err := range map[string]error{
+		"no sketch":           CheckCoverage(32, nil, h),
+		"no sketch, empty":    CheckCoverage(0, nil),
+		"subset sketch":       CheckCoverage(32, one, h),
+		"invalid sketch":      CheckCoverage(32, nanSk, h),
+		"no histogram":        CheckCoverage(32, sk, nil),
+		"foreign geometry":    CheckCoverage(32, sk, wide),
+		"subset histogram":    CheckCoverage(32, sk, short),
+		"wrapping histogram":  CheckCoverage(32, sk, overflow),
+		"second hist missing": CheckCoverage(32, sk, h, nil),
+	} {
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

@@ -47,8 +47,10 @@ var wireReadFuncs = map[string]bool{
 	"Uint16": true, "Uint32": true, "Uint64": true,
 }
 
-// cursorMethods are this repo's bounds-checked cursor helpers (binwire
-// binCursor, agg byteCursor); their results come off the wire too.
+// cursorMethods are this repo's bounds-checked cursor helpers (ingest
+// binwire binCursor, agg byteCursor, cluster gossipCursor); their
+// results come off the wire too. Methods match by name within the
+// package being checked.
 var cursorMethods = map[string]bool{
 	"uvarint": true, "varint": true, "count": true, "str": true,
 }

@@ -44,11 +44,11 @@ const (
 	flagReset     = 1 << 0
 	flagKnowledge = 1 << 1
 
-	// Per-cell track flags (the flags byte inside a cell payload).
-	cellFlagRawHist     = 1 << 0
-	cellFlagPunctHist   = 1 << 1
-	cellFlagRawSketch   = 1 << 2
-	cellFlagPunctSketch = 1 << 3
+	// cellTracks is a cell payload's track-flags byte: one bit each for
+	// the raw and punctured histograms and sketches. Every cell carries
+	// all four tracks, so the byte is fixed, and a payload with any
+	// other value is refused.
+	cellTracks = 0x0F
 )
 
 var gossipMagic = []byte{'A', 'C', 'M', 'G'}
@@ -258,32 +258,11 @@ func appendCell(dst []byte, c *ingest.Cell) ([]byte, error) {
 		c.UserOverhead, c.SDIOOverhead, c.PSMInflation} {
 		dst = appendMoments(dst, m)
 	}
-	var flags byte
-	if c.RawHist != nil {
-		flags |= cellFlagRawHist
-	}
-	if c.PuncturedHist != nil {
-		flags |= cellFlagPunctHist
-	}
-	if c.RawSketch != nil {
-		flags |= cellFlagRawSketch
-	}
-	if c.PuncturedSketch != nil {
-		flags |= cellFlagPunctSketch
-	}
-	dst = append(dst, flags)
-	if c.RawHist != nil {
-		dst = appendHist(dst, c.RawHist)
-	}
-	if c.PuncturedHist != nil {
-		dst = appendHist(dst, c.PuncturedHist)
-	}
-	if c.RawSketch != nil {
-		dst = appendSketch(dst, c.RawSketch)
-	}
-	if c.PuncturedSketch != nil {
-		dst = appendSketch(dst, c.PuncturedSketch)
-	}
+	dst = append(dst, cellTracks)
+	dst = appendHist(dst, c.RawHist)
+	dst = appendHist(dst, c.PuncturedHist)
+	dst = appendSketch(dst, c.RawSketch)
+	dst = appendSketch(dst, c.PuncturedSketch)
 	return dst, nil
 }
 
@@ -505,28 +484,26 @@ func decodeCell(payload []byte) (*ingest.Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	if flags&cellFlagRawHist != 0 {
-		if c.RawHist, err = d.hist(); err != nil {
-			return nil, err
-		}
+	if flags != cellTracks {
+		return nil, fmt.Errorf("cluster: cell track flags %#x, want %#x", flags, cellTracks)
 	}
-	if flags&cellFlagPunctHist != 0 {
-		if c.PuncturedHist, err = d.hist(); err != nil {
-			return nil, err
-		}
+	if c.RawHist, err = d.hist(); err != nil {
+		return nil, err
 	}
-	if flags&cellFlagRawSketch != 0 {
-		if c.RawSketch, err = d.sketch(); err != nil {
-			return nil, err
-		}
+	if c.PuncturedHist, err = d.hist(); err != nil {
+		return nil, err
 	}
-	if flags&cellFlagPunctSketch != 0 {
-		if c.PuncturedSketch, err = d.sketch(); err != nil {
-			return nil, err
-		}
+	if c.RawSketch, err = d.sketch(); err != nil {
+		return nil, err
+	}
+	if c.PuncturedSketch, err = d.sketch(); err != nil {
+		return nil, err
 	}
 	if d.remaining() != 0 {
 		return nil, fmt.Errorf("cluster: %d trailing bytes after cell", d.remaining())
+	}
+	if err := c.Validate(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"testing"
@@ -215,7 +216,60 @@ func hostileGossipFrames(t testing.TB) map[string][]byte {
 	frames["knowledge-garbage"] = append(b, []byte("{not json")...)
 	// oversized frame: over MaxGossipFrameBytes is rejected up front —
 	// represent with a sliced header claim instead of allocating 128MB.
+
+	// Well-formed cells whose tracks break the coverage invariant.
+	cellFrame := func(payload []byte) []byte {
+		b := binary.AppendUvarint(header(0), 0)
+		b = binary.AppendUvarint(b, 1)
+		b = binary.AppendUvarint(b, uint64(len(payload)))
+		return append(b, payload...)
+	}
+	// A raw sketch that fails Sketch.Valid (a NaN centroid mean).
+	c := coverageCell(t)
+	c.RawSketch.Flush()
+	c.RawSketch.Centroids[0].Mean = math.NaN()
+	frames["cell-invalid-sketch"] = cellFrame(cellPayload(t, c))
+	// A cell carrying neither histogram: track flags 0x0C, then only
+	// the two sketches.
+	c = coverageCell(t)
+	full := cellPayload(t, c)
+	tail := len(appendHist(nil, c.RawHist)) + len(appendHist(nil, c.PuncturedHist)) +
+		len(appendSketch(nil, c.RawSketch)) + len(appendSketch(nil, c.PuncturedSketch))
+	noHists := append([]byte{}, full[:len(full)-tail-1]...)
+	noHists = append(noHists, 0x0C)
+	noHists = appendSketch(noHists, c.RawSketch)
+	noHists = appendSketch(noHists, c.PuncturedSketch)
+	frames["cell-no-hists"] = cellFrame(noHists)
+	// A raw sketch covering 1 of the cell's 32 observations.
+	c = coverageCell(t)
+	c.RawSketch = agg.NewSketch(0)
+	c.RawSketch.Add(float64(30 * time.Millisecond))
+	frames["cell-subset-sketch"] = cellFrame(cellPayload(t, c))
 	return frames
+}
+
+// coverageCell is a store-built cell of one 32-RTT session, some past
+// the histogram range.
+func coverageCell(t testing.TB) *ingest.Cell {
+	t.Helper()
+	st := ingest.NewStore(-1, 1)
+	s := ingest.Summary{Device: "Phone H", Sent: 32, RTTs: make([]int64, 32)}
+	for i := range s.RTTs {
+		s.RTTs[i] = int64(time.Duration(i+1) * 20 * time.Millisecond)
+	}
+	if !st.Fold(&s, time.Millisecond, ingest.SourceLearned) {
+		t.Fatal("fold refused")
+	}
+	return st.Snapshot()[0]
+}
+
+func cellPayload(t testing.TB, c *ingest.Cell) []byte {
+	t.Helper()
+	payload, err := appendCell(nil, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
 }
 
 func TestHostileGossipFramesRejected(t *testing.T) {
@@ -271,7 +325,9 @@ func TestGenGossipCorpus(t *testing.T) {
 // FuzzDecodeGossipDelta fuzzes the gossip frame decoder: any input the
 // decoder accepts must survive a re-encode → re-decode round trip with
 // identical cells and counts (the idempotency the anti-entropy
-// protocol depends on), and no input may panic or over-allocate.
+// protocol depends on), every accepted cell must pass
+// ingest.Cell.Validate and merge into a fresh cell, and no input may
+// panic or over-allocate.
 func FuzzDecodeGossipDelta(f *testing.F) {
 	valid, err := AppendDelta(nil, testDelta(f))
 	if err != nil {
@@ -306,6 +362,22 @@ func FuzzDecodeGossipDelta(f *testing.F) {
 		for i := range d.Cells {
 			if d.Cells[i].Key != d2.Cells[i].Key || d.Cells[i].Sessions != d2.Cells[i].Sessions {
 				t.Fatalf("cell %d changed across round trip", i)
+			}
+		}
+		// Every accepted cell holds the coverage invariant and merges
+		// into a fresh cell, as a replica does in a fleet query.
+		for i, c := range d.Cells {
+			if err := c.Validate(); err != nil {
+				t.Fatalf("accepted cell %d fails validation: %v", i, err)
+			}
+		}
+		merged, err := ingest.NewStore(-1, 1).QueryWith(ingest.RollupCell, d.Cells)
+		if err != nil {
+			t.Fatalf("accepted cells do not merge into fresh cells: %v", err)
+		}
+		for _, c := range merged {
+			if err := c.Validate(); err != nil {
+				t.Fatalf("merged cell fails validation: %v", err)
 			}
 		}
 	})

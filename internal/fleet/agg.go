@@ -33,7 +33,8 @@ type GroupAggregate struct {
 	// DuSketch backs the campaign delay-distribution quantiles —
 	// unclamped and tail-accurate where the fixed-range DuHist saturates
 	// every observation ≥ 500 ms into Over; DuHist stays for
-	// fixed-resolution CDF/table rendering and replay.
+	// fixed-resolution CDF/table rendering. All three cover the same
+	// observations (see Report.Validate).
 	Du       agg.Moments `json:"du"`
 	DuHist   *agg.Hist   `json:"du_hist"`
 	DuSketch *agg.Sketch `json:"du_sketch,omitempty"`
@@ -94,8 +95,10 @@ func (g *GroupAggregate) fold(r *SessionResult, sample stats.Sample) {
 	}
 }
 
-// Merge folds another group's aggregate in. On error (histogram
-// geometry mismatch) the receiver is unchanged.
+// Merge folds another group's aggregate in. Both groups must hold the
+// coverage invariant: campaign-built, or decoded and checked by
+// Report.Validate. On error (histogram geometry mismatch) the receiver
+// is unchanged.
 func (g *GroupAggregate) Merge(o *GroupAggregate) error {
 	if o == nil {
 		return nil
@@ -111,9 +114,7 @@ func (g *GroupAggregate) Merge(o *GroupAggregate) error {
 	g.ProbesSent += o.ProbesSent
 	g.ProbesLost += o.ProbesLost
 	g.BackgroundSent += o.BackgroundSent
-	// Coverage-aware: merging with a pre-sketch record drops the sketch
-	// (capture the fold counts before the moments merge below).
-	agg.MergeSketches(&g.DuSketch, g.Du.N, o.DuSketch, o.Du.N)
+	g.DuSketch.Merge(o.DuSketch)
 	g.Du.Merge(o.Du)
 	if err := g.DuHist.Merge(o.DuHist); err != nil {
 		return err
@@ -128,18 +129,10 @@ func (g *GroupAggregate) Merge(o *GroupAggregate) error {
 }
 
 // DuQuantile returns the q-th (0..1) quantile of the group's
-// user-level RTT distribution: from the sketch when it covers every
-// folded observation, falling back to the 0.5 ms-binned, 500 ms-capped
-// histogram for reports recorded (or merged with ones recorded) before
-// sketches existed.
+// user-level RTT distribution, from the sketch: unclamped where the
+// 500 ms-capped histogram saturates.
 func (g *GroupAggregate) DuQuantile(q float64) time.Duration {
-	if g.DuSketch != nil && g.DuSketch.Count > 0 && g.DuSketch.Count == g.Du.N {
-		return g.DuSketch.QuantileDuration(q)
-	}
-	if g.DuHist != nil {
-		return g.DuHist.Quantile(q)
-	}
-	return 0
+	return g.DuSketch.QuantileDuration(q)
 }
 
 // LossRate returns the fraction of probes lost.
@@ -173,6 +166,23 @@ type Report struct {
 	// CalibratedModels lists the models the auto-calibration pre-pass
 	// trained and recorded, sorted.
 	CalibratedModels []string `json:"calibrated_models,omitempty"`
+}
+
+// Validate enforces the coverage invariant on a report decoded from
+// outside this process: in every group, Du, DuHist and DuSketch cover
+// the same observations (agg.CheckCoverage). A report written before
+// sketches existed is refused, naming the first group without one,
+// rather than served from the range-capped histogram.
+func (r *Report) Validate() error {
+	for i, g := range r.Groups {
+		if g == nil {
+			return fmt.Errorf("fleet: report group %d is null", i)
+		}
+		if err := agg.CheckCoverage(g.Du.N, g.DuSketch, g.DuHist); err != nil {
+			return fmt.Errorf("fleet: group %q: %w", g.Label, err)
+		}
+	}
+	return nil
 }
 
 // Group finds a group by label.

@@ -286,24 +286,52 @@ func TestReportJSONCarriesSketch(t *testing.T) {
 	if got, want := back.Groups[0].DuQuantile(0.99), g.DuQuantile(0.99); got != want {
 		t.Fatalf("p99 changed across JSON round trip: %v != %v", got, want)
 	}
-	// Pre-sketch reports (no du_sketch field) must still render via the
-	// histogram fallback.
-	old := newGroupAggregate("old")
-	old.fold(&r, s)
-	old.DuSketch = nil
-	if got := old.DuQuantile(0.5); got == 0 {
-		t.Fatal("histogram fallback quantile is zero")
+	if err := back.Validate(); err != nil {
+		t.Fatalf("round-tripped report fails validation: %v", err)
 	}
-	// Merging a sketched group into a pre-sketch one must drop the
-	// sketch (it would cover only a subset) and keep the hist fallback.
-	if err := old.Merge(g); err != nil {
-		t.Fatal(err)
+}
+
+// TestReportValidateRefusesUncoveredGroups: a decoded report whose
+// group has no du_sketch (written before sketches existed), a sketch
+// covering a subset of du, or a histogram that disagrees with du is
+// refused with an error naming the group, instead of being served from
+// the range-capped histogram.
+func TestReportValidateRefusesUncoveredGroups(t *testing.T) {
+	mk := func() *Report {
+		g := newGroupAggregate("g")
+		r := SessionResult{Sent: 32}
+		s := make(stats.Sample, 32)
+		for i := range s {
+			s[i] = time.Duration(i+1) * 20 * time.Millisecond
+		}
+		g.fold(&r, s)
+		raw, err := json.Marshal(&Report{Name: "v", Groups: []*GroupAggregate{newGroupAggregate("empty"), g}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Report
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatal(err)
+		}
+		return &back
 	}
-	if old.DuSketch != nil {
-		t.Fatal("merge with pre-sketch record kept a subset sketch")
+	if err := mk().Validate(); err != nil {
+		t.Fatalf("campaign-built report refused: %v", err)
 	}
-	if got := old.DuQuantile(0.5); got == 0 {
-		t.Fatal("histogram fallback lost after partial merge")
+	subset := agg.NewSketch(0)
+	subset.Add(float64(time.Millisecond))
+	for name, mutate := range map[string]func(g *GroupAggregate){
+		"pre-sketch":    func(g *GroupAggregate) { g.DuSketch = nil },
+		"subset sketch": func(g *GroupAggregate) { g.DuSketch = subset },
+		"no histogram":  func(g *GroupAggregate) { g.DuHist = nil },
+		"subset hist":   func(g *GroupAggregate) { g.DuHist = agg.NewDurationHist() },
+	} {
+		rep := mk()
+		mutate(rep.Group("g"))
+		err := rep.Validate()
+		if err == nil || !strings.Contains(err.Error(), `group "g"`) {
+			t.Errorf("%s: Validate = %v, want an error naming group \"g\"", name, err)
+		}
 	}
 }
 

@@ -105,33 +105,24 @@ func VerifyAgainstReport(st GroupQuerier, rep *fleet.Report) (mismatches []strin
 		// but in different orders, so centroids differ; counts and
 		// extremes must still match exactly, and every quantile must land
 		// within the two sketches' combined documented rank-error bound.
-		// A sketch missing on one side is itself a regression — it means
-		// that side's percentiles silently fell back to the clamped
-		// histogram, the exact failure this subsystem exists to prevent.
-		if (g.DuSketch == nil) != (c.RawSketch == nil) {
-			add("%s: sketch missing on one side (offline %t, ingested %t)",
-				g.Label, g.DuSketch != nil, c.RawSketch != nil)
+		if c.RawSketch.Count != g.Du.N || g.DuSketch.Count != g.Du.N {
+			add("%s: sketch counts %d/%d != sample count %d",
+				g.Label, c.RawSketch.Count, g.DuSketch.Count, g.Du.N)
 		}
-		if g.DuSketch != nil && c.RawSketch != nil {
-			if c.RawSketch.Count != g.Du.N || g.DuSketch.Count != g.Du.N {
-				add("%s: sketch counts %d/%d != sample count %d",
-					g.Label, c.RawSketch.Count, g.DuSketch.Count, g.Du.N)
-			}
-			if g.Du.N > 0 && (c.RawSketch.MinV != g.DuSketch.MinV || c.RawSketch.MaxV != g.DuSketch.MaxV) {
-				add("%s: sketch min/max (%v,%v) != offline (%v,%v)", g.Label,
-					c.RawSketch.MinV, c.RawSketch.MaxV, g.DuSketch.MinV, g.DuSketch.MaxV)
-			}
-			for _, q := range []float64{0.5, 0.9, 0.99} {
-				eps := g.DuSketch.QuantileErrorBound(q) + c.RawSketch.QuantileErrorBound(q)
-				// Quantile clamps out-of-range ranks to min/max itself.
-				lo := g.DuSketch.Quantile(q - eps)
-				hi := g.DuSketch.Quantile(q + eps)
-				v := c.RawSketch.Quantile(q)
-				slack := 1e-9*math.Abs(hi) + 1 // float interpolation slop, ns scale
-				if v < lo-slack || v > hi+slack {
-					add("%s: sketch p%g %.3f ms outside offline rank bracket [%.3f,%.3f] ms (ε=%.2g)",
-						g.Label, q*100, v/1e6, lo/1e6, hi/1e6, eps)
-				}
+		if g.Du.N > 0 && (c.RawSketch.MinV != g.DuSketch.MinV || c.RawSketch.MaxV != g.DuSketch.MaxV) {
+			add("%s: sketch min/max (%v,%v) != offline (%v,%v)", g.Label,
+				c.RawSketch.MinV, c.RawSketch.MaxV, g.DuSketch.MinV, g.DuSketch.MaxV)
+		}
+		for _, q := range []float64{0.5, 0.9, 0.99} {
+			eps := g.DuSketch.QuantileErrorBound(q) + c.RawSketch.QuantileErrorBound(q)
+			// Quantile clamps out-of-range ranks to min/max itself.
+			lo := g.DuSketch.Quantile(q - eps)
+			hi := g.DuSketch.Quantile(q + eps)
+			v := c.RawSketch.Quantile(q)
+			slack := 1e-9*math.Abs(hi) + 1 // float interpolation slop, ns scale
+			if v < lo-slack || v > hi+slack {
+				add("%s: sketch p%g %.3f ms outside offline rank bracket [%.3f,%.3f] ms (ε=%.2g)",
+					g.Label, q*100, v/1e6, lo/1e6, hi/1e6, eps)
 			}
 		}
 		if c.PSMActiveSessions != g.PSMActiveSessions {

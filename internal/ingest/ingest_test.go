@@ -574,9 +574,6 @@ func TestHeavyTailStatsPercentiles(t *testing.T) {
 	if cell.Raw.HistOver == 0 {
 		t.Fatal("histogram overflow not surfaced in /stats")
 	}
-	if cell.Raw.TailSaturated {
-		t.Fatal("sketch-backed percentiles must not be flagged saturated")
-	}
 	if cell.Raw.P99RankErr <= 0 || cell.Raw.P99RankErr > 0.01 {
 		t.Fatalf("p99 rank-error bound %.4g not surfaced or implausible", cell.Raw.P99RankErr)
 	}
@@ -714,5 +711,36 @@ func TestReplayPreservesHeavyTail(t *testing.T) {
 	}
 	if diff := gotP99 - origP99; diff < -200*time.Millisecond || diff > 200*time.Millisecond {
 		t.Fatalf("replayed p99 %v far from recorded %v", gotP99, origP99)
+	}
+}
+
+// TestReplayRefusesPreSketchReport: a recorded report whose group has
+// no du_sketch (written before sketches existed) is refused with an
+// error naming the group, before anything is posted — it is not
+// replayed from the range-capped histogram.
+func TestReplayRefusesPreSketchReport(t *testing.T) {
+	ok := &fleet.GroupAggregate{Label: "sketched", Sessions: 1, ProbesSent: 4,
+		DuHist: agg.NewDurationHist(), DuSketch: agg.NewSketch(0)}
+	old := &fleet.GroupAggregate{Label: "pre-sketch", Sessions: 2, ProbesSent: 8,
+		DuHist: agg.NewDurationHist()}
+	for i := 0; i < 4; i++ {
+		d := time.Duration(30+i) * time.Millisecond
+		ok.Du.Add(float64(d))
+		ok.DuHist.Add(d)
+		ok.DuSketch.AddDuration(d)
+		for _, d := range []time.Duration{d, d + time.Second} {
+			old.Du.Add(float64(d))
+			old.DuHist.Add(d)
+		}
+	}
+	rep := &fleet.Report{Name: "old", Scenario: "custom", Groups: []*fleet.GroupAggregate{ok, old}}
+	s := startTestServer(t, Config{Window: -1})
+	lg := &LoadGen{URL: s.URL(), TimeMS: 1}
+	posted, err := lg.ReplayReport(context.Background(), rep)
+	if err == nil || !strings.Contains(err.Error(), `"pre-sketch"`) {
+		t.Fatalf("ReplayReport = %d, %v; want an error naming group \"pre-sketch\"", posted, err)
+	}
+	if posted != 0 {
+		t.Fatalf("posted %d summaries from a refused report", posted)
 	}
 }

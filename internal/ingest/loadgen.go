@@ -326,33 +326,33 @@ func (lg *LoadGen) StreamCampaign(ctx context.Context, c fleet.Campaign) (*fleet
 }
 
 // ReplayReport resamples a recorded campaign report through the wire:
-// for every group it reconstructs the du distribution — from the
-// report's quantile sketch when it covers the sample (centroid means at
-// centroid weights, preserving the tail past the histogram range), else
-// from the report histogram (bucket midpoints at bucket counts, tail
-// clamped at the range cap) — and spreads it over the group's session
-// count, preserving session/probe totals exactly. Group-mean overheads
-// ride along on every synthesized summary, so the server's puncturing
-// path exercises the same corrections the live campaign would. Returns
-// the number of summaries posted.
+// for every group it reconstructs the du distribution from the report's
+// quantile sketch (centroid means at centroid weights, preserving the
+// tail past the histogram range) and spreads it over the group's
+// session count, preserving session/probe totals exactly. Group-mean
+// overheads ride along on every synthesized summary, so the server's
+// puncturing path exercises the same corrections the live campaign
+// would. A report that fails Report.Validate (one written before
+// sketches existed) is refused before anything is sent. Returns the
+// number of summaries posted.
 func (lg *LoadGen) ReplayReport(ctx context.Context, rep *fleet.Report) (int, error) {
+	if err := rep.Validate(); err != nil {
+		return 0, err
+	}
 	lg.fill()
 	posted := 0
 	for _, g := range rep.Groups {
 		n := int(g.Sessions - g.Errors)
-		if n <= 0 || g.DuHist == nil {
+		if n <= 0 {
 			continue
 		}
 		// Samples are generated lazily from a cursor, so a
 		// million-session recorded report costs O(BatchSize) memory here
 		// rather than materializing every reconstructed RTT at once.
-		var cur sampleCursor = &histCursor{h: g.DuHist}
-		total := int(g.DuHist.N())
-		if g.DuSketch != nil && g.DuSketch.Count == g.DuHist.N() {
-			flat := g.DuSketch.Clone()
-			flat.Flush()
-			cur = &sketchCursor{cs: flat.Centroids}
-		}
+		flat := g.DuSketch.Clone()
+		flat.Flush()
+		cur := &sketchCursor{cs: flat.Centroids}
+		total := int(g.Du.N)
 		sent, lost, bg := int(g.ProbesSent), int(g.ProbesLost), int(g.BackgroundSent)
 		batch := make([]Summary, 0, lg.BatchSize)
 		for i := 0; i < n; i++ {
@@ -498,16 +498,8 @@ func (lg *LoadGen) Churn(ctx context.Context, spec ChurnSpec) (int, error) {
 	return posted, nil
 }
 
-// sampleCursor lazily walks a virtual reconstructed sample.
-type sampleCursor interface {
-	// take returns the next n reconstructed samples (fewer only if the
-	// source is exhausted).
-	take(n int) []int64
-}
-
 // sketchCursor streams a sketch's reconstructed sample in order: each
-// centroid emits Weight copies of its mean. Unlike histCursor it
-// preserves the tail past the histogram range, so replayed heavy-tail
+// centroid emits Weight copies of its mean, so replayed heavy-tail
 // reports keep their real upper percentiles.
 type sketchCursor struct {
 	cs      []agg.Centroid
@@ -515,6 +507,8 @@ type sketchCursor struct {
 	emitted int64
 }
 
+// take returns the next n reconstructed samples (fewer only if the
+// sketch is exhausted).
 func (c *sketchCursor) take(n int) []int64 {
 	out := make([]int64, 0, n)
 	for len(out) < n && c.idx < len(c.cs) {
@@ -530,57 +524,6 @@ func (c *sketchCursor) take(n int) []int64 {
 		}
 		c.idx++
 		c.emitted = 0
-	}
-	return out
-}
-
-// histCursor streams a histogram's reconstructed sample in order:
-// under-range mass at Lo, each in-range count at its bucket midpoint,
-// over-range mass at Hi. Successive take calls walk the same virtual
-// sample a materialized slice would hold, without holding it.
-type histCursor struct {
-	h *agg.Hist
-	// phase 0 = under, 1 = buckets, 2 = over; emitted counts drawn so
-	// far from the current phase/bucket.
-	phase   int
-	bucket  int
-	emitted int64
-}
-
-// take returns the next n reconstructed samples (fewer only if the
-// histogram is exhausted).
-func (c *histCursor) take(n int) []int64 {
-	out := make([]int64, 0, n)
-	w := c.h.BucketWidth()
-	for len(out) < n {
-		switch c.phase {
-		case 0:
-			if c.emitted < c.h.Under {
-				out = append(out, int64(c.h.Lo))
-				c.emitted++
-				continue
-			}
-			c.phase, c.emitted = 1, 0
-		case 1:
-			if c.bucket >= c.h.Bins() {
-				c.phase, c.emitted = 2, 0
-				continue
-			}
-			if c.emitted < c.h.Count(c.bucket) {
-				out = append(out, int64(c.h.Lo+time.Duration(c.bucket)*w+w/2))
-				c.emitted++
-				continue
-			}
-			c.bucket++
-			c.emitted = 0
-		default:
-			if c.emitted < c.h.Over {
-				out = append(out, int64(c.h.Hi))
-				c.emitted++
-				continue
-			}
-			return out
-		}
 	}
 	return out
 }

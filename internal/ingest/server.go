@@ -33,10 +33,6 @@ type Config struct {
 	// Window is the aggregation window width (0 → 1 minute; negative
 	// disables time bucketing entirely).
 	Window time.Duration
-	// StoreShards / PunctureShards stripe the aggregate store and the
-	// learned-overhead table (<1 → package defaults).
-	StoreShards    int
-	PunctureShards int
 	// QueueDepth bounds outstanding decoded batches between the wire
 	// handlers and the fold pipelines (<1 → 256). It is both the batch
 	// credit pool and each pipe's buffer depth; exhaustion is
@@ -230,7 +226,7 @@ func Start(cfg Config) (*Server, error) {
 	// One knowledge store serves the whole daemon.
 	knowledge := cfg.Profiles
 	if knowledge == nil {
-		knowledge = puncture.NewStore(cfg.PunctureShards)
+		knowledge = puncture.NewStore(DefaultPunctureShards)
 	}
 	if cfg.ProfilesPath != "" {
 		snap, found, err := loadProfiles(cfg.ProfilesPath)
@@ -245,7 +241,7 @@ func Start(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:         cfg,
-		store:       NewStore(window, cfg.StoreShards),
+		store:       NewStore(window, DefaultStoreShards),
 		punc:        NewPuncturerStore(knowledge),
 		pipes:       make([]chan pipeJob, cfg.FoldWorkers),
 		credits:     make(chan struct{}, cfg.QueueDepth),
@@ -628,12 +624,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // TrackStats is the derived view of one observation track (raw or
 // punctured), in the paper's milliseconds. Percentiles come from the
-// track's quantile sketch when present (unclamped, accurate past the
-// histogram range); HistUnder/HistOver surface the fixed-range
-// histogram's out-of-range mass so a saturated histogram tail — which
-// used to be silently reported as exactly 500 ms — is visible in the
-// schema, and TailSaturated marks percentiles that still had to come
-// from a saturated histogram.
+// track's quantile sketch (unclamped, accurate past the histogram
+// range); HistUnder/HistOver surface the fixed-range histogram's
+// out-of-range mass, so a tail past 500 ms is visible in the schema.
 type TrackStats struct {
 	Samples  int64   `json:"samples"`
 	MeanMS   float64 `json:"mean_ms"`
@@ -647,42 +640,26 @@ type TrackStats struct {
 	// [0, 500 ms) range.
 	HistUnder int64 `json:"hist_under,omitempty"`
 	HistOver  int64 `json:"hist_over,omitempty"`
-	// TailSaturated is set when no covering sketch was available and
-	// HistOver > 0: percentiles came from a histogram whose range
-	// overflowed, so any percentile value sitting at the range cap is a
-	// clamp, not a measurement.
-	TailSaturated bool `json:"tail_saturated,omitempty"`
 	// P99RankErr is the sketch's documented rank-error bound at q=0.99
-	// (0 when percentiles came from the histogram). Normally ~0.003 at
-	// the default compression; visibly larger when coarse device-posted
-	// sketches were merged into the cell.
+	// (0 for an empty track). Normally ~0.003 at the default
+	// compression; visibly larger when coarse device-posted sketches
+	// were merged into the cell.
 	P99RankErr float64 `json:"p99_rank_err,omitempty"`
 }
 
+// trackStats derives a track's view. The track holds the coverage
+// invariant (see Cell.Validate), so its sketch counts every
+// observation its moments do.
 func trackStats(m agg.Moments, h *agg.Hist, sk *agg.Sketch) TrackStats {
 	ms := func(f float64) float64 { return f / float64(time.Millisecond) }
-	t := TrackStats{Samples: m.N, MeanMS: ms(m.Mean), StddevMS: ms(m.Stddev())}
+	t := TrackStats{Samples: m.N, MeanMS: ms(m.Mean), StddevMS: ms(m.Stddev()),
+		HistUnder: h.Under, HistOver: h.Over}
 	if m.N > 0 {
 		t.MinMS, t.MaxMS = ms(m.MinV), ms(m.MaxV)
-	}
-	if h != nil {
-		t.HistUnder, t.HistOver = h.Under, h.Over
-	}
-	switch {
-	// The sketch serves percentiles only when it covers every folded
-	// observation — a cell merged from pre-sketch records falls back to
-	// the histogram rather than serving a subset's quantiles as the
-	// distribution's.
-	case sk != nil && sk.Count > 0 && sk.Count == m.N:
 		t.P50MS = ms(sk.Quantile(0.50))
 		t.P90MS = ms(sk.Quantile(0.90))
 		t.P99MS = ms(sk.Quantile(0.99))
 		t.P99RankErr = sk.QuantileErrorBound(0.99)
-	case h != nil:
-		t.P50MS = ms(float64(h.Quantile(0.50)))
-		t.P90MS = ms(float64(h.Quantile(0.90)))
-		t.P99MS = ms(float64(h.Quantile(0.99)))
-		t.TailSaturated = h.Over > 0
 	}
 	return t
 }
@@ -823,11 +800,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // RenderStats renders a stats response as a paper-style table: raw and
 // punctured delay side by side, plus the applied correction and its
 // provenance. Percentiles are sketch-backed; the ">range" column shows
-// each track's histogram overflow mass (raw/punctured), and a
-// percentile that came from a saturated histogram (no sketch, overflow
-// present) and sits at the range cap is suffixed "!" — that value is a
-// clamp, not a measurement. Percentiles below the cap are genuine even
-// on the histogram path.
+// each track's histogram overflow mass (raw/punctured).
 func RenderStats(resp StatsResponse) string {
 	t := report.NewTable(
 		fmt.Sprintf("Live ingest aggregates by %s (durations in ms; raw = as reported, punctured = de-inflated).", resp.Rollup),
@@ -836,13 +809,6 @@ func RenderStats(resp StatsResponse) string {
 		"punct mean", "p50", "p90", "p99",
 		">range r/p", "corr", "src r/l/f/g/n", "PSM act.")
 	f2 := func(f float64) string { return fmt.Sprintf("%.2f", f) }
-	capMS := float64(agg.DurationHistHi) / float64(time.Millisecond)
-	fp := func(tr TrackStats, v float64) string {
-		if tr.TailSaturated && v >= capMS {
-			return fmt.Sprintf("%.2f!", v)
-		}
-		return fmt.Sprintf("%.2f", v)
-	}
 	for _, c := range resp.Cells {
 		label := cellLabel(c.Key, resp.Rollup)
 		t.AddRow(label,
@@ -850,9 +816,9 @@ func RenderStats(resp StatsResponse) string {
 			fmt.Sprintf("%d", c.ProbesSent),
 			fmt.Sprintf("%.1f%%", c.LossRate*100),
 			fmt.Sprintf("%s±%s", f2(c.Raw.MeanMS), f2(c.Raw.StddevMS)),
-			fp(c.Raw, c.Raw.P50MS), fp(c.Raw, c.Raw.P90MS), fp(c.Raw, c.Raw.P99MS),
+			f2(c.Raw.P50MS), f2(c.Raw.P90MS), f2(c.Raw.P99MS),
 			f2(c.Punctured.MeanMS),
-			fp(c.Punctured, c.Punctured.P50MS), fp(c.Punctured, c.Punctured.P90MS), fp(c.Punctured, c.Punctured.P99MS),
+			f2(c.Punctured.P50MS), f2(c.Punctured.P90MS), f2(c.Punctured.P99MS),
 			fmt.Sprintf("%d/%d", c.Raw.HistOver, c.Punctured.HistOver),
 			f2(c.CorrectionMeanMS),
 			fmt.Sprintf("%d/%d/%d/%d/%d", c.ReportedSessions, c.LearnedSessions,

@@ -37,7 +37,7 @@ type Cell struct {
 	// histogram (0.5 ms bins to 500 ms, for CDF/table rendering), and a
 	// quantile sketch — the served percentile source, accurate past the
 	// histogram's range cap where cellular promotions and PSM sweeps
-	// land.
+	// land. All three count the same observations (see Validate).
 	Raw       agg.Moments `json:"raw"`
 	RawHist   *agg.Hist   `json:"raw_hist"`
 	RawSketch *agg.Sketch `json:"raw_sketch,omitempty"`
@@ -92,26 +92,27 @@ func newCell(k Key) *Cell {
 // reset turns a dead store-minted cell back into newCell(k)'s state,
 // keeping its histograms' bin arrays and its sketches' capacity.
 func (c *Cell) reset(k Key) {
-	rh, ph := c.RawHist, c.PuncturedHist
+	rh, ph, rs, ps := c.RawHist, c.PuncturedHist, c.RawSketch, c.PuncturedSketch
 	rh.Reset()
 	ph.Reset()
-	*c = Cell{
-		Key:             k,
-		RawHist:         rh,
-		PuncturedHist:   ph,
-		RawSketch:       resetSketch(c.RawSketch),
-		PuncturedSketch: resetSketch(c.PuncturedSketch),
-	}
+	rs.Reset(0)
+	ps.Reset(0)
+	*c = Cell{Key: k, RawHist: rh, PuncturedHist: ph, RawSketch: rs, PuncturedSketch: ps}
 }
 
-// resetSketch empties sk for reuse; a sketch a coverage-aware merge
-// dropped is replaced.
-func resetSketch(sk *agg.Sketch) *agg.Sketch {
-	if sk == nil {
-		return agg.NewSketch(0)
+// Validate enforces the coverage invariant on a cell built outside this
+// process (a gossip replica): in each of the raw and punctured tracks
+// the moments, histogram and sketch cover the same observations
+// (agg.CheckCoverage). Store-built cells hold it by construction, and
+// Merge and the stats readers assume it.
+func (c *Cell) Validate() error {
+	if err := agg.CheckCoverage(c.Raw.N, c.RawSketch, c.RawHist); err != nil {
+		return fmt.Errorf("ingest: cell %+v: raw track: %w", c.Key, err)
 	}
-	sk.Reset(0)
-	return sk
+	if err := agg.CheckCoverage(c.Punctured.N, c.PuncturedSketch, c.PuncturedHist); err != nil {
+		return fmt.Errorf("ingest: cell %+v: punctured track: %w", c.Key, err)
+	}
+	return nil
 }
 
 // foldScratch is a store shard's reusable fold workspace: the raw and
@@ -241,7 +242,9 @@ func (c *Cell) foldSketch(sk *agg.Sketch, corr time.Duration) {
 
 // Merge folds another cell's aggregates in (keys need not match; the
 // receiver keeps its own — this is what query-time rollups rely on).
-// On error (histogram geometry mismatch) the receiver is unchanged.
+// Both cells must hold the coverage invariant: store-built, or a
+// replica that passed Validate. On error (histogram geometry mismatch)
+// the receiver is unchanged.
 func (c *Cell) Merge(o *Cell) error {
 	if o == nil {
 		return nil
@@ -261,10 +264,8 @@ func (c *Cell) Merge(o *Cell) error {
 	c.ProbesSent += o.ProbesSent
 	c.ProbesLost += o.ProbesLost
 	c.BackgroundSent += o.BackgroundSent
-	// Coverage-aware: merging with a pre-sketch cell drops the sketch
-	// (capture the fold counts before the moments merge below).
-	agg.MergeSketches(&c.RawSketch, c.Raw.N, o.RawSketch, o.Raw.N)
-	agg.MergeSketches(&c.PuncturedSketch, c.Punctured.N, o.PuncturedSketch, o.Punctured.N)
+	c.RawSketch.Merge(o.RawSketch)
+	c.PuncturedSketch.Merge(o.PuncturedSketch)
 	c.Raw.Merge(o.Raw)
 	if err := c.RawHist.Merge(o.RawHist); err != nil {
 		return err

@@ -209,10 +209,15 @@ func (p *DeviceProfile) Merge(o *DeviceProfile) {
 		p.Chipset = o.Chipset
 	}
 	p.Epoch += o.Epoch
-	// Coverage-aware: merging with a sketch-free profile drops the
-	// sketch (capture the fold counts before the moments merge below) —
-	// a sketch that silently covered a subset would misreport quantiles.
-	agg.MergeSketches(&p.Corr, p.User.N, o.Corr, o.User.N)
+	// Both profiles hold the coverage invariant (see Validate), so a
+	// profile without a sketch has no attributions to merge.
+	switch {
+	case o.Corr == nil || o.Corr.Count == 0:
+	case p.Corr == nil:
+		p.Corr = o.Corr.Clone()
+	default:
+		p.Corr.Merge(o.Corr)
+	}
 	p.User.Merge(o.User)
 	p.SDIO.Merge(o.SDIO)
 	p.PSM.Merge(o.PSM)
@@ -227,7 +232,10 @@ func (p *DeviceProfile) Clone() DeviceProfile {
 
 // Validate rejects profiles that would poison the store: a calibrated
 // entry must satisfy the registry invariants, moment counts must be
-// consistent, and the sketch must be structurally valid.
+// consistent, and a profile with attributions must carry a valid
+// correction sketch covering every one (agg.CheckCoverage) — a profile
+// written before sketches existed is refused, not merged in degraded
+// form.
 func (p *DeviceProfile) Validate() error {
 	if p.Model == "" {
 		return fmt.Errorf("puncture: profile without model")
@@ -242,16 +250,10 @@ func (p *DeviceProfile) Validate() error {
 		return fmt.Errorf("puncture: %s: inconsistent overhead sample counts %d/%d/%d",
 			p.Model, p.User.N, p.SDIO.N, p.PSM.N)
 	}
-	if p.Corr != nil {
-		if err := p.Corr.Valid(); err != nil {
-			return fmt.Errorf("puncture: %s: %w", p.Model, err)
-		}
-		// A profile may legitimately have no sketch (dropped by a
-		// coverage-aware merge); a present sketch must cover every
-		// attribution.
-		if p.Corr.Count != p.User.N {
-			return fmt.Errorf("puncture: %s: correction sketch count %d != %d attribution sessions",
-				p.Model, p.Corr.Count, p.User.N)
+	// A calibration-only profile has no correction track.
+	if p.User.N > 0 || p.Corr != nil {
+		if err := agg.CheckCoverage(p.User.N, p.Corr); err != nil {
+			return fmt.Errorf("puncture: %s: correction_sketch: %w", p.Model, err)
 		}
 	}
 	if p.Epoch < 0 {

@@ -2,12 +2,16 @@ package puncture
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/agg"
 )
 
 // update is one knowledge-store event: an attribution fold or a
@@ -434,6 +438,48 @@ func TestCalEntryValidate(t *testing.T) {
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("accepted %+v", bad)
+		}
+	}
+}
+
+// TestReadSnapshotRefusesUncoveredCorrection: a profile with
+// attributions must carry a correction_sketch covering every one. A
+// profile written before sketches existed (no correction_sketch) or
+// whose sketch covers a subset is refused with an error naming the
+// model, instead of merging in with no correction quantiles.
+func TestReadSnapshotRefusesUncoveredCorrection(t *testing.T) {
+	ms := int64(time.Millisecond)
+	st := NewStore(0)
+	st.RecordAttribution("Phone P", "chip", 2*ms, ms, 0)
+	st.RecordAttribution("Phone P", "chip", 3*ms, ms, 0)
+	var buf bytes.Buffer
+	if err := st.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("store-written snapshot refused: %v", err)
+	}
+	subset := agg.NewSketch(0)
+	subset.Add(float64(3 * ms))
+	for name, corr := range map[string]*agg.Sketch{"pre-sketch": nil, "subset sketch": subset} {
+		snap, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Profiles[0].Corr = corr
+		blob, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "pre-sketch" && strings.Contains(string(blob), "correction_sketch") {
+			t.Fatalf("pre-sketch profile still carries a sketch: %s", blob)
+		}
+		_, err = ReadSnapshot(bytes.NewReader(blob))
+		if err == nil || !strings.Contains(err.Error(), "Phone P") {
+			t.Errorf("%s: ReadSnapshot = %v, want an error naming the model", name, err)
+		}
+		if err := NewStore(0).MergeSnapshot(snap); err == nil {
+			t.Errorf("%s: MergeSnapshot accepted the profile", name)
 		}
 	}
 }
