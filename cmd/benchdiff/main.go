@@ -34,7 +34,7 @@
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_6.json -current BENCH_new.json [-threshold 0.30]
+//	benchdiff -baseline bench-baseline.json -current BENCH_10.json [-threshold 0.30]
 package main
 
 import (

@@ -21,10 +21,13 @@
 package agg
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"time"
+
+	"repro/internal/wirebuf"
 )
 
 // Moments is a mergeable streaming accumulator for count, mean,
@@ -136,6 +139,30 @@ func (m Moments) Variance() float64 {
 // Stddev returns the sample standard deviation.
 func (m Moments) Stddev() float64 { return math.Sqrt(m.Variance()) }
 
+// AppendBinary appends the moments' binary form: uvarint N, then Mean,
+// M2, MinV and MaxV as 8-byte little-endian IEEE-754 bits.
+func (m Moments) AppendBinary(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(m.N))
+	for _, f := range [...]float64{m.Mean, m.M2, m.MinV, m.MaxV} {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+	}
+	return dst
+}
+
+// ReadBinary decodes one AppendBinary form off d into m.
+func (m *Moments) ReadBinary(d *wirebuf.Cursor) error {
+	var err error
+	if m.N, err = d.Uint63(); err != nil {
+		return err
+	}
+	for _, p := range [...]*float64{&m.Mean, &m.M2, &m.MinV, &m.MaxV} {
+		if *p, err = d.Float64(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // MeanDuration interprets the accumulator as nanosecond observations.
 func (m Moments) MeanDuration() time.Duration { return time.Duration(m.Mean) }
 
@@ -151,9 +178,8 @@ func (m Moments) MeanDuration() time.Duration { return time.Duration(m.Mean) }
 // span rather than the bin count. The span grows on demand,
 // geometrically toward the side that grows, and never past the
 // geometry, so a wide hot cell costs what a dense array would. Read
-// bins through Count (or Span, for codecs) and write them through the
-// methods; SetCount is the writer for decoders that rebuild a Hist bin
-// by bin. The zero value is a valid empty histogram with no bins.
+// bins through Count (or Span) and write them through the methods;
+// AppendBinary and ReadBinary are the sparse binary form. The zero value is a valid empty histogram with no bins.
 type Hist struct {
 	Lo    time.Duration
 	Hi    time.Duration
@@ -235,6 +261,96 @@ func (h *Hist) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// AppendBinary appends the histogram's sparse binary form: geometry,
+// out-of-range mass, then (bin-gap, count) pairs for the nonzero bins
+// only — a mostly-empty 1000-bin histogram costs a handful of bytes
+// instead of a kilobyte. Only the stored span is walked; every bin
+// outside it is zero.
+//
+//	varint lo, hi (zigzag) · uvarint bins · uvarint under, over
+//	uvarint nonzero-bin count · per bin: uvarint gap from the previous
+//	nonzero bin (the first from bin 0) · uvarint count
+func (h *Hist) AppendBinary(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, wirebuf.Zigzag(int64(h.Lo)))
+	dst = binary.AppendUvarint(dst, wirebuf.Zigzag(int64(h.Hi)))
+	dst = binary.AppendUvarint(dst, uint64(h.bins))
+	dst = binary.AppendUvarint(dst, uint64(h.Under))
+	dst = binary.AppendUvarint(dst, uint64(h.Over))
+	nnz := 0
+	for _, c := range h.counts {
+		if c != 0 {
+			nnz++
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(nnz))
+	prev := 0
+	for k, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		i := h.base + k
+		dst = binary.AppendUvarint(dst, uint64(i-prev))
+		dst = binary.AppendUvarint(dst, uint64(c))
+		prev = i
+	}
+	return dst
+}
+
+// ReadBinary decodes one AppendBinary form off d into the receiver,
+// replacing its mass. The encoded geometry must be the receiver's own —
+// a histogram of any other geometry could never merge with it — and is
+// refused before a single bin is read. The form carries no length
+// prefix (its container frames it), so it reads from the container's
+// cursor rather than from a buffer of its own.
+func (h *Hist) ReadBinary(d *wirebuf.Cursor) error {
+	lo, err := d.Varint()
+	if err != nil {
+		return err
+	}
+	hi, err := d.Varint()
+	if err != nil {
+		return err
+	}
+	nbins, err := d.Uvarint()
+	if err != nil {
+		return err
+	}
+	if time.Duration(lo) != h.Lo || time.Duration(hi) != h.Hi || nbins != uint64(h.bins) {
+		return fmt.Errorf("agg: histogram geometry [%d,%d)/%d does not match [%d,%d)/%d", lo, hi, nbins, h.Lo, h.Hi, h.bins)
+	}
+	h.Reset()
+	if h.Under, err = d.Uint63(); err != nil {
+		return err
+	}
+	if h.Over, err = d.Uint63(); err != nil {
+		return err
+	}
+	nnz, err := d.Count(h.bins)
+	if err != nil {
+		return err
+	}
+	bin := 0
+	for i := 0; i < nnz; i++ {
+		gap, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		cnt, err := d.Uint63()
+		if err != nil {
+			return err
+		}
+		if i > 0 && (gap == 0 || gap > uint64(h.bins)) {
+			return fmt.Errorf("agg: histogram bin gap %d out of order", gap)
+		}
+		bin += int(gap)
+		if bin < 0 || bin >= h.bins || cnt == 0 {
+			return fmt.Errorf("agg: histogram bin %d/count %d out of range", bin, cnt)
+		}
+		h.setCount(bin, cnt)
+	}
+	return nil
+}
+
 // Bins returns the geometry's bin count.
 func (h *Hist) Bins() int { return h.bins }
 
@@ -248,14 +364,15 @@ func (h *Hist) Count(i int) int64 {
 
 // Span returns the stored bins: counts[k] is bin base+k, and every bin
 // outside the span is zero. The slice is the Hist's own storage — read
-// it, never write it. The sparse codecs walk it instead of every bin.
+// it, never write it.
 func (h *Hist) Span() (base int, counts []int64) { return h.base, h.counts }
 
-// SetCount overwrites bin i's count — the writer for decoders that
-// rebuild a Hist bin by bin. It panics if i is outside the geometry.
-func (h *Hist) SetCount(i int, c int64) {
+// setCount overwrites bin i's count — the writer for the binary
+// decoder, which rebuilds a Hist bin by bin. It panics if i is outside
+// the geometry.
+func (h *Hist) setCount(i int, c int64) {
 	if uint(i) >= uint(h.bins) {
-		panic(fmt.Sprintf("agg: SetCount bin %d outside [0,%d)", i, h.bins))
+		panic(fmt.Sprintf("agg: setCount bin %d outside [0,%d)", i, h.bins))
 	}
 	j := i - h.base
 	if uint(j) >= uint(len(h.counts)) {

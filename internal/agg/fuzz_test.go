@@ -128,7 +128,7 @@ func FuzzSketchBatchFold(f *testing.F) {
 }
 
 // FuzzHistOps decodes a byte string into a sequence of Hist operations
-// over three slots — Add, AddN, AddMulti, SetCount, Merge in either
+// over three slots — Add, AddN, AddMulti, setCount, Merge in either
 // direction (self-merges and geometry mismatches included), Reset,
 // Clone, JSON decode into a used or a fresh Hist, and the zero value —
 // and applies each to the span-stored Hist and to the dense reference
@@ -216,9 +216,9 @@ func FuzzHistOps(f *testing.F) {
 				if h.Bins() == 0 {
 					continue
 				}
-				name = "SetCount"
+				name = "setCount"
 				i := (int(hi)<<8 | int(lo)) % h.Bins()
-				h.SetCount(i, int64(c))
+				h.setCount(i, int64(c))
 				d.counts[i] = int64(c)
 			case 4:
 				name = "Merge"

@@ -3,10 +3,13 @@ package agg
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/wirebuf"
 )
 
 // A Hist stores only the span of bins it has touched. These tests pin
@@ -162,7 +165,7 @@ func checkDense(t testing.TB, what string, h *Hist, d *denseHist) {
 
 // randomHist builds a standard-geometry Hist and its model one of six
 // ways: by Add, AddN or AddMulti; JSON decoded into a used or a fresh
-// Hist; or bin by bin through SetCount, as the gossip decoder does.
+// Hist; or bin by bin through setCount, as the binary decoder does.
 // Values are sparse — a few bins, sometimes none, and sometimes only
 // out-of-range mass — and land anywhere in the geometry, so merged
 // spans straddle each other.
@@ -208,7 +211,7 @@ func randomHist(rng *rand.Rand) (*Hist, *denseHist, string) {
 		h.Under, h.Over = d.under, d.over
 		for _, i := range rng.Perm(len(d.counts)) {
 			if c := d.counts[i]; c != 0 {
-				h.SetCount(i, c)
+				h.setCount(i, c)
 			}
 		}
 		return h, d, "setcount"
@@ -327,13 +330,13 @@ func TestHistZeroValue(t *testing.T) {
 // and writing zero inside it clears the bin.
 func TestHistSetCountZero(t *testing.T) {
 	h, d := NewDurationHist(), newDense(DurationHistBins)
-	h.SetCount(10, 0)
+	h.setCount(10, 0)
 	if _, span := h.Span(); span != nil {
-		t.Fatalf("SetCount(_, 0) on an empty Hist stored %d bins", len(span))
+		t.Fatalf("setCount(_, 0) on an empty Hist stored %d bins", len(span))
 	}
-	h.SetCount(10, 4)
-	h.SetCount(12, 2)
-	h.SetCount(10, 0)
+	h.setCount(10, 4)
+	h.setCount(12, 2)
+	h.setCount(10, 0)
 	d.counts[12] = 2
 	checkDense(t, "setcount", h, d)
 }
@@ -362,4 +365,115 @@ func TestHistJSONRejectsBadGeometry(t *testing.T) {
 		t.Fatalf("zero Hist wire form %s refused: %v", zero, err)
 	}
 	checkDense(t, "zero round trip", &h, &denseHist{})
+}
+
+// TestDecodedHistMergesLikeDense: the binary decoder rebuilds
+// histograms bin by bin through setCount, which grows the stored span
+// the Merge/N/Quantile loops walk. A decoded Hist merged in either
+// direction with a Hist written bin by bin across the whole geometry
+// must give exactly the dense result.
+func TestDecodedHistMergesLikeDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	denseCounts := func(h *Hist) []int64 {
+		out := make([]int64, h.Bins())
+		for i := range out {
+			out[i] = h.Count(i)
+		}
+		return out
+	}
+	dense := func(h *Hist) *Hist {
+		d := NewDurationHist()
+		d.Under, d.Over = h.Under, h.Over
+		for i := 0; i < h.Bins(); i++ {
+			d.setCount(i, h.Count(i))
+		}
+		return d
+	}
+	random := func() *Hist {
+		h := NewDurationHist()
+		for n := rng.Intn(5); n > 0; n-- {
+			h.AddN(time.Duration(rng.Int63n(int64(510*time.Millisecond)))-5*time.Millisecond, 1+rng.Int63n(3))
+		}
+		return h
+	}
+	for trial := 0; trial < 500; trial++ {
+		a, b := random(), random()
+		dec := NewDurationHist()
+		cur := wirebuf.NewCursor(a.AppendBinary(nil))
+		if err := dec.ReadBinary(&cur); err != nil {
+			t.Fatal(err)
+		}
+		if cur.Remaining() != 0 {
+			t.Fatalf("trial %d: %d bytes left after the hist", trial, cur.Remaining())
+		}
+		want := dense(a)
+		for i := 0; i < b.Bins(); i++ {
+			want.setCount(i, want.Count(i)+b.Count(i))
+		}
+		want.Under += b.Under
+		want.Over += b.Over
+
+		into := dense(b) // decoded merged into a dense Hist
+		if err := into.Merge(dec); err != nil {
+			t.Fatal(err)
+		}
+		from := dec.Clone() // a dense Hist merged into the decoded one
+		if err := from.Merge(dense(b)); err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []*Hist{into, from} {
+			if fmt.Sprint(denseCounts(got), got.Under, got.Over) != fmt.Sprint(denseCounts(want), want.Under, want.Over) {
+				t.Fatalf("trial %d: merged counts diverge from dense", trial)
+			}
+			if got.N() != want.N() {
+				t.Fatalf("trial %d: N = %d, want %d", trial, got.N(), want.N())
+			}
+			for _, q := range []float64{0.01, 0.5, 0.99} {
+				if got.Quantile(q) != want.Quantile(q) {
+					t.Fatalf("trial %d: Quantile(%v) = %v, want %v", trial, q, got.Quantile(q), want.Quantile(q))
+				}
+			}
+		}
+		if dec.N() != a.N() || dec.Quantile(0.5) != a.Quantile(0.5) {
+			t.Fatalf("trial %d: decoded hist answers differently from its source", trial)
+		}
+	}
+}
+
+// TestHistBinaryRefusesForeignGeometry: the decoder accepts only its
+// receiver's geometry and refuses any other before it stores a bin —
+// a hostile bin count cannot size the span — while truncated and
+// out-of-order forms fail cleanly.
+func TestHistBinaryRefusesForeignGeometry(t *testing.T) {
+	src := NewDurationHist()
+	src.AddMulti([]time.Duration{time.Millisecond, 40 * time.Millisecond, 2 * time.Second})
+	valid := src.AppendBinary(nil)
+	for name, h := range map[string]*Hist{
+		"bins-1<<30": NewHist(DurationHistLo, DurationHistHi, 1<<30),
+		"bins-999":   NewHist(DurationHistLo, DurationHistHi, DurationHistBins-1),
+		"hi":         NewHist(DurationHistLo, time.Second, DurationHistBins),
+		"lo":         NewHist(-time.Millisecond, DurationHistHi, DurationHistBins),
+	} {
+		// The receiver's geometry differs from the encoded one...
+		cur := wirebuf.NewCursor(valid)
+		if err := h.ReadBinary(&cur); err == nil {
+			t.Errorf("%s: foreign geometry accepted", name)
+		}
+		// ...and so does an encoded hostile geometry from the receiver's.
+		hostile := h.AppendBinary(nil)
+		dst := NewDurationHist()
+		cur = wirebuf.NewCursor(hostile)
+		if err := dst.ReadBinary(&cur); err == nil {
+			t.Errorf("%s: hostile encoded geometry accepted", name)
+		}
+		if _, span := dst.Span(); len(span) != 0 || dst.N() != 0 {
+			t.Errorf("%s: refused decode stored %d bins", name, len(span))
+		}
+	}
+	for i := 0; i < len(valid); i++ {
+		cur := wirebuf.NewCursor(valid[:i])
+		if err := NewDurationHist().ReadBinary(&cur); err == nil {
+			t.Fatalf("prefix of %d/%d bytes decoded cleanly", i, len(valid))
+		}
+	}
 }

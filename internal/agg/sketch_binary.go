@@ -2,14 +2,16 @@ package agg
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/wirebuf"
 )
 
 // Binary sketch wire form, the compact encoding a device-side collector
-// embeds in an ingest binary-batch frame (internal/ingest binwire). The
-// layout is versioned and length-independent — the container frames it:
+// embeds in an ingest binary-batch frame (internal/ingest binwire) and a
+// gossip cell carries (ACMG). The layout is versioned and
+// length-independent — the container frames it with AppendSketch:
 //
 //	byte    version (sketchBinaryVersion)
 //	8 bytes compression (IEEE-754 bits, little endian)
@@ -65,104 +67,80 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 // validity (sorted centroids, weight sums, finite extremes) is Valid's
 // job — wire-facing callers run both, exactly as on the JSON path.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
-	d := byteCursor{buf: data}
-	ver, err := d.byte()
+	d := wirebuf.NewCursor(data)
+	ver, err := d.Byte()
 	if err != nil {
 		return fmt.Errorf("agg: sketch binary: %w", err)
 	}
 	if ver != sketchBinaryVersion {
 		return fmt.Errorf("agg: sketch binary: unknown version %d", ver)
 	}
-	comp, err := d.float64()
+	comp, err := d.Float64()
 	if err != nil {
 		return fmt.Errorf("agg: sketch binary: compression: %w", err)
 	}
-	count, err := d.uvarint()
+	count, err := d.Uint63()
 	if err != nil {
 		return fmt.Errorf("agg: sketch binary: count: %w", err)
 	}
-	if count > math.MaxInt64 {
-		return errors.New("agg: sketch binary: count overflows int64")
-	}
-	out := Sketch{Compression: comp, Count: int64(count)}
+	out := Sketch{Compression: comp, Count: count}
 	if count > 0 {
-		if out.MinV, err = d.float64(); err != nil {
+		if out.MinV, err = d.Float64(); err != nil {
 			return fmt.Errorf("agg: sketch binary: min: %w", err)
 		}
-		if out.MaxV, err = d.float64(); err != nil {
+		if out.MaxV, err = d.Float64(); err != nil {
 			return fmt.Errorf("agg: sketch binary: max: %w", err)
 		}
 	}
-	n, err := d.uvarint()
+	n, err := d.Uvarint()
 	if err != nil {
 		return fmt.Errorf("agg: sketch binary: centroid count: %w", err)
 	}
 	// Each centroid needs ≥ 9 encoded bytes, so the remaining input
 	// bounds n tighter than the structural cap for small frames —
 	// checking both before allocating keeps a hostile header honest.
-	if n > uint64(maxBinaryCentroids) || n > uint64(d.remaining()/9) {
+	if n > uint64(maxBinaryCentroids) || n > uint64(d.Remaining()/9) {
 		return fmt.Errorf("agg: sketch binary: %d centroids exceeds cap", n)
 	}
 	if n > 0 {
 		out.Centroids = make([]Centroid, n)
 		for i := range out.Centroids {
-			mean, err := d.float64()
+			mean, err := d.Float64()
 			if err != nil {
 				return fmt.Errorf("agg: sketch binary: centroid %d mean: %w", i, err)
 			}
-			w, err := d.uvarint()
+			w, err := d.Uint63()
 			if err != nil {
 				return fmt.Errorf("agg: sketch binary: centroid %d weight: %w", i, err)
 			}
-			if w > math.MaxInt64 {
-				return fmt.Errorf("agg: sketch binary: centroid %d weight overflows int64", i)
-			}
-			out.Centroids[i] = Centroid{Mean: mean, Weight: int64(w)}
+			out.Centroids[i] = Centroid{Mean: mean, Weight: w}
 		}
 	}
-	if d.remaining() != 0 {
-		return fmt.Errorf("agg: sketch binary: %d trailing bytes", d.remaining())
+	if d.Remaining() != 0 {
+		return fmt.Errorf("agg: sketch binary: %d trailing bytes", d.Remaining())
 	}
 	*s = out
 	return nil
 }
 
-// errShortBuffer is the decode error for every truncated read; wire
-// containers map it to their own frame-corruption error.
-var errShortBuffer = errors.New("truncated input")
-
-// byteCursor is a bounds-checked reader over an in-memory buffer — the
-// allocation-free decode core under UnmarshalBinary.
-type byteCursor struct {
-	buf []byte
-	off int
+// AppendSketch appends sk's binary form with a uvarint length prefix —
+// the one way a container frame embeds a sketch.
+func AppendSketch(dst []byte, sk *Sketch) []byte {
+	blob := sk.AppendBinary(nil)
+	dst = binary.AppendUvarint(dst, uint64(len(blob)))
+	return append(dst, blob...)
 }
 
-func (d *byteCursor) remaining() int { return len(d.buf) - d.off }
-
-func (d *byteCursor) byte() (byte, error) {
-	if d.off >= len(d.buf) {
-		return 0, errShortBuffer
+// ReadSketch reads a sketch embedded by AppendSketch, refusing a length
+// prefix past MaxSketchBinaryBytes before it reads the blob.
+func ReadSketch(d *wirebuf.Cursor) (*Sketch, error) {
+	blob, err := d.Field(MaxSketchBinaryBytes)
+	if err != nil {
+		return nil, fmt.Errorf("agg: sketch: %w", err)
 	}
-	b := d.buf[d.off]
-	d.off++
-	return b, nil
-}
-
-func (d *byteCursor) float64() (float64, error) {
-	if d.remaining() < 8 {
-		return 0, errShortBuffer
+	sk := new(Sketch)
+	if err := sk.UnmarshalBinary(blob); err != nil {
+		return nil, err
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return v, nil
-}
-
-func (d *byteCursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, errShortBuffer
-	}
-	d.off += n
-	return v, nil
+	return sk, nil
 }

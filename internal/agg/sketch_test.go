@@ -325,9 +325,9 @@ func TestCheckCoverage(t *testing.T) {
 	wide := NewHist(0, time.Second, DurationHistBins)
 	wide.AddN(time.Millisecond, 32)
 	overflow := NewDurationHist()
-	overflow.SetCount(0, math.MaxInt64)
-	overflow.SetCount(1, math.MaxInt64)
-	overflow.SetCount(2, 34) // the int64 sum wraps to 32
+	overflow.setCount(0, math.MaxInt64)
+	overflow.setCount(1, math.MaxInt64)
+	overflow.setCount(2, 34) // the int64 sum wraps to 32
 	short := NewDurationHist()
 	short.AddN(time.Millisecond, 31)
 	for name, err := range map[string]error{

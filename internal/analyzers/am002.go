@@ -23,7 +23,8 @@ import (
 // `if n > maxX` cap-check idiom) or passing it to a *cap/check/valid/
 // budget/clamp* helper clears the taint. The analyzer is per-function
 // and deliberately conservative: cross-function taint is out of scope,
-// and the cursor-method names below are this project's decode helpers.
+// and the shared wire cursor's read methods (cursorMethods) are sources
+// wherever they are called.
 type AM002 struct{}
 
 func (AM002) Code() string { return "AM002" }
@@ -37,6 +38,7 @@ var am002Scope = []string{
 	"repro/internal/ingest",
 	"repro/internal/agg",
 	"repro/internal/cluster",
+	"repro/internal/wirebuf",
 }
 
 // wireReadFuncs are the encoding/binary readers whose results are
@@ -47,12 +49,15 @@ var wireReadFuncs = map[string]bool{
 	"Uint16": true, "Uint32": true, "Uint64": true,
 }
 
-// cursorMethods are this repo's bounds-checked cursor helpers (ingest
-// binwire binCursor, agg byteCursor, cluster gossipCursor); their
-// results come off the wire too. Methods match by name within the
-// package being checked.
+// cursorType names the one bounds-checked wire cursor every binary
+// decoder reads through (wirebuf.Cursor). Its cursorMethods results come
+// off the wire too, so a call to one is a taint source in every
+// in-scope package: methods match by receiver type, not by name, and a
+// decoder cannot drop out of the check by living in another package.
+const cursorType = "repro/internal/wirebuf.Cursor"
+
 var cursorMethods = map[string]bool{
-	"uvarint": true, "varint": true, "count": true, "str": true,
+	"Uvarint": true, "Varint": true, "Uint63": true, "Count": true, "Field": true,
 }
 
 // clearingCallRE matches helper names whose job is bounding a value;
@@ -135,7 +140,7 @@ func (st *taintState) sourceCall(call *ast.CallExpr) bool {
 			if strings.Contains(recv, "encoding/binary.") && wireReadFuncs[obj.Name()] {
 				return true
 			}
-			if obj.Pkg() != nil && obj.Pkg().Path() == st.pkg.Path && cursorMethods[obj.Name()] {
+			if cursorMethods[obj.Name()] && strings.TrimPrefix(recv, "*") == cursorType {
 				return true
 			}
 		}

@@ -134,7 +134,7 @@ func Load(dir string, patterns []string) (*Module, error) {
 // LoadDir type-checks a single directory of Go files outside the build
 // graph (a testdata fixture package) under an explicit import path, so
 // golden tests exercise exactly the scope rules production runs use.
-// The fixture may import the standard library only.
+// The fixture may import the standard library and this module's packages.
 func LoadDir(dir, asImportPath string) (*Module, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

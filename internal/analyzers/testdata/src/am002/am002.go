@@ -3,7 +3,11 @@
 // under a repro/internal/ingest import path so the scope rule applies.
 package am002fix
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"repro/internal/wirebuf"
+)
 
 const maxEntries = 1 << 16
 
@@ -64,6 +68,24 @@ type decodeError string
 func (e decodeError) Error() string { return string(e) }
 
 const errTooBig = decodeError("count exceeds budget")
+
+// DecodeCursor sizes an allocation by an unchecked read of the shared
+// wire cursor, a taint source from any in-scope package.
+func DecodeCursor(buf []byte) []uint64 {
+	d := wirebuf.NewCursor(buf)
+	n, _ := d.Uvarint()
+	return make([]uint64, n) // want "AM002: allocation sized by wire-read value n"
+}
+
+// DecodeCursorChecked is the same read after the cap check.
+func DecodeCursorChecked(buf []byte) []uint64 {
+	d := wirebuf.NewCursor(buf)
+	n, _ := d.Uvarint()
+	if n > maxEntries {
+		return nil
+	}
+	return make([]uint64, n)
+}
 
 // DecodeWaived keeps a deliberate unchecked allocation with a waiver.
 func DecodeWaived(buf []byte) []byte {

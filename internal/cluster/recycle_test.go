@@ -67,11 +67,11 @@ func TestRecycledCellGossipEncoding(t *testing.T) {
 			t.Fatalf("%s: no cell for y", what)
 			return nil
 		}
-		got, err := appendCell(nil, find(recycled))
+		got, err := ingest.AppendCell(nil, find(recycled))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := appendCell(nil, find(fresh))
+		want, err := ingest.AppendCell(nil, find(fresh))
 		if err != nil {
 			t.Fatal(err)
 		}

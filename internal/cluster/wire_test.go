@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"testing"
 	"time"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/ingest"
 	"repro/internal/puncture"
+	"repro/internal/wirebuf"
 )
 
 // testCells folds a small mixed workload into a store and returns its
@@ -164,9 +164,9 @@ func hostileGossipFrames(t testing.TB) map[string][]byte {
 	// header("n", "b", epoch 1) with given flags.
 	header := func(flags byte) []byte {
 		b := append([]byte("ACMG"), gossipWireVersion, flags)
-		b = appendString(b, "n")
-		b = appendString(b, "b")
-		return binary.AppendUvarint(b, zigzag(1))
+		b = wirebuf.AppendString(b, "n")
+		b = wirebuf.AppendString(b, "b")
+		return binary.AppendUvarint(b, wirebuf.Zigzag(1))
 	}
 	valid, err := AppendDelta(nil, testDelta(t))
 	if err != nil {
@@ -196,7 +196,7 @@ func hostileGossipFrames(t testing.TB) map[string][]byte {
 	// histogram nnz bomb: a real cell re-encoded with its sparse
 	// nonzero-bin count replaced by a bomb would shift every later
 	// byte; simplest hostile form is a cell payload that is just a
-	// huge nnz declaration — decodeCell fails in key() first, so
+	// huge nnz declaration — DecodeCell fails in ReadKey first, so
 	// instead craft a frame whose single cell payload length is valid
 	// but whose content is all 0xff (decodes as garbage lengths).
 	b = binary.AppendUvarint(header(0), 0)
@@ -206,12 +206,12 @@ func hostileGossipFrames(t testing.TB) map[string][]byte {
 	// knowledge length bomb: flagKnowledge set, epoch 0, 2^60-byte blob.
 	b = binary.AppendUvarint(header(flagKnowledge), 0)
 	b = binary.AppendUvarint(b, 0)
-	b = binary.AppendUvarint(b, zigzag(0))
+	b = binary.AppendUvarint(b, wirebuf.Zigzag(0))
 	frames["knowledge-len-bomb"] = append(b, maxUvarint...)
 	// knowledge blob that is not a valid snapshot.
 	b = binary.AppendUvarint(header(flagKnowledge), 0)
 	b = binary.AppendUvarint(b, 0)
-	b = binary.AppendUvarint(b, zigzag(0))
+	b = binary.AppendUvarint(b, wirebuf.Zigzag(0))
 	b = binary.AppendUvarint(b, 9)
 	frames["knowledge-garbage"] = append(b, []byte("{not json")...)
 	// oversized frame: over MaxGossipFrameBytes is rejected up front —
@@ -233,12 +233,12 @@ func hostileGossipFrames(t testing.TB) map[string][]byte {
 	// the two sketches.
 	c = coverageCell(t)
 	full := cellPayload(t, c)
-	tail := len(appendHist(nil, c.RawHist)) + len(appendHist(nil, c.PuncturedHist)) +
-		len(appendSketch(nil, c.RawSketch)) + len(appendSketch(nil, c.PuncturedSketch))
+	tail := len(c.RawHist.AppendBinary(nil)) + len(c.PuncturedHist.AppendBinary(nil)) +
+		len(agg.AppendSketch(nil, c.RawSketch)) + len(agg.AppendSketch(nil, c.PuncturedSketch))
 	noHists := append([]byte{}, full[:len(full)-tail-1]...)
 	noHists = append(noHists, 0x0C)
-	noHists = appendSketch(noHists, c.RawSketch)
-	noHists = appendSketch(noHists, c.PuncturedSketch)
+	noHists = agg.AppendSketch(noHists, c.RawSketch)
+	noHists = agg.AppendSketch(noHists, c.PuncturedSketch)
 	frames["cell-no-hists"] = cellFrame(noHists)
 	// A raw sketch covering 1 of the cell's 32 observations.
 	c = coverageCell(t)
@@ -265,7 +265,7 @@ func coverageCell(t testing.TB) *ingest.Cell {
 
 func cellPayload(t testing.TB, c *ingest.Cell) []byte {
 	t.Helper()
-	payload, err := appendCell(nil, c)
+	payload, err := ingest.AppendCell(nil, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestHostileGossipFramesRejected(t *testing.T) {
 		}
 	}
 	// The cap sentinel error is used for declared-length violations.
-	if _, err := DecodeDelta(hostileGossipFrames(t)["removal-count-bomb"]); !errors.Is(err, ErrFrameTooBig) {
+	if _, err := DecodeDelta(hostileGossipFrames(t)["removal-count-bomb"]); !errors.Is(err, wirebuf.ErrFrameTooBig) {
 		t.Errorf("removal-count-bomb: want ErrFrameTooBig, got %v", err)
 	}
 }
@@ -381,75 +381,6 @@ func FuzzDecodeGossipDelta(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestDecodedHistMergesLikeDense: the ACMG decoder rebuilds histograms
-// bin by bin through agg.Hist.SetCount, which grows the stored span
-// the Merge/N/Quantile loops walk. A decoded Hist merged in either
-// direction with a Hist written bin by bin across the whole geometry
-// must give exactly the dense result.
-func TestDecodedHistMergesLikeDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	denseCounts := func(h *agg.Hist) []int64 {
-		out := make([]int64, h.Bins())
-		for i := range out {
-			out[i] = h.Count(i)
-		}
-		return out
-	}
-	dense := func(h *agg.Hist) *agg.Hist {
-		d := agg.NewDurationHist()
-		d.Under, d.Over = h.Under, h.Over
-		for i := 0; i < h.Bins(); i++ {
-			d.SetCount(i, h.Count(i))
-		}
-		return d
-	}
-	random := func() *agg.Hist {
-		h := agg.NewDurationHist()
-		for n := rng.Intn(5); n > 0; n-- {
-			h.AddN(time.Duration(rng.Int63n(int64(510*time.Millisecond)))-5*time.Millisecond, 1+rng.Int63n(3))
-		}
-		return h
-	}
-	for trial := 0; trial < 500; trial++ {
-		a, b := random(), random()
-		dec, err := (&gossipCursor{buf: appendHist(nil, a)}).hist()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := dense(a)
-		for i := 0; i < b.Bins(); i++ {
-			want.SetCount(i, want.Count(i)+b.Count(i))
-		}
-		want.Under += b.Under
-		want.Over += b.Over
-
-		into := dense(b) // decoded merged into a dense Hist
-		if err := into.Merge(dec); err != nil {
-			t.Fatal(err)
-		}
-		from := dec.Clone() // a dense Hist merged into the decoded one
-		if err := from.Merge(dense(b)); err != nil {
-			t.Fatal(err)
-		}
-		for _, got := range []*agg.Hist{into, from} {
-			if fmt.Sprint(denseCounts(got), got.Under, got.Over) != fmt.Sprint(denseCounts(want), want.Under, want.Over) {
-				t.Fatalf("trial %d: merged counts diverge from dense", trial)
-			}
-			if got.N() != want.N() {
-				t.Fatalf("trial %d: N = %d, want %d", trial, got.N(), want.N())
-			}
-			for _, q := range []float64{0.01, 0.5, 0.99} {
-				if got.Quantile(q) != want.Quantile(q) {
-					t.Fatalf("trial %d: Quantile(%v) = %v, want %v", trial, q, got.Quantile(q), want.Quantile(q))
-				}
-			}
-		}
-		if dec.N() != a.N() || dec.Quantile(0.5) != a.Quantile(0.5) {
-			t.Fatalf("trial %d: decoded hist answers differently from its source", trial)
-		}
-	}
 }
 
 // goldenDelta is testDelta plus cells whose histograms reach both ends

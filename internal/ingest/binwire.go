@@ -6,9 +6,10 @@ package ingest
 // order of magnitude more CPU per summary than the data warrants. This
 // file defines the compact framed alternative a device-side collector
 // ships when bandwidth and server CPU matter, plus its decoder — a
-// hand-rolled parser facing untrusted input, so every declared length
-// is checked against a hard cap and against the bytes actually present
-// BEFORE anything is allocated, and decode buffers are pooled so the
+// hand-rolled parser facing untrusted input that reads each payload
+// through wirebuf.Cursor, so every declared length is checked against a
+// hard cap and against the bytes actually present BEFORE anything is
+// allocated, and decode buffers are pooled so the
 // hot path allocates only what the decoded summaries themselves retain.
 //
 // Frame layout (all integers varint unless noted; see README "Wire
@@ -21,7 +22,7 @@ package ingest
 //	  uvarint payload length (≤ MaxBinarySummaryBytes)
 //	  payload:
 //	    1 byte flags (layers_ok | psm_active | calibrated | sketch | rtts)
-//	    4 × string: uvarint length (≤ maxKeyLen) + bytes
+//	    4 × string: uvarint length (≤ MaxKeyLen) + bytes
 //	             (device, chipset, group, scenario)
 //	    varint  time_ms (zigzag)
 //	    uvarint sent, lost, background_sent
@@ -30,8 +31,8 @@ package ingest
 //	    if layers_ok: varint user, sdio, psm overhead ns (zigzag)
 //	    if rtts: uvarint n (≤ maxRTTsPerSummary), uvarint rtts[0],
 //	             then n−1 × varint delta rtts[i]−rtts[i−1] (zigzag)
-//	    if sketch: uvarint length (≤ agg.MaxSketchBinaryBytes) +
-//	               agg.Sketch binary form
+//	    if sketch: agg.AppendSketch form — uvarint length
+//	               (≤ agg.MaxSketchBinaryBytes) + agg.Sketch binary form
 //
 // RTTs are delta-coded because successive probe RTTs of one session sit
 // within a few ms of each other: the deltas fit 1–3 varint bytes where
@@ -50,6 +51,7 @@ import (
 	"sync"
 
 	"repro/internal/agg"
+	"repro/internal/wirebuf"
 )
 
 // BinaryContentType is the Content-Type a device posts binary batches
@@ -75,11 +77,6 @@ var binMagic = [4]byte{'A', 'C', 'M', 'B'}
 // stays under it, so the cap only ever rejects hostile frames, and a
 // frame can never make the decoder allocate more than this per summary.
 const MaxBinarySummaryBytes = 1 << 20
-
-// ErrFrameTooBig tags decode failures caused by a declared length
-// exceeding its cap — the "hostile frame" rejection distinct from plain
-// corruption, surfaced in tests and useful to callers that count them.
-var ErrFrameTooBig = errors.New("ingest: binary frame exceeds cap")
 
 // payloadPool recycles the per-summary payload read buffer: decode
 // copies strings and RTTs out into the summary, so the scratch buffer
@@ -129,6 +126,17 @@ func (a *binAlloc) str(b []byte) string {
 	return s
 }
 
+// key reads one length-prefixed key field, capped at MaxKeyLen before
+// the copy (key fields mint store cells, so their cap is enforced at
+// the wire even before Validate sees the summary), and interns it.
+func (a *binAlloc) key(d *wirebuf.Cursor) (string, error) {
+	b, err := d.Field(MaxKeyLen)
+	if err != nil {
+		return "", err
+	}
+	return a.str(b), nil
+}
+
 // int64s carves an exactly-sized slice out of the current block,
 // minting a new block when the remainder is short.
 func (a *binAlloc) int64s(n int) []int64 {
@@ -143,11 +151,6 @@ func (a *binAlloc) int64s(n int) []int64 {
 	a.arena = a.arena[n:]
 	return out
 }
-
-// zigzag maps signed to unsigned so small-magnitude negatives stay
-// short varints; unzigzag inverts it.
-func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // AppendBinarySummary appends one summary's frame (length prefix +
 // payload) to dst. The device-side encoder is deliberately allocation-
@@ -179,36 +182,33 @@ func AppendBinarySummary(dst []byte, s *Summary) ([]byte, error) {
 	p := (*payload)[:0]
 	p = append(p, flags)
 	for _, key := range [...]string{s.Device, s.Chipset, s.Group, s.Scenario} {
-		p = binary.AppendUvarint(p, uint64(len(key)))
-		p = append(p, key...)
+		p = wirebuf.AppendString(p, key)
 	}
-	p = binary.AppendUvarint(p, zigzag(s.TimeMS))
+	p = binary.AppendUvarint(p, wirebuf.Zigzag(s.TimeMS))
 	p = binary.AppendUvarint(p, uint64(s.Sent))
 	p = binary.AppendUvarint(p, uint64(s.Lost))
 	p = binary.AppendUvarint(p, uint64(s.BackgroundSent))
 	p = binary.AppendUvarint(p, uint64(s.EmulatedRTTNS))
 	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(s.Inflation))
 	if s.LayersOK {
-		p = binary.AppendUvarint(p, zigzag(s.UserOverheadNS))
-		p = binary.AppendUvarint(p, zigzag(s.SDIOOverheadNS))
-		p = binary.AppendUvarint(p, zigzag(s.PSMInflationNS))
+		p = binary.AppendUvarint(p, wirebuf.Zigzag(s.UserOverheadNS))
+		p = binary.AppendUvarint(p, wirebuf.Zigzag(s.SDIOOverheadNS))
+		p = binary.AppendUvarint(p, wirebuf.Zigzag(s.PSMInflationNS))
 	}
 	if len(s.RTTs) > 0 {
 		p = binary.AppendUvarint(p, uint64(len(s.RTTs)))
 		p = binary.AppendUvarint(p, uint64(s.RTTs[0]))
 		for i := 1; i < len(s.RTTs); i++ {
-			p = binary.AppendUvarint(p, zigzag(s.RTTs[i]-s.RTTs[i-1]))
+			p = binary.AppendUvarint(p, wirebuf.Zigzag(s.RTTs[i]-s.RTTs[i-1]))
 		}
 	}
 	if s.Sketch != nil {
-		blob := s.Sketch.AppendBinary(nil)
-		p = binary.AppendUvarint(p, uint64(len(blob)))
-		p = append(p, blob...)
+		p = agg.AppendSketch(p, s.Sketch)
 	}
 
 	var err error
 	if len(p) > MaxBinarySummaryBytes {
-		err = fmt.Errorf("%w: encoded summary is %d bytes", ErrFrameTooBig, len(p))
+		err = fmt.Errorf("%w: encoded summary is %d bytes", wirebuf.ErrFrameTooBig, len(p))
 	} else {
 		dst = binary.AppendUvarint(dst, uint64(len(p)))
 		dst = append(dst, p...)
@@ -257,7 +257,7 @@ type budgetReader struct {
 
 func (b *budgetReader) Read(p []byte) (int, error) {
 	if b.n <= 0 {
-		return 0, ErrFrameTooBig
+		return 0, wirebuf.ErrFrameTooBig
 	}
 	if int64(len(p)) > b.n {
 		p = p[:b.n]
@@ -297,7 +297,7 @@ func DecodeBinaryBatch(r io.Reader, maxSummaries int, maxBytes int64) ([]Summary
 	// an exhausted budget at this probe is indistinguishable from (and as
 	// acceptable as) a clean EOF — the cap's job, bounding consumption,
 	// is already done.
-	if _, err := br.ReadByte(); err != io.EOF && err != ErrFrameTooBig {
+	if _, err := br.ReadByte(); err != io.EOF && err != wirebuf.ErrFrameTooBig {
 		return nil, errors.New("ingest: binary batch: trailing data after declared count")
 	}
 	return out, nil
@@ -357,7 +357,7 @@ func readBinaryBatch(br *bufio.Reader, maxSummaries int) ([]Summary, error) {
 			return nil, fmt.Errorf("ingest: batch record %d: length: %w", i+1, noEOF(err))
 		}
 		if plen > MaxBinarySummaryBytes {
-			return nil, fmt.Errorf("ingest: batch record %d: %w: %d bytes", i+1, ErrFrameTooBig, plen)
+			return nil, fmt.Errorf("ingest: batch record %d: %w: %d bytes", i+1, wirebuf.ErrFrameTooBig, plen)
 		}
 		if uint64(cap(*payload)) < plen {
 			*payload = make([]byte, plen)
@@ -387,86 +387,27 @@ func noEOF(err error) error {
 	return err
 }
 
-// binCursor walks one summary payload with bounds checks on every read.
-type binCursor struct {
-	buf []byte
-	off int
-	al  *binAlloc
-}
-
-func (d *binCursor) remaining() int { return len(d.buf) - d.off }
-
-func (d *binCursor) byte() (byte, error) {
-	if d.off >= len(d.buf) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b, nil
-}
-
-func (d *binCursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *binCursor) varint() (int64, error) {
-	u, err := d.uvarint()
-	return unzigzag(u), err
-}
-
-func (d *binCursor) float64() (float64, error) {
-	if d.remaining() < 8 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return v, nil
-}
-
-// str reads a length-prefixed string, capped at maxKeyLen before the
-// copy — key fields mint store cells, so their length cap is enforced
-// at the wire even before Validate sees the summary.
-func (d *binCursor) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxKeyLen {
-		return "", fmt.Errorf("%w: key field of %d bytes", ErrFrameTooBig, n)
-	}
-	if int(n) > d.remaining() {
-		return "", io.ErrUnexpectedEOF
-	}
-	s := d.al.str(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-// count reads a non-negative counter, capped so it can round-trip
+// counter reads a non-negative counter, capped so it can round-trip
 // through the int fields Validate range-checks.
-func (d *binCursor) count() (int, error) {
-	v, err := d.uvarint()
+func counter(d *wirebuf.Cursor) (int, error) {
+	v, err := d.Uvarint()
 	if err != nil {
 		return 0, err
 	}
 	if v > math.MaxInt32 {
-		return 0, fmt.Errorf("%w: counter %d", ErrFrameTooBig, v)
+		return 0, fmt.Errorf("%w: counter %d", wirebuf.ErrFrameTooBig, v)
 	}
 	return int(v), nil
 }
 
 // decodeBinarySummary parses one payload into s. Allocation discipline:
-// the only allocations are the strings, the exactly-sized RTT slice
-// (its count capped both structurally and by the bytes present), and
-// the sketch (its own decoder enforces the centroid caps).
+// the only allocations are the strings (interned through al), the
+// exactly-sized RTT slice (its count capped both structurally and by
+// the bytes present), and the sketch (its own decoder enforces the
+// centroid caps).
 func decodeBinarySummary(buf []byte, s *Summary, al *binAlloc) error {
-	d := binCursor{buf: buf, al: al}
-	flags, err := d.byte()
+	d := wirebuf.NewCursor(buf)
+	flags, err := d.Byte()
 	if err != nil {
 		return err
 	}
@@ -477,73 +418,63 @@ func decodeBinarySummary(buf []byte, s *Summary, al *binAlloc) error {
 	s.PSMActive = flags&flagPSMActive != 0
 	s.Calibrated = flags&flagCalibrate != 0
 
-	if s.Device, err = d.str(); err != nil {
+	if s.Device, err = al.key(&d); err != nil {
 		return fmt.Errorf("device: %w", err)
 	}
-	if s.Chipset, err = d.str(); err != nil {
+	if s.Chipset, err = al.key(&d); err != nil {
 		return fmt.Errorf("chipset: %w", err)
 	}
-	if s.Group, err = d.str(); err != nil {
+	if s.Group, err = al.key(&d); err != nil {
 		return fmt.Errorf("group: %w", err)
 	}
-	if s.Scenario, err = d.str(); err != nil {
+	if s.Scenario, err = al.key(&d); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
-	if s.TimeMS, err = d.varint(); err != nil {
+	if s.TimeMS, err = d.Varint(); err != nil {
 		return fmt.Errorf("time_ms: %w", err)
 	}
-	if s.Sent, err = d.count(); err != nil {
+	if s.Sent, err = counter(&d); err != nil {
 		return fmt.Errorf("sent: %w", err)
 	}
-	if s.Lost, err = d.count(); err != nil {
+	if s.Lost, err = counter(&d); err != nil {
 		return fmt.Errorf("lost: %w", err)
 	}
-	if s.BackgroundSent, err = d.count(); err != nil {
+	if s.BackgroundSent, err = counter(&d); err != nil {
 		return fmt.Errorf("background_sent: %w", err)
 	}
-	ern, err := d.uvarint()
-	if err != nil {
+	if s.EmulatedRTTNS, err = d.Uint63(); err != nil {
 		return fmt.Errorf("emulated_rtt_ns: %w", err)
 	}
-	if ern > math.MaxInt64 {
-		return fmt.Errorf("%w: emulated RTT", ErrFrameTooBig)
-	}
-	s.EmulatedRTTNS = int64(ern)
-	if s.Inflation, err = d.float64(); err != nil {
+	if s.Inflation, err = d.Float64(); err != nil {
 		return fmt.Errorf("inflation: %w", err)
 	}
 	if s.LayersOK {
-		if s.UserOverheadNS, err = d.varint(); err != nil {
+		if s.UserOverheadNS, err = d.Varint(); err != nil {
 			return fmt.Errorf("user_overhead_ns: %w", err)
 		}
-		if s.SDIOOverheadNS, err = d.varint(); err != nil {
+		if s.SDIOOverheadNS, err = d.Varint(); err != nil {
 			return fmt.Errorf("sdio_overhead_ns: %w", err)
 		}
-		if s.PSMInflationNS, err = d.varint(); err != nil {
+		if s.PSMInflationNS, err = d.Varint(); err != nil {
 			return fmt.Errorf("psm_inflation_ns: %w", err)
 		}
 	}
 	if flags&flagRTTs != 0 {
-		n, err := d.uvarint()
+		n, err := d.Uvarint()
 		if err != nil {
 			return fmt.Errorf("rtt count: %w", err)
 		}
 		// Structural cap AND bytes-present cap (each delta is ≥ 1 byte)
 		// before the slice exists.
-		if n == 0 || n > maxRTTsPerSummary || n > uint64(d.remaining()) {
-			return fmt.Errorf("%w: %d RTTs", ErrFrameTooBig, n)
+		if n == 0 || n > maxRTTsPerSummary || n > uint64(d.Remaining()) {
+			return fmt.Errorf("%w: %d RTTs", wirebuf.ErrFrameTooBig, n)
 		}
-		rtts := d.al.int64s(int(n))
-		first, err := d.uvarint()
-		if err != nil {
+		rtts := al.int64s(int(n))
+		if rtts[0], err = d.Uint63(); err != nil {
 			return fmt.Errorf("rtt[0]: %w", err)
 		}
-		if first > math.MaxInt64 {
-			return fmt.Errorf("%w: rtt[0]", ErrFrameTooBig)
-		}
-		rtts[0] = int64(first)
 		for i := 1; i < int(n); i++ {
-			delta, err := d.varint()
+			delta, err := d.Varint()
 			if err != nil {
 				return fmt.Errorf("rtt[%d]: %w", i, err)
 			}
@@ -552,25 +483,12 @@ func decodeBinarySummary(buf []byte, s *Summary, al *binAlloc) error {
 		s.RTTs = rtts
 	}
 	if flags&flagSketch != 0 {
-		blen, err := d.uvarint()
-		if err != nil {
-			return fmt.Errorf("sketch length: %w", err)
-		}
-		if blen > agg.MaxSketchBinaryBytes {
-			return fmt.Errorf("%w: sketch of %d bytes", ErrFrameTooBig, blen)
-		}
-		if int(blen) > d.remaining() {
-			return fmt.Errorf("sketch: %w", io.ErrUnexpectedEOF)
-		}
-		sk := new(agg.Sketch)
-		if err := sk.UnmarshalBinary(d.buf[d.off : d.off+int(blen)]); err != nil {
+		if s.Sketch, err = agg.ReadSketch(&d); err != nil {
 			return err
 		}
-		d.off += int(blen)
-		s.Sketch = sk
 	}
-	if d.remaining() != 0 {
-		return fmt.Errorf("ingest: binary summary: %d trailing bytes", d.remaining())
+	if d.Remaining() != 0 {
+		return fmt.Errorf("ingest: binary summary: %d trailing bytes", d.Remaining())
 	}
 	return nil
 }

@@ -2,7 +2,9 @@ package ingest
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -298,5 +300,55 @@ func TestBinarySketchSummaryWire(t *testing.T) {
 	jlen := len(canonJSON(t, batch))
 	if bin.Len() >= jlen {
 		t.Fatalf("binary sketch frame (%d B) not smaller than JSON (%d B)", bin.Len(), jlen)
+	}
+}
+
+// goldenBatch is a fixed ACMB batch that sets every payload flag and
+// reaches the edges of the layout: a negative RTT delta, negative
+// overheads under layers_ok, psm_active and calibrated, a sketch
+// carrier, a counters-only record, and a key at the 200-byte cap.
+func goldenBatch() []Summary {
+	ms := int64(time.Millisecond)
+	sk := agg.NewSketch(0)
+	for i := 0; i < 40; i++ {
+		sk.AddDuration(time.Duration(20*ms + int64(i*i)*ms/3))
+	}
+	return []Summary{
+		{
+			Device: strings.Repeat("k", 200), Chipset: "BCM4339", Group: "wifi-golden", Scenario: "walk",
+			TimeMS: 1_700_000_000_123, Sent: 6, Lost: 1, BackgroundSent: 3,
+			RTTs:          []int64{30 * ms, 28 * ms, 41*ms + 7, 27 * ms, 27 * ms},
+			EmulatedRTTNS: 30 * ms, Inflation: 1.25,
+			LayersOK: true, UserOverheadNS: -ms / 4, SDIOOverheadNS: 3 * ms / 2, PSMInflationNS: -1000,
+			PSMActive: true, Calibrated: true,
+		},
+		{Device: "Phone S", Group: "wifi-golden", TimeMS: 1_700_000_000_456, Sent: 40, PSMActive: true, Sketch: sk},
+		{Device: "Phone C", Sent: 2, Lost: 2},
+	}
+}
+
+// TestBinaryBatchGolden pins the ACMB bytes of goldenBatch: a change
+// to the binary summary codec must not move the wire form, and a
+// decoded batch re-encodes to the same bytes. The digest was recorded
+// before the codec moved onto the shared wire cursor.
+func TestBinaryBatchGolden(t *testing.T) {
+	const want = "6b33b5e7d0defd4277c8fa3fddeb6db70c0adb4dc424b5cbaa5f25f80959e1b0"
+	frame, err := AppendBinaryBatch(nil, goldenBatch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(frame)); got != want {
+		t.Errorf("ACMB batch digest %s, want %s", got, want)
+	}
+	back, err := DecodeBinaryBatch(bytes.NewReader(frame), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := AppendBinaryBatch(nil, back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, frame) {
+		t.Error("decoded batch re-encodes to different bytes")
 	}
 }

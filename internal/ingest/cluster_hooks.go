@@ -75,9 +75,7 @@ func (s *Server) Handle(pattern string, h http.Handler) {
 // changed outside a fold — the cluster layer calls it after merging a
 // peer delta so fleet changes stream like local ones.
 func (s *Server) PokeStream() {
-	if s.bcast != nil {
-		s.bcast.poke()
-	}
+	s.bcast.poke()
 }
 
 // Draining reports whether Shutdown has begun — cluster handlers use

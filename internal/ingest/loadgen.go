@@ -351,7 +351,7 @@ func (lg *LoadGen) ReplayReport(ctx context.Context, rep *fleet.Report) (int, er
 		// rather than materializing every reconstructed RTT at once.
 		flat := g.DuSketch.Clone()
 		flat.Flush()
-		cur := &sketchCursor{cs: flat.Centroids}
+		cur := &sketchSample{cs: flat.Centroids}
 		total := int(g.Du.N)
 		sent, lost, bg := int(g.ProbesSent), int(g.ProbesLost), int(g.BackgroundSent)
 		batch := make([]Summary, 0, lg.BatchSize)
@@ -498,10 +498,10 @@ func (lg *LoadGen) Churn(ctx context.Context, spec ChurnSpec) (int, error) {
 	return posted, nil
 }
 
-// sketchCursor streams a sketch's reconstructed sample in order: each
+// sketchSample streams a sketch's reconstructed sample in order: each
 // centroid emits Weight copies of its mean, so replayed heavy-tail
 // reports keep their real upper percentiles.
-type sketchCursor struct {
+type sketchSample struct {
 	cs      []agg.Centroid
 	idx     int
 	emitted int64
@@ -509,7 +509,7 @@ type sketchCursor struct {
 
 // take returns the next n reconstructed samples (fewer only if the
 // sketch is exhausted).
-func (c *sketchCursor) take(n int) []int64 {
+func (c *sketchSample) take(n int) []int64 {
 	out := make([]int64, 0, n)
 	for len(out) < n && c.idx < len(c.cs) {
 		ct := c.cs[c.idx]

@@ -294,8 +294,6 @@ func (s *Server) foldLoop(i int) {
 		s.metrics.FoldJobs.Add(1)
 		// One poke per drained job, not per summary — the broadcaster
 		// coalesces anyway, this just keeps the hot loop cheap.
-		if s.bcast != nil {
-			s.bcast.poke()
-		}
+		s.bcast.poke()
 	}
 }

@@ -171,8 +171,7 @@ type Server struct {
 	pipes   []chan pipeJob
 	credits chan struct{}
 	// bcast fans fold/compaction activity out to /v1/stream
-	// subscribers. Nil on hand-built test servers — every use is
-	// nil-guarded.
+	// subscribers.
 	bcast *broadcaster
 	ln    net.Listener
 	http  *http.Server
@@ -328,7 +327,7 @@ func (s *Server) janitor(window, retention time.Duration) {
 			cells, _ := s.store.Compact(now.Add(-retention).UnixMilli())
 			cells += s.store.EnforceCap(now.UnixMilli())
 			s.metrics.CompactionCycles.Add(1)
-			if cells > 0 && s.bcast != nil {
+			if cells > 0 {
 				s.bcast.poke()
 			}
 		case <-s.janitorStop:
@@ -420,10 +419,10 @@ func (s *Server) MetricsSnapshot() map[string]int64 {
 		"rollup_merge_errors": s.store.RollupErrors(),
 		"compaction_cycles":   s.metrics.CompactionCycles.Load(),
 		"stream_events":       s.metrics.StreamEvents.Load(),
-		"stream_coalesced":    s.streamCoalesced(),
+		"stream_coalesced":    s.bcast.coalesced.Load(),
 		"stream_dropped":      s.metrics.StreamDropped.Load(),
 		"stream_rejected":     s.metrics.StreamRejected.Load(),
-		"stream_subscribers":  s.streamSubscribers(),
+		"stream_subscribers":  s.bcast.count(),
 		// Knowledge-store accounting: learned profiles live in the
 		// store, mints refused at the model cap are counted, not
 		// silently dropped.
@@ -439,22 +438,6 @@ func (s *Server) MetricsSnapshot() map[string]int64 {
 		}
 	}
 	return m
-}
-
-// streamSubscribers / streamCoalesced tolerate a nil broadcaster
-// (hand-built test servers never start one).
-func (s *Server) streamSubscribers() int64 {
-	if s.bcast == nil {
-		return 0
-	}
-	return s.bcast.count()
-}
-
-func (s *Server) streamCoalesced() int64 {
-	if s.bcast == nil {
-		return 0
-	}
-	return s.bcast.coalesced.Load()
 }
 
 // Shutdown drains gracefully: stop accepting, let in-flight handlers
@@ -476,9 +459,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// connections open forever, so Shutdown would wait on them until its
 	// context expired. The drain signal makes each handler flush its
 	// final deltas, emit a drain event, and return.
-	if s.bcast != nil {
-		s.bcast.shutdown()
-	}
+	s.bcast.shutdown()
 	// Stop the raw TCP wire first: close the listener, then force-close
 	// live connections — their frame loops observe draining (answering
 	// busy) or error out of the blocked read; either way they exit, and
@@ -986,7 +967,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"max_cells":    s.store.MaxCells(),
 		"rollup_cells": s.store.RollupCells(),
 		"rollup_ms":    s.store.RollupWindow(),
-		"subscribers":  s.streamSubscribers(),
+		"subscribers":  s.bcast.count(),
 		"counters":     s.MetricsSnapshot(),
 	}
 	// Clustered servers report per-peer liveness and last-merge epochs,

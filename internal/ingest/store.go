@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/wirebuf"
 )
 
 // Key identifies one aggregation cell: a device model in a scenario arm
@@ -113,6 +115,138 @@ func (c *Cell) Validate() error {
 		return fmt.Errorf("ingest: cell %+v: punctured track: %w", c.Key, err)
 	}
 	return nil
+}
+
+// Cell binary form: the payload an ACMG gossip frame carries per cell
+// (internal/cluster frames it with a length prefix), decoded with the
+// same discipline as the ACMB summary wire. Layout:
+//
+//	key (AppendKey) · span_ms (zigzag) · 11 counters (uvarint, in
+//	counters() order) · 7 moments (agg.Moments.AppendBinary, in
+//	moments() order) · track-flags byte (cellTracks) · raw and punctured
+//	histograms (agg.Hist.AppendBinary) · raw and punctured sketches
+//	(agg.AppendSketch)
+
+// cellTracks is a cell payload's track-flags byte: one bit each for the
+// raw and punctured histograms and sketches. Every cell carries all four
+// tracks, so the byte is fixed, and a payload with any other value is
+// refused.
+const cellTracks = 0x0F
+
+// counters lists the cell's session and probe counters in wire order.
+func (c *Cell) counters() [11]*int64 {
+	return [...]*int64{&c.Sessions, &c.ProbesSent, &c.ProbesLost, &c.BackgroundSent,
+		&c.PSMActiveSessions, &c.CalibratedSessions, &c.ReportedSessions, &c.LearnedSessions,
+		&c.FamilySessions, &c.GlobalSessions, &c.UncorrectedSessions}
+}
+
+// moments lists the cell's moment tracks in wire order.
+func (c *Cell) moments() [7]*agg.Moments {
+	return [...]*agg.Moments{&c.Raw, &c.Punctured, &c.Correction, &c.Inflation,
+		&c.UserOverhead, &c.SDIOOverhead, &c.PSMInflation}
+}
+
+// AppendKey appends k's binary form — device, group and scenario
+// strings, each at most MaxKeyLen bytes, then the window (zigzag).
+func AppendKey(dst []byte, k Key) ([]byte, error) {
+	if len(k.Device) > MaxKeyLen || len(k.Group) > MaxKeyLen || len(k.Scenario) > MaxKeyLen {
+		return nil, fmt.Errorf("%w: key field over %d bytes", wirebuf.ErrFrameTooBig, MaxKeyLen)
+	}
+	dst = wirebuf.AppendString(dst, k.Device)
+	dst = wirebuf.AppendString(dst, k.Group)
+	dst = wirebuf.AppendString(dst, k.Scenario)
+	return binary.AppendUvarint(dst, wirebuf.Zigzag(k.WindowMS)), nil
+}
+
+// ReadKey decodes one AppendKey form off d.
+func ReadKey(d *wirebuf.Cursor) (Key, error) {
+	var k Key
+	for _, p := range [...]*string{&k.Device, &k.Group, &k.Scenario} {
+		b, err := d.Field(MaxKeyLen)
+		if err != nil {
+			return k, err
+		}
+		*p = string(b)
+	}
+	var err error
+	k.WindowMS, err = d.Varint()
+	return k, err
+}
+
+// AppendCell appends c's binary form. Field order must match
+// DecodeCell exactly.
+func AppendCell(dst []byte, c *Cell) ([]byte, error) {
+	dst, err := AppendKey(dst, c.Key)
+	if err != nil {
+		return nil, err
+	}
+	dst = binary.AppendUvarint(dst, wirebuf.Zigzag(c.SpanMS))
+	for _, p := range c.counters() {
+		if *p < 0 {
+			return nil, fmt.Errorf("ingest: negative counter %d in cell", *p)
+		}
+		dst = binary.AppendUvarint(dst, uint64(*p))
+	}
+	for _, m := range c.moments() {
+		dst = m.AppendBinary(dst)
+	}
+	dst = append(dst, cellTracks)
+	dst = c.RawHist.AppendBinary(dst)
+	dst = c.PuncturedHist.AppendBinary(dst)
+	dst = agg.AppendSketch(dst, c.RawSketch)
+	return agg.AppendSketch(dst, c.PuncturedSketch), nil
+}
+
+// DecodeCell parses one AppendCell payload, which must be exactly one
+// encoded cell. Both histograms must have the duration geometry every
+// live cell uses (a cell with any other could never merge into a fleet
+// query), and the decoded cell must pass Validate.
+func DecodeCell(payload []byte) (*Cell, error) {
+	d := wirebuf.NewCursor(payload)
+	c := &Cell{RawHist: agg.NewDurationHist(), PuncturedHist: agg.NewDurationHist()}
+	var err error
+	if c.Key, err = ReadKey(&d); err != nil {
+		return nil, err
+	}
+	if c.SpanMS, err = d.Varint(); err != nil {
+		return nil, err
+	}
+	for _, p := range c.counters() {
+		if *p, err = d.Uint63(); err != nil {
+			return nil, err
+		}
+	}
+	for _, m := range c.moments() {
+		if err := m.ReadBinary(&d); err != nil {
+			return nil, err
+		}
+	}
+	flags, err := d.Byte()
+	if err != nil {
+		return nil, err
+	}
+	if flags != cellTracks {
+		return nil, fmt.Errorf("ingest: cell track flags %#x, want %#x", flags, cellTracks)
+	}
+	if err := c.RawHist.ReadBinary(&d); err != nil {
+		return nil, err
+	}
+	if err := c.PuncturedHist.ReadBinary(&d); err != nil {
+		return nil, err
+	}
+	if c.RawSketch, err = agg.ReadSketch(&d); err != nil {
+		return nil, err
+	}
+	if c.PuncturedSketch, err = agg.ReadSketch(&d); err != nil {
+		return nil, err
+	}
+	if d.Remaining() != 0 {
+		return nil, fmt.Errorf("ingest: %d trailing bytes after cell", d.Remaining())
+	}
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // foldScratch is a store shard's reusable fold workspace: the raw and

@@ -248,7 +248,7 @@ func TestStreamSubscriberLimit(t *testing.T) {
 	if s.metrics.StreamRejected.Load() != 1 {
 		t.Errorf("stream_rejected = %d; want 1", s.metrics.StreamRejected.Load())
 	}
-	if got := s.streamSubscribers(); got != 1 {
+	if got := s.bcast.count(); got != 1 {
 		t.Errorf("subscriber gauge = %d; want 1", got)
 	}
 }

@@ -96,7 +96,7 @@ const (
 	maxRTTsPerSummary  = 1 << 16
 	maxCountPerSummary = 1 << 20
 	maxRTTNS           = int64(10 * time.Minute)
-	maxKeyLen          = 200
+	MaxKeyLen          = 200
 )
 
 // Validate rejects records that would poison the aggregates.
@@ -104,9 +104,9 @@ func (s *Summary) Validate() error {
 	if s.Device == "" {
 		return errors.New("ingest: summary without device model")
 	}
-	if len(s.Device) > maxKeyLen || len(s.Group) > maxKeyLen ||
-		len(s.Scenario) > maxKeyLen || len(s.Chipset) > maxKeyLen {
-		return fmt.Errorf("ingest: %.32s…: key field exceeds %d bytes", s.Device, maxKeyLen)
+	if len(s.Device) > MaxKeyLen || len(s.Group) > MaxKeyLen ||
+		len(s.Scenario) > MaxKeyLen || len(s.Chipset) > MaxKeyLen {
+		return fmt.Errorf("ingest: %.32s…: key field exceeds %d bytes", s.Device, MaxKeyLen)
 	}
 	if s.Sent < 0 || s.Lost < 0 || s.Lost > s.Sent || s.Sent > maxCountPerSummary {
 		return fmt.Errorf("ingest: %s: inconsistent sent/lost %d/%d", s.Device, s.Sent, s.Lost)

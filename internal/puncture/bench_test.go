@@ -25,7 +25,8 @@ func populated(models int) *Store {
 // BenchmarkCorrectionLookup is the acceptance benchmark for the hot
 // path: one Resolve on a learned model must be a single striped read.
 // Target ≥ 5M lookups/sec single-node (≤ 200 ns/op); the explicit
-// lookups/sec metric lands in BENCH_5.json via make bench-json.
+// lookups/sec metric lands in the bench record (the Makefile's
+// BENCH_FILE) via make bench-json.
 func BenchmarkCorrectionLookup(b *testing.B) {
 	b.ReportAllocs()
 	st := populated(1024)
