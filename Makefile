@@ -62,8 +62,11 @@ bench-gate:
 # the serial path. FuzzHistOps applies random operation sequences to
 # the span-stored Hist and a dense reference model and requires
 # identical bins, N, quantiles and JSON.
+# FuzzDecodeBatchMatchesEncodingJSON holds the hand-written JSON-lines
+# scanner to encoding/json: same verdict, deeply equal summaries.
 fuzz-smoke:
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=30s
+	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBatchMatchesEncodingJSON$$' -fuzztime=30s
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBinaryBatch$$' -fuzztime=30s
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz '^FuzzDecodeGossipDelta$$' -fuzztime=30s
 	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzSketchBatchFold$$' -fuzztime=30s

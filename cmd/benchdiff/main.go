@@ -81,6 +81,7 @@ var allocsWatch = map[string]bool{
 	"BenchmarkStoreFold":         true,
 	"BenchmarkStoreFoldSerial":   true,
 	"BenchmarkDecodeBatch":       true,
+	"BenchmarkDecodeBatchChurn":  true,
 	"BenchmarkDecodeBinaryBatch": true,
 	"BenchmarkSketchFold":        true,
 	"BenchmarkSketchMerge":       true,

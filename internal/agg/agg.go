@@ -329,26 +329,52 @@ func (h *Hist) ReadBinary(d *wirebuf.Cursor) error {
 	if err != nil {
 		return err
 	}
+	if nnz == 0 {
+		return nil
+	}
+	// A checking pass over a copy of the cursor finds the first and last
+	// bin, so the span is sized once; the second pass reads the same
+	// bytes again and cannot fail.
+	pre := *d
+	first, last, err := h.readSparseBins(&pre, nnz, nil)
+	if err != nil {
+		return err
+	}
+	h.grow(first, last+1)
+	_, _, err = h.readSparseBins(d, nnz, h.counts)
+	return err
+}
+
+// readSparseBins reads nnz (gap, count) pairs — the first gap is bin
+// 0's offset, each later one at least 1 — checking every bin and
+// count, and returns the first and last bin. When counts is non-nil
+// (the span sized to those bins) it stores each count there.
+func (h *Hist) readSparseBins(d *wirebuf.Cursor, nnz int, counts []int64) (first, last int, err error) {
 	bin := 0
 	for i := 0; i < nnz; i++ {
 		gap, err := d.Uvarint()
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
 		cnt, err := d.Uint63()
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
 		if i > 0 && (gap == 0 || gap > uint64(h.bins)) {
-			return fmt.Errorf("agg: histogram bin gap %d out of order", gap)
+			return 0, 0, fmt.Errorf("agg: histogram bin gap %d out of order", gap)
 		}
 		bin += int(gap)
 		if bin < 0 || bin >= h.bins || cnt == 0 {
-			return fmt.Errorf("agg: histogram bin %d/count %d out of range", bin, cnt)
+			return 0, 0, fmt.Errorf("agg: histogram bin %d/count %d out of range", bin, cnt)
 		}
-		h.setCount(bin, cnt)
+		if i == 0 {
+			first = bin
+		}
+		if counts != nil {
+			counts[bin-first] = cnt
+		}
 	}
-	return nil
+	return first, bin, nil
 }
 
 // Bins returns the geometry's bin count.
@@ -366,24 +392,6 @@ func (h *Hist) Count(i int) int64 {
 // outside the span is zero. The slice is the Hist's own storage — read
 // it, never write it.
 func (h *Hist) Span() (base int, counts []int64) { return h.base, h.counts }
-
-// setCount overwrites bin i's count — the writer for the binary
-// decoder, which rebuilds a Hist bin by bin. It panics if i is outside
-// the geometry.
-func (h *Hist) setCount(i int, c int64) {
-	if uint(i) >= uint(h.bins) {
-		panic(fmt.Sprintf("agg: setCount bin %d outside [0,%d)", i, h.bins))
-	}
-	j := i - h.base
-	if uint(j) >= uint(len(h.counts)) {
-		if c == 0 {
-			return
-		}
-		h.grow(i, i+1)
-		j = i - h.base
-	}
-	h.counts[j] = c
-}
 
 // grow widens the stored span to cover bins [lo,hi), a range inside
 // the geometry (anything else is a bug, and panics). A span that

@@ -477,3 +477,62 @@ func TestHistBinaryRefusesForeignGeometry(t *testing.T) {
 		}
 	}
 }
+
+// TestHistReadBinarySizesSpanOnce pins the decode's allocation: a wide
+// sparse histogram read into a reset Hist with no spare capacity (a
+// freshly minted cell's) sizes its span once, to exactly the first to
+// last encoded bin, instead of regrowing per doubling.
+func TestHistReadBinarySizesSpanOnce(t *testing.T) {
+	src := NewDurationHist()
+	for i := 3; i < src.Bins()-2; i += 7 {
+		src.setCount(i, int64(i))
+	}
+	frame := src.AppendBinary(nil)
+	h := NewDurationHist()
+	allocs := testing.AllocsPerRun(20, func() {
+		h.Reset()
+		h.counts = nil
+		cur := wirebuf.NewCursor(frame)
+		if err := h.ReadBinary(&cur); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("ReadBinary of a wide sparse histogram: %.0f allocs, want at most 1", allocs)
+	}
+	srcBase, srcSpan := src.Span()
+	base, span := h.Span()
+	first, last := srcBase, srcBase+len(srcSpan)-1
+	for src.Count(first) == 0 {
+		first++
+	}
+	for src.Count(last) == 0 {
+		last--
+	}
+	if base != first || len(span) != last-first+1 {
+		t.Errorf("decoded span [%d,%d), want [%d,%d]", base, base+len(span), first, last)
+	}
+	for i := 0; i < src.Bins(); i++ {
+		if h.Count(i) != src.Count(i) {
+			t.Fatalf("bin %d: decoded %d, want %d", i, h.Count(i), src.Count(i))
+		}
+	}
+}
+
+// setCount overwrites bin i's count, growing the span like a write
+// would; the tests' way to build a Hist bin by bin. It panics if i is
+// outside the geometry.
+func (h *Hist) setCount(i int, c int64) {
+	if uint(i) >= uint(h.bins) {
+		panic(fmt.Sprintf("agg: setCount bin %d outside [0,%d)", i, h.bins))
+	}
+	j := i - h.base
+	if uint(j) >= uint(len(h.counts)) {
+		if c == 0 {
+			return
+		}
+		h.grow(i, i+1)
+		j = i - h.base
+	}
+	h.counts[j] = c
+}

@@ -300,6 +300,49 @@ func BenchmarkDecodeBatch(b *testing.B) {
 	b.ReportMetric(float64(b.N)*100/time.Since(start).Seconds(), "summaries/sec")
 }
 
+// BenchmarkDecodeBatchChurn prices JSON decode on the churn shape:
+// batches of 25 three-RTT summaries, every one a new device, over 8
+// groups, half naming a chipset. It cycles through far more distinct
+// devices than the decoder's intern table holds, so interning cannot
+// hide the per-device key copy that BenchmarkDecodeBatch's five-model
+// batch amortizes away.
+func BenchmarkDecodeBatchChurn(b *testing.B) {
+	b.ReportAllocs()
+	const perBatch, batches = 25, 512
+	bodies := make([][]byte, batches)
+	size := 0
+	for i := range bodies {
+		batch := make([]Summary, perBatch)
+		for j := range batch {
+			id := i*perBatch + j
+			batch[j] = Summary{
+				Device: fmt.Sprintf("anon-1-%08d", id), Group: fmt.Sprintf("churn-g%d", id%8),
+				Scenario: "churn-json", Sent: 3,
+				RTTs: []int64{int64(30*time.Millisecond) + int64(id%997)*int64(time.Microsecond),
+					int64(31 * time.Millisecond), int64(45 * time.Millisecond)},
+			}
+			if id%2 == 0 {
+				batch[j].Chipset = "BCM4339"
+			}
+		}
+		var buf bytes.Buffer
+		if err := EncodeBatch(&buf, batch); err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = buf.Bytes()
+		size += buf.Len()
+	}
+	b.SetBytes(int64(size / batches))
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeBatch(bytes.NewReader(bodies[i%batches]), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*perBatch/time.Since(start).Seconds(), "summaries/sec")
+}
+
 // BenchmarkDecodeBinaryBatch prices binary wire parsing — the decode
 // cost a binary-wire device buys the server out of, next to
 // BenchmarkDecodeBatch's JSON figure on the identical batch.

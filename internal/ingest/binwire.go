@@ -88,68 +88,15 @@ var payloadPool = sync.Pool{
 	},
 }
 
-// binAlloc amortizes the decoder's per-summary allocations across a
-// whole batch. Key strings are interned through a pooled, size-capped
-// table — real batches repeat a handful of device/group/scenario keys,
-// so after the first sighting a key decodes without allocating, while
-// hostile high-cardinality input simply bypasses the full table rather
-// than growing it. RTT slices are carved from shared blocks; the block
-// memory is fresh per batch (the decoded summaries retain it — only
-// the allocation *count* is amortized, not the memory), so pooling the
-// binAlloc never aliases live summaries.
-type binAlloc struct {
-	intern map[string]string
-	arena  []int64 // spare capacity of the current RTT block
-}
-
-// maxInternedKeys bounds the pooled intern table; past it, unseen keys
-// just allocate (the cap only exists so hostile key cardinality cannot
-// grow the table without bound across pooled reuses).
-const maxInternedKeys = 1024
-
-var binAllocPool = sync.Pool{
-	New: func() any { return &binAlloc{intern: make(map[string]string, 64)} },
-}
-
-// str interns a decoded key field.
-func (a *binAlloc) str(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if s, ok := a.intern[string(b)]; ok { // keyed lookup does not allocate
-		return s
-	}
-	s := string(b)
-	if len(a.intern) < maxInternedKeys {
-		a.intern[s] = s
-	}
-	return s
-}
-
 // key reads one length-prefixed key field, capped at MaxKeyLen before
 // the copy (key fields mint store cells, so their cap is enforced at
 // the wire even before Validate sees the summary), and interns it.
-func (a *binAlloc) key(d *wirebuf.Cursor) (string, error) {
+func (a *wireAlloc) key(d *wirebuf.Cursor) (string, error) {
 	b, err := d.Field(MaxKeyLen)
 	if err != nil {
 		return "", err
 	}
 	return a.str(b), nil
-}
-
-// int64s carves an exactly-sized slice out of the current block,
-// minting a new block when the remainder is short.
-func (a *binAlloc) int64s(n int) []int64 {
-	if n > len(a.arena) {
-		size := 4096
-		if n > size {
-			size = n
-		}
-		a.arena = make([]int64, size)
-	}
-	out := a.arena[:n:n]
-	a.arena = a.arena[n:]
-	return out
 }
 
 // AppendBinarySummary appends one summary's frame (length prefix +
@@ -344,12 +291,12 @@ func readBinaryBatch(br *bufio.Reader, maxSummaries int) ([]Summary, error) {
 	out := make([]Summary, 0, prealloc)
 
 	payload := payloadPool.Get().(*[]byte)
-	al := binAllocPool.Get().(*binAlloc)
+	al := wireAllocPool.Get().(*wireAlloc)
 	defer func() {
 		if cap(*payload) <= MaxBinarySummaryBytes {
 			payloadPool.Put(payload)
 		}
-		binAllocPool.Put(al)
+		wireAllocPool.Put(al)
 	}()
 	for i := uint64(0); i < count; i++ {
 		plen, err := binary.ReadUvarint(br)
@@ -405,7 +352,7 @@ func counter(d *wirebuf.Cursor) (int, error) {
 // exactly-sized RTT slice (its count capped both structurally and by
 // the bytes present), and the sketch (its own decoder enforces the
 // centroid caps).
-func decodeBinarySummary(buf []byte, s *Summary, al *binAlloc) error {
+func decodeBinarySummary(buf []byte, s *Summary, al *wireAlloc) error {
 	d := wirebuf.NewCursor(buf)
 	flags, err := d.Byte()
 	if err != nil {

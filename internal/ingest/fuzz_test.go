@@ -3,6 +3,14 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,6 +71,172 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("canonical re-encode does not re-decode: %v", err)
 		}
 	})
+}
+
+// referenceDecodeBatch is the language DecodeBatch must accept, and
+// the summaries it must return: an encoding/json Decoder loop over
+// *Summary plus Validate, the decoder DecodeBatch replaced.
+func referenceDecodeBatch(data []byte, maxSummaries int) ([]Summary, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var out []Summary
+	for {
+		var s Summary
+		if err := dec.Decode(&s); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, err
+		}
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+		if maxSummaries > 0 && len(out) > maxSummaries {
+			return nil, errors.New("too many summaries")
+		}
+	}
+	if len(out) == 0 {
+		return nil, errors.New("empty batch")
+	}
+	return out, nil
+}
+
+// diffMaxSummaries is small so the differential fuzz reaches the
+// summary cap as well as everything below it.
+const diffMaxSummaries = 4
+
+// checkDecodeMatchesReference fails t unless DecodeBatch and the
+// encoding/json reference agree on data: both refuse it, or both
+// accept it with deeply equal summaries. Error texts may differ.
+func checkDecodeMatchesReference(t *testing.T, data []byte) {
+	t.Helper()
+	got, gotErr := DecodeBatch(bytes.NewReader(data), diffMaxSummaries)
+	want, wantErr := referenceDecodeBatch(data, diffMaxSummaries)
+	switch {
+	case (gotErr == nil) != (wantErr == nil):
+		t.Fatalf("verdicts differ on %q:\n scanner: %v\n encoding/json: %v", data, gotErr, wantErr)
+	case gotErr == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("summaries differ on %q:\n scanner: %+v\n encoding/json: %+v", data, got, want)
+	}
+}
+
+// jsonTraps are hand-written inputs at the subtle edges of
+// encoding/json's language: key folding and escapes, repeated keys
+// (including rtts_ns arrays that reuse an earlier array's backing),
+// nulls, non-integers in integer fields, surrogates and invalid UTF-8,
+// nesting at the depth limit, cap-sized values a later key replaces,
+// and what may sit between and around the objects.
+func jsonTraps() []string {
+	long := strings.Repeat("a", MaxKeyLen+1)
+	nest := func(n int) string {
+		return `{"device":"a","x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + "}"
+	}
+	return []string{
+		// Key matching: exact, folded, escaped, Unicode folds.
+		`{"DEVICE":"a","SENT":1}`, `{"Device":"a"}`, `{"device":"a","DEVICE":"b"}`,
+		`{"d\u0065vice":"a"}`, `{"\u0044EVICE":"a"}`, `{"device":"a","\u017fent":2,"rtts_ns":[1,2]}`,
+		`{"device":"a","sent":1,"s\u212aetch":null}`, `{"dev\u0130ce":"a"}`, `{"dev\u0131ce":"a"}`,
+		`{"device":"a","time_ms":1,"time_MS":2,"Time_Ms":3}`,
+		// Repeated keys and nulls.
+		`{"device":"a","device":"b"}`, `{"device":"a","device":null}`, `{"device":null}`, `null`,
+		`{"device":"a","sent":2,"sent":null,"inflation":null,"layers_ok":null,"sketch":null,"rtts_ns":null,"chipset":null}`,
+		`{"device":"a","sent":2,"rtts_ns":[5,6],"rtts_ns":[null]}`,
+		`{"device":"a","sent":3,"rtts_ns":[5,6,7],"rtts_ns":[1],"rtts_ns":[1,null]}`,
+		`{"device":"a","sent":2,"rtts_ns":[5,6],"rtts_ns":null,"rtts_ns":[null]}`,
+		`{"device":"a","sent":2,"rtts_ns":[5],"rtts_ns":[],"rtts_ns":[null,null]}`,
+		`{"device":"a","rtts_ns":[]}`, `{"device":"a","sent":1,"rtts_ns":[null]}`,
+		`{"device":"a","layers_ok":true,"layers_ok":false,"psm_active":true,"calibrated":null}`,
+		// Integer and float fields.
+		`{"device":"a","sent":1e2}`, `{"device":"a","sent":1.0}`, `{"device":"a","sent":-0}`,
+		`{"device":"a","sent":01}`, `{"device":"a","sent":"1"}`, `{"device":"a","sent":true}`,
+		`{"device":"a","time_ms":9223372036854775807}`, `{"device":"a","time_ms":9223372036854775808}`,
+		`{"device":"a","time_ms":-9223372036854775808}`, `{"device":"a","time_ms":-9223372036854775809}`,
+		`{"device":"a","time_ms":-}`, `{"device":"a","time_ms":- 1}`, `{"device":"a","rtts_ns":[1.5]}`,
+		`{"device":"a","inflation":1e400}`, `{"device":"a","inflation":1e-400}`, `{"device":"a","inflation":-0}`,
+		`{"device":"a","inflation":2.5E+1}`, `{"device":"a","inflation":1.}`, `{"device":"a","inflation":.5}`,
+		`{"device":"a","inflation":"2"}`, `{"device":"a","inflation":0.1234567890123456789012345678901234567890}`,
+		// Strings: escapes, surrogates, invalid UTF-8, control characters.
+		`{"device":"\ud800"}`, `{"device":"\udc00x"}`, `{"device":"\ud83d\ude00"}`,
+		`{"device":"\ud800\ud800"}`, `{"device":"\ud800\u0041"}`, `{"device":"\ud800\\u0041"}`,
+		"{\"device\":\"\xff\"}", "{\"device\":\"\xed\xa0\x80\"}", "{\"device\":\"\xef\xbf\xbd\"}",
+		`{"device":"\\u0041"}`, "{\"device\":\"a\tb\"}", `{"device":"\u0000"}`, `{"device":"\'"}`,
+		`{"device":"\/\b\f\n\r\t\"\\"}`, `{"device":"\u00e9\u00E9"}`, `{"device":"\u12"}`,
+		"{\"device\":\"a\x7f\"}", `{"device":"Nexus \u2603 ☃"}`,
+		// Unknown fields, nesting at the limit, sketches.
+		`{"device":"a","x":{"y":[1,"z",true,false,null,{}],"w":-1.5e-3}}`, `{"device":"a","x":[1,]}`,
+		`{"device":"a","x":{"y"}}`, `{"device":"a","x":{1:2}}`, `{"device":"a","x":tru}`,
+		nest(maxNestingDepth - 1), nest(maxNestingDepth), `{"device":"a","sent":1,"sketch":"x"}`,
+		`{"device":"a","sent":1,"sketch":{}}`, `{"device":"a","sent":1,"sketch":[]}`,
+		`{"device":"a","sent":1,"sketch":{"compression":100,"count":1,"min":5,"max":5,"centroids":[{"m":5,"w":1}]},"sketch":null}`,
+		`{"device":"a","sent":1,"sketch":{"compression":100,"count":1,"min":5,"max":5,"centroids":[{"m":5,"w":1}]}}`,
+		`{"device":"a","sent":1,"rtts_ns":[1],"sketch":{"compression":100,"count":1,"min":5,"max":5,"centroids":[{"m":5,"w":1}]}}`,
+		// Caps that a later repeated key lifts, and caps that stand.
+		`{"device":"` + long + `","device":"a"}`, `{"device":"` + long + `"}`,
+		`{"device":"a","group":"` + long + `","group":null}`,
+		`{"device":"` + strings.Repeat(`\u0061`, MaxKeyLen+1) + `","device":"b"}`,
+		`{"device":"` + strings.Repeat(`\u0061`, MaxKeyLen) + `"}`,
+		`{"device":"a","` + long + `":1}`,
+		// Between and around objects.
+		`{}{}`, `{"device":"a"}{"device":"b"}`, "{\"device\":\"a\"}\r\n\t {\"device\":\"b\"}\n",
+		`{"device":"a"} x`, "{\"device\":\"a\",\"sent\":1}\n!", `{"device":"a"}]`, `{"device":"a"},`,
+		`{"device":"a",}`, `[{"device":"a"}]`, `"str"`, `1`, ` `, ``, "\xef\xbb\xbf{\"device\":\"a\"}",
+		`{"device":"a"}{"device":"a"}{"device":"a"}{"device":"a"}`,
+		`{"device":"a"}{"device":"a"}{"device":"a"}{"device":"a"}{"device":"a"}`,
+		`{"device":"a"}{"device":"a"}{"device":"a"}{"device":"a"}{"device":"a"`,
+		`{"device" "a"}`, `{"device":"a"`, `{"device":"a`, `{"device`, `{`,
+	}
+}
+
+// committedCorpus reads the []byte seeds of another fuzz target's
+// committed corpus (testdata/fuzz/<target>), so a new target starts
+// from everything the old one learned.
+func committedCorpus(f *testing.F, target string) [][]byte {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var out [][]byte
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" {
+			f.Fatalf("%s: not a one-value fuzz corpus file", p)
+		}
+		quoted, ok := strings.CutPrefix(lines[1], "[]byte(")
+		quoted, ok2 := strings.CutSuffix(quoted, ")")
+		v, err := strconv.Unquote(quoted)
+		if !ok || !ok2 || err != nil {
+			f.Fatalf("%s: cannot read []byte seed %q", p, lines[1])
+		}
+		out = append(out, []byte(v))
+	}
+	if len(out) == 0 {
+		f.Fatalf("no committed corpus for %s", target)
+	}
+	return out
+}
+
+// FuzzDecodeBatchMatchesEncodingJSON holds DecodeBatch's scanner to the
+// encoding/json decoder it replaced: for every input, the scanner
+// accepts exactly when the reference accepts, and both return deeply
+// equal summaries.
+func FuzzDecodeBatchMatchesEncodingJSON(f *testing.F) {
+	for _, batch := range fuzzSeedBatches() {
+		var buf bytes.Buffer
+		if err := EncodeBatch(&buf, batch); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, seed := range committedCorpus(f, "FuzzDecodeBatch") {
+		f.Add(seed)
+	}
+	for _, trap := range jsonTraps() {
+		f.Add([]byte(trap))
+	}
+	f.Fuzz(checkDecodeMatchesReference)
 }
 
 // hostileBinFrames builds the length-bomb frames the AM002

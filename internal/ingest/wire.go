@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"repro/internal/agg"
@@ -155,29 +156,71 @@ func (s *Summary) Validate() error {
 
 // DecodeBatch parses a JSON-lines batch (whitespace-separated JSON
 // objects; a trailing newline is optional) and validates every record.
-// maxSummaries <= 0 means unlimited.
+// maxSummaries <= 0 means unlimited. It accepts exactly the batches an
+// encoding/json Decoder loop plus Validate accepts, and decodes them to
+// the same summaries (see jsonscan.go); a reader error — an
+// *http.MaxBytesError from a capped body included — comes back wrapped.
 func DecodeBatch(r io.Reader, maxSummaries int) ([]Summary, error) {
-	dec := json.NewDecoder(r)
-	var out []Summary
-	for {
-		var s Summary
-		if err := dec.Decode(&s); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("ingest: batch record %d: %w", len(out)+1, err)
-		}
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("ingest: batch record %d: %w", len(out)+1, err)
-		}
-		out = append(out, s)
-		if maxSummaries > 0 && len(out) > maxSummaries {
-			return nil, fmt.Errorf("ingest: batch exceeds %d summaries", maxSummaries)
-		}
+	sc := jsonScannerPool.Get().(*jsonScanner)
+	defer sc.release()
+	if err := sc.read(r); err != nil {
+		return nil, fmt.Errorf("ingest: reading batch: %w", err)
 	}
-	if len(out) == 0 {
-		return nil, errors.New("ingest: empty batch")
+	return sc.batch(maxSummaries)
+}
+
+// wireAlloc amortizes both wire decoders' per-summary allocations
+// across a whole batch. Key strings are interned through a pooled,
+// size-capped table — real batches repeat a handful of
+// device/group/scenario keys, so after the first sighting a key decodes
+// without allocating, while hostile high-cardinality input simply
+// bypasses the full table rather than growing it. RTT slices are carved
+// exactly sized from shared blocks (the decoded summaries retain the
+// blocks — only the allocation *count* is amortized, not the memory),
+// so carved slices never overlap and pooling the wireAlloc never
+// aliases live summaries.
+type wireAlloc struct {
+	intern map[string]string
+	arena  []int64 // spare capacity of the current RTT block
+}
+
+// maxInternedKeys bounds the pooled intern table; past it, unseen keys
+// just allocate (the cap only exists so hostile key cardinality cannot
+// grow the table without bound across pooled reuses).
+const maxInternedKeys = 1024
+
+var wireAllocPool = sync.Pool{
+	New: func() any { return &wireAlloc{intern: make(map[string]string, 64)} },
+}
+
+// str interns a decoded key field.
+func (a *wireAlloc) str(b []byte) string {
+	if len(b) == 0 {
+		return ""
 	}
-	return out, nil
+	if s, ok := a.intern[string(b)]; ok { // keyed lookup does not allocate
+		return s
+	}
+	s := string(b)
+	if len(a.intern) < maxInternedKeys {
+		a.intern[s] = s
+	}
+	return s
+}
+
+// int64s carves an exactly-sized slice out of the current block,
+// minting a new block when the remainder is short.
+func (a *wireAlloc) int64s(n int) []int64 {
+	if n > len(a.arena) {
+		size := 4096
+		if n > size {
+			size = n
+		}
+		a.arena = make([]int64, size)
+	}
+	out := a.arena[:n:n]
+	a.arena = a.arena[n:]
+	return out
 }
 
 // EncodeBatch writes summaries as JSON lines — the exact bytes a device

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -317,32 +318,39 @@ func TestSnapshotRoundTripBitForBit(t *testing.T) {
 	}
 }
 
-// TestSaveLoadFile exercises the atomic file path, including the
-// missing-file first boot.
+// TestSaveLoadFile exercises the atomic file path (temp file synced,
+// renamed, directory synced), including the missing-file first boot
+// and an overwrite: each save round-trips and leaves no temp file.
 func TestSaveLoadFile(t *testing.T) {
-	path := t.TempDir() + "/profiles.json"
+	dir := t.TempDir()
+	path := filepath.Join(dir, "profiles.json")
 	empty, found, err := LoadFile(path, 0)
 	if err != nil || found || empty.Len() != 0 {
 		t.Fatalf("first boot: %v found=%v len=%d", err, found, empty.Len())
 	}
 	rng := rand.New(rand.NewSource(29))
-	st := foldStream(streamFor(rng, 300), 0)
-	if err := st.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, found, err := LoadFile(path, 0)
-	if err != nil || !found {
-		t.Fatalf("reload: %v found=%v", err, found)
-	}
-	var a, b bytes.Buffer
-	if err := st.WriteSnapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := back.WriteSnapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("file round trip diverged from in-memory snapshot")
+	for round := 0; round < 2; round++ {
+		st := foldStream(streamFor(rng, 300), 0)
+		if err := st.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		back, found, err := LoadFile(path, 0)
+		if err != nil || !found {
+			t.Fatalf("round %d: reload: %v found=%v", round, err, found)
+		}
+		var a, b bytes.Buffer
+		if err := st.WriteSnapshot(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := back.WriteSnapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("round %d: file round trip diverged from in-memory snapshot", round)
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(left) != 0 {
+			t.Fatalf("round %d: temp files left behind: %v", round, left)
+		}
 	}
 }
 

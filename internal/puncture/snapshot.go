@@ -197,8 +197,9 @@ func isArray(br *bufio.Reader) bool {
 }
 
 // SaveFile atomically writes the store's snapshot to path: the JSON is
-// written to a temp file in the same directory and renamed into place,
-// so a crash mid-save can never leave a truncated knowledge base — the
+// written to a temp file in the same directory, synced, and renamed
+// into place, and the directory is synced after, so neither a crash nor
+// a power cut mid-save can leave a truncated knowledge base — the
 // previous snapshot survives intact.
 func (st *Store) SaveFile(path string) error { return saveAtomic(path, st.Snapshot()) }
 
@@ -218,13 +219,36 @@ func saveAtomic(path string, v any) error {
 		tmp.Close()
 		return fmt.Errorf("puncture: writing snapshot: %w", err)
 	}
+	// The data must be on disk before the rename that names it: a
+	// rename can reach the disk first, and a power cut in between would
+	// install an empty or partial file over the previous snapshot.
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("puncture: syncing snapshot: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("puncture: closing snapshot: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("puncture: installing snapshot: %w", err)
 	}
+	// And the rename itself is durable only once its directory is.
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("puncture: syncing snapshot directory: %w", err)
+	}
 	return nil
+}
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LoadFile builds a store from a snapshot or -registry calibration file

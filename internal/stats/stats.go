@@ -331,57 +331,3 @@ func (e *ECDF) Points() ([]time.Duration, []float64) {
 	}
 	return xs, ps
 }
-
-// KSDistance returns the Kolmogorov–Smirnov statistic between two ECDFs,
-// used by tests to compare measured distributions across runs.
-func KSDistance(a, b *ECDF) float64 {
-	var max float64
-	check := func(x time.Duration) {
-		d := math.Abs(a.At(x) - b.At(x))
-		if d > max {
-			max = d
-		}
-	}
-	for _, x := range a.sorted {
-		check(x)
-	}
-	for _, x := range b.sorted {
-		check(x)
-	}
-	return max
-}
-
-// Histogram counts samples into equal-width bins over [lo, hi).
-type Histogram struct {
-	Lo, Hi time.Duration
-	Counts []int
-	Under  int // samples below Lo
-	Over   int // samples at or above Hi
-}
-
-// NewHistogram builds a histogram with the given number of bins.
-func NewHistogram(s Sample, lo, hi time.Duration, bins int) Histogram {
-	if bins <= 0 {
-		bins = 1
-	}
-	h := Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	if hi <= lo {
-		return h
-	}
-	width := float64(hi-lo) / float64(bins)
-	for _, v := range s {
-		switch {
-		case v < lo:
-			h.Under++
-		case v >= hi:
-			h.Over++
-		default:
-			idx := int(float64(v-lo) / width)
-			if idx >= bins {
-				idx = bins - 1
-			}
-			h.Counts[idx]++
-		}
-	}
-	return h
-}

@@ -181,39 +181,6 @@ func TestECDFPointsMonotone(t *testing.T) {
 	}
 }
 
-func TestKSDistance(t *testing.T) {
-	a := NewECDF(Sample{ms(1), ms(2), ms(3)})
-	b := NewECDF(Sample{ms(1), ms(2), ms(3)})
-	if d := KSDistance(a, b); d != 0 {
-		t.Errorf("identical ECDFs have KS %v, want 0", d)
-	}
-	c := NewECDF(Sample{ms(100), ms(200), ms(300)})
-	if d := KSDistance(a, c); d != 1 {
-		t.Errorf("disjoint ECDFs have KS %v, want 1", d)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	s := Sample{ms(-1), ms(0), ms(5), ms(15), ms(25), ms(99), ms(100)}
-	h := NewHistogram(s, 0, ms(100), 10)
-	if h.Under != 1 {
-		t.Errorf("under = %d, want 1", h.Under)
-	}
-	if h.Over != 1 {
-		t.Errorf("over = %d, want 1", h.Over)
-	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 5 {
-		t.Errorf("binned total = %d, want 5", total)
-	}
-	if h.Counts[0] != 2 { // 0ms and 5ms
-		t.Errorf("bin0 = %d, want 2", h.Counts[0])
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	s := Sample{ms(1), ms(2), ms(3)}
 	str := s.Summarize().String()
