@@ -73,11 +73,12 @@ fuzz-smoke:
 	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzHistOps$$' -fuzztime=30s
 
 # The ingestd persistence e2e in isolation: kill → reboot → learned
-# overhead table identical, plus the fleet→ingest delta merge. CI runs
+# overhead table identical, the fleet→ingest delta merge, and a stream
+# client resuming past the restarted store's epoch. CI runs
 # this as its own step so a persistence regression is named in the job
 # list, not buried in the full test log.
 e2e-restart:
-	$(GO) test -count=1 -run 'TestIngestdRestartRoundTrip|TestProfilesDeltaMerge' -v ./internal/ingest
+	$(GO) test -count=1 -run 'TestIngestdRestartRoundTrip|TestProfilesDeltaMerge|TestStreamResumeAfterRestart' -v ./internal/ingest
 
 # Steady-state churn e2e: rotating cell keys through a capped store
 # must hold resident cells at the cap with compaction preserving every

@@ -363,7 +363,7 @@ func TestFeedKnowledgeFacade(t *testing.T) {
 		t.Fatalf("sent %d", res.Sent)
 	}
 	p, ok := st.Lookup("Google Nexus 5")
-	if !ok || p.AttributionSessions() != 1 || p.Chipset == "" {
+	if !ok || p.Sessions() != 1 || p.Chipset == "" {
 		t.Fatalf("knowledge not fed: ok=%v %+v", ok, p)
 	}
 	if corr, src := st.Resolve("Google Nexus 5", ""); src != acutemon.CorrectionLearned || corr < 0 {

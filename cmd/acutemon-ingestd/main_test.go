@@ -63,10 +63,10 @@ func TestLoadgenCampaignOwnsItsStore(t *testing.T) {
 	}
 	var serverAtts, campaignAtts int64
 	for _, p := range srv.Puncturer().Store().Profiles() {
-		serverAtts += p.AttributionSessions()
+		serverAtts += p.Sessions()
 	}
 	for _, p := range campaign.Profiles.Profiles() {
-		campaignAtts += p.AttributionSessions()
+		campaignAtts += p.Sessions()
 	}
 	if serverAtts != rep.Sessions {
 		t.Errorf("server store learned %d attributions for %d streamed sessions", serverAtts, rep.Sessions)

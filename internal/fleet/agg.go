@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/puncture"
 	"repro/internal/report"
 	"repro/internal/stats"
 )
@@ -43,13 +44,10 @@ type GroupAggregate struct {
 	// (mean du ÷ emulated path RTT; dimensionless).
 	Inflation agg.Moments `json:"inflation"`
 
-	// UserOverhead / SDIOOverhead fold per-session mean Δdu−k and Δdk−n
-	// (ns): the paper's user-space and host-bus attribution.
-	UserOverhead agg.Moments `json:"user_overhead"`
-	SDIOOverhead agg.Moments `json:"sdio_overhead"`
-	// PSMInflation folds per-session mean(dn) − emulated RTT (ns): delay
-	// added on the air path itself, the PSM/AP-buffering share.
-	PSMInflation agg.Moments `json:"psm_inflation"`
+	// Overheads folds the attributing sessions' per-layer shares: mean
+	// Δdu−k, Δdk−n and mean(dn) − emulated RTT (ns). Its Sessions method
+	// is shadowed by the field of that name.
+	puncture.Overheads
 
 	// PSMActiveSessions counts sessions whose capture showed power-save
 	// activity; CalibratedSessions counts sessions that measured with
@@ -83,9 +81,8 @@ func (g *GroupAggregate) fold(r *SessionResult, sample stats.Sample) {
 		g.Inflation.Add(r.Inflation)
 	}
 	if r.LayersOK {
-		g.UserOverhead.Add(float64(r.UserOverhead))
-		g.SDIOOverhead.Add(float64(r.SDIOOverhead))
-		g.PSMInflation.Add(float64(r.PSMInflation))
+		g.Overheads.Add(puncture.Attribution{
+			UserNS: int64(r.UserOverhead), SDIONS: int64(r.SDIOOverhead), PSMNS: int64(r.PSMInflation)})
 	}
 	if r.PSMActive {
 		g.PSMActiveSessions++
@@ -120,9 +117,7 @@ func (g *GroupAggregate) Merge(o *GroupAggregate) error {
 		return err
 	}
 	g.Inflation.Merge(o.Inflation)
-	g.UserOverhead.Merge(o.UserOverhead)
-	g.SDIOOverhead.Merge(o.SDIOOverhead)
-	g.PSMInflation.Merge(o.PSMInflation)
+	g.Overheads.Merge(&o.Overheads)
 	g.PSMActiveSessions += o.PSMActiveSessions
 	g.CalibratedSessions += o.CalibratedSessions
 	return nil
@@ -263,9 +258,9 @@ func (r *Report) Render() string {
 			ms(float64(g.DuQuantile(0.90))),
 			ms(float64(g.DuQuantile(0.99))),
 			fmt.Sprintf("%.2f×", g.Inflation.Mean),
-			ms(g.UserOverhead.Mean),
-			ms(g.SDIOOverhead.Mean),
-			ms(g.PSMInflation.Mean),
+			ms(g.User.Mean),
+			ms(g.SDIO.Mean),
+			ms(g.PSM.Mean),
 			fmt.Sprintf("%d/%d", g.PSMActiveSessions, g.Sessions))
 	}
 	b.WriteString(t.String())

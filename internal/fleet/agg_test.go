@@ -187,9 +187,9 @@ func TestGroupAggregateMergeMatchesSinglePass(t *testing.T) {
 	}
 	for _, pair := range [][2]agg.Moments{
 		{merged.Inflation, single.Inflation},
-		{merged.UserOverhead, single.UserOverhead},
-		{merged.SDIOOverhead, single.SDIOOverhead},
-		{merged.PSMInflation, single.PSMInflation},
+		{merged.User, single.User},
+		{merged.SDIO, single.SDIO},
+		{merged.PSM, single.PSM},
 	} {
 		if pair[0].N != pair[1].N || !approxEq(pair[0].Mean, pair[1].Mean, 1e-9) {
 			t.Errorf("moments diverge: %+v vs %+v", pair[0], pair[1])

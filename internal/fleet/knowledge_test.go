@@ -37,8 +37,8 @@ func TestCampaignTeachesProfiles(t *testing.T) {
 		if p.Chipset == "" {
 			t.Errorf("%s: profile without chipset-family key", p.Model)
 		}
-		attributions += p.AttributionSessions()
-		if p.AttributionSessions() > 0 {
+		attributions += p.Sessions()
+		if p.Sessions() > 0 {
 			if corr, src := st.Resolve(p.Model, ""); src != puncture.SourceLearned || corr < 0 {
 				t.Errorf("%s: resolve %v/%v", p.Model, corr, src)
 			}

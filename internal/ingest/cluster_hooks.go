@@ -116,18 +116,17 @@ type CellDelta struct {
 }
 
 // CellDeltasSince computes the gossip delta for a cursor: the
-// DeltasSince cursor semantics (epoch read first, removals up to it,
-// bounded-log wrap → full-snapshot reset, racing folds re-delivered)
-// applied to whole cells instead of derived stats. A cursor from the
-// future — the store restarted and its epoch counter rewound — forces
-// the same reset a stream client gets on log wrap.
+// DeltasSince cursor rule (Store.cursor: epoch read first, removals up
+// to it, a wrapped log or a cursor from the future → full-snapshot
+// reset, racing folds re-delivered) applied to whole cells instead of
+// derived stats.
 func (st *Store) CellDeltasSince(since int64) CellDelta {
-	d := CellDelta{Epoch: st.epoch.Load()}
-	removed, logOK := st.removals.Since(since, d.Epoch)
-	if since > d.Epoch || !logOK {
+	epoch, removed, reset := st.cursor(since)
+	d := CellDelta{Epoch: epoch, Reset: reset}
+	if reset {
 		// A reset delta is a full snapshot; retractions are subsumed by
 		// the receiver-side wipe.
-		since, removed, d.Reset = 0, nil, true
+		since = 0
 	}
 	st.each(since, func(c *Cell) { d.Cells = append(d.Cells, c.clone()) })
 	sortCells(d.Cells)

@@ -32,18 +32,19 @@ func TestJSONFieldNames(t *testing.T) {
 }
 
 // TestOversizedJSONBatchIs413: the scanner reads the whole body before
-// scanning, so a body past MaxBatchBytes surfaces the reader's
+// scanning, so a body past maxBatchBytes surfaces the reader's
 // *http.MaxBytesError — malformed or not — and the handler answers 413
 // (split and re-post) rather than 400.
 func TestOversizedJSONBatchIs413(t *testing.T) {
-	s := &Server{cfg: Config{MaxBatchBytes: 64}}
-	s.cfg.fill()
+	s := &Server{}
 	var buf bytes.Buffer
 	batch := []Summary{{Device: "Google Nexus 5", Sent: 1, RTTs: []int64{1000}}, {Device: "HTC One", Sent: 1, RTTs: []int64{2000}}}
 	if err := EncodeBatch(&buf, batch); err != nil {
 		t.Fatal(err)
 	}
-	for i, body := range []string{buf.String(), "{not json" + strings.Repeat(" ", 100)} {
+	valid := strings.Repeat(buf.String(), maxBatchBytes/buf.Len()+1)
+	malformed := "{not json" + strings.Repeat(" ", maxBatchBytes)
+	for i, body := range []string{valid, malformed} {
 		rec := httptest.NewRecorder()
 		s.handleIngest(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body)))
 		if rec.Code != http.StatusRequestEntityTooLarge {

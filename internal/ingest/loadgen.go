@@ -378,11 +378,11 @@ func (lg *LoadGen) ReplayReport(ctx context.Context, rep *fleet.Report) (int, er
 			if g.Inflation.N > 0 {
 				s.Inflation = g.Inflation.Mean
 			}
-			if int64(i) < g.UserOverhead.N {
+			if int64(i) < g.User.N {
 				s.LayersOK = true
-				s.UserOverheadNS = int64(g.UserOverhead.Mean)
-				s.SDIOOverheadNS = int64(g.SDIOOverhead.Mean)
-				s.PSMInflationNS = int64(g.PSMInflation.Mean)
+				s.UserOverheadNS = int64(g.User.Mean)
+				s.SDIOOverheadNS = int64(g.SDIO.Mean)
+				s.PSMInflationNS = int64(g.PSM.Mean)
 			}
 			batch = append(batch, s)
 			if len(batch) >= lg.BatchSize {

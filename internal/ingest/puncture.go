@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/agg"
 	"repro/internal/puncture"
 )
 
@@ -36,20 +35,8 @@ const (
 // /models — a compatibility projection of the knowledge store's
 // DeviceProfile (which /v1/profiles serves whole).
 type ModelOverhead struct {
-	Model string      `json:"model"`
-	User  agg.Moments `json:"user_overhead"`
-	SDIO  agg.Moments `json:"sdio_overhead"`
-	PSM   agg.Moments `json:"psm_inflation"`
-}
-
-// Correction returns the model's mean total per-probe correction,
-// clamped at ≥ 0.
-func (m *ModelOverhead) Correction() time.Duration {
-	c := time.Duration(m.User.Mean + m.SDIO.Mean + m.PSM.Mean)
-	if c < 0 {
-		c = 0
-	}
-	return c
+	Model string `json:"model"`
+	puncture.Overheads
 }
 
 // MaxLearnedModels bounds the learned profile table (the knowledge
@@ -86,22 +73,32 @@ func NewPuncturerStore(st *puncture.Store) *Puncturer {
 // Store exposes the backing device-knowledge store.
 func (p *Puncturer) Store() *puncture.Store { return p.store }
 
+// attribution returns the summary's reported overhead shares.
+func (s *Summary) attribution() puncture.Attribution {
+	return puncture.Attribution{UserNS: s.UserOverheadNS, SDIONS: s.SDIOOverheadNS, PSMNS: s.PSMInflationNS}
+}
+
+// reported returns an attributing summary's own correction — its three
+// overhead shares summed, clamped at ≥ 0 — and the attribution it
+// teaches the store. It never reads the store.
+func reported(s *Summary) (time.Duration, puncture.Attribution) {
+	a := s.attribution()
+	return max(time.Duration(a.UserNS+a.SDIONS+a.PSMNS), 0), a
+}
+
 // Correction computes the summary's per-probe puncturing correction
 // and, when the summary carries its own attribution, folds that
 // attribution into the store (model profile, chipset family, global
 // prior). The result is clamped at ≥ 0 on every rung, so an
 // over-learned correction can never mint negative latencies.
 func (p *Puncturer) Correction(s *Summary) (time.Duration, CorrectionSource) {
-	if s.LayersOK {
-		corr := time.Duration(s.UserOverheadNS + s.SDIOOverheadNS + s.PSMInflationNS)
-		p.store.RecordAttribution(s.Device, s.Chipset, s.UserOverheadNS, s.SDIOOverheadNS, s.PSMInflationNS)
-		p.store.CountReported()
-		if corr < 0 {
-			corr = 0
-		}
-		return corr, SourceReported
+	if !s.LayersOK {
+		return p.store.Resolve(s.Device, s.Chipset)
 	}
-	return p.store.Resolve(s.Device, s.Chipset)
+	corr, a := reported(s)
+	p.store.RecordAttribution(s.Device, s.Chipset, a.UserNS, a.SDIONS, a.PSMNS)
+	p.store.CountReported(1)
+	return corr, SourceReported
 }
 
 // CorrectionRun resolves corrections for one same-cell run, filling
@@ -128,16 +125,12 @@ func (p *Puncturer) CorrectionRun(rs []Summary, corrs []time.Duration, srcs []Co
 	}
 	atts = atts[:0]
 	for i := range rs {
-		s := &rs[i]
-		corr := time.Duration(s.UserOverheadNS + s.SDIOOverheadNS + s.PSMInflationNS)
-		if corr < 0 {
-			corr = 0
-		}
+		corr, a := reported(&rs[i])
 		corrs[i], srcs[i] = corr, SourceReported
-		atts = append(atts, puncture.Attribution{UserNS: s.UserOverheadNS, SDIONS: s.SDIOOverheadNS, PSMNS: s.PSMInflationNS})
+		atts = append(atts, a)
 	}
 	p.store.RecordAttributionRun(rs[0].Device, rs[0].Chipset, atts)
-	p.store.CountReportedN(int64(len(rs)))
+	p.store.CountReported(int64(len(rs)))
 	return atts
 }
 
@@ -149,10 +142,10 @@ func (p *Puncturer) Overheads() []ModelOverhead {
 	out := make([]ModelOverhead, 0, len(profiles))
 	for i := range profiles {
 		dp := &profiles[i]
-		if dp.AttributionSessions() == 0 {
+		if dp.Sessions() == 0 {
 			continue
 		}
-		out = append(out, ModelOverhead{Model: dp.Model, User: dp.User, SDIO: dp.SDIO, PSM: dp.PSM})
+		out = append(out, ModelOverhead{Model: dp.Model, Overheads: dp.Overheads})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Model < out[j].Model })
 	return out

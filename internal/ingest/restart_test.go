@@ -113,7 +113,7 @@ func TestIngestdRestartRoundTrip(t *testing.T) {
 	if profs.Models != 5 || len(profs.Profiles) != 5 {
 		t.Fatalf("/v1/profiles: %d models, %d profiles", profs.Models, len(profs.Profiles))
 	}
-	if profs.Profiles[0].AttributionSessions() != 8 {
+	if profs.Profiles[0].Sessions() != 8 {
 		t.Fatalf("profile lost sessions: %+v", profs.Profiles[0])
 	}
 }
@@ -198,5 +198,52 @@ func TestOverlearnedCorrectionClampsAtZero(t *testing.T) {
 		if c.PuncturedHist.Under != 0 {
 			t.Fatalf("%s: punctured mass below histogram range: %d", c.Key.Device, c.PuncturedHist.Under)
 		}
+	}
+}
+
+// TestStreamResumeAfterRestart: a stream client that resumes with a
+// cursor from before a daemon restart holds a cursor ahead of the
+// restarted store's epoch. Its rows are stale and the rows folded
+// since the restart carry epochs it has already passed, so the store
+// must answer with a full reset snapshot — at every rollup, and over
+// the ?poll=1 endpoint — exactly as a gossip peer's CellDeltasSince
+// does.
+func TestStreamResumeAfterRestart(t *testing.T) {
+	st := NewStore(-1, 4)
+	for _, s := range benchBatch(6, 3) {
+		if !st.Fold(&s, 0, SourceNone) {
+			t.Fatal("fold refused")
+		}
+	}
+	ahead := st.Epoch() + 1000
+	if d := st.CellDeltasSince(ahead); !d.Reset || len(d.Cells) == 0 {
+		t.Fatalf("gossip delta for a future cursor: reset=%v cells=%d", d.Reset, len(d.Cells))
+	}
+	for _, r := range []Rollup{RollupCell, RollupGroup, RollupDevice} {
+		ev, err := st.DeltasSince(ahead, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ev.Reset || len(ev.Cells) == 0 || ev.Epoch != st.Epoch() {
+			t.Errorf("by=%s: future cursor answered reset=%v with %d cells at epoch %d (store %d)",
+				r, ev.Reset, len(ev.Cells), ev.Epoch, st.Epoch())
+		}
+	}
+
+	s := startTestServer(t, Config{Window: -1, StreamInterval: -1})
+	postBatch(t, s.URL(), benchBatch(5, 3))
+	waitFolded(t, s, 5)
+	resp, err := http.Get(fmt.Sprintf("%s/v1/stream?poll=1&by=group&since=%d&wait=50ms",
+		s.URL(), s.Store().Epoch()+1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ev StreamEvent
+	if err := json.NewDecoder(resp.Body).Decode(&ev); err != nil {
+		t.Fatal(err)
+	}
+	if !ev.Reset || len(ev.Cells) == 0 {
+		t.Fatalf("poll with a future cursor: reset=%v with %d cells", ev.Reset, len(ev.Cells))
 	}
 }

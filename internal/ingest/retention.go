@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"time"
 )
@@ -192,41 +191,24 @@ func (st *Store) Compact(cutoffMS int64) (cells, sessions int64) {
 
 // EnforceCap demotes the globally coldest closed-window fine cells
 // into their rollups until the fine tier is back under MaxCells —
-// the janitor's complement to fold-time eviction (which only scans one
-// shard). Cells in a still-open window (relative to nowMS) are never
-// demoted: they are actively folding. Returns how many were evicted.
+// the janitor's complement to fold-time eviction, which runs only when
+// a mint finds the tier full. It runs that eviction's victim search
+// (evictColdestGlobal) bounded by nowMS's window: a window is closed
+// exactly when it starts before that one, and cells in a still-open
+// window are never demoted — they are actively folding. Returns how
+// many cells it demoted.
 func (st *Store) EnforceCap(nowMS int64) int64 {
 	if !st.CompactionEnabled() {
 		return 0
 	}
-	over := st.cells.Load() - st.maxCells
-	if over <= 0 {
-		return 0
-	}
-	type shardKey struct {
-		k     Key
-		shard int
-	}
-	var all []shardKey
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for k := range sh.cells {
-			all = append(all, shardKey{k, i})
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return colder(all[i].k, all[j].k) })
+	open := st.WindowFor(nowMS)
 	var n int64
-	for _, e := range all {
-		if n >= over {
+	for st.cells.Load() > st.maxCells {
+		found, demoted := st.evictColdestGlobal(open)
+		if !found {
 			break
 		}
-		if e.k.WindowMS+st.windowMS > nowMS {
-			break // sorted ascending: everything from here is still open
-		}
-		// A miss raced with fold-time eviction or compaction.
-		if st.evict(&st.shards[e.shard], e.k) {
+		if demoted {
 			n++
 		}
 	}
@@ -273,13 +255,14 @@ func (st *Store) evictColdestLocked(sh *storeShard, newWindowMS int64) bool {
 // so shard-local eviction alone strands cold cells in other shards and
 // forces drops even though the store as a whole has room to reclaim.
 // Shard locks are taken one at a time (never nested), so this cannot
-// deadlock against concurrent folds. It reports whether a strictly
+// deadlock against concurrent folds. found reports whether a strictly
 // older cell existed — true even when a concurrent compaction or
 // eviction removed the victim first, since either way the caller's
 // retry may find room; false only when nothing older is left anywhere.
-func (st *Store) evictColdestGlobal(newWindowMS int64) bool {
+// demoted reports whether this call demoted the victim itself.
+func (st *Store) evictColdestGlobal(newWindowMS int64) (found, demoted bool) {
 	if !st.CompactionEnabled() {
-		return false
+		return false, false
 	}
 	var vk Key
 	vs := -1
@@ -294,10 +277,9 @@ func (st *Store) evictColdestGlobal(newWindowMS int64) bool {
 		sh.mu.Unlock()
 	}
 	if vs < 0 {
-		return false
+		return false, false
 	}
-	st.evict(&st.shards[vs], vk)
-	return true
+	return true, st.evict(&st.shards[vs], vk)
 }
 
 // evict unlinks fine cell k from shard sh under the shard lock, then

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -43,10 +42,6 @@ type Config struct {
 	FoldWorkers int
 	// MaxConns bounds concurrently accepted TCP connections (<1 → 512).
 	MaxConns int
-	// MaxBatchBytes caps one POST body (<1 → 8 MiB).
-	MaxBatchBytes int64
-	// MaxBatchSummaries caps records per batch (<1 → 10000).
-	MaxBatchSummaries int
 	// MaxCells bounds distinct aggregation cells (0 → store default;
 	// negative removes the cap). Summaries that would mint a cell past
 	// the cap are dropped and counted, so key-cardinality abuse cannot
@@ -102,12 +97,6 @@ func (c *Config) fill() {
 	if c.MaxConns < 1 {
 		c.MaxConns = 512
 	}
-	if c.MaxBatchBytes < 1 {
-		c.MaxBatchBytes = 8 << 20
-	}
-	if c.MaxBatchSummaries < 1 {
-		c.MaxBatchSummaries = 10000
-	}
 	if c.Retention == 0 {
 		c.Retention = 24 * time.Hour
 	}
@@ -124,6 +113,15 @@ func (c *Config) fill() {
 		c.ProfilesInterval = time.Minute
 	}
 }
+
+// Batch caps, the same on every wire: one POST body or TCP frame reads
+// at most maxBatchBytes (past it HTTP answers 413, split and re-post;
+// TCP answers bad and drops the connection), and one batch decodes at
+// most maxBatchSummaries records.
+const (
+	maxBatchBytes     = 8 << 20
+	maxBatchSummaries = 10000
+)
 
 // Event-time clamp horizon: a phone's clock may drift or a batch may
 // upload late, but beyond this the stamp is treated as hostile/broken
@@ -193,15 +191,15 @@ type Server struct {
 	// WaitGroup.Wait from a timed-out drain could race a later Add from
 	// a straggling request into a "WaitGroup misuse" panic; an atomic
 	// counter has no such failure mode.
-	inflight    atomic.Int64
-	closeOnce   sync.Once
-	janitorStop chan struct{}
-	janitorOnce sync.Once
-	janitorWG   sync.WaitGroup
-	persistWG   sync.WaitGroup
-	started     time.Time
-	draining    atomic.Bool
-	servErr     chan error
+	inflight  atomic.Int64
+	closeOnce sync.Once
+	// stop ends the maintenance loop; maintWG joins it.
+	stop     chan struct{}
+	stopOnce sync.Once
+	maintWG  sync.WaitGroup
+	started  time.Time
+	draining atomic.Bool
+	servErr  chan error
 	// ageClampMS is the accepted event-time age horizon: never older
 	// than the retention window, else a 202-accepted late batch would
 	// fold into an already-expired window and be compacted before
@@ -228,25 +226,23 @@ func Start(cfg Config) (*Server, error) {
 		knowledge = puncture.NewStore(DefaultPunctureShards)
 	}
 	if cfg.ProfilesPath != "" {
-		snap, found, err := loadProfiles(cfg.ProfilesPath)
+		snap, _, err := puncture.ReadFile(cfg.ProfilesPath)
 		if err != nil {
 			return nil, err
 		}
-		if found {
-			if err := knowledge.MergeSnapshot(snap); err != nil {
-				return nil, fmt.Errorf("ingest: profiles %s: %w", cfg.ProfilesPath, err)
-			}
+		if err := knowledge.MergeSnapshot(snap); err != nil {
+			return nil, fmt.Errorf("ingest: profiles %s: %w", cfg.ProfilesPath, err)
 		}
 	}
 	s := &Server{
-		cfg:         cfg,
-		store:       NewStore(window, DefaultStoreShards),
-		punc:        NewPuncturerStore(knowledge),
-		pipes:       make([]chan pipeJob, cfg.FoldWorkers),
-		credits:     make(chan struct{}, cfg.QueueDepth),
-		janitorStop: make(chan struct{}),
-		started:     time.Now(),
-		servErr:     make(chan error, 1),
+		cfg:     cfg,
+		store:   NewStore(window, DefaultStoreShards),
+		punc:    NewPuncturerStore(knowledge),
+		pipes:   make([]chan pipeJob, cfg.FoldWorkers),
+		credits: make(chan struct{}, cfg.QueueDepth),
+		stop:    make(chan struct{}),
+		started: time.Now(),
+		servErr: make(chan error, 1),
 	}
 	for i := range s.pipes {
 		s.pipes[i] = make(chan pipeJob, cfg.QueueDepth)
@@ -293,14 +289,8 @@ func Start(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	if window > 0 && cfg.Retention > 0 {
-		s.janitorWG.Add(1)
-		go s.janitor(window, cfg.Retention)
-	}
-	if cfg.ProfilesPath != "" && cfg.ProfilesInterval > 0 {
-		s.persistWG.Add(1)
-		go s.profilesPersister(cfg.ProfilesInterval)
-	}
+	s.maintWG.Add(1)
+	go s.maintain(window)
 	go func() {
 		if err := s.http.Serve(s.ln); err != nil && err != http.ErrServerClosed {
 			s.servErr <- err
@@ -309,77 +299,56 @@ func Start(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// janitor bounds a long-running daemon's memory: expired windows
-// demote losslessly into rollup cells and the fine tier is re-capped
-// globally, so the cell cap handles hostile key cardinality.
-func (s *Server) janitor(window, retention time.Duration) {
-	defer s.janitorWG.Done()
-	interval := window
-	if interval > time.Minute {
-		interval = time.Minute
+// maintain is the server's one maintenance loop, with a ticker per
+// duty (a disabled duty's nil channel never fires). Compaction bounds a
+// long-running daemon's memory: expired windows demote losslessly into
+// rollup cells and the fine tier is re-capped globally, so the cell cap
+// handles hostile key cardinality. Persistence snapshots the knowledge
+// store atomically on a cadence, so a crash loses at most one interval
+// of learning; the graceful path saves once more after the drain.
+func (s *Server) maintain(window time.Duration) {
+	defer s.maintWG.Done()
+	var compact, persist <-chan time.Time
+	if window > 0 && s.cfg.Retention > 0 {
+		t := time.NewTicker(min(window, time.Minute))
+		defer t.Stop()
+		compact = t.C
 	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
+	if s.cfg.ProfilesPath != "" && s.cfg.ProfilesInterval > 0 {
+		t := time.NewTicker(s.cfg.ProfilesInterval)
+		defer t.Stop()
+		persist = t.C
+	}
 	for {
 		select {
-		case <-t.C:
+		case <-compact:
 			now := time.Now()
-			cells, _ := s.store.Compact(now.Add(-retention).UnixMilli())
+			cells, _ := s.store.Compact(now.Add(-s.cfg.Retention).UnixMilli())
 			cells += s.store.EnforceCap(now.UnixMilli())
 			s.metrics.CompactionCycles.Add(1)
 			if cells > 0 {
 				s.bcast.poke()
 			}
-		case <-s.janitorStop:
-			return
-		}
-	}
-}
-
-// loadProfiles reads a knowledge snapshot; a missing file is a clean
-// first boot.
-func loadProfiles(path string) (*puncture.Snapshot, bool, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("ingest: profiles: %w", err)
-	}
-	defer f.Close()
-	snap, err := puncture.ReadSnapshot(f)
-	if err != nil {
-		return nil, false, fmt.Errorf("ingest: profiles %s: %w", path, err)
-	}
-	return snap, true, nil
-}
-
-// profilesPersister snapshots the knowledge store atomically on a
-// cadence, so a crash loses at most one interval of learning; the
-// graceful path saves once more after the drain.
-func (s *Server) profilesPersister(interval time.Duration) {
-	defer s.persistWG.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
+		case <-persist:
 			s.saveProfiles()
-		case <-s.janitorStop:
+		case <-s.stop:
 			return
 		}
 	}
 }
 
-func (s *Server) saveProfiles() {
+// saveProfiles writes the knowledge snapshot to ProfilesPath, when one
+// is set, and counts the save or its failure.
+func (s *Server) saveProfiles() error {
 	if s.cfg.ProfilesPath == "" {
-		return
+		return nil
 	}
 	if err := s.punc.Store().SaveFile(s.cfg.ProfilesPath); err != nil {
 		s.metrics.ProfileSaveErrors.Add(1)
-		return
+		return err
 	}
 	s.metrics.ProfileSaves.Add(1)
+	return nil
 }
 
 // Addr returns the bound listen address.
@@ -449,12 +418,13 @@ func (s *Server) MetricsSnapshot() map[string]int64 {
 // Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	s.janitorOnce.Do(func() { close(s.janitorStop) })
-	// Join the janitor: a compaction pass still running when Shutdown
-	// returns could be caught mid-demotion by the caller's next query,
-	// which would then count the demoted cell in its shard and again in
-	// its rollup.
-	s.janitorWG.Wait()
+	s.stopOnce.Do(func() { close(s.stop) })
+	// Join the maintenance loop: a compaction pass still running when
+	// Shutdown returns could be caught mid-demotion by the caller's next
+	// query, which would then count the demoted cell in its shard and
+	// again in its rollup; and a slow periodic save finishing after the
+	// final one below would rename a stale pre-drain snapshot over it.
+	s.maintWG.Wait()
 	// Drain the stream before http.Shutdown: SSE handlers hold their
 	// connections open forever, so Shutdown would wait on them until its
 	// context expired. The drain signal makes each handler flush its
@@ -517,20 +487,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	default:
 	}
 	// Persist the knowledge store after the drain, so everything the
-	// final batches taught survives the restart. The periodic persister
-	// is joined first: a slow in-flight periodic save finishing after
-	// this one would otherwise rename a stale pre-drain snapshot over
-	// the final state.
-	s.persistWG.Wait()
-	if s.cfg.ProfilesPath != "" {
-		if serr := s.punc.Store().SaveFile(s.cfg.ProfilesPath); serr != nil {
-			s.metrics.ProfileSaveErrors.Add(1)
-			if err == nil {
-				err = serr
-			}
-		} else {
-			s.metrics.ProfileSaves.Add(1)
-		}
+	// final batches taught survives the restart.
+	if serr := s.saveProfiles(); err == nil {
+		err = serr
 	}
 	return err
 }
@@ -550,7 +509,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBatchBytes)
 	// Dispatch on Content-Type: the framed binary wire rides the same
 	// endpoint as JSON lines, so a device can switch wires without a
 	// config change server-side.
@@ -561,9 +520,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		ct = ct[:i]
 	}
 	if strings.EqualFold(strings.TrimSpace(ct), BinaryContentType) {
-		batch, err = DecodeBinaryBatch(body, s.cfg.MaxBatchSummaries, 0)
+		batch, err = DecodeBinaryBatch(body, maxBatchSummaries, 0)
 	} else {
-		batch, err = DecodeBatch(body, s.cfg.MaxBatchSummaries)
+		batch, err = DecodeBatch(body, maxBatchSummaries)
 	}
 	if err != nil {
 		// An oversized batch is valid data that needs splitting, not
@@ -574,7 +533,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.metrics.OversizedBatches.Add(1)
-			http.Error(w, fmt.Sprintf("batch exceeds %d bytes; split and re-post", s.cfg.MaxBatchBytes),
+			http.Error(w, fmt.Sprintf("batch exceeds %d bytes; split and re-post", maxBatchBytes),
 				http.StatusRequestEntityTooLarge)
 			return
 		}
@@ -683,9 +642,9 @@ func StatsFor(c *Cell) CellStats {
 		Punctured:          trackStats(c.Punctured, c.PuncturedHist, c.PuncturedSketch),
 		CorrectionMeanMS:   ms(c.Correction.Mean),
 		InflationMean:      c.Inflation.Mean,
-		UserOverheadMS:     ms(c.UserOverhead.Mean),
-		SDIOOverheadMS:     ms(c.SDIOOverhead.Mean),
-		PSMInflationMS:     ms(c.PSMInflation.Mean),
+		UserOverheadMS:     ms(c.User.Mean),
+		SDIOOverheadMS:     ms(c.SDIO.Mean),
+		PSMInflationMS:     ms(c.PSM.Mean),
 		PSMActiveSessions:  c.PSMActiveSessions,
 		CalibratedSessions: c.CalibratedSessions,
 		ReportedSessions:   c.ReportedSessions,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/puncture"
 	"repro/internal/wirebuf"
 )
 
@@ -52,10 +53,11 @@ type Cell struct {
 	// observation per punctured session).
 	Correction agg.Moments `json:"correction"`
 
-	Inflation    agg.Moments `json:"inflation"`
-	UserOverhead agg.Moments `json:"user_overhead"`
-	SDIOOverhead agg.Moments `json:"sdio_overhead"`
-	PSMInflation agg.Moments `json:"psm_inflation"`
+	Inflation agg.Moments `json:"inflation"`
+	// Overheads folds the attributing sessions' overhead shares (its
+	// Sessions and Correction methods are shadowed by the fields of
+	// those names).
+	puncture.Overheads
 
 	PSMActiveSessions  int64 `json:"psm_active_sessions"`
 	CalibratedSessions int64 `json:"calibrated_sessions"`
@@ -143,7 +145,7 @@ func (c *Cell) counters() [11]*int64 {
 // moments lists the cell's moment tracks in wire order.
 func (c *Cell) moments() [7]*agg.Moments {
 	return [...]*agg.Moments{&c.Raw, &c.Punctured, &c.Correction, &c.Inflation,
-		&c.UserOverhead, &c.SDIOOverhead, &c.PSMInflation}
+		&c.User, &c.SDIO, &c.PSM}
 }
 
 // AppendKey appends k's binary form — device, group and scenario
@@ -307,9 +309,7 @@ func (c *Cell) fold(s *Summary, corr time.Duration, src CorrectionSource, fs *fo
 		c.Inflation.Add(s.Inflation)
 	}
 	if s.LayersOK {
-		c.UserOverhead.Add(float64(s.UserOverheadNS))
-		c.SDIOOverhead.Add(float64(s.SDIOOverheadNS))
-		c.PSMInflation.Add(float64(s.PSMInflationNS))
+		c.Overheads.Add(s.attribution())
 	}
 	if s.PSMActive {
 		c.PSMActiveSessions++
@@ -410,9 +410,7 @@ func (c *Cell) Merge(o *Cell) error {
 	}
 	c.Correction.Merge(o.Correction)
 	c.Inflation.Merge(o.Inflation)
-	c.UserOverhead.Merge(o.UserOverhead)
-	c.SDIOOverhead.Merge(o.SDIOOverhead)
-	c.PSMInflation.Merge(o.PSMInflation)
+	c.Overheads.Merge(&o.Overheads)
 	c.PSMActiveSessions += o.PSMActiveSessions
 	c.CalibratedSessions += o.CalibratedSessions
 	c.ReportedSessions += o.ReportedSessions
@@ -680,7 +678,7 @@ func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration,
 				// concurrent fold may take the freed slot first, so
 				// keep evicting until the mint wins or nothing older
 				// is left anywhere.
-				if st.evictColdestGlobal(k.WindowMS) {
+				if found, _ := st.evictColdestGlobal(k.WindowMS); found {
 					continue
 				}
 				st.dropped.Add(int64(len(sums)))

@@ -38,9 +38,10 @@ type StreamEvent struct {
 	// Rollup echoes the subscription's cell granularity.
 	Rollup   Rollup `json:"rollup"`
 	WindowMS int64  `json:"window_ms,omitempty"`
-	// Reset is set when the client's cursor predates the removal log:
-	// the event carries a full snapshot and the client must drop every
-	// row it holds before applying it.
+	// Reset is set when the client's cursor cannot be honored — it
+	// predates the removal log, or is ahead of the store's epoch (the
+	// daemon restarted): the event carries a full snapshot and the
+	// client must drop every row it holds before applying it.
 	Reset bool `json:"reset,omitempty"`
 	// Cells are the changed cells' current cumulative stats.
 	Cells []CellStats `json:"cells,omitempty"`
@@ -51,11 +52,12 @@ type StreamEvent struct {
 }
 
 // DeltasSince computes the stream event for a cursor at the given
-// rollup: every cell whose epoch exceeds since, plus retractions. The
-// returned event's Epoch is read before the removal log and the scan:
-// every removal at or below it is in the event, and a fold racing the
-// scan is re-delivered next time rather than lost (deltas are
-// idempotent — latest state per key).
+// rollup: every cell whose epoch exceeds since, plus retractions, under
+// the cursor rule gossip deltas share (Store.cursor): the returned
+// event's Epoch is read before the removal log and the scan, and a
+// cursor the log has wrapped past or one ahead of the epoch gets a
+// full-snapshot reset. Deltas are idempotent — latest state per key —
+// so a fold racing the scan is re-delivered next time rather than lost.
 func (st *Store) DeltasSince(since int64, r Rollup) (StreamEvent, error) {
 	return st.deltasWith(since, r, nil)
 }
@@ -68,19 +70,18 @@ func (st *Store) DeltasSince(since int64, r Rollup) (StreamEvent, error) {
 // the merging path — even at RollupCell, where reduce is the identity —
 // because the same key can hold sessions on several peers.
 func (st *Store) deltasWith(since int64, r Rollup, src ReplicaSource) (StreamEvent, error) {
-	ev := StreamEvent{Rollup: r, WindowMS: st.windowMS, Epoch: st.epoch.Load()}
-	removed, logOK := st.removals.Since(since, ev.Epoch)
+	epoch, removed, reset := st.cursor(since)
+	ev := StreamEvent{Rollup: r, WindowMS: st.windowMS, Epoch: epoch, Reset: reset}
 	var extraRemoved []Key
-	if src != nil {
+	if src != nil && !reset {
 		// Replica removals past ev.Epoch come again next time; this
 		// subscription merges, where a repeat only re-emits a row.
 		var rok bool
 		extraRemoved, rok = src.ReplicaRemovals(since)
-		logOK = logOK && rok
+		ev.Reset = !rok
 	}
-	if !logOK {
+	if ev.Reset {
 		since, removed, extraRemoved = 0, nil, nil
-		ev.Reset = true
 	}
 	// Replica cells are collected after the epoch read for the same
 	// reason the scans below are: an apply racing this call stamps a
@@ -134,6 +135,25 @@ func (st *Store) deltasWith(since int64, r Rollup, src ReplicaSource) (StreamEve
 	}
 	sort.Slice(ev.Removed, func(i, j int) bool { return keyLess(ev.Removed[i], ev.Removed[j]) })
 	return ev, nil
+}
+
+// cursor is the one rule for honoring a delta cursor, shared by stream
+// and gossip deltas. It reads the store's epoch first, then the
+// removals in (since, epoch]: every removal at or below the epoch is
+// in the list, and a fold racing the caller's scan stamps a higher
+// epoch and is re-delivered next time rather than lost. reset reports
+// a cursor that cannot be honored — the bounded removal log has
+// overwritten entries past it, or it is ahead of the epoch, a cursor
+// from a previous life of this store (a restart rewound the counter).
+// The caller must then send a full snapshot and the receiver drop
+// every row it holds.
+func (st *Store) cursor(since int64) (epoch int64, removed []Key, reset bool) {
+	epoch = st.epoch.Load()
+	removed, ok := st.removals.Since(since, epoch)
+	if since > epoch || !ok {
+		return epoch, nil, true
+	}
+	return epoch, removed, false
 }
 
 func dedupKeys(keys []Key) []Key {

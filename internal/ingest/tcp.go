@@ -124,9 +124,9 @@ func (s *Server) serveTCPConn(c net.Conn) {
 	}()
 	var status [1]byte
 	for {
-		budget.n = s.cfg.MaxBatchBytes
+		budget.n = maxBatchBytes
 		c.SetReadDeadline(time.Now().Add(tcpIdleTimeout))
-		batch, err := readBinaryBatch(br, s.cfg.MaxBatchSummaries)
+		batch, err := readBinaryBatch(br, maxBatchSummaries)
 		if err == io.EOF {
 			return // clean close between frames
 		}

@@ -145,6 +145,64 @@ func calBetter(a, b CalEntry) bool {
 	return a.Interval > b.Interval
 }
 
+// Attribution is one attributing session's overhead shares (ns): the
+// paper's decomposition of an app-level RTT's inflation into its
+// user-space (Δdu−k), host-bus/SDIO (Δdk−n) and PSM/air
+// (mean(dn) − path RTT) parts. It is the unit every Overheads folds and
+// RecordAttributionRun teaches in bulk.
+type Attribution struct {
+	UserNS, SDIONS, PSMNS int64
+}
+
+// Overheads folds attributing sessions' overhead shares: one moments
+// track per share. It is the one declaration of the triple — device
+// profiles, chipset families and the global prior here, ingest cells
+// and /models rows, and fleet group aggregates all embed it where the
+// three fields belong, so their JSON keys sit in the same place.
+type Overheads struct {
+	// User / SDIO fold per-session mean Δdu−k and Δdk−n (ns): the
+	// user-space and host-bus shares.
+	User agg.Moments `json:"user_overhead"`
+	SDIO agg.Moments `json:"sdio_overhead"`
+	// PSM folds per-session mean(dn) − path RTT (ns): delay added on the
+	// air path itself, the PSM/AP-buffering share (may be slightly
+	// negative).
+	PSM agg.Moments `json:"psm_inflation"`
+}
+
+// Add folds one session's attribution.
+func (o *Overheads) Add(a Attribution) {
+	o.User.Add(float64(a.UserNS))
+	o.SDIO.Add(float64(a.SDIONS))
+	o.PSM.Add(float64(a.PSMNS))
+}
+
+// Merge folds another fold of the triple in.
+func (o *Overheads) Merge(p *Overheads) {
+	o.User.Merge(p.User)
+	o.SDIO.Merge(p.SDIO)
+	o.PSM.Merge(p.PSM)
+}
+
+// Sessions returns how many attributing sessions were folded.
+func (o *Overheads) Sessions() int64 { return o.User.N }
+
+// Correction returns the mean total per-probe correction, clamped at
+// ≥ 0 so an over-learned aggregate can never inflate (or make negative)
+// the punctured RTT.
+func (o *Overheads) Correction() time.Duration {
+	return max(time.Duration(o.User.Mean+o.SDIO.Mean+o.PSM.Mean), 0)
+}
+
+// check rejects a fold whose three tracks disagree on how many sessions
+// they hold.
+func (o *Overheads) check() error {
+	if o.User.N < 0 || o.User.N != o.SDIO.N || o.User.N != o.PSM.N {
+		return fmt.Errorf("inconsistent overhead sample counts %d/%d/%d", o.User.N, o.SDIO.N, o.PSM.N)
+	}
+	return nil
+}
+
 // DeviceProfile is the store's unit of knowledge about one phone model:
 // calibrated timers plus the learned overhead moments and a mergeable
 // sketch of per-session total corrections. Epoch counts the updates the
@@ -154,41 +212,25 @@ type DeviceProfile struct {
 	CalEntry
 	Epoch int64 `json:"epoch,omitempty"`
 
-	// User / SDIO / PSM fold the per-session mean user-space, host-bus,
-	// and PSM overhead shares (ns) reported by attributing sessions.
-	User agg.Moments `json:"user_overhead"`
-	SDIO agg.Moments `json:"sdio_overhead"`
-	PSM  agg.Moments `json:"psm_inflation"`
+	// Overheads folds the per-session mean overhead shares reported by
+	// attributing sessions.
+	Overheads
 	// Corr sketches the per-session total correction (ns), so queries
 	// can see the correction distribution, not just its mean.
 	Corr *agg.Sketch `json:"correction_sketch,omitempty"`
 }
 
-// AttributionSessions returns how many attributing sessions taught the
-// profile.
-func (p *DeviceProfile) AttributionSessions() int64 { return p.User.N }
-
-// Correction returns the profile's mean total per-probe correction,
-// clamped at ≥ 0 so an over-learned profile can never inflate (or make
-// negative) the punctured RTT.
-func (p *DeviceProfile) Correction() time.Duration {
-	c := time.Duration(p.User.Mean + p.SDIO.Mean + p.PSM.Mean)
-	if c < 0 {
-		c = 0
-	}
-	return c
-}
-
-// recordAttribution folds one attributing session's overhead shares in.
-func (p *DeviceProfile) recordAttribution(userNS, sdioNS, psmNS int64) {
-	p.User.Add(float64(userNS))
-	p.SDIO.Add(float64(sdioNS))
-	p.PSM.Add(float64(psmNS))
+// addRun folds a non-empty run of attributing sessions in, one epoch
+// each; the sketch takes each session's total correction.
+func (p *DeviceProfile) addRun(run []Attribution) {
 	if p.Corr == nil {
 		p.Corr = agg.NewSketch(0)
 	}
-	p.Corr.Add(float64(userNS + sdioNS + psmNS))
-	p.Epoch++
+	for _, a := range run {
+		p.Add(a)
+		p.Corr.Add(float64(a.UserNS + a.SDIONS + a.PSMNS))
+	}
+	p.Epoch += int64(len(run))
 }
 
 // Merge folds another profile for the same model in: learned moments
@@ -218,9 +260,7 @@ func (p *DeviceProfile) Merge(o *DeviceProfile) {
 	default:
 		p.Corr.Merge(o.Corr)
 	}
-	p.User.Merge(o.User)
-	p.SDIO.Merge(o.SDIO)
-	p.PSM.Merge(o.PSM)
+	p.Overheads.Merge(&o.Overheads)
 }
 
 // Clone returns a deep copy (the sketch is the only shared pointer).
@@ -245,14 +285,12 @@ func (p *DeviceProfile) Validate() error {
 			return err
 		}
 	}
-	if p.User.N < 0 || p.SDIO.N < 0 || p.PSM.N < 0 ||
-		p.User.N != p.SDIO.N || p.User.N != p.PSM.N {
-		return fmt.Errorf("puncture: %s: inconsistent overhead sample counts %d/%d/%d",
-			p.Model, p.User.N, p.SDIO.N, p.PSM.N)
+	if err := p.check(); err != nil {
+		return fmt.Errorf("puncture: %s: %w", p.Model, err)
 	}
 	// A calibration-only profile has no correction track.
-	if p.User.N > 0 || p.Corr != nil {
-		if err := agg.CheckCoverage(p.User.N, p.Corr); err != nil {
+	if p.Sessions() > 0 || p.Corr != nil {
+		if err := agg.CheckCoverage(p.Sessions(), p.Corr); err != nil {
 			return fmt.Errorf("puncture: %s: correction_sketch: %w", p.Model, err)
 		}
 	}
@@ -269,29 +307,15 @@ func (p *DeviceProfile) Validate() error {
 type FamilyProfile struct {
 	Chipset string `json:"chipset"`
 	Epoch   int64  `json:"epoch,omitempty"`
-
-	User agg.Moments `json:"user_overhead"`
-	SDIO agg.Moments `json:"sdio_overhead"`
-	PSM  agg.Moments `json:"psm_inflation"`
+	Overheads
 }
 
-// Sessions returns how many attributing sessions taught the family.
-func (f *FamilyProfile) Sessions() int64 { return f.User.N }
-
-// Correction returns the family's mean total correction, clamped ≥ 0.
-func (f *FamilyProfile) Correction() time.Duration {
-	c := time.Duration(f.User.Mean + f.SDIO.Mean + f.PSM.Mean)
-	if c < 0 {
-		c = 0
+// addRun folds a run of attributing sessions in, one epoch each.
+func (f *FamilyProfile) addRun(run []Attribution) {
+	for _, a := range run {
+		f.Add(a)
 	}
-	return c
-}
-
-func (f *FamilyProfile) recordAttribution(userNS, sdioNS, psmNS int64) {
-	f.User.Add(float64(userNS))
-	f.SDIO.Add(float64(sdioNS))
-	f.PSM.Add(float64(psmNS))
-	f.Epoch++
+	f.Epoch += int64(len(run))
 }
 
 // Merge folds another family aggregate in.
@@ -300,16 +324,13 @@ func (f *FamilyProfile) Merge(o *FamilyProfile) {
 		return
 	}
 	f.Epoch += o.Epoch
-	f.User.Merge(o.User)
-	f.SDIO.Merge(o.SDIO)
-	f.PSM.Merge(o.PSM)
+	f.Overheads.Merge(&o.Overheads)
 }
 
 // Validate rejects inconsistent family aggregates.
 func (f *FamilyProfile) Validate() error {
-	if f.User.N < 0 || f.User.N != f.SDIO.N || f.User.N != f.PSM.N {
-		return fmt.Errorf("puncture: family %q: inconsistent sample counts %d/%d/%d",
-			f.Chipset, f.User.N, f.SDIO.N, f.PSM.N)
+	if err := f.check(); err != nil {
+		return fmt.Errorf("puncture: family %q: %w", f.Chipset, err)
 	}
 	if f.Epoch < 0 {
 		return fmt.Errorf("puncture: family %q: negative epoch", f.Chipset)

@@ -424,8 +424,8 @@ func TestConcurrentSnapshotLoadRecord(t *testing.T) {
 		t.Fatalf("len = %d, want %d", got, models+1)
 	}
 	p, ok := st.Lookup("delta-model")
-	if !ok || p.AttributionSessions() != 25 {
-		t.Fatalf("delta-model merged %d times, want 25", p.AttributionSessions())
+	if !ok || p.Sessions() != 25 {
+		t.Fatalf("delta-model merged %d times, want 25", p.Sessions())
 	}
 	if err := st.Snapshot().Validate(); err != nil {
 		t.Fatalf("final snapshot invalid: %v", err)

@@ -251,26 +251,35 @@ func syncDir(dir string) error {
 	return err
 }
 
-// LoadFile builds a store from a snapshot or -registry calibration file
-// (shards < 1 selects the default stripe count). A missing file is not an error: it returns an
-// empty store and found=false — the first boot of a daemon that will
-// create the file on its first save.
-func LoadFile(path string, shards int) (st *Store, found bool, err error) {
-	st = NewStore(shards)
+// ReadFile reads and validates a snapshot or -registry calibration
+// file. A missing file is not an error: it returns found=false — the
+// first boot of a daemon that will create the file on its first save.
+func ReadFile(path string) (snap *Snapshot, found bool, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return st, false, nil
+		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("puncture: opening snapshot: %w", err)
 	}
 	defer f.Close()
-	snap, err := ReadSnapshot(f)
-	if err != nil {
+	if snap, err = ReadSnapshot(f); err != nil {
 		return nil, false, fmt.Errorf("puncture: %s: %w", path, err)
 	}
+	return snap, true, nil
+}
+
+// LoadFile builds a store from ReadFile's snapshot (shards < 1 selects
+// the default stripe count); a missing file yields an empty store and
+// found=false.
+func LoadFile(path string, shards int) (st *Store, found bool, err error) {
+	snap, found, err := ReadFile(path)
+	if err != nil {
+		return nil, false, err
+	}
+	st = NewStore(shards)
 	if err := st.MergeSnapshot(snap); err != nil {
 		return nil, false, fmt.Errorf("puncture: %s: %w", path, err)
 	}
-	return st, true, nil
+	return st, found, nil
 }

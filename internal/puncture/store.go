@@ -113,7 +113,7 @@ func (st *Store) Resolve(model, chipset string) (time.Duration, Source) {
 		learned bool
 	)
 	if p := sh.profiles[model]; p != nil {
-		if p.User.N > 0 {
+		if p.Sessions() > 0 {
 			corr, learned = p.Correction(), true
 		} else if chipset == "" {
 			chipset = p.Chipset
@@ -152,74 +152,30 @@ func (st *Store) Resolve(model, chipset string) (time.Duration, Source) {
 	return 0, SourceNone
 }
 
-// CountReported records that a session shipped its own attribution and
-// was corrected from it — the top rung of the ladder, counted here so
-// /v1/profiles shows the whole provenance distribution.
-func (st *Store) CountReported() { st.resolved[SourceReported].Add(1) }
+// CountReported records that n sessions shipped their own attribution
+// and were corrected from it — the top rung of the ladder, counted here
+// so /v1/profiles shows the whole provenance distribution.
+func (st *Store) CountReported(n int64) { st.resolved[SourceReported].Add(n) }
 
 // RecordAttribution folds one attributing session's overhead shares
 // (ns) into the model's profile, its chipset family, and the global
-// prior. Returns false when the model profile could not be minted at
-// the cap — the family and global aggregates still learn, so capped
-// traffic degrades to the fallback rungs instead of teaching nothing.
+// prior: a run of one. Returns false when the model profile could not
+// be minted at the cap — the family and global aggregates still learn,
+// so capped traffic degrades to the fallback rungs instead of teaching
+// nothing.
 func (st *Store) RecordAttribution(model, chipset string, userNS, sdioNS, psmNS int64) bool {
-	taught := false
-	sh := st.shardFor(model)
-	sh.mu.Lock()
-	p, ok := sh.profiles[model]
-	if !ok && st.models.Load() < st.maxModels.Load() {
-		p = &DeviceProfile{CalEntry: CalEntry{Model: model, Chipset: chipset}}
-		sh.profiles[model] = p
-		st.models.Add(1)
-	}
-	if p != nil {
-		if p.Chipset == "" {
-			p.Chipset = chipset
-		}
-		if chipset == "" {
-			chipset = p.Chipset
-		}
-		p.recordAttribution(userNS, sdioNS, psmNS)
-		taught = true
-	}
-	sh.mu.Unlock()
-	if !taught {
-		st.rejected.Add(1)
-	}
-
-	if chipset != "" {
-		fsh := st.famShardFor(chipset)
-		fsh.mu.Lock()
-		f, ok := fsh.families[chipset]
-		if !ok {
-			f = &FamilyProfile{Chipset: chipset}
-			fsh.families[chipset] = f
-		}
-		f.recordAttribution(userNS, sdioNS, psmNS)
-		fsh.mu.Unlock()
-	}
-
-	st.globalMu.Lock()
-	st.global.recordAttribution(userNS, sdioNS, psmNS)
-	st.globalMu.Unlock()
-	st.epoch.Add(1)
-	return taught
-}
-
-// Attribution is one attributing session's overhead shares (ns) — the
-// unit RecordAttributionRun folds in bulk.
-type Attribution struct {
-	UserNS, SDIONS, PSMNS int64
+	return st.RecordAttributionRun(model, chipset, []Attribution{{userNS, sdioNS, psmNS}}) == 1
 }
 
 // RecordAttributionRun folds a run of attributing sessions that share
-// one model and one chipset under a single acquisition of each lock.
-// The per-session recurrences run in order, so the resulting profiles
-// are identical to calling RecordAttribution in a loop; only the lock
-// traffic, the shard hashing, and the epoch bump (one per run) are
-// amortized. Returns how many sessions taught the model profile (0
-// when minting was refused at the cap — the family and global
-// aggregates still learn, exactly as the single-session path).
+// one model and one chipset, in order, under a single acquisition of
+// each lock: the model profile (minted unless the profile table is at
+// its cap), the chipset family when one is known (the profile's own
+// family fills in an empty chipset), and the global prior. The store's
+// epoch advances once per run. Returns how many sessions taught the
+// model profile: len(run), or 0 when minting was refused at the cap —
+// counted as rejected, while the family and global aggregates still
+// learn.
 func (st *Store) RecordAttributionRun(model, chipset string, run []Attribution) int {
 	if len(run) == 0 {
 		return 0
@@ -240,9 +196,7 @@ func (st *Store) RecordAttributionRun(model, chipset string, run []Attribution) 
 		if chipset == "" {
 			chipset = p.Chipset
 		}
-		for _, a := range run {
-			p.recordAttribution(a.UserNS, a.SDIONS, a.PSMNS)
-		}
+		p.addRun(run)
 		taught = len(run)
 	}
 	sh.mu.Unlock()
@@ -258,23 +212,16 @@ func (st *Store) RecordAttributionRun(model, chipset string, run []Attribution) 
 			f = &FamilyProfile{Chipset: chipset}
 			fsh.families[chipset] = f
 		}
-		for _, a := range run {
-			f.recordAttribution(a.UserNS, a.SDIONS, a.PSMNS)
-		}
+		f.addRun(run)
 		fsh.mu.Unlock()
 	}
 
 	st.globalMu.Lock()
-	for _, a := range run {
-		st.global.recordAttribution(a.UserNS, a.SDIONS, a.PSMNS)
-	}
+	st.global.addRun(run)
 	st.globalMu.Unlock()
 	st.epoch.Add(1)
 	return taught
 }
-
-// CountReportedN is CountReported for a whole attributing run.
-func (st *Store) CountReportedN(n int64) { st.resolved[SourceReported].Add(n) }
 
 // RecordCalibration validates and stores calibrated timers on the
 // model's profile, replacing any previous calibration (a direct record
