@@ -25,8 +25,10 @@ bench:
 # run, and the loopback summaries/sec metric folds the fixed server
 # start/drain cost into elapsed time, so short passes systematically
 # under-read it). benchfmt keys by name and keeps the last
-# occurrence, so the steadier pass wins in $(BENCH_FILE).
-BENCH_WATCHED := IngestLoopback|Decode|CorrectionLookup|SketchFold|SketchMerge|StoreFold|StreamFanout|Compaction|GossipRound|ReplicaMerge
+# occurrence, so the steadier pass wins in $(BENCH_FILE). The
+# producer's gated rows (BenchmarkSession, BenchmarkSessionRun and the
+# event-queue BenchmarkSimPost) ride the same steady pass.
+BENCH_WATCHED := IngestLoopback|Decode|CorrectionLookup|SketchFold|SketchMerge|StoreFold|StreamFanout|Compaction|GossipRound|ReplicaMerge|Session|SimPost
 
 # Machine-readable benchmark record for the perf trajectory (ns/op,
 # allocs/op, summaries/sec across all three wires, decode costs, and
@@ -39,7 +41,8 @@ BENCH_WATCHED := IngestLoopback|Decode|CorrectionLookup|SketchFold|SketchMerge|S
 bench-json:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./... > bench-out.txt
 	$(GO) test -bench='$(BENCH_WATCHED)' -benchmem -benchtime=2s -run='^$$' \
-		./internal/ingest ./internal/puncture ./internal/agg ./internal/cluster >> bench-out.txt
+		./internal/ingest ./internal/puncture ./internal/agg ./internal/cluster \
+		./internal/fleet ./internal/simtime . >> bench-out.txt
 	$(GO) run ./cmd/bench2json < bench-out.txt > $(BENCH_FILE)
 	@echo "wrote $(BENCH_FILE)"
 

@@ -75,8 +75,10 @@ var nsOpWatch = map[string]bool{
 // session (run alone, and run plus capture analysis): the sim is
 // deterministic, so a single iteration counts what steady state does,
 // and a per-probe capture merge or a per-tap frame copy coming back
-// multiplies the count. Baselines of zero are expected and still
-// gate; see the package comment.
+// multiplies the count; and the simulation kernel's steady-state
+// post-and-fire (zero by contract: posted events recycle through the
+// free list). Baselines of zero are expected and still gate; see the
+// package comment.
 var allocsWatch = map[string]bool{
 	"BenchmarkStoreFold":         true,
 	"BenchmarkStoreFoldSerial":   true,
@@ -90,6 +92,7 @@ var allocsWatch = map[string]bool{
 	"BenchmarkReplicaMerge":      true,
 	"BenchmarkSession":           true,
 	"BenchmarkSessionRun":        true,
+	"BenchmarkSimPost":           true,
 }
 
 type row struct {

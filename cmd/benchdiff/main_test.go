@@ -134,3 +134,26 @@ func TestDiffGatesSessionAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffGatesSimPostAllocs: the event queue's steady-state post and
+// fire is allocation-free, so against its zero baseline one alloc/op
+// (a posted event no longer recycled) fails the gate and zero passes.
+func TestDiffGatesSimPostAllocs(t *testing.T) {
+	baseline := &benchfmt.Output{Benchmarks: []benchfmt.Benchmark{
+		bench("repro/internal/simtime", "BenchmarkSimPost-8",
+			map[string]float64{"ns/op": 100, "allocs/op": 0}),
+	}}
+	for _, c := range []struct {
+		allocs float64
+		fail   bool
+	}{{0, false}, {1, true}} {
+		current := &benchfmt.Output{Benchmarks: []benchfmt.Benchmark{
+			bench("repro/internal/simtime", "BenchmarkSimPost-2",
+				map[string]float64{"ns/op": 100, "allocs/op": c.allocs}),
+		}}
+		rows, _ := diff(baseline, current, 0.30)
+		if len(rows) != 1 || rows[0].metric != "allocs/op" || rows[0].failed != c.fail {
+			t.Fatalf("allocs/op %v: rows %+v, want one allocs/op row failed=%v", c.allocs, rows, c.fail)
+		}
+	}
+}

@@ -297,20 +297,20 @@ func (p *Phone) SetRuntime(r Runtime) {
 // AppDo runs fn after one user-space runtime overhead sample; tools use
 // it to model the path from "app decides to send" to the send syscall.
 func (p *Phone) AppDo(fn func()) {
-	p.sim.Schedule(p.overhead.Sample(p.sim), fn)
+	p.sim.Post(p.overhead.Sample(p.sim), fn)
 }
 
 // AppDeliver runs fn after one runtime overhead sample, modelling the
 // path from socket readiness to the app observing the data.
 func (p *Phone) AppDeliver(fn func()) {
-	p.sim.Schedule(p.overhead.Sample(p.sim), fn)
+	p.sim.Post(p.overhead.Sample(p.sim), fn)
 }
 
 // AppDoAs is AppDo with an explicit runtime, letting a Dalvik tool (Java
 // ping) and a native tool (ping, AcuteMon's MT) coexist on one phone.
 func (p *Phone) AppDoAs(r Runtime, fn func()) {
 	d := simtime.Scaled{D: runtimeOverhead(r), Factor: p.Profile.CPUFactor}
-	p.sim.Schedule(d.Sample(p.sim), fn)
+	p.sim.Post(d.Sample(p.sim), fn)
 }
 
 // String implements fmt.Stringer.

@@ -109,7 +109,7 @@ func TestPhoneAssemblyEndToEnd(t *testing.T) {
 			&packet.IPv4{TTL: 63, Protocol: packet.ProtoICMP, Src: p.IPv4().Dst, Dst: p.IPv4().Src},
 			&packet.ICMP{Type: packet.ICMPEchoReply, ID: ic.ID, Seq: ic.Seq},
 		)
-		sim.Schedule(5*time.Millisecond, func() { ap.WiredDeliver(reply) })
+		sim.Post(5*time.Millisecond, func() { ap.WiredDeliver(reply) })
 	})
 	var rttAt time.Duration
 	ph.Stack.OnICMP(9, func(ic *packet.ICMP, p *packet.Packet, at time.Duration) { rttAt = at })

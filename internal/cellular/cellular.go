@@ -188,7 +188,7 @@ func (m *Modem) promote() {
 	m.t2.Stop()
 	m.Stats.PromotionWait += cost
 	m.tr.Addf(m.sim.Now(), "rrc", "promote", "from=%s cost=%v", m.state, cost)
-	m.sim.Schedule(cost, func() {
+	m.sim.Post(cost, func() {
 		m.promoting = false
 		m.state = DCH
 		m.Stats.Promotions++
@@ -216,7 +216,7 @@ func (m *Modem) Send(p *packet.Packet) {
 func (m *Modem) transmitUp(p *packet.Packet) {
 	m.Stats.PacketsUp++
 	d := m.sample(m.cfg.DCHLatency)
-	m.sim.Schedule(d, func() {
+	m.sim.Post(d, func() {
 		if m.toNet != nil {
 			m.toNet(p)
 		}
@@ -229,16 +229,16 @@ func (m *Modem) DeliverFromNet(p *packet.Packet) {
 	switch m.state {
 	case DCH:
 		m.activity()
-		m.sim.Schedule(m.sample(m.cfg.DCHLatency), func() { m.deliverUp(p) })
+		m.sim.Post(m.sample(m.cfg.DCHLatency), func() { m.deliverUp(p) })
 	case FACH:
 		// Served on the shared channel (slow), which also triggers a
 		// promotion for subsequent traffic.
 		m.promote()
-		m.sim.Schedule(m.sample(m.cfg.FACHLatency), func() { m.deliverUp(p) })
+		m.sim.Post(m.sample(m.cfg.FACHLatency), func() { m.deliverUp(p) })
 	default: // Idle: paging, then promotion, then delivery.
 		wait := m.sample(m.cfg.PagingDelay)
 		m.promote()
-		m.sim.Schedule(wait+m.sample(m.cfg.DCHLatency), func() { m.deliverUp(p) })
+		m.sim.Post(wait+m.sample(m.cfg.DCHLatency), func() { m.deliverUp(p) })
 	}
 }
 

@@ -55,7 +55,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 
 	serverDev := kernel.DeviceFunc(func(p *packet.Packet) {
 		// Server → core network → modem downlink.
-		tb.Sim.Schedule(cfg.CoreRTT/2, func() {
+		tb.Sim.Post(cfg.CoreRTT/2, func() {
 			if p.IPv4() != nil && p.IPv4().Dst == tb.phoneIP {
 				tb.Modem.DeliverFromNet(p)
 			}
@@ -65,7 +65,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 
 	tb.Modem.Connect(func(p *packet.Packet) {
 		// Modem uplink → core network → server.
-		tb.Sim.Schedule(cfg.CoreRTT/2, func() {
+		tb.Sim.Post(cfg.CoreRTT/2, func() {
 			if p.IPv4() != nil && p.IPv4().Dst == tb.serverIP {
 				tb.Server.DeliverFromDevice(p)
 			}
@@ -112,7 +112,7 @@ func (tb *Testbed) PingContext(ctx context.Context, count int, interval time.Dur
 	})
 	for i := 0; i < count; i++ {
 		i := i
-		tb.Sim.Schedule(time.Duration(i)*interval, func() {
+		tb.Sim.Post(time.Duration(i)*interval, func() {
 			sent[i] = tb.Sim.Now()
 			res.Sent++
 			tb.Phone.SendEcho(tb.serverIP, id, uint16(i), 56)
@@ -194,7 +194,7 @@ func (tb *Testbed) RunAcuteMonContext(ctx context.Context, k int, dpre, db time.
 		if stop || hooks.NoBackground {
 			return
 		}
-		tb.Sim.Schedule(db, func() {
+		tb.Sim.Post(db, func() {
 			if stop {
 				return
 			}
@@ -237,7 +237,7 @@ func (tb *Testbed) RunAcuteMonContext(ctx context.Context, k int, dpre, db time.
 		res.Sent++
 		probeSock.SendTo(tb.serverIP, 7, []byte{byte(i)}, 0)
 		deadline := i
-		tb.Sim.Schedule(probeTimeout, func() {
+		tb.Sim.Post(probeTimeout, func() {
 			if waiting == deadline {
 				waiting = -1
 				res.Lost++
@@ -258,7 +258,7 @@ func (tb *Testbed) RunAcuteMonContext(ctx context.Context, k int, dpre, db time.
 		echo.SendTo(from, fp, payload, 0)
 	})
 
-	tb.Sim.Schedule(dpre, func() {
+	tb.Sim.Post(dpre, func() {
 		bgLoop()
 		probe(0)
 	})

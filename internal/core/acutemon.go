@@ -198,7 +198,7 @@ func (m *Monitor) start(res *Result, onDone func()) {
 		if stopBG || m.cfg.NoBackground {
 			return
 		}
-		tb.Sim.Schedule(m.cfg.BackgroundInterval, func() {
+		tb.Sim.Post(m.cfg.BackgroundInterval, func() {
 			if stopBG {
 				return
 			}
@@ -223,7 +223,7 @@ func (m *Monitor) start(res *Result, onDone func()) {
 	}
 
 	// --- MT: starts after dpre, while BT keeps the phone awake ---
-	tb.Sim.Schedule(m.cfg.WarmupDelay, func() {
+	tb.Sim.Post(m.cfg.WarmupDelay, func() {
 		tr.Add(tb.Sim.Now(), "MT", "measurement_start", "")
 		bgLoop()
 		m.runProbes(res, 0, finish)
@@ -255,7 +255,7 @@ func (m *Monitor) runProbes(res *Result, i int, finish func()) {
 		tb.Trace.Addf(tb.Sim.Now(), "MT", "probe_done", "k=%d rtt=%v", i, rec.RTT)
 		next()
 	}
-	timeout := tb.Sim.Schedule(m.cfg.ProbeTimeout, func() {
+	tb.Sim.Post(m.cfg.ProbeTimeout, func() {
 		if completed {
 			return
 		}
@@ -263,7 +263,6 @@ func (m *Monitor) runProbes(res *Result, i int, finish func()) {
 		tb.Trace.Addf(tb.Sim.Now(), "MT", "probe_timeout", "k=%d", i)
 		next()
 	})
-	_ = timeout
 
 	rec.SentAt = tb.Sim.Now()
 	tb.Trace.Addf(tb.Sim.Now(), "MT", "probe_send", "k=%d type=%s", i, m.cfg.Probe)

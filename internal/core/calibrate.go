@@ -103,7 +103,7 @@ func estimateTip(tb *testbed.Testbed, opts CalibrateOptions) stats.Sample {
 	rounds := make([]round, opts.TipRounds)
 	for i := 0; i < opts.TipRounds; i++ {
 		i := i
-		tb.Sim.Schedule(time.Duration(i+1)*gap, func() {
+		tb.Sim.Post(time.Duration(i+1)*gap, func() {
 			p := sock.SendTo(testbed.WarmupIP, 33434, []byte{0xCA}, 1)
 			rounds[i].pktID = p.ID
 		})
@@ -163,7 +163,7 @@ func estimateTis(tb *testbed.Testbed, opts CalibrateOptions) time.Duration {
 				conn.Close()
 				done(at - start)
 			}
-			tb.Sim.Schedule(2*time.Second, func() {
+			tb.Sim.Post(2*time.Second, func() {
 				if !finished {
 					finished = true
 					done(-1)

@@ -246,7 +246,7 @@ func (d *Driver) Send(ip *packet.Packet, done func(medium.TxResult)) {
 	}
 
 	dispatchAt := fifoClamp(&d.txDispatchWM, d.sim.Now()+prot+dpcLat)
-	d.sim.At(dispatchAt, func() {
+	d.sim.PostAt(dispatchAt, func() {
 		now := d.sim.Now()
 		d.tr.Add(now, "dpc", d.nm.busDpc, "")
 		d.tr.Add(now, "dpc", d.nm.dpc, "")
@@ -255,7 +255,7 @@ func (d *Driver) Send(ip *packet.Packet, done func(medium.TxResult)) {
 			clk := d.sample(d.cfg.ClkCtl) + idleRamp
 			d.tr.Add(d.sim.Now(), "dpc", d.nm.clkctl, "")
 			readyAt := fifoClamp(&d.txReadyWM, d.sim.Now()+clk)
-			d.sim.At(readyAt, func() { d.finishSend(ip, t0, wasAsleep, done) })
+			d.sim.PostAt(readyAt, func() { d.finishSend(ip, t0, wasAsleep, done) })
 		})
 	})
 }
@@ -268,7 +268,7 @@ func (d *Driver) finishSend(ip *packet.Packet, t0 time.Duration, paidWake bool, 
 	d.Instr.Send = append(d.Instr.Send, DvRecord{PktID: ip.ID, At: now, Latency: now - t0, PaidWake: paidWake})
 	d.TxPackets++
 	writeAt := fifoClamp(&d.txWriteWM, now+d.sample(d.cfg.TxBusWrite))
-	d.sim.At(writeAt, func() {
+	d.sim.PostAt(writeAt, func() {
 		d.bus.Touch()
 		d.sta.Send(ip, done)
 	})
@@ -286,7 +286,7 @@ func (d *Driver) HandleFrameFromMAC(frame *packet.Packet) {
 	dpcLat := d.sample(d.cfg.DpcSched)
 
 	dispatchAt := fifoClamp(&d.rxDispatchWM, d.sim.Now()+dpcLat)
-	d.sim.At(dispatchAt, func() {
+	d.sim.PostAt(dispatchAt, func() {
 		d.tr.Add(d.sim.Now(), "dpc", d.nm.busDpc, "")
 		d.tr.Add(d.sim.Now(), "dpc", d.nm.dpc, "")
 		d.tr.Addf(d.sim.Now(), "dpc", d.nm.bussleep, "asleep=%t", wasAsleep)
@@ -294,7 +294,7 @@ func (d *Driver) HandleFrameFromMAC(frame *packet.Packet) {
 			read := d.sample(d.cfg.RxReadFrames)
 			d.tr.Add(d.sim.Now(), "dpc", d.nm.readframes, "")
 			readyAt := fifoClamp(&d.rxReadyWM, d.sim.Now()+read)
-			d.sim.At(readyAt, func() { d.finishRecv(frame, t0, wasAsleep) })
+			d.sim.PostAt(readyAt, func() { d.finishRecv(frame, t0, wasAsleep) })
 		})
 	})
 }
@@ -310,7 +310,7 @@ func (d *Driver) finishRecv(frame *packet.Packet, t0 time.Duration, paidWake boo
 	d.bus.Touch()
 
 	deliverAt := fifoClamp(&d.rxDeliverWM, now+d.sample(d.cfg.RxDequeue))
-	d.sim.At(deliverAt, func() {
+	d.sim.PostAt(deliverAt, func() {
 		d.tr.Add(d.sim.Now(), "rxf", d.nm.rxfDequeue, "")
 		d.tr.Add(d.sim.Now(), "rxf", d.nm.netifRx, "")
 		frame.StripOuter(packet.LayerTypeDot11)

@@ -60,11 +60,11 @@ func driveSends(t *testing.T, cfg Config, n int, gap time.Duration) stats.Sample
 			return
 		}
 		d.Send(icmp(f), func(medium.TxResult) {
-			sim.Schedule(gap, func() { step(i + 1) })
+			sim.Post(gap, func() { step(i + 1) })
 		})
 	}
 	// Let the bus state settle to match the gap cadence before sampling.
-	sim.Schedule(gap, func() { step(0) })
+	sim.Post(gap, func() { step(0) })
 	sim.RunUntil(time.Duration(n+2) * (gap + 50*time.Millisecond))
 	if len(d.Instr.Send) != n {
 		t.Fatalf("collected %d dvsend samples, want %d", len(d.Instr.Send), n)
@@ -78,7 +78,7 @@ func driveRecvs(t *testing.T, cfg Config, n int, gap time.Duration) stats.Sample
 	sim, d, _ := newDriver(13, cfg, nil)
 	f := &packet.Factory{}
 	for i := 0; i < n; i++ {
-		sim.At(time.Duration(i+1)*gap, func() { d.HandleFrameFromMAC(dataFrameIn(f)) })
+		sim.PostAt(time.Duration(i+1)*gap, func() { d.HandleFrameFromMAC(dataFrameIn(f)) })
 	}
 	sim.RunUntil(time.Duration(n+2) * (gap + 50*time.Millisecond))
 	if len(d.Instr.Recv) != n {
@@ -205,7 +205,7 @@ func TestRxFIFOPreserved(t *testing.T) {
 		want = append(want, fr.ID)
 		// Inject back-to-back: random readframes latencies must not
 		// reorder them.
-		sim.At(time.Duration(i)*50*time.Microsecond, func() { d.HandleFrameFromMAC(fr) })
+		sim.PostAt(time.Duration(i)*50*time.Microsecond, func() { d.HandleFrameFromMAC(fr) })
 	}
 	sim.RunUntil(time.Second)
 	if len(order) != 10 {
@@ -222,7 +222,7 @@ func TestTraceReproducesFig4CallChain(t *testing.T) {
 	tr := trace.New(0)
 	sim, d, _ := newDriver(6, Bcmdhd(), tr)
 	f := &packet.Factory{}
-	sim.At(200*time.Millisecond, func() { d.Send(icmp(f), nil) }) // bus asleep: full chain
+	sim.PostAt(200*time.Millisecond, func() { d.Send(icmp(f), nil) }) // bus asleep: full chain
 	sim.RunUntil(400 * time.Millisecond)
 	names := tr.Names()
 	idx := map[string]int{}
@@ -249,7 +249,7 @@ func TestTraceReproducesFig5CallChain(t *testing.T) {
 	sim, d, _ := newDriver(7, Bcmdhd(), tr)
 	f := &packet.Factory{}
 	d.SetRecvUp(func(*packet.Packet) {})
-	sim.At(200*time.Millisecond, func() { d.HandleFrameFromMAC(dataFrameIn(f)) })
+	sim.PostAt(200*time.Millisecond, func() { d.HandleFrameFromMAC(dataFrameIn(f)) })
 	sim.RunUntil(400 * time.Millisecond)
 	for _, fn := range []string{"dhdsdio_isr", "dhdsdio_readframes", "dhd_rx_frame",
 		"dhd_sched_rxf", "dhd_rxf_enqueue", "dhd_rxf_dequeue", "netif_rx_ni"} {
@@ -263,7 +263,7 @@ func TestPaidWakeFlag(t *testing.T) {
 	sim, d, _ := newDriver(8, Bcmdhd(), nil)
 	f := &packet.Factory{}
 	d.Send(icmp(f), nil) // bus awake at t=0
-	sim.At(500*time.Millisecond, func() { d.Send(icmp(f), nil) })
+	sim.PostAt(500*time.Millisecond, func() { d.Send(icmp(f), nil) })
 	sim.RunUntil(time.Second)
 	if len(d.Instr.Send) != 2 {
 		t.Fatalf("samples = %d", len(d.Instr.Send))

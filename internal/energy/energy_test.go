@@ -86,7 +86,7 @@ func TestDozeSavesEnergy(t *testing.T) {
 		sim := simtime.New(6)
 		m := NewMeter(sim, DefaultPowerModel())
 		if doze {
-			sim.Schedule(100*time.Millisecond, func() { m.RadioState(mac.StateDoze) })
+			sim.Post(100*time.Millisecond, func() { m.RadioState(mac.StateDoze) })
 		}
 		sim.RunUntil(10 * time.Second)
 		return m.Snapshot().TotalMJ()

@@ -188,10 +188,7 @@ func (st *Store) QueryWith(r Rollup, extra []*Cell) ([]*Cell, error) {
 // QueryWith, which merges without cloning.
 func (st *Store) statsWith(r Rollup, extra []*Cell) ([]CellStats, error) {
 	if r == RollupCell && len(extra) == 0 {
-		var out []CellStats
-		st.each(0, func(c *Cell) { out = append(out, StatsFor(c)) })
-		sortCellStats(out)
-		return out, nil
+		return st.cellRows(0)
 	}
 	cells, err := st.QueryWith(r, extra)
 	if err != nil {
@@ -201,6 +198,61 @@ func (st *Store) statsWith(r Rollup, extra []*Cell) ([]CellStats, error) {
 	for _, c := range cells {
 		out = append(out, StatsFor(c))
 	}
+	return out, nil
+}
+
+// cellRows is the by=cell view of the cells changed since `since`
+// (every cell when since is 0), one row per Key, built under the stripe
+// locks without cloning. A fine cell re-minted in a window already
+// compacted into an aligned rollup shares the rollup cell's Key
+// (rollupKey keeps a window that is a multiple of the rollup width).
+// Such twins are served as one merged row, in the merge order of
+// QueryWith's merging path, so a single node answers as a cluster does.
+func (st *Store) cellRows(since int64) ([]CellStats, error) {
+	var out []CellStats
+	var twins map[Key]bool
+	var err error
+	for i := range st.shards {
+		sh := &st.shards[i]
+		sh.mu.Lock()
+		st.rollupMu.Lock() // a leaf lock, taken under the stripe lock
+		for k, c := range sh.cells {
+			r := st.rollups[k]
+			if r == nil {
+				if c.Epoch > since {
+					out = append(out, StatsFor(c))
+				}
+				continue
+			}
+			if twins == nil {
+				twins = map[Key]bool{}
+			}
+			twins[k] = true
+			if c.Epoch > since || r.Epoch > since {
+				m := newCell(k)
+				if err == nil {
+					err = m.Merge(c)
+				}
+				if err == nil {
+					err = m.Merge(r)
+				}
+				out = append(out, StatsFor(m))
+			}
+		}
+		st.rollupMu.Unlock()
+		sh.mu.Unlock()
+	}
+	st.rollupMu.Lock()
+	for k, c := range st.rollups {
+		if c.Epoch > since && !twins[k] {
+			out = append(out, StatsFor(c))
+		}
+	}
+	st.rollupMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	sortCellStats(out)
 	return out, nil
 }
 

@@ -705,3 +705,56 @@ func TestStartRejectsNegativeCompactWindow(t *testing.T) {
 		t.Fatal("negative CompactWindow accepted")
 	}
 }
+
+// TestCellRowsMergeRemintedTwin pins one row per Key at by=cell on a
+// single node. With a window that is a multiple of the rollup width, a
+// late summary re-mints a fine cell under the Key of the rollup cell
+// its predecessor was compacted into; /stats and /v1/stream at by=cell
+// must serve the pair as one merged row, as the clustered path does.
+func TestCellRowsMergeRemintedTwin(t *testing.T) {
+	st := NewStore(time.Minute, 4)
+	st.EnableCompaction(10 * time.Minute)
+	foldOne(t, st, "d", "g", 600_000, 30)
+	if cells, _ := st.Compact(math.MaxInt64); cells != 1 {
+		t.Fatalf("compacted %d cells, want 1", cells)
+	}
+	compacted := st.Epoch()
+	foldOne(t, st, "d", "g", 600_000, 40) // late: re-mints the fine cell
+	if st.Cells() != 1 || st.RollupCells() != 1 {
+		t.Fatalf("fine=%d rollup=%d, want one of each", st.Cells(), st.RollupCells())
+	}
+	want := Key{Device: "d", Group: "g", Scenario: "test", WindowMS: 600_000}
+	check := func(name string, rows []CellStats) {
+		t.Helper()
+		if len(rows) != 1 || rows[0].Key != want || rows[0].Sessions != 2 {
+			t.Fatalf("%s: %d rows %+v; want one %v row with 2 sessions", name, len(rows), rows, want)
+		}
+	}
+	stats, err := st.StatsQuery(RollupCell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("StatsQuery", stats)
+	ev, err := st.DeltasSince(0, RollupCell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("DeltasSince(0)", ev.Cells)
+	// Only the fine twin changed since the compaction; the row it
+	// re-emits still carries the rollup's session.
+	ev, err = st.DeltasSince(compacted, RollupCell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("DeltasSince(compacted)", ev.Cells)
+	// The row equals the merging path's, which a clustered node serves.
+	merged, err := st.QueryWith(RollupCell, []*Cell{newCell(Key{Device: "other"})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range merged {
+		if c.Key == want && !reflect.DeepEqual(StatsFor(c), stats[0]) {
+			t.Fatalf("single-node row %+v differs from merged %+v", stats[0], StatsFor(c))
+		}
+	}
+}

@@ -93,8 +93,11 @@ func (st *Store) deltasWith(since int64, r Rollup, src ReplicaSource) (StreamEve
 	removed = append(removed, extraRemoved...)
 
 	if r == RollupCell && src == nil {
-		st.each(since, func(c *Cell) { ev.Cells = append(ev.Cells, StatsFor(c)) })
-		sortCellStats(ev.Cells)
+		cells, err := st.cellRows(since)
+		if err != nil {
+			return ev, err
+		}
+		ev.Cells = cells
 		ev.Removed = dedupKeys(removed)
 		return ev, nil
 	}

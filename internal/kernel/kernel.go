@@ -191,7 +191,7 @@ func (s *Stack) nextIPID() uint16 {
 // sendIP pushes a fully-formed IP packet down: syscall latency, bpf
 // stamp at dev_queue_xmit, then the device.
 func (s *Stack) sendIP(p *packet.Packet) {
-	s.sim.Schedule(s.sample(s.cfg.SendLatency), func() {
+	s.sim.Post(s.sample(s.cfg.SendLatency), func() {
 		now := s.sim.Now()
 		p.Ledger.Set(packet.PointKernelSend, now)
 		s.bpf.capture(p, now, true)
@@ -210,7 +210,7 @@ func (s *Stack) DeliverFromDevice(p *packet.Packet) {
 	s.bpf.capture(p, now, false)
 	s.RecvPackets++
 	s.tr.Addf(now, "kernel", "netif_rx", "pkt=%d", p.ID)
-	s.sim.Schedule(s.sample(s.cfg.RecvLatency), func() { s.demux(p) })
+	s.sim.Post(s.sample(s.cfg.RecvLatency), func() { s.demux(p) })
 }
 
 func (s *Stack) demux(p *packet.Packet) {
@@ -260,7 +260,7 @@ func (s *Stack) demuxICMP(p *packet.Packet) {
 	}
 	if ic.IsEchoRequest() {
 		// Reply in kernel space, as real hosts do.
-		s.sim.Schedule(s.sample(s.cfg.EchoLatency), func() {
+		s.sim.Post(s.sample(s.cfg.EchoLatency), func() {
 			reply := s.fac.NewPacket(
 				&packet.IPv4{TTL: s.cfg.TTL, Protocol: packet.ProtoICMP, Src: s.cfg.IP, Dst: p.IPv4().Src, ID: s.nextIPID()},
 				&packet.ICMP{Type: packet.ICMPEchoReply, ID: ic.ID, Seq: ic.Seq},

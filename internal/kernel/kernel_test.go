@@ -17,7 +17,7 @@ type wire struct {
 
 func (w *wire) device() Device {
 	return DeviceFunc(func(p *packet.Packet) {
-		w.sim.Schedule(w.delay, func() {
+		w.sim.Post(w.delay, func() {
 			dst, ok := w.stacks[p.IPv4().Dst]
 			if !ok {
 				return

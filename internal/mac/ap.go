@@ -217,7 +217,7 @@ func (a *AP) WiredDeliver(ipPkt *packet.Packet) {
 	if a.cfg.ForwardLatency != nil {
 		delay = a.cfg.ForwardLatency.Sample(a.sim)
 	}
-	a.sim.Schedule(delay, func() {
+	a.sim.Post(delay, func() {
 		ip := ipPkt.IPv4()
 		if ip == nil {
 			return

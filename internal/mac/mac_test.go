@@ -297,7 +297,7 @@ func TestEndToEndPSMInflation(t *testing.T) {
 	var sentAt time.Duration
 	// wire an echo server with 60ms turnaround
 	b.ap.SetWiredOut(func(p *packet.Packet) {
-		b.sim.Schedule(60*time.Millisecond, func() {
+		b.sim.Post(60*time.Millisecond, func() {
 			b.ap.WiredDeliver(b.responseFrom(serverIP))
 		})
 	})

@@ -118,7 +118,10 @@ type STA struct {
 	state    PowerState
 	camTimer *simtime.Timer
 	schedule BeaconSchedule
-	wakeEv   *simtime.Event
+	// wake is the one pending radio deadline while the station is out
+	// of CAM; wakeFor names what it does when it fires.
+	wake    *simtime.Timer
+	wakeFor wakeKind
 	// expectMore tracks an in-progress PS-Poll retrieval.
 	expectMore bool
 
@@ -150,6 +153,7 @@ func (s *STA) setState(next PowerState) {
 func NewSTA(sim *simtime.Sim, med *medium.Medium, cfg STAConfig, fac *packet.Factory, tr *trace.Trace, recvUp func(*packet.Packet)) *STA {
 	s := &STA{sim: sim, med: med, cfg: cfg, fac: fac, tr: tr, recvUp: recvUp, state: StateCAM}
 	s.camTimer = simtime.NewTimer(sim, s.onCAMTimeout)
+	s.wake = simtime.NewTimer(sim, s.onWake)
 	if cfg.PSMEnabled {
 		s.armCAMTimer()
 	}
@@ -214,10 +218,42 @@ func (s *STA) enterCAM() {
 	s.tr.Addf(s.sim.Now(), "sta", "enter_CAM", "from=%s", prev)
 }
 
-func (s *STA) cancelWake() {
-	if s.wakeEv != nil {
-		s.sim.Cancel(s.wakeEv)
-		s.wakeEv = nil
+func (s *STA) cancelWake() { s.wake.Stop() }
+
+// wakeKind is what the station's wake timer does when it fires.
+type wakeKind uint8
+
+const (
+	// wakeForBeacon powers the radio up ahead of a TBTT.
+	wakeForBeacon wakeKind = iota
+	// wakeBeaconMissed gives up on a beacon that never arrived.
+	wakeBeaconMissed
+	// wakePollLost gives up on a PS-Poll that was never answered.
+	wakePollLost
+)
+
+// armWake cancels any pending wake deadline and arms a new one.
+func (s *STA) armWake(d time.Duration, kind wakeKind) {
+	s.wakeFor = kind
+	s.wake.Reset(d)
+}
+
+func (s *STA) onWake() {
+	switch s.wakeFor {
+	case wakeForBeacon:
+		s.onBeaconWake()
+	case wakeBeaconMissed:
+		if s.state == StateListen && !s.expectMore {
+			s.Stats.BeaconsMissed++
+			s.setState(StateDoze)
+			s.scheduleBeaconWake(1)
+		}
+	case wakePollLost:
+		if s.state == StateListen {
+			s.expectMore = false
+			s.setState(StateDoze)
+			s.scheduleBeaconWake(1)
+		}
 	}
 }
 
@@ -270,12 +306,10 @@ func (s *STA) scheduleBeaconWake(intervals int) {
 	if wake <= s.sim.Now() {
 		wake = s.sim.Now()
 	}
-	s.cancelWake()
-	s.wakeEv = s.sim.At(wake, s.onBeaconWake)
+	s.armWake(wake-s.sim.Now(), wakeForBeacon)
 }
 
 func (s *STA) onBeaconWake() {
-	s.wakeEv = nil
 	if s.state != StateDoze {
 		return
 	}
@@ -283,15 +317,7 @@ func (s *STA) onBeaconWake() {
 	s.tr.Add(s.sim.Now(), "sta", "listen_for_beacon", "")
 	// If no beacon arrives (lost to a collision), give up after half an
 	// interval and doze to the next TBTT.
-	timeout := s.cfg.BeaconGuard + s.beaconInterval()/2
-	s.wakeEv = s.sim.Schedule(timeout, func() {
-		s.wakeEv = nil
-		if s.state == StateListen && !s.expectMore {
-			s.Stats.BeaconsMissed++
-			s.setState(StateDoze)
-			s.scheduleBeaconWake(1)
-		}
-	})
+	s.armWake(s.cfg.BeaconGuard+s.beaconInterval()/2, wakeBeaconMissed)
 }
 
 func (s *STA) beaconInterval() time.Duration {
@@ -379,15 +405,7 @@ func (s *STA) sendPSPoll() {
 	s.med.Transmit(s, poll, false, nil)
 	// Guard against a lost poll or release frame: give up after half a
 	// beacon interval and retry at the next TBTT.
-	s.cancelWake()
-	s.wakeEv = s.sim.Schedule(s.beaconInterval()/2, func() {
-		s.wakeEv = nil
-		if s.state == StateListen {
-			s.expectMore = false
-			s.setState(StateDoze)
-			s.scheduleBeaconWake(1)
-		}
-	})
+	s.armWake(s.beaconInterval()/2, wakePollLost)
 }
 
 func (s *STA) handleData(p *packet.Packet) {

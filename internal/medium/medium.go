@@ -77,7 +77,6 @@ func (r TxResult) String() string {
 }
 
 type txJob struct {
-	src     Station
 	frame   *packet.Packet
 	retries int
 	done    func(TxResult)
@@ -113,12 +112,18 @@ type Medium struct {
 	phy  phy.Params
 	opts Options
 
-	stations map[packet.MACAddr]Station
-	order    []packet.MACAddr
-	queues   map[packet.MACAddr][]*txJob
+	// stations and queues are indexed alike, in attach order; index
+	// maps a MAC to that position.
+	stations []Station
+	queues   [][]txJob
+	index    map[packet.MACAddr]int
 	taps     []Tap
 
-	busy bool
+	// busy is set while air holds the frame occupying the channel;
+	// airDone, bound once, is posted to end its access round.
+	busy    bool
+	air     onAir
+	airDone func()
 
 	// Stats accumulate over the run for tests and reports.
 	Stats Stats
@@ -134,15 +139,25 @@ type Stats struct {
 	BytesDelivered  uint64
 }
 
+// onAir is the access round in progress: the job dequeued from
+// station src, whether it collides, and its airtime.
+type onAir struct {
+	job        txJob
+	src        int
+	collided   bool
+	start, end time.Duration
+}
+
 // New creates a medium over the given PHY.
 func New(sim *simtime.Sim, params phy.Params, opts Options) *Medium {
-	return &Medium{
-		sim:      sim,
-		phy:      params,
-		opts:     opts,
-		stations: make(map[packet.MACAddr]Station),
-		queues:   make(map[packet.MACAddr][]*txJob),
+	m := &Medium{
+		sim:   sim,
+		phy:   params,
+		opts:  opts,
+		index: make(map[packet.MACAddr]int),
 	}
+	m.airDone = m.endRound
+	return m
 }
 
 // Phy returns the PHY parameters in use.
@@ -151,18 +166,24 @@ func (m *Medium) Phy() phy.Params { return m.phy }
 // Attach joins a station to the channel.
 func (m *Medium) Attach(st Station) {
 	mac := st.MAC()
-	if _, dup := m.stations[mac]; dup {
+	if _, dup := m.index[mac]; dup {
 		panic(fmt.Sprintf("medium: duplicate station %s", mac))
 	}
-	m.stations[mac] = st
-	m.order = append(m.order, mac)
+	m.index[mac] = len(m.stations)
+	m.stations = append(m.stations, st)
+	m.queues = append(m.queues, nil)
 }
 
 // AttachTap adds a promiscuous observer.
 func (m *Medium) AttachTap(t Tap) { m.taps = append(m.taps, t) }
 
 // QueueLen returns the given station's transmit backlog.
-func (m *Medium) QueueLen(mac packet.MACAddr) int { return len(m.queues[mac]) }
+func (m *Medium) QueueLen(mac packet.MACAddr) int {
+	if i, ok := m.index[mac]; ok {
+		return len(m.queues[i])
+	}
+	return 0
+}
 
 // Transmit queues a frame for transmission. done (may be nil) is invoked
 // once with the outcome. Priority frames (beacons) jump the queue.
@@ -170,21 +191,43 @@ func (m *Medium) Transmit(src Station, frame *packet.Packet, priority bool, done
 	if frame.Dot11() == nil {
 		panic("medium: transmit of frame without 802.11 header")
 	}
-	q := m.queues[src.MAC()]
-	if len(q) >= m.opts.QueueCap {
+	i, ok := m.index[src.MAC()]
+	if !ok {
+		panic(fmt.Sprintf("medium: transmit from unattached station %s", src.MAC()))
+	}
+	if len(m.queues[i]) >= m.opts.QueueCap {
 		m.Stats.FramesDropped++
 		if done != nil {
 			done(TxDroppedQueue)
 		}
 		return
 	}
-	job := &txJob{src: src, frame: frame, done: done}
+	job := txJob{frame: frame, done: done}
 	if priority {
-		m.queues[src.MAC()] = append([]*txJob{job}, q...)
+		m.pushFront(i, job)
 	} else {
-		m.queues[src.MAC()] = append(q, job)
+		m.queues[i] = append(m.queues[i], job)
 	}
 	m.kick()
+}
+
+// pushFront puts job at the head of station i's queue.
+func (m *Medium) pushFront(i int, job txJob) {
+	q := append(m.queues[i], txJob{})
+	copy(q[1:], q)
+	q[0] = job
+	m.queues[i] = q
+}
+
+// popFront dequeues the head of station i's queue. The queue keeps its
+// backing array, so a station's steady traffic allocates nothing.
+func (m *Medium) popFront(i int) txJob {
+	q := m.queues[i]
+	job := q[0]
+	copy(q, q[1:])
+	q[len(q)-1] = txJob{}
+	m.queues[i] = q[:len(q)-1]
+	return job
 }
 
 // kick starts a channel access round if the medium is idle.
@@ -192,20 +235,36 @@ func (m *Medium) kick() {
 	if m.busy {
 		return
 	}
-	contenders := m.contenders()
-	if len(contenders) == 0 {
+	n := 0
+	for _, q := range m.queues {
+		if len(q) > 0 {
+			n++
+		}
+	}
+	if n == 0 {
 		return
 	}
 	m.busy = true
 
-	winner := contenders[m.sim.Rand().Intn(len(contenders))]
+	// The winner is the k-th contender in attach order.
+	k := m.sim.Rand().Intn(n)
+	winner := 0
+	for i, q := range m.queues {
+		if len(q) == 0 {
+			continue
+		}
+		if k == 0 {
+			winner = i
+			break
+		}
+		k--
+	}
 	// Dequeue the job now: frames that arrive mid-transmission (even
 	// priority ones) must queue behind the frame already on the air.
-	job := m.queues[winner][0]
-	m.queues[winner] = m.queues[winner][1:]
+	job := m.popFront(winner)
 
 	collided := false
-	if n := len(contenders); n > 1 {
+	if n > 1 {
 		p := m.opts.CollisionProbPerContender * float64(n-1)
 		if p > m.opts.CollisionProbCap {
 			p = m.opts.CollisionProbCap
@@ -222,39 +281,35 @@ func (m *Medium) kick() {
 		busyFor += m.phy.SIFS + m.phy.AckTime()
 	}
 	start := m.sim.Now() + access
-	end := start + airtime
 
 	m.Stats.BusyTime += busyFor
-	m.sim.Schedule(busyFor, func() {
-		m.busy = false
-		if collided {
-			m.Stats.Collisions++
-			job.retries++
-			if job.retries > m.opts.MaxRetries {
-				m.Stats.FramesDropped++
-				if job.done != nil {
-					job.done(TxDroppedRetries)
-				}
-			} else {
-				// Retry keeps its place at the head of the queue.
-				m.queues[winner] = append([]*txJob{job}, m.queues[winner]...)
-			}
-			m.kick()
-			return
-		}
-		m.complete(job, start, end)
-		m.kick()
-	})
+	m.air = onAir{job: job, src: winner, collided: collided, start: start, end: start + airtime}
+	m.sim.Post(busyFor, m.airDone)
 }
 
-func (m *Medium) contenders() []packet.MACAddr {
-	var out []packet.MACAddr
-	for _, mac := range m.order {
-		if len(m.queues[mac]) > 0 {
-			out = append(out, mac)
+// endRound ends the access round in m.air: a collided frame is retried
+// or dropped, any other is delivered. Then the next round starts.
+func (m *Medium) endRound() {
+	a := m.air
+	m.air = onAir{}
+	m.busy = false
+	if a.collided {
+		m.Stats.Collisions++
+		a.job.retries++
+		if a.job.retries > m.opts.MaxRetries {
+			m.Stats.FramesDropped++
+			if a.job.done != nil {
+				a.job.done(TxDroppedRetries)
+			}
+		} else {
+			// Retry keeps its place at the head of the queue.
+			m.pushFront(a.src, a.job)
 		}
+		m.kick()
+		return
 	}
-	return out
+	m.complete(a.src, &a.job, a.start, a.end)
+	m.kick()
 }
 
 // backoff draws a uniform backoff from a window doubled per retry.
@@ -285,7 +340,7 @@ func (m *Medium) frameAirtime(p *packet.Packet) time.Duration {
 const phyControlType = packet.Dot11Control
 
 // complete delivers a successfully transmitted frame.
-func (m *Medium) complete(job *txJob, airStart, airEnd time.Duration) {
+func (m *Medium) complete(src int, job *txJob, airStart, airEnd time.Duration) {
 	frame := job.frame
 	if len(m.taps) > 0 {
 		shared := frame.Clone()
@@ -295,8 +350,8 @@ func (m *Medium) complete(job *txJob, airStart, airEnd time.Duration) {
 	}
 	d11 := frame.Dot11()
 	if d11.Addr1.IsBroadcast() {
-		for mac, st := range m.stations {
-			if mac == job.src.MAC() || !st.RadioOn() {
+		for i, st := range m.stations {
+			if i == src || !st.RadioOn() {
 				continue
 			}
 			st.DeliverFrame(frame.Clone())
@@ -308,15 +363,15 @@ func (m *Medium) complete(job *txJob, airStart, airEnd time.Duration) {
 		}
 		return
 	}
-	dst, ok := m.stations[d11.Addr1]
-	if !ok || !dst.RadioOn() {
+	i, ok := m.index[d11.Addr1]
+	if !ok || !m.stations[i].RadioOn() {
 		m.Stats.FramesNoRecv++
 		if job.done != nil {
 			job.done(TxNoReceiver)
 		}
 		return
 	}
-	dst.DeliverFrame(frame)
+	m.stations[i].DeliverFrame(frame)
 	m.Stats.FramesDelivered++
 	m.Stats.BytesDelivered += uint64(frame.Length())
 	if job.done != nil {

@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -261,7 +262,7 @@ func TestSaturationThroughputMatchesTestbed(t *testing.T) {
 	var pump func()
 	pump = func() {
 		m.Transmit(other, dataFrame(f, other.mac, ap.mac, 64), false, func(TxResult) {
-			sim.Schedule(5*time.Millisecond, pump)
+			sim.Post(5*time.Millisecond, pump)
 		})
 	}
 	pump()
@@ -373,5 +374,44 @@ func TestTapsShareOneCopyTheReceiverNeverSees(t *testing.T) {
 	if shared.Dot11().Retry || shared.IPv4().TTL != 64 {
 		t.Fatalf("receiver's mutation reached the taps: retry=%v ttl=%d",
 			shared.Dot11().Retry, shared.IPv4().TTL)
+	}
+}
+
+func TestTransmitFromUnattachedStationPanics(t *testing.T) {
+	_, m, f := newTestMedium(1)
+	a := &fakeStation{mac: packet.MAC(1), radio: true}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("transmit from an unattached station did not panic")
+		}
+	}()
+	m.Transmit(a, dataFrame(f, a.mac, packet.MAC(2), 10), false, nil)
+}
+
+// orderStation appends its name to a shared log on every delivery.
+type orderStation struct {
+	fakeStation
+	name string
+	log  *[]string
+}
+
+func (s *orderStation) DeliverFrame(p *packet.Packet) { *s.log = append(*s.log, s.name) }
+
+// A broadcast reaches the awake stations in attach order, every run,
+// so what they do in response queues in a seed-determined order.
+func TestBroadcastDeliveredInAttachOrder(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		sim, m, f := newTestMedium(1)
+		var log []string
+		src := &orderStation{fakeStation{mac: packet.MAC(1), radio: true}, "src", &log}
+		m.Attach(src)
+		for i, name := range []string{"a", "b", "c", "d", "e"} {
+			m.Attach(&orderStation{fakeStation{mac: packet.MAC(uint32(i + 2)), radio: true}, name, &log})
+		}
+		m.Transmit(src, dataFrame(f, src.mac, packet.BroadcastMAC, 10), false, nil)
+		sim.Run()
+		if got := fmt.Sprint(log); got != "[a b c d e]" {
+			t.Fatalf("run %d: delivery order %s, want attach order", run, got)
+		}
 	}
 }

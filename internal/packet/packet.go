@@ -125,21 +125,46 @@ type Packet struct {
 	// Ledger holds per-vantage-point timestamps (see Point).
 	Ledger Ledger
 
-	layers []Layer
+	// stack[top:] is the layer stack, outermost first. stack is inline
+	// unless the packet outgrew it, and the free slots before top let
+	// PushOuter prepend without reallocating.
+	stack  []Layer
+	top    int
+	inline [inlineLayers]Layer
 }
+
+// inlineLayers is how many layers a Packet holds without a separate
+// allocation: 802.11 + IPv4 + transport + payload, the deepest stack
+// the testbed builds.
+const inlineLayers = 4
 
 // New assembles a packet from outermost to innermost layer.
 func New(layers ...Layer) *Packet {
-	return &Packet{Ledger: NewLedger(), layers: layers}
+	p := &Packet{Ledger: NewLedger()}
+	p.setLayers(layers)
+	return p
+}
+
+// setLayers copies layers to the tail of the packet's stack, leaving
+// the free slots in front for PushOuter.
+func (p *Packet) setLayers(layers []Layer) {
+	if len(layers) <= inlineLayers {
+		p.stack = p.inline[:]
+	} else {
+		p.stack = make([]Layer, len(layers)+1)
+	}
+	p.top = len(p.stack) - len(layers)
+	copy(p.stack[p.top:], layers)
 }
 
 // Layers returns the layer stack, outermost first. The returned slice is
-// the packet's own; callers must not mutate it.
-func (p *Packet) Layers() []Layer { return p.layers }
+// the packet's own and valid until the next PushOuter; callers must not
+// mutate it.
+func (p *Packet) Layers() []Layer { return p.stack[p.top:] }
 
 // Layer returns the first layer of the given type, or nil.
 func (p *Packet) Layer(t LayerType) Layer {
-	for _, l := range p.layers {
+	for _, l := range p.Layers() {
 		if l.LayerType() == t {
 			return l
 		}
@@ -207,7 +232,7 @@ func (p *Packet) Beacon() *Beacon {
 // sniffer would report as the capture length).
 func (p *Packet) Length() int {
 	n := 0
-	for _, l := range p.layers {
+	for _, l := range p.Layers() {
 		n += l.HeaderLen()
 	}
 	return n
@@ -216,53 +241,58 @@ func (p *Packet) Length() int {
 // PushOuter prepends a layer (used when the AP re-encapsulates a wired
 // packet into an 802.11 frame).
 func (p *Packet) PushOuter(l Layer) {
-	p.layers = append([]Layer{l}, p.layers...)
+	if p.top == 0 {
+		layers := p.Layers()
+		p.stack = make([]Layer, len(layers)+inlineLayers)
+		p.top = inlineLayers
+		copy(p.stack[p.top:], layers)
+	}
+	p.top--
+	p.stack[p.top] = l
 }
 
 // StripOuter removes the outermost layer if it has the given type (used
 // when the AP bridges an 802.11 frame onto the wired segment).
 func (p *Packet) StripOuter(t LayerType) {
-	if len(p.layers) > 0 && p.layers[0].LayerType() == t {
-		p.layers = p.layers[1:]
+	if p.top < len(p.stack) && p.stack[p.top].LayerType() == t {
+		p.top++
 	}
 }
 
-// Clone returns a deep copy sharing no mutable state. Sniffer taps clone
-// before stamping so each vantage point sees its own ledger view; the ID
-// is preserved for correlation.
+// Clone returns a copy of p for another holder, preserving the ID so
+// sniffers can correlate the same frame seen at different taps. Sniffer
+// taps clone before stamping so each vantage point sees its own ledger.
+//
+// The copy is copy-on-write by layer. It gets its own ledger and layer
+// stack, and its own copies of the layers a holder may write after the
+// packet is built: the 802.11 header (a forwarding station may set its
+// bits), the IPv4 header (routers decrement TTL) and the payload bytes.
+// The transport and beacon layers are shared and read-only once built;
+// the one writer left, Serialize, recomputes the lengths and checksums
+// it stores from the packet at hand every time.
 func (p *Packet) Clone() *Packet {
 	c := &Packet{ID: p.ID, Ledger: p.Ledger}
-	c.layers = make([]Layer, len(p.layers))
-	for i, l := range p.layers {
-		c.layers[i] = cloneLayer(l)
+	c.setLayers(p.Layers())
+	for i := c.top; i < len(c.stack); i++ {
+		c.stack[i] = copyWritable(c.stack[i])
 	}
 	return c
 }
 
-func cloneLayer(l Layer) Layer {
+// copyWritable copies a layer that holders of a packet write; any other
+// layer is returned as is.
+func copyWritable(l Layer) Layer {
 	switch v := l.(type) {
 	case *Dot11:
 		c := *v
 		return &c
-	case *Beacon:
-		c := *v
-		c.BufferedAIDs = append([]uint16(nil), v.BufferedAIDs...)
-		return &c
 	case *IPv4:
 		c := *v
 		return &c
-	case *ICMP:
-		c := *v
-		return &c
-	case *UDP:
-		c := *v
-		return &c
-	case *TCP:
-		c := *v
-		return &c
 	case *Payload:
-		c := &Payload{Data: append([]byte(nil), v.Data...)}
-		return c
+		return &Payload{Data: append([]byte(nil), v.Data...)}
+	case *Beacon, *ICMP, *UDP, *TCP:
+		return l
 	default:
 		panic(fmt.Sprintf("packet: cannot clone unknown layer %T", l))
 	}
@@ -271,7 +301,7 @@ func cloneLayer(l Layer) Layer {
 // String summarises the packet for debugging and traces.
 func (p *Packet) String() string {
 	s := fmt.Sprintf("pkt#%d", p.ID)
-	for _, l := range p.layers {
+	for _, l := range p.Layers() {
 		s += "/" + l.LayerType().String()
 	}
 	return s

@@ -462,3 +462,59 @@ func TestQuickRoundtripBeacon(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCloneCopiesWrittenLayersOnly pins Clone's copy-on-write split:
+// the layers holders write (802.11, IPv4, payload bytes) are copied,
+// the transport and beacon layers are shared, and both copies still
+// serialize to the same bytes.
+func TestCloneCopiesWrittenLayersOnly(t *testing.T) {
+	p := icmpEchoPacket()
+	c := p.Clone()
+	if c.Dot11() == p.Dot11() || c.IPv4() == p.IPv4() || &c.Payload()[0] == &p.Payload()[0] {
+		t.Fatal("clone shares a layer that holders write")
+	}
+	if c.ICMP() != p.ICMP() {
+		t.Fatal("clone copied the read-only ICMP layer")
+	}
+	b := New(&Dot11{Type: Dot11Management, Subtype: SubtypeBeacon, Addr1: BroadcastMAC},
+		&Beacon{IntervalTU: 100, BufferedAIDs: []uint16{1}})
+	if b.Clone().Beacon() != b.Beacon() {
+		t.Fatal("clone copied the read-only beacon layer")
+	}
+	pb, err := Serialize(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := Serialize(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pb, cb) {
+		t.Fatal("clone serializes differently from its original")
+	}
+}
+
+// TestPushOuterReusesHeadroom: a packet built from an IP stack takes
+// its 802.11 header, and loses and regains it as the AP bridges it,
+// without allocating a new layer slice.
+func TestPushOuterReusesHeadroom(t *testing.T) {
+	p := New(
+		&IPv4{TTL: 64, Protocol: ProtoICMP, Src: IP(1, 1, 1, 1), Dst: IP(2, 2, 2, 2)},
+		&ICMP{Type: ICMPEchoRequest, ID: 1, Seq: 1},
+		&Payload{Data: []byte("x")},
+	)
+	d := &Dot11{Type: Dot11Data, Subtype: SubtypeData, Addr1: MAC(1), Addr2: MAC(2)}
+	allocs := testing.AllocsPerRun(100, func() {
+		p.PushOuter(d)
+		p.StripOuter(LayerTypeDot11)
+	})
+	if allocs != 0 {
+		t.Fatalf("PushOuter/StripOuter allocate %v times per round", allocs)
+	}
+	// A stack with no headroom left still grows, outermost first.
+	p.PushOuter(d)
+	p.PushOuter(&Dot11{Seq: 9})
+	if l := p.Layers(); len(l) != 5 || l[0].(*Dot11).Seq != 9 || l[1] != Layer(d) || l[4].LayerType() != LayerTypePayload {
+		t.Fatalf("layers after growth: %v", p)
+	}
+}

@@ -49,7 +49,7 @@ var ErrNotSerializable = errors.New("packet: layer stack not serializable")
 // with the computed checksums and lengths, exactly as a kernel would fill
 // them in on transmit.
 func Serialize(p *Packet) ([]byte, error) {
-	return serializeLayers(p.layers)
+	return serializeLayers(p.Layers())
 }
 
 func serializeLayers(layers []Layer) ([]byte, error) {

@@ -234,7 +234,7 @@ func (b *Bus) Acquire(dir Direction, fn func()) {
 	}
 	b.Stats.TotalWakeTime += lat
 	b.tr.Addf(b.sim.Now(), b.cfg.Name, "bus_waking", "dir=%s lat=%v", dir, lat)
-	b.sim.Schedule(lat, func() {
+	b.sim.Post(lat, func() {
 		b.waking = false
 		b.setAsleep(false)
 		b.Stats.Wakes++

@@ -58,7 +58,7 @@ func TestActivityResetsIdleCount(t *testing.T) {
 func TestAcquireAwakeIsImmediate(t *testing.T) {
 	sim, b := newBus(1, nil)
 	called := time.Duration(-1)
-	sim.Schedule(10*time.Millisecond, func() {
+	sim.Post(10*time.Millisecond, func() {
 		b.Acquire(Tx, func() { called = sim.Now() })
 	})
 	sim.RunUntil(20 * time.Millisecond)
@@ -154,7 +154,7 @@ func TestRepeatedSleepWakeCycles(t *testing.T) {
 	sim, b := newBus(6, nil)
 	// One acquire every 200 ms: each finds the bus asleep (Tis=50ms).
 	for i := 1; i <= 5; i++ {
-		sim.At(time.Duration(i)*200*time.Millisecond, func() {
+		sim.PostAt(time.Duration(i)*200*time.Millisecond, func() {
 			b.Acquire(Tx, func() {})
 		})
 	}
@@ -181,10 +181,10 @@ func TestWakeLatencyDistributionMatchesTable3(t *testing.T) {
 		start := sim.Now()
 		b.Acquire(Tx, func() {
 			lats = append(lats, sim.Now()-start)
-			sim.Schedule(200*time.Millisecond, func() { step(i + 1) })
+			sim.Post(200*time.Millisecond, func() { step(i + 1) })
 		})
 	}
-	sim.Schedule(200*time.Millisecond, func() { step(0) })
+	sim.Post(200*time.Millisecond, func() { step(0) })
 	sim.RunUntil(50 * time.Second)
 	if len(lats) != 200 {
 		t.Fatalf("collected %d samples", len(lats))

@@ -4,73 +4,52 @@
 // The simulator keeps a virtual clock (a time.Duration measured from the
 // start of the simulation) and a priority queue of pending events. All
 // model components — the phone's SDIO bus, the 802.11 MAC, the wired
-// links, the measurement tools — advance exclusively by scheduling
+// links, the measurement tools — advance exclusively by posting
 // callbacks on a shared *Sim. The event loop is single-threaded, so runs
 // are deterministic for a fixed seed, which is what makes the paper's
 // tables reproducible bit-for-bit.
+//
+// A posted callback is fire-and-forget: nobody holds its event, so the
+// event returns to the Sim's free list once it fires and the next Post
+// reuses it. Callbacks that must be cancelled or moved are Timers and
+// Tickers, each of which owns one event and re-arms it in place. A
+// session therefore allocates no events in steady state.
 package simtime
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math/rand"
 	"time"
 )
 
-// Event is a scheduled callback. The zero value is not useful; events are
-// created through Sim.Schedule and Sim.At.
-type Event struct {
+// event is one queued callback. Events are ordered by (when, seq); seq
+// is drawn from the Sim each time the event is armed, so the order is
+// total and events armed for the same instant fire first-in, first-out.
+type event struct {
 	when time.Duration
-	seq  uint64 // tie-breaker: FIFO among events at the same instant
+	seq  uint64
 	fn   func()
-	idx  int // heap index; -1 once removed
-	name string
+	idx  int // heap index; -1 when not queued
+	// pooled marks a posted event: it goes back to the free list once it
+	// fires. Timer and Ticker events are never pooled.
+	pooled bool
 }
 
-// When returns the virtual time at which the event fires.
-func (e *Event) When() time.Duration { return e.when }
-
-// Name returns the optional debug label attached to the event.
-func (e *Event) Name() string { return e.name }
-
-// Scheduled reports whether the event is still pending in the queue.
-func (e *Event) Scheduled() bool { return e != nil && e.idx >= 0 }
-
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+func (e *event) less(o *event) bool {
+	if e.when != o.when {
+		return e.when < o.when
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*q = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // Sim is a discrete-event simulator. It is not safe for concurrent use;
 // all model code runs on the event-loop "thread".
 type Sim struct {
-	now     time.Duration
-	queue   eventQueue
+	now time.Duration
+	// queue is a binary min-heap on (when, seq).
+	queue   []*event
+	free    []*event
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -94,61 +73,140 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // Executed returns the number of events that have fired so far.
 func (s *Sim) Executed() uint64 { return s.executed }
 
-// Schedule queues fn to run after delay d (d < 0 is clamped to 0).
-func (s *Sim) Schedule(d time.Duration, fn func()) *Event {
+// Post queues fn to run after delay d (d < 0 is clamped to 0). The
+// event cannot be cancelled; use a Timer for a callback that may be.
+func (s *Sim) Post(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return s.At(s.now+d, fn)
+	s.PostAt(s.now+d, fn)
 }
 
-// ScheduleNamed is Schedule with a debug label attached to the event.
-func (s *Sim) ScheduleNamed(name string, d time.Duration, fn func()) *Event {
-	e := s.Schedule(d, fn)
-	e.name = name
-	return e
-}
-
-// At queues fn to run at absolute virtual time t. Times in the past are
-// clamped to the current instant (the event still fires, after events
-// already queued for Now).
-func (s *Sim) At(t time.Duration, fn func()) *Event {
+// PostAt queues fn to run at absolute virtual time t. Times in the past
+// are clamped to the current instant (the event still fires, after
+// events already queued for Now).
+func (s *Sim) PostAt(t time.Duration, fn func()) {
 	if fn == nil {
 		panic("simtime: nil event callback")
 	}
+	var e *event
+	if n := len(s.free); n > 0 {
+		e, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		e = &event{idx: -1, pooled: true}
+	}
+	e.fn = fn
+	s.arm(e, t)
+}
+
+// arm queues e for time t (clamped to Now) under a fresh sequence
+// number, moving it in place when it is already queued. Re-arming keeps
+// exactly the order that cancelling and queueing a new event would.
+func (s *Sim) arm(e *event, t time.Duration) {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	e := &Event{when: t, seq: s.seq, fn: fn}
-	heap.Push(&s.queue, e)
-	return e
-}
-
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (s *Sim) Cancel(e *Event) {
-	if e == nil || e.idx < 0 {
+	e.when, e.seq = t, s.seq
+	if e.idx < 0 {
+		e.idx = len(s.queue)
+		s.queue = append(s.queue, e)
+		s.up(e.idx)
 		return
 	}
-	heap.Remove(&s.queue, e.idx)
+	s.fix(e.idx)
+}
+
+// cancel removes a queued e; an unqueued e is left alone.
+func (s *Sim) cancel(e *event) {
+	i := e.idx
+	if i < 0 {
+		return
+	}
+	q := s.queue
+	last := len(q) - 1
+	q[i] = q[last]
+	q[last] = nil
+	s.queue = q[:last]
+	e.idx = -1
+	if i != last {
+		s.fix(i)
+	}
+}
+
+func (s *Sim) fix(i int) {
+	if !s.down(i) {
+		s.up(i)
+	}
+}
+
+// up and down move the event at i through a hole, writing each event
+// it passes once.
+func (s *Sim) up(i int) {
+	q := s.queue
+	e := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.less(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].idx = i
+		i = p
+	}
+	q[i] = e
+	e.idx = i
+}
+
+// down reports whether the event at i moved.
+func (s *Sim) down(i int) bool {
+	q := s.queue
+	n := len(q)
+	e := q[i]
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].less(q[c]) {
+			c = r
+		}
+		if !q[c].less(e) {
+			break
+		}
+		q[i] = q[c]
+		q[i].idx = i
+		i = c
+	}
+	q[i] = e
+	e.idx = i
+	return i > start
 }
 
 // Pending returns the number of queued events.
 func (s *Sim) Pending() int { return len(s.queue) }
 
 // Step fires the earliest event. It reports false when the queue is empty
-// or the simulation has been stopped.
+// or the simulation has been stopped. A posted event goes back to the
+// free list before its callback runs, so a callback that posts again
+// reuses the event that just fired.
 func (s *Sim) Step() bool {
 	if s.stopped || len(s.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*Event)
+	e := s.queue[0]
+	s.cancel(e)
 	if e.when > s.now {
 		s.now = e.when
 	}
 	s.executed++
-	e.fn()
+	fn := e.fn
+	if e.pooled {
+		e.fn = nil
+		s.free = append(s.free, e)
+	}
+	fn()
 	return true
 }
 

@@ -10,9 +10,9 @@ import (
 func TestEventOrdering(t *testing.T) {
 	s := New(1)
 	var got []int
-	s.Schedule(30*time.Millisecond, func() { got = append(got, 3) })
-	s.Schedule(10*time.Millisecond, func() { got = append(got, 1) })
-	s.Schedule(20*time.Millisecond, func() { got = append(got, 2) })
+	s.Post(30*time.Millisecond, func() { got = append(got, 3) })
+	s.Post(10*time.Millisecond, func() { got = append(got, 1) })
+	s.Post(20*time.Millisecond, func() { got = append(got, 2) })
 	s.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("events fired out of order: %v", got)
@@ -27,7 +27,7 @@ func TestFIFOAtSameInstant(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.Schedule(5*time.Millisecond, func() { got = append(got, i) })
+		s.Post(5*time.Millisecond, func() { got = append(got, i) })
 	}
 	s.Run()
 	for i, v := range got {
@@ -40,9 +40,9 @@ func TestFIFOAtSameInstant(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	s := New(1)
 	var times []time.Duration
-	s.Schedule(time.Millisecond, func() {
+	s.Post(time.Millisecond, func() {
 		times = append(times, s.Now())
-		s.Schedule(2*time.Millisecond, func() {
+		s.Post(2*time.Millisecond, func() {
 			times = append(times, s.Now())
 		})
 	})
@@ -55,24 +55,28 @@ func TestNestedScheduling(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := New(1)
 	fired := false
-	e := s.Schedule(time.Millisecond, func() { fired = true })
-	s.Cancel(e)
+	tm := NewTimer(s, func() { fired = true })
+	tm.Reset(time.Millisecond)
+	if !tm.Stop() {
+		t.Fatal("cancelling an armed timer reported unarmed")
+	}
 	s.Run()
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("cancelled timer fired")
 	}
-	if e.Scheduled() {
-		t.Fatal("cancelled event still reports scheduled")
+	if tm.Armed() || s.Pending() != 0 {
+		t.Fatalf("cancelled timer still queued: armed=%v pending=%d", tm.Armed(), s.Pending())
 	}
-	s.Cancel(e) // double-cancel must be a no-op
-	s.Cancel(nil)
+	if tm.Stop() { // double-cancel must be a no-op
+		t.Fatal("second Stop reported armed")
+	}
 }
 
 func TestNegativeDelayClamped(t *testing.T) {
 	s := New(1)
 	fired := time.Duration(-1)
 	s.RunUntil(10 * time.Millisecond)
-	s.Schedule(-5*time.Millisecond, func() { fired = s.Now() })
+	s.Post(-5*time.Millisecond, func() { fired = s.Now() })
 	s.Run()
 	if fired != 10*time.Millisecond {
 		t.Fatalf("negative-delay event fired at %v, want clamp to now (10ms)", fired)
@@ -84,7 +88,7 @@ func TestRunUntilLeavesLaterEvents(t *testing.T) {
 	var fired []time.Duration
 	for _, d := range []time.Duration{1, 5, 9, 15, 30} {
 		d := d * time.Millisecond
-		s.Schedule(d, func() { fired = append(fired, d) })
+		s.Post(d, func() { fired = append(fired, d) })
 	}
 	s.RunUntil(10 * time.Millisecond)
 	if len(fired) != 3 {
@@ -106,7 +110,7 @@ func TestStopResume(t *testing.T) {
 	s := New(1)
 	n := 0
 	for i := 1; i <= 5; i++ {
-		s.Schedule(time.Duration(i)*time.Millisecond, func() {
+		s.Post(time.Duration(i)*time.Millisecond, func() {
 			n++
 			if n == 2 {
 				s.Stop()
@@ -135,10 +139,10 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		step = func() {
 			vals = append(vals, s.Rand().Int63n(1000))
 			if len(vals) < 50 {
-				s.Schedule(Uniform{Lo: time.Microsecond, Hi: time.Millisecond}.Sample(s), step)
+				s.Post(Uniform{Lo: time.Microsecond, Hi: time.Millisecond}.Sample(s), step)
 			}
 		}
-		s.Schedule(0, step)
+		s.Post(0, step)
 		s.Run()
 		return vals
 	}
@@ -299,7 +303,7 @@ func TestQuickScheduleOrdering(t *testing.T) {
 			if dd > max {
 				max = dd
 			}
-			s.Schedule(dd, func() { fired = append(fired, s.Now()) })
+			s.Post(dd, func() { fired = append(fired, s.Now()) })
 		}
 		s.Run()
 		for i := 1; i < len(fired); i++ {
@@ -342,7 +346,7 @@ func TestRunUntilCtxMatchesRunUntil(t *testing.T) {
 		var fired []time.Duration
 		for _, d := range []time.Duration{1 * time.Millisecond, 5 * time.Millisecond, 9 * time.Millisecond, 20 * time.Millisecond} {
 			d := d
-			s.Schedule(d, func() { fired = append(fired, d) })
+			s.Post(d, func() { fired = append(fired, d) })
 		}
 		return s, &fired
 	}
@@ -371,9 +375,9 @@ func TestRunUntilCtxCancelled(t *testing.T) {
 	var loop func()
 	loop = func() {
 		fired++
-		s.Schedule(time.Millisecond, loop)
+		s.Post(time.Millisecond, loop)
 	}
-	s.Schedule(0, loop)
+	s.Post(0, loop)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

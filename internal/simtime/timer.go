@@ -6,13 +6,12 @@ import "time"
 // watchdog and power-save timeouts modelled in this repository (SDIO
 // idle demotion, adaptive-PSM timeout, retransmission timers).
 //
-// Unlike a raw Event, a Timer may be re-armed and re-used; re-arming an
-// armed timer reschedules it, matching mod_timer() semantics in the
-// Linux kernel drivers the paper instruments.
+// A Timer owns one event and re-arms it in place: re-arming an armed
+// timer reschedules it, matching mod_timer() semantics in the Linux
+// kernel drivers the paper instruments, and allocates nothing.
 type Timer struct {
 	sim *Sim
-	fn  func()
-	ev  *Event
+	ev  event
 }
 
 // NewTimer returns an unarmed timer that runs fn on expiry.
@@ -20,34 +19,29 @@ func NewTimer(sim *Sim, fn func()) *Timer {
 	if fn == nil {
 		panic("simtime: nil timer callback")
 	}
-	return &Timer{sim: sim, fn: fn}
+	return &Timer{sim: sim, ev: event{fn: fn, idx: -1}}
 }
 
-// Reset (re)arms the timer to fire after d. It returns true when the
-// timer was already armed (mod_timer semantics).
+// Reset (re)arms the timer to fire after d (d < 0 is clamped to 0). It
+// returns true when the timer was already armed (mod_timer semantics).
 func (t *Timer) Reset(d time.Duration) bool {
-	armed := t.Stop()
-	ev := t.sim.Schedule(d, func() {
-		t.ev = nil
-		t.fn()
-	})
-	t.ev = ev
+	armed := t.Armed()
+	if d < 0 {
+		d = 0
+	}
+	t.sim.arm(&t.ev, t.sim.now+d)
 	return armed
 }
 
 // Stop disarms the timer, reporting whether it was armed.
 func (t *Timer) Stop() bool {
-	if t.ev == nil || !t.ev.Scheduled() {
-		t.ev = nil
-		return false
-	}
-	t.sim.Cancel(t.ev)
-	t.ev = nil
-	return true
+	armed := t.Armed()
+	t.sim.cancel(&t.ev)
+	return armed
 }
 
 // Armed reports whether the timer is pending.
-func (t *Timer) Armed() bool { return t.ev != nil && t.ev.Scheduled() }
+func (t *Timer) Armed() bool { return t.ev.idx >= 0 }
 
 // Deadline returns the virtual time at which the armed timer fires; the
 // second result is false when the timer is unarmed.
@@ -55,17 +49,19 @@ func (t *Timer) Deadline() (time.Duration, bool) {
 	if !t.Armed() {
 		return 0, false
 	}
-	return t.ev.When(), true
+	return t.ev.when, true
 }
 
 // Ticker fires a callback at a fixed period until stopped. It models
 // periodic kernel work such as the driver watchdog (dhd_watchdog_ms) and
-// the AP's beacon generation (TBTT).
+// the AP's beacon generation (TBTT). Like a Timer it owns one event,
+// re-armed in place after every tick.
 type Ticker struct {
-	sim    *Sim
-	period time.Duration
-	fn     func()
-	ev     *Event
+	sim     *Sim
+	period  time.Duration
+	fn      func()
+	ev      event
+	stopped bool
 	// phase anchors tick times to phase + k*period, so listeners that
 	// compute "time to next tick" (beacon TBTT arithmetic) stay exact
 	// even when a callback runs late in event ordering.
@@ -83,24 +79,26 @@ func NewTicker(sim *Sim, period, offset time.Duration, fn func()) *Ticker {
 		panic("simtime: nil ticker callback")
 	}
 	t := &Ticker{sim: sim, period: period, fn: fn, phase: sim.Now() + offset}
-	t.ev = sim.Schedule(offset, t.tick)
+	t.ev = event{fn: t.tick, idx: -1}
+	if offset < 0 {
+		offset = 0
+	}
+	sim.arm(&t.ev, sim.now+offset)
 	return t
 }
 
 func (t *Ticker) tick() {
 	t.fn()
-	if t.ev == nil { // Stop was called from inside fn
+	if t.stopped { // Stop was called from inside fn
 		return
 	}
-	t.ev = t.sim.Schedule(t.period, t.tick)
+	t.sim.arm(&t.ev, t.sim.now+t.period)
 }
 
 // Stop halts the ticker.
 func (t *Ticker) Stop() {
-	if t.ev != nil {
-		t.sim.Cancel(t.ev)
-		t.ev = nil
-	}
+	t.stopped = true
+	t.sim.cancel(&t.ev)
 }
 
 // Period returns the ticker period.

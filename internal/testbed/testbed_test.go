@@ -31,7 +31,7 @@ func rawPingSeries(tb *Testbed, n int, interval time.Duration) []pingRecord {
 	})
 	for i := 0; i < n; i++ {
 		i := i
-		tb.Sim.At(time.Duration(i)*interval+10*time.Millisecond, func() {
+		tb.Sim.PostAt(time.Duration(i)*interval+10*time.Millisecond, func() {
 			recs[i].tou = tb.Sim.Now()
 			req := tb.Phone.Stack.SendEcho(ServerIP, icmpID, uint16(i), 56)
 			recs[i].reqID = req.ID

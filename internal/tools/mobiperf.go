@@ -44,7 +44,7 @@ func JavaHTTPPing(tb *testbed.Testbed, opts JavaHTTPPingOptions) *Result {
 
 	for i := 0; i < opts.Count; i++ {
 		i := i
-		tb.Sim.Schedule(time.Duration(i)*opts.Interval, func() {
+		tb.Sim.Post(time.Duration(i)*opts.Interval, func() {
 			rec := &res.Records[i]
 			rec.Seq = i
 			rec.SentAt = tb.Sim.Now()
@@ -69,7 +69,7 @@ func JavaHTTPPing(tb *testbed.Testbed, opts JavaHTTPPingOptions) *Result {
 	}
 
 	deadline := time.Duration(opts.Count)*opts.Interval + opts.Timeout
-	tb.Sim.Schedule(deadline, func() {
+	tb.Sim.Post(deadline, func() {
 		for i := range res.Records {
 			if !res.Records[i].OK {
 				res.Lost++

@@ -124,7 +124,7 @@ func pingStart(tb *testbed.Testbed, opts PingOptions) (*Result, time.Duration) {
 
 	for i := 0; i < opts.Count; i++ {
 		i := i
-		tb.Sim.Schedule(time.Duration(i)*opts.Interval, func() {
+		tb.Sim.Post(time.Duration(i)*opts.Interval, func() {
 			rec := &res.Records[i]
 			rec.Seq = i
 			rec.SentAt = tb.Sim.Now() // gettimeofday before sendto
@@ -138,7 +138,7 @@ func pingStart(tb *testbed.Testbed, opts PingOptions) (*Result, time.Duration) {
 
 	// Let the run and stragglers complete, then tally losses.
 	deadline := time.Duration(opts.Count)*opts.Interval + opts.Timeout
-	tb.Sim.Schedule(deadline, func() {
+	tb.Sim.Post(deadline, func() {
 		phone.Stack.CloseICMP(opts.ID)
 		for i := range res.Records {
 			if !res.Records[i].OK {
@@ -225,7 +225,7 @@ func httpingStart(tb *testbed.Testbed, opts HTTPingOptions) (*Result, time.Durat
 		// Probe i fires at connect + i*interval.
 		for i := 0; i < opts.Count; i++ {
 			i := i
-			tb.Sim.Schedule(time.Duration(i)*opts.Interval, func() {
+			tb.Sim.Post(time.Duration(i)*opts.Interval, func() {
 				cur = i
 				probe(i)
 			})
@@ -233,7 +233,7 @@ func httpingStart(tb *testbed.Testbed, opts HTTPingOptions) (*Result, time.Durat
 	}
 
 	deadline := time.Duration(opts.Count+1)*opts.Interval + opts.Timeout
-	tb.Sim.Schedule(deadline, func() {
+	tb.Sim.Post(deadline, func() {
 		conn.Close()
 		for i := range res.Records {
 			if !res.Records[i].OK {
@@ -285,7 +285,7 @@ func javaPingStart(tb *testbed.Testbed, opts JavaPingOptions) (*Result, time.Dur
 
 	for i := 0; i < opts.Count; i++ {
 		i := i
-		tb.Sim.Schedule(time.Duration(i)*opts.Interval, func() {
+		tb.Sim.Post(time.Duration(i)*opts.Interval, func() {
 			rec := &res.Records[i]
 			rec.Seq = i
 			rec.SentAt = tb.Sim.Now() // System.nanoTime() before connect
@@ -309,7 +309,7 @@ func javaPingStart(tb *testbed.Testbed, opts JavaPingOptions) (*Result, time.Dur
 	}
 
 	deadline := time.Duration(opts.Count)*opts.Interval + opts.Timeout
-	tb.Sim.Schedule(deadline, func() {
+	tb.Sim.Post(deadline, func() {
 		for i := range res.Records {
 			if !res.Records[i].OK {
 				res.Lost++
@@ -389,7 +389,7 @@ func ping2Start(tb *testbed.Testbed, opts Ping2Options) (*Result, time.Duration)
 
 	for i := 0; i < opts.Rounds; i++ {
 		i := i
-		tb.Sim.Schedule(time.Duration(i)*opts.Gap, func() {
+		tb.Sim.Post(time.Duration(i)*opts.Gap, func() {
 			res.Records[i].Seq = i
 			res.Sent++
 			srv.SendEcho(testbed.PhoneIP, icmpID, uint16(2*i), 56) // wake probe
@@ -397,7 +397,7 @@ func ping2Start(tb *testbed.Testbed, opts Ping2Options) (*Result, time.Duration)
 	}
 
 	deadline := time.Duration(opts.Rounds)*opts.Gap + opts.Timeout
-	tb.Sim.Schedule(deadline, func() {
+	tb.Sim.Post(deadline, func() {
 		srv.CloseICMP(icmpID)
 		for i := range res.Records {
 			if !res.Records[i].OK {
@@ -415,7 +415,7 @@ func httpingConnectOnlyStart(tb *testbed.Testbed, opts HTTPingOptions) (*Result,
 	phone := tb.Phone
 	for i := 0; i < opts.Count; i++ {
 		i := i
-		tb.Sim.Schedule(time.Duration(i)*opts.Interval, func() {
+		tb.Sim.Post(time.Duration(i)*opts.Interval, func() {
 			rec := &res.Records[i]
 			rec.Seq = i
 			rec.SentAt = tb.Sim.Now()
@@ -439,7 +439,7 @@ func httpingConnectOnlyStart(tb *testbed.Testbed, opts HTTPingOptions) (*Result,
 		})
 	}
 	deadline := time.Duration(opts.Count)*opts.Interval + opts.Timeout
-	tb.Sim.Schedule(deadline, func() {
+	tb.Sim.Post(deadline, func() {
 		for i := range res.Records {
 			if !res.Records[i].OK {
 				res.Lost++

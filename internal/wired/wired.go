@@ -98,7 +98,7 @@ func (n *Network) AttachHost(node Node, ingress, egress simtime.Dist) func(*pack
 	n.ports[node.IP()] = p
 	return func(pkt *packet.Packet) {
 		d := n.sample(p.ingress)
-		n.sim.Schedule(d, func() { n.route(pkt) })
+		n.sim.Post(d, func() { n.route(pkt) })
 	}
 }
 
@@ -131,7 +131,7 @@ func (n *Network) FromWLAN(p *packet.Packet) {
 		return
 	}
 	ip.TTL--
-	n.sim.Schedule(n.sample(n.cfg.FabricLatency), func() { n.route(p) })
+	n.sim.Post(n.sample(n.cfg.FabricLatency), func() { n.route(p) })
 }
 
 // route forwards a packet inside the wired segment.
@@ -143,7 +143,7 @@ func (n *Network) route(p *packet.Packet) {
 	if prt, ok := n.ports[ip.Dst]; ok {
 		n.Stats.Forwarded.Add(1)
 		d := n.sample(n.cfg.FabricLatency) + n.sample(prt.egress)
-		n.sim.Schedule(d, func() { prt.node.DeliverFromDevice(p) })
+		n.sim.Post(d, func() { prt.node.DeliverFromDevice(p) })
 		return
 	}
 	if n.wlanSubnet != nil && n.wlanSubnet(ip.Dst) && n.toWLAN != nil {
@@ -157,7 +157,7 @@ func (n *Network) route(p *packet.Packet) {
 		}
 		ip.TTL--
 		n.Stats.Forwarded.Add(1)
-		n.sim.Schedule(n.sample(n.cfg.FabricLatency), func() { n.toWLAN(p) })
+		n.sim.Post(n.sample(n.cfg.FabricLatency), func() { n.toWLAN(p) })
 		return
 	}
 	n.Stats.DroppedNoRoute.Add(1)
@@ -181,7 +181,7 @@ func (n *Network) maybeTimeExceeded(orig *packet.Packet) {
 	)
 	// The error goes back the way the packet came.
 	if n.wlanSubnet != nil && n.wlanSubnet(ip.Src) && n.toWLAN != nil {
-		n.sim.Schedule(n.sample(n.cfg.FabricLatency), func() { n.toWLAN(reply) })
+		n.sim.Post(n.sample(n.cfg.FabricLatency), func() { n.toWLAN(reply) })
 		return
 	}
 	n.route(reply)

@@ -140,7 +140,7 @@ func TestTimeExceededReplyRateLimited(t *testing.T) {
 		func(ip packet.IPv4Addr) bool { return ip[0] == 192 })
 	// 50 TTL-expired packets within a second: only one ICMP error.
 	for i := 0; i < 50; i++ {
-		sim.Schedule(time.Duration(i)*20*time.Millisecond, func() {
+		sim.Post(time.Duration(i)*20*time.Millisecond, func() {
 			n.FromWLAN(udpPacket(fac, packet.IP(192, 168, 1, 2), packet.IP(10, 0, 0, 9), 1))
 		})
 	}
