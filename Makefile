@@ -97,9 +97,11 @@ e2e-churn:
 # Cluster chaos e2e under -race: three gossiping nodes split a
 # campaign, one is killed mid-stream, and the survivors must converge
 # to the exact offline fleet report from the dead peer's replicas (the
-# PR 9 acceptance check).
+# PR 9 acceptance check). Then a late summary re-mints a fine cell
+# under its rollup's Key, and gossip must still hand the peer every
+# session.
 e2e-cluster:
-	$(GO) test -count=1 -race -run 'TestClusterChaosConvergence' -v ./internal/cluster
+	$(GO) test -count=1 -race -run 'TestClusterChaosConvergence|TestClusterGossipMergesRemintedTwin' -v ./internal/cluster
 
 # The repository benchmark's harness (perfbench/, its own module that
 # builds against this checkout's packages): its tests, then seconds-long

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -100,6 +101,53 @@ func TestClusterChaosConvergence(t *testing.T) {
 	if got := fleetSessions(t, srvs[0]); got != offline.Sessions {
 		t.Errorf("fleet sessions after detection: %d, want %d", got, offline.Sessions)
 	}
+}
+
+// TestClusterGossipMergesRemintedTwin: a late summary re-mints a fine
+// cell in a compacted window aligned to the rollup width, so the fine
+// cell shares its rollup's Key. Gossip must carry the pair as one cell —
+// the receiver keeps its replica by Key, so a fine cell sent apart from
+// its twin would overwrite the twin's sessions — and the peer's fleet
+// view must hold every session the origin does.
+// `make e2e-cluster` runs this under -race.
+func TestClusterGossipMergesRemintedTwin(t *testing.T) {
+	// Retention -1 keeps the janitor out: the test compacts by hand.
+	cfg := ingest.Config{Window: time.Minute, Retention: -1}
+	sA, sB := startServer(t, cfg), startServer(t, cfg)
+	joinNode(t, sA, Config{NodeID: "a", Peers: []string{sB.URL()}, Interval: 10 * time.Millisecond})
+	joinNode(t, sB, Config{NodeID: "b", Peers: []string{sA.URL()}, Interval: 10 * time.Millisecond})
+	st := sA.Store()
+	fold := func() {
+		t.Helper()
+		s := ingest.Summary{Device: "d", Group: "g", TimeMS: 600_000, Sent: 1,
+			RTTs: []int64{int64(30 * time.Millisecond)}}
+		if !st.Fold(&s, 0, ingest.SourceNone) {
+			t.Fatal("fold dropped")
+		}
+	}
+	converged := func() {
+		t.Helper()
+		cells, err := st.Query(ingest.RollupGroup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want int64
+		for _, c := range cells {
+			want += c.Sessions
+		}
+		waitUntil(t, 5*time.Second, fmt.Sprintf("B's fleet view to reach A's %d sessions", want), func() bool {
+			return fleetSessions(t, sB) == want
+		})
+	}
+	fold()
+	if cells, _ := st.Compact(math.MaxInt64); cells != 1 {
+		t.Fatalf("compacted %d cells, want 1", cells)
+	}
+	fold() // late: re-mints the fine cell under its rollup's Key
+	converged()
+	fold()
+	fold()
+	converged()
 }
 
 // TestClusterScaling checks near-linear ingest scaling from 2 to 4

@@ -87,10 +87,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // so one /v1/stream cursor sequence spans local and replicated rows.
 func (st *Store) NextEpoch() int64 { return st.epoch.Add(1) }
 
-// Clone returns a deep copy of the cell (the exported face of the
-// snapshot path, for the cluster replica layer).
-func (c *Cell) Clone() *Cell { return c.clone() }
-
 // SortCells orders cells canonically (the /stats and delta order) —
 // exported so cluster convergence checks can compare cell sets
 // byte-for-byte after a wire round trip.
@@ -110,7 +106,7 @@ type CellDelta struct {
 	// (a restart) — and the delta is a full snapshot: the receiver must
 	// drop its replica of this store before applying.
 	Reset bool
-	// Cells are deep clones; callers own them.
+	// Cells are deep clones, one per Key; callers own them.
 	Cells   []*Cell
 	Removed []Key
 }
@@ -119,7 +115,9 @@ type CellDelta struct {
 // DeltasSince cursor rule (Store.cursor: epoch read first, removals up
 // to it, a wrapped log or a cursor from the future → full-snapshot
 // reset, racing folds re-delivered) applied to whole cells instead of
-// derived stats.
+// derived stats. It carries one cell per Key, as Snapshot does: a
+// receiver keeps its replica by Key, so a fine cell sent apart from its
+// rollup twin would overwrite the twin's sessions.
 func (st *Store) CellDeltasSince(since int64) CellDelta {
 	epoch, removed, reset := st.cursor(since)
 	d := CellDelta{Epoch: epoch, Reset: reset}
@@ -128,7 +126,7 @@ func (st *Store) CellDeltasSince(since int64) CellDelta {
 		// the receiver-side wipe.
 		since = 0
 	}
-	st.each(since, func(c *Cell) { d.Cells = append(d.Cells, c.clone()) })
+	st.each(since, mergeTwins, func(c *Cell) { d.Cells = append(d.Cells, c.clone()) })
 	sortCells(d.Cells)
 	d.Removed = dedupKeys(removed)
 	return d
@@ -136,14 +134,15 @@ func (st *Store) CellDeltasSince(since int64) CellDelta {
 
 // QueryWith merges the store's own cells with replicated cells at the
 // rollup — the fleet-wide query path. Every rollup but RollupCell
-// merges each live cell straight into its accumulator under the stripe
-// lock — Merge only reads its argument, so no per-cell clone is needed,
-// keeping a /stats poll cheap even with the store near its cell cap.
-// RollupCell without replicated cells is a plain Snapshot (the caller
-// gets every cell); with them it also goes through the merging
-// accumulators: the same key can hold sessions on several peers and the
-// fleet view must fold them into one row (reduce is the identity there,
-// so keys are preserved).
+// merges each stored cell straight into its accumulator under the
+// stripe lock — Merge only reads its argument, so no per-cell clone is
+// needed, keeping a /stats poll cheap even with the store near its cell
+// cap. The accumulators merge a twin pair by key, so this walk reads
+// the raw cells. RollupCell without replicated cells is a plain
+// Snapshot, one cell per Key; with them it also goes through the
+// merging accumulators: the same key can hold sessions on several peers
+// and the fleet view must fold them into one row (reduce is the
+// identity there, so keys are preserved).
 func (st *Store) QueryWith(r Rollup, extra []*Cell) ([]*Cell, error) {
 	if len(extra) == 0 && (r == RollupCell || r == "") {
 		return st.Snapshot(), nil
@@ -162,7 +161,7 @@ func (st *Store) QueryWith(r Rollup, extra []*Cell) ([]*Cell, error) {
 		}
 		err = dst.Merge(c)
 	}
-	st.each(0, mergeInto)
+	st.each(0, twinsApart, mergeInto)
 	for _, c := range extra {
 		mergeInto(c)
 	}
@@ -174,85 +173,6 @@ func (st *Store) QueryWith(r Rollup, extra []*Cell) ([]*Cell, error) {
 		out = append(out, c)
 	}
 	sortCells(out)
-	return out, nil
-}
-
-// statsWith derives the /stats view of the store merged with the
-// replicated cells extra (none on a single node). The by=cell path
-// without replicas computes each cell's derived stats under the stripe
-// lock rather than deep-cloning every cell only to read three
-// quantiles — a clone copies both histograms' stored spans (up to
-// ~16 KiB for a wide cell) and both sketches, so with the store near
-// its cell cap it would be tens to hundreds of MiB of transient
-// allocation per dashboard poll. Every other view goes through
-// QueryWith, which merges without cloning.
-func (st *Store) statsWith(r Rollup, extra []*Cell) ([]CellStats, error) {
-	if r == RollupCell && len(extra) == 0 {
-		return st.cellRows(0)
-	}
-	cells, err := st.QueryWith(r, extra)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CellStats, 0, len(cells))
-	for _, c := range cells {
-		out = append(out, StatsFor(c))
-	}
-	return out, nil
-}
-
-// cellRows is the by=cell view of the cells changed since `since`
-// (every cell when since is 0), one row per Key, built under the stripe
-// locks without cloning. A fine cell re-minted in a window already
-// compacted into an aligned rollup shares the rollup cell's Key
-// (rollupKey keeps a window that is a multiple of the rollup width).
-// Such twins are served as one merged row, in the merge order of
-// QueryWith's merging path, so a single node answers as a cluster does.
-func (st *Store) cellRows(since int64) ([]CellStats, error) {
-	var out []CellStats
-	var twins map[Key]bool
-	var err error
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		st.rollupMu.Lock() // a leaf lock, taken under the stripe lock
-		for k, c := range sh.cells {
-			r := st.rollups[k]
-			if r == nil {
-				if c.Epoch > since {
-					out = append(out, StatsFor(c))
-				}
-				continue
-			}
-			if twins == nil {
-				twins = map[Key]bool{}
-			}
-			twins[k] = true
-			if c.Epoch > since || r.Epoch > since {
-				m := newCell(k)
-				if err == nil {
-					err = m.Merge(c)
-				}
-				if err == nil {
-					err = m.Merge(r)
-				}
-				out = append(out, StatsFor(m))
-			}
-		}
-		st.rollupMu.Unlock()
-		sh.mu.Unlock()
-	}
-	st.rollupMu.Lock()
-	for k, c := range st.rollups {
-		if c.Epoch > since && !twins[k] {
-			out = append(out, StatsFor(c))
-		}
-	}
-	st.rollupMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	sortCellStats(out)
 	return out, nil
 }
 
@@ -283,8 +203,9 @@ type queryFunc func(Rollup) ([]*Cell, error)
 func (f queryFunc) Query(r Rollup) ([]*Cell, error) { return f(r) }
 
 // Fleet returns the fleet-wide query view as a GroupQuerier: local and
-// replicated cells merged at the rollup — what /stats serves when
-// clustered. Without a cluster it is exactly Store.Query.
+// replicated cells merged at the rollup, one cell per reduced Key —
+// what /stats serves when clustered. Without a cluster it is exactly
+// Store.Query, which at RollupCell serves one cell per Key too.
 func (s *Server) Fleet() GroupQuerier {
 	return queryFunc(func(r Rollup) ([]*Cell, error) { return s.store.QueryWith(r, s.replicaCells()) })
 }

@@ -53,7 +53,7 @@ func TestChurnCellFootprint(t *testing.T) {
 			if !st.Fold(&s, 0, SourceNone) {
 				t.Fatal("summary dropped")
 			}
-			st.each(0, func(c *Cell) {
+			st.each(0, mergeTwins, func(c *Cell) {
 				for _, h := range []*agg.Hist{c.RawHist, c.PuncturedHist} {
 					if _, span := h.Span(); cap(span) > h.Bins() {
 						t.Fatalf("step %d: histogram capacity %d exceeds %d bins", step, cap(span), h.Bins())
@@ -61,7 +61,7 @@ func TestChurnCellFootprint(t *testing.T) {
 				}
 			})
 		}
-		st.each(0, func(c *Cell) {
+		st.each(0, mergeTwins, func(c *Cell) {
 			for b := 0; b < c.RawHist.Bins(); b++ {
 				if c.RawHist.Count(b) != 1 {
 					t.Fatalf("bin %d holds %d, want 1", b, c.RawHist.Count(b))

@@ -81,10 +81,8 @@ func (l *RemovalLog) Log(next func() int64, k Key) {
 // Since returns the keys removed at epochs in (since, upto], oldest
 // first. ok is false when the log has already overwritten entries past
 // since: the caller must resync from scratch. A delta reader passes the
-// epoch it returns as its next cursor as upto, so a removal past it
-// waits for the next delta: repeating it there would retract a same-key
-// rollup (one whose window aligns with the fine cell's) this delta
-// already delivered.
+// epoch it returns as its next cursor as upto, so each removal reaches
+// it once, in the first delta whose epoch covers it.
 func (l *RemovalLog) Since(since, upto int64) (keys []Key, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -135,9 +133,10 @@ func (st *Store) RollupCells() int64 { return st.rollupN.Load() }
 // Evicted / Compacted / CompactedSessions / RollupErrors expose the
 // retention counters: fine cells folded into rollups at the cap, fine
 // cells folded into rollups by retention, the sessions those carried,
-// and rollup merges refused on a histogram-geometry mismatch (never
-// expected — both sides are newCell-built — but a silent loss if it
-// ever happened, so it is counted).
+// and rollup merges refused on a histogram-geometry mismatch, in
+// compaction or in a store walk's twin merge (never expected — both
+// sides are newCell-built — but a silent loss if it ever happened, so
+// it is counted).
 func (st *Store) Evicted() int64           { return st.evicted.Load() }
 func (st *Store) Compacted() int64         { return st.compacted.Load() }
 func (st *Store) CompactedSessions() int64 { return st.compactedSessions.Load() }
@@ -309,11 +308,15 @@ func (st *Store) demote(c *Cell) {
 
 // absorbIntoRollup merges one demoted fine cell into its rollup cell,
 // logging the fine key's removal for stream retraction, and recycles
-// the dead fine cell. rollupMu is a leaf lock (never taken before a
-// shard lock inside this package), so calling this while holding a
-// shard lock is safe.
+// the dead fine cell. The removal is logged before the rollup is
+// stamped: when the window is aligned to the rollup width the two keys
+// are equal, and the rollup's epoch must exceed the removal's so that
+// every delta retracting the key delivers the rollup too. rollupMu is a
+// leaf lock (never taken before a shard lock inside this package), so
+// calling this while holding a shard lock is safe.
 func (st *Store) absorbIntoRollup(c *Cell) {
 	rk := st.rollupKey(c.Key)
+	st.logRemoval(c.Key)
 	st.rollupMu.Lock()
 	dst, ok := st.rollups[rk]
 	if !ok {
@@ -329,7 +332,6 @@ func (st *Store) absorbIntoRollup(c *Cell) {
 	dst.Epoch = st.epoch.Add(1)
 	st.capRollupsLocked()
 	st.rollupMu.Unlock()
-	st.logRemoval(c.Key)
 	if err == nil {
 		st.recycle(c)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -706,11 +707,130 @@ func TestStartRejectsNegativeCompactWindow(t *testing.T) {
 	}
 }
 
-// TestCellRowsMergeRemintedTwin pins one row per Key at by=cell on a
-// single node. With a window that is a multiple of the rollup width, a
-// late summary re-mints a fine cell under the Key of the rollup cell
-// its predecessor was compacted into; /stats and /v1/stream at by=cell
-// must serve the pair as one merged row, as the clustered path does.
+// TestRetractionRedeliversAlignedRollup: compacting a fine cell whose
+// window is aligned to the rollup width removes a key its rollup still
+// holds. A delta that retracts that key must deliver the rollup with
+// it, whatever cursor an earlier delta left the reader at; otherwise a
+// stream or gossip replica drops the rollup's sessions until the rollup
+// next changes.
+func TestRetractionRedeliversAlignedRollup(t *testing.T) {
+	st := NewStore(time.Minute, 4)
+	st.EnableCompaction(10 * time.Minute)
+	foldOne(t, st, "d", "g", 600_000, 30)
+	before := st.Epoch()
+	if cells, _ := st.Compact(math.MaxInt64); cells != 1 {
+		t.Fatalf("compacted %d cells, want 1", cells)
+	}
+	k := Key{Device: "d", Group: "g", Scenario: "test", WindowMS: 600_000}
+	for since := before; since < st.Epoch(); since++ {
+		ev, err := st.DeltasSince(since, RollupCell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := st.CellDeltasSince(since)
+		var streamed, gossiped []Key
+		for _, c := range ev.Cells {
+			streamed = append(streamed, c.Key)
+		}
+		for _, c := range d.Cells {
+			gossiped = append(gossiped, c.Key)
+		}
+		for name, delta := range map[string][2][]Key{
+			"DeltasSince":     {ev.Removed, streamed},
+			"CellDeltasSince": {d.Removed, gossiped},
+		} {
+			if slices.Contains(delta[0], k) && !slices.Contains(delta[1], k) {
+				t.Errorf("%s(%d) retracts %v without delivering its rollup", name, since, k)
+			}
+		}
+	}
+}
+
+// TestTwinDeltaReplayRacingCompaction replays stream and gossip deltas
+// while late summaries keep re-minting fine cells in windows aligned to
+// the rollup width and compaction keeps demoting them. Once the store
+// holds still, each replica must hold exactly the sessions Snapshot
+// holds, key by key.
+func TestTwinDeltaReplayRacingCompaction(t *testing.T) {
+	st := NewStore(time.Second, 4)
+	st.EnableCompaction(time.Second) // every window aligned
+	stream, gossip := map[Key]int64{}, map[Key]int64{}
+	var streamCursor, gossipCursor int64
+	streamDelta := func() {
+		ev, err := st.DeltasSince(streamCursor, RollupCell)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if ev.Reset {
+			clear(stream)
+		}
+		for _, k := range ev.Removed {
+			delete(stream, k)
+		}
+		for _, c := range ev.Cells {
+			stream[c.Key] = c.Sessions
+		}
+		streamCursor = ev.Epoch
+	}
+	gossipDelta := func() {
+		d := st.CellDeltasSince(gossipCursor)
+		if d.Reset {
+			clear(gossip)
+		}
+		for _, k := range d.Removed {
+			delete(gossip, k)
+		}
+		for _, c := range d.Cells {
+			gossip[c.Key] = c.Sessions
+		}
+		gossipCursor = d.Epoch
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, delta := range []func(){streamDelta, gossipDelta} {
+		delta := delta
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				delta()
+			}
+		}()
+	}
+	for i := 0; i < 400; i++ {
+		foldOne(t, st, fmt.Sprintf("dev-%d", i%4), "g", int64(i%3)*1000, 1000)
+		if i%5 == 4 && i < 395 {
+			st.Compact(3000)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	streamDelta()
+	gossipDelta()
+	want := map[Key]int64{}
+	for _, c := range st.Snapshot() {
+		want[c.Key] = c.Sessions
+	}
+	if !reflect.DeepEqual(stream, want) {
+		t.Errorf("stream replica %v; store %v", stream, want)
+	}
+	if !reflect.DeepEqual(gossip, want) {
+		t.Errorf("gossip replica %v; store %v", gossip, want)
+	}
+}
+
+// TestCellRowsMergeRemintedTwin pins one cell per Key for every reader
+// on a single node. With a window that is a multiple of the rollup
+// width, a late summary re-mints a fine cell under the Key of the
+// rollup cell its predecessor was compacted into; /stats and /v1/stream
+// at by=cell, Snapshot, Query and the gossip delta must each serve the
+// pair as one merged cell, as the clustered path does.
 func TestCellRowsMergeRemintedTwin(t *testing.T) {
 	st := NewStore(time.Minute, 4)
 	st.EnableCompaction(10 * time.Minute)
@@ -724,29 +844,55 @@ func TestCellRowsMergeRemintedTwin(t *testing.T) {
 		t.Fatalf("fine=%d rollup=%d, want one of each", st.Cells(), st.RollupCells())
 	}
 	want := Key{Device: "d", Group: "g", Scenario: "test", WindowMS: 600_000}
-	check := func(name string, rows []CellStats) {
+	check := func(name string, keys []Key, sessions []int64) {
 		t.Helper()
-		if len(rows) != 1 || rows[0].Key != want || rows[0].Sessions != 2 {
-			t.Fatalf("%s: %d rows %+v; want one %v row with 2 sessions", name, len(rows), rows, want)
+		if len(keys) != 1 || keys[0] != want || sessions[0] != 2 {
+			t.Fatalf("%s: keys %v with sessions %v; want one %v with 2 sessions", name, keys, sessions, want)
 		}
+	}
+	checkRows := func(name string, rows []CellStats) {
+		t.Helper()
+		var keys []Key
+		var sessions []int64
+		for _, r := range rows {
+			keys, sessions = append(keys, r.Key), append(sessions, r.Sessions)
+		}
+		check(name, keys, sessions)
+	}
+	checkCells := func(name string, cells []*Cell) {
+		t.Helper()
+		var keys []Key
+		var sessions []int64
+		for _, c := range cells {
+			keys, sessions = append(keys, c.Key), append(sessions, c.Sessions)
+		}
+		check(name, keys, sessions)
 	}
 	stats, err := st.StatsQuery(RollupCell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("StatsQuery", stats)
+	checkRows("StatsQuery", stats)
 	ev, err := st.DeltasSince(0, RollupCell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("DeltasSince(0)", ev.Cells)
+	checkRows("DeltasSince(0)", ev.Cells)
 	// Only the fine twin changed since the compaction; the row it
 	// re-emits still carries the rollup's session.
 	ev, err = st.DeltasSince(compacted, RollupCell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("DeltasSince(compacted)", ev.Cells)
+	checkRows("DeltasSince(compacted)", ev.Cells)
+	checkCells("Snapshot", st.Snapshot())
+	queried, err := st.Query(RollupCell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCells("Query(RollupCell)", queried)
+	checkCells("CellDeltasSince(0)", st.CellDeltasSince(0).Cells)
+	checkCells("CellDeltasSince(compacted)", st.CellDeltasSince(compacted).Cells)
 	// The row equals the merging path's, which a clustered node serves.
 	merged, err := st.QueryWith(RollupCell, []*Cell{newCell(Key{Device: "other"})})
 	if err != nil {

@@ -667,7 +667,10 @@ type StatsResponse struct {
 }
 
 // StatsQuery derives the /stats view of the store alone.
-func (st *Store) StatsQuery(r Rollup) ([]CellStats, error) { return st.statsWith(r, nil) }
+func (st *Store) StatsQuery(r Rollup) ([]CellStats, error) {
+	rows, _, err := st.rows(0, r, nil, nil)
+	return rows, err
+}
 
 // cellFilter is the key filter /stats and /v1/stream share: empty
 // fields match everything; set fields must match exactly.
@@ -700,6 +703,20 @@ func (f cellFilter) match(k Key) bool {
 	return true
 }
 
+// keep filters rows in place to those whose key matches.
+func (f cellFilter) keep(rows []CellStats) []CellStats {
+	if f.empty() {
+		return rows
+	}
+	kept := rows[:0]
+	for _, c := range rows {
+		if f.match(c.Key) {
+			kept = append(kept, c)
+		}
+	}
+	return kept
+}
+
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -710,22 +727,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	cellStats, err := s.store.statsWith(rollup, s.replicaCells())
+	cellStats, _, err := s.store.rows(0, rollup, s.replicaSource(), nil)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if f := filterFromQuery(r.URL.Query()); !f.empty() {
-		kept := cellStats[:0]
-		for _, c := range cellStats {
-			if f.match(c.Key) {
-				kept = append(kept, c)
-			}
-		}
-		cellStats = kept
-	}
-	resp := StatsResponse{Rollup: rollup, WindowMS: s.store.windowMS, Cells: cellStats,
-		Counters: s.MetricsSnapshot()}
+	resp := StatsResponse{Rollup: rollup, WindowMS: s.store.windowMS,
+		Cells: filterFromQuery(r.URL.Query()).keep(cellStats), Counters: s.MetricsSnapshot()}
 	if strings.EqualFold(r.URL.Query().Get("format"), "table") {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, RenderStats(resp))

@@ -697,37 +697,82 @@ func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration,
 	}
 }
 
-// each visits every cell whose Epoch exceeds since: the fine cells
-// shard by shard under each shard's lock, then the rollups under
-// rollupMu. Every cell a reader can see carries an epoch of at least
-// 1, so since 0 visits them all. fn runs under those locks: it must
-// take no lock and keep no reference to the cell.
-func (st *Store) each(since int64, fn func(*Cell)) {
+// Store walk modes (see each): a twin pair visited as one merged cell,
+// or as its two stored cells.
+const (
+	mergeTwins = true
+	twinsApart = false
+)
+
+// each visits the cells whose state changed since `since`: the fine
+// cells shard by shard under each shard's lock, then the rollups under
+// rollupMu. Every cell a reader can see carries an epoch of at least 1,
+// so since 0 visits them all. fn runs under those locks: it must take
+// no lock and keep no reference to the cell.
+//
+// each is the one place that knows a Key can name two cells: a fine
+// cell re-minted in a window already compacted into an aligned rollup
+// shares that rollup's Key (rollupKey keeps a window that is a multiple
+// of the rollup width). With mergeTwins, fn sees one cell per Key: such
+// a twin pair is visited once, whenever either side changed, as a fresh
+// cell merging the fine cell and then the rollup, and the rollup pass
+// skips the keys the shard pass served. Looking twins up takes
+// rollupMu, a leaf lock, under each stripe lock. twinsApart visits
+// every stored cell and takes no lock inside the shard walk: it is for
+// readers that merge cells by key anyway.
+func (st *Store) each(since int64, twins bool, fn func(*Cell)) {
+	twins = twins && st.rollupMS > 0
+	var served map[Key]bool
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		for _, c := range sh.cells {
-			if c.Epoch > since {
-				fn(c)
+		if twins {
+			st.rollupMu.Lock()
+		}
+		for k, c := range sh.cells {
+			var r *Cell
+			if twins && k.WindowMS%st.rollupMS == 0 {
+				r = st.rollups[k]
 			}
+			if r == nil {
+				if c.Epoch > since {
+					fn(c)
+				}
+				continue
+			}
+			if served == nil {
+				served = map[Key]bool{}
+			}
+			served[k] = true
+			if c.Epoch > since || r.Epoch > since {
+				m := newCell(k)
+				m.SpanMS = r.SpanMS // the pair spans the rollup window
+				if m.Merge(c) != nil || m.Merge(r) != nil {
+					st.rollupErrors.Add(1)
+				}
+				fn(m)
+			}
+		}
+		if twins {
+			st.rollupMu.Unlock()
 		}
 		sh.mu.Unlock()
 	}
 	st.rollupMu.Lock()
-	for _, c := range st.rollups {
-		if c.Epoch > since {
+	for k, c := range st.rollups {
+		if c.Epoch > since && !served[k] {
 			fn(c)
 		}
 	}
 	st.rollupMu.Unlock()
 }
 
-// Snapshot deep-copies every cell — fine-grained and rollup — sorted by
+// Snapshot deep-copies the store one cell per Key (see each), sorted by
 // (group, device, scenario, window). Consistent per stripe, not across
 // stripes — the right trade for serving queries while folds continue.
 func (st *Store) Snapshot() []*Cell {
 	var out []*Cell
-	st.each(0, func(c *Cell) { out = append(out, c.clone()) })
+	st.each(0, mergeTwins, func(c *Cell) { out = append(out, c.clone()) })
 	sortCells(out)
 	return out
 }
@@ -746,16 +791,7 @@ func keyLess(a, b Key) bool {
 }
 
 func sortCells(cells []*Cell) {
-	// Tie-break equal keys on span: when the rollup width equals the
-	// fine window width a demoted cell and its re-minted fine sibling
-	// share a Key, and without the tie-break snapshot order would
-	// depend on map iteration order.
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Key != cells[j].Key {
-			return keyLess(cells[i].Key, cells[j].Key)
-		}
-		return cells[i].SpanMS < cells[j].SpanMS
-	})
+	sort.Slice(cells, func(i, j int) bool { return keyLess(cells[i].Key, cells[j].Key) })
 }
 
 // Rollup says which key dimensions a query keeps; dropped dimensions

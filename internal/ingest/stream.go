@@ -66,78 +66,88 @@ func (st *Store) DeltasSince(since int64, r Rollup) (StreamEvent, error) {
 // with one, changed replicated cells ride the same cursor (the cluster
 // layer stamps them from NextEpoch at apply time), same-key cells merge
 // across peers, and a wrapped replica removal log forces the same full
-// resync as a wrapped local one. A clustered subscription always takes
-// the merging path — even at RollupCell, where reduce is the identity —
-// because the same key can hold sessions on several peers.
+// resync as a wrapped local one.
 func (st *Store) deltasWith(since int64, r Rollup, src ReplicaSource) (StreamEvent, error) {
 	epoch, removed, reset := st.cursor(since)
 	ev := StreamEvent{Rollup: r, WindowMS: st.windowMS, Epoch: epoch, Reset: reset}
-	var extraRemoved []Key
 	if src != nil && !reset {
 		// Replica removals past ev.Epoch come again next time; this
 		// subscription merges, where a repeat only re-emits a row.
-		var rok bool
-		extraRemoved, rok = src.ReplicaRemovals(since)
+		extraRemoved, rok := src.ReplicaRemovals(since)
 		ev.Reset = !rok
+		removed = append(removed, extraRemoved...)
 	}
 	if ev.Reset {
-		since, removed, extraRemoved = 0, nil, nil
+		since, removed = 0, nil
 	}
-	// Replica cells are collected after the epoch read for the same
-	// reason the scans below are: an apply racing this call stamps a
+	var err error
+	ev.Cells, ev.Removed, err = st.rows(since, r, src, removed)
+	return ev, err
+}
+
+// rows is the one builder of /stats and /v1/stream rows: the store's
+// rows at rollup r, merged with the replica source's cells (nil on a
+// single node), for the keys that changed since `since` — every key
+// when since is 0 — plus the changed keys left with no row. A key in
+// removed counts as changed: its row re-emits (same totals, fewer
+// constituents), or the key comes back in gone if nothing survived.
+//
+// RollupCell on a single node merges nothing, so its rows come straight
+// off the store walk, one per Key, derived under the stripe locks
+// rather than from deep clones: a clone copies both histograms' stored
+// spans (up to ~16 KiB for a wide cell) and both sketches, so with the
+// store near its cell cap cloning would be tens to hundreds of MiB of
+// transient allocation per dashboard poll. Every other view reads
+// QueryWith's merged cells, which need no clone either. A clustered
+// node takes that path even at RollupCell, where reduce is the
+// identity, because the same key can hold sessions on several peers.
+func (st *Store) rows(since int64, r Rollup, src ReplicaSource, removed []Key) (rows []CellStats, gone []Key, err error) {
+	if r == RollupCell && src == nil {
+		st.each(since, mergeTwins, func(c *Cell) { rows = append(rows, StatsFor(c)) })
+		sortCellStats(rows)
+		return rows, dedupKeys(removed), nil
+	}
+	// Replica cells are collected after the caller's epoch read for the
+	// same reason the store walk is: an apply racing this call stamps a
 	// higher epoch and is re-delivered next time rather than lost.
 	var extra []*Cell
 	if src != nil {
 		extra = src.ReplicaCells()
 	}
-	removed = append(removed, extraRemoved...)
-
-	if r == RollupCell && src == nil {
-		cells, err := st.cellRows(since)
-		if err != nil {
-			return ev, err
-		}
-		ev.Cells = cells
-		ev.Removed = dedupKeys(removed)
-		return ev, nil
-	}
-
-	// Merging rollups: find which reduced keys changed, then serve
-	// those rows from the full merged view. A removed fine cell marks
-	// its reduced key changed too — the surviving row re-emits (same
-	// totals, fewer constituents), or retracts if nothing survived.
 	changed := map[Key]bool{}
-	collect := func(c *Cell) { changed[r.reduce(c.Key)] = true }
-	st.each(since, collect)
-	for _, c := range extra {
-		if c.Epoch > since {
-			collect(c)
-		}
-	}
 	for _, k := range removed {
 		changed[r.reduce(k)] = true
 	}
-	if len(changed) == 0 {
-		return ev, nil
+	if since > 0 {
+		collect := func(c *Cell) { changed[r.reduce(c.Key)] = true }
+		st.each(since, twinsApart, collect)
+		for _, c := range extra {
+			if c.Epoch > since {
+				collect(c)
+			}
+		}
+		if len(changed) == 0 {
+			return nil, nil, nil
+		}
 	}
 	all, err := st.QueryWith(r, extra)
 	if err != nil {
-		return ev, err
+		return nil, nil, err
 	}
-	present := make(map[Key]bool, len(all))
+	if since == 0 {
+		rows = make([]CellStats, 0, len(all))
+	}
 	for _, c := range all {
-		present[c.Key] = true
-		if changed[c.Key] {
-			ev.Cells = append(ev.Cells, StatsFor(c))
+		if since == 0 || changed[c.Key] {
+			rows = append(rows, StatsFor(c))
 		}
+		delete(changed, c.Key)
 	}
 	for k := range changed {
-		if !present[k] {
-			ev.Removed = append(ev.Removed, k)
-		}
+		gone = append(gone, k)
 	}
-	sort.Slice(ev.Removed, func(i, j int) bool { return keyLess(ev.Removed[i], ev.Removed[j]) })
-	return ev, nil
+	sort.Slice(gone, func(i, j int) bool { return keyLess(gone[i], gone[j]) })
+	return rows, gone, nil
 }
 
 // cursor is the one rule for honoring a delta cursor, shared by stream
@@ -185,13 +195,7 @@ func (ev *StreamEvent) filter(f cellFilter) {
 	if f.empty() {
 		return
 	}
-	cells := ev.Cells[:0]
-	for _, c := range ev.Cells {
-		if f.match(c.Key) {
-			cells = append(cells, c)
-		}
-	}
-	ev.Cells = cells
+	ev.Cells = f.keep(ev.Cells)
 	removed := ev.Removed[:0]
 	for _, k := range ev.Removed {
 		if f.match(k) {
