@@ -306,20 +306,8 @@ func runLoadgen(ctx context.Context, cfg ingest.Config, spec loadgenSpec) {
 	lg := &ingest.LoadGen{URL: url, Wire: spec.wire, BatchSize: spec.batch}
 	defer lg.Close()
 	if url == "" {
-		cfg.Addr = "127.0.0.1:0"
-		if spec.wire == ingest.WireTCP && cfg.TCPAddr == "" {
-			cfg.TCPAddr = "127.0.0.1:0"
-		}
 		cfg.Window = -1 // one window, so the comparison is exact
-		s, err := ingest.Start(cfg)
-		if err != nil {
-			fatal("%v", err)
-		}
-		embedded = s
-		lg.URL = s.URL()
-		if spec.wire == ingest.WireTCP {
-			lg.URL = s.TCPAddr()
-		}
+		embedded, lg.URL = startEmbedded(cfg, spec.wire)
 		// Pin event time only for the embedded determinism check; a
 		// remote target gets real wall-clock stamps so its windows form
 		// a live time series.
@@ -348,11 +336,7 @@ func runLoadgen(ctx context.Context, cfg ingest.Config, spec loadgenSpec) {
 		fmt.Print(rep.Render())
 		return
 	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := embedded.Shutdown(drainCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "drain:", err)
-	}
+	drain(embedded)
 	printStats(embedded, ingest.RollupGroup)
 	if !interrupted {
 		verify(embedded, rep)
@@ -395,18 +379,7 @@ func runChurn(ctx context.Context, cfg ingest.Config, rounds, keys, batch int, w
 	if cfg.MaxCells == 0 {
 		cfg.MaxCells = int64(keys)
 	}
-	cfg.Addr = "127.0.0.1:0"
-	if wire == ingest.WireTCP && cfg.TCPAddr == "" {
-		cfg.TCPAddr = "127.0.0.1:0"
-	}
-	s, err := ingest.Start(cfg)
-	if err != nil {
-		fatal("%v", err)
-	}
-	url := s.URL()
-	if wire == ingest.WireTCP {
-		url = s.TCPAddr()
-	}
+	s, url := startEmbedded(cfg, wire)
 	fmt.Printf("embedded ingestd on %s (%s wire): churn %d rounds x %d keys, cap %d cells, window %v, retention %v\n",
 		url, wire, rounds, keys, cfg.MaxCells, cfg.Window, cfg.Retention)
 	lg := &ingest.LoadGen{URL: url, Wire: wire, BatchSize: batch}
@@ -456,11 +429,7 @@ func runChurn(ctx context.Context, cfg ingest.Config, rounds, keys, batch int, w
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Shutdown(drainCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "drain:", err)
-	}
+	drain(s)
 	m := s.MetricsSnapshot()
 	fmt.Printf("retention: %d cells resident (cap %d), %d rollups; compacted=%d evicted=%d sessions-demoted=%d cycles=%d\n",
 		s.Store().Cells(), cfg.MaxCells, m["rollup_cells"],
@@ -500,19 +469,7 @@ func runReplay(ctx context.Context, cfg ingest.Config, path, target string, batc
 
 	url, embedded := target, (*ingest.Server)(nil)
 	if url == "" {
-		cfg.Addr = "127.0.0.1:0"
-		if wire == ingest.WireTCP && cfg.TCPAddr == "" {
-			cfg.TCPAddr = "127.0.0.1:0"
-		}
-		s, err := ingest.Start(cfg)
-		if err != nil {
-			fatal("%v", err)
-		}
-		embedded = s
-		url = s.URL()
-		if wire == ingest.WireTCP {
-			url = s.TCPAddr()
-		}
+		embedded, url = startEmbedded(cfg, wire)
 		fmt.Printf("embedded ingestd on %s (%s wire)\n", url, wire)
 	}
 	lg := &ingest.LoadGen{URL: url, Wire: wire, BatchSize: batch}
@@ -524,12 +481,36 @@ func runReplay(ctx context.Context, cfg ingest.Config, path, target string, batc
 	fmt.Printf("replayed %d session summaries from %s (campaign %q, scenario %s)\n",
 		posted, path, rep.Name, rep.Scenario)
 	if embedded != nil {
-		drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := embedded.Shutdown(drainCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "drain:", err)
-		}
+		drain(embedded)
 		printStats(embedded, ingest.RollupGroup)
+	}
+}
+
+// startEmbedded starts the loopback server that -loadgen, -replay and
+// -churn send to when no -target is given, with a raw TCP listener for
+// -wire tcp. It returns the server and the address to send to over wire.
+func startEmbedded(cfg ingest.Config, wire string) (*ingest.Server, string) {
+	cfg.Addr = "127.0.0.1:0"
+	if wire == ingest.WireTCP && cfg.TCPAddr == "" {
+		cfg.TCPAddr = "127.0.0.1:0"
+	}
+	s, err := ingest.Start(cfg)
+	if err != nil {
+		fatal("%v", err)
+	}
+	if wire == ingest.WireTCP {
+		return s, s.TCPAddr()
+	}
+	return s, s.URL()
+}
+
+// drain shuts an embedded server down, giving in-flight batches up to
+// 30 s to fold.
+func drain(s *ingest.Server) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		fmt.Fprintln(os.Stderr, "drain:", err)
 	}
 }
 

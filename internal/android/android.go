@@ -196,7 +196,6 @@ type Phone struct {
 	Stack *kernel.Stack
 
 	sim *simtime.Sim
-	tr  *trace.Trace
 
 	runtime  Runtime
 	overhead simtime.Dist
@@ -269,7 +268,6 @@ func NewPhone(sim *simtime.Sim, prof Profile, med *medium.Medium, fac *packet.Fa
 		STA:      sta,
 		Stack:    stack,
 		sim:      sim,
-		tr:       opts.Trace,
 		runtime:  opts.Runtime,
 		overhead: simtime.Scaled{D: runtimeOverhead(opts.Runtime), Factor: prof.CPUFactor},
 	}

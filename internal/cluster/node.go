@@ -624,6 +624,22 @@ func (n *Node) Counters() map[string]int64 {
 	return m
 }
 
+// clusterGauges are the Counters entries that are levels: configured
+// and currently-alive peers, and the replicated fleet state held
+// locally. The rest are monotonic counts.
+var clusterGauges = map[string]bool{
+	"cluster_peers":                true,
+	"cluster_peers_alive":          true,
+	"cluster_replica_cells":        true,
+	"cluster_replicated_sessions":  true,
+	"cluster_replica_models":       true,
+	"cluster_last_merge_epoch_min": true,
+}
+
+// IsGauge reports whether a Counters entry is a level; /metrics exports
+// those as gauges.
+func (n *Node) IsGauge(name string) bool { return clusterGauges[name] }
+
 // Health is the /healthz "cluster" section: identity plus per-peer
 // liveness and last-merge epochs.
 func (n *Node) Health() map[string]any {

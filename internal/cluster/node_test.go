@@ -388,6 +388,28 @@ func TestClusterFailureDetector(t *testing.T) {
 	}
 }
 
+// Every level the node names through IsGauge is one of its Counters,
+// and the monotonic counts are not levels.
+func TestIsGaugeNamesCounters(t *testing.T) {
+	n := joinNode(t, startServer(t, ingest.Config{Window: -1}), Config{NodeID: "a", Interval: time.Hour})
+	counters := n.Counters()
+	gauges := 0
+	for name := range clusterGauges {
+		if _, ok := counters[name]; !ok {
+			t.Errorf("gauge %q is not a Counters entry", name)
+		}
+	}
+	for name := range counters {
+		if n.IsGauge(name) {
+			gauges++
+		}
+	}
+	if gauges != len(clusterGauges) || n.IsGauge("cluster_rounds") {
+		t.Errorf("%d of %d Counters entries are gauges; cluster_rounds gauge=%t",
+			gauges, len(counters), n.IsGauge("cluster_rounds"))
+	}
+}
+
 // TestClusterConvergenceProperty is the protocol's safety property:
 // anti-entropy rounds delivered in shuffled order, duplicated, or
 // dropped entirely must still converge every node's replicas to

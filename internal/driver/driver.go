@@ -227,7 +227,6 @@ func (d *Driver) Send(ip *packet.Packet, done func(medium.TxResult)) {
 		panic("driver: SetSTA not called")
 	}
 	t0 := d.sim.Now()
-	ip.Ledger.Set(packet.PointDriverSend, t0)
 	d.tr.Addf(t0, "tx", d.nm.startXmit, "pkt=%d", ip.ID)
 	d.tr.Add(t0, "tx", d.nm.sendpkt, "")
 	d.tr.Add(t0, "tx", d.nm.protHdrpush, "")
@@ -264,7 +263,6 @@ func (d *Driver) finishSend(ip *packet.Packet, t0 time.Duration, paidWake bool, 
 	now := d.sim.Now()
 	d.tr.Add(now, "dpc", d.nm.sendfromq, "")
 	d.tr.Addf(now, "dpc", d.nm.txpkt, "dvsend=%v", now-t0)
-	ip.Ledger.Set(packet.PointBusSend, now)
 	d.Instr.Send = append(d.Instr.Send, DvRecord{PktID: ip.ID, At: now, Latency: now - t0, PaidWake: paidWake})
 	d.TxPackets++
 	writeAt := fifoClamp(&d.txWriteWM, now+d.sample(d.cfg.TxBusWrite))
@@ -279,7 +277,6 @@ func (d *Driver) finishSend(ip *packet.Packet, t0 time.Duration, paidWake bool, 
 // packet is handed to the kernel.
 func (d *Driver) HandleFrameFromMAC(frame *packet.Packet) {
 	t0 := d.sim.Now()
-	frame.Ledger.Set(packet.PointBusRecv, t0)
 	d.tr.Addf(t0, "isr", d.nm.isr, "pkt=%d", frame.ID)
 	d.tr.Add(t0, "isr", d.nm.schedDpc, "")
 	wasAsleep := d.bus.Asleep()
@@ -304,7 +301,6 @@ func (d *Driver) finishRecv(frame *packet.Packet, t0 time.Duration, paidWake boo
 	d.tr.Add(now, "dpc", d.nm.rxFrame, "")
 	d.tr.Add(now, "dpc", d.nm.schedRxf, "")
 	d.tr.Addf(now, "dpc", d.nm.rxfEnqueue, "dvrecv=%v", now-t0)
-	frame.Ledger.Set(packet.PointDriverRecv, now)
 	d.Instr.Recv = append(d.Instr.Recv, DvRecord{PktID: frame.ID, At: now, Latency: now - t0, PaidWake: paidWake})
 	d.RxPackets++
 	d.bus.Touch()

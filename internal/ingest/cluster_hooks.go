@@ -36,6 +36,10 @@ type ReplicaSource interface {
 	// Counters are merged into MetricsSnapshot and exported as
 	// acutemon_cluster_* metrics.
 	Counters() map[string]int64
+	// IsGauge reports whether the Counters entry name is a level rather
+	// than a monotonic count: /metrics exports it as a gauge, without
+	// the _total suffix.
+	IsGauge(name string) bool
 	// Health is embedded under the /healthz "cluster" key: per-peer
 	// liveness state and last-merge epochs.
 	Health() map[string]any

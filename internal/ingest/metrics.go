@@ -14,20 +14,13 @@ import (
 // /healthz set) do not. No client library — the format is four lines
 // of syntax and the daemon has a zero-dependency rule.
 
-// metricsGaugeKeys are the MetricsSnapshot entries that are levels,
-// not monotonic counters (everything else gets _total).
+// metricsGaugeKeys are the server's own MetricsSnapshot entries that
+// are levels, not monotonic counters (everything else gets _total). A
+// replica source names its own levels through IsGauge.
 var metricsGaugeKeys = map[string]bool{
 	"learned_models":     true,
 	"rollup_cells":       true,
 	"stream_subscribers": true,
-	// Cluster levels (present only on clustered servers): configured and
-	// currently-alive peers, and the replicated fleet state held locally.
-	"cluster_peers":                true,
-	"cluster_peers_alive":          true,
-	"cluster_replica_cells":        true,
-	"cluster_replicated_sessions":  true,
-	"cluster_replica_models":       true,
-	"cluster_last_merge_epoch_min": true,
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -36,7 +29,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var b strings.Builder
-	counters := s.MetricsSnapshot()
+	src := s.replicaSource()
+	counters := s.metricsSnapshot(src)
 	names := make([]string, 0, len(counters))
 	for name := range counters {
 		names = append(names, name)
@@ -44,7 +38,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(names)
 	for _, name := range names {
 		full, typ := "acutemon_"+name+"_total", "counter"
-		if metricsGaugeKeys[name] {
+		if metricsGaugeKeys[name] || src != nil && src.IsGauge(name) {
 			full, typ = "acutemon_"+name, "gauge"
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n%s %d\n", full, typ, full, counters[name])

@@ -366,7 +366,11 @@ func (s *Server) Puncturer() *Puncturer { return s.punc }
 
 // MetricsSnapshot returns a plain-value copy of the counters. On a
 // clustered server the acutemon_cluster_* set rides along.
-func (s *Server) MetricsSnapshot() map[string]int64 {
+func (s *Server) MetricsSnapshot() map[string]int64 { return s.metricsSnapshot(s.replicaSource()) }
+
+// metricsSnapshot is MetricsSnapshot with the replica source read once
+// by the caller, so /metrics types the very entries it renders.
+func (s *Server) metricsSnapshot(src ReplicaSource) map[string]int64 {
 	m := map[string]int64{
 		"accepted_batches":   s.metrics.AcceptedBatches.Load(),
 		"accepted_summaries": s.metrics.AcceptedSummaries.Load(),
@@ -401,7 +405,7 @@ func (s *Server) MetricsSnapshot() map[string]int64 {
 		"profile_saves":       s.metrics.ProfileSaves.Load(),
 		"profile_save_errors": s.metrics.ProfileSaveErrors.Load(),
 	}
-	if src := s.replicaSource(); src != nil {
+	if src != nil {
 		for k, v := range src.Counters() {
 			m[k] = v
 		}

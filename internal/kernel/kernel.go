@@ -193,7 +193,6 @@ func (s *Stack) nextIPID() uint16 {
 func (s *Stack) sendIP(p *packet.Packet) {
 	s.sim.Post(s.sample(s.cfg.SendLatency), func() {
 		now := s.sim.Now()
-		p.Ledger.Set(packet.PointKernelSend, now)
 		s.bpf.capture(p, now, true)
 		s.SentPackets++
 		s.tr.Addf(now, "kernel", "dev_queue_xmit", "pkt=%d", p.ID)
@@ -206,7 +205,6 @@ func (s *Stack) sendIP(p *packet.Packet) {
 // kernel receive latency.
 func (s *Stack) DeliverFromDevice(p *packet.Packet) {
 	now := s.sim.Now()
-	p.Ledger.Set(packet.PointKernelRecv, now)
 	s.bpf.capture(p, now, false)
 	s.RecvPackets++
 	s.tr.Addf(now, "kernel", "netif_rx", "pkt=%d", p.ID)
@@ -240,7 +238,6 @@ func (s *Stack) SendEcho(dst packet.IPv4Addr, id, seq uint16, payloadLen int) *p
 		&packet.ICMP{Type: packet.ICMPEchoRequest, ID: id, Seq: seq},
 		&packet.Payload{Data: make([]byte, payloadLen)},
 	)
-	p.Ledger.Set(packet.PointUserSend, s.sim.Now())
 	s.sendIP(p)
 	return p
 }
@@ -333,7 +330,6 @@ func (u *UDPSocket) SendTo(dst packet.IPv4Addr, dstPort uint16, payload []byte, 
 		&packet.UDP{SrcPort: u.port, DstPort: dstPort},
 		&packet.Payload{Data: payload},
 	)
-	p.Ledger.Set(packet.PointUserSend, u.stack.sim.Now())
 	u.stack.sendIP(p)
 	return p
 }

@@ -115,7 +115,6 @@ func (s *Stack) Dial(dst packet.IPv4Addr, dstPort uint16) *TCPConn {
 	s.tcp[tcpKey{c.localPort, dst, dstPort}] = c
 	syn := c.segment(packet.TCPSyn, nil)
 	c.SynPacket = syn
-	syn.Ledger.Set(packet.PointUserSend, s.sim.Now())
 	c.sndNxt++ // SYN consumes a sequence number
 	s.sendIP(syn)
 	return c
@@ -141,7 +140,6 @@ func (c *TCPConn) Send(payload []byte) *packet.Packet {
 		return nil
 	}
 	p := c.segment(packet.TCPPsh|packet.TCPAck, payload)
-	p.Ledger.Set(packet.PointUserSend, c.stack.sim.Now())
 	c.sndNxt += uint32(len(payload))
 	c.stack.sendIP(p)
 	return p

@@ -1,10 +1,6 @@
 package packet
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // MACAddr is a 48-bit IEEE 802 MAC address.
 type MACAddr [6]byte
@@ -38,112 +34,3 @@ func (a IPv4Addr) String() string {
 
 // IP builds an address from four octets.
 func IP(a, b, c, d byte) IPv4Addr { return IPv4Addr{a, b, c, d} }
-
-// ParseIP parses dotted-quad notation; it returns the zero address and
-// false on malformed input.
-func ParseIP(s string) (IPv4Addr, bool) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return IPv4Addr{}, false
-	}
-	var a IPv4Addr
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 || v > 255 {
-			return IPv4Addr{}, false
-		}
-		a[i] = byte(v)
-	}
-	return a, true
-}
-
-// EndpointType distinguishes the address families used by Flow keys,
-// mirroring gopacket's EndpointType.
-type EndpointType int
-
-// Endpoint kinds.
-const (
-	EndpointIPv4 EndpointType = iota + 1
-	EndpointMAC
-	EndpointPort
-)
-
-// Endpoint is one side of a Flow: an address of some type.
-type Endpoint struct {
-	Type EndpointType
-	raw  [8]byte
-	n    int
-}
-
-// NewEndpoint builds an endpoint from raw bytes.
-func NewEndpoint(t EndpointType, raw []byte) Endpoint {
-	e := Endpoint{Type: t, n: len(raw)}
-	copy(e.raw[:], raw)
-	return e
-}
-
-// IPEndpoint wraps an IPv4 address.
-func IPEndpoint(a IPv4Addr) Endpoint { return NewEndpoint(EndpointIPv4, a[:]) }
-
-// PortEndpoint wraps a transport port.
-func PortEndpoint(p uint16) Endpoint {
-	return NewEndpoint(EndpointPort, []byte{byte(p >> 8), byte(p)})
-}
-
-// MACEndpoint wraps a MAC address.
-func MACEndpoint(a MACAddr) Endpoint { return NewEndpoint(EndpointMAC, a[:]) }
-
-// String implements fmt.Stringer.
-func (e Endpoint) String() string {
-	switch e.Type {
-	case EndpointIPv4:
-		var a IPv4Addr
-		copy(a[:], e.raw[:e.n])
-		return a.String()
-	case EndpointMAC:
-		var a MACAddr
-		copy(a[:], e.raw[:e.n])
-		return a.String()
-	case EndpointPort:
-		return strconv.Itoa(int(e.raw[0])<<8 | int(e.raw[1]))
-	default:
-		return fmt.Sprintf("endpoint(%d)", e.Type)
-	}
-}
-
-// Flow is an ordered (src, dst) endpoint pair, usable as a map key.
-type Flow struct {
-	Src, Dst Endpoint
-}
-
-// NewFlow pairs two endpoints.
-func NewFlow(src, dst Endpoint) Flow { return Flow{Src: src, Dst: dst} }
-
-// Reverse returns the flow with the endpoints swapped, used to match a
-// response against its request.
-func (f Flow) Reverse() Flow { return Flow{Src: f.Dst, Dst: f.Src} }
-
-// String implements fmt.Stringer.
-func (f Flow) String() string { return f.Src.String() + "->" + f.Dst.String() }
-
-// NetworkFlow returns the packet's IPv4 (src, dst) flow; ok is false when
-// the packet has no IPv4 layer.
-func (p *Packet) NetworkFlow() (Flow, bool) {
-	ip := p.IPv4()
-	if ip == nil {
-		return Flow{}, false
-	}
-	return NewFlow(IPEndpoint(ip.Src), IPEndpoint(ip.Dst)), true
-}
-
-// TransportFlow returns the packet's transport port flow; ok is false for
-// packets without UDP or TCP layers.
-func (p *Packet) TransportFlow() (Flow, bool) {
-	if u := p.UDP(); u != nil {
-		return NewFlow(PortEndpoint(u.SrcPort), PortEndpoint(u.DstPort)), true
-	}
-	if t := p.TCP(); t != nil {
-		return NewFlow(PortEndpoint(t.SrcPort), PortEndpoint(t.DstPort)), true
-	}
-	return Flow{}, false
-}

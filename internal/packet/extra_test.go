@@ -138,11 +138,3 @@ func TestSerializeRejectsBadStacks(t *testing.T) {
 		}
 	}
 }
-
-func TestPointStringNames(t *testing.T) {
-	for p := PointUserSend; p < numPoints; p++ {
-		if s := p.String(); s == "" || s[0] == 'P' {
-			t.Errorf("point %d has unexpected name %q", p, s)
-		}
-	}
-}

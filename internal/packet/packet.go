@@ -4,18 +4,18 @@
 // each Layer knows its LayerType, and packets can be serialized to wire
 // bytes and decoded back, checksums included.
 //
-// On top of the gopacket-style core, every Packet carries a timestamp
-// Ledger with one slot per measurement vantage point of the paper's §2.1
-// (tou, tok, tov, ton on the send path; tin, tiv, tik, tiu on the receive
-// path). The instrumented layers of the simulated phone fill the ledger
-// in exactly the way the authors patched timestamping into the Android
-// kernel, driver, and external sniffers.
+// A Packet carries no timestamps. Each vantage point of the paper's §2.1
+// (Fig. 1) is recorded once, by the tap at that layer, keyed by the
+// packet's ID:
+//   - tou/tiu, the app: tools.ProbeRecord's SentAt and RecvAt;
+//   - tok/tik, the kernel (tcpdump): kernel.BPF, read with TimeOf;
+//   - tov/tiv, the driver (dvsend/dvrecv): driver.Instrumentation;
+//   - ton/tin, the air: the sniffers' captures, unioned by sniffer.Merge.
+//
+// testbed.ExtractRTTs and tools.ExtractLayers join them by packet ID.
 package packet
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // LayerType identifies a protocol layer, mirroring gopacket.LayerType.
 type LayerType int
@@ -62,68 +62,12 @@ type Layer interface {
 	HeaderLen() int
 }
 
-// Point is a measurement vantage point in the paper's delay model
-// (Fig. 1). Send-path points describe the probe leaving the phone;
-// receive-path points describe the response entering it.
-type Point int
-
-// Vantage points, in path order.
-const (
-	PointUserSend   Point = iota // tou: measurement app sends
-	PointKernelSend              // tok: kernel/bpf sees outgoing packet
-	PointDriverSend              // tov: WNIC driver dhd_start_xmit entry
-	PointBusSend                 // bus handed to firmware (dhdsdio_txpkt)
-	PointAirSend                 // ton: frame on the air (sniffer)
-	PointAirRecv                 // tin: response on the air (sniffer)
-	PointBusRecv                 // device interrupt raised (dhdsdio_isr)
-	PointDriverRecv              // tiv: driver hands frame up (dhd_rxf_enqueue)
-	PointKernelRecv              // tik: kernel/bpf sees incoming packet
-	PointUserRecv                // tiu: measurement app receives
-	numPoints
-)
-
-// String implements fmt.Stringer.
-func (p Point) String() string {
-	names := [...]string{"tou", "tok", "tov", "tbus_o", "ton", "tin", "tbus_i", "tiv", "tik", "tiu"}
-	if p >= 0 && int(p) < len(names) {
-		return names[p]
-	}
-	return fmt.Sprintf("Point(%d)", int(p))
-}
-
-// Ledger records the virtual time at which a packet crossed each vantage
-// point. Unset slots are negative.
-type Ledger [numPoints]time.Duration
-
-// NewLedger returns a ledger with all slots unset.
-func NewLedger() Ledger {
-	var l Ledger
-	for i := range l {
-		l[i] = -1
-	}
-	return l
-}
-
-// Set stamps a vantage point. Re-stamping overwrites, matching how a
-// retransmitted frame would be re-timestamped.
-func (l *Ledger) Set(p Point, t time.Duration) { l[p] = t }
-
-// Get returns the stamp and whether it was set.
-func (l *Ledger) Get(p Point) (time.Duration, bool) {
-	if l[p] < 0 {
-		return 0, false
-	}
-	return l[p], true
-}
-
 // Packet is a stack of layers plus simulation metadata.
 type Packet struct {
 	// ID is a simulation-unique identifier, assigned by the factory that
 	// created the packet. It survives cloning so sniffers can correlate
 	// the same frame seen at different taps.
 	ID uint64
-	// Ledger holds per-vantage-point timestamps (see Point).
-	Ledger Ledger
 
 	// stack[top:] is the layer stack, outermost first. stack is inline
 	// unless the packet outgrew it, and the free slots before top let
@@ -140,7 +84,7 @@ const inlineLayers = 4
 
 // New assembles a packet from outermost to innermost layer.
 func New(layers ...Layer) *Packet {
-	p := &Packet{Ledger: NewLedger()}
+	p := &Packet{}
 	p.setLayers(layers)
 	return p
 }
@@ -260,18 +204,17 @@ func (p *Packet) StripOuter(t LayerType) {
 }
 
 // Clone returns a copy of p for another holder, preserving the ID so
-// sniffers can correlate the same frame seen at different taps. Sniffer
-// taps clone before stamping so each vantage point sees its own ledger.
+// sniffers can correlate the same frame seen at different taps.
 //
-// The copy is copy-on-write by layer. It gets its own ledger and layer
-// stack, and its own copies of the layers a holder may write after the
-// packet is built: the 802.11 header (a forwarding station may set its
-// bits), the IPv4 header (routers decrement TTL) and the payload bytes.
+// The copy is copy-on-write by layer. It gets its own layer stack, and
+// its own copies of the layers a holder may write after the packet is
+// built: the 802.11 header (a forwarding station may set its bits), the
+// IPv4 header (routers decrement TTL) and the payload bytes.
 // The transport and beacon layers are shared and read-only once built;
 // the one writer left, Serialize, recomputes the lengths and checksums
 // it stores from the packet at hand every time.
 func (p *Packet) Clone() *Packet {
-	c := &Packet{ID: p.ID, Ledger: p.Ledger}
+	c := &Packet{ID: p.ID}
 	c.setLayers(p.Layers())
 	for i := c.top; i < len(c.stack); i++ {
 		c.stack[i] = copyWritable(c.stack[i])

@@ -48,11 +48,10 @@ func (e *event) less(o *event) bool {
 type Sim struct {
 	now time.Duration
 	// queue is a binary min-heap on (when, seq).
-	queue   []*event
-	free    []*event
-	seq     uint64
-	rng     *rand.Rand
-	stopped bool
+	queue []*event
+	free  []*event
+	seq   uint64
+	rng   *rand.Rand
 	// executed counts events that have fired, a cheap progress and
 	// runaway-loop diagnostic.
 	executed uint64
@@ -187,12 +186,11 @@ func (s *Sim) down(i int) bool {
 // Pending returns the number of queued events.
 func (s *Sim) Pending() int { return len(s.queue) }
 
-// Step fires the earliest event. It reports false when the queue is empty
-// or the simulation has been stopped. A posted event goes back to the
-// free list before its callback runs, so a callback that posts again
-// reuses the event that just fired.
+// Step fires the earliest event. It reports false when the queue is
+// empty. A posted event goes back to the free list before its callback
+// runs, so a callback that posts again reuses the event that just fired.
 func (s *Sim) Step() bool {
-	if s.stopped || len(s.queue) == 0 {
+	if len(s.queue) == 0 {
 		return false
 	}
 	e := s.queue[0]
@@ -210,7 +208,7 @@ func (s *Sim) Step() bool {
 	return true
 }
 
-// Run fires events until the queue drains or Stop is called.
+// Run fires events until the queue drains.
 func (s *Sim) Run() {
 	for s.Step() {
 	}
@@ -219,7 +217,7 @@ func (s *Sim) Run() {
 // RunUntil fires events with timestamps <= t, then advances the clock to
 // t. Events scheduled beyond t remain queued.
 func (s *Sim) RunUntil(t time.Duration) {
-	for !s.stopped && len(s.queue) > 0 && s.queue[0].when <= t {
+	for len(s.queue) > 0 && s.queue[0].when <= t {
 		s.Step()
 	}
 	if t > s.now {
@@ -259,7 +257,7 @@ func (s *Sim) StepUntilCtx(ctx context.Context, limit time.Duration, done func()
 // partial simulation behind.
 func (s *Sim) RunUntilCtx(ctx context.Context, t time.Duration) error {
 	steps := 0
-	for !s.stopped && len(s.queue) > 0 && s.queue[0].when <= t {
+	for len(s.queue) > 0 && s.queue[0].when <= t {
 		if steps&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -276,16 +274,6 @@ func (s *Sim) RunUntilCtx(ctx context.Context, t time.Duration) error {
 	}
 	return nil
 }
-
-// Stop halts the event loop; queued events are kept but will not fire
-// unless Resume is called.
-func (s *Sim) Stop() { s.stopped = true }
-
-// Resume clears the stopped flag set by Stop.
-func (s *Sim) Resume() { s.stopped = false }
-
-// Stopped reports whether Stop has been called without a matching Resume.
-func (s *Sim) Stopped() bool { return s.stopped }
 
 // String summarises the simulator state for debugging.
 func (s *Sim) String() string {

@@ -106,31 +106,6 @@ func TestRunUntilLeavesLaterEvents(t *testing.T) {
 	}
 }
 
-func TestStopResume(t *testing.T) {
-	s := New(1)
-	n := 0
-	for i := 1; i <= 5; i++ {
-		s.Post(time.Duration(i)*time.Millisecond, func() {
-			n++
-			if n == 2 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if n != 2 {
-		t.Fatalf("Stop did not halt the loop: fired %d", n)
-	}
-	if !s.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
-	}
-	s.Resume()
-	s.Run()
-	if n != 5 {
-		t.Fatalf("Resume did not continue: fired %d", n)
-	}
-}
-
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []int64 {
 		s := New(42)

@@ -6,6 +6,7 @@ package trace
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -50,12 +51,45 @@ func (t *Trace) Add(at time.Duration, actor, name, attrs string) {
 	t.events = append(t.events, Event{At: at, Actor: actor, Name: name, Attrs: attrs})
 }
 
-// Addf is Add with a formatted attrs string.
+// Addf is Add with a formatted attrs string. It allocates nothing on a
+// nil trace: the caller boxes args, and because Addf formats copies of
+// them and never the originals, that boxing stays on the caller's stack.
+// Args must be booleans, integers, floats or strings, of any named type
+// (so Stringers such as enums work), or arrays of these.
 func (t *Trace) Addf(at time.Duration, actor, name, format string, args ...any) {
 	if t == nil {
 		return
 	}
-	t.Add(at, actor, name, fmt.Sprintf(format, args...))
+	own := make([]any, len(args))
+	for i, a := range args {
+		own[i] = copyArg(reflect.ValueOf(a)).Interface()
+	}
+	t.Add(at, actor, name, fmt.Sprintf(format, own...))
+}
+
+// copyArg returns a fresh copy of v of the same type, so fmt still finds
+// its String method. It reads v by kind: none of v's storage escapes.
+func copyArg(v reflect.Value) reflect.Value {
+	c := reflect.New(v.Type()).Elem()
+	switch v.Kind() {
+	case reflect.Bool:
+		c.SetBool(v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		c.SetInt(v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		c.SetUint(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		c.SetFloat(v.Float())
+	case reflect.String:
+		c.SetString(v.String())
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			c.Index(i).Set(copyArg(v.Index(i)))
+		}
+	default:
+		panic("trace: Addf argument of unsupported kind " + v.Kind().String())
+	}
+	return c
 }
 
 // Events returns the recorded events in insertion order.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -102,5 +103,52 @@ func TestReset(t *testing.T) {
 	tr.Reset()
 	if tr.Len() != 0 {
 		t.Fatal("reset did not clear events")
+	}
+}
+
+// Campaign testbeds run untraced, so every Addf site in the models runs
+// on a nil trace once per packet: it must not box its arguments.
+func TestNilTraceAddfAllocatesNothing(t *testing.T) {
+	var tr *Trace
+	id := uint64(1 << 20)
+	if n := testing.AllocsPerRun(100, func() {
+		id++
+		tr.Addf(0, "tx", "dhd_start_xmit", "pkt=%d", id)
+	}); n != 0 {
+		t.Fatalf("nil-trace Addf: %v allocs per call, want 0", n)
+	}
+}
+
+type testMAC [6]byte
+
+func (m testMAC) String() string { return strings.Repeat("m", int(m[5])) }
+
+type testDir int
+
+func (d testDir) String() string { return [...]string{"tx", "rx"}[d] }
+
+// Addf's copies of its arguments keep their types, so the attrs it
+// records are fmt.Sprintf's, Stringer methods included.
+func TestAddfFormatsLikeSprintf(t *testing.T) {
+	cases := []struct {
+		format string
+		args   []any
+	}{
+		{"pkt=%d", []any{uint64(1 << 40)}},
+		{"dvsend=%v", []any{1234567 * time.Nanosecond}},
+		{"asleep=%t", []any{true}},
+		{"sta=%s ps=%t", []any{testMAC{0, 0, 0, 0, 0, 3}, false}},
+		{"sta=%s depth=%d", []any{testMAC{5: 2}, 300}},
+		{"dir=%s lat=%v", []any{testDir(1), -time.Millisecond}},
+		{"k=%d type=%s", []any{int8(-7), "icmp"}},
+		{"f=%v u=%d", []any{2.5, uint16(65535)}},
+		{"none", nil},
+	}
+	tr := New(0)
+	for i, c := range cases {
+		tr.Addf(time.Duration(i), "a", "n", c.format, c.args...)
+		if got, want := tr.Events()[i].Attrs, fmt.Sprintf(c.format, c.args...); got != want {
+			t.Errorf("Addf(%q) = %q, want %q", c.format, got, want)
+		}
 	}
 }
