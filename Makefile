@@ -28,7 +28,7 @@ bench:
 # occurrence, so the steadier pass wins in $(BENCH_FILE). The
 # producer's gated rows (BenchmarkSession, BenchmarkSessionRun and the
 # event-queue BenchmarkSimPost) ride the same steady pass.
-BENCH_WATCHED := IngestLoopback|Decode|CorrectionLookup|SketchFold|SketchMerge|StoreFold|StreamFanout|Compaction|GossipRound|ReplicaMerge|Session|SimPost
+BENCH_WATCHED := IngestLoopback|Decode|Encode|CorrectionLookup|SketchFold|SketchMerge|StoreFold|StreamFanout|Compaction|GossipRound|ReplicaMerge|Session|SimPost
 
 # Machine-readable benchmark record for the perf trajectory (ns/op,
 # allocs/op, summaries/sec across all three wires, decode costs, and
@@ -67,9 +67,12 @@ bench-gate:
 # identical bins, N, quantiles and JSON.
 # FuzzDecodeBatchMatchesEncodingJSON holds the hand-written JSON-lines
 # scanner to encoding/json: same verdict, deeply equal summaries.
+# FuzzAppendBatchMatchesEncodingJSON holds the hand-written JSON-lines
+# encoder to encoding/json: same bytes, same errors.
 fuzz-smoke:
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=30s
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBatchMatchesEncodingJSON$$' -fuzztime=30s
+	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzAppendBatchMatchesEncodingJSON$$' -fuzztime=30s
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBinaryBatch$$' -fuzztime=30s
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz '^FuzzDecodeGossipDelta$$' -fuzztime=30s
 	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzSketchBatchFold$$' -fuzztime=30s

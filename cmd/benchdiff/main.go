@@ -9,7 +9,7 @@
 //     loopback and wire-decode benchmarks) — higher is better;
 //   - "ns/op" on the correction-lookup, sketch fold/merge, and
 //     store-fold benchmarks — lower is better;
-//   - "allocs/op" on the fold/decode/gossip/compaction hot paths and
+//   - "allocs/op" on the fold/decode/encode/gossip/compaction hot paths and
 //     the simulated producer's session benchmarks — lower is better,
 //     and a zero baseline still gates: the fold path is
 //     allocation-free by contract, so a 0→1 move is a regression the
@@ -69,7 +69,8 @@ var nsOpWatch = map[string]bool{
 // allocsWatch lists the benchmarks whose allocs/op is gated: the
 // batched and serial store-fold paths (allocation-free by contract —
 // a pooled buffer escaping the pool shows up here before it shows up
-// in ns/op), the wire decoders, the sketch fold/merge underneath the
+// in ns/op), the wire decoders and the device-side encoders (both
+// allocation-free into a reused buffer), the sketch fold/merge underneath the
 // store, and the gossip/compaction passes whose garbage scales with
 // cluster size and retention churn, and the simulated producer's
 // session (run alone, and run plus capture analysis): the sim is
@@ -85,6 +86,8 @@ var allocsWatch = map[string]bool{
 	"BenchmarkDecodeBatch":       true,
 	"BenchmarkDecodeBatchChurn":  true,
 	"BenchmarkDecodeBinaryBatch": true,
+	"BenchmarkEncodeBatch":       true,
+	"BenchmarkEncodeBinaryBatch": true,
 	"BenchmarkSketchFold":        true,
 	"BenchmarkSketchMerge":       true,
 	"BenchmarkCompaction":        true,

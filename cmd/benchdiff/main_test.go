@@ -157,3 +157,28 @@ func TestDiffGatesSimPostAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffGatesEncodeAllocs: both wires' device-side encoders append
+// into a reused buffer without allocating, so against zero baselines
+// one alloc/op on either fails the gate and zero passes.
+func TestDiffGatesEncodeAllocs(t *testing.T) {
+	for _, name := range []string{"BenchmarkEncodeBatch", "BenchmarkEncodeBinaryBatch"} {
+		baseline := &benchfmt.Output{Benchmarks: []benchfmt.Benchmark{
+			bench("repro/internal/ingest", name+"-8",
+				map[string]float64{"ns/op": 50000, "allocs/op": 0}),
+		}}
+		for _, c := range []struct {
+			allocs float64
+			fail   bool
+		}{{0, false}, {1, true}} {
+			current := &benchfmt.Output{Benchmarks: []benchfmt.Benchmark{
+				bench("repro/internal/ingest", name+"-2",
+					map[string]float64{"ns/op": 50000, "allocs/op": c.allocs}),
+			}}
+			rows, _ := diff(baseline, current, 0.30)
+			if len(rows) != 1 || rows[0].metric != "allocs/op" || rows[0].failed != c.fail {
+				t.Fatalf("%s allocs/op %v: rows %+v, want one allocs/op row failed=%v", name, c.allocs, rows, c.fail)
+			}
+		}
+	}
+}

@@ -363,6 +363,25 @@ func BenchmarkDecodeBinaryBatch(b *testing.B) {
 	b.ReportMetric(float64(b.N)*100/time.Since(start).Seconds(), "summaries/sec")
 }
 
+// BenchmarkEncodeBatch prices the JSON wire's device-side encoder on
+// the batch BenchmarkEncodeBinaryBatch encodes: the cost a handset pays
+// for the self-describing wire.
+func BenchmarkEncodeBatch(b *testing.B) {
+	b.ReportAllocs()
+	batch := benchBatch(100, 20)
+	raw, err := AppendBatch(nil, batch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if raw, err = AppendBatch(raw[:0], batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEncodeBinaryBatch prices the device-side encoder — the cost
 // a handset pays to save the upload bytes.
 func BenchmarkEncodeBinaryBatch(b *testing.B) {

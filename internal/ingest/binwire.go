@@ -182,17 +182,6 @@ func AppendBinaryBatch(dst []byte, batch []Summary) ([]byte, error) {
 	return dst, nil
 }
 
-// EncodeBinaryBatch writes the framed binary batch — the exact bytes a
-// binary-wire device puts on the wire, mirroring EncodeBatch's JSON.
-func EncodeBinaryBatch(w io.Writer, batch []Summary) error {
-	buf, err := AppendBinaryBatch(make([]byte, 0, 64+len(batch)*128), batch)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // budgetReader bounds the bytes a decode may consume from an untrusted
 // stream — the raw-TCP analogue of the HTTP body cap. It counts bytes
 // actually handed to the decoder, so read-ahead buffering above it

@@ -95,11 +95,11 @@ func TestBinaryBatchRoundTrip(t *testing.T) {
 		}
 		want := canonJSON(t, batch)
 
-		var bin bytes.Buffer
-		if err := EncodeBinaryBatch(&bin, batch); err != nil {
+		bin, err := AppendBinaryBatch(nil, batch)
+		if err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := DecodeBinaryBatch(bytes.NewReader(bin.Bytes()), 0, 0)
+		decoded, err := DecodeBinaryBatch(bytes.NewReader(bin), 0, 0)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -137,11 +137,11 @@ func TestBinaryBatchDeepEqual(t *testing.T) {
 		{Device: "HTC One", Sent: 500, Sketch: sk},
 		{Device: "Sony Xperia J", Sent: 1},
 	}
-	var bin bytes.Buffer
-	if err := EncodeBinaryBatch(&bin, batch); err != nil {
+	bin, err := AppendBinaryBatch(nil, batch)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeBinaryBatch(bytes.NewReader(bin.Bytes()), 10, int64(bin.Len()))
+	got, err := DecodeBinaryBatch(bytes.NewReader(bin), 10, int64(len(bin)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestBinaryBatchDeepEqual(t *testing.T) {
 func TestBinaryBatchTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	batch := []Summary{randomSummary(rng), randomSummary(rng), randomSummary(rng)}
-	var bin bytes.Buffer
-	if err := EncodeBinaryBatch(&bin, batch); err != nil {
+	bin, err := AppendBinaryBatch(nil, batch)
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := bin.Bytes()
+	raw := bin
 	for i := 0; i < len(raw); i++ {
 		if _, err := DecodeBinaryBatch(bytes.NewReader(raw[:i]), 0, 0); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded cleanly", i, len(raw))
@@ -196,11 +196,11 @@ func TestBinaryBatchTruncation(t *testing.T) {
 func TestBinaryBatchCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	batch := []Summary{randomSummary(rng), randomSummary(rng)}
-	var bin bytes.Buffer
-	if err := EncodeBinaryBatch(&bin, batch); err != nil {
+	bin, err := AppendBinaryBatch(nil, batch)
+	if err != nil {
 		t.Fatal(err)
 	}
-	orig := bin.Bytes()
+	orig := bin
 	for trial := 0; trial < 2000; trial++ {
 		raw := append([]byte{}, orig...)
 		raw[rng.Intn(len(raw))] ^= byte(1 + rng.Intn(255))
@@ -240,11 +240,11 @@ func TestBinaryBatchHostileCaps(t *testing.T) {
 		t.Fatal("hostile count accepted")
 	}
 	// A byte budget caps total consumption even with maxSummaries off.
-	var bin bytes.Buffer
-	if err := EncodeBinaryBatch(&bin, benchBatch(50, 20)); err != nil {
+	bin, err := AppendBinaryBatch(nil, benchBatch(50, 20))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeBinaryBatch(bytes.NewReader(bin.Bytes()), 0, 64); err == nil {
+	if _, err := DecodeBinaryBatch(bytes.NewReader(bin), 0, 64); err == nil {
 		t.Fatal("byte budget not enforced")
 	}
 	// Bad magic and unknown version.
@@ -282,11 +282,11 @@ func TestBinarySketchSummaryWire(t *testing.T) {
 		sk.AddDuration(time.Duration(rng.Int63n(int64(2 * time.Second))))
 	}
 	batch := []Summary{{Device: "Google Nexus 5", Sent: 3000, Sketch: sk}}
-	var bin bytes.Buffer
-	if err := EncodeBinaryBatch(&bin, batch); err != nil {
+	bin, err := AppendBinaryBatch(nil, batch)
+	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeBinaryBatch(bytes.NewReader(bin.Bytes()), 0, 0)
+	decoded, err := DecodeBinaryBatch(bytes.NewReader(bin), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +298,8 @@ func TestBinarySketchSummaryWire(t *testing.T) {
 	}
 	// The binary form is far smaller than the JSON lines equivalent.
 	jlen := len(canonJSON(t, batch))
-	if bin.Len() >= jlen {
-		t.Fatalf("binary sketch frame (%d B) not smaller than JSON (%d B)", bin.Len(), jlen)
+	if len(bin) >= jlen {
+		t.Fatalf("binary sketch frame (%d B) not smaller than JSON (%d B)", len(bin), jlen)
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,7 +19,7 @@ import (
 	"repro/internal/agg"
 )
 
-// fuzzSeedBatches are the structured seeds both fuzz targets start
+// fuzzSeedBatches are the structured seeds the fuzz targets start
 // from: a plain batch, a sketch carrier, and an everything-set record —
 // enough structure that the fuzzer's mutations reach deep decoder
 // states instead of dying at the header.
@@ -237,6 +239,179 @@ func FuzzDecodeBatchMatchesEncodingJSON(f *testing.F) {
 		f.Add([]byte(trap))
 	}
 	f.Fuzz(checkDecodeMatchesReference)
+}
+
+// referenceEncodeBatch is the encoder AppendBatch replaced, and the
+// bytes it must write: an encoding/json Encoder loop over &batch[i],
+// stopping at the first error with what it wrote before it.
+func referenceEncodeBatch(batch []Summary) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i := range batch {
+		if err := enc.Encode(&batch[i]); err != nil {
+			return buf.Bytes(), err
+		}
+	}
+	return buf.Bytes(), nil
+}
+
+// checkEncodeMatchesReference fails t unless AppendBatch (appending
+// after existing bytes) and EncodeBatch both write batch exactly as the
+// encoding/json reference does, and fail exactly when it fails, with
+// the same error text. It returns the encoded bytes.
+func checkEncodeMatchesReference(t *testing.T, batch []Summary) []byte {
+	t.Helper()
+	want, wantErr := referenceEncodeBatch(batch)
+	errText := fmt.Sprint // "<nil>" for no error
+	const prefix = "prior bytes\n"
+	got, gotErr := AppendBatch([]byte(prefix), batch)
+	if !bytes.HasPrefix(got, []byte(prefix)) || !bytes.Equal(got[len(prefix):], want) || errText(gotErr) != errText(wantErr) {
+		t.Fatalf("AppendBatch differs from encoding/json on %+v:\n got  %q, %v\n want %q, %v",
+			batch, got, gotErr, want, wantErr)
+	}
+	var buf bytes.Buffer
+	if err := EncodeBatch(&buf, batch); !bytes.Equal(buf.Bytes(), want) || errText(err) != errText(wantErr) {
+		t.Fatalf("EncodeBatch differs from encoding/json on %+v:\n got  %q, %v\n want %q, %v",
+			batch, buf.Bytes(), err, want, wantErr)
+	}
+	return want
+}
+
+// FuzzAppendBatchMatchesEncodingJSON holds the hand-written JSON-lines
+// encoder to the encoding/json loop it replaced. Every batch
+// DecodeBatch accepts must encode to the same bytes and decode back
+// deeply equal; the raw input is also encoded as a summary whose
+// strings and inflation no decoder would yield (invalid UTF-8, control
+// bytes, NaN, ±Inf, subnormals), where both must still agree.
+func FuzzAppendBatchMatchesEncodingJSON(f *testing.F) {
+	for _, batch := range fuzzSeedBatches() {
+		body, err := referenceEncodeBatch(batch)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, seed := range committedCorpus(f, "FuzzDecodeBatch") {
+		f.Add(seed)
+	}
+	for _, trap := range jsonTraps() {
+		f.Add([]byte(trap))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if batch, err := DecodeBatch(bytes.NewReader(data), 0); err == nil {
+			body := checkEncodeMatchesReference(t, batch)
+			back, err := DecodeBatch(bytes.NewReader(body), 0)
+			if err != nil || !reflect.DeepEqual(back, batch) {
+				t.Fatalf("re-encoded batch does not decode back (%v):\n got  %+v\n want %+v", err, back, batch)
+			}
+		}
+		var word [8]byte
+		copy(word[:], data)
+		bits := binary.LittleEndian.Uint64(word[:])
+		half := len(data) / 2
+		raw := Summary{Device: string(data), Chipset: string(data[:half]), Group: string(data[half:]),
+			Scenario: strings.ToUpper(string(data)), TimeMS: int64(bits), Sent: int(int32(bits)),
+			Inflation: math.Float64frombits(bits), LayersOK: bits&1 != 0, Calibrated: bits&2 != 0}
+		if bits&4 != 0 {
+			raw.RTTs = []int64{}
+		}
+		checkEncodeMatchesReference(t, []Summary{raw})
+	})
+}
+
+// TestAppendBatchHardCases pins AppendBatch to encoding/json on the
+// edges of its output: every escape, invalid UTF-8, U+2028/U+2029,
+// floats at both 'e' thresholds, NaN and ±Inf (an error, after the
+// summaries before it), nil against empty rtts_ns, and sketches.
+func TestAppendBatchHardCases(t *testing.T) {
+	sk := agg.NewSketch(0)
+	for i := 1; i <= 50; i++ {
+		sk.AddDuration(time.Duration(i) * 7 * time.Microsecond)
+	}
+	badSketch := agg.NewSketch(0)
+	badSketch.MaxV = math.Inf(1)
+	base := func(mod func(*Summary)) Summary {
+		s := Summary{Device: "Google Nexus 5", Sent: 1, RTTs: []int64{30_000_000}}
+		mod(&s)
+		return s
+	}
+	var cases []Summary
+	for _, str := range []string{
+		"", "plain", `quote " backslash \ slash /`, "<script>&amp;</script>", "AT&T", "a<b", "a>b", `a"`, `a\`,
+		"\x00\x01\x1f\b\f\n\r\t\x7f", "\xff", "a\xe2\x82", "\xed\xa0\x80", "\xef\xbf\xbd",
+		"line\u2028para\u2029end", "Nexus ☃ é 😀", strings.Repeat("x<", 100),
+	} {
+		cases = append(cases, base(func(s *Summary) {
+			s.Device, s.Chipset, s.Group, s.Scenario = "d"+str, str, str+"g", str
+		}))
+	}
+	for _, f := range []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 2.5, 1.0 / 3, 123456789.125,
+		1e-6, 9.999999e-7, 1e-7, -1e-7, 1e-10, 1.5e-300, 5e-324, math.SmallestNonzeroFloat64 * 3,
+		1e20, 999999999999999999999, 1e21, -1e21, 1.5e300, math.MaxFloat64,
+	} {
+		cases = append(cases, base(func(s *Summary) { s.Inflation = f }))
+	}
+	cases = append(cases, everyFieldSet(t),
+		base(func(s *Summary) { s.RTTs = nil }),
+		base(func(s *Summary) { s.RTTs = []int64{} }),
+		base(func(s *Summary) { s.RTTs = []int64{0, -1, math.MaxInt64, math.MinInt64} }),
+		base(func(s *Summary) { s.RTTs, s.Sketch, s.Sent = nil, sk, 50 }),
+		base(func(s *Summary) {
+			s.TimeMS, s.Lost, s.BackgroundSent, s.EmulatedRTTNS = -5, -1, 3, 1
+			s.UserOverheadNS, s.SDIOOverheadNS, s.PSMInflationNS = math.MinInt64, -2, math.MaxInt64
+			s.LayersOK, s.PSMActive, s.Calibrated = true, true, true
+		}),
+	)
+	for _, s := range cases {
+		checkEncodeMatchesReference(t, []Summary{s})
+	}
+	checkEncodeMatchesReference(t, cases)
+	checkEncodeMatchesReference(t, nil)
+
+	// Errors: the summaries before the failing one are kept.
+	ok := base(func(*Summary) {})
+	for _, bad := range []Summary{
+		base(func(s *Summary) { s.Inflation = math.NaN() }),
+		base(func(s *Summary) { s.Inflation = math.Inf(1) }),
+		base(func(s *Summary) { s.Inflation = math.Inf(-1) }),
+		base(func(s *Summary) { s.RTTs, s.Sketch = nil, badSketch }),
+	} {
+		body := checkEncodeMatchesReference(t, []Summary{ok, bad, ok})
+		if _, err := AppendBatch(nil, []Summary{bad}); err == nil {
+			t.Fatalf("inflation %v, sketch max %v: no error", bad.Inflation, bad.Sketch)
+		}
+		if want, _ := referenceEncodeBatch([]Summary{ok}); !bytes.Equal(body, want) {
+			t.Fatalf("error batch kept %q, want the first summary %q", body, want)
+		}
+	}
+}
+
+// everyFieldSet returns a Summary with every field non-zero, set by
+// reflection, so a field added to Summary but not to AppendBatch makes
+// the encoders disagree.
+func everyFieldSet(t *testing.T) Summary {
+	var s Summary
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Interface().(type) {
+		case string:
+			f.SetString(v.Type().Field(i).Name)
+		case int, int64:
+			f.SetInt(int64(i + 1))
+		case float64:
+			f.SetFloat(float64(i) + 0.25)
+		case bool:
+			f.SetBool(true)
+		case []int64:
+			f.Set(reflect.ValueOf([]int64{int64(i)}))
+		case *agg.Sketch:
+			f.Set(reflect.ValueOf(agg.NewSketch(0)))
+		default:
+			t.Fatalf("Summary.%s: no test value for %s", v.Type().Field(i).Name, f.Type())
+		}
+	}
+	return s
 }
 
 // hostileBinFrames builds the length-bomb frames the AM002

@@ -101,21 +101,18 @@ func (lg *LoadGen) Send(ctx context.Context, batch []Summary) error {
 	}
 	lg.fill()
 	contentType := "application/x-ndjson"
+	var err error
 	switch lg.Wire {
 	case "", WireJSON:
-		buf := bytes.NewBuffer(lg.body[:0])
-		if err := EncodeBatch(buf, batch); err != nil {
-			return fmt.Errorf("ingest: encoding batch: %w", err)
-		}
-		lg.body = buf.Bytes()
+		lg.body, err = AppendBatch(lg.body[:0], batch)
 	case WireBinary, WireTCP:
-		var err error
-		if lg.body, err = AppendBinaryBatch(lg.body[:0], batch); err != nil {
-			return fmt.Errorf("ingest: encoding batch: %w", err)
-		}
+		lg.body, err = AppendBinaryBatch(lg.body[:0], batch)
 		contentType = BinaryContentType
 	default:
 		return fmt.Errorf("ingest: unknown wire %q", lg.Wire)
+	}
+	if err != nil {
+		return fmt.Errorf("ingest: encoding batch: %w", err)
 	}
 	body := lg.body
 	if lg.Wire == WireTCP {

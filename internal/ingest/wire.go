@@ -14,7 +14,6 @@
 package ingest
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -224,13 +223,24 @@ func (a *wireAlloc) int64s(n int) []int64 {
 }
 
 // EncodeBatch writes summaries as JSON lines — the exact bytes a device
-// puts on the wire.
+// puts on the wire — with one Write of the whole batch (AppendBatch into
+// a pooled buffer). On an encode error it writes the summaries before
+// the failing one, then returns the error.
 func EncodeBatch(w io.Writer, batch []Summary) error {
-	enc := json.NewEncoder(w)
-	for i := range batch {
-		if err := enc.Encode(&batch[i]); err != nil {
-			return err
+	bp := encodeBufPool.Get().(*[]byte)
+	buf, err := AppendBatch((*bp)[:0], batch)
+	if len(buf) > 0 {
+		if _, werr := w.Write(buf); werr != nil {
+			err = werr
 		}
 	}
-	return nil
+	if cap(buf) <= maxPooledBody {
+		*bp = buf[:0]
+		encodeBufPool.Put(bp)
+	}
+	return err
 }
+
+// encodeBufPool holds EncodeBatch's scratch; a buffer grown past
+// maxPooledBody is dropped rather than pinned in the pool.
+var encodeBufPool = sync.Pool{New: func() any { return new([]byte) }}
