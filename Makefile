@@ -18,16 +18,17 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...
 
-# Benchmarks cmd/benchdiff gates on. Run twice: once in the 1x sweep
-# with everything else, then again at -benchtime=2s so the gated
-# numbers are averaged over enough iterations to survive a 30%
-# threshold (a single-iteration loopback figure swings ±40% run to
-# run, and the loopback summaries/sec metric folds the fixed server
-# start/drain cost into elapsed time, so short passes systematically
-# under-read it). benchfmt keys by name and keeps the last
-# occurrence, so the steadier pass wins in $(BENCH_FILE). The
-# producer's gated rows (BenchmarkSession, BenchmarkSessionRun and the
-# event-queue BenchmarkSimPost) ride the same steady pass.
+# Benchmarks cmd/benchdiff gates on. The 1x sweep skips them and they
+# run only in a second pass at -benchtime=2s, so the gated numbers are
+# averaged over enough iterations to survive a 30% threshold (a
+# single-iteration loopback figure swings ±40% run to run, and the
+# loopback summaries/sec metric folds the fixed server start/drain
+# cost into elapsed time, so short passes systematically under-read
+# it), and no 1-iteration row shares a name with a steady row in
+# $(BENCH_FILE). Every package holding a watched benchmark is in the
+# steady pass's package list. The producer's gated rows
+# (BenchmarkSession, BenchmarkSessionRun and the event-queue
+# BenchmarkSimPost) ride the same steady pass.
 BENCH_WATCHED := IngestLoopback|Decode|Encode|CorrectionLookup|SketchFold|SketchMerge|StoreFold|StreamFanout|Compaction|GossipRound|ReplicaMerge|Session|SimPost
 
 # Machine-readable benchmark record for the perf trajectory (ns/op,
@@ -39,7 +40,7 @@ BENCH_WATCHED := IngestLoopback|Decode|Encode|CorrectionLookup|SketchFold|Sketch
 # a pipe; CI runs this exact target, keeping local and CI artifacts
 # identical.
 bench-json:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./... > bench-out.txt
+	$(GO) test -bench=. -skip='$(BENCH_WATCHED)' -benchmem -benchtime=1x -run='^$$' ./... > bench-out.txt
 	$(GO) test -bench='$(BENCH_WATCHED)' -benchmem -benchtime=2s -run='^$$' \
 		./internal/ingest ./internal/puncture ./internal/agg ./internal/cluster \
 		./internal/fleet ./internal/simtime . >> bench-out.txt

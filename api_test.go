@@ -275,6 +275,38 @@ func TestRunCellular(t *testing.T) {
 	}
 }
 
+// TestCalibratedSessionEndToEnd is the paper's closed loop on the path
+// examples/calibration and cmd/acutemon take: calibrate the phone's
+// demotion timers, then run an AcuteMon session with the recommended
+// dpre/db. The calibrated run completes and keeps the overhead small.
+func TestCalibratedSessionEndToEnd(t *testing.T) {
+	prof, _ := acutemon.ProfileByName("Samsung Grand") // Tip=45ms
+	cfg := acutemon.DefaultTestbedConfig()
+	cfg.Seed = 25
+	cfg.Phone = prof
+	cfg.EmulatedRTT = 85 * time.Millisecond
+	tb := acutemon.NewTestbed(cfg)
+	cal := acutemon.Calibrate(tb, acutemon.CalibrateOptions{})
+	if cal.Tip == 0 {
+		t.Fatal("calibration found no Tip")
+	}
+	sess, err := acutemon.Run(context.Background(), acutemon.SessionSpec{
+		Backend: "sim", Method: "acutemon", Testbed: tb, K: 60,
+		WarmupDelay: cal.RecommendedWarmup, BackgroundInterval: cal.RecommendedInterval,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sess.Raw.(*acutemon.Result)
+	if len(res.Sample()) < 55 {
+		t.Fatalf("completed %d/60", len(res.Sample()))
+	}
+	duk, dkn := acutemon.Overheads(tb, res)
+	if total := duk.Median() + dkn.Median(); total > 3500*time.Microsecond {
+		t.Errorf("calibrated run median overhead = %v", total)
+	}
+}
+
 // TestRunRawResults: a sim session on a caller-supplied testbed keeps
 // the backend-native result in Raw, in the shapes the layer helpers
 // (Overheads, ToolLayerSamples) take.

@@ -51,13 +51,35 @@ func TestRunFixtureJSON(t *testing.T) {
 	}
 }
 
+// TestRunAM006CountsUsesModuleWide runs the suite over one package of
+// the real module. Its exported API is called only from other packages
+// (and Sim.Executed only from the perfbench harness), so AM006 must
+// count use sites across the whole module and perfbench, not just the
+// requested pattern, and report nothing.
+func TestRunAM006CountsUsesModuleWide(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-C", "../..", "-json", "./internal/simtime"}, &stdout, &stderr)
+	if code != 0 {
+		t.Errorf("exit = %d, want 0\nstderr: %s", code, stderr.String())
+	}
+	var rep analyzers.Report
+	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
+		t.Fatalf("-json output does not parse: %v\n%s", err, stdout.String())
+	}
+	for _, d := range rep.Findings {
+		if d.Code == "AM006" {
+			t.Errorf("AM006 finding for a name used elsewhere: %s", d)
+		}
+	}
+}
+
 // TestRunList checks the analyzer table covers the whole suite.
 func TestRunList(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, code := range []string{"AM001", "AM002", "AM003", "AM004", "AM005"} {
+	for _, code := range []string{"AM001", "AM002", "AM003", "AM004", "AM005", "AM006"} {
 		if !strings.Contains(stdout.String(), code) {
 			t.Errorf("-list output missing %s:\n%s", code, stdout.String())
 		}

@@ -9,6 +9,7 @@
 //	AM003 lock-discipline   never nest two shard/stripe locks
 //	AM004 atomic-consistency no plain access to atomically-used fields
 //	AM005 context-first     exported blocking APIs take ctx first
+//	AM006 test-only-export  exported names under internal/ have a non-test use
 //
 // The suite is stdlib-only (go/ast, go/parser, go/types); packages are
 // loaded via `go list -export` so type information is exact, not
@@ -18,7 +19,8 @@
 //	//acutemon:ignore AM001 live path timestamps are wall-clock by design
 //
 // The code and a non-empty reason are both mandatory; a malformed
-// suppression is itself reported as AM000 and cannot be suppressed.
+// suppression, or one that waives no finding, is itself reported as
+// AM000 and cannot be suppressed.
 package analyzers
 
 import (
@@ -61,6 +63,10 @@ type Package struct {
 type Module struct {
 	Fset *token.FileSet
 	Pkgs []*Package
+	// Users is every package whose non-test code counts as a use of a
+	// name (AM006): the whole module and its perfbench harness, however
+	// narrow the patterns that chose Pkgs. A fixture is its own user.
+	Users []*Package
 }
 
 // Analyzer is one invariant check over a whole module.
@@ -84,17 +90,21 @@ func Suite() []Analyzer {
 		AM003{},
 		AM004{},
 		AM005{},
+		AM006{},
 	}
 }
 
 // Run executes every analyzer over m, applies suppression comments,
-// and returns all diagnostics (suppressed ones flagged, malformed
-// suppressions as AM000) sorted by position then code.
+// and returns all diagnostics (suppressed ones flagged; malformed
+// suppressions, and waivers of a code in suite that waive nothing, as
+// AM000) sorted by position then code.
 func Run(m *Module, suite []Analyzer) []Diagnostic {
 	sups := collectSuppressions(m)
 	var out []Diagnostic
+	ran := map[string]bool{}
 	for _, a := range suite {
 		code := a.Code()
+		ran[code] = true
 		a.Run(m, func(pos token.Position, msg string) {
 			d := Diagnostic{
 				Code:    code,
@@ -111,6 +121,7 @@ func Run(m *Module, suite []Analyzer) []Diagnostic {
 		})
 	}
 	out = append(out, sups.malformed...)
+	out = append(out, sups.stale(ran)...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.File != b.File {
@@ -124,18 +135,6 @@ func Run(m *Module, suite []Analyzer) []Diagnostic {
 		}
 		return a.Code < b.Code
 	})
-	return out
-}
-
-// Active filters ds down to the findings that gate a build: everything
-// unsuppressed, AM000 included.
-func Active(ds []Diagnostic) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range ds {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
 	return out
 }
 

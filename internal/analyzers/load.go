@@ -26,6 +26,18 @@ type listPkg struct {
 	GoFiles    []string
 }
 
+// goModDir returns the root directory of the module that contains dir.
+func goModDir(dir string) (string, error) {
+	cmd := exec.Command("go", "env", "GOMOD")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	gomod := strings.TrimSpace(string(out))
+	if err != nil || gomod == "" || gomod == os.DevNull {
+		return "", fmt.Errorf("analyzers: %s is not inside a module", dir)
+	}
+	return filepath.Dir(gomod), nil
+}
+
 // goList runs `go list -export -deps -json` in dir over patterns and
 // returns the decoded package stream. -export makes the go command
 // write export data for every listed package, which is what lets the
@@ -59,6 +71,17 @@ func goList(dir string, patterns []string) ([]listPkg, error) {
 	return pkgs, nil
 }
 
+// exportsOf maps each listed package's import path to its export data.
+func exportsOf(list []listPkg) map[string]string {
+	exports := make(map[string]string, len(list))
+	for _, p := range list {
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	return exports
+}
+
 // exportImporter satisfies go/types.Importer by reading the compiler
 // export data `go list -export` produced, keyed by import path.
 func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
@@ -84,51 +107,89 @@ func newInfo() *types.Info {
 // patterns (resolved relative to dir, e.g. "./...") and returns them
 // as one Module. Test files are not analyzed: the invariants guard
 // production paths, and goldens under testdata keep the analyzers
-// themselves honest.
+// themselves honest. Whatever the patterns, the whole module and the
+// non-test packages of its perfbench harness (a nested module that
+// builds against this one) are loaded too, as Users.
 func Load(dir string, patterns []string) (*Module, error) {
-	pkgs, err := goList(dir, patterns)
+	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	exports := make(map[string]string, len(pkgs))
-	var mod []listPkg
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.Standard {
-			mod = append(mod, p)
+	modDir, err := goModDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	module, err := goList(modDir, []string{"./..."})
+	if err != nil {
+		return nil, err
+	}
+	benchDir := filepath.Join(modDir, "perfbench")
+	var harness []listPkg
+	if _, err := os.Stat(filepath.Join(benchDir, "go.mod")); err == nil {
+		if harness, err = goList(benchDir, []string{"./..."}); err != nil {
+			return nil, err
 		}
 	}
-	sort.Slice(mod, func(i, j int) bool { return mod[i].ImportPath < mod[j].ImportPath })
 
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
-	m := &Module{Fset: fset}
-	for _, p := range mod {
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
-			if err != nil {
-				return nil, fmt.Errorf("analyzers: %w", err)
+	m := &Module{Fset: token.NewFileSet()}
+	loaded := map[string]*Package{}
+	// check type-checks the non-standard packages of one go list run
+	// that keep accepts, each once across runs, against that run's
+	// export data.
+	check := func(list []listPkg, keep func(listPkg) bool) ([]*Package, error) {
+		imp := exportImporter(m.Fset, exportsOf(list))
+		sort.Slice(list, func(i, j int) bool { return list[i].ImportPath < list[j].ImportPath })
+		var out []*Package
+		for _, p := range list {
+			if p.Standard || !keep(p) {
+				continue
 			}
-			files = append(files, f)
+			pkg := loaded[p.ImportPath]
+			if pkg == nil {
+				var err error
+				if pkg, err = checkPackage(m.Fset, imp, p); err != nil {
+					return nil, err
+				}
+				loaded[p.ImportPath] = pkg
+			}
+			out = append(out, pkg)
 		}
-		conf := types.Config{Importer: imp}
-		info := newInfo()
-		tpkg, err := conf.Check(p.ImportPath, fset, files, info)
-		if err != nil {
-			return nil, fmt.Errorf("analyzers: type-checking %s: %w", p.ImportPath, err)
-		}
-		m.Pkgs = append(m.Pkgs, &Package{
-			Path:  p.ImportPath,
-			Fset:  fset,
-			Files: files,
-			Types: tpkg,
-			Info:  info,
-		})
+		return out, nil
 	}
+	all := func(listPkg) bool { return true }
+	if m.Pkgs, err = check(listed, all); err != nil {
+		return nil, err
+	}
+	if m.Users, err = check(module, all); err != nil {
+		return nil, err
+	}
+	bench, err := check(harness, func(p listPkg) bool {
+		return p.Dir == benchDir || strings.HasPrefix(p.Dir, benchDir+string(filepath.Separator))
+	})
+	if err != nil {
+		return nil, err
+	}
+	m.Users = append(m.Users, bench...)
 	return m, nil
+}
+
+// checkPackage parses and type-checks the non-test files of p.
+func checkPackage(fset *token.FileSet, imp types.Importer, p listPkg) (*Package, error) {
+	var files []*ast.File
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("analyzers: %w", err)
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: imp}
+	info := newInfo()
+	tpkg, err := conf.Check(p.ImportPath, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("analyzers: type-checking %s: %w", p.ImportPath, err)
+	}
+	return &Package{Path: p.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // LoadDir type-checks a single directory of Go files outside the build
@@ -140,52 +201,40 @@ func LoadDir(dir, asImportPath string) (*Module, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analyzers: %w", err)
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
+	p := listPkg{Dir: dir, ImportPath: asImportPath}
 	imports := map[string]bool{}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+		p.GoFiles = append(p.GoFiles, e.Name())
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, e.Name()), nil, parser.ImportsOnly)
 		if err != nil {
 			return nil, fmt.Errorf("analyzers: %w", err)
 		}
-		files = append(files, f)
 		for _, spec := range f.Imports {
 			imports[strings.Trim(spec.Path.Value, `"`)] = true
 		}
 	}
-	if len(files) == 0 {
+	if len(p.GoFiles) == 0 {
 		return nil, fmt.Errorf("analyzers: no Go files in %s", dir)
 	}
-
-	exports := map[string]string{}
+	var deps []listPkg
 	if len(imports) > 0 {
 		paths := make([]string, 0, len(imports))
-		for p := range imports {
-			paths = append(paths, p)
+		for path := range imports {
+			paths = append(paths, path)
 		}
 		sort.Strings(paths)
-		pkgs, err := goList(dir, paths)
-		if err != nil {
+		if deps, err = goList(dir, paths); err != nil {
 			return nil, err
 		}
-		for _, p := range pkgs {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
 	}
-
-	conf := types.Config{Importer: exportImporter(fset, exports)}
-	info := newInfo()
-	tpkg, err := conf.Check(asImportPath, fset, files, info)
+	fset := token.NewFileSet()
+	pkg, err := checkPackage(fset, exportImporter(fset, exportsOf(deps)), p)
 	if err != nil {
-		return nil, fmt.Errorf("analyzers: type-checking %s: %w", dir, err)
+		return nil, err
 	}
-	return &Module{
-		Fset: fset,
-		Pkgs: []*Package{{Path: asImportPath, Fset: fset, Files: files, Types: tpkg, Info: info}},
-	}, nil
+	pkgs := []*Package{pkg}
+	return &Module{Fset: fset, Pkgs: pkgs, Users: pkgs}, nil
 }

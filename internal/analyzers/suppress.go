@@ -18,18 +18,20 @@ var codeRE = regexp.MustCompile(`^AM\d{3}$`)
 type suppression struct {
 	code   string
 	reason string
+	pos    token.Position
+	used   bool
 }
 
 // suppressions indexes waivers by file and line, and accumulates
 // malformed ones as AM000 diagnostics (reported unconditionally — a
 // waiver that names no code or gives no reason waives nothing).
 type suppressions struct {
-	byLine    map[string]map[int][]suppression
+	byLine    map[string]map[int][]*suppression
 	malformed []Diagnostic
 }
 
 func collectSuppressions(m *Module) *suppressions {
-	s := &suppressions{byLine: map[string]map[int][]suppression{}}
+	s := &suppressions{byLine: map[string]map[int][]*suppression{}}
 	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
@@ -68,12 +70,13 @@ func (s *suppressions) add(pos token.Position, text string) {
 	}
 	lines := s.byLine[pos.Filename]
 	if lines == nil {
-		lines = map[int][]suppression{}
+		lines = map[int][]*suppression{}
 		s.byLine[pos.Filename] = lines
 	}
-	lines[pos.Line] = append(lines[pos.Line], suppression{
+	lines[pos.Line] = append(lines[pos.Line], &suppression{
 		code:   fields[0],
 		reason: strings.Join(fields[1:], " "),
+		pos:    pos,
 	})
 }
 
@@ -87,9 +90,32 @@ func (s *suppressions) match(code string, pos token.Position) (reason string, ok
 	for _, line := range [2]int{pos.Line, pos.Line - 1} {
 		for _, sup := range lines[line] {
 			if sup.code == code {
+				sup.used = true
 				return sup.reason, true
 			}
 		}
 	}
 	return "", false
+}
+
+// stale returns an AM000 diagnostic for every well-formed waiver of a
+// code in ran that waived no finding: a waiver outlives its reason once
+// the code it excused is fixed, and then it would hide the next finding
+// on that line.
+func (s *suppressions) stale(ran map[string]bool) []Diagnostic {
+	var out []Diagnostic
+	for _, lines := range s.byLine {
+		for _, sups := range lines {
+			for _, sup := range sups {
+				if sup.used || !ran[sup.code] {
+					continue
+				}
+				out = append(out, Diagnostic{
+					Code: "AM000", File: sup.pos.Filename, Line: sup.pos.Line, Col: sup.pos.Column,
+					Message: "suppression of " + sup.code + " waives no finding",
+				})
+			}
+		}
+	}
+	return out
 }

@@ -1,5 +1,5 @@
 // Package am000fix exercises the suppression grammar itself: a
-// malformed waiver is an AM000 finding and waives nothing. Loaded
+// malformed waiver, or one that waives no finding, is an AM000 finding. Loaded
 // under a repro/internal/ingest import path so a live AM002 finding
 // can sit next to its broken waiver.
 package am000fix
@@ -17,4 +17,10 @@ func BadCode(buf []byte) []byte {
 // NoReason gives no justification; the waiver itself is the finding.
 func NoReason() {
 	_ = 0 /* want "AM000: suppression of AM003 without a reason" */ //acutemon:ignore AM003
+}
+
+// Stale waives a code that finds nothing on its line: a waiver that
+// waives nothing is itself the finding.
+func Stale() int {
+	return 1 /* want "AM000: suppression of AM002 waives no finding" */ //acutemon:ignore AM002 the cap check this excused is gone
 }

@@ -105,7 +105,7 @@ func TestPhoneAssemblyEndToEnd(t *testing.T) {
 		if ic == nil || !ic.IsEchoRequest() {
 			return
 		}
-		reply := ph.Stack.Factory().NewPacket(
+		reply := packet.New(
 			&packet.IPv4{TTL: 63, Protocol: packet.ProtoICMP, Src: p.IPv4().Dst, Dst: p.IPv4().Src},
 			&packet.ICMP{Type: packet.ICMPEchoReply, ID: ic.ID, Seq: ic.Seq},
 		)

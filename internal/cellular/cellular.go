@@ -136,9 +136,6 @@ func (m *Modem) Connect(toNet func(*packet.Packet), recvUp func(*packet.Packet))
 	m.recvUp = recvUp
 }
 
-// State returns the current RRC state.
-func (m *Modem) State() RRCState { return m.state }
-
 func (m *Modem) sample(d simtime.Dist) time.Duration {
 	if d == nil {
 		return 0

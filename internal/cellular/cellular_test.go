@@ -12,7 +12,7 @@ import (
 func TestModemStartsIdle(t *testing.T) {
 	sim := simtime.New(1)
 	m := NewModem(sim, UMTS(), nil)
-	if m.State() != Idle {
+	if m.state != Idle {
 		t.Fatal("modem should start IDLE")
 	}
 }
@@ -20,24 +20,24 @@ func TestModemStartsIdle(t *testing.T) {
 func TestPromotionOnSendAndDemotionTimers(t *testing.T) {
 	tb := NewTestbed(TestbedConfig{Seed: 1, Radio: UMTS(), CoreRTT: 40 * time.Millisecond})
 	m := tb.Modem
-	tb.Phone.SendEcho(tb.ServerIP(), 1, 1, 32)
+	tb.Phone.SendEcho(tb.serverIP, 1, 1, 32)
 	// Promotion takes ~2s; until then the modem is promoting from IDLE.
 	tb.Sim.RunFor(100 * time.Millisecond)
-	if m.State() == DCH {
+	if m.state == DCH {
 		t.Fatal("modem reached DCH instantly; promotion cost missing")
 	}
 	tb.Sim.RunFor(3 * time.Second)
-	if m.State() != DCH {
-		t.Fatalf("state = %v after promotion, want DCH", m.State())
+	if m.state != DCH {
+		t.Fatalf("state = %v after promotion, want DCH", m.state)
 	}
 	// T1 (5s) then demotes to FACH, T2 (12s) to IDLE.
 	tb.Sim.RunFor(6 * time.Second)
-	if m.State() != FACH {
-		t.Fatalf("state = %v after T1, want FACH", m.State())
+	if m.state != FACH {
+		t.Fatalf("state = %v after T1, want FACH", m.state)
 	}
 	tb.Sim.RunFor(13 * time.Second)
-	if m.State() != Idle {
-		t.Fatalf("state = %v after T2, want IDLE", m.State())
+	if m.state != Idle {
+		t.Fatalf("state = %v after T2, want IDLE", m.state)
 	}
 	if m.Stats.Promotions != 1 || m.Stats.Demotions != 2 {
 		t.Fatalf("stats: %+v", m.Stats)
@@ -152,8 +152,8 @@ func TestDownlinkPagingFromIdle(t *testing.T) {
 	if oneWay < 150*time.Millisecond {
 		t.Fatalf("one-way = %v, want paging-inflated (≥150ms)", oneWay)
 	}
-	if tb.Modem.State() != DCH {
-		t.Fatalf("modem state = %v after paging, want DCH", tb.Modem.State())
+	if tb.Modem.state != DCH {
+		t.Fatalf("modem state = %v after paging, want DCH", tb.Modem.state)
 	}
 }
 

@@ -74,9 +74,6 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	return tb
 }
 
-// ServerIP returns the measurement server address.
-func (tb *Testbed) ServerIP() packet.IPv4Addr { return tb.serverIP }
-
 // PingResult is one cellular ping campaign.
 type PingResult struct {
 	RTTs stats.Sample

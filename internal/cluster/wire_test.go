@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
@@ -75,11 +76,24 @@ func testDelta(t testing.TB) *Delta {
 }
 
 // cellsJSON renders cells canonically for byte-identical comparison
-// (Cell.Epoch is json-omitted, sketches marshal in flushed form).
+// (Cell.Epoch is json-omitted, sketches marshal in flushed form), in
+// the store's (group, device, scenario, window) order.
 func cellsJSON(t testing.TB, cells []*ingest.Cell) string {
 	t.Helper()
 	sorted := append([]*ingest.Cell(nil), cells...)
-	ingest.SortCells(sorted)
+	sort.Slice(sorted, func(i, j int) bool {
+		a, b := sorted[i].Key, sorted[j].Key
+		if a.Group != b.Group {
+			return a.Group < b.Group
+		}
+		if a.Device != b.Device {
+			return a.Device < b.Device
+		}
+		if a.Scenario != b.Scenario {
+			return a.Scenario < b.Scenario
+		}
+		return a.WindowMS < b.WindowMS
+	})
 	b, err := json.Marshal(sorted)
 	if err != nil {
 		t.Fatal(err)

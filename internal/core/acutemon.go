@@ -146,9 +146,6 @@ func New(tb *testbed.Testbed, cfg Config) *Monitor {
 	return &Monitor{tb: tb, cfg: cfg}
 }
 
-// Config returns the effective configuration.
-func (m *Monitor) Config() Config { return m.cfg }
-
 // Run executes one AcuteMon measurement and drives the simulation until
 // it completes.
 func (m *Monitor) Run() *Result {

@@ -178,7 +178,7 @@ func TestFig6TimelineTrace(t *testing.T) {
 func TestDefaultsFilled(t *testing.T) {
 	tb := newTB(10, "", 20*time.Millisecond)
 	mon := New(tb, Config{})
-	cfg := mon.Config()
+	cfg := mon.cfg
 	if cfg.K != 100 || cfg.WarmupDelay != 20*time.Millisecond ||
 		cfg.BackgroundInterval != 20*time.Millisecond || cfg.BackgroundTTL != 1 {
 		t.Fatalf("defaults not applied: %+v", cfg)

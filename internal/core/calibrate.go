@@ -233,17 +233,6 @@ func CalibrateInto(st *puncture.Store, tb *testbed.Testbed, opts CalibrateOption
 	return e, st.RecordCalibration(e)
 }
 
-// RunCalibrated calibrates and then runs AcuteMon with the recommended
-// parameters, the full closed loop the paper sketches.
-func RunCalibrated(tb *testbed.Testbed, base Config, opts CalibrateOptions) (*Result, Calibration) {
-	cal := Calibrate(tb, opts)
-	base.WarmupDelay = cal.RecommendedWarmup
-	base.BackgroundInterval = cal.RecommendedInterval
-	mon := New(tb, base)
-	res := mon.Run()
-	return res, cal
-}
-
 // effectiveMinTimer is a helper used by tests to cross-check the
 // calibration against the phone's configured timers.
 func effectiveMinTimer(phone *android.Phone) time.Duration {

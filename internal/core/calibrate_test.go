@@ -69,22 +69,6 @@ func TestRecommendationRespectsInvariant(t *testing.T) {
 	}
 }
 
-func TestRunCalibratedEndToEnd(t *testing.T) {
-	tb := newTB(25, "Samsung Grand", 85*time.Millisecond) // Tip=45ms
-	res, cal := RunCalibrated(tb, Config{K: 60}, CalibrateOptions{})
-	if cal.Tip == 0 {
-		t.Fatal("calibration found no Tip")
-	}
-	if len(res.Sample()) < 55 {
-		t.Fatalf("completed %d/60", len(res.Sample()))
-	}
-	duk, dkn := OverheadStats(tb, res)
-	total := stats.Millis(duk.Median()) + stats.Millis(dkn.Median())
-	if total > 3.5 {
-		t.Errorf("calibrated run median overhead = %.2fms", total)
-	}
-}
-
 func TestCalibrateIntoBuildsDatabase(t *testing.T) {
 	st := puncture.NewStore(0)
 	for _, phone := range []string{"Google Nexus 4", "Google Nexus 5"} {

@@ -138,9 +138,6 @@ func (in *Instrumentation) RecvSample() stats.Sample {
 	return out
 }
 
-// Reset clears collected samples.
-func (in *Instrumentation) Reset() { in.Send, in.Recv = nil, nil }
-
 // StationTx is the downward interface the driver transmits through,
 // implemented by *mac.STA.
 type StationTx interface {
@@ -190,9 +187,6 @@ func New(sim *simtime.Sim, cfg Config, tr *trace.Trace) *Driver {
 // Bus exposes the host-interconnect model (for experiments that disable
 // bus sleep).
 func (d *Driver) Bus() *sdio.Bus { return d.bus }
-
-// Config returns the driver configuration.
-func (d *Driver) Config() Config { return d.cfg }
 
 // SetSTA attaches the station MAC below the driver.
 func (d *Driver) SetSTA(s StationTx) { d.sta = s }

@@ -272,20 +272,6 @@ func TestPaidWakeFlag(t *testing.T) {
 	}
 }
 
-func TestInstrumentationReset(t *testing.T) {
-	sim, d, _ := newDriver(9, Bcmdhd(), nil)
-	f := &packet.Factory{}
-	d.Send(icmp(f), nil)
-	sim.RunUntil(50 * time.Millisecond)
-	if len(d.Instr.Send) != 1 {
-		t.Fatal("no sample collected")
-	}
-	d.Instr.Reset()
-	if len(d.Instr.Send) != 0 || len(d.Instr.Recv) != 0 {
-		t.Fatal("reset did not clear")
-	}
-}
-
 func TestSendWithoutSTAPanics(t *testing.T) {
 	sim := simtime.New(1)
 	d := New(sim, Bcmdhd(), nil)

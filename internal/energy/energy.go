@@ -198,15 +198,3 @@ func (m *Meter) Snapshot() Report {
 		Window:  m.sim.Now(),
 	}
 }
-
-// Delta returns the difference between two reports (b - a), useful for
-// isolating one measurement campaign inside a longer run.
-func Delta(a, b Report) Report {
-	return Report{
-		RadioMJ: b.RadioMJ - a.RadioMJ,
-		BusMJ:   b.BusMJ - a.BusMJ,
-		FrameMJ: b.FrameMJ - a.FrameMJ,
-		Awake:   b.Awake - a.Awake,
-		Window:  b.Window - a.Window,
-	}
-}

@@ -57,13 +57,12 @@ func TestDeltaIsolation(t *testing.T) {
 	a := m.Snapshot()
 	sim.RunUntil(3 * time.Second)
 	b := m.Snapshot()
-	d := Delta(a, b)
-	if d.Window != 2*time.Second {
-		t.Fatalf("delta window = %v", d.Window)
+	if w := b.Window - a.Window; w != 2*time.Second {
+		t.Fatalf("delta window = %v", w)
 	}
 	// 2s of CAM radio.
-	if math.Abs(d.RadioMJ-440) > 1 {
-		t.Fatalf("delta radio = %.1fmJ, want 440", d.RadioMJ)
+	if r := b.RadioMJ - a.RadioMJ; math.Abs(r-440) > 1 {
+		t.Fatalf("delta radio = %.1fmJ, want 440", r)
 	}
 }
 

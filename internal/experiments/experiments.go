@@ -27,9 +27,6 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions mirrors the paper's scale.
-func DefaultOptions() Options { return Options{Seed: 1, Probes: 100} }
-
 func (o *Options) fill() {
 	if o.Seed == 0 {
 		o.Seed = 1

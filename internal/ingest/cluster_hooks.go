@@ -91,11 +91,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // so one /v1/stream cursor sequence spans local and replicated rows.
 func (st *Store) NextEpoch() int64 { return st.epoch.Add(1) }
 
-// SortCells orders cells canonically (the /stats and delta order) —
-// exported so cluster convergence checks can compare cell sets
-// byte-for-byte after a wire round trip.
-func SortCells(cells []*Cell) { sortCells(cells) }
-
 // CellDelta is the store's raw-cell delta export — what one gossip
 // anti-entropy round carries. Unlike StreamEvent it holds full cells,
 // not derived stats: the receiver must be able to merge them into

@@ -39,13 +39,6 @@ type ModelOverhead struct {
 	puncture.Overheads
 }
 
-// MaxLearnedModels bounds the learned profile table (the knowledge
-// store's default cap): at the cap, unseen models stop minting profiles
-// — their attribution still teaches the chipset-family and global
-// aggregates, and their own reported correction still applies — and
-// every refusal is counted (profile_rejections in /stats and /healthz).
-const MaxLearnedModels = puncture.DefaultMaxModels
-
 // DefaultPunctureShards matches the knowledge store's striping default.
 const DefaultPunctureShards = puncture.DefaultShards
 

@@ -69,27 +69,16 @@ func ServerConfig(ip packet.IPv4Addr) Config {
 	}
 }
 
-// Capture is one bpf record: which packet crossed the tap, when, and
-// in which direction. It keeps no copy of the packet; every reader
-// needs only its ID and timestamp.
-type Capture struct {
-	PktID    uint64
-	At       time.Duration
-	Outgoing bool
-}
-
-// BPF is the stack's capture tap (tcpdump).
+// BPF is the stack's capture tap (tcpdump). It keeps no copy of a
+// packet, only the time its ID first crossed the tap: every reader
+// needs only that.
 type BPF struct {
 	enabled bool
-	records []Capture
 	byID    map[uint64]time.Duration
 }
 
 // Enable starts capturing.
 func (b *BPF) Enable() { b.enabled = true }
-
-// Records returns all captures in order.
-func (b *BPF) Records() []Capture { return b.records }
 
 // TimeOf returns the capture time of a packet ID.
 func (b *BPF) TimeOf(id uint64) (time.Duration, bool) {
@@ -97,17 +86,13 @@ func (b *BPF) TimeOf(id uint64) (time.Duration, bool) {
 	return t, ok
 }
 
-// Reset drops all captures.
-func (b *BPF) Reset() { b.records = nil; b.byID = map[uint64]time.Duration{} }
-
-func (b *BPF) capture(p *packet.Packet, at time.Duration, out bool) {
+func (b *BPF) capture(p *packet.Packet, at time.Duration) {
 	if !b.enabled {
 		return
 	}
 	if b.byID == nil {
 		b.byID = map[uint64]time.Duration{}
 	}
-	b.records = append(b.records, Capture{PktID: p.ID, At: at, Outgoing: out})
 	if _, dup := b.byID[p.ID]; !dup {
 		b.byID[p.ID] = at
 	}
@@ -170,12 +155,6 @@ func (s *Stack) IP() packet.IPv4Addr { return s.cfg.IP }
 // BPF returns the capture tap.
 func (s *Stack) BPF() *BPF { return &s.bpf }
 
-// Factory returns the shared packet factory.
-func (s *Stack) Factory() *packet.Factory { return s.fac }
-
-// Sim returns the simulation clock driving this stack.
-func (s *Stack) Sim() *simtime.Sim { return s.sim }
-
 func (s *Stack) sample(d simtime.Dist) time.Duration {
 	if d == nil {
 		return 0
@@ -193,7 +172,7 @@ func (s *Stack) nextIPID() uint16 {
 func (s *Stack) sendIP(p *packet.Packet) {
 	s.sim.Post(s.sample(s.cfg.SendLatency), func() {
 		now := s.sim.Now()
-		s.bpf.capture(p, now, true)
+		s.bpf.capture(p, now)
 		s.SentPackets++
 		s.tr.Addf(now, "kernel", "dev_queue_xmit", "pkt=%d", p.ID)
 		s.dev.Send(p)
@@ -205,7 +184,7 @@ func (s *Stack) sendIP(p *packet.Packet) {
 // kernel receive latency.
 func (s *Stack) DeliverFromDevice(p *packet.Packet) {
 	now := s.sim.Now()
-	s.bpf.capture(p, now, false)
+	s.bpf.capture(p, now)
 	s.RecvPackets++
 	s.tr.Addf(now, "kernel", "netif_rx", "pkt=%d", p.ID)
 	s.sim.Post(s.sample(s.cfg.RecvLatency), func() { s.demux(p) })
@@ -309,9 +288,6 @@ func (s *Stack) nextEphemeral() uint16 {
 		return s.ephemeral
 	}
 }
-
-// Port returns the bound port.
-func (u *UDPSocket) Port() uint16 { return u.port }
 
 // SetRecv installs the receive callback.
 func (u *UDPSocket) SetRecv(fn func(payload []byte, from packet.IPv4Addr, fromPort uint16, p *packet.Packet, at time.Duration)) {

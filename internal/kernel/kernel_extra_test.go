@@ -12,7 +12,7 @@ import (
 func TestCloseListenerCausesRST(t *testing.T) {
 	sim, a, b := pair(20)
 	b.Listen(80)
-	b.CloseListener(80)
+	delete(b.listeners, 80)
 	conn := a.Dial(b.IP(), 80)
 	var rst bool
 	conn.OnReset = func(at time.Duration, p *packet.Packet) { rst = true }
@@ -100,10 +100,10 @@ func TestEphemeralPortsDoNotCollide(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seen[s.Port()] {
-			t.Fatalf("ephemeral port %d reused while open", s.Port())
+		if seen[s.port] {
+			t.Fatalf("ephemeral port %d reused while open", s.port)
 		}
-		seen[s.Port()] = true
+		seen[s.port] = true
 	}
 }
 

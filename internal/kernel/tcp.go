@@ -68,18 +68,6 @@ type TCPConn struct {
 	onEstablished func()
 }
 
-// State returns the connection state.
-func (c *TCPConn) State() TCPState { return c.state }
-
-// LocalPort returns the connection's local port.
-func (c *TCPConn) LocalPort() uint16 { return c.localPort }
-
-// RemoteIP returns the peer address.
-func (c *TCPConn) RemoteIP() packet.IPv4Addr { return c.remoteIP }
-
-// RemotePort returns the peer port.
-func (c *TCPConn) RemotePort() uint16 { return c.remotePort }
-
 // Listener accepts inbound connections on a port.
 type Listener struct {
 	stack *Stack
@@ -95,9 +83,6 @@ func (s *Stack) Listen(port uint16) *Listener {
 	s.listeners[port] = l
 	return l
 }
-
-// CloseListener unbinds a listener.
-func (s *Stack) CloseListener(port uint16) { delete(s.listeners, port) }
 
 // Dial opens a client connection: it allocates an ephemeral port and
 // sends the SYN immediately. Completion is reported via OnConnected; set

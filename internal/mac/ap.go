@@ -109,9 +109,6 @@ func NewAP(sim *simtime.Sim, med *medium.Medium, cfg APConfig, fac *packet.Facto
 // SetWiredOut wires the uplink bridge callback.
 func (a *AP) SetWiredOut(fn func(*packet.Packet)) { a.wiredOut = fn }
 
-// IP returns the AP's address on the wired segment.
-func (a *AP) IP() packet.IPv4Addr { return a.cfg.IP }
-
 // BeaconInterval implements BeaconSchedule.
 func (a *AP) BeaconInterval() time.Duration {
 	return time.Duration(a.cfg.BeaconIntervalTU) * 1024 * time.Microsecond
@@ -304,10 +301,3 @@ func (a *AP) flushBuffered(mac packet.MACAddr) {
 		a.transmitDown(frame, mac, false)
 	}
 }
-
-// BufferedFor reports the PS-buffer depth for a station (tests/metrics).
-func (a *AP) BufferedFor(mac packet.MACAddr) int { return len(a.psBuf[mac]) }
-
-// StopBeacons halts the beacon ticker (used by tests that need a quiet
-// medium).
-func (a *AP) StopBeacons() { a.ticker.Stop() }

@@ -50,7 +50,7 @@ func TestMultipleBufferedFramesDrainViaMoreData(t *testing.T) {
 		b.ap.WiredDeliver(b.responseFrom(packet.IP(10, 0, 0, 9)))
 	}
 	b.sim.RunUntil(80 * time.Millisecond)
-	if got := b.ap.BufferedFor(packet.MAC(1)); got != 3 {
+	if got := len(b.ap.psBuf[packet.MAC(1)]); got != 3 {
 		t.Fatalf("buffered = %d", got)
 	}
 	b.sim.RunUntil(300 * time.Millisecond)
@@ -78,7 +78,7 @@ func TestUnassociatedStationTrafficIgnored(t *testing.T) {
 	b.sim.RunUntil(50 * time.Millisecond)
 	// The AP still bridges the IP packet (open testbed network), but no
 	// PS state is created for the stranger.
-	if b.ap.BufferedFor(packet.MAC(77)) != 0 {
+	if len(b.ap.psBuf[packet.MAC(77)]) != 0 {
 		t.Fatal("PS buffer created for unassociated station")
 	}
 }

@@ -152,8 +152,8 @@ func TestDownlinkToDozingStationWaitsForBeacon(t *testing.T) {
 	}
 	b.ap.WiredDeliver(b.responseFrom(packet.IP(10, 0, 0, 9)))
 	b.sim.RunUntil(75 * time.Millisecond)
-	if b.ap.BufferedFor(packet.MAC(1)) != 1 {
-		t.Fatalf("AP buffered %d frames, want 1", b.ap.BufferedFor(packet.MAC(1)))
+	if len(b.ap.psBuf[packet.MAC(1)]) != 1 {
+		t.Fatalf("AP buffered %d frames, want 1", len(b.ap.psBuf[packet.MAC(1)]))
 	}
 	if len(b.rxUp) != 0 {
 		t.Fatal("dozing station received frame early")
@@ -178,7 +178,7 @@ func TestWakeOnSendFlushesBuffer(t *testing.T) {
 	b.sim.RunUntil(70 * time.Millisecond) // dozing
 	b.ap.WiredDeliver(b.responseFrom(packet.IP(10, 0, 0, 9)))
 	b.sim.RunUntil(80 * time.Millisecond)
-	if b.ap.BufferedFor(packet.MAC(1)) != 1 {
+	if len(b.ap.psBuf[packet.MAC(1)]) != 1 {
 		t.Fatal("frame not buffered")
 	}
 	// The station transmits (PM=0): the AP must flush the buffer without
@@ -203,7 +203,7 @@ func TestBeaconMissAddsOneInterval(t *testing.T) {
 	if len(b.rxUp) != 0 {
 		t.Fatal("frame delivered despite missProb=1")
 	}
-	if b.ap.BufferedFor(packet.MAC(1)) != 1 {
+	if len(b.ap.psBuf[packet.MAC(1)]) != 1 {
 		t.Fatal("frame lost from PS buffer")
 	}
 	if b.sta.Stats.BeaconsMissed < 3 {
@@ -248,22 +248,6 @@ func TestPSMTimeoutJitterVariesDozeTime(t *testing.T) {
 	}
 }
 
-func TestForceCAM(t *testing.T) {
-	b := newBench(t, 7, nil)
-	b.sim.RunUntil(70 * time.Millisecond)
-	if b.sta.State() != StateDoze {
-		t.Fatal("precondition: station should doze")
-	}
-	b.sta.ForceCAM()
-	if b.sta.State() != StateCAM {
-		t.Fatal("ForceCAM did not wake the station")
-	}
-	b.sim.RunUntil(2 * time.Second)
-	if b.sta.State() != StateCAM {
-		t.Fatal("station dozed again after ForceCAM")
-	}
-}
-
 func TestPSBufferCap(t *testing.T) {
 	b := newBench(t, 8, func(c *STAConfig) { c.BeaconMissProb = 1.0 })
 	b.sim.RunUntil(70 * time.Millisecond)
@@ -271,7 +255,7 @@ func TestPSBufferCap(t *testing.T) {
 		b.ap.WiredDeliver(b.responseFrom(packet.IP(10, 0, 0, 9)))
 	}
 	b.sim.RunUntil(90 * time.Millisecond)
-	if got := b.ap.BufferedFor(packet.MAC(1)); got > DefaultAPConfig().PSBufferCap {
+	if got := len(b.ap.psBuf[packet.MAC(1)]); got > DefaultAPConfig().PSBufferCap {
 		t.Fatalf("buffer grew to %d, cap is %d", got, DefaultAPConfig().PSBufferCap)
 	}
 	if b.ap.Stats.PSBufferDrops == 0 {

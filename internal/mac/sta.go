@@ -164,9 +164,6 @@ func NewSTA(sim *simtime.Sim, med *medium.Medium, cfg STAConfig, fac *packet.Fac
 // SetBeaconSchedule wires the AP's TBTT schedule (done at association).
 func (s *STA) SetBeaconSchedule(b BeaconSchedule) { s.schedule = b }
 
-// Config returns the station configuration.
-func (s *STA) Config() STAConfig { return s.cfg }
-
 // State returns the current power state.
 func (s *STA) State() PowerState { return s.state }
 
@@ -427,15 +424,5 @@ func (s *STA) handleData(p *packet.Packet) {
 	}
 	if s.recvUp != nil {
 		s.recvUp(p)
-	}
-}
-
-// ForceCAM pins the station to CAM (used by tests and by the Fig 9
-// driver-modification scenario together with SDIO sleep disabling).
-func (s *STA) ForceCAM() {
-	s.cfg.PSMEnabled = false
-	s.camTimer.Stop()
-	if s.state != StateCAM {
-		s.enterCAM()
 	}
 }

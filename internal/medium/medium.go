@@ -160,9 +160,6 @@ func New(sim *simtime.Sim, params phy.Params, opts Options) *Medium {
 	return m
 }
 
-// Phy returns the PHY parameters in use.
-func (m *Medium) Phy() phy.Params { return m.phy }
-
 // Attach joins a station to the channel.
 func (m *Medium) Attach(st Station) {
 	mac := st.MAC()
@@ -176,14 +173,6 @@ func (m *Medium) Attach(st Station) {
 
 // AttachTap adds a promiscuous observer.
 func (m *Medium) AttachTap(t Tap) { m.taps = append(m.taps, t) }
-
-// QueueLen returns the given station's transmit backlog.
-func (m *Medium) QueueLen(mac packet.MACAddr) int {
-	if i, ok := m.index[mac]; ok {
-		return len(m.queues[i])
-	}
-	return 0
-}
 
 // Transmit queues a frame for transmission. done (may be nil) is invoked
 // once with the outcome. Priority frames (beacons) jump the queue.
@@ -377,13 +366,4 @@ func (m *Medium) complete(src int, job *txJob, airStart, airEnd time.Duration) {
 	if job.done != nil {
 		job.done(TxOK)
 	}
-}
-
-// Utilization returns the fraction of elapsed virtual time the channel
-// was busy.
-func (m *Medium) Utilization() float64 {
-	if m.sim.Now() == 0 {
-		return 0
-	}
-	return float64(m.Stats.BusyTime) / float64(m.sim.Now())
 }

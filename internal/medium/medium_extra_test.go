@@ -82,7 +82,7 @@ func TestUtilizationBounded(t *testing.T) {
 		m.Transmit(a, dataFrame(f, a.mac, b.mac, 1470), false, nil)
 	}
 	sim.RunUntil(500 * time.Millisecond)
-	if u := m.Utilization(); u < 0 || u > 1.0 {
+	if u := float64(m.Stats.BusyTime) / float64(sim.Now()); u < 0 || u > 1.0 {
 		t.Fatalf("utilization = %v outside [0,1]", u)
 	}
 }
@@ -99,11 +99,11 @@ func TestQueueLenTracksBacklog(t *testing.T) {
 		m.Transmit(a, dataFrame(f, a.mac, b.mac, 1470), false, nil)
 	}
 	// One frame is in flight immediately; the rest are queued.
-	if q := m.QueueLen(packet.MAC(1)); q != 9 {
+	if q := len(m.queues[m.index[packet.MAC(1)]]); q != 9 {
 		t.Fatalf("queue len = %d, want 9", q)
 	}
 	sim.RunUntil(time.Second)
-	if q := m.QueueLen(packet.MAC(1)); q != 0 {
+	if q := len(m.queues[m.index[packet.MAC(1)]]); q != 0 {
 		t.Fatalf("queue not drained: %d", q)
 	}
 }

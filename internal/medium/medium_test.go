@@ -56,7 +56,8 @@ func TestUnicastDelivery(t *testing.T) {
 	m.Attach(b)
 	var result TxResult = -1
 	m.Transmit(a, dataFrame(f, a.mac, b.mac, 100), false, func(r TxResult) { result = r })
-	sim.Run()
+	for sim.Step() {
+	}
 	if result != TxOK {
 		t.Fatalf("result = %v, want ok", result)
 	}
@@ -86,7 +87,8 @@ func TestBroadcastReachesAllAwakeStations(t *testing.T) {
 	)
 	var result TxResult = -1
 	m.Transmit(ap, beacon, true, func(r TxResult) { result = r })
-	sim.Run()
+	for sim.Step() {
+	}
 	if result != TxOK {
 		t.Fatalf("result = %v", result)
 	}
@@ -106,7 +108,8 @@ func TestUnicastToDozingStationFails(t *testing.T) {
 	m.Attach(b)
 	var result TxResult = -1
 	m.Transmit(a, dataFrame(f, a.mac, b.mac, 100), false, func(r TxResult) { result = r })
-	sim.Run()
+	for sim.Step() {
+	}
 	if result != TxNoReceiver {
 		t.Fatalf("result = %v, want no-receiver", result)
 	}
@@ -121,7 +124,8 @@ func TestUnicastToUnknownStation(t *testing.T) {
 	m.Attach(a)
 	var result TxResult = -1
 	m.Transmit(a, dataFrame(f, a.mac, packet.MAC(99), 100), false, func(r TxResult) { result = r })
-	sim.Run()
+	for sim.Step() {
+	}
 	if result != TxNoReceiver {
 		t.Fatalf("result = %v, want no-receiver", result)
 	}
@@ -136,7 +140,8 @@ func TestTapsSeeEverythingIncludingFailures(t *testing.T) {
 	tap := &fakeTap{}
 	m.AttachTap(tap)
 	m.Transmit(a, dataFrame(f, a.mac, b.mac, 100), false, nil)
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(tap.frames) != 1 {
 		t.Fatalf("tap captured %d frames, want 1 (even when unacked)", len(tap.frames))
 	}
@@ -163,7 +168,8 @@ func TestQueueCapDrops(t *testing.T) {
 			}
 		})
 	}
-	sim.Run()
+	for sim.Step() {
+	}
 	if drops == 0 {
 		t.Fatal("no drops despite tiny queue")
 	}
@@ -184,7 +190,8 @@ func TestFIFOWithinStation(t *testing.T) {
 		m.Transmit(a, p, false, nil)
 		ids = append(ids, p.ID)
 	}
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(b.received) != 5 {
 		t.Fatalf("received %d frames", len(b.received))
 	}
@@ -207,7 +214,8 @@ func TestPriorityJumpsQueue(t *testing.T) {
 	m.Transmit(a, first, false, nil)
 	m.Transmit(a, second, false, nil)
 	m.Transmit(a, prio, true, nil)
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(b.received) != 3 {
 		t.Fatalf("received %d frames", len(b.received))
 	}
@@ -225,7 +233,8 @@ func TestAirtimeOccupancy(t *testing.T) {
 	m.Attach(a)
 	m.Attach(b)
 	m.Transmit(a, dataFrame(f, a.mac, b.mac, 1400), false, nil)
-	sim.Run()
+	for sim.Step() {
+	}
 	// One 1400B+headers frame at 24 Mbps is ~500µs; with DIFS, backoff,
 	// SIFS+ACK total busy must be within [0.5ms, 1.5ms].
 	if m.Stats.BusyTime < 500*time.Microsecond || m.Stats.BusyTime > 1500*time.Microsecond {
@@ -276,7 +285,7 @@ func TestSaturationThroughputMatchesTestbed(t *testing.T) {
 	if offered <= delivered {
 		t.Fatalf("no loss under overload: offered %d delivered %d", offered, delivered)
 	}
-	if u := m.Utilization(); u < 0.7 {
+	if u := float64(m.Stats.BusyTime) / float64(sim.Now()); u < 0.7 {
 		t.Fatalf("utilization = %.2f, want saturated (>0.7)", u)
 	}
 	if m.Stats.Collisions == 0 {
@@ -319,7 +328,8 @@ func TestDeterministicAcrossSeeds(t *testing.T) {
 			m.Transmit(a, dataFrame(f, a.mac, b.mac, 500), false, nil)
 			m.Transmit(b, dataFrame(f, b.mac, a.mac, 300), false, nil)
 		}
-		sim.Run()
+		for sim.Step() {
+		}
 		return m.Stats.FramesDelivered, sim.Now()
 	}
 	d1, t1 := run()
@@ -351,7 +361,8 @@ func TestTapsShareOneCopyTheReceiverNeverSees(t *testing.T) {
 	m.AttachTap(tap3)
 	sent := dataFrame(f, a.mac, b.mac, 100)
 	m.Transmit(a, sent, false, nil)
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(b.received) != 1 || len(tap1.frames) != 1 {
 		t.Fatalf("received %d, tapped %d; want 1 and 1", len(b.received), len(tap1.frames))
 	}
@@ -409,7 +420,8 @@ func TestBroadcastDeliveredInAttachOrder(t *testing.T) {
 			m.Attach(&orderStation{fakeStation{mac: packet.MAC(uint32(i + 2)), radio: true}, name, &log})
 		}
 		m.Transmit(src, dataFrame(f, src.mac, packet.BroadcastMAC, 10), false, nil)
-		sim.Run()
+		for sim.Step() {
+		}
 		if got := fmt.Sprint(log); got != "[a b c d e]" {
 			t.Fatalf("run %d: delivery order %s, want attach order", run, got)
 		}

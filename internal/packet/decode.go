@@ -14,11 +14,8 @@ type DecodeOptions struct {
 	VerifyChecksums bool
 }
 
-// Default decodes without checksum verification; Strict verifies.
-var (
-	Default = DecodeOptions{}
-	Strict  = DecodeOptions{VerifyChecksums: true}
-)
+// Default decodes without checksum verification.
+var Default = DecodeOptions{}
 
 // Decode errors.
 var (

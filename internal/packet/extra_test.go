@@ -42,7 +42,7 @@ func TestMoreDataAndRetryBitsRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := Decode(data, LayerTypeDot11, Strict)
+	q, err := Decode(data, LayerTypeDot11, DecodeOptions{VerifyChecksums: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestQuickRoundtripUDP(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q, err := Decode(data, LayerTypeIPv4, Strict)
+		q, err := Decode(data, LayerTypeIPv4, DecodeOptions{VerifyChecksums: true})
 		if err != nil {
 			return false
 		}
@@ -118,7 +118,7 @@ func TestQuickIPv4ChecksumAlwaysValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, err = Decode(data, LayerTypeIPv4, Strict)
+		_, err = Decode(data, LayerTypeIPv4, DecodeOptions{VerifyChecksums: true})
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -16,7 +16,6 @@ const (
 const (
 	SubtypeBeacon   = 8  // management
 	SubtypePSPoll   = 10 // control
-	SubtypeAck      = 13 // control
 	SubtypeData     = 0  // data
 	SubtypeNullData = 4  // data, used to announce power-state changes
 )

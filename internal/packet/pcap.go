@@ -7,11 +7,9 @@ import (
 	"time"
 )
 
-// Link-layer header types for pcap files.
-const (
-	LinkTypeRaw   uint32 = 101 // raw IP
-	LinkTypeDot11 uint32 = 105 // IEEE 802.11 without radiotap
-)
+// LinkTypeDot11 is the pcap link-layer header type for IEEE 802.11
+// without radiotap.
+const LinkTypeDot11 uint32 = 105
 
 // PcapWriter emits the classic libpcap file format (magic 0xa1b2c3d4,
 // microsecond timestamps) so captures from the simulated sniffers can be
@@ -21,7 +19,6 @@ type PcapWriter struct {
 	snaplen  uint32
 	linkType uint32
 	wroteHdr bool
-	records  int
 }
 
 // NewPcapWriter creates a writer for the given link type.
@@ -63,12 +60,8 @@ func (pw *PcapWriter) WritePacket(ts time.Duration, data []byte) error {
 	if _, err := pw.w.Write(data); err != nil {
 		return err
 	}
-	pw.records++
 	return nil
 }
-
-// Records returns the number of packets written.
-func (pw *PcapWriter) Records() int { return pw.records }
 
 // PcapRecord is one packet read back from a pcap stream.
 type PcapRecord struct {

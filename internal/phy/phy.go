@@ -13,17 +13,9 @@ import (
 // Rate is a PHY data rate in Mbps.
 type Rate float64
 
-// The 802.11g OFDM rate set.
-const (
-	Rate6  Rate = 6
-	Rate9  Rate = 9
-	Rate12 Rate = 12
-	Rate18 Rate = 18
-	Rate24 Rate = 24
-	Rate36 Rate = 36
-	Rate48 Rate = 48
-	Rate54 Rate = 54
-)
+// Rate24 is the 802.11g OFDM rate the testbed runs data and control
+// frames at (see Params.DataRate).
+const Rate24 Rate = 24
 
 // Params collects the 802.11g timing constants.
 type Params struct {
@@ -77,28 +69,8 @@ func (p Params) Airtime(bytes int, rate Rate) time.Duration {
 	return p.Preamble + time.Duration(int(symbols))*4*time.Microsecond + p.SignalExt
 }
 
-// DataAirtime is Airtime at the data rate.
-func (p Params) DataAirtime(bytes int) time.Duration { return p.Airtime(bytes, p.DataRate) }
-
 // AckTime is the airtime of a 14-byte ACK at the control rate.
 func (p Params) AckTime() time.Duration { return p.Airtime(14, p.ControlRate) }
-
-// FrameExchangeTime is the full cost of one acked unicast data frame:
-// DIFS + frame + SIFS + ACK (backoff excluded; the medium adds it).
-func (p Params) FrameExchangeTime(bytes int) time.Duration {
-	return p.DIFS() + p.DataAirtime(bytes) + p.SIFS + p.AckTime()
-}
-
-// MaxUDPThroughput estimates the saturation UDP goodput (bits/s) for a
-// given payload size, assuming average backoff of CWmin/2 slots and no
-// collisions. Tests use it to sanity-check the medium model against the
-// ~20 Mbps ceiling reported for 802.11g [Wijesinha et al.].
-func (p Params) MaxUDPThroughput(payloadBytes int) float64 {
-	// payload + UDP/IP headers + 802.11 data header/LLC
-	wire := payloadBytes + 8 + 20 + 32
-	perFrame := p.FrameExchangeTime(wire) + time.Duration(p.CWmin/2)*p.SlotTime
-	return float64(payloadBytes*8) / perFrame.Seconds()
-}
 
 // String implements fmt.Stringer.
 func (p Params) String() string {

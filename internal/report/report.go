@@ -31,27 +31,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted cells (each arg via %v).
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row[i] = v
-		case float64:
-			row[i] = fmt.Sprintf("%.2f", v)
-		case time.Duration:
-			row[i] = fmt.Sprintf("%.3f", stats.Millis(v))
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.AddRow(row...)
-}
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Headers))

@@ -143,9 +143,6 @@ func New(sim *simtime.Sim, cfg Config, tr *trace.Trace) *Bus {
 	return b
 }
 
-// Config returns the bus configuration.
-func (b *Bus) Config() Config { return b.cfg }
-
 // Asleep reports whether the bus is sleeping.
 func (b *Bus) Asleep() bool { return b.asleep }
 

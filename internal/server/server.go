@@ -93,7 +93,6 @@ type LoadServer struct {
 
 	ReceivedBytes   uint64
 	ReceivedPackets uint64
-	firstAt, lastAt time.Duration
 }
 
 // IperfPort is the iPerf UDP port.
@@ -109,10 +108,6 @@ func NewLoadServer(sim *simtime.Sim, fac *packet.Factory, ip packet.IPv4Addr, tr
 		panic("server: iperf bind: " + err.Error())
 	}
 	sock.SetRecv(func(payload []byte, from packet.IPv4Addr, fromPort uint16, p *packet.Packet, at time.Duration) {
-		if ls.ReceivedPackets == 0 {
-			ls.firstAt = at
-		}
-		ls.lastAt = at
 		ls.ReceivedPackets++
 		ls.ReceivedBytes += uint64(len(payload))
 	})
@@ -121,15 +116,6 @@ func NewLoadServer(sim *simtime.Sim, fac *packet.Factory, ip packet.IPv4Addr, tr
 
 // Connect wires the sink's transmit path.
 func (ls *LoadServer) Connect(send func(*packet.Packet)) { ls.dev.send = send }
-
-// GoodputBps returns the achieved UDP goodput over the receive window.
-func (ls *LoadServer) GoodputBps() float64 {
-	window := ls.lastAt - ls.firstAt
-	if window <= 0 {
-		return 0
-	}
-	return float64(ls.ReceivedBytes*8) / window.Seconds()
-}
 
 // LoadGenConfig configures the wireless load generator.
 type LoadGenConfig struct {
@@ -231,9 +217,4 @@ func (g *LoadGen) Stop() {
 		s.Close()
 	}
 	g.socks = nil
-}
-
-// OfferedBps returns the configured aggregate offered load.
-func (g *LoadGen) OfferedBps() float64 {
-	return float64(g.cfg.Flows) * g.cfg.RatePerFlowBps
 }

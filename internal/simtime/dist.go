@@ -2,7 +2,6 @@ package simtime
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -47,74 +46,6 @@ func (u Uniform) Sample(s *Sim) time.Duration {
 func (u Uniform) Mean() time.Duration { return (u.Lo + u.Hi) / 2 }
 
 func (u Uniform) String() string { return fmt.Sprintf("uniform(%v,%v)", u.Lo, u.Hi) }
-
-// Normal is a Gaussian clipped at Min (negative latencies make no sense).
-type Normal struct {
-	Mu, Sigma time.Duration
-	Min       time.Duration
-}
-
-// Sample implements Dist.
-func (n Normal) Sample(s *Sim) time.Duration {
-	v := time.Duration(float64(n.Mu) + s.Rand().NormFloat64()*float64(n.Sigma))
-	if v < n.Min {
-		return n.Min
-	}
-	return v
-}
-
-// Mean implements Dist. The clipping bias is ignored; callers keep
-// Mu >> Sigma so the approximation holds.
-func (n Normal) Mean() time.Duration { return n.Mu }
-
-func (n Normal) String() string { return fmt.Sprintf("normal(μ=%v,σ=%v)", n.Mu, n.Sigma) }
-
-// LogNormal models heavy-ish right tails such as process scheduling
-// delay and Dalvik VM overhead. MuLog/SigmaLog parameterise the
-// underlying normal in log-space of seconds.
-type LogNormal struct {
-	MuLog, SigmaLog float64
-	Min             time.Duration
-}
-
-// Sample implements Dist.
-func (l LogNormal) Sample(s *Sim) time.Duration {
-	v := math.Exp(l.MuLog + s.Rand().NormFloat64()*l.SigmaLog)
-	d := time.Duration(v * float64(time.Second))
-	if d < l.Min {
-		return l.Min
-	}
-	return d
-}
-
-// Mean implements Dist.
-func (l LogNormal) Mean() time.Duration {
-	return time.Duration(math.Exp(l.MuLog+l.SigmaLog*l.SigmaLog/2) * float64(time.Second))
-}
-
-func (l LogNormal) String() string {
-	return fmt.Sprintf("lognormal(μ=%.3f,σ=%.3f)", l.MuLog, l.SigmaLog)
-}
-
-// Exponential has the given mean, clipped below at Min.
-type Exponential struct {
-	MeanD time.Duration
-	Min   time.Duration
-}
-
-// Sample implements Dist.
-func (e Exponential) Sample(s *Sim) time.Duration {
-	v := time.Duration(s.Rand().ExpFloat64() * float64(e.MeanD))
-	if v < e.Min {
-		return e.Min
-	}
-	return v
-}
-
-// Mean implements Dist.
-func (e Exponential) Mean() time.Duration { return e.MeanD }
-
-func (e Exponential) String() string { return fmt.Sprintf("exp(mean=%v)", e.MeanD) }
 
 // Scaled multiplies another distribution by a constant factor, used to
 // derate latencies for slower CPUs (e.g. the Xperia J's single core).

@@ -20,26 +20,6 @@ func TestScaledDist(t *testing.T) {
 	}
 }
 
-func TestLogNormalClipsAtMin(t *testing.T) {
-	s := New(2)
-	d := LogNormal{MuLog: -9, SigmaLog: 2, Min: 100 * time.Microsecond}
-	for i := 0; i < 5000; i++ {
-		if v := d.Sample(s); v < d.Min {
-			t.Fatalf("lognormal sample %v below min", v)
-		}
-	}
-}
-
-func TestExponentialClipsAtMin(t *testing.T) {
-	s := New(3)
-	d := Exponential{MeanD: time.Millisecond, Min: 200 * time.Microsecond}
-	for i := 0; i < 5000; i++ {
-		if v := d.Sample(s); v < d.Min {
-			t.Fatalf("exponential sample %v below min", v)
-		}
-	}
-}
-
 func TestMixtureEdgeCases(t *testing.T) {
 	s := New(4)
 	var empty Mixture

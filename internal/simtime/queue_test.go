@@ -85,8 +85,8 @@ func TestQueueMatchesSortedReference(t *testing.T) {
 						seed, op, fired, s.Now(), want.id, want.when)
 				}
 			}
-			if s.Pending() != len(pending) {
-				t.Fatalf("seed %d op %d: %d queued, reference holds %d", seed, op, s.Pending(), len(pending))
+			if len(s.queue) != len(pending) {
+				t.Fatalf("seed %d op %d: %d queued, reference holds %d", seed, op, len(s.queue), len(pending))
 			}
 		}
 	}
@@ -172,7 +172,8 @@ func TestHeldEventsNeverRecycled(t *testing.T) {
 	for _, tk := range tickers {
 		tk.Stop()
 	}
-	s.Run()
+	for s.Step() {
+	}
 	held()
 	if stoppedTicks != 0 {
 		t.Fatalf("%d ticks fired after their ticker stopped itself", stoppedTicks)
@@ -209,7 +210,8 @@ func TestRepostReusesFiredEventFIFO(t *testing.T) {
 	})
 	s.Post(time.Millisecond, func() { got = append(got, "b") })
 	s.Post(time.Millisecond, func() { got = append(got, "c") })
-	s.Run()
+	for s.Step() {
+	}
 	if !reused {
 		t.Fatal("the repost did not reuse the event that just fired")
 	}

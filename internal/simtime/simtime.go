@@ -183,9 +183,6 @@ func (s *Sim) down(i int) bool {
 	return i > start
 }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return len(s.queue) }
-
 // Step fires the earliest event. It reports false when the queue is
 // empty. A posted event goes back to the free list before its callback
 // runs, so a callback that posts again reuses the event that just fired.
@@ -206,12 +203,6 @@ func (s *Sim) Step() bool {
 	}
 	fn()
 	return true
-}
-
-// Run fires events until the queue drains.
-func (s *Sim) Run() {
-	for s.Step() {
-	}
 }
 
 // RunUntil fires events with timestamps <= t, then advances the clock to

@@ -43,15 +43,6 @@ func (t *Timer) Stop() bool {
 // Armed reports whether the timer is pending.
 func (t *Timer) Armed() bool { return t.ev.idx >= 0 }
 
-// Deadline returns the virtual time at which the armed timer fires; the
-// second result is false when the timer is unarmed.
-func (t *Timer) Deadline() (time.Duration, bool) {
-	if !t.Armed() {
-		return 0, false
-	}
-	return t.ev.when, true
-}
-
 // Ticker fires a callback at a fixed period until stopped. It models
 // periodic kernel work such as the driver watchdog (dhd_watchdog_ms) and
 // the AP's beacon generation (TBTT). Like a Timer it owns one event,
@@ -100,9 +91,6 @@ func (t *Ticker) Stop() {
 	t.stopped = true
 	t.sim.cancel(&t.ev)
 }
-
-// Period returns the ticker period.
-func (t *Ticker) Period() time.Duration { return t.period }
 
 // NextAfter returns the first tick instant strictly later than ts.
 func (t *Ticker) NextAfter(ts time.Duration) time.Duration {

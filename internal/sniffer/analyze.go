@@ -131,16 +131,6 @@ func (a *analyzer) frame(p *packet.Packet, ts time.Duration) {
 	}
 }
 
-// AnalyzeCapture inspects a live sniffer's records directly.
-func AnalyzeCapture(s *Sniffer) *Analysis {
-	an := newAnalyzer()
-	for _, r := range s.Records() {
-		an.frame(r.Frame, r.Timestamp())
-	}
-	out := an.out
-	return &out
-}
-
 // AnalyzeMerged inspects a merged multi-sniffer capture in time order.
 func AnalyzeMerged(m *Merged) *Analysis {
 	an := newAnalyzer()

@@ -46,7 +46,7 @@ func buildCapture(t *testing.T) *Sniffer {
 }
 
 func TestAnalyzeCaptureDetectsPSMEpisode(t *testing.T) {
-	a := AnalyzeCapture(buildCapture(t))
+	a := AnalyzeMerged(Merge(buildCapture(t)))
 	if !a.PSMActive() {
 		t.Fatal("PSM episode not detected")
 	}
@@ -82,7 +82,7 @@ func TestAnalyzePcapRoundtrip(t *testing.T) {
 
 func TestAnalyzePcapRejectsWrongLinkType(t *testing.T) {
 	var buf bytes.Buffer
-	w := packet.NewPcapWriter(&buf, packet.LinkTypeRaw)
+	w := packet.NewPcapWriter(&buf, 101) // LINKTYPE_RAW: raw IP
 	if err := w.WritePacket(0, []byte{0x45, 0, 0, 20}); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestAnalyzeTCPConnectRTT(t *testing.T) {
 		&packet.TCP{SrcPort: 80, DstPort: 40001, Seq: 555, Ack: 1001, Flags: packet.TCPSyn | packet.TCPAck})
 	s.CaptureFrame(syn, 0, 5*time.Millisecond)
 	s.CaptureFrame(synAck, 0, 36*time.Millisecond)
-	a := AnalyzeCapture(s)
+	a := AnalyzeMerged(Merge(s))
 	if len(a.ConnectRTTs) != 1 || a.ConnectRTTs[0] != 31*time.Millisecond {
 		t.Fatalf("connect RTTs = %v", a.ConnectRTTs)
 	}
@@ -142,7 +142,7 @@ func TestAnalyzeMergedOrdersFrames(t *testing.T) {
 // End-to-end check against Table 5's methodology lives in the
 // experiments package; here we confirm the stats plumbing.
 func TestAnalysisStatsUsable(t *testing.T) {
-	a := AnalyzeCapture(buildCapture(t))
+	a := AnalyzeMerged(Merge(buildCapture(t)))
 	var s stats.Sample = a.EchoRTTs
 	if s.Mean() == 0 {
 		t.Fatal("sample not usable")

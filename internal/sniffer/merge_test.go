@@ -78,8 +78,8 @@ func TestMergeIsTimeOrderedEarliestPerID(t *testing.T) {
 		}
 	}
 	recs := m.Records()
-	if len(recs) != len(earliest) || m.Count() != len(earliest) {
-		t.Fatalf("merged %d records (Count %d), want %d distinct IDs", len(recs), m.Count(), len(earliest))
+	if len(recs) != len(earliest) || len(m.Records()) != len(earliest) {
+		t.Fatalf("merged %d records (Count %d), want %d distinct IDs", len(recs), len(m.Records()), len(earliest))
 	}
 	seen := map[uint64]bool{}
 	for i, r := range recs {

@@ -62,12 +62,6 @@ func (s *Sniffer) CaptureFrame(p *packet.Packet, airStart, airEnd time.Duration)
 // its airtime.
 func (s *Sniffer) Records() []Record { return s.records }
 
-// Reset clears the capture buffer.
-func (s *Sniffer) Reset() {
-	s.records = nil
-	s.Captured, s.Missed = 0, 0
-}
-
 // WritePcap serializes the capture into classic pcap format (802.11
 // link type) so it can be inspected with tcpdump/Wireshark.
 func (s *Sniffer) WritePcap(w io.Writer) error {
@@ -129,9 +123,6 @@ func Merge(sniffers ...*Sniffer) *Merged {
 		}
 	}
 }
-
-// Count returns the number of distinct frames captured.
-func (m *Merged) Count() int { return len(m.recs) }
 
 // Records returns the deduplicated records in timestamp order. The
 // slice is shared; callers must not modify it.

@@ -21,11 +21,6 @@ type Sample []time.Duration
 // paper's tables.
 func Millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// FromMillis converts float milliseconds to a duration.
-func FromMillis(ms float64) time.Duration {
-	return time.Duration(ms * float64(time.Millisecond))
-}
-
 func (s Sample) sorted() Sample {
 	c := make(Sample, len(s))
 	copy(c, s)
@@ -284,17 +279,7 @@ type ECDF struct {
 // NewECDF builds an ECDF over the sample.
 func NewECDF(s Sample) *ECDF { return &ECDF{sorted: s.sorted()} }
 
-// At returns P(X <= d).
-func (e *ECDF) At(d time.Duration) float64 {
-	n := len(e.sorted)
-	if n == 0 {
-		return 0
-	}
-	idx := sort.Search(n, func(i int) bool { return e.sorted[i] > d })
-	return float64(idx) / float64(n)
-}
-
-// Quantile returns the smallest sample value v with At(v) >= q.
+// Quantile returns the smallest sample value v with P(X <= v) >= q.
 func (e *ECDF) Quantile(q float64) time.Duration {
 	n := len(e.sorted)
 	if n == 0 {
@@ -315,19 +300,3 @@ func (e *ECDF) Quantile(q float64) time.Duration {
 
 // N returns the number of samples backing the ECDF.
 func (e *ECDF) N() int { return len(e.sorted) }
-
-// Points returns (value, probability) pairs suitable for plotting the
-// step function, one point per distinct sample value.
-func (e *ECDF) Points() ([]time.Duration, []float64) {
-	n := len(e.sorted)
-	var xs []time.Duration
-	var ps []float64
-	for i := 0; i < n; i++ {
-		if i+1 < n && e.sorted[i+1] == e.sorted[i] {
-			continue
-		}
-		xs = append(xs, e.sorted[i])
-		ps = append(ps, float64(i+1)/float64(n))
-	}
-	return xs, ps
-}

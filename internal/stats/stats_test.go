@@ -33,7 +33,7 @@ func TestEmptySampleIsSafe(t *testing.T) {
 		t.Fatal("empty box should have N=0")
 	}
 	e := NewECDF(s)
-	if e.At(ms(5)) != 0 {
+	if e.N() != 0 || e.Quantile(0.5) != 0 {
 		t.Fatal("empty ECDF should be 0 everywhere")
 	}
 }
@@ -130,23 +130,26 @@ func TestBoxplotNoOutliers(t *testing.T) {
 	}
 }
 
+// TestECDFStep: the ECDF of {10,20,20,30} steps to 0.25, 0.75 and 1 at
+// 10, 20 and 30 ms (the tie counts twice), so its inverse jumps exactly
+// past those levels.
 func TestECDFStep(t *testing.T) {
 	s := Sample{ms(10), ms(20), ms(20), ms(30)}
 	e := NewECDF(s)
 	cases := []struct {
-		at   time.Duration
-		want float64
+		q    float64
+		want time.Duration
 	}{
-		{ms(5), 0},
-		{ms(10), 0.25},
-		{ms(19.99), 0.25},
-		{ms(20), 0.75},
-		{ms(30), 1},
-		{ms(99), 1},
+		{0.01, ms(10)},
+		{0.25, ms(10)},
+		{0.26, ms(20)},
+		{0.75, ms(20)},
+		{0.76, ms(30)},
+		{1, ms(30)},
 	}
 	for _, c := range cases {
-		if got := e.At(c.at); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("ECDF(%v) = %v, want %v", c.at, got, c.want)
+		if got := e.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
 }
@@ -162,22 +165,6 @@ func TestECDFQuantile(t *testing.T) {
 	}
 	if got := e.Quantile(0); got != ms(10) {
 		t.Errorf("Quantile(0) = %v, want 10ms", got)
-	}
-}
-
-func TestECDFPointsMonotone(t *testing.T) {
-	s := Sample{ms(10), ms(20), ms(20), ms(30), ms(5)}
-	xs, ps := NewECDF(s).Points()
-	if len(xs) != 4 { // 5,10,20,30 distinct
-		t.Fatalf("points = %v, want 4 distinct values", xs)
-	}
-	for i := 1; i < len(xs); i++ {
-		if xs[i] <= xs[i-1] || ps[i] <= ps[i-1] {
-			t.Fatalf("ECDF points not strictly increasing: %v %v", xs, ps)
-		}
-	}
-	if ps[len(ps)-1] != 1 {
-		t.Fatalf("last ECDF point %v, want 1", ps[len(ps)-1])
 	}
 }
 
@@ -228,7 +215,8 @@ func TestQuickPercentileMonotone(t *testing.T) {
 	}
 }
 
-// Property: ECDF is monotone non-decreasing and hits 1 at the max sample.
+// Property: ECDF is monotone non-decreasing and hits 1 at the max
+// sample: its inverse never decreases in q and reaches the max at q=1.
 func TestQuickECDFMonotone(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
@@ -239,15 +227,15 @@ func TestQuickECDFMonotone(t *testing.T) {
 			s[i] = time.Duration(v) * time.Microsecond
 		}
 		e := NewECDF(s)
-		prev := -1.0
-		for x := time.Duration(0); x <= s.Max(); x += 100 * time.Microsecond {
-			p := e.At(x)
-			if p < prev {
+		prev := time.Duration(-1)
+		for q := 0.0; q <= 1; q += 0.01 {
+			v := e.Quantile(q)
+			if v < prev {
 				return false
 			}
-			prev = p
+			prev = v
 		}
-		return e.At(s.Max()) == 1
+		return e.Quantile(1) == s.Max()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

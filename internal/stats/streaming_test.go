@@ -16,7 +16,7 @@ func TestStreamingMatchesSummarize(t *testing.T) {
 	s := make(Sample, 20000)
 	for i := range s {
 		ms := math.Exp(rng.NormFloat64()*1.0 + 3.4)
-		s[i] = FromMillis(ms)
+		s[i] = time.Duration(ms * float64(time.Millisecond))
 	}
 	st := NewStreaming(0)
 	st.AddSample(s)

@@ -226,9 +226,6 @@ type LayerRTTs struct {
 	DnOK       bool
 }
 
-// DeltaUK is the user-kernel overhead Δdu−k.
-func (l LayerRTTs) DeltaUK() (time.Duration, bool) { return l.Du - l.Dk, l.DuOK && l.DkOK }
-
 // DeltaKN is the kernel-phy overhead Δdk−n.
 func (l LayerRTTs) DeltaKN() (time.Duration, bool) { return l.Dk - l.Dn, l.DkOK && l.DnOK }
 

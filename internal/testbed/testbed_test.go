@@ -69,8 +69,8 @@ func TestAssemblySanity(t *testing.T) {
 		t.Fatalf("beacons = %d", tb.AP.Stats.BeaconsSent)
 	}
 	// Sniffers must have heard the beacons.
-	if tb.MergedCapture().Count() < 8 {
-		t.Fatalf("sniffers captured %d frames", tb.MergedCapture().Count())
+	if len(tb.MergedCapture().Records()) < 8 {
+		t.Fatalf("sniffers captured %d frames", len(tb.MergedCapture().Records()))
 	}
 }
 

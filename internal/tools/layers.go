@@ -47,10 +47,3 @@ func LayerSamples(tb *testbed.Testbed, r Result) (du, dk, dn stats.Sample) {
 	l := ExtractLayers(tb, tb.MergedCapture(), r.Records)
 	return l.Du, l.Dk, l.Dn
 }
-
-// Overheads extracts Δdu−k and Δdk−n per probe (Figures 3 and 7) via
-// the shared ExtractLayers walk.
-func Overheads(tb *testbed.Testbed, r Result) (duk, dkn stats.Sample) {
-	l := ExtractLayers(tb, tb.MergedCapture(), r.Records)
-	return l.DuK, l.DkN
-}

@@ -7,7 +7,6 @@ package trace
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"time"
 )
@@ -92,29 +91,6 @@ func copyArg(v reflect.Value) reflect.Value {
 	return c
 }
 
-// Events returns the recorded events in insertion order.
-func (t *Trace) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	return t.events
-}
-
-// Len returns the number of recorded events (0 for nil).
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.events)
-}
-
-// Reset discards all events.
-func (t *Trace) Reset() {
-	if t != nil {
-		t.events = t.events[:0]
-	}
-}
-
 // Filter returns the events whose actor matches.
 func (t *Trace) Filter(actor string) []Event {
 	if t == nil {
@@ -131,6 +107,8 @@ func (t *Trace) Filter(actor string) []Event {
 
 // Find returns the first event with the given name after (inclusive) at,
 // or a zero Event and false.
+//
+//acutemon:ignore AM006 driver's TestTraceReproducesFig5CallChain reads the recorded bcmdhd rx calls through it
 func (t *Trace) Find(name string, at time.Duration) (Event, bool) {
 	if t == nil {
 		return Event{}, false
@@ -144,6 +122,8 @@ func (t *Trace) Find(name string, at time.Duration) (Event, bool) {
 }
 
 // Names returns the distinct event names in first-appearance order.
+//
+//acutemon:ignore AM006 driver's TestTraceReproducesFig4CallChain and sdio's TestTraceRecordsTransitions read the recorded calls through it
 func (t *Trace) Names() []string {
 	if t == nil {
 		return nil
@@ -157,22 +137,6 @@ func (t *Trace) Names() []string {
 		}
 	}
 	return out
-}
-
-// Render formats the whole trace, sorted by time (stably, so equal-time
-// events keep insertion order).
-func (t *Trace) Render() string {
-	if t == nil || len(t.events) == 0 {
-		return "(empty trace)\n"
-	}
-	evs := append([]Event(nil), t.events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	var b strings.Builder
-	for _, e := range evs {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // RenderCallChain renders events as an indented call chain in the style

@@ -11,15 +11,11 @@ func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
 	tr.Add(0, "dpc", "fn", "")
 	tr.Addf(0, "dpc", "fn", "x=%d", 1)
-	tr.Reset()
-	if tr.Len() != 0 || tr.Events() != nil || tr.Filter("dpc") != nil || tr.Names() != nil {
+	if tr.Filter("dpc") != nil || tr.Names() != nil {
 		t.Fatal("nil trace should behave as empty")
 	}
 	if _, ok := tr.Find("fn", 0); ok {
 		t.Fatal("nil trace found an event")
-	}
-	if got := tr.Render(); got != "(empty trace)\n" {
-		t.Fatalf("nil render = %q", got)
 	}
 }
 
@@ -28,8 +24,8 @@ func TestAddAndFilter(t *testing.T) {
 	tr.Add(1*time.Millisecond, "dpc", "dhdsdio_dpc", "")
 	tr.Add(2*time.Millisecond, "rxf", "dhd_rxf_dequeue", "")
 	tr.Addf(3*time.Millisecond, "dpc", "dhdsdio_txpkt", "len=%d", 98)
-	if tr.Len() != 3 {
-		t.Fatalf("len = %d, want 3", tr.Len())
+	if len(tr.events) != 3 {
+		t.Fatalf("len = %d, want 3", len(tr.events))
 	}
 	dpc := tr.Filter("dpc")
 	if len(dpc) != 2 || dpc[1].Attrs != "len=98" {
@@ -42,8 +38,8 @@ func TestMaxCap(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Add(time.Duration(i), "a", "e", "")
 	}
-	if tr.Len() != 2 {
-		t.Fatalf("capped trace len = %d, want 2", tr.Len())
+	if len(tr.events) != 2 {
+		t.Fatalf("capped trace len = %d, want 2", len(tr.events))
 	}
 }
 
@@ -71,16 +67,6 @@ func TestNamesDistinctOrdered(t *testing.T) {
 	}
 }
 
-func TestRenderSortsByTime(t *testing.T) {
-	tr := New(0)
-	tr.Add(5*time.Millisecond, "b", "later", "")
-	tr.Add(1*time.Millisecond, "a", "earlier", "")
-	out := tr.Render()
-	if strings.Index(out, "earlier") > strings.Index(out, "later") {
-		t.Fatalf("render not time-sorted:\n%s", out)
-	}
-}
-
 func TestRenderCallChain(t *testing.T) {
 	tr := New(0)
 	tr.Add(0, "dpc", "dhd_bus_dpc", "")
@@ -94,15 +80,6 @@ func TestRenderCallChain(t *testing.T) {
 	}
 	if got := tr.RenderCallChain("nobody"); !strings.Contains(got, "no events") {
 		t.Errorf("empty chain render = %q", got)
-	}
-}
-
-func TestReset(t *testing.T) {
-	tr := New(0)
-	tr.Add(0, "a", "x", "")
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatal("reset did not clear events")
 	}
 }
 
@@ -147,7 +124,7 @@ func TestAddfFormatsLikeSprintf(t *testing.T) {
 	tr := New(0)
 	for i, c := range cases {
 		tr.Addf(time.Duration(i), "a", "n", c.format, c.args...)
-		if got, want := tr.Events()[i].Attrs, fmt.Sprintf(c.format, c.args...); got != want {
+		if got, want := tr.events[i].Attrs, fmt.Sprintf(c.format, c.args...); got != want {
 			t.Errorf("Addf(%q) = %q, want %q", c.format, got, want)
 		}
 	}
