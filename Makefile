@@ -56,8 +56,9 @@ bench-json:
 bench-gate:
 	$(GO) run ./cmd/benchdiff -baseline bench-baseline.json -current $(BENCH_FILE)
 
-# 30s native-fuzz smoke on each untrusted-input decoder, starting from
-# the committed corpus in internal/ingest/testdata/fuzz. Catches
+# 30s native-fuzz smoke on eight targets — the untrusted-input
+# decoders, the hand-written JSON codecs and the span-stored Hist —
+# starting from the committed corpora under testdata/fuzz. Catches
 # decoder panics and bounds-check slips on every PR without a long
 # fuzzing campaign. FuzzSketchBatchFold additionally drives every
 # accepted sketch through the agg batch entry points (AddMulti on
@@ -70,6 +71,9 @@ bench-gate:
 # scanner to encoding/json: same verdict, deeply equal summaries.
 # FuzzAppendBatchMatchesEncodingJSON holds the hand-written JSON-lines
 # encoder to encoding/json: same bytes, same errors.
+# FuzzReadSnapshot feeds the knowledge-file reader (disk and POST
+# /v1/profiles): anything it accepts merges into a fresh store, and
+# that store's snapshot bytes read, merge and write back unchanged.
 fuzz-smoke:
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=30s
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBatchMatchesEncodingJSON$$' -fuzztime=30s
@@ -78,6 +82,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz '^FuzzDecodeGossipDelta$$' -fuzztime=30s
 	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzSketchBatchFold$$' -fuzztime=30s
 	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzHistOps$$' -fuzztime=30s
+	$(GO) test ./internal/puncture/ -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime=30s
 
 # The ingestd persistence e2e in isolation: kill → reboot → learned
 # overhead table identical, the fleet→ingest delta merge, and a stream

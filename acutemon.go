@@ -164,9 +164,9 @@ func ToolLayerSamples(tb *Testbed, res *ToolResult) (du, dk, dn Sample) {
 // (TCP connect/HTTP + UDP echo).
 func StartLiveServers(addr string) (*live.Servers, error) { return live.StartServers(addr) }
 
-// RegistryEntry is one phone model's calibrated parameters — an entry
-// of a -registry file and the unit KnowledgeStore.RecordCalibration
-// and Calibration speak.
+// RegistryEntry is one phone model's calibrated parameters — the
+// calibration a DeviceProfile embeds and the unit
+// KnowledgeStore.RecordCalibration and Calibration speak.
 type RegistryEntry = puncture.CalEntry
 
 // Fleet-scale campaign surface. A Campaign runs hundreds to thousands
@@ -241,7 +241,8 @@ func NewStreamingSummary() *StreamingSummary { return stats.NewStreaming(0) }
 // Crowd-scale ingestion surface. An IngestServer accepts batched
 // per-session summaries over HTTP, punctures every reported RTT online
 // against the calibration database, and serves raw-vs-corrected
-// windowed aggregates at /stats, /models, and /healthz.
+// windowed aggregates at /stats and /v1/stream, the knowledge store at
+// /v1/profiles, and liveness at /healthz.
 type (
 	// IngestConfig parameterises an ingest server.
 	IngestConfig = ingest.Config

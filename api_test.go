@@ -7,10 +7,8 @@ package acutemon_test
 // stay pinned to their signatures.
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -29,7 +27,7 @@ var (
 	_ func(st *acutemon.KnowledgeStore, o *acutemon.KnowledgeStore) error                          = (*acutemon.KnowledgeStore).Merge
 	_ func(st *acutemon.KnowledgeStore, m string) (acutemon.RegistryEntry, bool)                   = (*acutemon.KnowledgeStore).Calibration
 	_ func(st *acutemon.KnowledgeStore, m, chip string) (time.Duration, acutemon.CorrectionSource) = (*acutemon.KnowledgeStore).Resolve
-	_ func(st *acutemon.KnowledgeStore, path string) error                                         = (*acutemon.KnowledgeStore).SaveCalibrationsFile
+	_ func(st *acutemon.KnowledgeStore, path string) error                                         = (*acutemon.KnowledgeStore).SaveFile
 )
 
 func TestRegistriesComplete(t *testing.T) {
@@ -348,8 +346,8 @@ func TestRunRawResults(t *testing.T) {
 }
 
 // TestKnowledgeStoreCalibrations: a calibration recorded in the store
-// is visible as a DeviceProfile, and the -registry file format (a plain
-// entry array) round-trips through SaveCalibrationsFile/LoadKnowledge.
+// is visible as a DeviceProfile and round-trips through the knowledge
+// file (SaveFile/LoadKnowledge).
 func TestKnowledgeStoreCalibrations(t *testing.T) {
 	st := acutemon.NewKnowledgeStore(0)
 	e := acutemon.RegistryEntry{
@@ -364,20 +362,16 @@ func TestKnowledgeStoreCalibrations(t *testing.T) {
 	if !ok || p.CalEntry != e {
 		t.Fatalf("calibration invisible as a profile: %+v", p)
 	}
-	path := filepath.Join(t.TempDir(), "registry.json")
-	if err := st.SaveCalibrationsFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "knowledge.json")
+	if err := st.SaveFile(path); err != nil {
 		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil || !bytes.HasPrefix(raw, []byte("[")) {
-		t.Fatalf("registry file is not an entry array: %s (%v)", raw, err)
 	}
 	back, found, err := acutemon.LoadKnowledge(path, 0)
 	if err != nil || !found {
 		t.Fatalf("load: found=%v err=%v", found, err)
 	}
 	if got, ok := back.Calibration("Pin Phone"); !ok || got != e {
-		t.Fatalf("registry file round trip: %+v ok=%v", got, ok)
+		t.Fatalf("knowledge file round trip: %+v ok=%v", got, ok)
 	}
 }
 

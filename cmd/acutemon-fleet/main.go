@@ -6,8 +6,7 @@
 //
 //	acutemon-fleet [-scenario device-mix] [-sessions 1000] [-workers 0]
 //	               [-probes 100] [-rtt 30ms] [-seed 1] [-json]
-//	               [-registry fleet.json] [-profiles knowledge.json]
-//	               [-calibrate] [-progress]
+//	               [-profiles knowledge.json] [-calibrate] [-progress]
 //	acutemon-fleet -list
 //
 // SIGINT/SIGTERM stop dispatching at the next session boundary, drain
@@ -41,7 +40,6 @@ func main() {
 	probes := flag.Int("probes", 100, "probes per session (K)")
 	rtt := flag.Duration("rtt", 30*time.Millisecond, "base emulated path RTT")
 	seed := flag.Int64("seed", 1, "campaign seed (results are reproducible per seed)")
-	registryPath := flag.String("registry", "", "calibration database JSON: loaded if present, saved after the run")
 	profilesPath := flag.String("profiles", "", "device-knowledge snapshot: loaded if present, taught by every attributing session (and -calibrate), saved after the run; POST it to a live ingestd's /v1/profiles to merge the delta")
 	calibrate := flag.Bool("calibrate", false, "auto-calibrate models missing from the knowledge store before sessions start")
 	progress := flag.Bool("progress", false, "print one line per 100 finished sessions")
@@ -158,29 +156,13 @@ func main() {
 		}
 		c.Profiles = st
 	}
-	if *registryPath != "" || *calibrate {
+	if *calibrate {
 		// One knowledge store carries the calibrations: with -profiles
 		// they land in the saved snapshot too.
 		if c.Profiles == nil {
 			c.Profiles = acutemon.NewKnowledgeStore(0)
 		}
-		if *registryPath != "" {
-			reg, found, err := acutemon.LoadKnowledge(*registryPath, 0)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "registry:", err)
-				os.Exit(1)
-			}
-			if found {
-				for _, e := range reg.Calibrations() {
-					if err := c.Profiles.RecordCalibration(e); err != nil {
-						fmt.Fprintf(os.Stderr, "registry %s: %v\n", *registryPath, err)
-						os.Exit(1)
-					}
-				}
-				fmt.Fprintf(info, "loaded %d calibrated model(s) from %s\n", c.Profiles.CalibratedLen(), *registryPath)
-			}
-		}
-		c.AutoCalibrate = *calibrate
+		c.AutoCalibrate = true
 	}
 
 	if *progress {
@@ -222,13 +204,6 @@ func main() {
 		}
 		fmt.Fprintf(info, "saved %d device profiles (%d calibrated) to %s\n",
 			c.Profiles.Len(), c.Profiles.CalibratedLen(), *profilesPath)
-	}
-	if *registryPath != "" {
-		if err := c.Profiles.SaveCalibrationsFile(*registryPath); err != nil {
-			fmt.Fprintln(os.Stderr, "registry:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(info, "saved %d calibrated model(s) to %s\n", c.Profiles.CalibratedLen(), *registryPath)
 	}
 
 	if rep.Errors > 0 {

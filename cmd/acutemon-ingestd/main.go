@@ -4,13 +4,13 @@
 // stream binary frames to the raw TCP listener (-tcp-addr); every
 // reported RTT is punctured online against the calibration database and
 // folded — raw and corrected side by side — into time-windowed
-// aggregates served at /stats, /models, and /healthz.
+// aggregates served at /stats, /v1/stream, /v1/profiles, and /healthz.
 //
 // Usage:
 //
 //	acutemon-ingestd [-addr 127.0.0.1:7777] [-tcp-addr host:port] [-window 1m]
 //	                 [-queue 256] [-fold-workers 0] [-max-conns 512]
-//	                 [-registry fleet.json] [-pprof 127.0.0.1:6060]
+//	                 [-profiles knowledge.json] [-pprof 127.0.0.1:6060]
 //	acutemon-ingestd -peers http://b:7777,http://c:7777 [-gossip-interval 1s]
 //	                 [-node-id a] — serve fleet-wide aggregates from a gossip cluster
 //	acutemon-ingestd -loadgen [-scenario device-mix] [-sessions 1000]
@@ -63,7 +63,6 @@ func main() {
 	compactWindow := flag.Duration("compact-window", 0, "rollup window width expired cells merge into (0 = 10x window; must not be negative)")
 	streamInterval := flag.Duration("stream-interval", 0, "/v1/stream broadcast coalescing interval (0 = 100ms)")
 	maxSubscribers := flag.Int("max-subscribers", 0, "max concurrent /v1/stream clients (0 = 64)")
-	registryPath := flag.String("registry", "", "calibration database JSON to serve and puncture against")
 	profilesPath := flag.String("profiles", "", "device-knowledge snapshot: loaded on boot, snapshotted atomically while serving, saved on drain (learned overheads survive restarts)")
 	profilesInterval := flag.Duration("profiles-interval", time.Minute, "periodic knowledge-snapshot cadence with -profiles (negative disables the periodic saver)")
 	peers := flag.String("peers", "", "comma-separated peer base URLs — join a gossip cluster and serve fleet-wide aggregates (see README Cluster mode)")
@@ -97,12 +96,6 @@ func main() {
 		startPprof(*pprofAddr)
 	}
 
-	var knowledge *puncture.Store
-	if *registryPath != "" {
-		knowledge = loadRegistry(*registryPath)
-		fmt.Printf("loaded %d calibrated model(s) from %s\n", knowledge.CalibratedLen(), *registryPath)
-	}
-
 	cfg := ingest.Config{
 		Addr:             *addr,
 		TCPAddr:          *tcpAddr,
@@ -115,7 +108,6 @@ func main() {
 		CompactWindow:    *compactWindow,
 		StreamInterval:   *streamInterval,
 		MaxSubscribers:   *maxSubscribers,
-		Profiles:         knowledge,
 		ProfilesPath:     *profilesPath,
 		ProfilesInterval: *profilesInterval,
 	}
@@ -132,7 +124,7 @@ func main() {
 		runLoadgen(ctx, cfg, loadgenSpec{
 			scenario: *scenario, sessions: *sessions, workers: *workers,
 			probes: *probes, rtt: *rtt, seed: *seed, batch: *batch,
-			target: *target, wire: *wire, registry: *registryPath,
+			target: *target, wire: *wire, profiles: *profilesPath,
 		})
 	default:
 		serve(ctx, cfg, cluster.Config{
@@ -182,20 +174,6 @@ func splitPeers(s string) []string {
 	return out
 }
 
-// loadRegistry reads a -registry calibration file (a CalEntry array or
-// a knowledge snapshot) into a fresh store; unlike -profiles, the file
-// must exist.
-func loadRegistry(path string) *puncture.Store {
-	st, found, err := puncture.LoadFile(path, 0)
-	if err != nil {
-		fatal("registry %s: %v", path, err)
-	}
-	if !found {
-		fatal("registry: %s does not exist", path)
-	}
-	return st
-}
-
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(1)
@@ -210,7 +188,7 @@ func serve(ctx context.Context, cfg ingest.Config, ccfg cluster.Config) {
 	if err != nil {
 		fatal("%v", err)
 	}
-	fmt.Printf("acutemon-ingestd listening on %s (POST /v1/ingest /v1/profiles; GET /v1/profiles /stats /v1/stream /models /metrics /healthz)\n", s.Addr())
+	fmt.Printf("acutemon-ingestd listening on %s (POST /v1/ingest /v1/profiles; GET /v1/profiles /stats /v1/stream /metrics /healthz)\n", s.Addr())
 	if cfg.ProfilesPath != "" {
 		st := s.Puncturer().Store()
 		fmt.Printf("device knowledge at %s: %d profiles (%d calibrated) on boot\n",
@@ -267,16 +245,17 @@ type loadgenSpec struct {
 	batch    int
 	target   string
 	wire     string
-	// registry is the -registry file the campaign reads calibrations
-	// from ("" → none).
-	registry string
+	// profiles is the -profiles knowledge file the campaign reads
+	// calibrations from ("" → none).
+	profiles string
 }
 
 // loadgenCampaign builds the seeded campaign a -loadgen run streams.
-// With -registry the campaign reads calibrations from its own store
-// loaded from the same file: sharing the server's store would teach it
-// every attribution twice (once by the fleet, once by ingest) and make
-// the server's corrections depend on that interleaving.
+// With -profiles the campaign reads calibrations from its own store,
+// loaded from the file the server boots from: sharing the server's
+// store would teach it every attribution twice (once by the fleet, once
+// by ingest) and make the server's corrections depend on that
+// interleaving.
 func loadgenCampaign(spec loadgenSpec) fleet.Campaign {
 	sc, ok := fleet.ScenarioByName(spec.scenario)
 	if !ok {
@@ -291,8 +270,12 @@ func loadgenCampaign(spec loadgenSpec) fleet.Campaign {
 			Sessions: spec.sessions, Seed: spec.seed, Probes: spec.probes, BaseRTT: spec.rtt,
 		}),
 	}
-	if spec.registry != "" {
-		c.Profiles = loadRegistry(spec.registry)
+	if spec.profiles != "" {
+		st, _, err := puncture.LoadFile(spec.profiles, 0)
+		if err != nil {
+			fatal("profiles %s: %v", spec.profiles, err)
+		}
+		c.Profiles = st
 	}
 	return c
 }

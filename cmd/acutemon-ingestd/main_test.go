@@ -15,31 +15,31 @@ import (
 	"repro/internal/puncture"
 )
 
-// TestLoadgenCampaignOwnsItsStore: with -registry, the loadgen
+// TestLoadgenCampaignOwnsItsStore: with -profiles, the loadgen
 // campaign reads calibrations from its own copy of the file, so the
 // server's store learns each streamed attribution exactly once (from
 // ingest) and the campaign's reads leave its counts unchanged.
 func TestLoadgenCampaignOwnsItsStore(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "registry.json")
-	reg := puncture.NewStore(0)
+	path := filepath.Join(t.TempDir(), "knowledge.json")
+	know := puncture.NewStore(0)
 	for _, prof := range android.Profiles() {
-		if err := reg.RecordCalibration(puncture.CalEntry{
+		if err := know.RecordCalibration(puncture.CalEntry{
 			Model: prof.Model, Tip: 40 * time.Millisecond, Warmup: 15 * time.Millisecond, Interval: 15 * time.Millisecond, Samples: 4,
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := reg.SaveCalibrationsFile(path); err != nil {
+	if err := know.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 
-	srv, err := ingest.Start(ingest.Config{Window: -1, Profiles: loadRegistry(path)})
+	srv, err := ingest.Start(ingest.Config{Window: -1, ProfilesPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	campaign := loadgenCampaign(loadgenSpec{
 		scenario: "device-mix", sessions: 20, workers: 2, probes: 8,
-		rtt: 30 * time.Millisecond, seed: 3, registry: path,
+		rtt: 30 * time.Millisecond, seed: 3, profiles: path,
 	})
 	if campaign.Profiles == nil || campaign.Profiles == srv.Puncturer().Store() {
 		t.Fatal("loadgen campaign must read calibrations from its own store")

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/android"
 	"repro/internal/packet"
 	"repro/internal/puncture"
 	"repro/internal/stats"
@@ -231,15 +230,4 @@ func CalibrateInto(st *puncture.Store, tb *testbed.Testbed, opts CalibrateOption
 		Samples:  len(cal.TipSamples),
 	}
 	return e, st.RecordCalibration(e)
-}
-
-// effectiveMinTimer is a helper used by tests to cross-check the
-// calibration against the phone's configured timers.
-func effectiveMinTimer(phone *android.Phone) time.Duration {
-	tip := phone.Profile.PSMTimeout
-	tis := phone.Drv.Bus().IdlePeriod()
-	if tis < tip {
-		return tis
-	}
-	return tip
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/android"
 	"repro/internal/puncture"
 	"repro/internal/stats"
 	"repro/internal/testbed"
@@ -102,4 +103,15 @@ func TestCalibrateIntoBuildsDatabase(t *testing.T) {
 	if med < 60*time.Millisecond || med > 66*time.Millisecond {
 		t.Fatalf("median = %v, want ≈61-64ms (no PSM inflation)", med)
 	}
+}
+
+// effectiveMinTimer is a helper used by tests to cross-check the
+// calibration against the phone's configured timers.
+func effectiveMinTimer(phone *android.Phone) time.Duration {
+	tip := phone.Profile.PSMTimeout
+	tis := phone.Drv.Bus().IdlePeriod()
+	if tis < tip {
+		return tis
+	}
+	return tip
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // The calibration database CalibrateInto fills is a puncture.Store;
-// these tests pin the record, lookup, -registry file and concurrency
+// these tests pin the record, lookup, knowledge file and concurrency
 // behaviour the measurement layer relies on.
 
 func validEntry() puncture.CalEntry {
@@ -100,8 +100,8 @@ func TestRegistrySaveLoadRoundtrip(t *testing.T) {
 	if err := st.RecordCalibration(e2); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "registry.json")
-	if err := st.SaveCalibrationsFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "knowledge.json")
+	if err := st.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	loaded, found, err := puncture.LoadFile(path, 0)
@@ -167,8 +167,8 @@ func TestShardedRegistryBasics(t *testing.T) {
 	}
 }
 
-// TestShardedRegistrySnapshotRoundTrip: a -registry file written from
-// one stripe count loads into another with every entry intact.
+// TestShardedRegistrySnapshotRoundTrip: a knowledge file written from
+// one stripe count loads into another with every calibration intact.
 func TestShardedRegistrySnapshotRoundTrip(t *testing.T) {
 	st := puncture.NewStore(8)
 	for i := 0; i < 20; i++ {
@@ -176,8 +176,8 @@ func TestShardedRegistrySnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "registry.json")
-	if err := st.SaveCalibrationsFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "knowledge.json")
+	if err := st.SaveFile(path); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	st2, _, err := puncture.LoadFile(path, 3)

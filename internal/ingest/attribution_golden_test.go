@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -16,16 +15,15 @@ import (
 
 // TestAttributionJSONGolden pins, byte for byte, every JSON body that
 // serializes the user/SDIO/PSM overhead moments: a knowledge snapshot
-// (device, family and global rungs), the /models body, a fleet report
-// and a store cell. The knowledge store is taught by a seeded one-worker
-// campaign (session.FeedKnowledge), by single attributing summaries,
-// by same-chipset runs and by a chipset-divergent run, so both teach
-// paths and the per-summary fallback feed it. The digests were recorded
-// while each aggregate still declared the three moments itself.
+// (device, family and global rungs), a fleet report and a store cell.
+// The knowledge store is taught by a seeded one-worker campaign
+// (session.FeedKnowledge), by single attributing summaries, by
+// same-chipset runs and by a chipset-divergent run, so both teach paths
+// and the per-summary fallback feed it. The digests were recorded while
+// each aggregate still declared the three moments itself.
 func TestAttributionJSONGolden(t *testing.T) {
 	want := map[string]string{
 		"snapshot": "6bbe5e1647ec432680903414e53beb5ca24d0e5808c34b28bfb0a0985278690b",
-		"models":   "f6bca5a73263264f88f70915ca490b163301aa02ed1c402fc17978acd781edf9",
 		"report":   "65b285725f0971af202c49b04c321ee371e9572a861c45f22fd4c05ecf584267",
 		"cells":    "daeda3428b8aa060a228e5ed73443d1b8a25bc6617427e7a2ebe2d5e85ccb0a6",
 	}
@@ -66,9 +64,6 @@ func TestAttributionJSONGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	models := httptest.NewRecorder()
-	(&Server{punc: p}).handleModels(models, httptest.NewRequest("GET", "/models", nil))
-
 	report, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +75,7 @@ func TestAttributionJSONGolden(t *testing.T) {
 
 	got := map[string]string{}
 	for name, b := range map[string][]byte{
-		"snapshot": snap.Bytes(), "models": models.Body.Bytes(), "report": report, "cells": cells,
+		"snapshot": snap.Bytes(), "report": report, "cells": cells,
 	} {
 		got[name] = fmt.Sprintf("%x", sha256.Sum256(b))
 		if got[name] != want[name] {

@@ -178,9 +178,9 @@ func TestPuncturerSources(t *testing.T) {
 		t.Fatal("calibration not visible through puncturer")
 	}
 
-	ovh := p.Overheads()
-	if len(ovh) != 1 || ovh[0].Model != "Google Nexus 5" || ovh[0].User.N != 1 {
-		t.Fatalf("learned table: %+v", ovh)
+	profs := p.Store().Profiles()
+	if len(profs) != 1 || profs[0].Model != "Google Nexus 5" || profs[0].User.N != 1 {
+		t.Fatalf("learned table: %+v", profs)
 	}
 }
 
@@ -335,16 +335,25 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("/stats table: %d %q", code, body)
 	}
 
-	code, body = get("/models")
+	code, body = get("/v1/profiles")
 	if code != http.StatusOK {
-		t.Fatalf("/models: %d", code)
+		t.Fatalf("/v1/profiles: %d", code)
 	}
-	var models ModelsResponse
-	if err := json.Unmarshal([]byte(body), &models); err != nil {
+	var profiles ProfilesResponse
+	if err := json.Unmarshal([]byte(body), &profiles); err != nil {
 		t.Fatal(err)
 	}
-	if len(models.Registry) != 1 || len(models.Learned) != 1 {
-		t.Fatalf("/models: %d registry, %d learned", len(models.Registry), len(models.Learned))
+	var calibrated, learned int
+	for _, dp := range profiles.Profiles {
+		if dp.Calibrated() {
+			calibrated++
+		}
+		if dp.Sessions() > 0 {
+			learned++
+		}
+	}
+	if calibrated != 1 || learned != 1 {
+		t.Fatalf("/v1/profiles: %d calibrated, %d learned", calibrated, learned)
 	}
 
 	code, body = get("/healthz")

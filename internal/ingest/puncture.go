@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/puncture"
@@ -30,14 +29,6 @@ const (
 	// every attributing session corrects.
 	SourceGlobal = puncture.SourceGlobal
 )
-
-// ModelOverhead is the learned per-model inflation profile served under
-// /models — a compatibility projection of the knowledge store's
-// DeviceProfile (which /v1/profiles serves whole).
-type ModelOverhead struct {
-	Model string `json:"model"`
-	puncture.Overheads
-}
 
 // DefaultPunctureShards matches the knowledge store's striping default.
 const DefaultPunctureShards = puncture.DefaultShards
@@ -125,21 +116,4 @@ func (p *Puncturer) CorrectionRun(rs []Summary, corrs []time.Duration, srcs []Co
 	p.store.RecordAttributionRun(rs[0].Device, rs[0].Chipset, atts)
 	p.store.CountReported(int64(len(rs)))
 	return atts
-}
-
-// Overheads snapshots the learned table, sorted by model — the /models
-// compatibility projection (models that only have calibrations, never
-// attributions, are omitted, matching the historic learned table).
-func (p *Puncturer) Overheads() []ModelOverhead {
-	profiles := p.store.Profiles()
-	out := make([]ModelOverhead, 0, len(profiles))
-	for i := range profiles {
-		dp := &profiles[i]
-		if dp.Sessions() == 0 {
-			continue
-		}
-		out = append(out, ModelOverhead{Model: dp.Model, Overheads: dp.Overheads})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Model < out[j].Model })
-	return out
 }

@@ -165,6 +165,48 @@ func TestProfilesDeltaMerge(t *testing.T) {
 	}
 }
 
+// TestProfilesPostRefusesTrailingData: a POSTed delta is one snapshot.
+// A valid snapshot followed by a second value and junk is refused with
+// 400 and counted as a bad batch, and none of it reaches the store.
+func TestProfilesPostRefusesTrailingData(t *testing.T) {
+	s, err := Start(Config{Window: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+
+	ms := int64(time.Millisecond)
+	delta := puncture.NewStore(0)
+	delta.RecordAttribution("Fleet Phone", "BCM4339", 2*ms, 3*ms, 5*ms)
+	var body, before, after bytes.Buffer
+	if err := delta.WriteSnapshot(&body); err != nil {
+		t.Fatal(err)
+	}
+	body.WriteString(`{"version": 99} garbage`)
+	if err := s.Puncturer().Store().WriteSnapshot(&before); err != nil {
+		t.Fatal(err)
+	}
+	bad := s.MetricsSnapshot()["bad_batches"]
+
+	resp, err := http.Post(s.URL()+"/v1/profiles", "application/json", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("snapshot with trailing data: %s", resp.Status)
+	}
+	if got := s.MetricsSnapshot()["bad_batches"]; got != bad+1 {
+		t.Fatalf("bad_batches %d, want %d", got, bad+1)
+	}
+	if err := s.Puncturer().Store().WriteSnapshot(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatalf("refused delta changed the store:\n%s", after.Bytes())
+	}
+}
+
 // TestOverlearnedCorrectionClampsAtZero pins the ≥0 clamp on both fold
 // paths: a learned correction larger than every RTT in a session must
 // clamp punctured observations at zero — raw-RTT folds and device-

@@ -65,9 +65,8 @@ type Config struct {
 	MaxSubscribers int
 	// Profiles, when non-nil, is the device-knowledge store the server
 	// rides (nil → a fresh store): calibrated timers and learned
-	// overheads side by side. Its calibrations and learned table are
-	// served under /models, the whole store under /v1/profiles; fleet
-	// deltas POSTed there merge into it.
+	// overheads side by side. It is served whole under /v1/profiles;
+	// fleet deltas POSTed there merge into it.
 	Profiles *puncture.Store
 	// ProfilesPath, when set, persists the knowledge store: loaded (and
 	// merged into the store) on boot if the file exists, snapshotted
@@ -264,7 +263,6 @@ func Start(cfg Config) (*Server, error) {
 	mux.HandleFunc("/v1/profiles", s.handleProfiles)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/v1/stream", s.handleStream)
-	mux.HandleFunc("/models", s.handleModels)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux = mux
@@ -824,27 +822,6 @@ func cellLabel(k Key, r Rollup) string {
 		}
 		return strings.Join(parts, "/")
 	}
-}
-
-// ModelsResponse is the /models JSON payload: the calibration database
-// plus the learned per-model overhead profiles driving live puncturing.
-type ModelsResponse struct {
-	Registry []puncture.CalEntry `json:"registry"`
-	Learned  []ModelOverhead     `json:"learned"`
-}
-
-func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	// Both halves come from the one knowledge store: the calibrated
-	// timers and the learned-overhead projection.
-	resp := ModelsResponse{Registry: s.punc.Store().Calibrations(), Learned: s.punc.Overheads()}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(resp)
 }
 
 // ProfilesResponse is the /v1/profiles GET payload: the whole

@@ -1,6 +1,7 @@
 package puncture
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -21,65 +22,66 @@ func calEntry(model string, i int) CalEntry {
 	}
 }
 
-// TestLoadFileLegacyRegistry pins that a -registry file written by the
-// retired registry type (a plain CalEntry array) still loads through
-// the one snapshot loader, into identical entries.
-func TestLoadFileLegacyRegistry(t *testing.T) {
-	st, found, err := LoadFile(filepath.Join("testdata", "registry-legacy.json"), 0)
-	if err != nil || !found {
-		t.Fatalf("load: found=%v err=%v", found, err)
-	}
-	want := []CalEntry{
-		{Model: "Google Nexus 4", Chipset: "WCN3660", Tip: 40 * time.Millisecond,
-			Warmup: 15 * time.Millisecond, Interval: 15 * time.Millisecond, Samples: 6},
-		{Model: "Google Nexus 5", Chipset: "BCM4339", Tip: 205 * time.Millisecond, Tis: 50 * time.Millisecond,
-			Warmup: 20 * time.Millisecond, Interval: 20 * time.Millisecond, Samples: 8},
-		{Model: "Samsung Galaxy S4", Tip: 210 * time.Millisecond, Tis: 100 * time.Millisecond,
-			Warmup: 25 * time.Millisecond, Interval: 30 * time.Millisecond, Samples: 4},
-	}
-	got := st.Calibrations()
-	if len(got) != len(want) {
-		t.Fatalf("loaded %d entries, want %d: %+v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("entry %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	// Writing it back reproduces the fixture byte for byte.
-	out := filepath.Join(t.TempDir(), "registry.json")
-	if err := st.SaveCalibrationsFile(out); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := os.ReadFile(filepath.Join("testdata", "registry-legacy.json"))
-	b, _ := os.ReadFile(out)
-	if string(a) != string(b) {
-		t.Fatalf("calibrations file differs from the legacy format:\n%s\nvs\n%s", b, a)
-	}
+// snapshotOf wraps profile JSON objects in an otherwise empty snapshot.
+func snapshotOf(profiles ...string) string {
+	return `{"version":1,"epoch":0,"profiles":[` + strings.Join(profiles, ",") + `],"global":{}}`
 }
 
-// TestReadSnapshotRejectsBadCalibrations: corrupt JSON and invalid
-// entries are refused in either file format, and a duplicate model in
-// an entry array replaces the earlier entry as a re-record would.
+// TestReadSnapshotRejectsBadCalibrations: corrupt JSON and snapshots
+// whose profiles carry an invalid calibration or repeat a model are
+// refused; a valid calibrated profile loads as written.
 func TestReadSnapshotRejectsBadCalibrations(t *testing.T) {
 	for _, in := range []string{
 		"{not json",
-		"[not json",
-		`[{"model":"X"}]`,
-		`[{}]`,
-		`[{"model":"X","tip_ns":50000000,"warmup_ns":1,"interval_ns":60000000}]`,
+		snapshotOf(`{}`),
+		snapshotOf(`{"model":"X","tip_ns":50000000,"warmup_ns":1,"interval_ns":60000000}`),
+		snapshotOf(`{"model":"X","warmup_ns":1,"interval_ns":2}`, `{"model":"X","warmup_ns":3,"interval_ns":4}`),
 	} {
 		if _, err := ReadSnapshot(strings.NewReader(in)); err == nil {
 			t.Errorf("accepted %q", in)
 		}
 	}
-	snap, err := ReadSnapshot(strings.NewReader(
-		`[{"model":"X","warmup_ns":1,"interval_ns":2},{"model":"X","warmup_ns":3,"interval_ns":4}]`))
+	snap, err := ReadSnapshot(strings.NewReader(snapshotOf(`{"model":"X","warmup_ns":3,"interval_ns":4}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Profiles) != 1 || snap.Profiles[0].Warmup != 3 || snap.Epoch != 2 {
-		t.Fatalf("duplicate entry: %+v (epoch %d)", snap.Profiles, snap.Epoch)
+	if len(snap.Profiles) != 1 || !snap.Profiles[0].Calibrated() || snap.Profiles[0].Warmup != 3 {
+		t.Fatalf("calibrated profile: %+v", snap.Profiles)
+	}
+}
+
+// TestReadSnapshotOneValue: a snapshot is the only JSON value its
+// reader holds. A bare array (the retired calibration-array format), a
+// second value or appended junk is refused; trailing whitespace,
+// including WriteSnapshot's own newline, is not.
+func TestReadSnapshotOneValue(t *testing.T) {
+	st := NewStore(0)
+	if err := st.RecordCalibration(calEntry("Phone A", 1)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := st.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.String()
+	for _, tc := range []struct {
+		name, in string
+		ok       bool
+	}{
+		{"written", valid, true},
+		{"no newline", strings.TrimSpace(valid), true},
+		{"trailing spaces", valid + "  \t\r\n  ", true},
+		{"empty array", "[]", false},
+		{"calibration array", `[{"model":"X","warmup_ns":1,"interval_ns":2}]`, false},
+		{"second value", valid + `{"version": 99}`, false},
+		{"second value and garbage", valid + `{"version": 99} garbage`, false},
+		{"trailing garbage", valid + "garbage", false},
+		{"trailing brace", valid + "}", false},
+	} {
+		_, err := ReadSnapshot(strings.NewReader(tc.in))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 
@@ -89,17 +91,17 @@ type failingJSON struct{}
 
 func (failingJSON) MarshalJSON() ([]byte, error) { return nil, errors.New("injected write failure") }
 
-// TestSaveCalibrationsFileFailureKeepsPrevious: a save that cannot
-// complete reports an error and leaves the previous file intact, with
-// no temp file left behind.
-func TestSaveCalibrationsFileFailureKeepsPrevious(t *testing.T) {
+// TestSaveFileFailureKeepsPrevious: a save that cannot complete reports
+// an error and leaves the previous file intact, with no temp file left
+// behind.
+func TestSaveFileFailureKeepsPrevious(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "registry.json")
+	path := filepath.Join(dir, "knowledge.json")
 	st := NewStore(0)
 	if err := st.RecordCalibration(calEntry("before", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveCalibrationsFile(path); err != nil {
+	if err := st.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	prev, _ := os.ReadFile(path)
@@ -110,7 +112,7 @@ func TestSaveCalibrationsFileFailureKeepsPrevious(t *testing.T) {
 	if err := saveAtomic(path, failingJSON{}); err == nil {
 		t.Fatal("failed write reported success")
 	}
-	if err := st.SaveCalibrationsFile(filepath.Join(dir, "missing", "registry.json")); err == nil {
+	if err := st.SaveFile(filepath.Join(dir, "missing", "knowledge.json")); err == nil {
 		t.Fatal("save into a missing directory reported success")
 	}
 	got, err := os.ReadFile(path)

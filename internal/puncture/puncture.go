@@ -7,10 +7,9 @@
 //
 // Its unit is the DeviceProfile: the model's calibrated energy-saving
 // timers (Tip/Tis and the derived dpre/db — a CalEntry) fused with the
-// learned per-model overhead moments
-// (previously ingest.ModelOverhead, which evaporated on every ingestd
-// restart), plus sample counts, an update epoch, and the chipset-family
-// key that lets models of the same WiFi chip teach each other.
+// learned per-model overhead moments, plus sample counts, an update
+// epoch, and the chipset-family key that lets models of the same WiFi
+// chip teach each other.
 //
 // Three properties make the store the single source of truth across
 // layers:
@@ -31,9 +30,9 @@
 //
 // The store is the only calibration surface: fleet campaigns calibrate
 // into it (core.CalibrateInto), sessions and campaigns read dpre/db
-// from it, and ingest.Puncturer rides it for live puncturing. The
-// plain CalEntry-array file of the -registry flags loads through the
-// same LoadFile and is written by SaveCalibrationsFile.
+// from it, and ingest.Puncturer rides it for live puncturing. Its
+// snapshot is the one knowledge file format: SaveFile writes it,
+// LoadFile reads it, and GET /v1/profiles serves it.
 package puncture
 
 import (
@@ -86,8 +85,8 @@ func (s Source) String() string {
 
 // CalEntry is one device model's calibrated energy-saving parameters:
 // the measured demotion timers Tip/Tis and the derived AcuteMon
-// settings dpre (Warmup) and db (Interval). A -registry file is a JSON
-// array of these (see SaveCalibrationsFile); LoadFile reads it back.
+// settings dpre (Warmup) and db (Interval). A DeviceProfile embeds one,
+// so a knowledge snapshot carries every calibration.
 type CalEntry struct {
 	Model   string `json:"model"`
 	Chipset string `json:"chipset,omitempty"`
@@ -157,8 +156,8 @@ type Attribution struct {
 // Overheads folds attributing sessions' overhead shares: one moments
 // track per share. It is the one declaration of the triple — device
 // profiles, chipset families and the global prior here, ingest cells
-// and /models rows, and fleet group aggregates all embed it where the
-// three fields belong, so their JSON keys sit in the same place.
+// and fleet group aggregates all embed it where the three fields
+// belong, so their JSON keys sit in the same place.
 type Overheads struct {
 	// User / SDIO fold per-session mean Δdu−k and Δdk−n (ns): the
 	// user-space and host-bus shares.

@@ -1,8 +1,8 @@
 package puncture
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -150,50 +150,26 @@ func writeJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// ReadSnapshot parses and validates a snapshot. It also accepts the
-// plain CalEntry array of a -registry file: every entry is validated
-// and recorded as RecordCalibration would (a later duplicate replaces
-// an earlier one), so both file formats share one loader.
+// ReadSnapshot parses and validates a snapshot. The snapshot must be
+// the only JSON value in r: only whitespace may follow it (the newline
+// WriteSnapshot ends with), so a second value or appended junk is
+// refused rather than silently dropped.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	if isArray(br) {
-		var entries []CalEntry
-		if err := json.NewDecoder(br).Decode(&entries); err != nil {
-			return nil, fmt.Errorf("puncture: decoding calibrations: %w", err)
-		}
-		st := NewStore(1)
-		for _, e := range entries {
-			if err := st.RecordCalibration(e); err != nil {
-				return nil, err
-			}
-		}
-		return st.Snapshot(), nil
-	}
+	dec := json.NewDecoder(r)
 	var snap Snapshot
-	if err := json.NewDecoder(br).Decode(&snap); err != nil {
+	if err := dec.Decode(&snap); err != nil {
 		return nil, fmt.Errorf("puncture: decoding snapshot: %w", err)
+	}
+	switch _, err := dec.Token(); {
+	case err == nil:
+		return nil, errors.New("puncture: second JSON value after snapshot")
+	case err != io.EOF:
+		return nil, fmt.Errorf("puncture: trailing data after snapshot: %w", err)
 	}
 	if err := snap.Validate(); err != nil {
 		return nil, err
 	}
 	return &snap, nil
-}
-
-// isArray reports whether the next JSON value in br is an array,
-// consuming only leading whitespace.
-func isArray(br *bufio.Reader) bool {
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return false
-		}
-		switch b {
-		case ' ', '\t', '\n', '\r':
-			continue
-		}
-		br.UnreadByte()
-		return b == '['
-	}
 }
 
 // SaveFile atomically writes the store's snapshot to path: the JSON is
@@ -202,11 +178,6 @@ func isArray(br *bufio.Reader) bool {
 // a power cut mid-save can leave a truncated knowledge base — the
 // previous snapshot survives intact.
 func (st *Store) SaveFile(path string) error { return saveAtomic(path, st.Snapshot()) }
-
-// SaveCalibrationsFile atomically writes only the calibrated timers, as
-// the plain CalEntry array of a -registry file, with SaveFile's
-// temp-file-and-rename guarantee.
-func (st *Store) SaveCalibrationsFile(path string) error { return saveAtomic(path, st.Calibrations()) }
 
 func saveAtomic(path string, v any) error {
 	dir := filepath.Dir(path)
@@ -251,9 +222,9 @@ func syncDir(dir string) error {
 	return err
 }
 
-// ReadFile reads and validates a snapshot or -registry calibration
-// file. A missing file is not an error: it returns found=false — the
-// first boot of a daemon that will create the file on its first save.
+// ReadFile reads and validates a snapshot file. A missing file is not
+// an error: it returns found=false — the first boot of a daemon that
+// will create the file on its first save.
 func ReadFile(path string) (snap *Snapshot, found bool, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {

@@ -330,8 +330,7 @@ func (st *Store) Models() []string {
 }
 
 // Calibrations returns every calibrated model's timers, sorted by
-// model — the entries /models serves and SaveCalibrationsFile writes.
-// Never nil, so an empty store serializes as [].
+// model. Never nil, so an empty store serializes as [].
 func (st *Store) Calibrations() []CalEntry {
 	out := []CalEntry{}
 	for i := range st.shards {
