@@ -60,7 +60,9 @@ bench-gate:
 # decoders, the hand-written JSON codecs and the span-stored Hist —
 # starting from the committed corpora under testdata/fuzz. Catches
 # decoder panics and bounds-check slips on every PR without a long
-# fuzzing campaign. FuzzSketchBatchFold additionally drives every
+# fuzzing campaign. -fuzzminimizetime=1s caps the shrinking of each
+# newly interesting input (1 minute by default), so the 30 s budget
+# goes on fuzzing rather than minimizing. FuzzSketchBatchFold additionally drives every
 # accepted sketch through the agg batch entry points (AddMulti on
 # Sketch/Hist/Moments, Merge) so the buffered fold path keeps
 # rejecting hostile blobs at the same caps and stays byte-identical to
@@ -75,14 +77,14 @@ bench-gate:
 # /v1/profiles): anything it accepts merges into a fresh store, and
 # that store's snapshot bytes read, merge and write back unchanged.
 fuzz-smoke:
-	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=30s
-	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBatchMatchesEncodingJSON$$' -fuzztime=30s
-	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzAppendBatchMatchesEncodingJSON$$' -fuzztime=30s
-	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBinaryBatch$$' -fuzztime=30s
-	$(GO) test ./internal/cluster/ -run '^$$' -fuzz '^FuzzDecodeGossipDelta$$' -fuzztime=30s
-	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzSketchBatchFold$$' -fuzztime=30s
-	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzHistOps$$' -fuzztime=30s
-	$(GO) test ./internal/puncture/ -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime=30s
+	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=30s -fuzzminimizetime=1s
+	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBatchMatchesEncodingJSON$$' -fuzztime=30s -fuzzminimizetime=1s
+	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzAppendBatchMatchesEncodingJSON$$' -fuzztime=30s -fuzzminimizetime=1s
+	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBinaryBatch$$' -fuzztime=30s -fuzzminimizetime=1s
+	$(GO) test ./internal/cluster/ -run '^$$' -fuzz '^FuzzDecodeGossipDelta$$' -fuzztime=30s -fuzzminimizetime=1s
+	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzSketchBatchFold$$' -fuzztime=30s -fuzzminimizetime=1s
+	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzHistOps$$' -fuzztime=30s -fuzzminimizetime=1s
+	$(GO) test ./internal/puncture/ -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime=30s -fuzzminimizetime=1s
 
 # The ingestd persistence e2e in isolation: kill → reboot → learned
 # overhead table identical, the fleet→ingest delta merge, and a stream

@@ -273,7 +273,7 @@ func loadgenCampaign(spec loadgenSpec) fleet.Campaign {
 	if spec.profiles != "" {
 		st, _, err := puncture.LoadFile(spec.profiles, 0)
 		if err != nil {
-			fatal("profiles %s: %v", spec.profiles, err)
+			fatal("profiles: %v", err)
 		}
 		c.Profiles = st
 	}
@@ -472,10 +472,20 @@ func runReplay(ctx context.Context, cfg ingest.Config, path, target string, batc
 // startEmbedded starts the loopback server that -loadgen, -replay and
 // -churn send to when no -target is given, with a raw TCP listener for
 // -wire tcp. It returns the server and the address to send to over wire.
+// The server reads the -profiles file into a store of its own but never
+// writes it back: what it learns from synthetic traffic is no part of
+// the operator's knowledge.
 func startEmbedded(cfg ingest.Config, wire string) (*ingest.Server, string) {
 	cfg.Addr = "127.0.0.1:0"
 	if wire == ingest.WireTCP && cfg.TCPAddr == "" {
 		cfg.TCPAddr = "127.0.0.1:0"
+	}
+	if cfg.ProfilesPath != "" {
+		st, _, err := puncture.LoadFile(cfg.ProfilesPath, 0)
+		if err != nil {
+			fatal("profiles: %v", err)
+		}
+		cfg.Profiles, cfg.ProfilesPath = st, ""
 	}
 	s, err := ingest.Start(cfg)
 	if err != nil {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -73,6 +75,39 @@ func TestLoadgenCampaignOwnsItsStore(t *testing.T) {
 	}
 	if campaignAtts != rep.Sessions {
 		t.Errorf("campaign store learned %d attributions for %d sessions", campaignAtts, rep.Sessions)
+	}
+}
+
+// TestLoadgenLeavesProfilesFile: -loadgen -profiles F reads F but never
+// writes it; the embedded server's synthetic attributions stay in
+// memory.
+func TestLoadgenLeavesProfilesFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "knowledge.json")
+	know := puncture.NewStore(0)
+	for _, prof := range android.Profiles() {
+		if err := know.RecordCalibration(puncture.CalEntry{
+			Model: prof.Model, Tip: 40 * time.Millisecond, Warmup: 15 * time.Millisecond, Interval: 15 * time.Millisecond, Samples: 4,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := know.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runLoadgen(context.Background(), ingest.Config{ProfilesPath: path, ProfilesInterval: -1}, loadgenSpec{
+		scenario: "device-mix", sessions: 12, workers: 2, probes: 8,
+		rtt: 30 * time.Millisecond, seed: 3, batch: 4, wire: ingest.WireBinary, profiles: path,
+	})
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("-loadgen rewrote the -profiles file (%d bytes → %d)", len(before), len(after))
 	}
 }
 

@@ -48,7 +48,7 @@ func TestClusterChaosConvergence(t *testing.T) {
 	for _, n := range []*Node{nds[0], nds[1]} {
 		n := n
 		waitUntil(t, 10*time.Second, "doomed shard replicated", func() bool {
-			return n.Counters()["cluster_replicated_sessions"] >= doomedSessions
+			return n.StatusSnapshot().Counters["cluster_replicated_sessions"] >= doomedSessions
 		})
 	}
 

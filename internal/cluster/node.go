@@ -483,7 +483,9 @@ type PeerStatus struct {
 	Error       string `json:"error,omitempty"`
 }
 
-// Status is the /v1/cluster JSON payload.
+// Status is the /v1/cluster JSON payload. Counters is the server's
+// MetricsSnapshot: every figure /metrics exports, the cluster_* set
+// included.
 type Status struct {
 	NodeID           string           `json:"node_id"`
 	BootID           string           `json:"boot_id"`
@@ -531,7 +533,7 @@ func (n *Node) StatusSnapshot() Status {
 		Epoch:            n.store.Epoch(),
 		GossipIntervalMS: n.cfg.Interval.Milliseconds(),
 		Peers:            n.peerStatuses(),
-		Counters:         n.Counters(),
+		Counters:         n.srv.MetricsSnapshot(),
 	}
 }
 
@@ -583,20 +585,11 @@ func (n *Node) Knowledge() []*puncture.Snapshot {
 	return out
 }
 
-// Counters exports the acutemon_cluster_* metric set.
-func (n *Node) Counters() map[string]int64 {
-	m := map[string]int64{
-		"cluster_peers":                   int64(len(n.peers)),
-		"cluster_rounds":                  n.rounds.Load(),
-		"cluster_round_errors":            n.roundErrors.Load(),
-		"cluster_deltas_served":           n.served.Load(),
-		"cluster_resyncs":                 n.resyncs.Load(),
-		"cluster_replicated_cell_updates": n.cellsApplied.Load(),
-		"cluster_replicated_removals":     n.removalsApplied.Load(),
-		"cluster_knowledge_merges":        n.knowledgeMerges.Load(),
-	}
-	var alive, cells int64
-	var sessions, models int64
+// Figures declares the acutemon_cluster_* set: configured and
+// currently-alive peers and the replicated fleet state held locally are
+// levels; rounds, errors, deltas and merges are monotonic counts.
+func (n *Node) Figures() []ingest.Figure {
+	var alive, cells, sessions, models int64
 	minEpoch := int64(-1)
 	for _, p := range n.peers {
 		p.mu.Lock()
@@ -616,29 +609,22 @@ func (n *Node) Counters() map[string]int64 {
 	if minEpoch < 0 {
 		minEpoch = 0
 	}
-	m["cluster_peers_alive"] = alive
-	m["cluster_replica_cells"] = cells
-	m["cluster_replicated_sessions"] = sessions
-	m["cluster_replica_models"] = models
-	m["cluster_last_merge_epoch_min"] = minEpoch
-	return m
+	return []ingest.Figure{
+		ingest.Level("cluster_peers", int64(len(n.peers))),
+		ingest.Level("cluster_peers_alive", alive),
+		ingest.Count("cluster_rounds", n.rounds.Load()),
+		ingest.Count("cluster_round_errors", n.roundErrors.Load()),
+		ingest.Count("cluster_deltas_served", n.served.Load()),
+		ingest.Count("cluster_resyncs", n.resyncs.Load()),
+		ingest.Count("cluster_replicated_cell_updates", n.cellsApplied.Load()),
+		ingest.Count("cluster_replicated_removals", n.removalsApplied.Load()),
+		ingest.Count("cluster_knowledge_merges", n.knowledgeMerges.Load()),
+		ingest.Level("cluster_replica_cells", cells),
+		ingest.Level("cluster_replicated_sessions", sessions),
+		ingest.Level("cluster_replica_models", models),
+		ingest.Level("cluster_last_merge_epoch_min", minEpoch),
+	}
 }
-
-// clusterGauges are the Counters entries that are levels: configured
-// and currently-alive peers, and the replicated fleet state held
-// locally. The rest are monotonic counts.
-var clusterGauges = map[string]bool{
-	"cluster_peers":                true,
-	"cluster_peers_alive":          true,
-	"cluster_replica_cells":        true,
-	"cluster_replicated_sessions":  true,
-	"cluster_replica_models":       true,
-	"cluster_last_merge_epoch_min": true,
-}
-
-// IsGauge reports whether a Counters entry is a level; /metrics exports
-// those as gauges.
-func (n *Node) IsGauge(name string) bool { return clusterGauges[name] }
 
 // Health is the /healthz "cluster" section: identity plus per-peer
 // liveness and last-merge epochs.

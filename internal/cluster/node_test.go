@@ -336,7 +336,7 @@ func TestClusterRestartResync(t *testing.T) {
 		}
 		return total == 5
 	})
-	if got := nA.Counters()["cluster_resyncs"]; got < 1 {
+	if got := nA.StatusSnapshot().Counters["cluster_resyncs"]; got < 1 {
 		t.Errorf("resyncs = %d, want ≥1", got)
 	}
 	// The retraction rode the replica removal ring, so a fleet stream
@@ -383,30 +383,8 @@ func TestClusterFailureDetector(t *testing.T) {
 		s := states()
 		return s.State == PeerAlive && s.Rejoins >= 1
 	})
-	if got := nA.Counters()["cluster_peers_alive"]; got != 1 {
+	if got := nA.StatusSnapshot().Counters["cluster_peers_alive"]; got != 1 {
 		t.Errorf("peers alive = %d", got)
-	}
-}
-
-// Every level the node names through IsGauge is one of its Counters,
-// and the monotonic counts are not levels.
-func TestIsGaugeNamesCounters(t *testing.T) {
-	n := joinNode(t, startServer(t, ingest.Config{Window: -1}), Config{NodeID: "a", Interval: time.Hour})
-	counters := n.Counters()
-	gauges := 0
-	for name := range clusterGauges {
-		if _, ok := counters[name]; !ok {
-			t.Errorf("gauge %q is not a Counters entry", name)
-		}
-	}
-	for name := range counters {
-		if n.IsGauge(name) {
-			gauges++
-		}
-	}
-	if gauges != len(clusterGauges) || n.IsGauge("cluster_rounds") {
-		t.Errorf("%d of %d Counters entries are gauges; cluster_rounds gauge=%t",
-			gauges, len(counters), n.IsGauge("cluster_rounds"))
 	}
 }
 

@@ -191,9 +191,6 @@ type Campaign struct {
 	// campaign seed), so campaign results stay independent of worker
 	// scheduling.
 	AutoCalibrate bool
-	// CalibrateOptions tunes auto-calibration (zero values use
-	// fleet-friendly reduced rounds).
-	CalibrateOptions core.CalibrateOptions
 	// OnSession, when set, observes every finished session. Calls are
 	// serialized; ordering follows completion, not session ID.
 	OnSession func(SessionResult)
@@ -333,13 +330,9 @@ dispatch:
 // session schedule. Returns the calibrated models plus one error string
 // per model whose calibration failed (those sessions run uncalibrated).
 func precalibrate(c *Campaign, sessions []Session, workers int) (models, errs []string) {
-	opts := c.CalibrateOptions
-	if opts.TipRounds == 0 {
-		opts.TipRounds = 4
-	}
-	if opts.PairsPerGap == 0 {
-		opts.PairsPerGap = 2
-	}
+	// Fleet-friendly reduced rounds: half the standalone TipRounds and a
+	// third of its PairsPerGap.
+	opts := core.CalibrateOptions{TipRounds: 4, PairsPerGap: 2}
 	seen := map[string]bool{}
 	var missing []string
 	for _, s := range sessions {

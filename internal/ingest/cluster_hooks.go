@@ -33,13 +33,10 @@ type ReplicaSource interface {
 	// Knowledge returns each peer's replicated knowledge snapshot
 	// (never mutated after apply; safe to merge repeatedly).
 	Knowledge() []*puncture.Snapshot
-	// Counters are merged into MetricsSnapshot and exported as
-	// acutemon_cluster_* metrics.
-	Counters() map[string]int64
-	// IsGauge reports whether the Counters entry name is a level rather
-	// than a monotonic count: /metrics exports it as a gauge, without
-	// the _total suffix.
-	IsGauge(name string) bool
+	// Figures are appended to the server's own: every surface that
+	// renders the figure list (/metrics as acutemon_cluster_*,
+	// MetricsSnapshot, /healthz, /stats, /v1/cluster) carries them.
+	Figures() []Figure
 	// Health is embedded under the /healthz "cluster" key: per-peer
 	// liveness state and last-merge epochs.
 	Health() map[string]any

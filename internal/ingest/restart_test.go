@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -204,6 +206,23 @@ func TestProfilesPostRefusesTrailingData(t *testing.T) {
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Fatalf("refused delta changed the store:\n%s", after.Bytes())
+	}
+}
+
+// TestStartNamesRefusedProfilesOnce: a daemon refusing its -profiles
+// file names the path and the puncture package once each.
+func TestStartNamesRefusedProfilesOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "knowledge.json")
+	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Start(Config{ProfilesPath: path})
+	if err == nil {
+		s.Shutdown(context.Background())
+		t.Fatal("junk knowledge file accepted")
+	}
+	if msg := err.Error(); strings.Count(msg, path) != 1 || strings.Count(msg, "puncture:") != 1 {
+		t.Errorf("want the path and puncture: once each: %q", msg)
 	}
 }
 

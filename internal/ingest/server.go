@@ -225,9 +225,11 @@ func Start(cfg Config) (*Server, error) {
 		knowledge = puncture.NewStore(DefaultPunctureShards)
 	}
 	if cfg.ProfilesPath != "" {
+		// ReadFile's error names the file, so only MergeSnapshot's
+		// needs the path.
 		snap, _, err := puncture.ReadFile(cfg.ProfilesPath)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("ingest: profiles: %w", err)
 		}
 		if err := knowledge.MergeSnapshot(snap); err != nil {
 			return nil, fmt.Errorf("ingest: profiles %s: %w", cfg.ProfilesPath, err)
@@ -361,55 +363,6 @@ func (s *Server) Store() *Store { return s.store }
 
 // Puncturer exposes the live puncturing state.
 func (s *Server) Puncturer() *Puncturer { return s.punc }
-
-// MetricsSnapshot returns a plain-value copy of the counters. On a
-// clustered server the acutemon_cluster_* set rides along.
-func (s *Server) MetricsSnapshot() map[string]int64 { return s.metricsSnapshot(s.replicaSource()) }
-
-// metricsSnapshot is MetricsSnapshot with the replica source read once
-// by the caller, so /metrics types the very entries it renders.
-func (s *Server) metricsSnapshot(src ReplicaSource) map[string]int64 {
-	m := map[string]int64{
-		"accepted_batches":   s.metrics.AcceptedBatches.Load(),
-		"accepted_summaries": s.metrics.AcceptedSummaries.Load(),
-		"folded_summaries":   s.metrics.FoldedSummaries.Load(),
-		"folded_samples":     s.metrics.FoldedSamples.Load(),
-		"rejected_batches":   s.metrics.RejectedBatches.Load(),
-		"bad_batches":        s.metrics.BadBatches.Load(),
-		"oversized_batches":  s.metrics.OversizedBatches.Load(),
-		"dropped_summaries":  s.store.Dropped(),
-		// Retention accounting: every cell that leaves the fine tier is
-		// either compacted (janitor, lossless) or evicted (cap pressure,
-		// lossless). Sessions demoted into rollups are preserved, not
-		// lost; a nonzero
-		// rollup_merge_errors would mean loss and is therefore counted.
-		"compacted_cells":     s.store.Compacted(),
-		"compacted_sessions":  s.store.CompactedSessions(),
-		"evicted_cells":       s.store.Evicted(),
-		"rollup_cells":        s.store.RollupCells(),
-		"rollup_merge_errors": s.store.RollupErrors(),
-		"compaction_cycles":   s.metrics.CompactionCycles.Load(),
-		"stream_events":       s.metrics.StreamEvents.Load(),
-		"stream_coalesced":    s.bcast.coalesced.Load(),
-		"stream_dropped":      s.metrics.StreamDropped.Load(),
-		"stream_rejected":     s.metrics.StreamRejected.Load(),
-		"stream_subscribers":  s.bcast.count(),
-		// Knowledge-store accounting: learned profiles live in the
-		// store, mints refused at the model cap are counted, not
-		// silently dropped.
-		"learned_models":      int64(s.punc.Store().Len()),
-		"profile_rejections":  s.punc.Store().Rejected(),
-		"profile_merges":      s.metrics.ProfileMerges.Load(),
-		"profile_saves":       s.metrics.ProfileSaves.Load(),
-		"profile_save_errors": s.metrics.ProfileSaveErrors.Load(),
-	}
-	if src != nil {
-		for k, v := range src.Counters() {
-			m[k] = v
-		}
-	}
-	return m
-}
 
 // Shutdown drains gracefully: stop accepting, let in-flight handlers
 // finish, then drain the batch queue through the fold workers so every
@@ -657,8 +610,8 @@ func StatsFor(c *Cell) CellStats {
 	}
 }
 
-// StatsResponse is the /stats JSON payload. Counters carries the
-// server's operational counters (the /healthz set), including the
+// StatsResponse is the /stats JSON payload. Counters carries every
+// figure the server exports (MetricsSnapshot), including the
 // knowledge-store profile_rejections — models the learned-table cap
 // refused are visible here instead of silently dropped.
 type StatsResponse struct {
@@ -900,24 +853,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	payload := map[string]any{
-		"status":    status,
-		"uptime_ms": time.Since(s.started).Milliseconds(),
-		// queue_* keep their names across the pipeline refactor: len is
-		// outstanding batch credits, cap the credit pool.
-		"queue_len": len(s.credits),
-		"queue_cap": cap(s.credits),
-		"window_ms": s.store.windowMS,
-		"cells":     s.store.Cells(),
-		// Retention + stream gauges: resident fine cells vs their cap,
-		// the rollup tier holding compacted history, and live stream
-		// subscribers.
-		"max_cells":    s.store.MaxCells(),
-		"rollup_cells": s.store.RollupCells(),
-		"rollup_ms":    s.store.RollupWindow(),
-		"subscribers":  s.bcast.count(),
-		"counters":     s.MetricsSnapshot(),
-	}
+	payload := map[string]any{"status": status, "counters": s.MetricsSnapshot()}
 	// Clustered servers report per-peer liveness and last-merge epochs,
 	// so one /healthz poll shows whether the fleet view is current.
 	if src := s.replicaSource(); src != nil {

@@ -7,16 +7,6 @@ import (
 	"fmt"
 )
 
-// DecodeOptions controls decoding, mirroring gopacket.DecodeOptions.
-type DecodeOptions struct {
-	// VerifyChecksums makes Decode fail on IPv4/ICMP/UDP/TCP checksum
-	// mismatches instead of silently accepting them.
-	VerifyChecksums bool
-}
-
-// Default decodes without checksum verification.
-var Default = DecodeOptions{}
-
 // Decode errors.
 var (
 	ErrTruncated   = errors.New("packet: truncated")
@@ -25,15 +15,17 @@ var (
 
 // Decode parses wire bytes starting at the given outermost layer type and
 // returns a structured packet (ID and ledger zeroed — decoding models a
-// capture file reader, not the live simulation path).
-func Decode(data []byte, first LayerType, opts DecodeOptions) (*Packet, error) {
+// capture file reader, not the live simulation path). It verifies the
+// IPv4, ICMP, UDP and TCP checksums and fails with ErrBadChecksum on a
+// mismatch; a UDP checksum of 0 means none was sent and is accepted.
+func Decode(data []byte, first LayerType) (*Packet, error) {
 	var layers []Layer
 	var err error
 	switch first {
 	case LayerTypeDot11:
-		layers, err = decodeDot11(data, opts)
+		layers, err = decodeDot11(data)
 	case LayerTypeIPv4:
-		layers, err = decodeIPv4(data, opts)
+		layers, err = decodeIPv4(data)
 	default:
 		return nil, fmt.Errorf("packet: cannot decode starting at %s", first)
 	}
@@ -43,7 +35,7 @@ func Decode(data []byte, first LayerType, opts DecodeOptions) (*Packet, error) {
 	return New(layers...), nil
 }
 
-func decodeDot11(data []byte, opts DecodeOptions) ([]Layer, error) {
+func decodeDot11(data []byte) ([]Layer, error) {
 	if len(data) < 16 {
 		return nil, fmt.Errorf("%w: 802.11 header", ErrTruncated)
 	}
@@ -92,7 +84,7 @@ func decodeDot11(data []byte, opts DecodeOptions) ([]Layer, error) {
 		}
 		return []Layer{d, &Payload{Data: append([]byte(nil), body...)}}, nil
 	}
-	inner, err := decodeIPv4(body, opts)
+	inner, err := decodeIPv4(body)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +122,7 @@ func decodeBeacon(data []byte) (*Beacon, error) {
 	return b, nil
 }
 
-func decodeIPv4(data []byte, opts DecodeOptions) ([]Layer, error) {
+func decodeIPv4(data []byte) ([]Layer, error) {
 	if len(data) < 20 {
 		return nil, fmt.Errorf("%w: IPv4 header", ErrTruncated)
 	}
@@ -151,12 +143,10 @@ func decodeIPv4(data []byte, opts DecodeOptions) ([]Layer, error) {
 	}
 	copy(ip.Src[:], data[12:16])
 	copy(ip.Dst[:], data[16:20])
-	if opts.VerifyChecksums {
-		hdr := append([]byte(nil), data[:ihl]...)
-		hdr[10], hdr[11] = 0, 0
-		if checksum(hdr) != ip.Checksum {
-			return nil, fmt.Errorf("%w: IPv4", ErrBadChecksum)
-		}
+	hdr := append([]byte(nil), data[:ihl]...)
+	hdr[10], hdr[11] = 0, 0
+	if checksum(hdr) != ip.Checksum {
+		return nil, fmt.Errorf("%w: IPv4", ErrBadChecksum)
 	}
 	if int(ip.TotalLen) > len(data) {
 		return nil, fmt.Errorf("%w: IPv4 total length %d > %d", ErrTruncated, ip.TotalLen, len(data))
@@ -165,19 +155,19 @@ func decodeIPv4(data []byte, opts DecodeOptions) ([]Layer, error) {
 
 	switch ip.Protocol {
 	case ProtoICMP:
-		inner, err := decodeICMP(body, opts)
+		inner, err := decodeICMP(body)
 		if err != nil {
 			return nil, err
 		}
 		return append([]Layer{ip}, inner...), nil
 	case ProtoUDP:
-		inner, err := decodeUDP(ip, body, opts)
+		inner, err := decodeUDP(ip, body)
 		if err != nil {
 			return nil, err
 		}
 		return append([]Layer{ip}, inner...), nil
 	case ProtoTCP:
-		inner, err := decodeTCP(ip, body, opts)
+		inner, err := decodeTCP(ip, body)
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +180,7 @@ func decodeIPv4(data []byte, opts DecodeOptions) ([]Layer, error) {
 	}
 }
 
-func decodeICMP(data []byte, opts DecodeOptions) ([]Layer, error) {
+func decodeICMP(data []byte) ([]Layer, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("%w: ICMP header", ErrTruncated)
 	}
@@ -201,12 +191,10 @@ func decodeICMP(data []byte, opts DecodeOptions) ([]Layer, error) {
 		ID:       binary.BigEndian.Uint16(data[4:6]),
 		Seq:      binary.BigEndian.Uint16(data[6:8]),
 	}
-	if opts.VerifyChecksums {
-		seg := append([]byte(nil), data...)
-		seg[2], seg[3] = 0, 0
-		if checksum(seg) != ic.Checksum {
-			return nil, fmt.Errorf("%w: ICMP", ErrBadChecksum)
-		}
+	seg := append([]byte(nil), data...)
+	seg[2], seg[3] = 0, 0
+	if checksum(seg) != ic.Checksum {
+		return nil, fmt.Errorf("%w: ICMP", ErrBadChecksum)
 	}
 	if len(data) == 8 {
 		return []Layer{ic}, nil
@@ -214,7 +202,7 @@ func decodeICMP(data []byte, opts DecodeOptions) ([]Layer, error) {
 	return []Layer{ic, &Payload{Data: append([]byte(nil), data[8:]...)}}, nil
 }
 
-func decodeUDP(ip *IPv4, data []byte, opts DecodeOptions) ([]Layer, error) {
+func decodeUDP(ip *IPv4, data []byte) ([]Layer, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("%w: UDP header", ErrTruncated)
 	}
@@ -227,7 +215,7 @@ func decodeUDP(ip *IPv4, data []byte, opts DecodeOptions) ([]Layer, error) {
 	if int(u.Length) > len(data) || u.Length < 8 {
 		return nil, fmt.Errorf("%w: UDP length", ErrTruncated)
 	}
-	if opts.VerifyChecksums && u.Checksum != 0 {
+	if u.Checksum != 0 { // 0: the sender computed no checksum
 		seg := append([]byte(nil), data[:u.Length]...)
 		seg[6], seg[7] = 0, 0
 		if transportChecksum(ip.Src, ip.Dst, ProtoUDP, seg) != u.Checksum {
@@ -240,7 +228,7 @@ func decodeUDP(ip *IPv4, data []byte, opts DecodeOptions) ([]Layer, error) {
 	return []Layer{u, &Payload{Data: append([]byte(nil), data[8:u.Length]...)}}, nil
 }
 
-func decodeTCP(ip *IPv4, data []byte, opts DecodeOptions) ([]Layer, error) {
+func decodeTCP(ip *IPv4, data []byte) ([]Layer, error) {
 	if len(data) < 20 {
 		return nil, fmt.Errorf("%w: TCP header", ErrTruncated)
 	}
@@ -257,12 +245,10 @@ func decodeTCP(ip *IPv4, data []byte, opts DecodeOptions) ([]Layer, error) {
 		Window:   binary.BigEndian.Uint16(data[14:16]),
 		Checksum: binary.BigEndian.Uint16(data[16:18]),
 	}
-	if opts.VerifyChecksums {
-		seg := append([]byte(nil), data...)
-		seg[16], seg[17] = 0, 0
-		if transportChecksum(ip.Src, ip.Dst, ProtoTCP, seg) != t.Checksum {
-			return nil, fmt.Errorf("%w: TCP", ErrBadChecksum)
-		}
+	seg := append([]byte(nil), data...)
+	seg[16], seg[17] = 0, 0
+	if transportChecksum(ip.Src, ip.Dst, ProtoTCP, seg) != t.Checksum {
+		return nil, fmt.Errorf("%w: TCP", ErrBadChecksum)
 	}
 	if len(data) == off {
 		return []Layer{t}, nil

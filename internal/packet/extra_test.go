@@ -18,7 +18,7 @@ func TestPMBitRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := Decode(data, LayerTypeDot11, Default)
+		q, err := Decode(data, LayerTypeDot11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestMoreDataAndRetryBitsRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := Decode(data, LayerTypeDot11, DecodeOptions{VerifyChecksums: true})
+	q, err := Decode(data, LayerTypeDot11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestPSPollRoundtrip(t *testing.T) {
 	if len(data) != 16 {
 		t.Fatalf("PS-Poll wire length = %d, want 16", len(data))
 	}
-	q, err := Decode(data, LayerTypeDot11, Default)
+	q, err := Decode(data, LayerTypeDot11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestQuickRoundtripUDP(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q, err := Decode(data, LayerTypeIPv4, DecodeOptions{VerifyChecksums: true})
+		q, err := Decode(data, LayerTypeIPv4)
 		if err != nil {
 			return false
 		}
@@ -118,7 +118,7 @@ func TestQuickIPv4ChecksumAlwaysValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, err = Decode(data, LayerTypeIPv4, DecodeOptions{VerifyChecksums: true})
+		_, err = Decode(data, LayerTypeIPv4)
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

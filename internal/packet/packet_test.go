@@ -64,7 +64,7 @@ func TestRoundtripICMPOverDot11(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := Decode(data, LayerTypeDot11, DecodeOptions{VerifyChecksums: true})
+	q, err := Decode(data, LayerTypeDot11)
 	if err != nil {
 		t.Fatalf("decode with checksum verification: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestRoundtripTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := Decode(data, LayerTypeIPv4, DecodeOptions{VerifyChecksums: true})
+	q, err := Decode(data, LayerTypeIPv4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRoundtripUDPWithTTL1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := Decode(data, LayerTypeIPv4, DecodeOptions{VerifyChecksums: true})
+	q, err := Decode(data, LayerTypeIPv4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestRoundtripBeaconTIM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := Decode(data, LayerTypeDot11, Default)
+	q, err := Decode(data, LayerTypeDot11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +170,29 @@ func TestDecodeRejectsCorruptChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a payload byte: ICMP checksum must catch it in strict mode.
+	// Flip a payload byte: the ICMP checksum must catch it.
 	data[len(data)-1] ^= 0xff
-	if _, err := Decode(data, LayerTypeDot11, DecodeOptions{VerifyChecksums: true}); !errors.Is(err, ErrBadChecksum) {
+	if _, err := Decode(data, LayerTypeDot11); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("want ErrBadChecksum, got %v", err)
 	}
-	// Default mode tolerates it, as tcpdump does.
-	if _, err := Decode(data, LayerTypeDot11, Default); err != nil {
-		t.Fatalf("default decode: %v", err)
+
+	// A UDP checksum of 0 means none was sent and decodes; any other
+	// wrong value is refused.
+	data, err = Serialize(New(
+		&IPv4{TTL: 1, Protocol: ProtoUDP, Src: IP(192, 168, 1, 2), Dst: IP(8, 8, 8, 8)},
+		&UDP{SrcPort: 40000, DstPort: 33434},
+		&Payload{Data: []byte{0xde, 0xad}},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[26], data[27] = 0, 0 // UDP checksum, after the 20-byte IPv4 header
+	if _, err := Decode(data, LayerTypeIPv4); err != nil {
+		t.Fatalf("UDP checksum 0: %v", err)
+	}
+	data[27] = 1
+	if _, err := Decode(data, LayerTypeIPv4); !errors.Is(err, ErrBadChecksum) {
+		t.Fatalf("wrong UDP checksum: want ErrBadChecksum, got %v", err)
 	}
 }
 
@@ -191,7 +206,7 @@ func TestDecodeTruncated(t *testing.T) {
 		if n > len(data) {
 			continue
 		}
-		if _, err := Decode(data[:n], LayerTypeDot11, Default); !errors.Is(err, ErrTruncated) {
+		if _, err := Decode(data[:n], LayerTypeDot11); !errors.Is(err, ErrTruncated) {
 			t.Errorf("decode of %d bytes: want ErrTruncated, got %v", n, err)
 		}
 	}
@@ -287,7 +302,7 @@ func TestPcapRoundtrip(t *testing.T) {
 		if !bytes.Equal(r.Data, data) {
 			t.Errorf("record %d data mismatch", i)
 		}
-		if _, err := Decode(r.Data, LayerTypeDot11, DecodeOptions{VerifyChecksums: true}); err != nil {
+		if _, err := Decode(r.Data, LayerTypeDot11); err != nil {
 			t.Errorf("record %d decode: %v", i, err)
 		}
 	}
@@ -319,7 +334,7 @@ func TestQuickRoundtripICMP(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q, err := Decode(data, LayerTypeIPv4, DecodeOptions{VerifyChecksums: true})
+		q, err := Decode(data, LayerTypeIPv4)
 		if err != nil {
 			return false
 		}
@@ -343,7 +358,7 @@ func TestQuickRoundtripTCP(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q, err := Decode(data, LayerTypeIPv4, DecodeOptions{VerifyChecksums: true})
+		q, err := Decode(data, LayerTypeIPv4)
 		if err != nil {
 			return false
 		}
@@ -376,7 +391,7 @@ func TestQuickRoundtripBeacon(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q, err := Decode(data, LayerTypeDot11, Default)
+		q, err := Decode(data, LayerTypeDot11)
 		if err != nil {
 			return false
 		}

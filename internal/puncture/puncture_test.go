@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -350,6 +351,32 @@ func TestSaveLoadFile(t *testing.T) {
 		}
 		if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(left) != 0 {
 			t.Fatalf("round %d: temp files left behind: %v", round, left)
+		}
+	}
+}
+
+// TestRefusedFileNamedOnce: a refused knowledge file's error names its
+// path and the package once each, whichever reader refused it.
+func TestRefusedFileNamedOnce(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"junk.json":    "not json",
+		"version.json": `{"version":999}`,
+		"trailer.json": `{"version":1} {}`,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, rerr := ReadFile(path)
+		_, _, lerr := LoadFile(path, 0)
+		for _, err := range []error{rerr, lerr} {
+			if err == nil {
+				t.Fatalf("%s accepted", name)
+			}
+			if msg := err.Error(); strings.Count(msg, path) != 1 || strings.Count(msg, "puncture:") != 1 {
+				t.Errorf("%s: want the path and puncture: once each: %q", name, msg)
+			}
 		}
 	}
 }

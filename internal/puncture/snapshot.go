@@ -235,7 +235,8 @@ func ReadFile(path string) (snap *Snapshot, found bool, err error) {
 	}
 	defer f.Close()
 	if snap, err = ReadSnapshot(f); err != nil {
-		return nil, false, fmt.Errorf("puncture: %s: %w", path, err)
+		// ReadSnapshot's error already names the package.
+		return nil, false, fmt.Errorf("%s: %w", path, err)
 	}
 	return snap, true, nil
 }
@@ -250,7 +251,7 @@ func LoadFile(path string, shards int) (st *Store, found bool, err error) {
 	}
 	st = NewStore(shards)
 	if err := st.MergeSnapshot(snap); err != nil {
-		return nil, false, fmt.Errorf("puncture: %s: %w", path, err)
+		return nil, false, fmt.Errorf("%s: %w", path, err)
 	}
 	return st, found, nil
 }

@@ -153,9 +153,10 @@ func AnalyzePcap(r io.Reader) (*Analysis, error) {
 	}
 	an := newAnalyzer()
 	for _, rec := range recs {
-		p, err := packet.Decode(rec.Data, packet.LayerTypeDot11, packet.Default)
+		p, err := packet.Decode(rec.Data, packet.LayerTypeDot11)
 		if err != nil {
-			// Tolerate undecodable frames, as real analyzers do.
+			// Skip undecodable frames (truncated, or failing a
+			// checksum), as real analyzers do.
 			continue
 		}
 		an.frame(p, rec.Timestamp)

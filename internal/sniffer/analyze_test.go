@@ -80,6 +80,36 @@ func TestAnalyzePcapRoundtrip(t *testing.T) {
 	}
 }
 
+// TestAnalyzePcapSkipsBadChecksum: a frame failing its checksum is
+// skipped like any undecodable frame; the rest of the capture is still
+// analyzed.
+func TestAnalyzePcapSkipsBadChecksum(t *testing.T) {
+	var buf bytes.Buffer
+	if err := buildCapture(t).WritePcap(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := packet.ReadPcap(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := recs[len(recs)-1].Data // the echo reply
+	reply[len(reply)-1] ^= 0xff     // its ICMP sequence number
+	buf.Reset()
+	w := packet.NewPcapWriter(&buf, packet.LinkTypeDot11)
+	for _, r := range recs {
+		if err := w.WritePacket(r.Timestamp, r.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := AnalyzePcap(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Frames != 4 || len(a.EchoRTTs) != 0 || !a.PSMActive() {
+		t.Fatalf("analysis with a corrupted reply: %s", a)
+	}
+}
+
 func TestAnalyzePcapRejectsWrongLinkType(t *testing.T) {
 	var buf bytes.Buffer
 	w := packet.NewPcapWriter(&buf, 101) // LINKTYPE_RAW: raw IP
