@@ -11,9 +11,10 @@ import (
 
 // AM006 reports exported names declared under internal/ that no
 // non-test code uses: package-level funcs, types, consts and vars, and
-// exported methods (fields are out of scope). An export only tests call
-// is surface that costs upkeep and gates nothing; the test should read
-// production state through a production path, or the name should go.
+// exported methods. Fields are AM007's, in the model packages. An
+// export only tests call is surface that costs upkeep and gates
+// nothing; the test should read production state through a production
+// path, or the name should go.
 //
 // Uses are counted over Module.Users, the non-test code of the whole
 // module plus its perfbench harness, whatever packages were asked for.
@@ -257,19 +258,10 @@ func exemptMethods(m *Module) map[string]bool {
 				}
 			}
 		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				if d, ok := decl.(*ast.GenDecl); ok && d.Tok == token.TYPE {
-					for _, spec := range d.Specs {
-						ts := spec.(*ast.TypeSpec)
-						if n := recvNamed(pkg.Info.TypeOf(ts.Type)); ts.Assign.IsValid() && isFacadeOf(pkg.Path, n) {
-							for _, fn := range methodSet(n) {
-								exempt[nameKey(fn)] = true
-							}
-						}
-					}
-				}
-			}
+	}
+	for _, n := range facadeAliased(m) {
+		for _, fn := range methodSet(n) {
+			exempt[nameKey(fn)] = true
 		}
 	}
 	for _, n := range named {
@@ -302,6 +294,27 @@ func methodSet(n *types.Named) map[string]types.Object {
 // methodKey is a method's name and signature key, "String()(string)".
 func methodKey(fn types.Object) string {
 	return fn.Name() + sigKey(fn.Type().(*types.Signature))
+}
+
+// facadeAliased returns every type under internal/ that the root
+// facade aliases: its exported surface is public API by design.
+func facadeAliased(m *Module) []*types.Named {
+	var out []*types.Named
+	for _, pkg := range m.Users {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if d, ok := decl.(*ast.GenDecl); ok && d.Tok == token.TYPE {
+					for _, spec := range d.Specs {
+						ts := spec.(*ast.TypeSpec)
+						if n := recvNamed(pkg.Info.TypeOf(ts.Type)); ts.Assign.IsValid() && isFacadeOf(pkg.Path, n) {
+							out = append(out, n)
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
 }
 
 // isFacadeOf reports whether pkgPath is the root package of the module

@@ -10,6 +10,7 @@
 //	AM004 atomic-consistency no plain access to atomically-used fields
 //	AM005 context-first     exported blocking APIs take ctx first
 //	AM006 test-only-export  exported names under internal/ have a non-test use
+//	AM007 test-only-field   exported sim-model fields have a non-test read
 //
 // The suite is stdlib-only (go/ast, go/parser, go/types); packages are
 // loaded via `go list -export` so type information is exact, not
@@ -64,8 +65,9 @@ type Module struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 	// Users is every package whose non-test code counts as a use of a
-	// name (AM006): the whole module and its perfbench harness, however
-	// narrow the patterns that chose Pkgs. A fixture is its own user.
+	// name (AM006) or a read of a field (AM007): the whole module and
+	// its perfbench harness, however narrow the patterns that chose
+	// Pkgs. A fixture is its own user.
 	Users []*Package
 }
 
@@ -91,6 +93,7 @@ func Suite() []Analyzer {
 		AM004{},
 		AM005{},
 		AM006{},
+		AM007{},
 	}
 }
 

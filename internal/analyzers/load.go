@@ -196,28 +196,29 @@ func checkPackage(fset *token.FileSet, imp types.Importer, p listPkg) (*Package,
 // graph (a testdata fixture package) under an explicit import path, so
 // golden tests exercise exactly the scope rules production runs use.
 // The fixture may import the standard library and this module's packages.
+//
+// A facade subdirectory, if present, is type-checked too, as the root
+// package of the fixture's module ("repro" for "repro/internal/x/fix").
+// It may import the fixture, and stands in for the root facade whose
+// aliases AM006 and AM007 exempt: a user, not an analyzed package.
 func LoadDir(dir, asImportPath string) (*Module, error) {
-	entries, err := os.ReadDir(dir)
+	p, imports, err := readFixture(dir, asImportPath)
 	if err != nil {
-		return nil, fmt.Errorf("analyzers: %w", err)
+		return nil, err
 	}
-	p := listPkg{Dir: dir, ImportPath: asImportPath}
-	imports := map[string]bool{}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		p.GoFiles = append(p.GoFiles, e.Name())
-		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, e.Name()), nil, parser.ImportsOnly)
+	var facade *listPkg
+	if fi, err := os.Stat(filepath.Join(dir, "facade")); err == nil && fi.IsDir() {
+		root, _, _ := strings.Cut(asImportPath, "/internal/")
+		f, fimports, err := readFixture(filepath.Join(dir, "facade"), root)
 		if err != nil {
-			return nil, fmt.Errorf("analyzers: %w", err)
+			return nil, err
 		}
-		for _, spec := range f.Imports {
-			imports[strings.Trim(spec.Path.Value, `"`)] = true
+		facade = &f
+		for path := range fimports {
+			if path != asImportPath {
+				imports[path] = true
+			}
 		}
-	}
-	if len(p.GoFiles) == 0 {
-		return nil, fmt.Errorf("analyzers: no Go files in %s", dir)
 	}
 	var deps []listPkg
 	if len(imports) > 0 {
@@ -231,10 +232,60 @@ func LoadDir(dir, asImportPath string) (*Module, error) {
 		}
 	}
 	fset := token.NewFileSet()
-	pkg, err := checkPackage(fset, exportImporter(fset, exportsOf(deps)), p)
+	imp := exportImporter(fset, exportsOf(deps))
+	pkg, err := checkPackage(fset, imp, p)
 	if err != nil {
 		return nil, err
 	}
-	pkgs := []*Package{pkg}
-	return &Module{Fset: fset, Pkgs: pkgs, Users: pkgs}, nil
+	m := &Module{Fset: fset, Pkgs: []*Package{pkg}, Users: []*Package{pkg}}
+	if facade != nil {
+		fpkg, err := checkPackage(fset, withPackage{imp, pkg.Types}, *facade)
+		if err != nil {
+			return nil, err
+		}
+		m.Users = append(m.Users, fpkg)
+	}
+	return m, nil
+}
+
+// readFixture lists the Go files of one fixture directory as the
+// package importPath, with the import paths they name.
+func readFixture(dir, importPath string) (listPkg, map[string]bool, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return listPkg{}, nil, fmt.Errorf("analyzers: %w", err)
+	}
+	p := listPkg{Dir: dir, ImportPath: importPath}
+	imports := map[string]bool{}
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		p.GoFiles = append(p.GoFiles, e.Name())
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, e.Name()), nil, parser.ImportsOnly)
+		if err != nil {
+			return listPkg{}, nil, fmt.Errorf("analyzers: %w", err)
+		}
+		for _, spec := range f.Imports {
+			imports[strings.Trim(spec.Path.Value, `"`)] = true
+		}
+	}
+	if len(p.GoFiles) == 0 {
+		return listPkg{}, nil, fmt.Errorf("analyzers: no Go files in %s", dir)
+	}
+	return p, imports, nil
+}
+
+// withPackage resolves one import path to a package checked from
+// source, and every other through the wrapped importer.
+type withPackage struct {
+	types.Importer
+	pkg *types.Package
+}
+
+func (w withPackage) Import(path string) (*types.Package, error) {
+	if path == w.pkg.Path() {
+		return w.pkg, nil
+	}
+	return w.Importer.Import(path)
 }

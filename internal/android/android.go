@@ -237,17 +237,15 @@ func NewPhone(sim *simtime.Sim, prof Profile, med *medium.Medium, fac *packet.Fa
 	drv := driver.New(sim, drvCfg, opts.Trace)
 
 	staCfg := mac.STAConfig{
-		MAC:                 opts.MAC,
-		IP:                  opts.IP,
-		BSSID:               opts.BSSID,
-		AID:                 opts.AID,
-		PSMEnabled:          !opts.DisablePSM,
-		PSMTimeout:          prof.PSMTimeout,
-		PSMTimeoutJitter:    psmJitter(prof.PSMTimeout),
-		ListenInterval:      listenEvery(prof.ActualListenInterval),
-		AssocListenInterval: prof.AssocListenInterval,
-		BeaconMissProb:      opts.BeaconMissProb,
-		BeaconGuard:         time.Millisecond,
+		MAC:              opts.MAC,
+		BSSID:            opts.BSSID,
+		AID:              opts.AID,
+		PSMEnabled:       !opts.DisablePSM,
+		PSMTimeout:       prof.PSMTimeout,
+		PSMTimeoutJitter: psmJitter(prof.PSMTimeout),
+		ListenInterval:   listenEvery(prof.ActualListenInterval),
+		BeaconMissProb:   opts.BeaconMissProb,
+		BeaconGuard:      time.Millisecond,
 	}
 	sta := mac.NewSTA(sim, med, staCfg, fac, opts.Trace, drv.HandleFrameFromMAC)
 	drv.SetSTA(sta)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/phy"
 	"repro/internal/simtime"
+	"repro/internal/trace"
 )
 
 func TestProfilesMatchTable1(t *testing.T) {
@@ -168,18 +169,31 @@ func TestCPUFactorSlowsOldPhones(t *testing.T) {
 	}
 }
 
+// dozes counts the station's enter_doze trace records.
+func dozes(tr *trace.Trace) int {
+	n := 0
+	for _, e := range tr.Filter("sta") {
+		if e.Name == "enter_doze" {
+			n++
+		}
+	}
+	return n
+}
+
 func TestDisablePSM(t *testing.T) {
-	sim, ph, _ := newPhoneBench(3, nexus4(), PhoneOptions{DisablePSM: true})
+	tr := trace.New(0)
+	sim, _, _ := newPhoneBench(3, nexus4(), PhoneOptions{DisablePSM: true, Trace: tr})
 	sim.RunUntil(2 * time.Second)
-	if ph.STA.Stats.Dozes != 0 {
+	if dozes(tr) != 0 {
 		t.Fatal("PSM-disabled phone dozed")
 	}
 }
 
 func TestPSMEnabledByDefault(t *testing.T) {
-	sim, ph, _ := newPhoneBench(4, nexus4(), PhoneOptions{})
+	tr := trace.New(0)
+	sim, _, _ := newPhoneBench(4, nexus4(), PhoneOptions{Trace: tr})
 	sim.RunUntil(2 * time.Second)
-	if ph.STA.Stats.Dozes == 0 {
+	if dozes(tr) == 0 {
 		t.Fatal("phone with Tip=40ms never dozed in 2s of idleness")
 	}
 }

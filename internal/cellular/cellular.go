@@ -91,13 +91,10 @@ func LTE() Config {
 	}
 }
 
-// Stats counts modem events.
+// Stats counts modem events: Promotions is how many times the radio
+// reached DCH.
 type Stats struct {
-	Promotions    uint64
-	Demotions     uint64
-	PacketsUp     uint64
-	PacketsDown   uint64
-	PromotionWait time.Duration
+	Promotions uint64
 }
 
 // Modem is the cellular interface. It implements kernel.Device upward
@@ -155,7 +152,6 @@ func (m *Modem) demoteFromDCH() {
 		return
 	}
 	m.state = FACH
-	m.Stats.Demotions++
 	m.tr.Add(m.sim.Now(), "rrc", "demote_DCH_FACH", "")
 	m.t2.Reset(m.cfg.T2)
 }
@@ -165,7 +161,6 @@ func (m *Modem) demoteFromFACH() {
 		return
 	}
 	m.state = Idle
-	m.Stats.Demotions++
 	m.tr.Add(m.sim.Now(), "rrc", "demote_FACH_IDLE", "")
 }
 
@@ -183,7 +178,6 @@ func (m *Modem) promote() {
 		cost = m.sample(m.cfg.FACHToDCH)
 	}
 	m.t2.Stop()
-	m.Stats.PromotionWait += cost
 	m.tr.Addf(m.sim.Now(), "rrc", "promote", "from=%s cost=%v", m.state, cost)
 	m.sim.Post(cost, func() {
 		m.promoting = false
@@ -211,7 +205,6 @@ func (m *Modem) Send(p *packet.Packet) {
 }
 
 func (m *Modem) transmitUp(p *packet.Packet) {
-	m.Stats.PacketsUp++
 	d := m.sample(m.cfg.DCHLatency)
 	m.sim.Post(d, func() {
 		if m.toNet != nil {
@@ -222,7 +215,6 @@ func (m *Modem) transmitUp(p *packet.Packet) {
 
 // DeliverFromNet accepts a downlink packet from the operator network.
 func (m *Modem) DeliverFromNet(p *packet.Packet) {
-	m.Stats.PacketsDown++
 	switch m.state {
 	case DCH:
 		m.activity()

@@ -1,6 +1,7 @@
 package cellular
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ func TestModemStartsIdle(t *testing.T) {
 }
 
 func TestPromotionOnSendAndDemotionTimers(t *testing.T) {
-	tb := NewTestbed(TestbedConfig{Seed: 1, Radio: UMTS(), CoreRTT: 40 * time.Millisecond})
+	tb := NewTestbed(TestbedConfig{Seed: 1, Radio: UMTS(), CoreRTT: 40 * time.Millisecond, TraceCap: 1000})
 	m := tb.Modem
 	tb.Phone.SendEcho(tb.serverIP, 1, 1, 32)
 	// Promotion takes ~2s; until then the modem is promoting from IDLE.
@@ -39,8 +40,14 @@ func TestPromotionOnSendAndDemotionTimers(t *testing.T) {
 	if m.state != Idle {
 		t.Fatalf("state = %v after T2, want IDLE", m.state)
 	}
-	if m.Stats.Promotions != 1 || m.Stats.Demotions != 2 {
-		t.Fatalf("stats: %+v", m.Stats)
+	var demotions []string
+	for _, e := range tb.Trace.Filter("rrc") {
+		if strings.HasPrefix(e.Name, "demote_") {
+			demotions = append(demotions, e.Name)
+		}
+	}
+	if m.Stats.Promotions != 1 || len(demotions) != 2 {
+		t.Fatalf("promotions = %d, demotions = %v; want 1 and 2", m.Stats.Promotions, demotions)
 	}
 }
 

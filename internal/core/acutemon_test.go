@@ -5,12 +5,18 @@ import (
 	"time"
 
 	"repro/internal/android"
+	"repro/internal/kernel"
+	"repro/internal/packet"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 	"repro/internal/tools"
 )
 
 func newTB(seed int64, phone string, rtt time.Duration) *testbed.Testbed {
+	return testbed.New(tbConfig(seed, phone, rtt))
+}
+
+func tbConfig(seed int64, phone string, rtt time.Duration) testbed.Config {
 	cfg := testbed.DefaultConfig()
 	cfg.Seed = seed
 	if phone != "" {
@@ -21,8 +27,17 @@ func newTB(seed int64, phone string, rtt time.Duration) *testbed.Testbed {
 		cfg.Phone = p
 	}
 	cfg.EmulatedRTT = rtt
-	return testbed.New(cfg)
+	return cfg
 }
+
+// host is a wired endpoint that records what reaches it.
+type host struct {
+	ip  packet.IPv4Addr
+	got []*packet.Packet
+}
+
+func (h *host) IP() packet.IPv4Addr                { return h.ip }
+func (h *host) DeliverFromDevice(p *packet.Packet) { h.got = append(h.got, p) }
 
 func TestHeadlineResultMedianOverheadUnder3ms(t *testing.T) {
 	// The paper's abstract: "the overall median delay overheads can be
@@ -51,12 +66,23 @@ func TestHeadlineResultMedianOverheadUnder3ms(t *testing.T) {
 }
 
 func TestPhoneStaysAwakeDuringMeasurement(t *testing.T) {
-	tb := newTB(2, "Google Nexus 4", 135*time.Millisecond) // Tip=40ms!
+	cfg := tbConfig(2, "Google Nexus 4", 135*time.Millisecond) // Tip=40ms!
+	cfg.TraceCap = 1 << 20
+	tb := testbed.New(cfg)
 	tb.Sim.RunUntil(300 * time.Millisecond)
-	dozesBefore := tb.Phone.STA.Stats.Dozes
+	dozes := func() int {
+		n := 0
+		for _, e := range tb.Trace.Filter("sta") {
+			if e.Name == "enter_doze" {
+				n++
+			}
+		}
+		return n
+	}
+	dozesBefore := dozes()
 	mon := New(tb, Config{K: 50})
 	res := mon.Run()
-	if got := tb.Phone.STA.Stats.Dozes - dozesBefore; got != 0 {
+	if got := dozes() - dozesBefore; got != 0 {
 		t.Errorf("phone dozed %d times during AcuteMon", got)
 	}
 	if bus := tb.Phone.Drv.Bus(); bus.Asleep() && res.Finished > 0 {
@@ -87,15 +113,31 @@ func TestBackgroundTrafficVolumeMatchesPaperExample(t *testing.T) {
 
 func TestBackgroundTrafficDiesAtGateway(t *testing.T) {
 	tb := newTB(4, "", 30*time.Millisecond)
+	// Give the BT target a host, so a BT packet past the gateway would
+	// arrive somewhere, and record the TTL=1 packets entering the gateway.
+	target := &host{ip: testbed.WarmupIP}
+	tb.Wired.AttachHost(target, nil, nil)
+	var ttl1 []uint64
+	tb.AP.SetWiredOut(func(p *packet.Packet) {
+		if p.IPv4().TTL == 1 {
+			ttl1 = append(ttl1, p.ID)
+		}
+		tb.Wired.FromWLAN(p)
+	})
+	tb.Server.Stack.BPF().Enable()
+	tb.LoadServer.Stack.BPF().Enable()
 	mon := New(tb, Config{K: 20})
 	res := mon.Run()
-	if tb.Wired.Stats.DroppedTTL.Load() < uint64(res.BackgroundSent) {
-		t.Errorf("gateway dropped %d, want >= %d (all BT packets)",
-			tb.Wired.Stats.DroppedTTL.Load(), res.BackgroundSent)
+	if dropped := len(ttl1) - len(target.got); len(target.got) != 0 || dropped < res.BackgroundSent {
+		t.Errorf("gateway dropped %d, want >= %d (all BT packets)", dropped, res.BackgroundSent)
 	}
 	// Nothing TTL=1 may reach the measurement or load servers.
-	if tb.Server.Stack.DroppedNoDemux > 0 {
-		t.Errorf("server saw %d stray packets", tb.Server.Stack.DroppedNoDemux)
+	for _, id := range ttl1 {
+		for _, srv := range []*kernel.Stack{tb.Server.Stack, tb.LoadServer.Stack} {
+			if _, ok := srv.BPF().TimeOf(id); ok {
+				t.Errorf("server %v saw stray packet %d", srv.IP(), id)
+			}
+		}
 	}
 }
 

@@ -107,11 +107,7 @@ func Wcnss() Config {
 
 // DvRecord is one instrumented driver-latency sample.
 type DvRecord struct {
-	PktID   uint64
-	At      time.Duration
 	Latency time.Duration
-	// PaidWake reports whether the sample included a bus wake.
-	PaidWake bool
 }
 
 // Instrumentation accumulates the paper's dvsend/dvrecv measurements.
@@ -163,9 +159,6 @@ type Driver struct {
 	rxDispatchWM, rxReadyWM, rxDeliverWM time.Duration
 
 	Instr Instrumentation
-
-	// Stats
-	TxPackets, RxPackets uint64
 }
 
 // New builds a driver and its bus. Wire the STA with SetSTA and the
@@ -248,17 +241,16 @@ func (d *Driver) Send(ip *packet.Packet, done func(medium.TxResult)) {
 			clk := d.sample(d.cfg.ClkCtl) + idleRamp
 			d.tr.Add(d.sim.Now(), "dpc", d.nm.clkctl, "")
 			readyAt := fifoClamp(&d.txReadyWM, d.sim.Now()+clk)
-			d.sim.PostAt(readyAt, func() { d.finishSend(ip, t0, wasAsleep, done) })
+			d.sim.PostAt(readyAt, func() { d.finishSend(ip, t0, done) })
 		})
 	})
 }
 
-func (d *Driver) finishSend(ip *packet.Packet, t0 time.Duration, paidWake bool, done func(medium.TxResult)) {
+func (d *Driver) finishSend(ip *packet.Packet, t0 time.Duration, done func(medium.TxResult)) {
 	now := d.sim.Now()
 	d.tr.Add(now, "dpc", d.nm.sendfromq, "")
 	d.tr.Addf(now, "dpc", d.nm.txpkt, "dvsend=%v", now-t0)
-	d.Instr.Send = append(d.Instr.Send, DvRecord{PktID: ip.ID, At: now, Latency: now - t0, PaidWake: paidWake})
-	d.TxPackets++
+	d.Instr.Send = append(d.Instr.Send, DvRecord{Latency: now - t0})
 	writeAt := fifoClamp(&d.txWriteWM, now+d.sample(d.cfg.TxBusWrite))
 	d.sim.PostAt(writeAt, func() {
 		d.bus.Touch()
@@ -285,18 +277,17 @@ func (d *Driver) HandleFrameFromMAC(frame *packet.Packet) {
 			read := d.sample(d.cfg.RxReadFrames)
 			d.tr.Add(d.sim.Now(), "dpc", d.nm.readframes, "")
 			readyAt := fifoClamp(&d.rxReadyWM, d.sim.Now()+read)
-			d.sim.PostAt(readyAt, func() { d.finishRecv(frame, t0, wasAsleep) })
+			d.sim.PostAt(readyAt, func() { d.finishRecv(frame, t0) })
 		})
 	})
 }
 
-func (d *Driver) finishRecv(frame *packet.Packet, t0 time.Duration, paidWake bool) {
+func (d *Driver) finishRecv(frame *packet.Packet, t0 time.Duration) {
 	now := d.sim.Now()
 	d.tr.Add(now, "dpc", d.nm.rxFrame, "")
 	d.tr.Add(now, "dpc", d.nm.schedRxf, "")
 	d.tr.Addf(now, "dpc", d.nm.rxfEnqueue, "dvrecv=%v", now-t0)
-	d.Instr.Recv = append(d.Instr.Recv, DvRecord{PktID: frame.ID, At: now, Latency: now - t0, PaidWake: paidWake})
-	d.RxPackets++
+	d.Instr.Recv = append(d.Instr.Recv, DvRecord{Latency: now - t0})
 	d.bus.Touch()
 
 	deliverAt := fifoClamp(&d.rxDeliverWM, now+d.sample(d.cfg.RxDequeue))

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -150,7 +151,8 @@ func TestWcnssCheaperThanBcmdhd(t *testing.T) {
 }
 
 func TestSendDeliversToSTAAndRecordsDvsend(t *testing.T) {
-	sim, d, sta := newDriver(3, Bcmdhd(), nil)
+	tr := trace.New(0)
+	sim, d, sta := newDriver(3, Bcmdhd(), tr)
 	f := &packet.Factory{}
 	p := icmp(f)
 	var result medium.TxResult = -1
@@ -166,13 +168,17 @@ func TestSendDeliversToSTAAndRecordsDvsend(t *testing.T) {
 	if n := len(d.Instr.Send); n != 1 {
 		t.Fatalf("%d dvsend records, want 1", n)
 	}
-	if r := d.Instr.Send[0]; r.PktID != p.ID || r.Latency <= 0 {
-		t.Fatalf("dvsend record %+v: want pkt %d with a positive latency", r, p.ID)
+	// The sample spans p's dhd_start_xmit to its bus hand-off.
+	start, _ := tr.Find("dhd_start_xmit", 0)
+	txpkt, _ := tr.Find("dhdsdio_txpkt", 0)
+	if r := d.Instr.Send[0]; start.Attrs != fmt.Sprintf("pkt=%d", p.ID) || r.Latency <= 0 || r.Latency != txpkt.At-start.At {
+		t.Fatalf("dvsend record %+v from %v to %v: want pkt %d with a positive latency", r, start, txpkt, p.ID)
 	}
 }
 
 func TestRecvStripsDot11AndRecordsDvrecv(t *testing.T) {
-	sim, d, _ := newDriver(4, Bcmdhd(), nil)
+	tr := trace.New(0)
+	sim, d, _ := newDriver(4, Bcmdhd(), tr)
 	f := &packet.Factory{}
 	var got *packet.Packet
 	d.SetRecvUp(func(p *packet.Packet) { got = p })
@@ -185,8 +191,11 @@ func TestRecvStripsDot11AndRecordsDvrecv(t *testing.T) {
 	if got.Dot11() != nil {
 		t.Fatal("802.11 header not stripped")
 	}
-	if n := len(d.Instr.Recv); n != 1 || d.Instr.Recv[0].PktID != frame.ID {
-		t.Fatalf("dvrecv records %+v: want one for pkt %d", d.Instr.Recv, frame.ID)
+	// The sample spans the frame's dhdsdio_isr to its rxf enqueue.
+	isr, _ := tr.Find("dhdsdio_isr", 0)
+	enq, _ := tr.Find("dhd_rxf_enqueue", 0)
+	if n := len(d.Instr.Recv); n != 1 || isr.Attrs != fmt.Sprintf("pkt=%d", frame.ID) || d.Instr.Recv[0].Latency != enq.At-isr.At {
+		t.Fatalf("dvrecv records %+v from %v to %v: want one for pkt %d", d.Instr.Recv, isr, enq, frame.ID)
 	}
 }
 
@@ -256,7 +265,8 @@ func TestTraceReproducesFig5CallChain(t *testing.T) {
 }
 
 func TestPaidWakeFlag(t *testing.T) {
-	sim, d, _ := newDriver(8, Bcmdhd(), nil)
+	tr := trace.New(0)
+	sim, d, _ := newDriver(8, Bcmdhd(), tr)
 	f := &packet.Factory{}
 	d.Send(icmp(f), nil) // bus awake at t=0
 	sim.PostAt(500*time.Millisecond, func() { d.Send(icmp(f), nil) })
@@ -264,10 +274,20 @@ func TestPaidWakeFlag(t *testing.T) {
 	if len(d.Instr.Send) != 2 {
 		t.Fatalf("samples = %d", len(d.Instr.Send))
 	}
-	if d.Instr.Send[0].PaidWake {
+	// dhdsdio_bussleep records whether each send found the bus asleep.
+	var paid []string
+	for _, e := range tr.Filter("dpc") {
+		if e.Name == "dhdsdio_bussleep" {
+			paid = append(paid, e.Attrs)
+		}
+	}
+	if len(paid) != 2 {
+		t.Fatalf("bussleep records = %v, want one per send", paid)
+	}
+	if paid[0] != "asleep=false" {
 		t.Error("first send (awake bus) flagged as paid wake")
 	}
-	if !d.Instr.Send[1].PaidWake {
+	if paid[1] != "asleep=true" {
 		t.Error("second send (asleep bus) not flagged as paid wake")
 	}
 }

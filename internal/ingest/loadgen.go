@@ -398,6 +398,9 @@ func (lg *LoadGen) ReplayReport(ctx context.Context, rep *fleet.Report) (int, er
 	return posted, nil
 }
 
+// churnRTTs is the RTT samples per churn summary.
+const churnRTTs = 3
+
 // ChurnSpec parameterises LoadGen.Churn, the retention workout: rounds
 // of *rotating* device identities marching forward through event time,
 // so cells are minted and expire continuously — the traffic shape that
@@ -410,8 +413,6 @@ type ChurnSpec struct {
 	Keys int
 	// Sessions is summaries per key per round (<1 → 1).
 	Sessions int
-	// RTTsPer is RTT samples per summary (<1 → 3).
-	RTTsPer int
 	// StartMS is the event-time stamp of round 0 (0 → now). Tests pin
 	// it into the past so windows are already expired when the janitor
 	// looks.
@@ -433,9 +434,6 @@ func (c *ChurnSpec) fill() {
 	}
 	if c.Sessions < 1 {
 		c.Sessions = 1
-	}
-	if c.RTTsPer < 1 {
-		c.RTTsPer = 3
 	}
 	if c.StartMS == 0 {
 		c.StartMS = time.Now().UnixMilli()
@@ -469,8 +467,8 @@ func (lg *LoadGen) Churn(ctx context.Context, spec ChurnSpec) (int, error) {
 					Group:    fmt.Sprintf("churn-g%02d", key%8),
 					Scenario: "churn",
 					TimeMS:   ts,
-					RTTs:     make([]int64, spec.RTTsPer),
-					Sent:     spec.RTTsPer,
+					RTTs:     make([]int64, churnRTTs),
+					Sent:     churnRTTs,
 				}
 				for i := range s.RTTs {
 					// Deterministic spread around BaseRTT keeps the

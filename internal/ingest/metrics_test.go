@@ -92,7 +92,7 @@ func TestMetricsNames(t *testing.T) {
 func TestFiguresAgreeAcrossSurfaces(t *testing.T) {
 	s := startTestServer(t, Config{})
 	lg := &LoadGen{URL: s.URL(), BatchSize: 4}
-	if _, err := lg.Churn(context.Background(), ChurnSpec{Rounds: 1, Keys: 8, Sessions: 1, RTTsPer: 2, StartMS: time.Now().UnixMilli()}); err != nil {
+	if _, err := lg.Churn(context.Background(), ChurnSpec{Rounds: 1, Keys: 8, Sessions: 1, StartMS: time.Now().UnixMilli()}); err != nil {
 		t.Fatal(err)
 	}
 	waitFolded(t, s, 8)

@@ -321,7 +321,7 @@ func TestChurnSteadyState(t *testing.T) {
 	posted := 0
 	for r := 0; r < 6; r++ {
 		n, err := lg.Churn(context.Background(), ChurnSpec{
-			Rounds: 1, Keys: cap, Sessions: 1, RTTsPer: 2,
+			Rounds: 1, Keys: cap, Sessions: 1,
 			StartMS: startMS + int64(r)*windowMS,
 			StepMS:  windowMS,
 		})

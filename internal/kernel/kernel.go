@@ -123,9 +123,6 @@ type Stack struct {
 
 	ephemeral uint16
 	ipID      uint16
-
-	// Stats
-	SentPackets, RecvPackets, DroppedNoDemux uint64
 }
 
 // New creates a stack bound to the device. tr may be nil. The packet
@@ -173,7 +170,6 @@ func (s *Stack) sendIP(p *packet.Packet) {
 	s.sim.Post(s.sample(s.cfg.SendLatency), func() {
 		now := s.sim.Now()
 		s.bpf.capture(p, now)
-		s.SentPackets++
 		s.tr.Addf(now, "kernel", "dev_queue_xmit", "pkt=%d", p.ID)
 		s.dev.Send(p)
 	})
@@ -185,7 +181,6 @@ func (s *Stack) sendIP(p *packet.Packet) {
 func (s *Stack) DeliverFromDevice(p *packet.Packet) {
 	now := s.sim.Now()
 	s.bpf.capture(p, now)
-	s.RecvPackets++
 	s.tr.Addf(now, "kernel", "netif_rx", "pkt=%d", p.ID)
 	s.sim.Post(s.sample(s.cfg.RecvLatency), func() { s.demux(p) })
 }
@@ -193,7 +188,6 @@ func (s *Stack) DeliverFromDevice(p *packet.Packet) {
 func (s *Stack) demux(p *packet.Packet) {
 	ip := p.IPv4()
 	if ip == nil || ip.Dst != s.cfg.IP {
-		s.DroppedNoDemux++
 		return
 	}
 	switch ip.Protocol {
@@ -203,8 +197,6 @@ func (s *Stack) demux(p *packet.Packet) {
 		s.demuxUDP(p)
 	case packet.ProtoTCP:
 		s.demuxTCP(p)
-	default:
-		s.DroppedNoDemux++
 	}
 }
 
@@ -231,7 +223,6 @@ func (s *Stack) CloseICMP(id uint16) { delete(s.icmp, id) }
 func (s *Stack) demuxICMP(p *packet.Packet) {
 	ic := p.ICMP()
 	if ic == nil {
-		s.DroppedNoDemux++
 		return
 	}
 	if ic.IsEchoRequest() {
@@ -248,9 +239,7 @@ func (s *Stack) demuxICMP(p *packet.Packet) {
 	}
 	if fn, ok := s.icmp[ic.ID]; ok {
 		fn(ic, p, s.sim.Now())
-		return
 	}
-	s.DroppedNoDemux++
 }
 
 // --- UDP ---
@@ -316,13 +305,9 @@ func (u *UDPSocket) Close() { delete(u.stack.udp, u.port) }
 func (s *Stack) demuxUDP(p *packet.Packet) {
 	udp := p.UDP()
 	if udp == nil {
-		s.DroppedNoDemux++
 		return
 	}
-	sock, ok := s.udp[udp.DstPort]
-	if !ok || sock.onRecv == nil {
-		s.DroppedNoDemux++
-		return
+	if sock, ok := s.udp[udp.DstPort]; ok && sock.onRecv != nil {
+		sock.onRecv(p.Payload(), p.IPv4().Src, udp.SrcPort, p, s.sim.Now())
 	}
-	sock.onRecv(p.Payload(), p.IPv4().Src, udp.SrcPort, p, s.sim.Now())
 }

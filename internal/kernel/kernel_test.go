@@ -195,19 +195,15 @@ func TestTCPTeardown(t *testing.T) {
 	sim, a, b := pair(9)
 	l := b.Listen(80)
 	var serverConn *TCPConn
-	var serverClosed bool
-	l.OnConn = func(c *TCPConn) {
-		serverConn = c
-		c.OnClosed = func(at time.Duration) { serverClosed = true }
-	}
+	l.OnConn = func(c *TCPConn) { serverConn = c }
 	conn := a.Dial(b.IP(), 80)
 	conn.OnConnected = func(at time.Duration, synAck *packet.Packet) { conn.Close() }
 	sim.RunUntil(100 * time.Millisecond)
 	if serverConn == nil {
 		t.Fatal("no server conn")
 	}
-	if !serverClosed {
-		t.Fatal("server never saw FIN")
+	if serverConn.state != TCPClosed {
+		t.Fatalf("server state = %v, want closed: it never saw the FIN", serverConn.state)
 	}
 }
 
@@ -249,11 +245,18 @@ func TestBPFDisabledCapturesNothing(t *testing.T) {
 
 func TestUnknownTrafficCounted(t *testing.T) {
 	sim, a, b := pair(12)
+	b.BPF().Enable()
+	other, _ := b.OpenUDP(4243)
+	delivered := 0
+	other.SetRecv(func([]byte, packet.IPv4Addr, uint16, *packet.Packet, time.Duration) { delivered++ })
 	sock, _ := a.OpenUDP(0)
-	sock.SendTo(b.IP(), 4242, []byte("x"), 0) // no listener on b:4242
+	p := sock.SendTo(b.IP(), 4242, []byte("x"), 0) // no listener on b:4242
 	sim.RunUntil(100 * time.Millisecond)
-	if b.DroppedNoDemux == 0 {
-		t.Fatal("undelivered datagram not counted")
+	if _, ok := b.BPF().TimeOf(p.ID); !ok {
+		t.Fatal("datagram never reached b's tap")
+	}
+	if delivered != 0 {
+		t.Fatal("datagram for an unbound port handed to another socket")
 	}
 }
 

@@ -57,8 +57,6 @@ type TCPConn struct {
 	// OnReset fires when the peer resets the connection (e.g. a closed
 	// port, the signal MobiPerf's InetAddress method measures).
 	OnReset func(at time.Duration, rst *packet.Packet)
-	// OnClosed fires when the peer's FIN completes the teardown.
-	OnClosed func(at time.Duration)
 
 	// SynPacket is the transmitted SYN (for capture correlation).
 	SynPacket *packet.Packet
@@ -144,7 +142,6 @@ func (c *TCPConn) Close() {
 func (s *Stack) demuxTCP(p *packet.Packet) {
 	tcp := p.TCP()
 	if tcp == nil {
-		s.DroppedNoDemux++
 		return
 	}
 	ip := p.IPv4()
@@ -172,8 +169,6 @@ func (s *Stack) demuxTCP(p *packet.Packet) {
 	}
 	if tcp.SYN() || tcp.FIN() || len(p.Payload()) > 0 {
 		s.sendRST(p)
-		s.DroppedNoDemux++
-		return
 	}
 }
 
@@ -255,9 +250,6 @@ func (c *TCPConn) handle(p *packet.Packet) {
 		c.stack.sendIP(ack)
 		c.state = TCPClosed
 		delete(c.stack.tcp, tcpKey{c.localPort, c.remoteIP, c.remotePort})
-		if c.OnClosed != nil {
-			c.OnClosed(now)
-		}
 		return
 	}
 

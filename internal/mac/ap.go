@@ -12,7 +12,6 @@ import (
 // APConfig configures the access point.
 type APConfig struct {
 	MAC packet.MACAddr
-	IP  packet.IPv4Addr
 	// BeaconIntervalTU is the beacon period in TUs (1.024 ms); the
 	// paper's NETGEAR WNDR3800 uses 100 TU = 102.4 ms.
 	BeaconIntervalTU int
@@ -30,7 +29,6 @@ type APConfig struct {
 func DefaultAPConfig() APConfig {
 	return APConfig{
 		MAC:              packet.MAC(0xA9),
-		IP:               packet.IP(192, 168, 1, 1),
 		BeaconIntervalTU: 100,
 		BeaconPhase:      -1,
 		ForwardLatency:   simtime.Uniform{Lo: 80 * time.Microsecond, Hi: 250 * time.Microsecond},
@@ -43,16 +41,6 @@ type assocEntry struct {
 	ip             packet.IPv4Addr
 	ps             bool
 	listenInterval int
-}
-
-// APStats counts access-point events.
-type APStats struct {
-	BeaconsSent     uint64
-	FramesBuffered  uint64
-	FramesReleased  uint64
-	FramesForwarded uint64
-	PSBufferDrops   uint64
-	Rebuffered      uint64
 }
 
 // AP is the access point: it beacons, bridges between the wireless and
@@ -73,8 +61,6 @@ type AP struct {
 
 	// wiredOut carries uplink packets onto the wired segment.
 	wiredOut func(*packet.Packet)
-
-	Stats APStats
 }
 
 // NewAP creates an access point, attaches it to the medium, and starts
@@ -155,7 +141,6 @@ func (a *AP) sendBeacon() {
 			BufferedAIDs: aids,
 		},
 	)
-	a.Stats.BeaconsSent++
 	a.med.Transmit(a, b, true, nil)
 }
 
@@ -201,7 +186,6 @@ func (a *AP) route(ipPkt *packet.Packet) {
 		a.sendDown(ipPkt, mac)
 		return
 	}
-	a.Stats.FramesForwarded++
 	if a.wiredOut != nil {
 		a.wiredOut(ipPkt)
 	}
@@ -243,11 +227,9 @@ func (a *AP) sendDown(ipPkt *packet.Packet, mac packet.MACAddr) {
 func (a *AP) buffer(mac packet.MACAddr, ipPkt *packet.Packet) {
 	buf := a.psBuf[mac]
 	if len(buf) >= a.cfg.PSBufferCap {
-		a.Stats.PSBufferDrops++
 		return
 	}
 	a.psBuf[mac] = append(buf, ipPkt)
-	a.Stats.FramesBuffered++
 	a.tr.Addf(a.sim.Now(), "ap", "ps_buffer", "sta=%s depth=%d", mac, len(a.psBuf[mac]))
 }
 
@@ -269,7 +251,6 @@ func (a *AP) transmitDown(ipPkt *packet.Packet, mac packet.MACAddr, moreData boo
 				e.ps = true
 			}
 			ipPkt.StripOuter(packet.LayerTypeDot11)
-			a.Stats.Rebuffered++
 			a.buffer(mac, ipPkt)
 		}
 	})
@@ -283,7 +264,6 @@ func (a *AP) handlePSPoll(mac packet.MACAddr) {
 	}
 	frame := buf[0]
 	a.psBuf[mac] = buf[1:]
-	a.Stats.FramesReleased++
 	a.tr.Addf(a.sim.Now(), "ap", "ps_release", "sta=%s remaining=%d", mac, len(a.psBuf[mac]))
 	a.transmitDown(frame, mac, len(a.psBuf[mac]) > 0)
 }
@@ -297,7 +277,6 @@ func (a *AP) flushBuffered(mac packet.MACAddr) {
 	}
 	a.psBuf[mac] = nil
 	for _, frame := range buf {
-		a.Stats.FramesReleased++
 		a.transmitDown(frame, mac, false)
 	}
 }

@@ -26,8 +26,9 @@ func TestAPRebuffersWhenStationDozesMidDelivery(t *testing.T) {
 	// Pretend the AP missed the PM=1 (as if the null frame collided).
 	b.ap.assoc[packet.MAC(1)].ps = false
 	b.ap.WiredDeliver(b.responseFrom(packet.IP(10, 0, 0, 9)))
+	buffered := b.events("ap", "ps_buffer")
 	b.sim.RunUntil(70 * time.Millisecond)
-	if b.ap.Stats.Rebuffered == 0 {
+	if b.events("ap", "ps_buffer") == buffered {
 		t.Fatal("failed delivery was not re-buffered")
 	}
 	if len(b.rxUp) != 0 {
@@ -58,8 +59,8 @@ func TestMultipleBufferedFramesDrainViaMoreData(t *testing.T) {
 		t.Fatalf("delivered %d/3 buffered frames", len(b.rxUp))
 	}
 	// Retrieval costs one PS-Poll per frame.
-	if b.sta.Stats.PSPollsSent < 3 {
-		t.Fatalf("ps-polls = %d, want ≥3", b.sta.Stats.PSPollsSent)
+	if n := b.events("sta", "ps_poll"); n < 3 {
+		t.Fatalf("ps-polls = %d, want ≥3", n)
 	}
 }
 
@@ -68,7 +69,7 @@ func TestUnassociatedStationTrafficIgnored(t *testing.T) {
 	// A frame from a MAC the AP never associated: PM tracking and
 	// routing must not panic, and nothing is forwarded for it.
 	stranger := NewSTA(b.sim, b.med, STAConfig{
-		MAC: packet.MAC(77), IP: packet.IP(192, 168, 1, 77), BSSID: b.ap.MAC(),
+		MAC: packet.MAC(77), BSSID: b.ap.MAC(),
 		PSMEnabled: false,
 	}, b.fac, nil, nil)
 	stranger.Send(b.fac.NewPacket(

@@ -8,6 +8,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/phy"
 	"repro/internal/simtime"
+	"repro/internal/trace"
 )
 
 const beaconIval = 102400 * time.Microsecond
@@ -18,26 +19,58 @@ type bench struct {
 	ap    *AP
 	sta   *STA
 	fac   *packet.Factory
+	tr    *trace.Trace
+	air   *airTap
 	rxUp  []*packet.Packet
 	rxAt  []time.Duration
 	wired []*packet.Packet
 }
 
+// airTap records every frame the medium delivers, as a sniffer would.
+type airTap struct{ frames []*packet.Packet }
+
+func (a *airTap) CaptureFrame(p *packet.Packet, _, _ time.Duration) {
+	a.frames = append(a.frames, p)
+}
+
+// count returns how many captured frames match.
+func (a *airTap) count(match func(*packet.Dot11) bool) int {
+	n := 0
+	for _, p := range a.frames {
+		if match(p.Dot11()) {
+			n++
+		}
+	}
+	return n
+}
+
+// events counts the trace records actor emitted under name.
+func (b *bench) events(actor, name string) int {
+	n := 0
+	for _, e := range b.tr.Filter(actor) {
+		if e.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
 // newBench assembles AP + one phone STA with the given PSM parameters.
-// Beacon phase is pinned to 0 so TBTTs land at k*102.4ms exactly.
+// Beacon phase is pinned to 0 so TBTTs land at k*102.4ms exactly. The
+// AP and STA share one trace, and a tap records every frame on air.
 func newBench(t *testing.T, seed int64, mod func(*STAConfig)) *bench {
 	t.Helper()
-	b := &bench{sim: simtime.New(seed), fac: &packet.Factory{}}
+	b := &bench{sim: simtime.New(seed), fac: &packet.Factory{}, tr: trace.New(0), air: &airTap{}}
 	b.med = medium.New(b.sim, phy.Default80211g(), medium.DefaultOptions())
+	b.med.AttachTap(b.air)
 	apCfg := DefaultAPConfig()
 	apCfg.BeaconPhase = 0
 	apCfg.ForwardLatency = simtime.Const(100 * time.Microsecond)
-	b.ap = NewAP(b.sim, b.med, apCfg, b.fac, nil)
+	b.ap = NewAP(b.sim, b.med, apCfg, b.fac, b.tr)
 	b.ap.SetWiredOut(func(p *packet.Packet) { b.wired = append(b.wired, p) })
 
 	cfg := DefaultSTAConfig()
 	cfg.MAC = packet.MAC(1)
-	cfg.IP = packet.IP(192, 168, 1, 2)
 	cfg.BSSID = apCfg.MAC
 	cfg.AID = 1
 	cfg.PSMTimeout = 50 * time.Millisecond
@@ -46,12 +79,12 @@ func newBench(t *testing.T, seed int64, mod func(*STAConfig)) *bench {
 	if mod != nil {
 		mod(&cfg)
 	}
-	b.sta = NewSTA(b.sim, b.med, cfg, b.fac, nil, func(p *packet.Packet) {
+	b.sta = NewSTA(b.sim, b.med, cfg, b.fac, b.tr, func(p *packet.Packet) {
 		b.rxUp = append(b.rxUp, p)
 		b.rxAt = append(b.rxAt, b.sim.Now())
 	})
 	b.sta.SetBeaconSchedule(b.ap)
-	b.ap.Associate(cfg.MAC, cfg.AID, cfg.IP, cfg.AssocListenInterval)
+	b.ap.Associate(cfg.MAC, cfg.AID, packet.IP(192, 168, 1, 2), 1)
 	return b
 }
 
@@ -81,7 +114,7 @@ func TestSTADozesAfterPSMTimeout(t *testing.T) {
 	if b.sta.State() == StateCAM {
 		t.Fatal("station still CAM after Tip expired")
 	}
-	if b.sta.Stats.NullDataSent == 0 {
+	if b.air.count(func(d *packet.Dot11) bool { return d.IsNullData() && d.PwrMgmt }) == 0 {
 		t.Fatal("no null-data PM=1 frame sent on doze")
 	}
 }
@@ -95,8 +128,8 @@ func TestActivityResetsPSMTimeout(t *testing.T) {
 	})
 	b.sim.RunUntil(300 * time.Millisecond)
 	tick.Stop()
-	if b.sta.Stats.Dozes != 0 {
-		t.Fatalf("station dozed %d times despite 20ms activity", b.sta.Stats.Dozes)
+	if n := b.events("sta", "enter_doze"); n != 0 {
+		t.Fatalf("station dozed %d times despite 20ms activity", n)
 	}
 	if b.sta.State() != StateCAM {
 		t.Fatalf("state = %v, want CAM", b.sta.State())
@@ -106,7 +139,7 @@ func TestActivityResetsPSMTimeout(t *testing.T) {
 func TestPSMDisabledNeverDozes(t *testing.T) {
 	b := newBench(t, 1, func(c *STAConfig) { c.PSMEnabled = false })
 	b.sim.RunUntil(2 * time.Second)
-	if b.sta.Stats.Dozes != 0 || b.sta.State() != StateCAM {
+	if b.events("sta", "enter_doze") != 0 || b.sta.State() != StateCAM {
 		t.Fatal("PSM-disabled station dozed")
 	}
 }
@@ -168,7 +201,7 @@ func TestDownlinkToDozingStationWaitsForBeacon(t *testing.T) {
 	if b.rxAt[0] > beaconIval+10*time.Millisecond {
 		t.Fatalf("delivery at %v, want within ~10ms of TBTT", b.rxAt[0])
 	}
-	if b.sta.Stats.PSPollsSent == 0 {
+	if b.events("sta", "ps_poll") == 0 {
 		t.Fatal("no PS-Poll sent for buffered frame")
 	}
 }
@@ -206,8 +239,8 @@ func TestBeaconMissAddsOneInterval(t *testing.T) {
 	if len(b.ap.psBuf[packet.MAC(1)]) != 1 {
 		t.Fatal("frame lost from PS buffer")
 	}
-	if b.sta.Stats.BeaconsMissed < 3 {
-		t.Fatalf("beacons missed = %d, want several", b.sta.Stats.BeaconsMissed)
+	if n := b.events("sta", "tim_missed"); n < 3 {
+		t.Fatalf("beacons missed = %d, want several", n)
 	}
 }
 
@@ -258,7 +291,7 @@ func TestPSBufferCap(t *testing.T) {
 	if got := len(b.ap.psBuf[packet.MAC(1)]); got > DefaultAPConfig().PSBufferCap {
 		t.Fatalf("buffer grew to %d, cap is %d", got, DefaultAPConfig().PSBufferCap)
 	}
-	if b.ap.Stats.PSBufferDrops == 0 {
+	if b.events("ap", "ps_buffer") >= 100 {
 		t.Fatal("no drops despite overflow")
 	}
 }
@@ -267,7 +300,7 @@ func TestBeaconsAreSentEveryInterval(t *testing.T) {
 	b := newBench(t, 9, nil)
 	b.sim.RunUntil(1 * time.Second)
 	// 1s / 102.4ms = 9.76 → 10 beacons (t=0 included).
-	if got := b.ap.Stats.BeaconsSent; got < 9 || got > 11 {
+	if got := b.air.count((*packet.Dot11).IsBeacon); got < 9 || got > 11 {
 		t.Fatalf("beacons sent = %d, want ~10", got)
 	}
 }
@@ -302,14 +335,14 @@ func TestEndToEndPSMInflation(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	run := func() (uint64, uint64) {
+	run := func() (int, int) {
 		b := newBench(t, 11, nil)
 		tick := simtime.NewTicker(b.sim, 150*time.Millisecond, 0, func() {
 			b.sta.Send(b.icmpTo(packet.IP(10, 0, 0, 9)), nil)
 		})
 		b.sim.RunUntil(2 * time.Second)
 		tick.Stop()
-		return b.sta.Stats.Dozes, b.ap.Stats.BeaconsSent
+		return b.events("sta", "enter_doze"), b.air.count((*packet.Dot11).IsBeacon)
 	}
 	d1, b1 := run()
 	d2, b2 := run()

@@ -52,7 +52,6 @@ type BeaconSchedule interface {
 // STAConfig carries the per-phone PSM parameters of the paper's Table 4.
 type STAConfig struct {
 	MAC   packet.MACAddr
-	IP    packet.IPv4Addr
 	BSSID packet.MACAddr
 	AID   uint16
 
@@ -69,10 +68,9 @@ type STAConfig struct {
 	PSMTimeoutJitter time.Duration
 	// ListenInterval is the number of beacon periods between wake-ups
 	// while dozing. The paper finds all phones actually use every beacon
-	// (wire value 0 ⇒ interval 1); the associated value (1 or 10) is kept
-	// for the Table 4 report.
-	ListenInterval      int
-	AssocListenInterval int
+	// (wire value 0 ⇒ interval 1); the value announced at association
+	// (1 or 10) is android.Profile's, for the Table 4 report.
+	ListenInterval int
 	// BeaconMissProb is the probability that a dozing station fails to
 	// act on a TIM in time (wake-up races near the TBTT), paying one
 	// extra beacon interval. Calibrated against Table 2's Nexus 4 row.
@@ -84,26 +82,13 @@ type STAConfig struct {
 // DefaultSTAConfig returns a generic enabled-PSM configuration.
 func DefaultSTAConfig() STAConfig {
 	return STAConfig{
-		PSMEnabled:          true,
-		PSMTimeout:          200 * time.Millisecond,
-		PSMTimeoutJitter:    20 * time.Millisecond,
-		ListenInterval:      1,
-		AssocListenInterval: 1,
-		BeaconMissProb:      0.1,
-		BeaconGuard:         time.Millisecond,
+		PSMEnabled:       true,
+		PSMTimeout:       200 * time.Millisecond,
+		PSMTimeoutJitter: 20 * time.Millisecond,
+		ListenInterval:   1,
+		BeaconMissProb:   0.1,
+		BeaconGuard:      time.Millisecond,
 	}
-}
-
-// STAStats counts station-side power events.
-type STAStats struct {
-	Dozes          uint64
-	Wakes          uint64
-	BeaconsHeard   uint64
-	BeaconsMissed  uint64
-	PSPollsSent    uint64
-	FramesSent     uint64
-	FramesReceived uint64
-	NullDataSent   uint64
 }
 
 // STA is a station MAC with adaptive PSM. The WNIC driver sits above it
@@ -131,8 +116,6 @@ type STA struct {
 	// OnPowerState, when set, observes radio power transitions (energy
 	// accounting).
 	OnPowerState func(old, new PowerState)
-
-	Stats STAStats
 }
 
 // setState transitions the power state, notifying observers.
@@ -209,9 +192,6 @@ func (s *STA) enterCAM() {
 	s.setState(StateCAM)
 	s.cancelWake()
 	s.expectMore = false
-	if prev == StateDoze {
-		s.Stats.Wakes++
-	}
 	s.tr.Addf(s.sim.Now(), "sta", "enter_CAM", "from=%s", prev)
 }
 
@@ -241,7 +221,6 @@ func (s *STA) onWake() {
 		s.onBeaconWake()
 	case wakeBeaconMissed:
 		if s.state == StateListen && !s.expectMore {
-			s.Stats.BeaconsMissed++
 			s.setState(StateDoze)
 			s.scheduleBeaconWake(1)
 		}
@@ -267,7 +246,6 @@ func (s *STA) onCAMTimeout() {
 		Addr1: s.cfg.BSSID, Addr2: s.cfg.MAC, Addr3: s.cfg.BSSID,
 		Seq: s.nextSeq(),
 	})
-	s.Stats.NullDataSent++
 	s.med.Transmit(s, null, false, func(medium.TxResult) {
 		// Doze regardless of the null frame's fate; the AP may briefly
 		// believe the station awake, in which case a delivery attempt
@@ -280,7 +258,6 @@ func (s *STA) onCAMTimeout() {
 
 func (s *STA) enterDoze() {
 	s.setState(StateDoze)
-	s.Stats.Dozes++
 	s.tr.Add(s.sim.Now(), "sta", "enter_doze", "")
 	s.scheduleBeaconWake(1)
 }
@@ -341,7 +318,6 @@ func (s *STA) Send(ip *packet.Packet, done func(medium.TxResult)) {
 		Addr1: s.cfg.BSSID, Addr2: s.cfg.MAC, Addr3: s.cfg.BSSID,
 		Seq: s.nextSeq(),
 	})
-	s.Stats.FramesSent++
 	s.med.Transmit(s, ip, false, done)
 }
 
@@ -370,7 +346,6 @@ func (s *STA) handleBeacon(p *packet.Packet) {
 	if s.state != StateListen {
 		return // CAM stations don't act on TIM
 	}
-	s.Stats.BeaconsHeard++
 	s.cancelWake()
 	if !b.Buffered(s.cfg.AID) {
 		s.setState(StateDoze)
@@ -382,7 +357,6 @@ func (s *STA) handleBeacon(p *packet.Packet) {
 	// more beacon interval — the tail that pushes the Nexus 4's 60 ms
 	// row up to ~130 ms in Table 2.
 	if s.sim.Rand().Float64() < s.cfg.BeaconMissProb {
-		s.Stats.BeaconsMissed++
 		s.tr.Add(s.sim.Now(), "sta", "tim_missed", "")
 		s.setState(StateDoze)
 		s.scheduleBeaconWake(1)
@@ -397,7 +371,6 @@ func (s *STA) sendPSPoll() {
 		Type: packet.Dot11Control, Subtype: packet.SubtypePSPoll,
 		Addr1: s.cfg.BSSID, Addr2: s.cfg.MAC,
 	})
-	s.Stats.PSPollsSent++
 	s.tr.Add(s.sim.Now(), "sta", "ps_poll", "")
 	s.med.Transmit(s, poll, false, nil)
 	// Guard against a lost poll or release frame: give up after half a
@@ -407,7 +380,6 @@ func (s *STA) sendPSPoll() {
 
 func (s *STA) handleData(p *packet.Packet) {
 	d11 := p.Dot11()
-	s.Stats.FramesReceived++
 	if s.state == StateListen {
 		// Buffered delivery during a PS retrieval window.
 		s.cancelWake()

@@ -124,19 +124,6 @@ type Medium struct {
 	busy    bool
 	air     onAir
 	airDone func()
-
-	// Stats accumulate over the run for tests and reports.
-	Stats Stats
-}
-
-// Stats counts medium-level events.
-type Stats struct {
-	FramesDelivered uint64
-	FramesNoRecv    uint64
-	FramesDropped   uint64
-	Collisions      uint64
-	BusyTime        time.Duration
-	BytesDelivered  uint64
 }
 
 // onAir is the access round in progress: the job dequeued from
@@ -185,7 +172,6 @@ func (m *Medium) Transmit(src Station, frame *packet.Packet, priority bool, done
 		panic(fmt.Sprintf("medium: transmit from unattached station %s", src.MAC()))
 	}
 	if len(m.queues[i]) >= m.opts.QueueCap {
-		m.Stats.FramesDropped++
 		if done != nil {
 			done(TxDroppedQueue)
 		}
@@ -271,7 +257,6 @@ func (m *Medium) kick() {
 	}
 	start := m.sim.Now() + access
 
-	m.Stats.BusyTime += busyFor
 	m.air = onAir{job: job, src: winner, collided: collided, start: start, end: start + airtime}
 	m.sim.Post(busyFor, m.airDone)
 }
@@ -283,10 +268,8 @@ func (m *Medium) endRound() {
 	m.air = onAir{}
 	m.busy = false
 	if a.collided {
-		m.Stats.Collisions++
 		a.job.retries++
 		if a.job.retries > m.opts.MaxRetries {
-			m.Stats.FramesDropped++
 			if a.job.done != nil {
 				a.job.done(TxDroppedRetries)
 			}
@@ -345,8 +328,6 @@ func (m *Medium) complete(src int, job *txJob, airStart, airEnd time.Duration) {
 			}
 			st.DeliverFrame(frame.Clone())
 		}
-		m.Stats.FramesDelivered++
-		m.Stats.BytesDelivered += uint64(frame.Length())
 		if job.done != nil {
 			job.done(TxOK)
 		}
@@ -354,15 +335,12 @@ func (m *Medium) complete(src int, job *txJob, airStart, airEnd time.Duration) {
 	}
 	i, ok := m.index[d11.Addr1]
 	if !ok || !m.stations[i].RadioOn() {
-		m.Stats.FramesNoRecv++
 		if job.done != nil {
 			job.done(TxNoReceiver)
 		}
 		return
 	}
 	m.stations[i].DeliverFrame(frame)
-	m.Stats.FramesDelivered++
-	m.Stats.BytesDelivered += uint64(frame.Length())
 	if job.done != nil {
 		job.done(TxOK)
 	}

@@ -25,8 +25,12 @@ func TestPersistentCollisionsDropFrame(t *testing.T) {
 	f := &packet.Factory{}
 
 	drops := 0
+	var firstDrop time.Duration
 	count := func(r TxResult) {
 		if r == TxDroppedRetries {
+			if drops == 0 {
+				firstDrop = sim.Now()
+			}
 			drops++
 		}
 	}
@@ -41,8 +45,11 @@ func TestPersistentCollisionsDropFrame(t *testing.T) {
 	if drops == 0 {
 		t.Fatal("no retry-exhaustion drops despite forced collisions")
 	}
-	if m.Stats.Collisions < uint64(opts.MaxRetries) {
-		t.Fatalf("collisions = %d, want ≥ %d", m.Stats.Collisions, opts.MaxRetries)
+	// A frame drops only after MaxRetries+1 collided rounds, each at
+	// least DIFS plus a frame's airtime long.
+	round := m.phy.DIFS() + m.frameAirtime(dataFrame(f, a.mac, c.mac, 200))
+	if min := time.Duration(opts.MaxRetries+1) * round; firstDrop < min {
+		t.Fatalf("first drop at %v, want ≥ %v (%d collided rounds)", firstDrop, min, opts.MaxRetries+1)
 	}
 }
 
@@ -77,13 +84,22 @@ func TestUtilizationBounded(t *testing.T) {
 	b := &fakeStation{mac: packet.MAC(2), radio: true}
 	m.Attach(a)
 	m.Attach(b)
+	tap := &fakeTap{}
+	m.AttachTap(tap)
 	f := &packet.Factory{}
 	for i := 0; i < 200; i++ {
 		m.Transmit(a, dataFrame(f, a.mac, b.mac, 1470), false, nil)
 	}
 	sim.RunUntil(500 * time.Millisecond)
-	if u := float64(m.Stats.BusyTime) / float64(sim.Now()); u < 0 || u > 1.0 {
-		t.Fatalf("utilization = %v outside [0,1]", u)
+	// One frame on the air at a time: captures never overlap, so their
+	// airtime fits in the run.
+	for i := 1; i < len(tap.frames); i++ {
+		if tap.starts[i] < tap.ends[i-1] {
+			t.Fatalf("frame %d on air at %v, before frame %d ended at %v", i, tap.starts[i], i-1, tap.ends[i-1])
+		}
+	}
+	if u := float64(tap.airtime()) / float64(sim.Now()); u <= 0 || u > 1.0 {
+		t.Fatalf("utilization = %v outside (0,1]", u)
 	}
 }
 

@@ -33,6 +33,32 @@ func (f *fakeTap) CaptureFrame(p *packet.Packet, s, e time.Duration) {
 	f.ends = append(f.ends, e)
 }
 
+// airtime sums the time the captured frames spent on the air: the
+// medium's busy time without each round's access and ACK.
+func (f *fakeTap) airtime() time.Duration {
+	var air time.Duration
+	for i := range f.frames {
+		air += f.ends[i] - f.starts[i]
+	}
+	return air
+}
+
+// collidedGaps counts the gaps between consecutive captures longer than
+// a backlogged medium takes between two frames when no round in between
+// collides: the earlier frame's SIFS and ACK, then DIFS and a
+// first-attempt backoff. While some station is backlogged, only a
+// collided round fills a longer gap.
+func collidedGaps(tap *fakeTap, p phy.Params) int {
+	limit := p.SIFS + p.AckTime() + p.DIFS() + time.Duration(p.CWmin)*p.SlotTime
+	n := 0
+	for i := 1; i < len(tap.starts); i++ {
+		if tap.starts[i]-tap.ends[i-1] > limit {
+			n++
+		}
+	}
+	return n
+}
+
 func dataFrame(f *packet.Factory, src, dst packet.MACAddr, payload int) *packet.Packet {
 	return f.NewPacket(
 		&packet.Dot11{Type: packet.Dot11Data, Subtype: packet.SubtypeData, Addr1: dst, Addr2: src, Addr3: dst},
@@ -54,6 +80,8 @@ func TestUnicastDelivery(t *testing.T) {
 	b := &fakeStation{mac: packet.MAC(2), radio: true}
 	m.Attach(a)
 	m.Attach(b)
+	tap := &fakeTap{}
+	m.AttachTap(tap)
 	var result TxResult = -1
 	m.Transmit(a, dataFrame(f, a.mac, b.mac, 100), false, func(r TxResult) { result = r })
 	for sim.Step() {
@@ -67,8 +95,8 @@ func TestUnicastDelivery(t *testing.T) {
 	if len(a.received) != 0 {
 		t.Fatal("sender received its own unicast frame")
 	}
-	if m.Stats.FramesDelivered != 1 {
-		t.Fatalf("stats delivered = %d", m.Stats.FramesDelivered)
+	if len(tap.frames) != 1 {
+		t.Fatalf("frames on air = %d", len(tap.frames))
 	}
 }
 
@@ -232,13 +260,14 @@ func TestAirtimeOccupancy(t *testing.T) {
 	b := &fakeStation{mac: packet.MAC(2), radio: true}
 	m.Attach(a)
 	m.Attach(b)
-	m.Transmit(a, dataFrame(f, a.mac, b.mac, 1400), false, nil)
+	var busy time.Duration // the idle medium starts the round at 0
+	m.Transmit(a, dataFrame(f, a.mac, b.mac, 1400), false, func(TxResult) { busy = sim.Now() })
 	for sim.Step() {
 	}
 	// One 1400B+headers frame at 24 Mbps is ~500µs; with DIFS, backoff,
 	// SIFS+ACK total busy must be within [0.5ms, 1.5ms].
-	if m.Stats.BusyTime < 500*time.Microsecond || m.Stats.BusyTime > 1500*time.Microsecond {
-		t.Fatalf("busy time = %v", m.Stats.BusyTime)
+	if busy < 500*time.Microsecond || busy > 1500*time.Microsecond {
+		t.Fatalf("busy time = %v", busy)
 	}
 }
 
@@ -254,6 +283,8 @@ func TestSaturationThroughputMatchesTestbed(t *testing.T) {
 	m.Attach(gen)
 	m.Attach(ap)
 	m.Attach(other)
+	tap := &fakeTap{}
+	m.AttachTap(tap)
 
 	const payload = 1470
 	interval := time.Duration(float64(payload*8) / 25e6 * float64(time.Second))
@@ -285,10 +316,10 @@ func TestSaturationThroughputMatchesTestbed(t *testing.T) {
 	if offered <= delivered {
 		t.Fatalf("no loss under overload: offered %d delivered %d", offered, delivered)
 	}
-	if u := float64(m.Stats.BusyTime) / float64(sim.Now()); u < 0.7 {
+	if u := float64(tap.airtime()) / float64(sim.Now()); u < 0.7 {
 		t.Fatalf("utilization = %.2f, want saturated (>0.7)", u)
 	}
-	if m.Stats.Collisions == 0 {
+	if collidedGaps(tap, phy.Default80211g()) == 0 {
 		t.Fatal("no collisions despite contention")
 	}
 }
@@ -318,19 +349,21 @@ func TestTransmitWithoutDot11Panics(t *testing.T) {
 }
 
 func TestDeterministicAcrossSeeds(t *testing.T) {
-	run := func() (uint64, time.Duration) {
+	run := func() (int, time.Duration) {
 		sim, m, f := newTestMedium(7)
 		a := &fakeStation{mac: packet.MAC(1), radio: true}
 		b := &fakeStation{mac: packet.MAC(2), radio: true}
 		m.Attach(a)
 		m.Attach(b)
+		tap := &fakeTap{}
+		m.AttachTap(tap)
 		for i := 0; i < 50; i++ {
 			m.Transmit(a, dataFrame(f, a.mac, b.mac, 500), false, nil)
 			m.Transmit(b, dataFrame(f, b.mac, a.mac, 300), false, nil)
 		}
 		for sim.Step() {
 		}
-		return m.Stats.FramesDelivered, sim.Now()
+		return len(tap.frames), sim.Now()
 	}
 	d1, t1 := run()
 	d2, t2 := run()

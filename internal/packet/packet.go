@@ -5,14 +5,15 @@
 // bytes and decoded back, checksums included.
 //
 // A Packet carries no timestamps. Each vantage point of the paper's §2.1
-// (Fig. 1) is recorded once, by the tap at that layer, keyed by the
-// packet's ID:
+// (Fig. 1) is recorded once, by the tap at that layer:
 //   - tou/tiu, the app: tools.ProbeRecord's SentAt and RecvAt;
 //   - tok/tik, the kernel (tcpdump): kernel.BPF, read with TimeOf;
-//   - tov/tiv, the driver (dvsend/dvrecv): driver.Instrumentation;
+//   - tov/tiv, the driver (dvsend/dvrecv): driver.Instrumentation, bare
+//     latencies in completion order, not keyed by packet;
 //   - ton/tin, the air: the sniffers' captures, unioned by sniffer.Merge.
 //
-// testbed.ExtractRTTs and tools.ExtractLayers join them by packet ID.
+// The app, kernel and air taps are keyed by the packet's ID, and
+// testbed.ExtractRTTs and tools.ExtractLayers join them by it.
 package packet
 
 import "fmt"

@@ -68,19 +68,6 @@ func Qualcomm() Config {
 	}
 }
 
-// Stats counts bus power events.
-type Stats struct {
-	Sleeps     uint64
-	Wakes      uint64
-	TxAcquires uint64
-	RxAcquires uint64
-	// WakesPaidTx/Rx count acquisitions that found the bus asleep.
-	WakesPaidTx uint64
-	WakesPaidRx uint64
-	// TotalWakeTime accumulates wake latencies.
-	TotalWakeTime time.Duration
-}
-
 // Direction tags a bus acquisition.
 type Direction int
 
@@ -115,8 +102,6 @@ type Bus struct {
 
 	// OnPower, when set, observes sleep transitions (energy accounting).
 	OnPower func(asleep bool)
-
-	Stats Stats
 }
 
 // setAsleep flips the sleep state, notifying observers.
@@ -160,7 +145,6 @@ func (b *Bus) SetSleepEnabled(on bool) {
 		// Bring the bus up for good.
 		b.setAsleep(false)
 		b.idlecount = 0
-		b.Stats.Wakes++
 		b.tr.Add(b.sim.Now(), b.cfg.Name, "bus_wake", "sleep disabled")
 	}
 }
@@ -179,7 +163,6 @@ func (b *Bus) onWatchdog() {
 	if b.cfg.SleepEnabled && b.idlecount >= b.cfg.IdleTime {
 		b.setAsleep(true)
 		b.idlecount = 0
-		b.Stats.Sleeps++
 		b.tr.Add(b.sim.Now(), b.cfg.Name, "bus_sleep", "")
 	}
 }
@@ -203,20 +186,10 @@ func (b *Bus) Acquire(dir Direction, fn func()) {
 	if fn == nil {
 		panic("sdio: nil acquire callback")
 	}
-	if dir == Tx {
-		b.Stats.TxAcquires++
-	} else {
-		b.Stats.RxAcquires++
-	}
 	if !b.asleep {
 		b.Touch()
 		fn()
 		return
-	}
-	if dir == Tx {
-		b.Stats.WakesPaidTx++
-	} else {
-		b.Stats.WakesPaidRx++
 	}
 	b.pending = append(b.pending, fn)
 	if b.waking {
@@ -229,12 +202,10 @@ func (b *Bus) Acquire(dir Direction, fn func()) {
 	} else if dir == Rx && b.cfg.WakeRxLatency != nil {
 		lat = b.cfg.WakeRxLatency.Sample(b.sim)
 	}
-	b.Stats.TotalWakeTime += lat
 	b.tr.Addf(b.sim.Now(), b.cfg.Name, "bus_waking", "dir=%s lat=%v", dir, lat)
 	b.sim.Post(lat, func() {
 		b.waking = false
 		b.setAsleep(false)
-		b.Stats.Wakes++
 		b.Touch()
 		b.tr.Add(b.sim.Now(), b.cfg.Name, "bus_wake", "")
 		queued := b.pending

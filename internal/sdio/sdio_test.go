@@ -1,6 +1,7 @@
 package sdio
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +16,19 @@ func newBus(seed int64, mod func(*Config)) (*simtime.Sim, *Bus) {
 	if mod != nil {
 		mod(&cfg)
 	}
-	return sim, New(sim, cfg, nil)
+	return sim, New(sim, cfg, trace.New(0))
+}
+
+// events counts the trace records b emitted under name whose attrs
+// start with attrs.
+func events(b *Bus, name, attrs string) int {
+	n := 0
+	for _, e := range b.tr.Filter(b.cfg.Name) {
+		if e.Name == name && strings.HasPrefix(e.Attrs, attrs) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestSleepsAfterIdlePeriod(t *testing.T) {
@@ -32,8 +45,8 @@ func TestSleepsAfterIdlePeriod(t *testing.T) {
 	if !b.Asleep() {
 		t.Fatal("bus still awake after idle period")
 	}
-	if b.Stats.Sleeps != 1 {
-		t.Fatalf("sleeps = %d, want 1", b.Stats.Sleeps)
+	if n := events(b, "bus_sleep", ""); n != 1 {
+		t.Fatalf("sleeps = %d, want 1", n)
 	}
 }
 
@@ -50,8 +63,8 @@ func TestActivityResetsIdleCount(t *testing.T) {
 	tick := simtime.NewTicker(sim, 20*time.Millisecond, 0, b.Touch)
 	sim.RunUntil(500 * time.Millisecond)
 	tick.Stop()
-	if b.Stats.Sleeps != 0 {
-		t.Fatalf("bus slept %d times despite 20ms activity", b.Stats.Sleeps)
+	if n := events(b, "bus_sleep", ""); n != 0 {
+		t.Fatalf("bus slept %d times despite 20ms activity", n)
 	}
 }
 
@@ -65,7 +78,7 @@ func TestAcquireAwakeIsImmediate(t *testing.T) {
 	if called != 10*time.Millisecond {
 		t.Fatalf("awake acquire ran at %v, want 10ms (no latency)", called)
 	}
-	if b.Stats.WakesPaidTx != 0 {
+	if events(b, "bus_waking", "dir=tx") != 0 {
 		t.Fatal("awake acquire counted as paid wake")
 	}
 }
@@ -95,8 +108,8 @@ func TestAcquireAsleepPaysWakeLatency(t *testing.T) {
 	if !b.Asleep() {
 		t.Fatal("bus should have re-slept after 50ms of idleness")
 	}
-	if b.Stats.WakesPaidTx != 1 || b.Stats.Wakes != 1 {
-		t.Fatalf("stats: %+v", b.Stats)
+	if paid, wakes := events(b, "bus_waking", "dir=tx"), events(b, "bus_wake", ""); paid != 1 || wakes != 1 {
+		t.Fatalf("paid tx wakes = %d, wakes = %d, want 1 and 1", paid, wakes)
 	}
 }
 
@@ -114,15 +127,15 @@ func TestConcurrentAcquiresCoalesce(t *testing.T) {
 	if done[0] != done[1] || done[1] != done[2] {
 		t.Fatalf("coalesced acquires completed at different times: %v", done)
 	}
-	if b.Stats.Wakes != 1 {
-		t.Fatalf("wakes = %d, want 1 (single coalesced wake)", b.Stats.Wakes)
+	if n := events(b, "bus_wake", ""); n != 1 {
+		t.Fatalf("wakes = %d, want 1 (single coalesced wake)", n)
 	}
 }
 
 func TestSleepDisabled(t *testing.T) {
 	sim, b := newBus(4, func(c *Config) { c.SleepEnabled = false })
 	sim.RunUntil(2 * time.Second)
-	if b.Asleep() || b.Stats.Sleeps != 0 {
+	if b.Asleep() || events(b, "bus_sleep", "") != 0 {
 		t.Fatal("sleep-disabled bus slept")
 	}
 	// Acquire is then always immediate (runs synchronously).
@@ -145,8 +158,8 @@ func TestSetSleepEnabledWakesImmediately(t *testing.T) {
 		t.Fatal("bus asleep after disabling sleep")
 	}
 	sim.RunUntil(2 * time.Second)
-	if b.Stats.Sleeps != 1 { // only the initial one
-		t.Fatalf("sleeps = %d, want 1", b.Stats.Sleeps)
+	if n := events(b, "bus_sleep", ""); n != 1 { // only the initial one
+		t.Fatalf("sleeps = %d, want 1", n)
 	}
 }
 
@@ -159,11 +172,11 @@ func TestRepeatedSleepWakeCycles(t *testing.T) {
 		})
 	}
 	sim.RunUntil(1200 * time.Millisecond)
-	if b.Stats.WakesPaidTx != 5 {
-		t.Fatalf("paid wakes = %d, want 5", b.Stats.WakesPaidTx)
+	if n := events(b, "bus_waking", "dir=tx"); n != 5 {
+		t.Fatalf("paid wakes = %d, want 5", n)
 	}
-	if b.Stats.Sleeps < 5 {
-		t.Fatalf("sleeps = %d, want >= 5", b.Stats.Sleeps)
+	if n := events(b, "bus_sleep", ""); n < 5 {
+		t.Fatalf("sleeps = %d, want >= 5", n)
 	}
 }
 

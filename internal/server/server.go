@@ -6,7 +6,6 @@ package server
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/kernel"
@@ -39,12 +38,6 @@ type Measurement struct {
 
 	// HTTPBody is the response body served for GETs.
 	HTTPBody []byte
-
-	// Stats. Atomic because fleet campaigns may wire several simulated
-	// phones (each driven by its own worker goroutine) to one shared
-	// server instance.
-	HTTPRequests atomic.Uint64
-	UDPEchoes    atomic.Uint64
 }
 
 // Ports used by the measurement server.
@@ -65,7 +58,6 @@ func NewMeasurement(sim *simtime.Sim, fac *packet.Factory, ip packet.IPv4Addr, t
 	l.OnConn = func(c *kernel.TCPConn) {
 		c.OnData = func(payload []byte, at time.Duration, p *packet.Packet) {
 			if len(payload) >= 4 && string(payload[:4]) == "GET " {
-				m.HTTPRequests.Add(1)
 				resp := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", len(m.HTTPBody))
 				c.Send(append([]byte(resp), m.HTTPBody...))
 			}
@@ -76,7 +68,6 @@ func NewMeasurement(sim *simtime.Sim, fac *packet.Factory, ip packet.IPv4Addr, t
 		panic("server: udp echo bind: " + err.Error())
 	}
 	echo.SetRecv(func(payload []byte, from packet.IPv4Addr, fromPort uint16, p *packet.Packet, at time.Duration) {
-		m.UDPEchoes.Add(1)
 		echo.SendTo(from, fromPort, payload, 0)
 	})
 	return m
@@ -86,13 +77,11 @@ func NewMeasurement(sim *simtime.Sim, fac *packet.Factory, ip packet.IPv4Addr, t
 // wired.Network.AttachHost).
 func (m *Measurement) Connect(send func(*packet.Packet)) { m.dev.send = send }
 
-// LoadServer is the iPerf sink: it counts UDP bytes on IperfPort.
+// LoadServer is the iPerf sink: it binds IperfPort and discards what
+// arrives.
 type LoadServer struct {
 	Stack *kernel.Stack
 	dev   *switchableDevice
-
-	ReceivedBytes   uint64
-	ReceivedPackets uint64
 }
 
 // IperfPort is the iPerf UDP port.
@@ -103,14 +92,9 @@ func NewLoadServer(sim *simtime.Sim, fac *packet.Factory, ip packet.IPv4Addr, tr
 	dev := &switchableDevice{}
 	ls := &LoadServer{Stack: kernel.New(sim, kernel.ServerConfig(ip), dev, fac, tr)}
 	ls.dev = dev
-	sock, err := ls.Stack.OpenUDP(IperfPort)
-	if err != nil {
+	if _, err := ls.Stack.OpenUDP(IperfPort); err != nil {
 		panic("server: iperf bind: " + err.Error())
 	}
-	sock.SetRecv(func(payload []byte, from packet.IPv4Addr, fromPort uint16, p *packet.Packet, at time.Duration) {
-		ls.ReceivedPackets++
-		ls.ReceivedBytes += uint64(len(payload))
-	})
 	return ls
 }
 
@@ -155,9 +139,6 @@ type LoadGen struct {
 	sim     *simtime.Sim
 	tickers []*simtime.Ticker
 	socks   []*kernel.UDPSocket
-
-	OfferedPackets uint64
-	OfferedBytes   uint64
 }
 
 // NewLoadGen assembles the load generator and attaches it to the medium.
@@ -166,7 +147,6 @@ func NewLoadGen(sim *simtime.Sim, med *medium.Medium, fac *packet.Factory, cfg L
 	g := &LoadGen{cfg: cfg, sim: sim}
 	staCfg := mac.DefaultSTAConfig()
 	staCfg.MAC = cfg.MAC
-	staCfg.IP = cfg.IP
 	staCfg.BSSID = cfg.BSSID
 	staCfg.AID = cfg.AID
 	staCfg.PSMEnabled = false
@@ -199,8 +179,6 @@ func (g *LoadGen) Start() {
 		offset := time.Duration(i) * interval / time.Duration(g.cfg.Flows)
 		payload := make([]byte, g.cfg.PayloadBytes)
 		tk := simtime.NewTicker(g.sim, interval, offset, func() {
-			g.OfferedPackets++
-			g.OfferedBytes += uint64(len(payload))
 			sock.SendTo(g.cfg.Target, g.cfg.TargetPort, payload, 0)
 		})
 		g.tickers = append(g.tickers, tk)

@@ -11,8 +11,39 @@ import (
 	"repro/internal/packet"
 	"repro/internal/phy"
 	"repro/internal/simtime"
+	"repro/internal/trace"
 	"repro/internal/wired"
 )
+
+// sink is a load-server host port that counts what reaches the server
+// before handing it on.
+type sink struct {
+	*kernel.Stack
+	packets, bytes int
+}
+
+func (s *sink) DeliverFromDevice(p *packet.Packet) {
+	s.packets++
+	s.bytes += len(p.Payload())
+	s.Stack.DeliverFromDevice(p)
+}
+
+// airtime sums the time the frames a medium delivers spend on the air.
+type airtime struct{ time time.Duration }
+
+func (a *airtime) CaptureFrame(_ *packet.Packet, start, end time.Duration) { a.time += end - start }
+
+// sent counts the packets a stack traced through dev_queue_xmit, up to
+// and including at.
+func sent(tr *trace.Trace, at time.Duration) int {
+	n := 0
+	for _, e := range tr.Filter("kernel") {
+		if e.Name == "dev_queue_xmit" && e.At <= at {
+			n++
+		}
+	}
+	return n
+}
 
 // wireUp connects the measurement server and a client stack over a
 // wired.Network.
@@ -40,16 +71,20 @@ func TestMeasurementICMPEcho(t *testing.T) {
 }
 
 func TestMeasurementHTTP(t *testing.T) {
-	sim, srv, client := wireUp(2)
+	sim, _, client := wireUp(2)
 	conn := client.Dial(packet.IP(10, 0, 0, 9), HTTPPort)
 	var resp []byte
 	conn.OnConnected = func(at time.Duration, p *packet.Packet) {
 		conn.Send([]byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"))
 	}
-	conn.OnData = func(payload []byte, at time.Duration, p *packet.Packet) { resp = payload }
+	responses := 0
+	conn.OnData = func(payload []byte, at time.Duration, p *packet.Packet) {
+		resp = payload
+		responses++
+	}
 	sim.RunUntil(200 * time.Millisecond)
-	if n := srv.HTTPRequests.Load(); n != 1 {
-		t.Fatalf("server saw %d requests", n)
+	if responses != 1 {
+		t.Fatalf("server answered %d requests", responses)
 	}
 	if !strings.HasPrefix(string(resp), "HTTP/1.1 200 OK") {
 		t.Fatalf("response = %q", resp)
@@ -60,19 +95,21 @@ func TestMeasurementHTTP(t *testing.T) {
 }
 
 func TestMeasurementUDPEcho(t *testing.T) {
-	sim, srv, client := wireUp(3)
+	sim, _, client := wireUp(3)
 	sock, _ := client.OpenUDP(0)
 	var reply []byte
+	echoes := 0
 	sock.SetRecv(func(payload []byte, from packet.IPv4Addr, fp uint16, p *packet.Packet, at time.Duration) {
 		reply = payload
+		echoes++
 	})
 	sock.SendTo(packet.IP(10, 0, 0, 9), UDPEchoPort, []byte("probe"), 0)
 	sim.RunUntil(100 * time.Millisecond)
 	if string(reply) != "probe" {
 		t.Fatalf("echo reply = %q", reply)
 	}
-	if n := srv.UDPEchoes.Load(); n != 1 {
-		t.Fatalf("echoes = %d", n)
+	if echoes != 1 {
+		t.Fatalf("echoes = %d", echoes)
 	}
 }
 
@@ -82,6 +119,8 @@ func TestLoadGeneratorSaturatesCell(t *testing.T) {
 	sim := simtime.New(4)
 	fac := &packet.Factory{}
 	med := medium.New(sim, phy.Default80211g(), medium.DefaultOptions())
+	air := &airtime{}
+	med.AttachTap(air)
 	apCfg := mac.DefaultAPConfig()
 	apCfg.BeaconPhase = 0
 	ap := mac.NewAP(sim, med, apCfg, fac, nil)
@@ -90,7 +129,8 @@ func TestLoadGeneratorSaturatesCell(t *testing.T) {
 	net.SetWLAN(ap.WiredDeliver, func(ip packet.IPv4Addr) bool { return ip[0] == 192 })
 
 	ls := NewLoadServer(sim, fac, packet.IP(10, 0, 0, 10), nil)
-	ls.Connect(net.AttachHost(ls.Stack, nil, nil))
+	got := &sink{Stack: ls.Stack}
+	ls.Connect(net.AttachHost(got, nil, nil))
 
 	cfg := DefaultLoadGenConfig()
 	cfg.IP = packet.IP(192, 168, 1, 3)
@@ -98,7 +138,8 @@ func TestLoadGeneratorSaturatesCell(t *testing.T) {
 	cfg.AID = 2
 	cfg.BSSID = apCfg.MAC
 	cfg.Target = packet.IP(10, 0, 0, 10)
-	gen := NewLoadGen(sim, med, fac, cfg, nil)
+	genTrace := trace.New(0)
+	gen := NewLoadGen(sim, med, fac, cfg, genTrace)
 	gen.STA.SetBeaconSchedule(ap)
 	ap.Associate(cfg.MAC, cfg.AID, cfg.IP, 1)
 
@@ -109,16 +150,17 @@ func TestLoadGeneratorSaturatesCell(t *testing.T) {
 	if offered := float64(gen.cfg.Flows) * gen.cfg.RatePerFlowBps; offered != 25e6 {
 		t.Fatalf("offered = %.1f Mbps", offered/1e6)
 	}
-	goodput := float64(ls.ReceivedBytes*8) / 2 // over the 2 s run
+	goodput := float64(got.bytes*8) / 2 // over the 2 s run
 	// The paper's testbed achieved only ~10 Mbps under this load; our
 	// medium lands in the same regime (well below the ~18 Mbps ceiling).
 	if goodput < 6e6 || goodput > 18e6 {
 		t.Fatalf("goodput = %.1f Mbps, want saturation regime [6,18]", goodput/1e6)
 	}
-	if gen.OfferedPackets <= ls.ReceivedPackets {
+	if sent(genTrace, sim.Now()) <= got.packets {
 		t.Fatal("no loss despite overload")
 	}
-	if u := float64(med.Stats.BusyTime) / float64(sim.Now()); u < 0.7 {
+	// Airtime alone, without the access and ACK overhead of each round.
+	if u := float64(air.time) / float64(sim.Now()); u < 0.7 {
 		t.Fatalf("medium utilization = %.2f, want saturated", u)
 	}
 }
@@ -131,15 +173,18 @@ func TestLoadGenStartStopIdempotent(t *testing.T) {
 	cfg.IP = packet.IP(192, 168, 1, 3)
 	cfg.MAC = packet.MAC(3)
 	cfg.Target = packet.IP(10, 0, 0, 10)
-	gen := NewLoadGen(sim, med, fac, cfg, nil)
+	tr := trace.New(0)
+	gen := NewLoadGen(sim, med, fac, cfg, tr)
 	gen.Start()
 	gen.Start() // no double-start
 	sim.RunUntil(100 * time.Millisecond)
 	gen.Stop()
 	gen.Stop() // no double-stop panic
-	sent := gen.OfferedPackets
+	// A datagram offered before Stop reaches the device within the
+	// kernel's send latency (≤ 25 µs).
+	before := sent(tr, sim.Now()+25*time.Microsecond)
 	sim.RunUntil(500 * time.Millisecond)
-	if gen.OfferedPackets != sent {
+	if before == 0 || sent(tr, sim.Now()) != before {
 		t.Fatal("load generator kept sending after Stop")
 	}
 }

@@ -19,10 +19,6 @@ func init() {
 // may use its capture for per-layer attribution.
 type SimEnv struct {
 	TB *testbed.Testbed
-	// Settled reports the rig was idled for spec.Settle before the
-	// method started (skipped when the caller supplied Spec.Testbed —
-	// the caller owns the rig's history then).
-	Settled bool
 }
 
 // BackendName implements Env.
@@ -62,7 +58,7 @@ func (simBackend) NewEnv(spec *Spec) (Env, error) {
 	// Let the idle phone settle (and doze) before measuring, as a real
 	// pocket phone would.
 	tb.Sim.RunUntil(spec.Settle)
-	return &SimEnv{TB: tb, Settled: true}, nil
+	return &SimEnv{TB: tb}, nil
 }
 
 // LiveEnv is the real-socket environment: methods dial Target over the

@@ -18,9 +18,9 @@ type Analysis struct {
 	Beacons int
 	// TIMIndications counts beacons whose TIM announced buffered frames.
 	TIMIndications int
-	// NullPM1/NullPM0 count power-management null frames by PM bit.
+	// NullPM1 counts power-management null frames with PM=1 (the
+	// station announcing doze).
 	NullPM1 int
-	NullPM0 int
 	PSPolls int
 	// MoreDataFrames counts buffered deliveries flagged MoreData.
 	MoreDataFrames int
@@ -90,8 +90,6 @@ func (a *analyzer) frame(p *packet.Packet, ts time.Duration) {
 	case d11.IsNullData():
 		if d11.PwrMgmt {
 			a.out.NullPM1++
-		} else {
-			a.out.NullPM0++
 		}
 		return
 	}

@@ -17,10 +17,10 @@ import (
 // Record is one captured frame.
 type Record struct {
 	PktID uint64
-	// AirStart/AirEnd bracket the frame's time on air; Timestamp is the
-	// value a pcap would carry (end of frame, like a real capture).
-	AirStart, AirEnd time.Duration
-	Frame            *packet.Packet
+	// AirEnd is when the frame left the air; Timestamp is the value a
+	// pcap would carry (end of frame, like a real capture).
+	AirEnd time.Duration
+	Frame  *packet.Packet
 }
 
 // Timestamp returns the capture timestamp.
@@ -36,9 +36,6 @@ type Sniffer struct {
 
 	sim     *simtime.Sim
 	records []Record
-
-	Captured uint64
-	Missed   uint64
 }
 
 // New creates a sniffer.
@@ -48,13 +45,11 @@ func New(sim *simtime.Sim, name string, lossProb float64) *Sniffer {
 
 // CaptureFrame implements medium.Tap. The frame is the medium's shared
 // read-only copy; the sniffer keeps the pointer without copying it.
-func (s *Sniffer) CaptureFrame(p *packet.Packet, airStart, airEnd time.Duration) {
+func (s *Sniffer) CaptureFrame(p *packet.Packet, _, airEnd time.Duration) {
 	if s.LossProb > 0 && s.sim.Rand().Float64() < s.LossProb {
-		s.Missed++
 		return
 	}
-	s.records = append(s.records, Record{PktID: p.ID, AirStart: airStart, AirEnd: airEnd, Frame: p})
-	s.Captured++
+	s.records = append(s.records, Record{PktID: p.ID, AirEnd: airEnd, Frame: p})
 }
 
 // Records returns all captures in capture order, which is also

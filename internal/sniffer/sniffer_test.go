@@ -28,8 +28,8 @@ func TestCaptureAndLookup(t *testing.T) {
 	if !ok || ts != 1200*time.Microsecond {
 		t.Fatalf("TimeOf = %v,%v; want frame end", ts, ok)
 	}
-	if s.Captured != 1 {
-		t.Fatalf("captured = %d", s.Captured)
+	if n := len(s.Records()); n != 1 {
+		t.Fatalf("captured = %d", n)
 	}
 }
 
@@ -40,10 +40,12 @@ func TestLossySnifferMissesFrames(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		s.CaptureFrame(frame(fac), 0, time.Microsecond)
 	}
-	if s.Missed == 0 || s.Captured == 0 {
-		t.Fatalf("loss model inert: captured=%d missed=%d", s.Captured, s.Missed)
+	captured := len(s.Records())
+	missed := 500 - captured
+	if missed == 0 || captured == 0 {
+		t.Fatalf("loss model inert: captured=%d missed=%d", captured, missed)
 	}
-	ratio := float64(s.Missed) / 500
+	ratio := float64(missed) / 500
 	if ratio < 0.35 || ratio > 0.65 {
 		t.Fatalf("loss ratio = %.2f, want ≈0.5", ratio)
 	}
@@ -67,8 +69,8 @@ func TestMergeUnionsLossySniffers(t *testing.T) {
 	m := Merge(a, b, c)
 	// P(all three miss) = 0.4³ = 6.4%: the union must beat any single
 	// sniffer decisively.
-	if len(m.Records()) <= int(a.Captured) {
-		t.Fatalf("merge (%d) no better than single sniffer (%d)", len(m.Records()), a.Captured)
+	if len(m.Records()) <= len(a.Records()) {
+		t.Fatalf("merge (%d) no better than single sniffer (%d)", len(m.Records()), len(a.Records()))
 	}
 	covered := 0
 	for _, id := range ids {

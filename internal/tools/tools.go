@@ -45,14 +45,15 @@ func (r Result) Sample() stats.Sample {
 	return out
 }
 
+// pingPayload is the ICMP payload ping sends: 56 bytes, like ping.
+const pingPayload = 56
+
 // PingOptions configures an ICMP ping run.
 type PingOptions struct {
 	Count int
 	// Interval is the packet sending interval (§3.1 contrasts 10 ms with
 	// the 1 s default).
 	Interval time.Duration
-	// PayloadSize is the ICMP payload (default 56, like ping).
-	PayloadSize int
 	// Timeout abandons a probe.
 	Timeout time.Duration
 	// ID is the ICMP identifier (a default is chosen when 0).
@@ -65,9 +66,6 @@ func (o *PingOptions) fill() {
 	}
 	if o.Interval <= 0 {
 		o.Interval = time.Second
-	}
-	if o.PayloadSize <= 0 {
-		o.PayloadSize = 56
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 2 * time.Second
@@ -130,7 +128,7 @@ func pingStart(tb *testbed.Testbed, opts PingOptions) (*Result, time.Duration) {
 			rec.SentAt = tb.Sim.Now() // gettimeofday before sendto
 			res.Sent++
 			phone.AppDoAs(android.NativeC, func() {
-				req := phone.Stack.SendEcho(testbed.ServerIP, opts.ID, uint16(i), opts.PayloadSize)
+				req := phone.Stack.SendEcho(testbed.ServerIP, opts.ID, uint16(i), pingPayload)
 				rec.ReqID = req.ID
 			})
 		})

@@ -83,6 +83,7 @@ func TestPingIntegerTruncationQuirk(t *testing.T) {
 
 func TestHTTPing(t *testing.T) {
 	tb := newTB(4, "", 30*time.Millisecond)
+	tb.Server.Stack.BPF().Enable()
 	res := HTTPing(tb, HTTPingOptions{Count: 30, Interval: 200 * time.Millisecond})
 	s := res.Sample()
 	if len(s) < 25 {
@@ -94,8 +95,17 @@ func TestHTTPing(t *testing.T) {
 	if m < 31 || m > 55 {
 		t.Errorf("httping mean = %.2fms", m)
 	}
-	if tb.Server.HTTPRequests.Load() < 25 {
-		t.Errorf("server served %d requests", tb.Server.HTTPRequests.Load())
+	// A served request is a GET in and a response out at the server's tap.
+	served := 0
+	for _, rec := range res.Records {
+		_, in := tb.Server.Stack.BPF().TimeOf(rec.ReqID)
+		_, out := tb.Server.Stack.BPF().TimeOf(rec.RespID)
+		if in && out {
+			served++
+		}
+	}
+	if served < 25 {
+		t.Errorf("server served %d requests", served)
 	}
 }
 

@@ -51,14 +51,12 @@ type port struct {
 	egress  simtime.Dist // switch → node
 }
 
-// Stats counts wired-network events. Atomic for the same reason as
-// server.Measurement's counters: fleet campaigns may one day wire
-// several worker-driven phones through one shared segment.
+// Stats counts wired-network events. Forwarded is atomic because fleet
+// campaigns may one day wire several worker-driven phones through one
+// shared segment; the energy experiment reads it as the packets that
+// went beyond the gateway.
 type Stats struct {
-	Forwarded      atomic.Uint64
-	DroppedTTL     atomic.Uint64
-	DroppedNoRoute atomic.Uint64
-	TimeExceeded   atomic.Uint64
+	Forwarded atomic.Uint64
 }
 
 // Network is the switch + gateway combination.
@@ -126,7 +124,6 @@ func (n *Network) FromWLAN(p *packet.Packet) {
 	}
 	if ip.TTL <= 1 {
 		ip.TTL = 0
-		n.Stats.DroppedTTL.Add(1)
 		n.maybeTimeExceeded(p)
 		return
 	}
@@ -151,7 +148,6 @@ func (n *Network) route(p *packet.Packet) {
 		// decrements TTL) before handing the packet to the AP.
 		if ip.TTL <= 1 {
 			ip.TTL = 0
-			n.Stats.DroppedTTL.Add(1)
 			n.maybeTimeExceeded(p)
 			return
 		}
@@ -160,7 +156,7 @@ func (n *Network) route(p *packet.Packet) {
 		n.sim.Post(n.sample(n.cfg.FabricLatency), func() { n.toWLAN(p) })
 		return
 	}
-	n.Stats.DroppedNoRoute.Add(1)
+	// No route: the packet is dropped.
 }
 
 // maybeTimeExceeded emits a rate-limited ICMP time-exceeded error toward
@@ -173,7 +169,6 @@ func (n *Network) maybeTimeExceeded(orig *packet.Packet) {
 		return
 	}
 	n.lastTimeExceeded = n.sim.Now()
-	n.Stats.TimeExceeded.Add(1)
 	ip := orig.IPv4()
 	reply := n.fac.NewPacket(
 		&packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Src: n.cfg.GatewayIP, Dst: ip.Src},
