@@ -56,8 +56,9 @@ bench-json:
 bench-gate:
 	$(GO) run ./cmd/benchdiff -baseline bench-baseline.json -current $(BENCH_FILE)
 
-# 30s native-fuzz smoke on eight targets — the untrusted-input
-# decoders, the hand-written JSON codecs and the span-stored Hist —
+# 30s native-fuzz smoke on nine targets — the untrusted-input
+# decoders, the hand-written JSON codecs, the span-stored Hist and the
+# track agreement law —
 # starting from the committed corpora under testdata/fuzz. Catches
 # decoder panics and bounds-check slips on every PR without a long
 # fuzzing campaign. -fuzzminimizetime=1s caps the shrinking of each
@@ -76,6 +77,9 @@ bench-gate:
 # FuzzReadSnapshot feeds the knowledge-file reader (disk and POST
 # /v1/profiles): anything it accepts merges into a fresh store, and
 # that store's snapshot bytes read, merge and write back unchanged.
+# FuzzTrackAgree folds any observation set as one agg.Track and as a
+# random split merged in random order, and requires Agree to report
+# no difference either way.
 fuzz-smoke:
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=30s -fuzzminimizetime=1s
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBatchMatchesEncodingJSON$$' -fuzztime=30s -fuzzminimizetime=1s
@@ -85,6 +89,7 @@ fuzz-smoke:
 	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzSketchBatchFold$$' -fuzztime=30s -fuzzminimizetime=1s
 	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzHistOps$$' -fuzztime=30s -fuzzminimizetime=1s
 	$(GO) test ./internal/puncture/ -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime=30s -fuzzminimizetime=1s
+	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzTrackAgree$$' -fuzztime=30s -fuzzminimizetime=1s
 
 # The ingestd persistence e2e in isolation: kill → reboot → learned
 # overhead table identical, the fleet→ingest delta merge, and a stream

@@ -99,9 +99,9 @@ var allocsWatch = map[string]bool{
 }
 
 type row struct {
-	key, metric          string
-	base, cur, delta     float64 // delta > 0 means regression
-	higherBetter, failed bool
+	key, metric      string
+	base, cur, delta float64 // delta > 0 means regression
+	failed           bool
 }
 
 func main() {
@@ -210,7 +210,7 @@ func diff(baseline, current *benchfmt.Output, threshold float64) ([]row, []strin
 			}
 			rows = append(rows, row{
 				key: bb.Key(), metric: metric, base: base, cur: cur,
-				delta: delta, higherBetter: higherBetter, failed: delta > threshold,
+				delta: delta, failed: delta > threshold,
 			})
 		}
 	}

@@ -16,6 +16,12 @@
 // heavy-tailed cells (cellular promotion, PSM sweeps) whose upper
 // percentiles the histogram saturates at its range cap.
 //
+// A Track is the three over one set of observations: a fleet group's
+// du track, an ingest cell's raw and punctured tracks. Its owners fold,
+// merge and coverage-check the three through it, and Track.Agree is
+// the one law for when two tracks built over the same observations in
+// different fold orders agree.
+//
 // fleet and ingest import these types directly; there is one
 // implementation and no alias layer.
 package agg

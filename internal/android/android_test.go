@@ -94,7 +94,7 @@ func newPhoneBench(seed int64, prof Profile, opts PhoneOptions) (*simtime.Sim, *
 	opts.BSSID = apCfg.MAC
 	ph := NewPhone(sim, prof, med, fac, opts)
 	ph.STA.SetBeaconSchedule(ap)
-	ap.Associate(opts.MAC, opts.AID, opts.IP, prof.AssocListenInterval)
+	ap.Associate(opts.MAC, opts.AID, opts.IP)
 	return sim, ph, ap
 }
 

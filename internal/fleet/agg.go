@@ -12,8 +12,6 @@ import (
 	"repro/internal/stats"
 )
 
-func newDuHist() *agg.Hist { return agg.NewDurationHist() }
-
 // GroupAggregate is the campaign-level fold of every session sharing one
 // scenario label. All fields merge exactly (counts, histogram), stably
 // (moments), or within a documented quantile error bound (sketch), so
@@ -57,7 +55,12 @@ type GroupAggregate struct {
 }
 
 func newGroupAggregate(label string) *GroupAggregate {
-	return &GroupAggregate{Label: label, DuHist: newDuHist(), DuSketch: agg.NewSketch(0)}
+	return &GroupAggregate{Label: label, DuHist: agg.NewDurationHist(), DuSketch: agg.NewSketch(0)}
+}
+
+// DuTrack views the group's du track.
+func (g *GroupAggregate) DuTrack() agg.Track {
+	return agg.Track{Moments: &g.Du, Hist: g.DuHist, Sketch: g.DuSketch}
 }
 
 // fold absorbs one finished session. sample carries the raw user RTTs;
@@ -100,10 +103,9 @@ func (g *GroupAggregate) Merge(o *GroupAggregate) error {
 	if o == nil {
 		return nil
 	}
-	// Geometry is the only fallible step; check it before mutating any
-	// field so a failed merge cannot leave sketch/moments including data
-	// the histogram rejected.
-	if err := g.DuHist.CheckGeometry(o.DuHist); err != nil {
+	// The track's Merge is the only fallible step and mutates nothing
+	// when it fails, so it goes first.
+	if err := g.DuTrack().Merge(o.DuTrack()); err != nil {
 		return err
 	}
 	g.Sessions += o.Sessions
@@ -111,11 +113,6 @@ func (g *GroupAggregate) Merge(o *GroupAggregate) error {
 	g.ProbesSent += o.ProbesSent
 	g.ProbesLost += o.ProbesLost
 	g.BackgroundSent += o.BackgroundSent
-	g.DuSketch.Merge(o.DuSketch)
-	g.Du.Merge(o.Du)
-	if err := g.DuHist.Merge(o.DuHist); err != nil {
-		return err
-	}
 	g.Inflation.Merge(o.Inflation)
 	g.Overheads.Merge(&o.Overheads)
 	g.PSMActiveSessions += o.PSMActiveSessions
@@ -165,7 +162,7 @@ type Report struct {
 
 // Validate enforces the coverage invariant on a report decoded from
 // outside this process: in every group, Du, DuHist and DuSketch cover
-// the same observations (agg.CheckCoverage). A report written before
+// the same observations (agg.Track.Check). A report written before
 // sketches existed is refused, naming the first group without one,
 // rather than served from the range-capped histogram.
 func (r *Report) Validate() error {
@@ -173,7 +170,7 @@ func (r *Report) Validate() error {
 		if g == nil {
 			return fmt.Errorf("fleet: report group %d is null", i)
 		}
-		if err := agg.CheckCoverage(g.Du.N, g.DuSketch, g.DuHist); err != nil {
+		if err := g.DuTrack().Check(); err != nil {
 			return fmt.Errorf("fleet: group %q: %w", g.Label, err)
 		}
 	}

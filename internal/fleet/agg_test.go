@@ -62,8 +62,8 @@ func TestMomentsMergeMatchesSinglePass(t *testing.T) {
 
 func TestHistMergeExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	single := newDuHist()
-	parts := []*agg.Hist{newDuHist(), newDuHist(), newDuHist()}
+	single := agg.NewDurationHist()
+	parts := []*agg.Hist{agg.NewDurationHist(), agg.NewDurationHist(), agg.NewDurationHist()}
 	for i := 0; i < 50_000; i++ {
 		d := time.Duration(rng.Int63n(int64(600 * time.Millisecond)))
 		if i%100 == 0 {
@@ -72,7 +72,7 @@ func TestHistMergeExact(t *testing.T) {
 		single.Add(d)
 		parts[i%3].Add(d)
 	}
-	merged := newDuHist()
+	merged := agg.NewDurationHist()
 	for _, p := range parts {
 		if err := merged.Merge(p); err != nil {
 			t.Fatal(err)
@@ -101,7 +101,7 @@ func TestHistMergeExact(t *testing.T) {
 
 func TestHistQuantileAgainstExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	h := newDuHist()
+	h := agg.NewDurationHist()
 	var s stats.Sample
 	for i := 0; i < 20_000; i++ {
 		d := time.Duration(20*time.Millisecond) + time.Duration(rng.Int63n(int64(80*time.Millisecond)))
@@ -176,14 +176,12 @@ func TestGroupAggregateMergeMatchesSinglePass(t *testing.T) {
 		merged.PSMActiveSessions != single.PSMActiveSessions {
 		t.Fatalf("counts diverge: %+v vs %+v", merged, single)
 	}
-	if merged.Du.N != single.Du.N || !approxEq(merged.Du.Mean, single.Du.Mean, 1e-9) ||
-		!approxEq(merged.Du.Variance(), single.Du.Variance(), 1e-6) {
-		t.Errorf("Du moments diverge: %+v vs %+v", merged.Du, single.Du)
+	diffs, _ := merged.DuTrack().Agree(single.DuTrack())
+	for _, d := range diffs {
+		t.Errorf("merged du track: %s", d)
 	}
-	for i := 0; i < merged.DuHist.Bins(); i++ {
-		if merged.DuHist.Count(i) != single.DuHist.Count(i) {
-			t.Fatalf("hist bin %d: %d vs %d", i, merged.DuHist.Count(i), single.DuHist.Count(i))
-		}
+	if !approxEq(merged.Du.Variance(), single.Du.Variance(), 1e-6) {
+		t.Errorf("Du variance diverges: %v vs %v", merged.Du.Variance(), single.Du.Variance())
 	}
 	for _, pair := range [][2]agg.Moments{
 		{merged.Inflation, single.Inflation},

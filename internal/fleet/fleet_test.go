@@ -85,16 +85,9 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 		if g1.Label != g4.Label || g1.Sessions != g4.Sessions {
 			t.Fatalf("group %d: %s/%d vs %s/%d", i, g1.Label, g1.Sessions, g4.Label, g4.Sessions)
 		}
-		if g1.Du.N != g4.Du.N || g1.Du.MinV != g4.Du.MinV || g1.Du.MaxV != g4.Du.MaxV {
-			t.Errorf("group %s: Du N/min/max diverge across worker counts", g1.Label)
-		}
-		if !approxEq(g1.Du.Mean, g4.Du.Mean, 1e-9) {
-			t.Errorf("group %s: mean %v vs %v", g1.Label, g1.Du.Mean, g4.Du.Mean)
-		}
-		for b := 0; b < g1.DuHist.Bins(); b++ {
-			if g1.DuHist.Count(b) != g4.DuHist.Count(b) {
-				t.Fatalf("group %s: histogram bin %d diverges", g1.Label, b)
-			}
+		diffs, _ := g4.DuTrack().Agree(g1.DuTrack())
+		for _, d := range diffs {
+			t.Errorf("group %s: du track diverges across worker counts: %s", g1.Label, d)
 		}
 	}
 }

@@ -545,8 +545,9 @@ type TrackStats struct {
 // trackStats derives a track's view. The track holds the coverage
 // invariant (see Cell.Validate), so its sketch counts every
 // observation its moments do.
-func trackStats(m agg.Moments, h *agg.Hist, sk *agg.Sketch) TrackStats {
+func trackStats(tr agg.Track) TrackStats {
 	ms := func(f float64) float64 { return f / float64(time.Millisecond) }
+	m, h, sk := tr.Moments, tr.Hist, tr.Sketch
 	t := TrackStats{Samples: m.N, MeanMS: ms(m.Mean), StddevMS: ms(m.Stddev()),
 		HistUnder: h.Under, HistOver: h.Over}
 	if m.N > 0 {
@@ -593,8 +594,8 @@ func StatsFor(c *Cell) CellStats {
 		ProbesLost:         c.ProbesLost,
 		LossRate:           c.LossRate(),
 		BackgroundSent:     c.BackgroundSent,
-		Raw:                trackStats(c.Raw, c.RawHist, c.RawSketch),
-		Punctured:          trackStats(c.Punctured, c.PuncturedHist, c.PuncturedSketch),
+		Raw:                trackStats(c.raw()),
+		Punctured:          trackStats(c.punctured()),
 		CorrectionMeanMS:   ms(c.Correction.Mean),
 		InflationMean:      c.Inflation.Mean,
 		UserOverheadMS:     ms(c.User.Mean),

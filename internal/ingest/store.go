@@ -104,16 +104,25 @@ func (c *Cell) reset(k Key) {
 	*c = Cell{Key: k, RawHist: rh, PuncturedHist: ph, RawSketch: rs, PuncturedSketch: ps}
 }
 
+// raw and punctured view the cell's two tracks.
+func (c *Cell) raw() agg.Track {
+	return agg.Track{Moments: &c.Raw, Hist: c.RawHist, Sketch: c.RawSketch}
+}
+
+func (c *Cell) punctured() agg.Track {
+	return agg.Track{Moments: &c.Punctured, Hist: c.PuncturedHist, Sketch: c.PuncturedSketch}
+}
+
 // Validate enforces the coverage invariant on a cell built outside this
 // process (a gossip replica): in each of the raw and punctured tracks
 // the moments, histogram and sketch cover the same observations
-// (agg.CheckCoverage). Store-built cells hold it by construction, and
+// (agg.Track.Check). Store-built cells hold it by construction, and
 // Merge and the stats readers assume it.
 func (c *Cell) Validate() error {
-	if err := agg.CheckCoverage(c.Raw.N, c.RawSketch, c.RawHist); err != nil {
+	if err := c.raw().Check(); err != nil {
 		return fmt.Errorf("ingest: cell %+v: raw track: %w", c.Key, err)
 	}
-	if err := agg.CheckCoverage(c.Punctured.N, c.PuncturedSketch, c.PuncturedHist); err != nil {
+	if err := c.punctured().Check(); err != nil {
 		return fmt.Errorf("ingest: cell %+v: punctured track: %w", c.Key, err)
 	}
 	return nil
@@ -296,12 +305,8 @@ func (c *Cell) fold(s *Summary, corr time.Duration, src CorrectionSource, fs *fo
 			fs.punD[i] = p
 			fs.punF[i] = float64(p)
 		}
-		c.Raw.AddMulti(fs.rawF)
-		c.RawHist.AddMulti(fs.rawD)
-		c.RawSketch.AddMulti(fs.rawF)
-		c.Punctured.AddMulti(fs.punF)
-		c.PuncturedHist.AddMulti(fs.punD)
-		c.PuncturedSketch.AddMulti(fs.punF)
+		c.raw().AddMulti(fs.rawF, fs.rawD)
+		c.punctured().AddMulti(fs.punF, fs.punD)
 	} else if s.Sketch != nil && s.Sketch.Count > 0 {
 		c.foldSketch(s.Sketch, corr)
 	}
@@ -336,42 +341,17 @@ func (c *Cell) fold(s *Summary, corr time.Duration, src CorrectionSource, fs *fo
 }
 
 // foldSketch absorbs a device-posted sketch summary — the wire shape
-// for sessions that could not retain or transmit raw RTTs. The sketch
-// merges into the cell sketches directly (raw as posted, punctured
-// shifted down by the correction with the same ≥0 clamp the
-// per-observation path applies); moments and the fixed-range histogram
-// fold each centroid as weight copies of its mean, so counts stay
-// consistent across all three aggregates, with min/max taken from the
-// sketch's exact extremes.
+// for sessions that could not retain or transmit raw RTTs (see
+// agg.Track.AddSketch): raw as posted, punctured shifted down by the
+// correction with the same ≥0 clamp the per-observation path applies.
 func (c *Cell) foldSketch(sk *agg.Sketch, corr time.Duration) {
-	c.RawSketch.Merge(sk)
 	// One clone+flush serves both tracks: Shifted on the already-flushed
 	// copy skips a second buffer sort under the stripe lock.
 	flat := sk.Clone()
 	flat.Flush()
-	for _, ct := range flat.Centroids {
-		c.Raw.AddN(ct.Mean, ct.Weight)
-		c.RawHist.AddN(time.Duration(ct.Mean), ct.Weight)
-	}
-	if sk.MinV < c.Raw.MinV {
-		c.Raw.MinV = sk.MinV
-	}
-	if sk.MaxV > c.Raw.MaxV {
-		c.Raw.MaxV = sk.MaxV
-	}
-
+	c.raw().AddSketch(sk, flat)
 	shifted := flat.Shifted(-float64(corr), 0)
-	c.PuncturedSketch.Merge(shifted)
-	for _, ct := range shifted.Centroids {
-		c.Punctured.AddN(ct.Mean, ct.Weight)
-		c.PuncturedHist.AddN(time.Duration(ct.Mean), ct.Weight)
-	}
-	if shifted.MinV < c.Punctured.MinV {
-		c.Punctured.MinV = shifted.MinV
-	}
-	if shifted.MaxV > c.Punctured.MaxV {
-		c.Punctured.MaxV = shifted.MaxV
-	}
+	c.punctured().AddSketch(shifted, shifted)
 }
 
 // Merge folds another cell's aggregates in (keys need not match; the
@@ -384,13 +364,16 @@ func (c *Cell) Merge(o *Cell) error {
 		return nil
 	}
 	// Check every fallible step before mutating anything, so a
-	// mismatched cell cannot leave this one half-merged.
-	if err := c.RawHist.CheckGeometry(o.RawHist); err != nil {
-		return err
-	}
+	// mismatched cell cannot leave this one half-merged: the punctured
+	// geometry here, the raw one inside raw's Merge, which mutates
+	// nothing when it fails.
 	if err := c.PuncturedHist.CheckGeometry(o.PuncturedHist); err != nil {
 		return err
 	}
+	if err := c.raw().Merge(o.raw()); err != nil {
+		return err
+	}
+	_ = c.punctured().Merge(o.punctured()) // cannot fail: geometry checked above
 	if o.Epoch > c.Epoch {
 		c.Epoch = o.Epoch
 	}
@@ -398,16 +381,6 @@ func (c *Cell) Merge(o *Cell) error {
 	c.ProbesSent += o.ProbesSent
 	c.ProbesLost += o.ProbesLost
 	c.BackgroundSent += o.BackgroundSent
-	c.RawSketch.Merge(o.RawSketch)
-	c.PuncturedSketch.Merge(o.PuncturedSketch)
-	c.Raw.Merge(o.Raw)
-	if err := c.RawHist.Merge(o.RawHist); err != nil {
-		return err
-	}
-	c.Punctured.Merge(o.Punctured)
-	if err := c.PuncturedHist.Merge(o.PuncturedHist); err != nil {
-		return err
-	}
 	c.Correction.Merge(o.Correction)
 	c.Inflation.Merge(o.Inflation)
 	c.Overheads.Merge(&o.Overheads)

@@ -14,9 +14,8 @@ type Servers struct {
 	tcp net.Listener
 	udp *net.UDPConn
 
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
+	mu sync.Mutex
+	wg sync.WaitGroup
 
 	// Stats
 	httpRequests int
@@ -53,9 +52,6 @@ func (s *Servers) Addr() string { return s.tcp.Addr().String() }
 
 // Close shuts both servers down.
 func (s *Servers) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
 	s.tcp.Close()
 	s.udp.Close()
 	s.wg.Wait()

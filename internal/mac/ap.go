@@ -37,10 +37,8 @@ func DefaultAPConfig() APConfig {
 }
 
 type assocEntry struct {
-	aid            uint16
-	ip             packet.IPv4Addr
-	ps             bool
-	listenInterval int
+	aid uint16
+	ps  bool
 }
 
 // AP is the access point: it beacons, bridges between the wireless and
@@ -104,8 +102,8 @@ func (a *AP) BeaconInterval() time.Duration {
 func (a *AP) NextTBTT(t time.Duration) time.Duration { return a.ticker.NextAfter(t) }
 
 // Associate registers a station.
-func (a *AP) Associate(mac packet.MACAddr, aid uint16, ip packet.IPv4Addr, listenInterval int) {
-	a.assoc[mac] = &assocEntry{aid: aid, ip: ip, listenInterval: listenInterval}
+func (a *AP) Associate(mac packet.MACAddr, aid uint16, ip packet.IPv4Addr) {
+	a.assoc[mac] = &assocEntry{aid: aid}
 	a.byIP[ip] = mac
 }
 

@@ -84,7 +84,7 @@ func newBench(t *testing.T, seed int64, mod func(*STAConfig)) *bench {
 		b.rxAt = append(b.rxAt, b.sim.Now())
 	})
 	b.sta.SetBeaconSchedule(b.ap)
-	b.ap.Associate(cfg.MAC, cfg.AID, packet.IP(192, 168, 1, 2), 1)
+	b.ap.Associate(cfg.MAC, cfg.AID, packet.IP(192, 168, 1, 2))
 	return b
 }
 

@@ -98,7 +98,6 @@ type Bus struct {
 	// lastActivity is when data last moved across the bus.
 	lastActivity time.Duration
 	pending      []func()
-	watchdog     *simtime.Ticker
 
 	// OnPower, when set, observes sleep transitions (energy accounting).
 	OnPower func(asleep bool)
@@ -124,7 +123,8 @@ func New(sim *simtime.Sim, cfg Config, tr *trace.Trace) *Bus {
 		cfg.IdleTime = 5
 	}
 	b := &Bus{sim: sim, cfg: cfg, tr: tr, lastActivity: sim.Now()}
-	b.watchdog = simtime.NewTicker(sim, cfg.WatchdogInterval, cfg.WatchdogInterval, b.onWatchdog)
+	// The Sim keeps the ticker armed; nothing ever stops it.
+	simtime.NewTicker(sim, cfg.WatchdogInterval, cfg.WatchdogInterval, b.onWatchdog)
 	return b
 }
 

@@ -141,7 +141,7 @@ func TestLoadGeneratorSaturatesCell(t *testing.T) {
 	genTrace := trace.New(0)
 	gen := NewLoadGen(sim, med, fac, cfg, genTrace)
 	gen.STA.SetBeaconSchedule(ap)
-	ap.Associate(cfg.MAC, cfg.AID, cfg.IP, 1)
+	ap.Associate(cfg.MAC, cfg.AID, cfg.IP)
 
 	gen.Start()
 	sim.RunUntil(2 * time.Second)

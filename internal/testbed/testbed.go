@@ -159,7 +159,7 @@ func New(cfg Config) *Testbed {
 		ModifyDriver:   cfg.ModifyDriver,
 	})
 	tb.Phone.STA.SetBeaconSchedule(tb.AP)
-	tb.AP.Associate(packet.MAC(1), 1, PhoneIP, cfg.Phone.AssocListenInterval)
+	tb.AP.Associate(packet.MAC(1), 1, PhoneIP)
 	if cfg.DisableBusSleep {
 		tb.Phone.Drv.SetBusSleepEnabled(false)
 	}
@@ -189,7 +189,7 @@ func New(cfg Config) *Testbed {
 	lgCfg.Target = LoadServerIP
 	tb.LoadGen = server.NewLoadGen(tb.Sim, tb.Med, tb.Fac, lgCfg, tb.Trace)
 	tb.LoadGen.STA.SetBeaconSchedule(tb.AP)
-	tb.AP.Associate(packet.MAC(3), 2, LoadGenIP, 1)
+	tb.AP.Associate(packet.MAC(3), 2, LoadGenIP)
 
 	// The phone runs tcpdump throughout (the dk vantage point).
 	tb.Phone.Stack.BPF().Enable()
