@@ -19,10 +19,14 @@ import (
 // of ++ or --, a composite-literal key, the receiver of a sync/atomic
 // Add, Store, Swap or CompareAndSwap (a typed-wrapper method or an
 // &field argument), and every field on a selector chain that ends in
-// one of these (x.Stats.F++ reads neither Stats nor F). Fields are keyed
-// like AM004's targets, by package, name and declaration line, so a
-// field keys the same from source and from export data. Embedded fields
-// are out of scope: they are read through the names they promote.
+// one of these, up to the first pointer-typed field: x.Stats.F++ reads
+// neither Stats nor F, but x.P.F = v loads the pointer P and so reads
+// it. A struct compared with == or !=, or written as a map's key type,
+// has every field read by the comparison, nested struct and array
+// fields included. Fields are keyed like AM004's targets, by package,
+// name and declaration line, so a field keys the same from source and
+// from export data. Embedded fields are out of scope: they are read
+// through the names they promote.
 //
 // The scope is the model alone: outside it, fields are read by
 // encoding/json reflection (fleet reports, /stats), which a static rule
@@ -62,10 +66,17 @@ func (AM007) Run(m *Module, report func(token.Position, string)) {
 		for _, f := range pkg.Files {
 			writes := fieldWrites(pkg.Info, f)
 			ast.Inspect(f, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && !writes[id] {
-					if v, ok := pkg.Info.Uses[id].(*types.Var); ok && v.IsField() {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if v, ok := pkg.Info.Uses[n].(*types.Var); ok && v.IsField() && !writes[n] {
 						read[objKey(m.Fset, v)] = true
 					}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						comparedFields(m.Fset, pkg.Info.TypeOf(n.X), read)
+					}
+				case *ast.MapType:
+					comparedFields(m.Fset, pkg.Info.TypeOf(n.Key), read)
 				}
 				return true
 			})
@@ -105,18 +116,42 @@ func (AM007) Run(m *Module, report func(token.Position, string)) {
 	}
 }
 
+// comparedFields marks read every field that comparing two values of
+// type t compares: a struct's fields and, through struct and array
+// values, theirs. A pointer compares by address, so it stops the walk.
+func comparedFields(fset *token.FileSet, t types.Type, read map[string]bool) {
+	if t == nil {
+		return
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			read[objKey(fset, u.Field(i))] = true
+			comparedFields(fset, u.Field(i).Type(), read)
+		}
+	case *types.Array:
+		comparedFields(fset, u.Elem(), read)
+	}
+}
+
 // fieldWrites returns the identifiers in f that name a field only to
 // write it (see AM007).
 func fieldWrites(info *types.Info, f *ast.File) map[*ast.Ident]bool {
 	w := map[*ast.Ident]bool{}
 	chain := func(e ast.Expr) {
-		for {
+		for outer := true; ; {
 			switch x := e.(type) {
 			case *ast.ParenExpr:
 				e = x.X
 			case *ast.SelectorExpr:
+				// Writing through a pointer-typed field loads it.
+				if t := info.TypeOf(x); !outer && t != nil {
+					if _, ptr := t.Underlying().(*types.Pointer); ptr {
+						return
+					}
+				}
 				w[x.Sel] = true
-				e = x.X
+				e, outer = x.X, false
 			default:
 				return
 			}

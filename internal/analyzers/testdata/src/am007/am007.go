@@ -1,7 +1,9 @@
 // Package am007fix exercises AM007: an exported field of a model
 // package that no non-test code reads is reported. Writes are not
 // reads, and the fixture has no tests, so a field only a test would
-// read is a finding.
+// read is a finding. Writing through a pointer-typed field, comparing a
+// struct with == and keying a map by it do read: Link, FlowKey and Pair
+// report nothing.
 package am007fix
 
 import "sync/atomic"
@@ -51,3 +53,35 @@ func (s *Station) Doze(n int64) {
 
 // Label reads Name.
 func (s *Station) Label() string { return s.Name }
+
+// Link is only written through its pointer-typed field: l.Peer.Name = n
+// loads Peer, so Peer is read.
+type Link struct {
+	Peer *Station
+}
+
+// Rename renames the peer.
+func (l *Link) Rename(n string) { l.Peer.Name = n }
+
+// FlowKey is read only as a map key: every lookup compares its fields.
+type FlowKey struct {
+	Src, Dst int
+}
+
+// Flows counts packets per flow.
+type Flows struct {
+	byKey map[FlowKey]int
+}
+
+// Count counts one packet of the flow src→dst.
+func (f *Flows) Count(src, dst int) { f.byKey[FlowKey{src, dst}]++ }
+
+// Pair is read only by ==, which compares its fields and those of its
+// nested struct.
+type Pair struct {
+	A    int
+	Span struct{ Lo, Hi int }
+}
+
+// Same reports whether two pairs match.
+func Same(a, b Pair) bool { return a == b }

@@ -120,8 +120,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// series): nanoseconds spent folding drained pipe jobs. Rate of the
 	// sum over rate of the count is mean fold latency; the count's rate
 	// is job throughput.
+	var jobs int64
+	for i := range s.foldJobs {
+		jobs += s.foldJobs[i].Load()
+	}
 	fmt.Fprintf(&b, "# TYPE acutemon_fold_ns summary\nacutemon_fold_ns_sum %d\nacutemon_fold_ns_count %d\n",
-		s.metrics.FoldNanos.Load(), s.metrics.FoldJobs.Load())
+		s.metrics.FoldNanos.Load(), jobs)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, b.String())

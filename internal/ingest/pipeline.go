@@ -12,8 +12,8 @@ import (
 // one shared channel drained by N workers — at binary-wire rates the
 // single channel and the store-stripe contention behind it become the
 // ceiling. Here each fold worker owns one pipe (channel) and summaries
-// are routed to pipes by the same full-key hash the store shards by.
-// Two properties fall out:
+// are routed to pipes by the same full-key hash the store shards by
+// (keyHash). Three properties fall out:
 //
 //   - A given cell's folds all happen on one pipe, so two workers never
 //     contend on one store stripe for the hot cell, and per-cell fold
@@ -22,6 +22,9 @@ import (
 //   - Backpressure stays batch-atomic: a batch takes one credit (the
 //     queue-depth analogue) or is rejected whole with 503/busy; its
 //     sub-batches release the credit when the last one folds.
+//   - Every pipe gets work: keyHash's fmix64 finalizer spreads keys
+//     evenly over the pipes even when a field repeats, as when a
+//     cell's group defaults to its device (TestKeyHashSpread).
 //
 // On top of the routing, enqueue groups each pipe's summaries into
 // contiguous same-cell *runs* (preserving the batch's per-cell order),
@@ -291,7 +294,7 @@ func (s *Server) foldLoop(i int) {
 		// drained job, recorded after the credit is returned so the
 		// clock stops exactly when the data is queryable.
 		s.metrics.FoldNanos.Add(time.Since(start).Nanoseconds())
-		s.metrics.FoldJobs.Add(1)
+		s.foldJobs[i].Add(1)
 		// One poke per drained job, not per summary — the broadcaster
 		// coalesces anyway, this just keeps the hot loop cheap.
 		s.bcast.poke()

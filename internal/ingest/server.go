@@ -148,13 +148,12 @@ type Metrics struct {
 	StreamEvents      atomic.Int64 // /v1/stream deltas delivered (SSE + poll)
 	StreamDropped     atomic.Int64 // stream clients dropped as gone/too slow
 	StreamRejected    atomic.Int64 // stream subscriptions refused at the cap
-	// FoldNanos/FoldJobs back the acutemon_fold_ns summary on /metrics:
-	// total wall time the fold workers spent draining pipe jobs and the
-	// number of jobs drained, so production fold latency (sum/count) is
-	// observable without a profiler. Two atomics, not a histogram — the
+	// FoldNanos backs the acutemon_fold_ns summary on /metrics: total
+	// wall time the fold workers spent draining pipe jobs. Its count is
+	// the sum of Server.foldJobs, so production fold latency (sum/count)
+	// is observable without a profiler. Atomics, not a histogram — the
 	// fold loop is the hottest path in the daemon.
 	FoldNanos atomic.Int64
-	FoldJobs  atomic.Int64
 }
 
 // Server is a running ingest + query service.
@@ -167,6 +166,9 @@ type Server struct {
 	// batch-credit pool bounding outstanding batches (see pipeline.go).
 	pipes   []chan pipeJob
 	credits chan struct{}
+	// foldJobs[i] counts the jobs pipe i has drained; their sum is the
+	// acutemon_fold_ns summary's count.
+	foldJobs []atomic.Int64
 	// bcast fans fold/compaction activity out to /v1/stream
 	// subscribers.
 	bcast *broadcaster
@@ -236,14 +238,15 @@ func Start(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:     cfg,
-		store:   NewStore(window, DefaultStoreShards),
-		punc:    NewPuncturerStore(knowledge),
-		pipes:   make([]chan pipeJob, cfg.FoldWorkers),
-		credits: make(chan struct{}, cfg.QueueDepth),
-		stop:    make(chan struct{}),
-		started: time.Now(),
-		servErr: make(chan error, 1),
+		cfg:      cfg,
+		store:    NewStore(window, DefaultStoreShards),
+		punc:     NewPuncturerStore(knowledge),
+		pipes:    make([]chan pipeJob, cfg.FoldWorkers),
+		credits:  make(chan struct{}, cfg.QueueDepth),
+		foldJobs: make([]atomic.Int64, cfg.FoldWorkers),
+		stop:     make(chan struct{}),
+		started:  time.Now(),
+		servErr:  make(chan error, 1),
 	}
 	for i := range s.pipes {
 		s.pipes[i] = make(chan pipeJob, cfg.QueueDepth)

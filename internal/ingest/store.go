@@ -571,38 +571,22 @@ func (st *Store) WindowFor(timeMS int64) int64 {
 	return w
 }
 
-// Inlined FNV-1a: keyHash runs once per routed cell run, and the
-// hash/fnv hasher would be a heap allocation per call on that path.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-// fnv1a64 extends h over s plus a terminating separator byte, so
-// adjacent key fields cannot alias.
-func fnv1a64(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	h *= fnvPrime64 // separator (xor with 0 is a no-op)
-	return h
-}
-
-// keyHash is the full-key FNV-1a hash shared by store sharding and the
-// ingest pipelines' per-core dispatch: routing on the same hash the
-// store shards by keeps each cell's folds on one pipe, so per-cell fold
-// order — and thus exact store state — matches a serial fold.
+// keyHash is the full-key hash (puncture.KeyHash) shared by store
+// striping and the ingest pipelines' per-core dispatch: routing on the
+// same hash the store stripes by keeps each cell's folds on one pipe,
+// so per-cell fold order — and thus exact store state — matches a
+// serial fold. Both take the hash modulo their count, so when the
+// stripe count is a multiple of the pipe count each stripe is folded
+// by one pipe only. The hash's fmix64 finalizer is what spreads a
+// cell whose group defaults to its device over every pipe and stripe
+// (TestKeyHashSpread).
 func keyHash(k Key) uint64 {
-	h := fnv1a64(fnvOffset64, k.Device)
-	h = fnv1a64(h, k.Group)
-	h = fnv1a64(h, k.Scenario)
-	w := uint64(k.WindowMS)
-	for i := 0; i < 8; i++ {
-		h ^= (w >> (8 * i)) & 0xff
-		h *= fnvPrime64
-	}
-	return h
+	return puncture.NewKeyHash().
+		AddString(k.Device).
+		AddString(k.Group).
+		AddString(k.Scenario).
+		AddUint64(uint64(k.WindowMS)).
+		Sum64()
 }
 
 // KeyFor returns the aggregation cell key s folds into — exposed so the

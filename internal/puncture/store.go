@@ -76,28 +76,12 @@ func (st *Store) SetMaxModels(n int64) {
 	st.maxModels.Store(n)
 }
 
-// Inlined FNV-1a: shardFor runs once per resolved correction, and the
-// hash/fnv hasher would be a heap allocation per call on that path.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-func fnv1a64(s string) uint64 {
-	h := fnvOffset64
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
 func (st *Store) shardFor(model string) *profileShard {
-	return &st.shards[fnv1a64(model)%uint64(len(st.shards))]
+	return &st.shards[NewKeyHash().AddString(model).Sum64()%uint64(len(st.shards))]
 }
 
 func (st *Store) famShardFor(chipset string) *familyShard {
-	return &st.famShards[fnv1a64(chipset)%uint64(len(st.famShards))]
+	return &st.famShards[NewKeyHash().AddString(chipset).Sum64()%uint64(len(st.famShards))]
 }
 
 // Resolve walks the correction ladder for a model that did NOT report
