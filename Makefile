@@ -56,9 +56,9 @@ bench-json:
 bench-gate:
 	$(GO) run ./cmd/benchdiff -baseline bench-baseline.json -current $(BENCH_FILE)
 
-# 30s native-fuzz smoke on nine targets — the untrusted-input
-# decoders, the hand-written JSON codecs, the span-stored Hist and the
-# track agreement law —
+# 30s native-fuzz smoke on ten targets — the untrusted-input
+# decoders, the hand-written JSON codecs, the span-stored Hist, its
+# two decoders and the track agreement law —
 # starting from the committed corpora under testdata/fuzz. Catches
 # decoder panics and bounds-check slips on every PR without a long
 # fuzzing campaign. -fuzzminimizetime=1s caps the shrinking of each
@@ -69,7 +69,9 @@ bench-gate:
 # rejecting hostile blobs at the same caps and stays byte-identical to
 # the serial path. FuzzHistOps applies random operation sequences to
 # the span-stored Hist and a dense reference model and requires
-# identical bins, N, quantiles and JSON.
+# identical bins, N, quantiles and JSON. FuzzHistDecode feeds any bytes
+# to Hist.ReadBinary and Hist.UnmarshalJSON: an accepted form re-encodes
+# to the same bytes (binary, varints minimal) or an equal Hist (JSON).
 # FuzzDecodeBatchMatchesEncodingJSON holds the hand-written JSON-lines
 # scanner to encoding/json: same verdict, deeply equal summaries.
 # FuzzAppendBatchMatchesEncodingJSON holds the hand-written JSON-lines
@@ -88,6 +90,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz '^FuzzDecodeGossipDelta$$' -fuzztime=30s -fuzzminimizetime=1s
 	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzSketchBatchFold$$' -fuzztime=30s -fuzzminimizetime=1s
 	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzHistOps$$' -fuzztime=30s -fuzzminimizetime=1s
+	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzHistDecode$$' -fuzztime=30s -fuzzminimizetime=1s
 	$(GO) test ./internal/puncture/ -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime=30s -fuzzminimizetime=1s
 	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzTrackAgree$$' -fuzztime=30s -fuzzminimizetime=1s
 

@@ -236,7 +236,7 @@ type (
 func NewSketch(compression float64) *Sketch { return agg.NewSketch(compression) }
 
 // NewStreamingSummary returns an empty streaming summary accumulator.
-func NewStreamingSummary() *StreamingSummary { return stats.NewStreaming(0) }
+func NewStreamingSummary() *StreamingSummary { return &stats.Streaming{} }
 
 // Crowd-scale ingestion surface. An IngestServer accepts batched
 // per-session summaries over HTTP, punctures every reported RTT online

@@ -140,3 +140,32 @@ func TestDecodeReportRefusesPreSketch(t *testing.T) {
 		t.Fatalf("pre-sketch report: err = %v, want an error naming the group", err)
 	}
 }
+
+// TestDecodeReportRefusesForeignHistGeometry: a -replay report whose
+// du_hist names another lo_ns, hi_ns or bin count is refused at decode.
+func TestDecodeReportRefusesForeignHistGeometry(t *testing.T) {
+	g := &fleet.GroupAggregate{Label: "g", Sessions: 1, DuHist: agg.NewDurationHist(), DuSketch: agg.NewSketch(0)}
+	g.Du.Add(float64(30 * time.Millisecond))
+	g.DuHist.Add(30 * time.Millisecond)
+	g.DuSketch.AddDuration(30 * time.Millisecond)
+	b, err := json.Marshal(&fleet.Report{Name: "r", Groups: []*fleet.GroupAggregate{g}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := string(b)
+	if _, err := decodeReport(strings.NewReader(raw)); err != nil {
+		t.Fatalf("current report refused: %v", err)
+	}
+	for _, edit := range [][2]string{
+		{`"lo_ns":0`, `"lo_ns":-1000000`},
+		{`"hi_ns":500000000`, `"hi_ns":1000000000`},
+		{`"counts":[`, `"counts":[0,`},
+	} {
+		if strings.Count(raw, edit[0]) != 1 {
+			t.Fatalf("%q is not in the report exactly once", edit[0])
+		}
+		if _, err := decodeReport(strings.NewReader(strings.Replace(raw, edit[0], edit[1], 1))); err == nil {
+			t.Errorf("report edited %q → %q decoded", edit[0], edit[1])
+		}
+	}
+}

@@ -172,10 +172,11 @@ func (m *Moments) ReadBinary(d *wirebuf.Cursor) error {
 // MeanDuration interprets the accumulator as nanosecond observations.
 func (m Moments) MeanDuration() time.Duration { return time.Duration(m.Mean) }
 
-// Hist is a mergeable fixed-range histogram over durations. Counts of
-// two histograms with identical geometry add exactly, so — unlike exact
-// quantiles — histogram-based quantile estimates are order- and
-// partition-independent.
+// Hist is a mergeable histogram over durations with one geometry, the
+// constants DurationHistLo/Hi/Bins: any two merge, and their counts add
+// exactly, so histogram quantiles are order- and partition-independent.
+// ReadBinary and UnmarshalJSON refuse a form of any other geometry, so
+// none can be held. The zero value is an empty histogram.
 //
 // A Hist stores only the span of bins it has touched: counts holds
 // bins [base, base+len(counts)) and every bin outside that span is
@@ -185,39 +186,28 @@ func (m Moments) MeanDuration() time.Duration { return time.Duration(m.Mean) }
 // geometrically toward the side that grows, and never past the
 // geometry, so a wide hot cell costs what a dense array would. Read
 // bins through Count (or Span) and write them through the methods;
-// AppendBinary and ReadBinary are the sparse binary form. The zero value is a valid empty histogram with no bins.
+// AppendBinary and ReadBinary are the sparse binary form.
 type Hist struct {
-	Lo    time.Duration
-	Hi    time.Duration
 	Under int64
 	Over  int64
 
-	bins   int     // the geometry's bin count
 	base   int     // first stored bin
 	counts []int64 // bins [base, base+len(counts)); the rest are zero
 }
 
-// Campaign-level user-RTT histogram geometry: 0.5 ms resolution up to
-// 500 ms, which covers every scenario in the paper (the worst cellular
-// promotions excepted — those land in Over).
+// The geometry of every Hist: 0.5 ms resolution up to 500 ms, which
+// covers every scenario in the paper (the worst cellular promotions
+// excepted — those land in Over). Fleet reports and ingest windows
+// thus read one scale.
 const (
 	DurationHistLo   = 0
 	DurationHistHi   = 500 * time.Millisecond
 	DurationHistBins = 1000
 )
 
-// NewHist builds an empty histogram with the given geometry.
-func NewHist(lo, hi time.Duration, bins int) *Hist {
-	if bins <= 0 {
-		bins = 1
-	}
-	return &Hist{Lo: lo, Hi: hi, bins: bins}
-}
-
-// NewDurationHist builds a histogram with the repo-standard user-RTT
-// geometry, shared by fleet campaign reports and ingest windows so
-// their quantile estimates are directly comparable.
-func NewDurationHist() *Hist { return NewHist(DurationHistLo, DurationHistHi, DurationHistBins) }
+// NewDurationHist returns an empty histogram, the same as its zero
+// value.
+func NewDurationHist() *Hist { return &Hist{} }
 
 // histJSON is the wire form: the full dense bin array.
 type histJSON struct {
@@ -228,20 +218,17 @@ type histJSON struct {
 	Over   int64         `json:"over"`
 }
 
-// MarshalJSON writes the dense wire form, every bin included.
+// MarshalJSON writes the dense wire form, the geometry and every bin
+// included.
 func (h Hist) MarshalJSON() ([]byte, error) {
-	p := histJSON{Lo: h.Lo, Hi: h.Hi, Under: h.Under, Over: h.Over}
-	if h.bins > 0 {
-		p.Counts = make([]int64, h.bins)
-		copy(p.Counts[h.base:], h.counts)
-	}
+	p := histJSON{DurationHistLo, DurationHistHi, make([]int64, DurationHistBins), h.Under, h.Over}
+	copy(p.Counts[h.base:], h.counts)
 	return json.Marshal(p)
 }
 
 // UnmarshalJSON decodes the dense wire form, replacing everything the
 // receiver held, and stores only the span between its first and last
-// nonzero bins. A non-empty range must have bins, and its width times
-// the bin count must fit in an int64, or no duration maps to a bin.
+// nonzero bins. A form of any other geometry is refused.
 func (h *Hist) UnmarshalJSON(b []byte) error {
 	if string(b) == "null" {
 		return nil
@@ -250,8 +237,8 @@ func (h *Hist) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &p); err != nil {
 		return err
 	}
-	if w, n := int64(p.Hi-p.Lo), int64(len(p.Counts)); p.Lo < p.Hi && (w <= 0 || n == 0 || w > math.MaxInt64/n) {
-		return fmt.Errorf("agg: histogram range [%v,%v) with %d bins has no valid bin mapping", p.Lo, p.Hi, len(p.Counts))
+	if err := checkGeometry(int64(p.Lo), int64(p.Hi), uint64(len(p.Counts))); err != nil {
+		return err
 	}
 	lo, hi := 0, len(p.Counts)
 	for lo < hi && p.Counts[lo] == 0 {
@@ -260,10 +247,19 @@ func (h *Hist) UnmarshalJSON(b []byte) error {
 	for hi > lo && p.Counts[hi-1] == 0 {
 		hi--
 	}
-	h.Lo, h.Hi, h.Under, h.Over = p.Lo, p.Hi, p.Under, p.Over
-	h.bins, h.base = len(p.Counts), lo
+	h.Under, h.Over, h.base = p.Under, p.Over, lo
 	h.counts = make([]int64, hi-lo)
 	copy(h.counts, p.Counts[lo:hi])
+	return nil
+}
+
+// checkGeometry refuses an encoded geometry other than the duration
+// hist's: no Hist could hold it.
+func checkGeometry(lo, hi int64, bins uint64) error {
+	if lo != DurationHistLo || hi != int64(DurationHistHi) || bins != DurationHistBins {
+		return fmt.Errorf("agg: histogram geometry [%d,%d)/%d is not the duration hist [%d,%d)/%d",
+			lo, hi, bins, DurationHistLo, int64(DurationHistHi), DurationHistBins)
+	}
 	return nil
 }
 
@@ -277,9 +273,9 @@ func (h *Hist) UnmarshalJSON(b []byte) error {
 //	uvarint nonzero-bin count · per bin: uvarint gap from the previous
 //	nonzero bin (the first from bin 0) · uvarint count
 func (h *Hist) AppendBinary(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, wirebuf.Zigzag(int64(h.Lo)))
-	dst = binary.AppendUvarint(dst, wirebuf.Zigzag(int64(h.Hi)))
-	dst = binary.AppendUvarint(dst, uint64(h.bins))
+	dst = binary.AppendUvarint(dst, wirebuf.Zigzag(DurationHistLo))
+	dst = binary.AppendUvarint(dst, wirebuf.Zigzag(int64(DurationHistHi)))
+	dst = binary.AppendUvarint(dst, DurationHistBins)
 	dst = binary.AppendUvarint(dst, uint64(h.Under))
 	dst = binary.AppendUvarint(dst, uint64(h.Over))
 	nnz := 0
@@ -303,11 +299,10 @@ func (h *Hist) AppendBinary(dst []byte) []byte {
 }
 
 // ReadBinary decodes one AppendBinary form off d into the receiver,
-// replacing its mass. The encoded geometry must be the receiver's own —
-// a histogram of any other geometry could never merge with it — and is
-// refused before a single bin is read. The form carries no length
-// prefix (its container frames it), so it reads from the container's
-// cursor rather than from a buffer of its own.
+// replacing its mass. A form of any other geometry is refused before a
+// single bin is read. The form carries no length prefix (its container
+// frames it), so it reads from the container's cursor rather than from
+// a buffer of its own.
 func (h *Hist) ReadBinary(d *wirebuf.Cursor) error {
 	lo, err := d.Varint()
 	if err != nil {
@@ -321,8 +316,8 @@ func (h *Hist) ReadBinary(d *wirebuf.Cursor) error {
 	if err != nil {
 		return err
 	}
-	if time.Duration(lo) != h.Lo || time.Duration(hi) != h.Hi || nbins != uint64(h.bins) {
-		return fmt.Errorf("agg: histogram geometry [%d,%d)/%d does not match [%d,%d)/%d", lo, hi, nbins, h.Lo, h.Hi, h.bins)
+	if err := checkGeometry(lo, hi, nbins); err != nil {
+		return err
 	}
 	h.Reset()
 	if h.Under, err = d.Uint63(); err != nil {
@@ -331,7 +326,7 @@ func (h *Hist) ReadBinary(d *wirebuf.Cursor) error {
 	if h.Over, err = d.Uint63(); err != nil {
 		return err
 	}
-	nnz, err := d.Count(h.bins)
+	nnz, err := d.Count(DurationHistBins)
 	if err != nil {
 		return err
 	}
@@ -342,12 +337,12 @@ func (h *Hist) ReadBinary(d *wirebuf.Cursor) error {
 	// bin, so the span is sized once; the second pass reads the same
 	// bytes again and cannot fail.
 	pre := *d
-	first, last, err := h.readSparseBins(&pre, nnz, nil)
+	first, last, err := readSparseBins(&pre, nnz, nil)
 	if err != nil {
 		return err
 	}
 	h.grow(first, last+1)
-	_, _, err = h.readSparseBins(d, nnz, h.counts)
+	_, _, err = readSparseBins(d, nnz, h.counts)
 	return err
 }
 
@@ -355,7 +350,7 @@ func (h *Hist) ReadBinary(d *wirebuf.Cursor) error {
 // 0's offset, each later one at least 1 — checking every bin and
 // count, and returns the first and last bin. When counts is non-nil
 // (the span sized to those bins) it stores each count there.
-func (h *Hist) readSparseBins(d *wirebuf.Cursor, nnz int, counts []int64) (first, last int, err error) {
+func readSparseBins(d *wirebuf.Cursor, nnz int, counts []int64) (first, last int, err error) {
 	bin := 0
 	for i := 0; i < nnz; i++ {
 		gap, err := d.Uvarint()
@@ -366,11 +361,11 @@ func (h *Hist) readSparseBins(d *wirebuf.Cursor, nnz int, counts []int64) (first
 		if err != nil {
 			return 0, 0, err
 		}
-		if i > 0 && (gap == 0 || gap > uint64(h.bins)) {
+		if i > 0 && (gap == 0 || gap > DurationHistBins) {
 			return 0, 0, fmt.Errorf("agg: histogram bin gap %d out of order", gap)
 		}
 		bin += int(gap)
-		if bin < 0 || bin >= h.bins || cnt == 0 {
+		if bin < 0 || bin >= DurationHistBins || cnt == 0 {
 			return 0, 0, fmt.Errorf("agg: histogram bin %d/count %d out of range", bin, cnt)
 		}
 		if i == 0 {
@@ -384,7 +379,7 @@ func (h *Hist) readSparseBins(d *wirebuf.Cursor, nnz int, counts []int64) (first
 }
 
 // Bins returns the geometry's bin count.
-func (h *Hist) Bins() int { return h.bins }
+func (h *Hist) Bins() int { return DurationHistBins }
 
 // Count returns bin i's count (zero outside the stored span).
 func (h *Hist) Count(i int) int64 {
@@ -408,8 +403,8 @@ func (h *Hist) Span() (base int, counts []int64) { return h.base, h.counts }
 // Hist refills exactly like a new one; spare capacity only spares the
 // allocation.
 func (h *Hist) grow(lo, hi int) {
-	if lo < 0 || hi > h.bins {
-		panic(fmt.Sprintf("agg: bins [%d,%d) outside [0,%d)", lo, hi, h.bins))
+	if lo < 0 || hi > DurationHistBins {
+		panic(fmt.Sprintf("agg: bins [%d,%d) outside [0,%d)", lo, hi, DurationHistBins))
 	}
 	n, shift := len(h.counts), 0
 	if n > 0 {
@@ -422,7 +417,7 @@ func (h *Hist) grow(lo, hi int) {
 		if hi <= oldHi {
 			hi = oldHi
 		} else {
-			hi = min(max(hi, oldLo+2*n), h.bins)
+			hi = min(max(hi, oldLo+2*n), DurationHistBins)
 		}
 		shift = oldLo - lo
 	}
@@ -443,10 +438,13 @@ func (h *Hist) grow(lo, hi int) {
 
 // BucketWidth returns the width of one bin.
 func (h *Hist) BucketWidth() time.Duration {
-	if h.bins == 0 {
-		return 0
-	}
-	return (h.Hi - h.Lo) / time.Duration(h.bins)
+	return (DurationHistHi - DurationHistLo) / DurationHistBins
+}
+
+// bin maps an in-range duration, DurationHistLo <= d < DurationHistHi,
+// to its bin.
+func bin(d time.Duration) int {
+	return int(int64(d-DurationHistLo) * DurationHistBins / int64(DurationHistHi-DurationHistLo))
 }
 
 // Add folds one duration in.
@@ -458,15 +456,12 @@ func (h *Hist) AddN(d time.Duration, n int64) {
 		return
 	}
 	switch {
-	case d < h.Lo:
+	case d < DurationHistLo:
 		h.Under += n
-	case d >= h.Hi:
+	case d >= DurationHistHi:
 		h.Over += n
 	default:
-		i := int(int64(d-h.Lo) * int64(h.bins) / int64(h.Hi-h.Lo))
-		if i >= h.bins {
-			i = h.bins - 1
-		}
+		i := bin(d)
 		j := i - h.base
 		if uint(j) >= uint(len(h.counts)) {
 			h.grow(i, i+1)
@@ -478,10 +473,10 @@ func (h *Hist) AddN(d time.Duration, n int64) {
 
 // AddMulti folds a run of durations in one call — the ingest fold
 // path's batch entry point. Bin counts are integers, so the result is
-// identical to repeated Add in any order; the win is hoisting the
-// geometry and span loads out of the per-observation loop. Each
-// observation costs one in-span check; only a miss leaves the loop to
-// grow the span, and folding resumes at the missed observation.
+// identical to repeated Add in any order; the win is hoisting the span
+// loads out of the per-observation loop. Each observation costs one
+// in-span check; only a miss leaves the loop to grow the span, and
+// folding resumes at the missed observation.
 func (h *Hist) AddMulti(ds []time.Duration) {
 	for {
 		k, i := h.addInSpan(ds)
@@ -496,67 +491,42 @@ func (h *Hist) AddMulti(ds []time.Duration) {
 // addInSpan folds ds up to its first in-range duration whose bin lies
 // outside the stored span, and returns that duration's index and bin
 // (len(ds) when every duration was folded). The loop makes no calls,
-// so the geometry and span stay in registers.
-func (h *Hist) addInSpan(ds []time.Duration) (k, bin int) {
-	lo, hi, bins := h.Lo, h.Hi, h.bins
-	span := int64(hi - lo)
+// so the span stays in registers.
+func (h *Hist) addInSpan(ds []time.Duration) (k, i int) {
 	under, over := h.Under, h.Over
 	base, counts := h.base, h.counts
 	for k = 0; k < len(ds); k++ {
 		d := ds[k]
-		if d < lo {
+		if d < DurationHistLo {
 			under++
 			continue
 		}
-		if d >= hi {
+		if d >= DurationHistHi {
 			over++
 			continue
 		}
-		i := int(int64(d-lo) * int64(bins) / span)
-		if i >= bins {
-			i = bins - 1
-		}
+		i = bin(d)
 		j := i - base
 		if uint(j) >= uint(len(counts)) {
-			bin = i
 			break
 		}
 		counts[j]++
 	}
 	h.Under, h.Over = under, over
-	return k, bin
+	return k, i
 }
 
-// CheckGeometry reports whether o can merge into h, without mutating
-// either. Callers that merge several aggregates as one transaction
-// (fleet groups, ingest cells) check every histogram first so a
-// geometry mismatch cannot leave the receiver half-merged.
-func (h *Hist) CheckGeometry(o *Hist) error {
+// Merge adds another histogram's counts. Only o's stored span is
+// visited, and h's span grows only when o's does not fit inside it.
+func (h *Hist) Merge(o *Hist) {
 	if o == nil {
-		return nil
-	}
-	if h.Lo != o.Lo || h.Hi != o.Hi || h.bins != o.bins {
-		return fmt.Errorf("agg: merging histograms with different geometry: [%v,%v)×%d vs [%v,%v)×%d",
-			h.Lo, h.Hi, h.bins, o.Lo, o.Hi, o.bins)
-	}
-	return nil
-}
-
-// Merge adds another histogram's counts; geometries must match. Only
-// o's stored span is visited, and h's span grows only when o's does
-// not fit inside it.
-func (h *Hist) Merge(o *Hist) error {
-	if o == nil {
-		return nil
-	}
-	if err := h.CheckGeometry(o); err != nil {
-		return err
+		return
 	}
 	h.Under += o.Under
 	h.Over += o.Over
 	src := o.counts
 	if len(src) == 0 {
-		return nil
+		return
 	}
 	j := o.base - h.base
 	if j < 0 || j+len(src) > len(h.counts) {
@@ -567,13 +537,11 @@ func (h *Hist) Merge(o *Hist) error {
 	for i, c := range src {
 		dst[i] += c
 	}
-	return nil
 }
 
-// Reset empties the histogram in place in O(1), keeping its geometry
-// and backing array: a recycled cell refills without allocating. The
-// stale bins beyond the emptied span are zeroed when growth exposes
-// them again.
+// Reset empties the histogram in place in O(1), keeping its backing
+// array: a recycled cell refills without allocating. The stale bins
+// beyond the emptied span are zeroed when growth exposes them again.
 func (h *Hist) Reset() {
 	h.Under, h.Over = 0, 0
 	h.base, h.counts = 0, h.counts[:0]
@@ -626,10 +594,11 @@ func (h *Hist) countUpTo(max int64) (int64, bool) {
 // the bin where the cumulative count crosses q·N, assuming the bin's
 // mass is spread uniformly across its width — snapping to the bin's
 // upper edge, as this used to do, adds a systematic upward bias of up
-// to one bin width (0.5 ms at the standard geometry). Under-range mass
-// resolves to Lo and over-range mass to Hi; a cell with Over > 0 has
-// its upper quantiles saturated at Hi, which callers should surface
-// (the sketch-backed quantile path exists for exactly that case).
+// to one bin width (0.5 ms). Under-range mass resolves to
+// DurationHistLo and over-range mass to DurationHistHi; a cell with
+// Over > 0 has its upper quantiles saturated at DurationHistHi, which
+// callers should surface (the sketch-backed quantile path exists for
+// exactly that case).
 func (h *Hist) Quantile(q float64) time.Duration {
 	n := h.N()
 	if n == 0 {
@@ -641,18 +610,18 @@ func (h *Hist) Quantile(q float64) time.Duration {
 	}
 	cum := h.Under
 	if cum >= target {
-		return h.Lo
+		return DurationHistLo
 	}
-	width := float64(h.Hi-h.Lo) / float64(h.bins)
+	width := float64(DurationHistHi-DurationHistLo) / DurationHistBins
 	for k, c := range h.counts {
 		if c == 0 {
 			continue
 		}
 		if cum+c >= target {
 			frac := float64(target-cum) / float64(c)
-			return h.Lo + time.Duration((float64(h.base+k)+frac)*width)
+			return DurationHistLo + time.Duration((float64(h.base+k)+frac)*width)
 		}
 		cum += c
 	}
-	return h.Hi
+	return DurationHistHi
 }

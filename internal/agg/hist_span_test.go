@@ -2,6 +2,7 @@ package agg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -19,22 +20,18 @@ import (
 // JSON bytes must match the model's.
 
 // denseHist is the reference model: the geometry's full bin array.
-// A model with no bins is the zero Hist.
 type denseHist struct {
-	lo, hi      time.Duration
 	counts      []int64
 	under, over int64
 }
 
-func newDense(bins int) *denseHist {
-	return &denseHist{lo: DurationHistLo, hi: DurationHistHi, counts: make([]int64, bins)}
+func newDense() *denseHist {
+	return &denseHist{counts: make([]int64, DurationHistBins)}
 }
 
 func (d *denseHist) clone() *denseHist {
 	c := *d
-	if d.counts != nil {
-		c.counts = append([]int64{}, d.counts...)
-	}
+	c.counts = append([]int64{}, d.counts...)
 	return &c
 }
 
@@ -43,12 +40,12 @@ func (d *denseHist) addN(x time.Duration, n int64) {
 		return
 	}
 	switch {
-	case x < d.lo:
+	case x < DurationHistLo:
 		d.under += n
-	case x >= d.hi:
+	case x >= DurationHistHi:
 		d.over += n
 	default:
-		i := int(int64(x-d.lo) * int64(len(d.counts)) / int64(d.hi-d.lo))
+		i := int(int64(x-DurationHistLo) * int64(len(d.counts)) / int64(DurationHistHi-DurationHistLo))
 		if i >= len(d.counts) {
 			i = len(d.counts) - 1
 		}
@@ -56,18 +53,12 @@ func (d *denseHist) addN(x time.Duration, n int64) {
 	}
 }
 
-// merge reports whether the geometries matched; on a mismatch d is
-// left untouched, as Hist.Merge leaves its receiver.
-func (d *denseHist) merge(o *denseHist) bool {
-	if d.lo != o.lo || d.hi != o.hi || len(d.counts) != len(o.counts) {
-		return false
-	}
+func (d *denseHist) merge(o *denseHist) {
 	d.under += o.under
 	d.over += o.over
 	for i, c := range o.counts {
 		d.counts[i] += c
 	}
-	return true
 }
 
 func (d *denseHist) reset() {
@@ -94,20 +85,20 @@ func (d *denseHist) quantile(q float64) time.Duration {
 	}
 	cum := d.under
 	if cum >= target {
-		return d.lo
+		return DurationHistLo
 	}
-	width := float64(d.hi-d.lo) / float64(len(d.counts))
+	width := float64(DurationHistHi-DurationHistLo) / float64(len(d.counts))
 	for i, c := range d.counts {
 		if c == 0 {
 			continue
 		}
 		if cum+c >= target {
 			frac := float64(target-cum) / float64(c)
-			return d.lo + time.Duration((float64(i)+frac)*width)
+			return DurationHistLo + time.Duration((float64(i)+frac)*width)
 		}
 		cum += c
 	}
-	return d.hi
+	return DurationHistHi
 }
 
 // json is the wire form as encoding/json writes a dense struct.
@@ -118,7 +109,7 @@ func (d *denseHist) json() []byte {
 		Counts []int64       `json:"counts"`
 		Under  int64         `json:"under"`
 		Over   int64         `json:"over"`
-	}{d.lo, d.hi, d.counts, d.under, d.over})
+	}{DurationHistLo, DurationHistHi, d.counts, d.under, d.over})
 	if err != nil {
 		panic(err)
 	}
@@ -138,8 +129,8 @@ func checkDense(t testing.TB, what string, h *Hist, d *denseHist) {
 	if cap(span) > h.Bins() {
 		t.Fatalf("%s: capacity %d exceeds the geometry's %d bins", what, cap(span), h.Bins())
 	}
-	if h.Lo != d.lo || h.Hi != d.hi || h.Bins() != len(d.counts) || h.Under != d.under || h.Over != d.over {
-		t.Fatalf("%s: geometry or out-of-range mass diverges", what)
+	if h.Bins() != len(d.counts) || h.Under != d.under || h.Over != d.over {
+		t.Fatalf("%s: bin count or out-of-range mass diverges", what)
 	}
 	for i, c := range d.counts {
 		if got := h.Count(i); got != c {
@@ -170,7 +161,7 @@ func checkDense(t testing.TB, what string, h *Hist, d *denseHist) {
 // out-of-range mass — and land anywhere in the geometry, so merged
 // spans straddle each other.
 func randomHist(rng *rand.Rand) (*Hist, *denseHist, string) {
-	src, d := NewDurationHist(), newDense(DurationHistBins)
+	src, d := NewDurationHist(), newDense()
 	for n := rng.Intn(6); n > 0; n-- {
 		x := time.Duration(rng.Int63n(int64(520*time.Millisecond))) - 10*time.Millisecond
 		switch rng.Intn(3) {
@@ -229,14 +220,10 @@ func TestHistBoundMatchesDense(t *testing.T) {
 		for step := rng.Intn(4); step >= 0; step-- {
 			o, oref, okind := randomHist(rng)
 			if rng.Intn(2) == 0 {
-				if err := acc.Merge(o); err != nil {
-					t.Fatal(err)
-				}
+				acc.Merge(o)
 				ref.merge(oref)
 			} else {
-				if err := o.Merge(acc); err != nil {
-					t.Fatal(err)
-				}
+				o.Merge(acc)
 				oref.merge(ref)
 				acc, ref = o, oref
 			}
@@ -260,7 +247,7 @@ func TestHistBoundMatchesDense(t *testing.T) {
 // Hist refills without allocating, and no bin of its previous life
 // reappears — whichever side the new span grows toward.
 func TestHistResetReuse(t *testing.T) {
-	h, d := NewDurationHist(), newDense(DurationHistBins)
+	h, d := NewDurationHist(), newDense()
 	for i := 0; i < DurationHistBins; i += 7 {
 		x := time.Duration(i) * h.BucketWidth()
 		h.AddN(x, int64(i+1))
@@ -301,35 +288,39 @@ func TestHistResetReuse(t *testing.T) {
 	}
 }
 
-// TestHistZeroValue: a zero-value Hist is a valid empty histogram with
-// no bins. It answers like one, folds everything out of range, merges
-// with another zero Hist, and refuses a real geometry.
+// TestHistZeroValue: a zero-value Hist is an empty duration histogram.
+// It answers like NewDurationHist's, bins what it folds, and merges
+// with a zero Hist and with NewDurationHist's in either direction.
 func TestHistZeroValue(t *testing.T) {
 	var h Hist
-	d := &denseHist{}
+	d := newDense()
 	checkDense(t, "zero", &h, d)
-	if err := h.Merge(&Hist{}); err != nil {
-		t.Fatal(err)
-	}
-	h.AddMulti([]time.Duration{-1, 0, time.Second})
+	h.Merge(&Hist{})
+	h.AddMulti([]time.Duration{-1, 0, time.Second, 40 * time.Millisecond})
 	h.Add(-time.Second)
-	for _, x := range []time.Duration{-1, 0, time.Second, -time.Second} {
+	for _, x := range []time.Duration{-1, 0, time.Second, 40 * time.Millisecond, -time.Second} {
 		d.addN(x, 1)
 	}
 	checkDense(t, "zero after adds", &h, d)
-	if err := h.Merge(NewDurationHist()); err == nil {
-		t.Fatal("zero Hist merged a 1000-bin Hist")
-	}
+	other, od := NewDurationHist(), newDense()
+	other.Add(499 * time.Millisecond)
+	od.addN(499*time.Millisecond, 1)
+	h.Merge(other)
+	d.merge(od)
+	checkDense(t, "zero merged a new Hist", &h, d)
+	fresh := NewDurationHist()
+	fresh.Merge(&h)
+	checkDense(t, "new Hist merged the zero one", fresh, d)
 	c := h.Clone()
 	checkDense(t, "zero clone", c, d)
 	h.Reset()
-	checkDense(t, "zero reset", &h, &denseHist{})
+	checkDense(t, "zero reset", &h, newDense())
 }
 
 // TestHistSetCountZero: writing zero outside the span stores nothing,
 // and writing zero inside it clears the bin.
 func TestHistSetCountZero(t *testing.T) {
-	h, d := NewDurationHist(), newDense(DurationHistBins)
+	h, d := NewDurationHist(), newDense()
 	h.setCount(10, 0)
 	if _, span := h.Span(); span != nil {
 		t.Fatalf("setCount(_, 0) on an empty Hist stored %d bins", len(span))
@@ -341,15 +332,16 @@ func TestHistSetCountZero(t *testing.T) {
 	checkDense(t, "setcount", h, d)
 }
 
-// TestHistJSONRejectsBadGeometry: a decoded range that no duration can
-// map into a bin is refused at the wire instead of failing on the
-// first in-range Add; the zero value's wire form still decodes.
+// TestHistJSONRejectsBadGeometry: a decoded geometry other than the
+// duration hist's — including ranges no duration can map into a bin —
+// is refused at the wire; the zero value's wire form still decodes.
 func TestHistJSONRejectsBadGeometry(t *testing.T) {
 	for _, in := range []string{
 		`{"lo_ns":0,"hi_ns":500000000,"counts":[],"under":0,"over":0}`,
 		`{"lo_ns":0,"hi_ns":500000000,"under":1}`,
 		`{"lo_ns":-9000000000000000000,"hi_ns":9000000000000000000,"counts":[0,0]}`,
 		`{"lo_ns":0,"hi_ns":9000000000000000000,"counts":[0,0,0]}`,
+		`{"lo_ns":0,"hi_ns":0,"counts":null,"under":0,"over":0}`,
 	} {
 		var h Hist
 		if err := json.Unmarshal([]byte(in), &h); err == nil {
@@ -364,7 +356,7 @@ func TestHistJSONRejectsBadGeometry(t *testing.T) {
 	if err := json.Unmarshal(zero, &h); err != nil {
 		t.Fatalf("zero Hist wire form %s refused: %v", zero, err)
 	}
-	checkDense(t, "zero round trip", &h, &denseHist{})
+	checkDense(t, "zero round trip", &h, newDense())
 }
 
 // TestDecodedHistMergesLikeDense: the binary decoder rebuilds
@@ -414,13 +406,9 @@ func TestDecodedHistMergesLikeDense(t *testing.T) {
 		want.Over += b.Over
 
 		into := dense(b) // decoded merged into a dense Hist
-		if err := into.Merge(dec); err != nil {
-			t.Fatal(err)
-		}
+		into.Merge(dec)
 		from := dec.Clone() // a dense Hist merged into the decoded one
-		if err := from.Merge(dense(b)); err != nil {
-			t.Fatal(err)
-		}
+		from.Merge(dense(b))
 		for _, got := range []*Hist{into, from} {
 			if fmt.Sprint(denseCounts(got), got.Under, got.Over) != fmt.Sprint(denseCounts(want), want.Under, want.Over) {
 				t.Fatalf("trial %d: merged counts diverge from dense", trial)
@@ -440,35 +428,46 @@ func TestDecodedHistMergesLikeDense(t *testing.T) {
 	}
 }
 
-// TestHistBinaryRefusesForeignGeometry: the decoder accepts only its
-// receiver's geometry and refuses any other before it stores a bin —
-// a hostile bin count cannot size the span — while truncated and
+// TestHistBinaryRefusesForeignGeometry: the decoder accepts only the
+// duration geometry and refuses any other before it stores a bin — a
+// hostile bin count cannot size the span — while truncated and
 // out-of-order forms fail cleanly.
 func TestHistBinaryRefusesForeignGeometry(t *testing.T) {
 	src := NewDurationHist()
 	src.AddMulti([]time.Duration{time.Millisecond, 40 * time.Millisecond, 2 * time.Second})
 	valid := src.AppendBinary(nil)
-	for name, h := range map[string]*Hist{
-		"bins-1<<30": NewHist(DurationHistLo, DurationHistHi, 1<<30),
-		"bins-999":   NewHist(DurationHistLo, DurationHistHi, DurationHistBins-1),
-		"hi":         NewHist(DurationHistLo, time.Second, DurationHistBins),
-		"lo":         NewHist(-time.Millisecond, DurationHistHi, DurationHistBins),
+	// foreign hand-encodes a form of geometry [lo,hi)/bins holding one
+	// count of 5 in its last bin and one in Over.
+	foreign := func(lo, hi time.Duration, bins uint64) []byte {
+		b := binary.AppendUvarint(nil, wirebuf.Zigzag(int64(lo)))
+		b = binary.AppendUvarint(b, wirebuf.Zigzag(int64(hi)))
+		b = binary.AppendUvarint(b, bins)
+		b = append(b, 0, 1, 1) // under, over, one nonzero bin
+		b = binary.AppendUvarint(b, bins-1)
+		return append(b, 5)
+	}
+	for name, hostile := range map[string][]byte{
+		"bins-1<<30": foreign(DurationHistLo, DurationHistHi, 1<<30),
+		"bins-999":   foreign(DurationHistLo, DurationHistHi, DurationHistBins-1),
+		"hi":         foreign(DurationHistLo, time.Second, DurationHistBins),
+		"lo":         foreign(-time.Millisecond, DurationHistHi, DurationHistBins),
 	} {
-		// The receiver's geometry differs from the encoded one...
-		cur := wirebuf.NewCursor(valid)
-		if err := h.ReadBinary(&cur); err == nil {
-			t.Errorf("%s: foreign geometry accepted", name)
-		}
-		// ...and so does an encoded hostile geometry from the receiver's.
-		hostile := h.AppendBinary(nil)
 		dst := NewDurationHist()
-		cur = wirebuf.NewCursor(hostile)
+		dst.Add(time.Millisecond)
+		cur := wirebuf.NewCursor(hostile)
 		if err := dst.ReadBinary(&cur); err == nil {
 			t.Errorf("%s: hostile encoded geometry accepted", name)
 		}
-		if _, span := dst.Span(); len(span) != 0 || dst.N() != 0 {
-			t.Errorf("%s: refused decode stored %d bins", name, len(span))
+		if base, span := dst.Span(); len(span) != 1 || base != 2 || dst.N() != 1 {
+			t.Errorf("%s: refused decode changed the receiver: span [%d,+%d), N %d", name, base, len(span), dst.N())
 		}
+	}
+	// The same hand encoder, given the duration geometry, writes a form
+	// the decoder accepts: the refusals above are the geometry's alone.
+	dst := NewDurationHist()
+	cur := wirebuf.NewCursor(foreign(DurationHistLo, DurationHistHi, DurationHistBins))
+	if err := dst.ReadBinary(&cur); err != nil || dst.Count(DurationHistBins-1) != 5 || dst.Over != 1 {
+		t.Fatalf("duration geometry refused (%v) or misread", err)
 	}
 	for i := 0; i < len(valid); i++ {
 		cur := wirebuf.NewCursor(valid[:i])
@@ -523,8 +522,8 @@ func TestHistReadBinarySizesSpanOnce(t *testing.T) {
 // would; the tests' way to build a Hist bin by bin. It panics if i is
 // outside the geometry.
 func (h *Hist) setCount(i int, c int64) {
-	if uint(i) >= uint(h.bins) {
-		panic(fmt.Sprintf("agg: setCount bin %d outside [0,%d)", i, h.bins))
+	if uint(i) >= DurationHistBins {
+		panic(fmt.Sprintf("agg: setCount bin %d outside [0,%d)", i, DurationHistBins))
 	}
 	j := i - h.base
 	if uint(j) >= uint(len(h.counts)) {

@@ -360,8 +360,9 @@ func (s *Sketch) Merge(o *Sketch) {
 // histograms describe exactly those n. The sketch must be present and
 // pass Valid — it is the track's only quantile source, so a record
 // without one (written before sketches existed) cannot serve
-// percentiles. Each histogram must be present, have the duration-hist
-// geometry (NewDurationHist) and count n. Aggregates built in this
+// percentiles. Each histogram must be present and count n; its
+// geometry needs no check, since every Hist has the one duration
+// geometry and its decoders refuse any other. Aggregates built in this
 // process hold the invariant by construction; every decoder that
 // builds one from outside runs this check, so merges and readers rely
 // on it instead of re-checking.
@@ -378,9 +379,6 @@ func CheckCoverage(n int64, sk *Sketch, hs ...*Hist) error {
 	for _, h := range hs {
 		if h == nil {
 			return fmt.Errorf("agg: no histogram covers the track's %d observations", n)
-		}
-		if h.Lo != DurationHistLo || h.Hi != DurationHistHi || h.bins != DurationHistBins {
-			return fmt.Errorf("agg: histogram geometry [%v,%v)×%d is not the duration hist", h.Lo, h.Hi, h.bins)
 		}
 		if hn, ok := h.countUpTo(n); !ok || hn != n {
 			return fmt.Errorf("agg: histogram does not cover exactly the track's %d observations", n)

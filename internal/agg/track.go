@@ -46,16 +46,12 @@ func (t Track) AddSketch(sk, flat *Sketch) {
 	}
 }
 
-// Merge folds another track in. It checks the histogram geometry, its
-// only fallible step, before it mutates anything, so on error the
-// receiver is unchanged.
-func (t Track) Merge(o Track) error {
-	if err := t.Hist.CheckGeometry(o.Hist); err != nil {
-		return err
-	}
+// Merge folds another track in. Every part merges with any other of
+// its kind, so a merge cannot fail.
+func (t Track) Merge(o Track) {
 	t.Moments.Merge(*o.Moments)
 	t.Sketch.Merge(o.Sketch)
-	return t.Hist.Merge(o.Hist)
+	t.Hist.Merge(o.Hist)
 }
 
 // Check enforces the coverage invariant (CheckCoverage).
@@ -66,8 +62,8 @@ func (t Track) Check() error { return CheckCoverage(t.Moments.N, t.Sketch, t.His
 // disagree plus the relative drift of the mean. The law: both pass
 // Check, or nothing else is compared; counts and extremes are exact;
 // means agree within 1e-9 relative (fold order changes the rounding);
-// histogram Under/Over and buckets are exact, and since Check fixes
-// both histograms' geometry, so are the histogram quantiles; sketch
+// histogram Under/Over and buckets are exact, and since every Hist has
+// the one geometry, so are the histogram quantiles; sketch
 // extremes are exact; and the sketch p50/p90/p99 lie inside ref's rank
 // bracket [q−ε, q+ε], ε the two sketches' combined QuantileErrorBound
 // (fold order changes the centroids). Reading quantiles flushes both

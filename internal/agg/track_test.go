@@ -22,15 +22,12 @@ func foldTrack(t Track, ds []time.Duration) Track {
 }
 
 // mergeTree merges parts pairwise, level by level, into one track.
-func mergeTree(t *testing.T, parts []Track) Track {
-	t.Helper()
+func mergeTree(parts []Track) Track {
 	for len(parts) > 1 {
 		var next []Track
 		for i := 0; i < len(parts); i += 2 {
 			if i+1 < len(parts) {
-				if err := parts[i].Merge(parts[i+1]); err != nil {
-					t.Fatal(err)
-				}
+				parts[i].Merge(parts[i+1])
 			}
 			next = append(next, parts[i])
 		}
@@ -59,16 +56,14 @@ func TestTrackAgree(t *testing.T) {
 
 		single := newTestTrack()
 		for _, d := range chunkShuffle(rng, sample, len(sample)) {
-			if err := single.Merge(foldTrack(newTestTrack(), d)); err != nil {
-				t.Fatal(err)
-			}
+			single.Merge(foldTrack(newTestTrack(), d))
 		}
 
 		var parts []Track
 		for _, run := range chunkShuffle(rng, sample, 256) {
 			parts = append(parts, foldTrack(newTestTrack(), run))
 		}
-		tree := mergeTree(t, parts)
+		tree := mergeTree(parts)
 
 		for name, got := range map[string]Track{"shuffled runs": shuffled, "single merges": single, "merge tree": tree} {
 			for dir, pair := range map[string][2]Track{"vs whole": {got, whole}, "whole vs": {whole, got}} {
@@ -213,9 +208,7 @@ func FuzzTrackAgree(f *testing.F) {
 		}
 		merged := newTestTrack()
 		for _, k := range rng.Perm(len(parts)) {
-			if err := merged.Merge(foldTrack(newTestTrack(), parts[k])); err != nil {
-				t.Fatal(err)
-			}
+			merged.Merge(foldTrack(newTestTrack(), parts[k]))
 		}
 		for dir, pair := range map[string][2]Track{"split vs whole": {merged, whole}, "whole vs split": {whole, merged}} {
 			diffs, _ := pair[0].Agree(pair[1])

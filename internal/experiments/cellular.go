@@ -12,9 +12,8 @@ import (
 // CellularRow is one probe-interval sweep point of the cellular
 // extension experiment (§4's "easily extended to cellular" claim).
 type CellularRow struct {
-	Label    string
-	Interval time.Duration
-	RTTs     stats.Sample
+	Label string
+	RTTs  stats.Sample
 }
 
 // ExtensionCellular sweeps the ping interval across the UMTS RRC timer
@@ -48,9 +47,7 @@ func ExtensionCellular(opts Options) []CellularRow {
 			n = 8 // keep the virtual clock reasonable
 		}
 		res := tb.Ping(n, interval)
-		return CellularRow{
-			Label: fmt.Sprintf("ping @%v", interval), Interval: interval, RTTs: res.RTTs,
-		}
+		return CellularRow{Label: fmt.Sprintf("ping @%v", interval), RTTs: res.RTTs}
 	})
 }
 

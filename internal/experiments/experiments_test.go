@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/android"
 	"repro/internal/stats"
 )
 
@@ -145,12 +146,16 @@ func TestTable4MeasuresTip(t *testing.T) {
 			continue
 		}
 		// Within the model's ±15ms jitter plus sniffer noise.
-		diff := c.TipMeasured - c.TipNominal
+		prof, ok := android.ProfileByName(c.Phone)
+		if !ok {
+			t.Fatalf("%s: no profile", c.Phone)
+		}
+		diff := c.TipMeasured - prof.PSMTimeout
 		if diff < 0 {
 			diff = -diff
 		}
 		if diff > 25*time.Millisecond {
-			t.Errorf("%s: Tip measured %v vs nominal %v", c.Phone, c.TipMeasured, c.TipNominal)
+			t.Errorf("%s: Tip measured %v vs nominal %v", c.Phone, c.TipMeasured, prof.PSMTimeout)
 		}
 	}
 	out := RenderTable4(cells)

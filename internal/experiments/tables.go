@@ -145,7 +145,6 @@ func RenderTable3(cells []Table3Cell) string {
 type Table4Cell struct {
 	Phone        string
 	TipMeasured  time.Duration
-	TipNominal   time.Duration
 	AssocListen  int
 	ActualListen int
 }
@@ -166,7 +165,6 @@ func Table4Run(opts Options) []Table4Cell {
 		return Table4Cell{
 			Phone:        phone,
 			TipMeasured:  cal.Tip,
-			TipNominal:   prof.PSMTimeout,
 			AssocListen:  prof.AssocListenInterval,
 			ActualListen: prof.ActualListenInterval,
 		}

@@ -97,17 +97,13 @@ func (g *GroupAggregate) fold(r *SessionResult, sample stats.Sample) {
 
 // Merge folds another group's aggregate in. Both groups must hold the
 // coverage invariant: campaign-built, or decoded and checked by
-// Report.Validate. On error (histogram geometry mismatch) the receiver
-// is unchanged.
-func (g *GroupAggregate) Merge(o *GroupAggregate) error {
+// Report.Validate. Every part merges with any other of its kind, so a
+// merge cannot fail.
+func (g *GroupAggregate) Merge(o *GroupAggregate) {
 	if o == nil {
-		return nil
+		return
 	}
-	// The track's Merge is the only fallible step and mutates nothing
-	// when it fails, so it goes first.
-	if err := g.DuTrack().Merge(o.DuTrack()); err != nil {
-		return err
-	}
+	g.DuTrack().Merge(o.DuTrack())
 	g.Sessions += o.Sessions
 	g.Errors += o.Errors
 	g.ProbesSent += o.ProbesSent
@@ -117,7 +113,6 @@ func (g *GroupAggregate) Merge(o *GroupAggregate) error {
 	g.Overheads.Merge(&o.Overheads)
 	g.PSMActiveSessions += o.PSMActiveSessions
 	g.CalibratedSessions += o.CalibratedSessions
-	return nil
 }
 
 // DuQuantile returns the q-th (0..1) quantile of the group's
@@ -189,7 +184,7 @@ func (r *Report) Group(label string) *GroupAggregate {
 
 // mergeGroups combines per-worker aggregate maps into the report's
 // sorted group list.
-func (r *Report) mergeGroups(locals []map[string]*GroupAggregate) error {
+func (r *Report) mergeGroups(locals []map[string]*GroupAggregate) {
 	merged := map[string]*GroupAggregate{}
 	for _, local := range locals {
 		for label, g := range local {
@@ -198,9 +193,7 @@ func (r *Report) mergeGroups(locals []map[string]*GroupAggregate) error {
 				dst = newGroupAggregate(label)
 				merged[label] = dst
 			}
-			if err := dst.Merge(g); err != nil {
-				return err
-			}
+			dst.Merge(g)
 		}
 	}
 	labels := make([]string, 0, len(merged))
@@ -215,7 +208,6 @@ func (r *Report) mergeGroups(locals []map[string]*GroupAggregate) error {
 		r.Sessions += g.Sessions
 		r.Errors += g.Errors
 	}
-	return nil
 }
 
 // Render prints the campaign report as a table plus a header line, in

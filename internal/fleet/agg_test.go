@@ -74,9 +74,7 @@ func TestHistMergeExact(t *testing.T) {
 	}
 	merged := agg.NewDurationHist()
 	for _, p := range parts {
-		if err := merged.Merge(p); err != nil {
-			t.Fatal(err)
-		}
+		merged.Merge(p)
 	}
 	if merged.Under != single.Under || merged.Over != single.Over {
 		t.Fatalf("under/over: %d/%d vs %d/%d", merged.Under, merged.Over, single.Under, single.Over)
@@ -93,9 +91,6 @@ func TestHistMergeExact(t *testing.T) {
 		if merged.Quantile(q) != single.Quantile(q) {
 			t.Errorf("q=%.2f: %v vs %v", q, merged.Quantile(q), single.Quantile(q))
 		}
-	}
-	if err := merged.Merge(agg.NewHist(0, time.Second, 10)); err == nil {
-		t.Error("geometry mismatch accepted")
 	}
 }
 
@@ -166,9 +161,7 @@ func TestGroupAggregateMergeMatchesSinglePass(t *testing.T) {
 	}
 	merged := newGroupAggregate("g")
 	for _, p := range parts {
-		if err := merged.Merge(p); err != nil {
-			t.Fatal(err)
-		}
+		merged.Merge(p)
 	}
 
 	if merged.Sessions != single.Sessions || merged.ProbesSent != single.ProbesSent ||
@@ -224,9 +217,7 @@ func TestGroupAggregateHeavyTailQuantiles(t *testing.T) {
 	}
 	g := newGroupAggregate("g")
 	for _, p := range parts {
-		if err := g.Merge(p); err != nil {
-			t.Fatal(err)
-		}
+		g.Merge(p)
 	}
 
 	if g.DuHist.Over == 0 {
@@ -333,24 +324,33 @@ func TestReportValidateRefusesUncoveredGroups(t *testing.T) {
 	}
 }
 
-// TestMergeGeometryMismatchLeavesReceiverUnchanged pins merge
-// atomicity: a histogram geometry error must not leave the receiver
-// with the other group's sketch/moments already folded in.
-func TestMergeGeometryMismatchLeavesReceiverUnchanged(t *testing.T) {
+// TestReportJSONRefusesForeignHistGeometry: a report whose du_hist
+// names another lo_ns, hi_ns or bin count is refused where it is
+// decoded, so no group can hold a histogram that would not merge.
+func TestReportJSONRefusesForeignHistGeometry(t *testing.T) {
 	g := newGroupAggregate("g")
-	r := SessionResult{Sent: 3}
-	g.fold(&r, stats.Sample{30 * time.Millisecond, 40 * time.Millisecond, 50 * time.Millisecond})
-
-	bad := newGroupAggregate("bad")
-	bad.fold(&r, stats.Sample{60 * time.Millisecond})
-	bad.DuHist = agg.NewHist(0, time.Second, 7) // incompatible geometry
-
-	before := g.Du
-	beforeSessions := g.Sessions
-	if err := g.Merge(bad); err == nil {
-		t.Fatal("geometry mismatch accepted")
+	r := SessionResult{Sent: 2}
+	g.fold(&r, stats.Sample{30 * time.Millisecond, 40 * time.Millisecond})
+	b, err := json.Marshal(&Report{Name: "r", Groups: []*GroupAggregate{g}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if g.Du != before || g.Sessions != beforeSessions || g.DuSketch.Count != before.N {
-		t.Fatalf("failed merge mutated receiver: %+v", g)
+	raw := string(b)
+	var back Report
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatalf("campaign-built report refused: %v", err)
+	}
+	for name, edit := range map[string][2]string{
+		"lo":   {`"lo_ns":0`, `"lo_ns":-1000000`},
+		"hi":   {`"hi_ns":500000000`, `"hi_ns":1000000000`},
+		"bins": {`"counts":[`, `"counts":[0,`},
+	} {
+		if strings.Count(raw, edit[0]) != 1 {
+			t.Fatalf("%s: %q is not in the report exactly once", name, edit[0])
+		}
+		var rep Report
+		if err := json.Unmarshal([]byte(strings.Replace(raw, edit[0], edit[1], 1)), &rep); err == nil {
+			t.Errorf("%s: report with a foreign du_hist geometry decoded", name)
+		}
 	}
 }

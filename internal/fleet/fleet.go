@@ -317,9 +317,7 @@ dispatch:
 
 	rep.Wall = time.Since(start)
 	rep.FirstErrors = append(rep.FirstErrors, firstErr...)
-	if err := rep.mergeGroups(locals); err != nil {
-		return nil, err
-	}
+	rep.mergeGroups(locals)
 	return rep, nil
 }
 

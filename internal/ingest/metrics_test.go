@@ -54,8 +54,7 @@ func TestMetricsNames(t *testing.T) {
 		"compacted_sessions", "compaction_cycles", "dropped_summaries", "evicted_cells",
 		"folded_samples", "folded_summaries", "oversized_batches", "profile_merges",
 		"profile_rejections", "profile_save_errors", "profile_saves", "rejected_batches",
-		"rollup_merge_errors", "stream_coalesced", "stream_dropped", "stream_events",
-		"stream_rejected",
+		"stream_coalesced", "stream_dropped", "stream_events", "stream_rejected",
 	} {
 		want["acutemon_"+n+"_total"] = "counter"
 	}

@@ -130,17 +130,14 @@ func (st *Store) RollupWindow() int64 { return st.rollupMS }
 // RollupCells returns the resident rollup-cell count.
 func (st *Store) RollupCells() int64 { return st.rollupN.Load() }
 
-// Evicted / Compacted / CompactedSessions / RollupErrors expose the
-// retention counters: fine cells folded into rollups at the cap, fine
-// cells folded into rollups by retention, the sessions those carried,
-// and rollup merges refused on a histogram-geometry mismatch, in
-// compaction or in a store walk's twin merge (never expected — both
-// sides are newCell-built — but a silent loss if it ever happened, so
-// it is counted).
+// Evicted / Compacted / CompactedSessions expose the retention
+// counters: fine cells folded into rollups at the cap, fine cells
+// folded into rollups by retention, and the sessions those carried. A
+// rollup merge cannot fail, so every demoted cell's sessions land in
+// its rollup and no loss needs counting.
 func (st *Store) Evicted() int64           { return st.evicted.Load() }
 func (st *Store) Compacted() int64         { return st.compacted.Load() }
 func (st *Store) CompactedSessions() int64 { return st.compactedSessions.Load() }
-func (st *Store) RollupErrors() int64      { return st.rollupErrors.Load() }
 
 // rollupKey maps a fine cell's key to the rollup cell it compacts
 // into: same identity, the enclosing coarse window.
@@ -325,16 +322,11 @@ func (st *Store) absorbIntoRollup(c *Cell) {
 		st.rollups[rk] = dst
 		st.rollupN.Add(1)
 	}
-	err := dst.Merge(c)
-	if err != nil {
-		st.rollupErrors.Add(1)
-	}
+	dst.Merge(c)
 	dst.Epoch = st.epoch.Add(1)
 	st.capRollupsLocked()
 	st.rollupMu.Unlock()
-	if err == nil {
-		st.recycle(c)
-	}
+	st.recycle(c)
 }
 
 // capRollupsLocked bounds the rollup tier at MaxCells: past it, the
@@ -375,11 +367,8 @@ func (st *Store) capRollupsLocked() {
 			st.rollups[ok] = dst
 			st.rollupN.Add(1)
 		}
-		if err := dst.Merge(c); err != nil {
-			st.rollupErrors.Add(1)
-		} else {
-			st.recycle(c)
-		}
+		dst.Merge(c)
+		st.recycle(c)
 		dst.Epoch = st.epoch.Add(1)
 		st.logRemoval(k)
 	}

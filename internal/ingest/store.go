@@ -209,9 +209,9 @@ func AppendCell(dst []byte, c *Cell) ([]byte, error) {
 }
 
 // DecodeCell parses one AppendCell payload, which must be exactly one
-// encoded cell. Both histograms must have the duration geometry every
-// live cell uses (a cell with any other could never merge into a fleet
-// query), and the decoded cell must pass Validate.
+// encoded cell. Both histograms must encode the duration geometry,
+// the only one a Hist can hold, and the decoded cell must pass
+// Validate.
 func DecodeCell(payload []byte) (*Cell, error) {
 	d := wirebuf.NewCursor(payload)
 	c := &Cell{RawHist: agg.NewDurationHist(), PuncturedHist: agg.NewDurationHist()}
@@ -357,23 +357,14 @@ func (c *Cell) foldSketch(sk *agg.Sketch, corr time.Duration) {
 // Merge folds another cell's aggregates in (keys need not match; the
 // receiver keeps its own — this is what query-time rollups rely on).
 // Both cells must hold the coverage invariant: store-built, or a
-// replica that passed Validate. On error (histogram geometry mismatch)
-// the receiver is unchanged.
-func (c *Cell) Merge(o *Cell) error {
+// replica that passed Validate. Every aggregate merges with any other
+// of its kind, so a merge cannot fail.
+func (c *Cell) Merge(o *Cell) {
 	if o == nil {
-		return nil
+		return
 	}
-	// Check every fallible step before mutating anything, so a
-	// mismatched cell cannot leave this one half-merged: the punctured
-	// geometry here, the raw one inside raw's Merge, which mutates
-	// nothing when it fails.
-	if err := c.PuncturedHist.CheckGeometry(o.PuncturedHist); err != nil {
-		return err
-	}
-	if err := c.raw().Merge(o.raw()); err != nil {
-		return err
-	}
-	_ = c.punctured().Merge(o.punctured()) // cannot fail: geometry checked above
+	c.raw().Merge(o.raw())
+	c.punctured().Merge(o.punctured())
 	if o.Epoch > c.Epoch {
 		c.Epoch = o.Epoch
 	}
@@ -391,7 +382,6 @@ func (c *Cell) Merge(o *Cell) error {
 	c.FamilySessions += o.FamilySessions
 	c.GlobalSessions += o.GlobalSessions
 	c.UncorrectedSessions += o.UncorrectedSessions
-	return nil
 }
 
 // LossRate returns the fraction of probes lost.
@@ -441,7 +431,6 @@ type Store struct {
 	evicted           atomic.Int64 // fine cells folded into rollups at the cap
 	compacted         atomic.Int64 // fine cells folded into rollups by retention
 	compactedSessions atomic.Int64 // sessions carried by compacted/evicted cells
-	rollupErrors      atomic.Int64 // rollup merges refused (geometry mismatch — never expected)
 
 	// Removal log: every cell deleted from the fine or rollup maps
 	// (compaction, eviction, overflow collapse) is recorded with
@@ -508,10 +497,10 @@ func (st *Store) mintCell(k Key) *Cell {
 }
 
 // recycle hands a dead cell to the free list. Callers pass only a cell
-// they have just removed from the store's maps and merged successfully
-// into another store cell: the store minted it (so its histograms have
-// the standard geometry), and no reader still holds it, since every
-// reader copies what it needs under the lock that guarded the map.
+// they have just removed from the store's maps and merged into another
+// store cell: the store minted it, and no reader still holds it, since
+// every reader copies what it needs under the lock that guarded the
+// map.
 // Replica and decoded cells never reach here.
 func (st *Store) recycle(c *Cell) {
 	st.freeMu.Lock()
@@ -704,9 +693,8 @@ func (st *Store) each(since int64, twins bool, fn func(*Cell)) {
 			if c.Epoch > since || r.Epoch > since {
 				m := newCell(k)
 				m.SpanMS = r.SpanMS // the pair spans the rollup window
-				if m.Merge(c) != nil || m.Merge(r) != nil {
-					st.rollupErrors.Add(1)
-				}
+				m.Merge(c)
+				m.Merge(r)
 				fn(m)
 			}
 		}
@@ -796,5 +784,5 @@ func (r Rollup) reduce(k Key) Key {
 // Query merges cells down to the rollup's dimensions — retention
 // rollup cells included, so aged queries transparently read compacted
 // history alongside the live fine-grained windows. It is QueryWith
-// without replicated cells.
-func (st *Store) Query(r Rollup) ([]*Cell, error) { return st.QueryWith(r, nil) }
+// without replicated cells; the error is always nil.
+func (st *Store) Query(r Rollup) ([]*Cell, error) { return st.QueryWith(r, nil), nil }

@@ -58,8 +58,9 @@ type StreamEvent struct {
 // cursor the log has wrapped past or one ahead of the epoch gets a
 // full-snapshot reset. Deltas are idempotent — latest state per key —
 // so a fold racing the scan is re-delivered next time rather than lost.
+// The error is always nil.
 func (st *Store) DeltasSince(since int64, r Rollup) (StreamEvent, error) {
-	return st.deltasWith(since, r, nil)
+	return st.deltasWith(since, r, nil), nil
 }
 
 // deltasWith generalizes DeltasSince over an optional replica source:
@@ -67,7 +68,7 @@ func (st *Store) DeltasSince(since int64, r Rollup) (StreamEvent, error) {
 // layer stamps them from NextEpoch at apply time), same-key cells merge
 // across peers, and a wrapped replica removal log forces the same full
 // resync as a wrapped local one.
-func (st *Store) deltasWith(since int64, r Rollup, src ReplicaSource) (StreamEvent, error) {
+func (st *Store) deltasWith(since int64, r Rollup, src ReplicaSource) StreamEvent {
 	epoch, removed, reset := st.cursor(since)
 	ev := StreamEvent{Rollup: r, WindowMS: st.windowMS, Epoch: epoch, Reset: reset}
 	if src != nil && !reset {
@@ -80,9 +81,8 @@ func (st *Store) deltasWith(since int64, r Rollup, src ReplicaSource) (StreamEve
 	if ev.Reset {
 		since, removed = 0, nil
 	}
-	var err error
-	ev.Cells, ev.Removed, err = st.rows(since, r, src, removed)
-	return ev, err
+	ev.Cells, ev.Removed = st.rows(since, r, src, removed)
+	return ev
 }
 
 // rows is the one builder of /stats and /v1/stream rows: the store's
@@ -101,11 +101,11 @@ func (st *Store) deltasWith(since int64, r Rollup, src ReplicaSource) (StreamEve
 // QueryWith's merged cells, which need no clone either. A clustered
 // node takes that path even at RollupCell, where reduce is the
 // identity, because the same key can hold sessions on several peers.
-func (st *Store) rows(since int64, r Rollup, src ReplicaSource, removed []Key) (rows []CellStats, gone []Key, err error) {
+func (st *Store) rows(since int64, r Rollup, src ReplicaSource, removed []Key) (rows []CellStats, gone []Key) {
 	if r == RollupCell && src == nil {
 		st.each(since, mergeTwins, func(c *Cell) { rows = append(rows, StatsFor(c)) })
 		sortCellStats(rows)
-		return rows, dedupKeys(removed), nil
+		return rows, dedupKeys(removed)
 	}
 	// Replica cells are collected after the caller's epoch read for the
 	// same reason the store walk is: an apply racing this call stamps a
@@ -127,13 +127,10 @@ func (st *Store) rows(since int64, r Rollup, src ReplicaSource, removed []Key) (
 			}
 		}
 		if len(changed) == 0 {
-			return nil, nil, nil
+			return nil, nil
 		}
 	}
-	all, err := st.QueryWith(r, extra)
-	if err != nil {
-		return nil, nil, err
-	}
+	all := st.QueryWith(r, extra)
 	if since == 0 {
 		rows = make([]CellStats, 0, len(all))
 	}
@@ -147,7 +144,7 @@ func (st *Store) rows(since int64, r Rollup, src ReplicaSource, removed []Key) (
 		gone = append(gone, k)
 	}
 	sort.Slice(gone, func(i, j int) bool { return keyLess(gone[i], gone[j]) })
-	return rows, gone, nil
+	return rows, gone
 }
 
 // cursor is the one rule for honoring a delta cursor, shared by stream
@@ -413,10 +410,7 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, sub *subscribe
 	hb := time.NewTicker(streamHeartbeat)
 	defer hb.Stop()
 	for {
-		ev, err := s.deltasSince(since, rollup)
-		if err != nil {
-			return
-		}
+		ev := s.deltasSince(since, rollup)
 		ev.filter(filter)
 		if ev.Reset || len(ev.Cells) > 0 || len(ev.Removed) > 0 {
 			data, err := json.Marshal(ev)
@@ -445,18 +439,17 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, sub *subscribe
 			// Final flush: deliver whatever folded since the last wake,
 			// then tell the client the stream is over (poll /stats for
 			// anything still queued behind the drain).
-			if ev, err := s.deltasSince(since, rollup); err == nil {
-				ev.filter(filter)
-				if len(ev.Cells) > 0 || len(ev.Removed) > 0 {
-					if data, err := json.Marshal(ev); err == nil {
-						if !s.writeSSE(rc, w, "delta", ev.Epoch, data) {
-							return
-						}
-						s.metrics.StreamEvents.Add(1)
+			ev := s.deltasSince(since, rollup)
+			ev.filter(filter)
+			if len(ev.Cells) > 0 || len(ev.Removed) > 0 {
+				if data, err := json.Marshal(ev); err == nil {
+					if !s.writeSSE(rc, w, "delta", ev.Epoch, data) {
+						return
 					}
+					s.metrics.StreamEvents.Add(1)
 				}
-				since = ev.Epoch
 			}
+			since = ev.Epoch
 			s.writeSSE(rc, w, "drain", since, []byte("{}"))
 			return
 		}
@@ -499,11 +492,7 @@ func (s *Server) longPoll(w http.ResponseWriter, r *http.Request, sub *subscribe
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
 	for {
-		ev, err := s.deltasSince(since, rollup)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+		ev := s.deltasSince(since, rollup)
 		ev.filter(filter)
 		if ev.Reset || len(ev.Cells) > 0 || len(ev.Removed) > 0 {
 			s.writePollEvent(w, ev)

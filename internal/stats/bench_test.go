@@ -52,7 +52,7 @@ func BenchmarkStreamingSummarize(b *testing.B) {
 	s := benchSample(10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := NewStreaming(0)
+		st := &Streaming{}
 		st.AddSample(s)
 		if sm := st.Summarize(); sm.N == 0 {
 			b.Fatal("empty summary")

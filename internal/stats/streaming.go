@@ -17,22 +17,16 @@ import (
 //
 // Mean, CI95, stddev, min, and max match Sample.Summarize exactly (up
 // to float accumulation order); percentiles carry the sketch's
-// documented rank-error bound instead of being exact. Not safe for
-// concurrent use — merge worker-local accumulators instead.
+// documented rank-error bound instead of being exact. The zero value
+// is an empty accumulator with the default sketch compression. Not
+// safe for concurrent use — merge worker-local accumulators instead.
 type Streaming struct {
 	moments agg.Moments
 	sketch  *agg.Sketch
 }
 
-// NewStreaming returns an empty accumulator (compression <= 0 selects
-// the default sketch compression).
-func NewStreaming(compression float64) *Streaming {
-	return &Streaming{sketch: agg.NewSketch(compression)}
-}
-
 // ensure makes the zero value usable, like every other accumulator in
-// the repo: a Streaming declared without NewStreaming gets the default
-// sketch on first use.
+// the repo: the default sketch is made on first use.
 func (t *Streaming) ensure() {
 	if t.sketch == nil {
 		t.sketch = agg.NewSketch(0)

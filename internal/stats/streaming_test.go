@@ -18,7 +18,7 @@ func TestStreamingMatchesSummarize(t *testing.T) {
 		ms := math.Exp(rng.NormFloat64()*1.0 + 3.4)
 		s[i] = time.Duration(ms * float64(time.Millisecond))
 	}
-	st := NewStreaming(0)
+	st := &Streaming{}
 	st.AddSample(s)
 
 	exact := s.Summarize()
@@ -60,13 +60,13 @@ func TestStreamingMerge(t *testing.T) {
 	for i := range s {
 		s[i] = time.Duration(rng.Int63n(int64(time.Second)))
 	}
-	whole := NewStreaming(0)
+	whole := &Streaming{}
 	whole.AddSample(s)
-	parts := []*Streaming{NewStreaming(0), NewStreaming(0), NewStreaming(0)}
+	parts := []*Streaming{{}, {}, {}}
 	for i, v := range s {
 		parts[i%3].Add(v)
 	}
-	merged := NewStreaming(0)
+	merged := &Streaming{}
 	for _, p := range parts {
 		merged.Merge(p)
 	}

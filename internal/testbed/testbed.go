@@ -216,28 +216,23 @@ func (tb *Testbed) MergedCapture() *sniffer.Merged {
 	return sniffer.Merge(tb.Sniffers...)
 }
 
-// LayerRTTs carries one probe's RTT as seen at each vantage point of the
-// paper's Fig. 1 model: user (du), kernel/tcpdump (dk), driver (dv, when
-// the instrumented driver saw both directions), and air (dn).
+// LayerRTTs carries one probe's RTT as seen below the app in the
+// paper's Fig. 1 model: kernel/tcpdump (dk) and air (dn). The user
+// RTT (du) is the app's own: its probe record holds it.
 type LayerRTTs struct {
-	Du, Dk, Dn time.Duration
-	DuOK       bool
-	DkOK       bool
-	DnOK       bool
+	Dk, Dn time.Duration
+	DkOK   bool
+	DnOK   bool
 }
 
 // DeltaKN is the kernel-phy overhead Δdk−n.
 func (l LayerRTTs) DeltaKN() (time.Duration, bool) { return l.Dk - l.Dn, l.DkOK && l.DnOK }
 
-// ExtractRTTs assembles per-layer RTTs for a request/response pair given
-// the app-level send/receive instants; dn comes from m, the analysis's
-// merged capture.
-func (tb *Testbed) ExtractRTTs(m *sniffer.Merged, reqID, respID uint64, tou, tiu time.Duration) LayerRTTs {
+// ExtractRTTs assembles the kernel and air RTTs of a request/response
+// pair: dk from the phone's BPF tap, dn from m, the analysis's merged
+// capture.
+func (tb *Testbed) ExtractRTTs(m *sniffer.Merged, reqID, respID uint64) LayerRTTs {
 	var out LayerRTTs
-	if tiu > tou {
-		out.Du = tiu - tou
-		out.DuOK = true
-	}
 	bpf := tb.Phone.Stack.BPF()
 	tok, ok1 := bpf.TimeOf(reqID)
 	tik, ok2 := bpf.TimeOf(respID)

@@ -48,10 +48,10 @@ func collect(tb *Testbed, recs []pingRecord) (du, dk, dn stats.Sample) {
 		if !r.ok {
 			continue
 		}
-		l := tb.ExtractRTTs(m, r.reqID, r.respID, r.tou, r.tiu)
-		if l.DuOK {
-			du = append(du, l.Du)
+		if r.tiu > r.tou {
+			du = append(du, r.tiu-r.tou)
 		}
+		l := tb.ExtractRTTs(m, r.reqID, r.respID)
 		if l.DkOK {
 			dk = append(dk, l.Dk)
 		}
@@ -169,12 +169,13 @@ func TestLayerOrderingInvariant(t *testing.T) {
 		if !r.ok {
 			continue
 		}
-		l := tb.ExtractRTTs(m, r.reqID, r.respID, r.tou, r.tiu)
-		if !l.DuOK || !l.DkOK || !l.DnOK {
-			t.Fatalf("probe %d missing layers: %+v", i, l)
+		du := r.tiu - r.tou
+		l := tb.ExtractRTTs(m, r.reqID, r.respID)
+		if du <= 0 || !l.DkOK || !l.DnOK {
+			t.Fatalf("probe %d missing layers: du %v, %+v", i, du, l)
 		}
-		if l.Du < l.Dk {
-			t.Fatalf("probe %d: du %v < dk %v", i, l.Du, l.Dk)
+		if du < l.Dk {
+			t.Fatalf("probe %d: du %v < dk %v", i, du, l.Dk)
 		}
 		if l.Dk < l.Dn {
 			t.Fatalf("probe %d: dk %v < dn %v", i, l.Dk, l.Dn)

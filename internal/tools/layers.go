@@ -24,7 +24,7 @@ func ExtractLayers(tb *testbed.Testbed, m *sniffer.Merged, recs []ProbeRecord) s
 		if !rec.OK {
 			continue
 		}
-		x := tb.ExtractRTTs(m, rec.ReqID, rec.RespID, rec.SentAt, rec.RecvAt)
+		x := tb.ExtractRTTs(m, rec.ReqID, rec.RespID)
 		l.Du = append(l.Du, rec.RTT)
 		if x.DkOK {
 			l.Dk = append(l.Dk, x.Dk)
