@@ -56,9 +56,10 @@ bench-json:
 bench-gate:
 	$(GO) run ./cmd/benchdiff -baseline bench-baseline.json -current $(BENCH_FILE)
 
-# 30s native-fuzz smoke on ten targets — the untrusted-input
+# 30s native-fuzz smoke on eleven targets — the untrusted-input
 # decoders, the hand-written JSON codecs, the span-stored Hist, its
-# two decoders and the track agreement law —
+# two decoders, the track agreement law and the wire cursor's varint
+# reads —
 # starting from the committed corpora under testdata/fuzz. Catches
 # decoder panics and bounds-check slips on every PR without a long
 # fuzzing campaign. -fuzzminimizetime=1s caps the shrinking of each
@@ -71,7 +72,7 @@ bench-gate:
 # the span-stored Hist and a dense reference model and requires
 # identical bins, N, quantiles and JSON. FuzzHistDecode feeds any bytes
 # to Hist.ReadBinary and Hist.UnmarshalJSON: an accepted form re-encodes
-# to the same bytes (binary, varints minimal) or an equal Hist (JSON).
+# to the same bytes (binary) or an equal Hist (JSON).
 # FuzzDecodeBatchMatchesEncodingJSON holds the hand-written JSON-lines
 # scanner to encoding/json: same verdict, deeply equal summaries.
 # FuzzAppendBatchMatchesEncodingJSON holds the hand-written JSON-lines
@@ -81,7 +82,10 @@ bench-gate:
 # that store's snapshot bytes read, merge and write back unchanged.
 # FuzzTrackAgree folds any observation set as one agg.Track and as a
 # random split merged in random order, and requires Agree to report
-# no difference either way.
+# no difference either way. FuzzCursorVarint reads any bytes through
+# wirebuf.Cursor's Uvarint, Varint and Field: every accepted read
+# re-encodes to exactly the bytes it consumed (varints are minimal),
+# and the stream reader wirebuf.ReadUvarint accepts the same uvarints.
 fuzz-smoke:
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=30s -fuzzminimizetime=1s
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz '^FuzzDecodeBatchMatchesEncodingJSON$$' -fuzztime=30s -fuzzminimizetime=1s
@@ -93,6 +97,7 @@ fuzz-smoke:
 	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzHistDecode$$' -fuzztime=30s -fuzzminimizetime=1s
 	$(GO) test ./internal/puncture/ -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime=30s -fuzzminimizetime=1s
 	$(GO) test ./internal/agg/ -run '^$$' -fuzz '^FuzzTrackAgree$$' -fuzztime=30s -fuzzminimizetime=1s
+	$(GO) test ./internal/wirebuf/ -run '^$$' -fuzz '^FuzzCursorVarint$$' -fuzztime=30s -fuzzminimizetime=1s
 
 # The ingestd persistence e2e in isolation: kill → reboot → learned
 # overhead table identical, the fleet→ingest delta merge, and a stream

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -267,14 +272,14 @@ func FuzzHistOps(f *testing.F) {
 }
 
 // FuzzHistDecode feeds arbitrary bytes to both Hist decoders. Neither
-// may panic. A binary form ReadBinary accepts re-encodes to the bytes
-// it consumed; the cursor accepts a varint padded with 0x80 bytes, so
-// the consumed bytes are compared with every varint re-written
-// minimally, and an unpadded form must come back byte for byte. A JSON
-// form UnmarshalJSON accepts round-trips through MarshalJSON to an
-// equal Hist. The committed corpus under testdata/fuzz holds
-// hand-encoded foreign geometries, hostile bin counts and padded
-// varints; the seeds added here are forms the encoders write.
+// may panic. A binary form ReadBinary accepts re-encodes byte for byte
+// to the bytes it consumed: the cursor refuses a padded varint, so an
+// accepted form has no other encoding. A JSON form UnmarshalJSON
+// accepts round-trips through MarshalJSON to an equal Hist. The
+// committed corpus under testdata/fuzz holds hand-encoded foreign
+// geometries, hostile bin counts and padded varints (which
+// TestHistReadBinaryRefusesPaddedVarints requires refused); the seeds
+// added here are forms the encoders write.
 func FuzzHistDecode(f *testing.F) {
 	for _, ds := range [][]time.Duration{
 		nil,
@@ -297,8 +302,8 @@ func FuzzHistDecode(f *testing.F) {
 		if h.ReadBinary(&cur) == nil {
 			used := data[:len(data)-cur.Remaining()]
 			enc := h.AppendBinary(nil)
-			if want := minimalVarints(t, used); !bytes.Equal(enc, want) {
-				t.Fatalf("accepted binary form % x re-encodes as % x, want % x", used, enc, want)
+			if !bytes.Equal(enc, used) {
+				t.Fatalf("accepted binary form % x re-encodes as % x", used, enc)
 			}
 		}
 		var j Hist
@@ -324,17 +329,26 @@ func FuzzHistDecode(f *testing.F) {
 	})
 }
 
-// minimalVarints re-writes b, a run of uvarints, with each varint in
-// its minimal encoding.
-func minimalVarints(t *testing.T, b []byte) []byte {
-	var out []byte
-	for len(b) > 0 {
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			t.Fatalf("consumed bytes % x are not a run of uvarints", b)
-		}
-		out = binary.AppendUvarint(out, v)
-		b = b[n:]
+// TestHistReadBinaryRefusesPaddedVarints reads FuzzHistDecode's
+// committed padded-varints seed, a valid histogram whose varints carry
+// 0x80 padding, and requires ReadBinary to refuse it.
+func TestHistReadBinaryRefusesPaddedVarints(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzHistDecode", "padded-varints"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	lit, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("seed is not one []byte value: %q", raw)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h Hist
+	cur := wirebuf.NewCursor([]byte(data))
+	if err := h.ReadBinary(&cur); !errors.Is(err, wirebuf.ErrPaddedVarint) {
+		t.Fatalf("padded form accepted or refused for another reason: %v", err)
+	}
 }

@@ -56,6 +56,10 @@ var wireReadFuncs = map[string]bool{
 // decoder cannot drop out of the check by living in another package.
 const cursorType = "repro/internal/wirebuf.Cursor"
 
+// streamRead is wirebuf's stream uvarint reader, a source like
+// binary.ReadUvarint, which it replaces.
+const streamRead = "repro/internal/wirebuf.ReadUvarint"
+
 var cursorMethods = map[string]bool{
 	"Uvarint": true, "Varint": true, "Uint63": true, "Count": true, "Field": true,
 }
@@ -131,6 +135,9 @@ func (st *taintState) sourceCall(call *ast.CallExpr) bool {
 		return false
 	}
 	if obj.Pkg() != nil && obj.Pkg().Path() == "encoding/binary" && wireReadFuncs[obj.Name()] {
+		return true
+	}
+	if obj.Pkg() != nil && obj.Pkg().Path()+"."+obj.Name() == streamRead {
 		return true
 	}
 	// ByteOrder method form: binary.LittleEndian.Uint64(...).

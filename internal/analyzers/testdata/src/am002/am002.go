@@ -5,6 +5,7 @@ package am002fix
 
 import (
 	"encoding/binary"
+	"io"
 
 	"repro/internal/wirebuf"
 )
@@ -85,6 +86,13 @@ func DecodeCursorChecked(buf []byte) []uint64 {
 		return nil
 	}
 	return make([]uint64, n)
+}
+
+// DecodeStream sizes an allocation by an unchecked stream read through
+// wirebuf.ReadUvarint, a source like binary.ReadUvarint.
+func DecodeStream(r io.ByteReader) []byte {
+	n, _ := wirebuf.ReadUvarint(r)
+	return make([]byte, n) // want "AM002: allocation sized by wire-read value n"
 }
 
 // DecodeWaived keeps a deliberate unchecked allocation with a waiver.

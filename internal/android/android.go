@@ -197,8 +197,10 @@ type Phone struct {
 
 	sim *simtime.Sim
 
-	runtime  Runtime
-	overhead simtime.Dist
+	runtime Runtime
+	// overheads is each runtime's overhead model (NativeC, DalvikVM),
+	// scaled by the profile's CPU factor once, at assembly.
+	overheads [2]simtime.Dist
 }
 
 // PhoneOptions configures phone assembly.
@@ -259,15 +261,18 @@ func NewPhone(sim *simtime.Sim, prof Profile, med *medium.Medium, fac *packet.Fa
 	drv.SetRecvUp(stack.DeliverFromDevice)
 
 	return &Phone{
-		Profile:  prof,
-		IPAddr:   opts.IP,
-		MACAddr:  opts.MAC,
-		Drv:      drv,
-		STA:      sta,
-		Stack:    stack,
-		sim:      sim,
-		runtime:  opts.Runtime,
-		overhead: simtime.Scaled{D: runtimeOverhead(opts.Runtime), Factor: prof.CPUFactor},
+		Profile: prof,
+		IPAddr:  opts.IP,
+		MACAddr: opts.MAC,
+		Drv:     drv,
+		STA:     sta,
+		Stack:   stack,
+		sim:     sim,
+		runtime: opts.Runtime,
+		overheads: [2]simtime.Dist{
+			simtime.Scaled{D: runtimeOverhead(NativeC), Factor: prof.CPUFactor},
+			simtime.Scaled{D: runtimeOverhead(DalvikVM), Factor: prof.CPUFactor},
+		},
 	}
 }
 
@@ -283,30 +288,30 @@ func listenEvery(wire int) int {
 // Runtime returns the phone's app runtime.
 func (p *Phone) Runtime() Runtime { return p.runtime }
 
-// SetRuntime switches the app runtime (native C vs Dalvik), refreshing
-// the overhead model.
-func (p *Phone) SetRuntime(r Runtime) {
-	p.runtime = r
-	p.overhead = simtime.Scaled{D: runtimeOverhead(r), Factor: p.Profile.CPUFactor}
+// SetRuntime switches the app runtime (native C vs Dalvik), and with
+// it the overhead model.
+func (p *Phone) SetRuntime(r Runtime) { p.runtime = r }
+
+// overhead returns runtime r's overhead model.
+func (p *Phone) overhead(r Runtime) simtime.Dist {
+	if r == NativeC {
+		return p.overheads[0]
+	}
+	return p.overheads[1]
 }
 
 // AppDo runs fn after one user-space runtime overhead sample; tools use
 // it to model the path from "app decides to send" to the send syscall.
-func (p *Phone) AppDo(fn func()) {
-	p.sim.Post(p.overhead.Sample(p.sim), fn)
-}
+func (p *Phone) AppDo(fn func()) { p.AppDoAs(p.runtime, fn) }
 
 // AppDeliver runs fn after one runtime overhead sample, modelling the
 // path from socket readiness to the app observing the data.
-func (p *Phone) AppDeliver(fn func()) {
-	p.sim.Post(p.overhead.Sample(p.sim), fn)
-}
+func (p *Phone) AppDeliver(fn func()) { p.AppDoAs(p.runtime, fn) }
 
 // AppDoAs is AppDo with an explicit runtime, letting a Dalvik tool (Java
 // ping) and a native tool (ping, AcuteMon's MT) coexist on one phone.
 func (p *Phone) AppDoAs(r Runtime, fn func()) {
-	d := simtime.Scaled{D: runtimeOverhead(r), Factor: p.Profile.CPUFactor}
-	p.sim.Post(d.Sample(p.sim), fn)
+	p.sim.Post(p.overhead(r).Sample(p.sim), fn)
 }
 
 // String implements fmt.Stringer.

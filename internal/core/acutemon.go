@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/android"
 	"repro/internal/packet"
+	"repro/internal/simtime"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 	"repro/internal/tools"
@@ -223,43 +224,77 @@ func (m *Monitor) start(res *Result, onDone func()) {
 	tb.Sim.Post(m.cfg.WarmupDelay, func() {
 		tr.Add(tb.Sim.Now(), "MT", "measurement_start", "")
 		bgLoop()
-		m.runProbes(res, 0, finish)
+		m.runProbes(res, finish)
 	})
 }
 
-// runProbes performs the stop-and-wait probe sequence.
-func (m *Monitor) runProbes(res *Result, i int, finish func()) {
+// probeLoop is one run's stop-and-wait probe sequence: probe i is in
+// flight until its response arrives or its timeout fires, whichever
+// comes first, and then probe i+1 goes out. One Timer serves every
+// probe, so a probe answered in time leaves no dead timeout queued.
+type probeLoop struct {
+	m       *Monitor
+	res     *Result
+	finish  func()
+	i       int
+	settled bool // probe i was answered or timed out
+	timeout *simtime.Timer
+}
+
+func (m *Monitor) runProbes(res *Result, finish func()) {
+	l := &probeLoop{m: m, res: res, finish: finish}
+	l.timeout = simtime.NewTimer(m.tb.Sim, l.expire)
+	l.send(0)
+}
+
+// settle ends probe i and stops its timeout; it reports false when
+// probe i had already ended.
+func (l *probeLoop) settle(i int) bool {
+	if i != l.i || l.settled {
+		return false
+	}
+	l.settled = true
+	l.timeout.Stop()
+	return true
+}
+
+// complete records the response respID to probe i.
+func (l *probeLoop) complete(i int, respID uint64) {
+	if !l.settle(i) {
+		return
+	}
+	tb := l.m.tb
+	rec := &l.res.Records[i]
+	rec.RecvAt = tb.Sim.Now()
+	rec.RespID = respID
+	rec.RTT = rec.RecvAt - rec.SentAt
+	rec.OK = true
+	tb.Trace.Addf(tb.Sim.Now(), "MT", "probe_done", "k=%d rtt=%v", i, rec.RTT)
+	l.send(i + 1)
+}
+
+// expire abandons the probe in flight.
+func (l *probeLoop) expire() {
+	i := l.i
+	l.settled = true
+	l.m.tb.Trace.Addf(l.m.tb.Sim.Now(), "MT", "probe_timeout", "k=%d", i)
+	l.send(i + 1)
+}
+
+// send starts probe i, or finishes the run after the last one.
+func (l *probeLoop) send(i int) {
+	m, res := l.m, l.res
 	if i >= m.cfg.K {
-		finish()
+		l.finish()
 		return
 	}
 	tb := m.tb
 	rec := &res.Records[i]
 	rec.Seq = i
 	res.Sent++
-	next := func() { m.runProbes(res, i+1, finish) }
-
-	completed := false
-	complete := func(respID uint64) {
-		if completed {
-			return
-		}
-		completed = true
-		rec.RecvAt = tb.Sim.Now()
-		rec.RespID = respID
-		rec.RTT = rec.RecvAt - rec.SentAt
-		rec.OK = true
-		tb.Trace.Addf(tb.Sim.Now(), "MT", "probe_done", "k=%d rtt=%v", i, rec.RTT)
-		next()
-	}
-	tb.Sim.Post(m.cfg.ProbeTimeout, func() {
-		if completed {
-			return
-		}
-		completed = true
-		tb.Trace.Addf(tb.Sim.Now(), "MT", "probe_timeout", "k=%d", i)
-		next()
-	})
+	l.i, l.settled = i, false
+	l.timeout.Reset(m.cfg.ProbeTimeout)
+	complete := func(respID uint64) { l.complete(i, respID) }
 
 	rec.SentAt = tb.Sim.Now()
 	tb.Trace.Addf(tb.Sim.Now(), "MT", "probe_send", "k=%d type=%s", i, m.cfg.Probe)
@@ -292,7 +327,9 @@ func (m *Monitor) runProbes(res *Result, i int, finish func()) {
 		case ProbeUDPEcho:
 			sock, err := phone.Stack.OpenUDP(0)
 			if err != nil {
-				next()
+				if l.settle(i) {
+					l.send(i + 1)
+				}
 				return
 			}
 			sock.SetRecv(func(payload []byte, from packet.IPv4Addr, fp uint16, p *packet.Packet, at time.Duration) {

@@ -158,6 +158,9 @@ type Driver struct {
 	txDispatchWM, txReadyWM, txWriteWM   time.Duration
 	rxDispatchWM, rxReadyWM, rxDeliverWM time.Duration
 
+	// txFree and rxFree pool the xfer records of each direction.
+	txFree, rxFree []*xfer
+
 	Instr Instrumentation
 }
 
@@ -207,6 +210,49 @@ func fifoClamp(wm *time.Duration, at time.Duration) time.Duration {
 	return at
 }
 
+// xfer is one packet's trip through the driver in one direction: the
+// state a stage needs from an earlier one. Xfers are pooled per
+// direction, and each binds its four stage handlers once, when it is
+// made, so neither path makes a closure per packet.
+type xfer struct {
+	d         *Driver
+	pkt       *packet.Packet
+	t0        time.Duration
+	done      func(medium.TxResult)
+	wasAsleep bool
+	ramp      time.Duration // tx: the idle clock ramp to pay
+
+	// dispatch runs in the dpc thread, acquired once the bus is up,
+	// ready when the bus transfer is set up, last at the hand-off.
+	dispatch, acquired, ready, last func()
+}
+
+// newXfer takes a record from the direction's pool, or makes one.
+func (d *Driver) newXfer(tx bool) *xfer {
+	free := &d.rxFree
+	if tx {
+		free = &d.txFree
+	}
+	if n := len(*free); n > 0 {
+		x := (*free)[n-1]
+		*free = (*free)[:n-1]
+		return x
+	}
+	x := &xfer{d: d}
+	if tx {
+		x.dispatch, x.acquired, x.ready, x.last = x.txDispatch, x.txAcquired, x.finishSend, x.txWrite
+	} else {
+		x.dispatch, x.acquired, x.ready, x.last = x.rxDispatch, x.rxAcquired, x.finishRecv, x.rxDeliver
+	}
+	return x
+}
+
+// release returns x to its pool once its last stage has read it.
+func (x *xfer) release(free *[]*xfer) {
+	x.pkt, x.done = nil, nil
+	*free = append(*free, x)
+}
+
 // Send transmits an IP packet: the paper's Figure 4 path. done may be
 // nil; it fires with the MAC-level outcome.
 func (d *Driver) Send(ip *packet.Packet, done func(medium.TxResult)) {
@@ -232,30 +278,43 @@ func (d *Driver) Send(ip *packet.Packet, done func(medium.TxResult)) {
 	}
 
 	dispatchAt := fifoClamp(&d.txDispatchWM, d.sim.Now()+prot+dpcLat)
-	d.sim.PostAt(dispatchAt, func() {
-		now := d.sim.Now()
-		d.tr.Add(now, "dpc", d.nm.busDpc, "")
-		d.tr.Add(now, "dpc", d.nm.dpc, "")
-		d.tr.Addf(now, "dpc", d.nm.bussleep, "asleep=%t", wasAsleep)
-		d.bus.Acquire(sdio.Tx, func() {
-			clk := d.sample(d.cfg.ClkCtl) + idleRamp
-			d.tr.Add(d.sim.Now(), "dpc", d.nm.clkctl, "")
-			readyAt := fifoClamp(&d.txReadyWM, d.sim.Now()+clk)
-			d.sim.PostAt(readyAt, func() { d.finishSend(ip, t0, done) })
-		})
-	})
+	x := d.newXfer(true)
+	x.pkt, x.t0, x.done, x.wasAsleep, x.ramp = ip, t0, done, wasAsleep, idleRamp
+	d.sim.PostAt(dispatchAt, x.dispatch)
 }
 
-func (d *Driver) finishSend(ip *packet.Packet, t0 time.Duration, done func(medium.TxResult)) {
+func (x *xfer) txDispatch() {
+	d := x.d
+	now := d.sim.Now()
+	d.tr.Add(now, "dpc", d.nm.busDpc, "")
+	d.tr.Add(now, "dpc", d.nm.dpc, "")
+	d.tr.Addf(now, "dpc", d.nm.bussleep, "asleep=%t", x.wasAsleep)
+	d.bus.Acquire(sdio.Tx, x.acquired)
+}
+
+func (x *xfer) txAcquired() {
+	d := x.d
+	clk := d.sample(d.cfg.ClkCtl) + x.ramp
+	d.tr.Add(d.sim.Now(), "dpc", d.nm.clkctl, "")
+	readyAt := fifoClamp(&d.txReadyWM, d.sim.Now()+clk)
+	d.sim.PostAt(readyAt, x.ready)
+}
+
+func (x *xfer) finishSend() {
+	d := x.d
 	now := d.sim.Now()
 	d.tr.Add(now, "dpc", d.nm.sendfromq, "")
-	d.tr.Addf(now, "dpc", d.nm.txpkt, "dvsend=%v", now-t0)
-	d.Instr.Send = append(d.Instr.Send, DvRecord{Latency: now - t0})
+	d.tr.Addf(now, "dpc", d.nm.txpkt, "dvsend=%v", now-x.t0)
+	d.Instr.Send = append(d.Instr.Send, DvRecord{Latency: now - x.t0})
 	writeAt := fifoClamp(&d.txWriteWM, now+d.sample(d.cfg.TxBusWrite))
-	d.sim.PostAt(writeAt, func() {
-		d.bus.Touch()
-		d.sta.Send(ip, done)
-	})
+	d.sim.PostAt(writeAt, x.last)
+}
+
+func (x *xfer) txWrite() {
+	d, ip, done := x.d, x.pkt, x.done
+	x.release(&d.txFree)
+	d.bus.Touch()
+	d.sta.Send(ip, done)
 }
 
 // HandleFrameFromMAC accepts an inbound data frame from the station MAC:
@@ -269,34 +328,47 @@ func (d *Driver) HandleFrameFromMAC(frame *packet.Packet) {
 	dpcLat := d.sample(d.cfg.DpcSched)
 
 	dispatchAt := fifoClamp(&d.rxDispatchWM, d.sim.Now()+dpcLat)
-	d.sim.PostAt(dispatchAt, func() {
-		d.tr.Add(d.sim.Now(), "dpc", d.nm.busDpc, "")
-		d.tr.Add(d.sim.Now(), "dpc", d.nm.dpc, "")
-		d.tr.Addf(d.sim.Now(), "dpc", d.nm.bussleep, "asleep=%t", wasAsleep)
-		d.bus.Acquire(sdio.Rx, func() {
-			read := d.sample(d.cfg.RxReadFrames)
-			d.tr.Add(d.sim.Now(), "dpc", d.nm.readframes, "")
-			readyAt := fifoClamp(&d.rxReadyWM, d.sim.Now()+read)
-			d.sim.PostAt(readyAt, func() { d.finishRecv(frame, t0) })
-		})
-	})
+	x := d.newXfer(false)
+	x.pkt, x.t0, x.wasAsleep = frame, t0, wasAsleep
+	d.sim.PostAt(dispatchAt, x.dispatch)
 }
 
-func (d *Driver) finishRecv(frame *packet.Packet, t0 time.Duration) {
+func (x *xfer) rxDispatch() {
+	d := x.d
+	d.tr.Add(d.sim.Now(), "dpc", d.nm.busDpc, "")
+	d.tr.Add(d.sim.Now(), "dpc", d.nm.dpc, "")
+	d.tr.Addf(d.sim.Now(), "dpc", d.nm.bussleep, "asleep=%t", x.wasAsleep)
+	d.bus.Acquire(sdio.Rx, x.acquired)
+}
+
+func (x *xfer) rxAcquired() {
+	d := x.d
+	read := d.sample(d.cfg.RxReadFrames)
+	d.tr.Add(d.sim.Now(), "dpc", d.nm.readframes, "")
+	readyAt := fifoClamp(&d.rxReadyWM, d.sim.Now()+read)
+	d.sim.PostAt(readyAt, x.ready)
+}
+
+func (x *xfer) finishRecv() {
+	d := x.d
 	now := d.sim.Now()
 	d.tr.Add(now, "dpc", d.nm.rxFrame, "")
 	d.tr.Add(now, "dpc", d.nm.schedRxf, "")
-	d.tr.Addf(now, "dpc", d.nm.rxfEnqueue, "dvrecv=%v", now-t0)
-	d.Instr.Recv = append(d.Instr.Recv, DvRecord{Latency: now - t0})
+	d.tr.Addf(now, "dpc", d.nm.rxfEnqueue, "dvrecv=%v", now-x.t0)
+	d.Instr.Recv = append(d.Instr.Recv, DvRecord{Latency: now - x.t0})
 	d.bus.Touch()
 
 	deliverAt := fifoClamp(&d.rxDeliverWM, now+d.sample(d.cfg.RxDequeue))
-	d.sim.PostAt(deliverAt, func() {
-		d.tr.Add(d.sim.Now(), "rxf", d.nm.rxfDequeue, "")
-		d.tr.Add(d.sim.Now(), "rxf", d.nm.netifRx, "")
-		frame.StripOuter(packet.LayerTypeDot11)
-		if d.recvUp != nil {
-			d.recvUp(frame)
-		}
-	})
+	d.sim.PostAt(deliverAt, x.last)
+}
+
+func (x *xfer) rxDeliver() {
+	d, frame := x.d, x.pkt
+	x.release(&d.rxFree)
+	d.tr.Add(d.sim.Now(), "rxf", d.nm.rxfDequeue, "")
+	d.tr.Add(d.sim.Now(), "rxf", d.nm.netifRx, "")
+	frame.StripOuter(packet.LayerTypeDot11)
+	if d.recvUp != nil {
+		d.recvUp(frame)
+	}
 }

@@ -52,6 +52,33 @@ func BenchmarkSession(b *testing.B) {
 	}
 }
 
+// sessionAllocCeiling bounds TestSessionAllocs: the allocations of one
+// seeded K=100 session measured when the producer stopped allocating
+// per event (3,817 on Go 1.24), plus 5%.
+const sessionAllocCeiling = 4008
+
+// TestSessionAllocs pins the producer's allocation count: one seeded
+// K=100 session, run and analysis as BenchmarkSession prices it, stays
+// under sessionAllocCeiling. A new per-event or per-packet allocation
+// on the simulated path breaks it.
+func TestSessionAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts are not the program's under the race detector")
+	}
+	c := Campaign{Seed: 9}
+	s := Session{ID: 0, Probes: 100}
+	s.fill(c.Seed)
+	allocs := testing.AllocsPerRun(5, func() {
+		if res, _ := runSession(&c, s); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	})
+	if allocs > sessionAllocCeiling {
+		t.Fatalf("one K=100 session allocates %.0f times, ceiling %d", allocs, sessionAllocCeiling)
+	}
+	t.Logf("one K=100 session allocates %.0f times (ceiling %d)", allocs, sessionAllocCeiling)
+}
+
 // BenchmarkAggregatorFold prices the streaming fold path (no
 // simulation), which bounds how fast results can drain at high worker
 // counts.

@@ -261,7 +261,7 @@ func readBinaryBatch(br *bufio.Reader, maxSummaries int) ([]Summary, error) {
 	if hdr[4] != binWireVersion {
 		return nil, fmt.Errorf("ingest: binary batch: unknown version %d", hdr[4])
 	}
-	count, err := binary.ReadUvarint(br)
+	count, err := wirebuf.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: binary batch count: %w", noEOF(err))
 	}
@@ -288,7 +288,7 @@ func readBinaryBatch(br *bufio.Reader, maxSummaries int) ([]Summary, error) {
 		wireAllocPool.Put(al)
 	}()
 	for i := uint64(0); i < count; i++ {
-		plen, err := binary.ReadUvarint(br)
+		plen, err := wirebuf.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("ingest: batch record %d: length: %w", i+1, noEOF(err))
 		}

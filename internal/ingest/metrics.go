@@ -65,6 +65,7 @@ func (s *Server) figures(src ReplicaSource) []Figure {
 		Count("profile_merges", s.metrics.ProfileMerges.Load()),
 		Count("profile_saves", s.metrics.ProfileSaves.Load()),
 		Count("profile_save_errors", s.metrics.ProfileSaveErrors.Load()),
+		Level("profile_snapshot_age_seconds", s.snapshotAge()),
 		// queue_* keep their names across the pipeline refactor: len is
 		// outstanding batch credits, cap the credit pool.
 		Level("queue_len", int64(len(s.credits))),

@@ -6,6 +6,7 @@ import (
 	"io"
 	"maps"
 	"net/http"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -59,8 +60,9 @@ func TestMetricsNames(t *testing.T) {
 		want["acutemon_"+n+"_total"] = "counter"
 	}
 	for _, n := range []string{
-		"cells", "learned_models", "max_cells", "queue_cap", "queue_len", "rollup_cells",
-		"rollup_window_ms", "stream_subscribers", "up", "uptime_seconds", "window_ms",
+		"cells", "learned_models", "max_cells", "profile_snapshot_age_seconds", "queue_cap",
+		"queue_len", "rollup_cells", "rollup_window_ms", "stream_subscribers", "up",
+		"uptime_seconds", "window_ms",
 	} {
 		want["acutemon_"+n] = "gauge"
 	}
@@ -82,6 +84,30 @@ func TestMetricsNames(t *testing.T) {
 	slices.Sort(wantSamples)
 	if !slices.Equal(gotSamples, wantSamples) {
 		t.Errorf("/metrics samples:\n got %v\nwant %v", gotSamples, wantSamples)
+	}
+}
+
+// TestProfileSnapshotAge: the snapshot age is 0 without a profiles
+// path; with one it counts from the boot load, and a successful save
+// resets it.
+func TestProfileSnapshotAge(t *testing.T) {
+	const name = "profile_snapshot_age_seconds"
+	if age := startTestServer(t, Config{}).MetricsSnapshot()[name]; age != 0 {
+		t.Fatalf("age %d without ProfilesPath, want 0", age)
+	}
+	s := startTestServer(t, Config{ProfilesPath: filepath.Join(t.TempDir(), "know.json"), ProfilesInterval: -1})
+	if age := s.MetricsSnapshot()[name]; age != 0 {
+		t.Fatalf("age %d right after boot, want 0", age)
+	}
+	s.snapshotAt.Store(time.Now().Add(-90 * time.Second).UnixNano())
+	if age := s.MetricsSnapshot()[name]; age < 90 || age > 91 {
+		t.Fatalf("age %d for a snapshot 90 s old", age)
+	}
+	if err := s.saveProfiles(); err != nil {
+		t.Fatal(err)
+	}
+	if age := s.MetricsSnapshot()[name]; age != 0 {
+		t.Fatalf("age %d right after a save, want 0", age)
 	}
 }
 

@@ -407,6 +407,51 @@ func TestEnforceCapSparesOpenWindows(t *testing.T) {
 	}
 }
 
+// TestEnforceCapDemotesColdestInOrder: one EnforceCap pass over shards
+// filled past the cap with cells of mixed closed and open windows
+// demotes exactly the cells − MaxCells coldest closed-window cells, in
+// colder order (read back from the removal log), and nothing else.
+// Each device's cells share one rollup, and the cap stays at or above
+// the device count, so no rollup collapse logs removals of its own.
+func TestEnforceCapDemotesColdestInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const devices, windows, nowMS = 20, 6, 5500 // windows before 5000 are closed
+	for trial := 0; trial < 20; trial++ {
+		st := NewStore(time.Second, 4)
+		st.EnableCompaction(10 * time.Second)
+		var keys, closed []Key
+		for d := 0; d < devices; d++ {
+			dev := fmt.Sprintf("dev-%d", rng.Intn(1_000_000))
+			for w := int64(0); w < windows; w++ {
+				keys = append(keys, Key{Device: dev, Group: "g", Scenario: "test", WindowMS: w * 1000})
+			}
+		}
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		for _, k := range keys {
+			foldOne(t, st, k.Device, k.Group, k.WindowMS, 1000)
+			if k.WindowMS < 5000 {
+				closed = append(closed, k)
+			}
+		}
+		// The cap drops after folding, so fold-time eviction never runs.
+		capCells := int64(devices + rng.Intn(len(closed)-devices))
+		st.SetMaxCells(capCells)
+		want := append([]Key(nil), closed...)
+		sort.Slice(want, func(i, j int) bool { return colder(want[i], want[j]) })
+		want = want[:st.Cells()-capCells]
+
+		before := st.Epoch()
+		n := st.EnforceCap(nowMS)
+		got, ok := st.removals.Since(before, st.Epoch())
+		if !ok || n != int64(len(want)) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: EnforceCap demoted %d cells %v\nwant %d: %v", trial, n, got, len(want), want)
+		}
+		if st.Cells() != capCells {
+			t.Fatalf("trial %d: %d fine cells left, want the cap %d", trial, st.Cells(), capCells)
+		}
+	}
+}
+
 // TestStreamSeesCompaction: a cursor taken before compaction must
 // receive both the retraction of the fine cell and the upsert of its
 // rollup — the exact contract /v1/stream clients fold by.

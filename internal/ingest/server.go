@@ -199,8 +199,12 @@ type Server struct {
 	stopOnce sync.Once
 	maintWG  sync.WaitGroup
 	started  time.Time
-	draining atomic.Bool
-	servErr  chan error
+	// snapshotAt is when the knowledge snapshot on disk last matched
+	// the store, in Unix ns: the boot (which loaded the file, or found
+	// none) and then each successful save. 0 without ProfilesPath.
+	snapshotAt atomic.Int64
+	draining   atomic.Bool
+	servErr    chan error
 	// ageClampMS is the accepted event-time age horizon: never older
 	// than the retention window, else a 202-accepted late batch would
 	// fold into an already-expired window and be compacted before
@@ -247,6 +251,9 @@ func Start(cfg Config) (*Server, error) {
 		stop:     make(chan struct{}),
 		started:  time.Now(),
 		servErr:  make(chan error, 1),
+	}
+	if cfg.ProfilesPath != "" {
+		s.snapshotAt.Store(s.started.UnixNano())
 	}
 	for i := range s.pipes {
 		s.pipes[i] = make(chan pipeJob, cfg.QueueDepth)
@@ -351,7 +358,19 @@ func (s *Server) saveProfiles() error {
 		return err
 	}
 	s.metrics.ProfileSaves.Add(1)
+	s.snapshotAt.Store(time.Now().UnixNano())
 	return nil
+}
+
+// snapshotAge is how many whole seconds of learning the knowledge
+// snapshot on disk lacks: the time since the boot load or the last
+// successful save, and 0 without ProfilesPath.
+func (s *Server) snapshotAge() int64 {
+	at := s.snapshotAt.Load()
+	if at == 0 {
+		return 0
+	}
+	return int64(time.Since(time.Unix(0, at)).Seconds())
 }
 
 // Addr returns the bound listen address.

@@ -123,6 +123,10 @@ type Stack struct {
 
 	ephemeral uint16
 	ipID      uint16
+
+	// xmit, demuxFn and echoFn are the stack's packet handlers, bound
+	// once so that posting a packet to them allocates nothing.
+	xmit, demuxFn, echoFn func(*packet.Packet)
 }
 
 // New creates a stack bound to the device. tr may be nil. The packet
@@ -132,7 +136,7 @@ func New(sim *simtime.Sim, cfg Config, dev Device, fac *packet.Factory, tr *trac
 	if cfg.TTL == 0 {
 		cfg.TTL = 64
 	}
-	return &Stack{
+	s := &Stack{
 		sim:       sim,
 		cfg:       cfg,
 		dev:       dev,
@@ -144,6 +148,8 @@ func New(sim *simtime.Sim, cfg Config, dev Device, fac *packet.Factory, tr *trac
 		listeners: make(map[uint16]*Listener),
 		ephemeral: 40000,
 	}
+	s.xmit, s.demuxFn, s.echoFn = s.devQueueXmit, s.demux, s.echoReply
+	return s
 }
 
 // IP returns the stack's address.
@@ -167,12 +173,14 @@ func (s *Stack) nextIPID() uint16 {
 // sendIP pushes a fully-formed IP packet down: syscall latency, bpf
 // stamp at dev_queue_xmit, then the device.
 func (s *Stack) sendIP(p *packet.Packet) {
-	s.sim.Post(s.sample(s.cfg.SendLatency), func() {
-		now := s.sim.Now()
-		s.bpf.capture(p, now)
-		s.tr.Addf(now, "kernel", "dev_queue_xmit", "pkt=%d", p.ID)
-		s.dev.Send(p)
-	})
+	s.sim.PostPacket(s.sample(s.cfg.SendLatency), s.xmit, p)
+}
+
+func (s *Stack) devQueueXmit(p *packet.Packet) {
+	now := s.sim.Now()
+	s.bpf.capture(p, now)
+	s.tr.Addf(now, "kernel", "dev_queue_xmit", "pkt=%d", p.ID)
+	s.dev.Send(p)
 }
 
 // DeliverFromDevice accepts an inbound IP packet from the device layer
@@ -182,7 +190,7 @@ func (s *Stack) DeliverFromDevice(p *packet.Packet) {
 	now := s.sim.Now()
 	s.bpf.capture(p, now)
 	s.tr.Addf(now, "kernel", "netif_rx", "pkt=%d", p.ID)
-	s.sim.Post(s.sample(s.cfg.RecvLatency), func() { s.demux(p) })
+	s.sim.PostPacket(s.sample(s.cfg.RecvLatency), s.demuxFn, p)
 }
 
 func (s *Stack) demux(p *packet.Packet) {
@@ -204,10 +212,10 @@ func (s *Stack) demux(p *packet.Packet) {
 
 // SendEcho transmits an ICMP echo request.
 func (s *Stack) SendEcho(dst packet.IPv4Addr, id, seq uint16, payloadLen int) *packet.Packet {
-	p := s.fac.NewPacket(
-		&packet.IPv4{TTL: s.cfg.TTL, Protocol: packet.ProtoICMP, Src: s.cfg.IP, Dst: dst, ID: s.nextIPID()},
+	p := s.fac.NewIPv4(
+		packet.IPv4{TTL: s.cfg.TTL, Protocol: packet.ProtoICMP, Src: s.cfg.IP, Dst: dst, ID: s.nextIPID()},
 		&packet.ICMP{Type: packet.ICMPEchoRequest, ID: id, Seq: seq},
-		&packet.Payload{Data: make([]byte, payloadLen)},
+		make([]byte, payloadLen),
 	)
 	s.sendIP(p)
 	return p
@@ -227,19 +235,23 @@ func (s *Stack) demuxICMP(p *packet.Packet) {
 	}
 	if ic.IsEchoRequest() {
 		// Reply in kernel space, as real hosts do.
-		s.sim.Post(s.sample(s.cfg.EchoLatency), func() {
-			reply := s.fac.NewPacket(
-				&packet.IPv4{TTL: s.cfg.TTL, Protocol: packet.ProtoICMP, Src: s.cfg.IP, Dst: p.IPv4().Src, ID: s.nextIPID()},
-				&packet.ICMP{Type: packet.ICMPEchoReply, ID: ic.ID, Seq: ic.Seq},
-				&packet.Payload{Data: append([]byte(nil), p.Payload()...)},
-			)
-			s.sendIP(reply)
-		})
+		s.sim.PostPacket(s.sample(s.cfg.EchoLatency), s.echoFn, p)
 		return
 	}
 	if fn, ok := s.icmp[ic.ID]; ok {
 		fn(ic, p, s.sim.Now())
 	}
+}
+
+// echoReply answers the echo request req.
+func (s *Stack) echoReply(req *packet.Packet) {
+	ic := req.ICMP()
+	reply := s.fac.NewIPv4(
+		packet.IPv4{TTL: s.cfg.TTL, Protocol: packet.ProtoICMP, Src: s.cfg.IP, Dst: req.IPv4().Src, ID: s.nextIPID()},
+		&packet.ICMP{Type: packet.ICMPEchoReply, ID: ic.ID, Seq: ic.Seq},
+		append([]byte(nil), req.Payload()...),
+	)
+	s.sendIP(reply)
 }
 
 // --- UDP ---
@@ -290,10 +302,10 @@ func (u *UDPSocket) SendTo(dst packet.IPv4Addr, dstPort uint16, payload []byte, 
 	if ttl == 0 {
 		ttl = u.stack.cfg.TTL
 	}
-	p := u.stack.fac.NewPacket(
-		&packet.IPv4{TTL: ttl, Protocol: packet.ProtoUDP, Src: u.stack.cfg.IP, Dst: dst, ID: u.stack.nextIPID()},
+	p := u.stack.fac.NewIPv4(
+		packet.IPv4{TTL: ttl, Protocol: packet.ProtoUDP, Src: u.stack.cfg.IP, Dst: dst, ID: u.stack.nextIPID()},
 		&packet.UDP{SrcPort: u.port, DstPort: dstPort},
-		&packet.Payload{Data: payload},
+		payload,
 	)
 	u.stack.sendIP(p)
 	return p

@@ -61,9 +61,9 @@ type TCPConn struct {
 	// SynPacket is the transmitted SYN (for capture correlation).
 	SynPacket *packet.Packet
 
-	// onEstablished notifies the listener once the server-side handshake
-	// completes.
-	onEstablished func()
+	// listener accepted this server-side connection; it is told once
+	// the handshake completes.
+	listener *Listener
 }
 
 // Listener accepts inbound connections on a port.
@@ -105,16 +105,13 @@ func (s *Stack) Dial(dst packet.IPv4Addr, dstPort uint16) *TCPConn {
 
 // segment builds a TCP packet for this connection.
 func (c *TCPConn) segment(flags byte, payload []byte) *packet.Packet {
-	layers := []packet.Layer{
-		&packet.IPv4{TTL: c.stack.cfg.TTL, Protocol: packet.ProtoTCP,
+	return c.stack.fac.NewIPv4(
+		packet.IPv4{TTL: c.stack.cfg.TTL, Protocol: packet.ProtoTCP,
 			Src: c.stack.cfg.IP, Dst: c.remoteIP, ID: c.stack.nextIPID()},
 		&packet.TCP{SrcPort: c.localPort, DstPort: c.remotePort,
 			Seq: c.sndNxt, Ack: c.rcvNxt, Flags: flags, Window: 65535},
-	}
-	if len(payload) > 0 {
-		layers = append(layers, &packet.Payload{Data: payload})
-	}
-	return c.stack.fac.NewPacket(layers...)
+		payload,
+	)
 }
 
 // Send transmits a data segment (PSH|ACK), e.g. an HTTP request.
@@ -176,10 +173,11 @@ func (s *Stack) sendRST(orig *packet.Packet) {
 	t := orig.TCP()
 	ip := orig.IPv4()
 	ack := t.Seq + 1
-	rst := s.fac.NewPacket(
-		&packet.IPv4{TTL: s.cfg.TTL, Protocol: packet.ProtoTCP, Src: s.cfg.IP, Dst: ip.Src, ID: s.nextIPID()},
+	rst := s.fac.NewIPv4(
+		packet.IPv4{TTL: s.cfg.TTL, Protocol: packet.ProtoTCP, Src: s.cfg.IP, Dst: ip.Src, ID: s.nextIPID()},
 		&packet.TCP{SrcPort: t.DstPort, DstPort: t.SrcPort, Seq: 0, Ack: ack,
 			Flags: packet.TCPRst | packet.TCPAck, Window: 0},
+		nil,
 	)
 	s.sendIP(rst)
 }
@@ -198,18 +196,12 @@ func (l *Listener) accept(syn *packet.Packet) {
 		state:      TCPSynReceived,
 		sndNxt:     uint32(s.sim.Rand().Int31()),
 		rcvNxt:     t.Seq + 1,
+		listener:   l,
 	}
 	s.tcp[tcpKey{l.port, ip.Src, t.SrcPort}] = c
 	synAck := c.segment(packet.TCPSyn|packet.TCPAck, nil)
 	c.sndNxt++
 	s.sendIP(synAck)
-	// The listener is notified as soon as the handshake completes; see
-	// handle() on the ACK.
-	c.onEstablished = func() {
-		if l.OnConn != nil {
-			l.OnConn(c)
-		}
-	}
 }
 
 // handle processes a segment for an existing connection.
@@ -237,8 +229,8 @@ func (c *TCPConn) handle(p *packet.Packet) {
 
 	case c.state == TCPSynReceived && t.ACK() && !t.SYN():
 		c.state = TCPEstablished
-		if c.onEstablished != nil {
-			c.onEstablished()
+		if l := c.listener; l != nil && l.OnConn != nil {
+			l.OnConn(c)
 		}
 		// A piggybacked payload (rare here) falls through to data
 		// handling below.

@@ -59,6 +59,9 @@ type AP struct {
 
 	// wiredOut carries uplink packets onto the wired segment.
 	wiredOut func(*packet.Packet)
+	// forward is forwardDown, bound once so that posting a packet to it
+	// allocates nothing.
+	forward func(*packet.Packet)
 }
 
 // NewAP creates an access point, attaches it to the medium, and starts
@@ -81,6 +84,7 @@ func NewAP(sim *simtime.Sim, med *medium.Medium, cfg APConfig, fac *packet.Facto
 		byIP:  make(map[packet.IPv4Addr]packet.MACAddr),
 		psBuf: make(map[packet.MACAddr][]*packet.Packet),
 	}
+	a.forward = a.forwardDown
 	med.Attach(a)
 	phase := cfg.BeaconPhase
 	if phase < 0 {
@@ -196,17 +200,21 @@ func (a *AP) WiredDeliver(ipPkt *packet.Packet) {
 	if a.cfg.ForwardLatency != nil {
 		delay = a.cfg.ForwardLatency.Sample(a.sim)
 	}
-	a.sim.Post(delay, func() {
-		ip := ipPkt.IPv4()
-		if ip == nil {
-			return
-		}
-		mac, ok := a.byIP[ip.Dst]
-		if !ok {
-			return // not a wireless client of ours
-		}
-		a.sendDown(ipPkt, mac)
-	})
+	a.sim.PostPacket(delay, a.forward, ipPkt)
+}
+
+// forwardDown sends a bridged packet on to the station that owns its
+// destination.
+func (a *AP) forwardDown(ipPkt *packet.Packet) {
+	ip := ipPkt.IPv4()
+	if ip == nil {
+		return
+	}
+	mac, ok := a.byIP[ip.Dst]
+	if !ok {
+		return // not a wireless client of ours
+	}
+	a.sendDown(ipPkt, mac)
 }
 
 // sendDown transmits (or buffers) a downlink IP packet for a station.
@@ -234,7 +242,7 @@ func (a *AP) buffer(mac packet.MACAddr, ipPkt *packet.Packet) {
 // transmitDown wraps and transmits one downlink frame. moreData marks
 // continued PS retrievals.
 func (a *AP) transmitDown(ipPkt *packet.Packet, mac packet.MACAddr, moreData bool) {
-	ipPkt.PushOuter(&packet.Dot11{
+	ipPkt.PushDot11(packet.Dot11{
 		Type: packet.Dot11Data, Subtype: packet.SubtypeData,
 		FromDS:   true,
 		MoreData: moreData,

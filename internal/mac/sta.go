@@ -312,7 +312,7 @@ func (s *STA) nextSeq() uint16 {
 // may be nil.
 func (s *STA) Send(ip *packet.Packet, done func(medium.TxResult)) {
 	s.activity()
-	ip.PushOuter(&packet.Dot11{
+	ip.PushDot11(packet.Dot11{
 		Type: packet.Dot11Data, Subtype: packet.SubtypeData,
 		ToDS:  true,
 		Addr1: s.cfg.BSSID, Addr2: s.cfg.MAC, Addr3: s.cfg.BSSID,

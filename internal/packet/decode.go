@@ -41,7 +41,7 @@ func decodeDot11(data []byte) ([]Layer, error) {
 	}
 	d := &Dot11{
 		Type:     Dot11Type(data[0] >> 2 & 0x3),
-		Subtype:  int(data[0] >> 4),
+		Subtype:  data[0] >> 4,
 		ToDS:     data[1]&0x01 != 0,
 		FromDS:   data[1]&0x02 != 0,
 		Retry:    data[1]&0x08 != 0,

@@ -3,7 +3,7 @@ package packet
 import "fmt"
 
 // Dot11Type is the 802.11 frame type (2 bits of the frame control field).
-type Dot11Type int
+type Dot11Type uint8
 
 // 802.11 frame types.
 const (
@@ -25,7 +25,7 @@ const (
 // the addresses — are faithful; rarely-used fields are omitted.
 type Dot11 struct {
 	Type    Dot11Type
-	Subtype int
+	Subtype uint8
 	ToDS    bool
 	FromDS  bool
 	Retry   bool

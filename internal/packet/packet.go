@@ -76,6 +76,13 @@ type Packet struct {
 	stack  []Layer
 	top    int
 	inline [inlineLayers]Layer
+
+	// dot11, ip and body hold the layers a holder writes (see Clone)
+	// inside the packet, so cloning or building one allocates no
+	// separate header. A slot serves at most one layer of the stack.
+	dot11 Dot11
+	ip    IPv4
+	body  Payload
 }
 
 // inlineLayers is how many layers a Packet holds without a separate
@@ -196,6 +203,28 @@ func (p *Packet) PushOuter(l Layer) {
 	p.stack[p.top] = l
 }
 
+// PushDot11 prepends a copy of h, held in the packet: the station and
+// the AP wrap IP packets this way.
+func (p *Packet) PushDot11(h Dot11) {
+	d := slot(p, &p.dot11)
+	*d = h
+	p.PushOuter(d)
+}
+
+// slot returns s, one of p's inline layer slots, unless a layer of p's
+// stack already is s; then it returns a fresh layer.
+func slot[T any, L interface {
+	*T
+	Layer
+}](p *Packet, s L) L {
+	for _, x := range p.Layers() {
+		if x == Layer(s) {
+			return new(T)
+		}
+	}
+	return s
+}
+
 // StripOuter removes the outermost layer if it has the given type (used
 // when the AP bridges an 802.11 frame onto the wired segment).
 func (p *Packet) StripOuter(t LayerType) {
@@ -210,7 +239,9 @@ func (p *Packet) StripOuter(t LayerType) {
 // The copy is copy-on-write by layer. It gets its own layer stack, and
 // its own copies of the layers a holder may write after the packet is
 // built: the 802.11 header (a forwarding station may set its bits), the
-// IPv4 header (routers decrement TTL) and the payload bytes.
+// IPv4 header (routers decrement TTL) and the payload bytes. The
+// headers are copied into the clone's own slots, so a clone costs the
+// packet and its payload bytes.
 // The transport and beacon layers are shared and read-only once built;
 // the one writer left, Serialize, recomputes the lengths and checksums
 // it stores from the packet at hand every time.
@@ -218,23 +249,27 @@ func (p *Packet) Clone() *Packet {
 	c := &Packet{ID: p.ID}
 	c.setLayers(p.Layers())
 	for i := c.top; i < len(c.stack); i++ {
-		c.stack[i] = copyWritable(c.stack[i])
+		c.stack[i] = c.own(c.stack[i])
 	}
 	return c
 }
 
-// copyWritable copies a layer that holders of a packet write; any other
-// layer is returned as is.
-func copyWritable(l Layer) Layer {
+// own returns p's own copy, in its slot, of a layer that holders of a
+// packet write; any other layer is returned as is.
+func (p *Packet) own(l Layer) Layer {
 	switch v := l.(type) {
 	case *Dot11:
-		c := *v
-		return &c
+		d := slot(p, &p.dot11)
+		*d = *v
+		return d
 	case *IPv4:
-		c := *v
-		return &c
+		ip := slot(p, &p.ip)
+		*ip = *v
+		return ip
 	case *Payload:
-		return &Payload{Data: append([]byte(nil), v.Data...)}
+		b := slot(p, &p.body)
+		b.Data = append([]byte(nil), v.Data...)
+		return b
 	case *Beacon, *ICMP, *UDP, *TCP:
 		return l
 	default:
@@ -259,5 +294,21 @@ func (f *Factory) NewPacket(layers ...Layer) *Packet {
 	f.next++
 	p := New(layers...)
 	p.ID = f.next
+	return p
+}
+
+// NewIPv4 assembles an IPv4 datagram with a fresh ID: the header ip,
+// the transport layer l4 and, when data is not empty, a payload of
+// data. The IPv4 header and the payload layer are held in the packet,
+// so the datagram costs the packet and its transport layer.
+func (f *Factory) NewIPv4(ip IPv4, l4 Layer, data []byte) *Packet {
+	f.next++
+	p := &Packet{ID: f.next, ip: ip}
+	if len(data) == 0 {
+		p.setLayers([]Layer{&p.ip, l4})
+	} else {
+		p.body.Data = data
+		p.setLayers([]Layer{&p.ip, l4, &p.body})
+	}
 	return p
 }

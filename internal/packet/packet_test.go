@@ -466,3 +466,41 @@ func TestPushOuterReusesHeadroom(t *testing.T) {
 		t.Fatalf("layers after growth: %v", p)
 	}
 }
+
+// TestInlineHeaderSlots: NewIPv4 and PushDot11 build into the packet's
+// own header slots, a clone copies into its own, and a stack holding a
+// second layer of a slotted type gives that one a layer of its own.
+func TestInlineHeaderSlots(t *testing.T) {
+	var f Factory
+	tcp := &TCP{SrcPort: 1, DstPort: 2, Flags: TCPSyn}
+	p := f.NewIPv4(IPv4{TTL: 64, Protocol: ProtoTCP, Src: IP(1, 1, 1, 1), Dst: IP(2, 2, 2, 2)}, tcp, []byte("GET"))
+	if p.IPv4() != &p.ip || p.TCP() != tcp || string(p.Payload()) != "GET" || p.ID != 1 {
+		t.Fatalf("NewIPv4 built %v", p)
+	}
+	if q := f.NewIPv4(IPv4{Protocol: ProtoTCP}, tcp, nil); len(q.Layers()) != 2 || q.Payload() != nil {
+		t.Fatalf("NewIPv4 without data built %v", q)
+	}
+	p.PushDot11(Dot11{Type: Dot11Data, Addr1: MAC(1)})
+	if p.Dot11() != &p.dot11 || p.Dot11().Addr1 != MAC(1) {
+		t.Fatal("PushDot11 did not use the packet's 802.11 slot")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.Clone() }); allocs != 2 {
+		t.Fatalf("Clone allocates %v times, want 2 (the packet and its payload bytes)", allocs)
+	}
+	c := p.Clone()
+	if c.Dot11() != &c.dot11 || c.IPv4() != &c.ip || c.Layer(LayerTypePayload) != Layer(&c.body) {
+		t.Fatal("clone does not hold its headers in its own slots")
+	}
+
+	// A second 802.11 header (and, cloned, a second one of each) cannot
+	// share the slot the first one holds.
+	p.PushDot11(Dot11{Type: Dot11Data, Addr1: MAC(2)})
+	outer, inner := p.Layers()[0].(*Dot11), p.Layers()[1].(*Dot11)
+	if outer == inner || outer.Addr1 != MAC(2) || inner.Addr1 != MAC(1) {
+		t.Fatalf("two 802.11 headers share a slot: %v, %v", outer, inner)
+	}
+	c = p.Clone()
+	if a, b := c.Layers()[0].(*Dot11), c.Layers()[1].(*Dot11); a == b || a.Addr1 != MAC(2) || b.Addr1 != MAC(1) {
+		t.Fatalf("clone's two 802.11 headers: %v, %v", a, b)
+	}
+}

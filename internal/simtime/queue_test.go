@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/packet"
 )
 
 // refEvent is one pending callback in the reference model.
@@ -17,8 +19,17 @@ type refEvent struct {
 // TestQueueMatchesSortedReference drives random Post, Timer.Reset,
 // Timer.Stop and Step sequences and requires every fired callback to be
 // the one a sort by (when, seq) over the reference's pending set names.
-// Posted events recycle through the free list throughout.
+// Posted events recycle through the free list throughout. The second
+// pass posts every other event as a packet event (PostPacket), whose
+// handler names the event by the packet it was handed, so packet and
+// closure events share one order and a recycled event never delivers a
+// stale packet.
 func TestQueueMatchesSortedReference(t *testing.T) {
+	t.Run("closures", func(t *testing.T) { queueMatchesSortedReference(t, false) })
+	t.Run("packets", func(t *testing.T) { queueMatchesSortedReference(t, true) })
+}
+
+func queueMatchesSortedReference(t *testing.T, packets bool) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := New(seed)
@@ -37,6 +48,7 @@ func TestQueueMatchesSortedReference(t *testing.T) {
 				}
 			}
 		}
+		onPkt := func(p *packet.Packet) { fired = int(p.ID) }
 		const nTimers = 4
 		timers := make([]*Timer, nTimers)
 		for i := range timers {
@@ -50,7 +62,11 @@ func TestQueueMatchesSortedReference(t *testing.T) {
 			case k < 4:
 				id := nextID
 				nextID++
-				s.Post(d, func() { fired = id })
+				if packets && id%2 == 1 {
+					s.PostPacket(d, onPkt, &packet.Packet{ID: uint64(id)})
+				} else {
+					s.Post(d, func() { fired = id })
+				}
 				arm(id, d)
 			case k < 6:
 				i := rng.Intn(nTimers)
@@ -220,5 +236,31 @@ func TestRepostReusesFiredEventFIFO(t *testing.T) {
 	}
 	if s.Now() != time.Millisecond {
 		t.Fatalf("clock %v, want 1ms", s.Now())
+	}
+}
+
+// TestPacketPostAllocatesNothing: in steady state a packet event takes
+// a recycled event and its handler is bound once, so posting and
+// firing one allocates nothing.
+func TestPacketPostAllocatesNothing(t *testing.T) {
+	s := New(1)
+	p := &packet.Packet{ID: 7}
+	n := 0
+	var fire func(*packet.Packet)
+	fire = func(got *packet.Packet) {
+		if got != p {
+			t.Fatalf("handler got packet %v, want %v", got, p)
+		}
+		n++
+		s.PostPacket(time.Duration(n%5)*time.Microsecond, fire, got)
+	}
+	for k := 0; k < 16; k++ {
+		s.PostPacket(time.Duration(k)*time.Microsecond, fire, p)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { s.Step() }); allocs != 0 {
+		t.Fatalf("a packet post and fire allocates %.1f times, want 0", allocs)
+	}
+	if n == 0 {
+		t.Fatal("no packet event fired")
 	}
 }

@@ -9,11 +9,21 @@
 // are deterministic for a fixed seed, which is what makes the paper's
 // tables reproducible bit-for-bit.
 //
-// A posted callback is fire-and-forget: nobody holds its event, so the
-// event returns to the Sim's free list once it fires and the next Post
-// reuses it. Callbacks that must be cancelled or moved are Timers and
-// Tickers, each of which owns one event and re-arms it in place. A
-// session therefore allocates no events in steady state.
+// An event is one of two shapes. A closure event (Post, PostAt) runs a
+// func(). A packet event (PostPacket) carries a *packet.Packet and a
+// handler that takes it, so a component that moves packets binds its
+// handler once (as a method value stored at construction) and then
+// posts each packet without making a closure. A component whose event
+// needs more than a packet keeps a pooled record of its own and posts a
+// func() bound once to that record. Both shapes share one queue and one
+// (when, seq) order.
+//
+// A posted event is fire-and-forget: nobody holds it, so it returns to
+// the Sim's free list once it fires and the next post reuses it.
+// Callbacks that must be cancelled or moved are Timers and Tickers,
+// each of which owns one event and re-arms it in place. A session
+// therefore allocates no events in steady state, and the hot posts
+// allocate nothing at all.
 package simtime
 
 import (
@@ -21,16 +31,21 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"repro/internal/packet"
 )
 
-// event is one queued callback. Events are ordered by (when, seq); seq
-// is drawn from the Sim each time the event is armed, so the order is
-// total and events armed for the same instant fire first-in, first-out.
+// event is one queued callback: fn, or onPkt applied to pkt. Events
+// are ordered by (when, seq); seq is drawn from the Sim each time the
+// event is armed, so the order is total and events armed for the same
+// instant fire first-in, first-out.
 type event struct {
-	when time.Duration
-	seq  uint64
-	fn   func()
-	idx  int // heap index; -1 when not queued
+	when  time.Duration
+	seq   uint64
+	fn    func()
+	onPkt func(*packet.Packet)
+	pkt   *packet.Packet
+	idx   int // heap index; -1 when not queued
 	// pooled marks a posted event: it goes back to the free list once it
 	// fires. Timer and Ticker events are never pooled.
 	pooled bool
@@ -88,14 +103,34 @@ func (s *Sim) PostAt(t time.Duration, fn func()) {
 	if fn == nil {
 		panic("simtime: nil event callback")
 	}
-	var e *event
-	if n := len(s.free); n > 0 {
-		e, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		e = &event{idx: -1, pooled: true}
-	}
+	e := s.alloc()
 	e.fn = fn
 	s.arm(e, t)
+}
+
+// PostPacket queues fn(p) to run after delay d (d < 0 is clamped to 0).
+// fn should be bound once by its owner, not made per call: then the
+// post allocates nothing. Like Post, the event cannot be cancelled.
+func (s *Sim) PostPacket(d time.Duration, fn func(*packet.Packet), p *packet.Packet) {
+	if fn == nil {
+		panic("simtime: nil packet handler")
+	}
+	if d < 0 {
+		d = 0
+	}
+	e := s.alloc()
+	e.onPkt, e.pkt = fn, p
+	s.arm(e, s.now+d)
+}
+
+// alloc takes a posted event from the free list, or makes one.
+func (s *Sim) alloc() *event {
+	if n := len(s.free); n > 0 {
+		e := s.free[n-1]
+		s.free = s.free[:n-1]
+		return e
+	}
+	return &event{idx: -1, pooled: true}
 }
 
 // arm queues e for time t (clamped to Now) under a fresh sequence
@@ -131,6 +166,40 @@ func (s *Sim) cancel(e *event) {
 	if i != last {
 		s.fix(i)
 	}
+}
+
+// pop removes and returns the earliest event. It walks the hole left
+// at the root down to a leaf along the earlier child, one comparison a
+// level, then sifts the last entry up from there: that entry is late,
+// so it rarely rises far.
+func (s *Sim) pop() *event {
+	q := s.queue
+	e := q[0]
+	e.idx = -1
+	last := len(q) - 1
+	x := q[last]
+	q[last] = nil
+	q = q[:last]
+	s.queue = q
+	if last == 0 {
+		return e
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if r := c + 1; r < last && q[r].less(q[c]) {
+			c = r
+		}
+		q[i] = q[c]
+		q[i].idx = i
+		i = c
+	}
+	q[i] = x
+	s.up(i)
+	return e
 }
 
 func (s *Sim) fix(i int) {
@@ -190,18 +259,21 @@ func (s *Sim) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	e := s.queue[0]
-	s.cancel(e)
+	e := s.pop()
 	if e.when > s.now {
 		s.now = e.when
 	}
 	s.executed++
-	fn := e.fn
+	fn, onPkt, pkt := e.fn, e.onPkt, e.pkt
 	if e.pooled {
-		e.fn = nil
+		e.fn, e.onPkt, e.pkt = nil, nil, nil
 		s.free = append(s.free, e)
 	}
-	fn()
+	if onPkt != nil {
+		onPkt(pkt)
+	} else {
+		fn()
+	}
 	return true
 }
 

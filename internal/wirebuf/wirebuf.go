@@ -6,6 +6,11 @@
 // against the bytes actually present before anything is allocated.
 // Every truncated read is io.ErrUnexpectedEOF; every declared length
 // or count past its cap wraps ErrFrameTooBig.
+//
+// Varints are minimal: every encoder writes them with
+// binary.AppendUvarint, and a reader refuses one padded with 0x80
+// continuation bytes (ErrPaddedVarint), so every value a reader
+// accepts has exactly one encoding.
 package wirebuf
 
 import (
@@ -22,6 +27,10 @@ import (
 // them.
 var ErrFrameTooBig = errors.New("wire: frame exceeds cap")
 
+// ErrPaddedVarint rejects a varint longer than its value needs: one
+// that ends in a 0x00 byte after a continuation byte.
+var ErrPaddedVarint = errors.New("wire: varint is not minimally encoded")
+
 // Zigzag maps signed to unsigned so small-magnitude negatives stay
 // short varints; Unzigzag inverts it.
 func Zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
@@ -31,6 +40,33 @@ func Unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
+}
+
+// ReadUvarint reads one uvarint from a stream, as binary.ReadUvarint
+// does, and refuses it with ErrPaddedVarint unless it is minimal. It
+// returns io.EOF only when no byte was read.
+func ReadUvarint(r io.ByteReader) (uint64, error) {
+	var v uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, err := r.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				break
+			}
+			if b == 0 && i > 0 {
+				return 0, ErrPaddedVarint
+			}
+			return v | uint64(b)<<(7*i), nil
+		}
+		v |= uint64(b&0x7f) << (7 * i)
+	}
+	return 0, fmt.Errorf("%w: uvarint overflows 64 bits", ErrFrameTooBig)
 }
 
 // Cursor is a bounds-checked reader over one in-memory frame. It never
@@ -61,6 +97,10 @@ func (c *Cursor) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(c.buf[c.off:])
 	if n <= 0 {
 		return 0, io.ErrUnexpectedEOF
+	}
+	// A minimal varint longer than one byte never ends in 0x00.
+	if n > 1 && c.buf[c.off+n-1] == 0 {
+		return 0, ErrPaddedVarint
 	}
 	c.off += n
 	return v, nil

@@ -49,6 +49,8 @@ type port struct {
 	node    Node
 	ingress simtime.Dist // node → switch
 	egress  simtime.Dist // switch → node
+	// deliver is node.DeliverFromDevice, bound once.
+	deliver func(*packet.Packet)
 }
 
 // Stats counts wired-network events. Forwarded is atomic because fleet
@@ -74,29 +76,34 @@ type Network struct {
 
 	lastTimeExceeded time.Duration
 
+	// routeFn is route, bound once so that posting a packet to it
+	// allocates nothing.
+	routeFn func(*packet.Packet)
+
 	Stats Stats
 }
 
 // New creates a wired network.
 func New(sim *simtime.Sim, fac *packet.Factory, cfg Config) *Network {
-	return &Network{
+	n := &Network{
 		sim:              sim,
 		cfg:              cfg,
 		fac:              fac,
 		ports:            make(map[packet.IPv4Addr]*port),
 		lastTimeExceeded: -time.Hour,
 	}
+	n.routeFn = n.route
+	return n
 }
 
 // AttachHost plugs a node into the switch with the given per-direction
 // delays (nil = none). The returned function is the node's transmit
 // device: wire it as the stack's Device.
 func (n *Network) AttachHost(node Node, ingress, egress simtime.Dist) func(*packet.Packet) {
-	p := &port{node: node, ingress: ingress, egress: egress}
+	p := &port{node: node, ingress: ingress, egress: egress, deliver: node.DeliverFromDevice}
 	n.ports[node.IP()] = p
 	return func(pkt *packet.Packet) {
-		d := n.sample(p.ingress)
-		n.sim.Post(d, func() { n.route(pkt) })
+		n.sim.PostPacket(n.sample(p.ingress), n.routeFn, pkt)
 	}
 }
 
@@ -128,7 +135,7 @@ func (n *Network) FromWLAN(p *packet.Packet) {
 		return
 	}
 	ip.TTL--
-	n.sim.Post(n.sample(n.cfg.FabricLatency), func() { n.route(p) })
+	n.sim.PostPacket(n.sample(n.cfg.FabricLatency), n.routeFn, p)
 }
 
 // route forwards a packet inside the wired segment.
@@ -140,7 +147,7 @@ func (n *Network) route(p *packet.Packet) {
 	if prt, ok := n.ports[ip.Dst]; ok {
 		n.Stats.Forwarded.Add(1)
 		d := n.sample(n.cfg.FabricLatency) + n.sample(prt.egress)
-		n.sim.Post(d, func() { prt.node.DeliverFromDevice(p) })
+		n.sim.PostPacket(d, prt.deliver, p)
 		return
 	}
 	if n.wlanSubnet != nil && n.wlanSubnet(ip.Dst) && n.toWLAN != nil {
@@ -153,7 +160,7 @@ func (n *Network) route(p *packet.Packet) {
 		}
 		ip.TTL--
 		n.Stats.Forwarded.Add(1)
-		n.sim.Post(n.sample(n.cfg.FabricLatency), func() { n.toWLAN(p) })
+		n.sim.PostPacket(n.sample(n.cfg.FabricLatency), n.toWLAN, p)
 		return
 	}
 	// No route: the packet is dropped.
@@ -170,13 +177,14 @@ func (n *Network) maybeTimeExceeded(orig *packet.Packet) {
 	}
 	n.lastTimeExceeded = n.sim.Now()
 	ip := orig.IPv4()
-	reply := n.fac.NewPacket(
-		&packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Src: n.cfg.GatewayIP, Dst: ip.Src},
+	reply := n.fac.NewIPv4(
+		packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Src: n.cfg.GatewayIP, Dst: ip.Src},
 		&packet.ICMP{Type: packet.ICMPTimeExceeded, Code: 0},
+		nil,
 	)
 	// The error goes back the way the packet came.
 	if n.wlanSubnet != nil && n.wlanSubnet(ip.Src) && n.toWLAN != nil {
-		n.sim.Post(n.sample(n.cfg.FabricLatency), func() { n.toWLAN(reply) })
+		n.sim.PostPacket(n.sample(n.cfg.FabricLatency), n.toWLAN, reply)
 		return
 	}
 	n.route(reply)
