@@ -4,7 +4,7 @@
 GO ?= go
 BENCH_FILE ?= BENCH_10.json
 
-.PHONY: build test race bench bench-json bench-gate fuzz-smoke e2e-restart e2e-churn e2e-cluster perfbench-smoke lint fmt ci
+.PHONY: build test race allocs bench bench-json bench-gate fuzz-smoke e2e-restart e2e-churn e2e-cluster perfbench-smoke lint fmt ci
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Allocation tests, run without the race detector: it changes
+# allocation counts, so TestSessionAllocs skips itself under -race.
+allocs:
+	$(GO) test -count=1 -run 'TestSessionAllocs|TestPacketPostAllocatesNothing|TestInlineHeaderSlots' ./internal/fleet ./internal/simtime ./internal/packet
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...
@@ -158,4 +163,4 @@ fmt:
 # Every step the workflow runs, in its job order: test (build, lint,
 # race, the three e2e suites, the benchmark harness smoke), fuzz-smoke,
 # then bench (record + regression gate).
-ci: build lint race e2e-restart e2e-churn e2e-cluster perfbench-smoke fuzz-smoke bench-json bench-gate
+ci: build lint race allocs e2e-restart e2e-churn e2e-cluster perfbench-smoke fuzz-smoke bench-json bench-gate

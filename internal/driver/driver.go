@@ -212,8 +212,9 @@ func fifoClamp(wm *time.Duration, at time.Duration) time.Duration {
 
 // xfer is one packet's trip through the driver in one direction: the
 // state a stage needs from an earlier one. Xfers are pooled per
-// direction, and each binds its four stage handlers once, when it is
-// made, so neither path makes a closure per packet.
+// direction. Each stage is posted as a method expression on the xfer,
+// and the bus callback is bound once when the xfer is made, so neither
+// path makes a closure per packet.
 type xfer struct {
 	d         *Driver
 	pkt       *packet.Packet
@@ -222,9 +223,8 @@ type xfer struct {
 	wasAsleep bool
 	ramp      time.Duration // tx: the idle clock ramp to pay
 
-	// dispatch runs in the dpc thread, acquired once the bus is up,
-	// ready when the bus transfer is set up, last at the hand-off.
-	dispatch, acquired, ready, last func()
+	// acquired runs once the bus is up: txAcquired or rxAcquired.
+	acquired func()
 }
 
 // newXfer takes a record from the direction's pool, or makes one.
@@ -240,11 +240,16 @@ func (d *Driver) newXfer(tx bool) *xfer {
 	}
 	x := &xfer{d: d}
 	if tx {
-		x.dispatch, x.acquired, x.ready, x.last = x.txDispatch, x.txAcquired, x.finishSend, x.txWrite
+		x.acquired = x.txAcquired
 	} else {
-		x.dispatch, x.acquired, x.ready, x.last = x.rxDispatch, x.rxAcquired, x.finishRecv, x.rxDeliver
+		x.acquired = x.rxAcquired
 	}
 	return x
+}
+
+// post queues stage(x) at absolute time at.
+func (x *xfer) post(at time.Duration, stage func(*xfer)) {
+	simtime.PostWith(x.d.sim, at-x.d.sim.Now(), stage, x)
 }
 
 // release returns x to its pool once its last stage has read it.
@@ -280,7 +285,7 @@ func (d *Driver) Send(ip *packet.Packet, done func(medium.TxResult)) {
 	dispatchAt := fifoClamp(&d.txDispatchWM, d.sim.Now()+prot+dpcLat)
 	x := d.newXfer(true)
 	x.pkt, x.t0, x.done, x.wasAsleep, x.ramp = ip, t0, done, wasAsleep, idleRamp
-	d.sim.PostAt(dispatchAt, x.dispatch)
+	x.post(dispatchAt, (*xfer).txDispatch)
 }
 
 func (x *xfer) txDispatch() {
@@ -297,7 +302,7 @@ func (x *xfer) txAcquired() {
 	clk := d.sample(d.cfg.ClkCtl) + x.ramp
 	d.tr.Add(d.sim.Now(), "dpc", d.nm.clkctl, "")
 	readyAt := fifoClamp(&d.txReadyWM, d.sim.Now()+clk)
-	d.sim.PostAt(readyAt, x.ready)
+	x.post(readyAt, (*xfer).finishSend)
 }
 
 func (x *xfer) finishSend() {
@@ -307,7 +312,7 @@ func (x *xfer) finishSend() {
 	d.tr.Addf(now, "dpc", d.nm.txpkt, "dvsend=%v", now-x.t0)
 	d.Instr.Send = append(d.Instr.Send, DvRecord{Latency: now - x.t0})
 	writeAt := fifoClamp(&d.txWriteWM, now+d.sample(d.cfg.TxBusWrite))
-	d.sim.PostAt(writeAt, x.last)
+	x.post(writeAt, (*xfer).txWrite)
 }
 
 func (x *xfer) txWrite() {
@@ -330,7 +335,7 @@ func (d *Driver) HandleFrameFromMAC(frame *packet.Packet) {
 	dispatchAt := fifoClamp(&d.rxDispatchWM, d.sim.Now()+dpcLat)
 	x := d.newXfer(false)
 	x.pkt, x.t0, x.wasAsleep = frame, t0, wasAsleep
-	d.sim.PostAt(dispatchAt, x.dispatch)
+	x.post(dispatchAt, (*xfer).rxDispatch)
 }
 
 func (x *xfer) rxDispatch() {
@@ -346,7 +351,7 @@ func (x *xfer) rxAcquired() {
 	read := d.sample(d.cfg.RxReadFrames)
 	d.tr.Add(d.sim.Now(), "dpc", d.nm.readframes, "")
 	readyAt := fifoClamp(&d.rxReadyWM, d.sim.Now()+read)
-	d.sim.PostAt(readyAt, x.ready)
+	x.post(readyAt, (*xfer).finishRecv)
 }
 
 func (x *xfer) finishRecv() {
@@ -359,7 +364,7 @@ func (x *xfer) finishRecv() {
 	d.bus.Touch()
 
 	deliverAt := fifoClamp(&d.rxDeliverWM, now+d.sample(d.cfg.RxDequeue))
-	d.sim.PostAt(deliverAt, x.last)
+	x.post(deliverAt, (*xfer).rxDeliver)
 }
 
 func (x *xfer) rxDeliver() {

@@ -188,54 +188,27 @@ func (st *Store) Compact(cutoffMS int64) (cells, sessions int64) {
 // EnforceCap demotes the globally coldest closed-window fine cells
 // into their rollups until the fine tier is back under MaxCells —
 // the janitor's complement to fold-time eviction, which runs only when
-// a mint finds the tier full. A window is closed exactly when it
-// starts before nowMS's window; cells in a still-open window are never
-// demoted — they are actively folding. One walk of the shards collects
-// the closed-window keys, and the cells − MaxCells coldest of them are
-// demoted in colder order; a pass walks again only when concurrent
-// folds or removals leave the tier over the cap. Returns how many
-// cells it demoted.
+// a mint finds the tier full. It runs that eviction's victim search
+// (evictColdestGlobal) bounded by nowMS's window: a window is closed
+// exactly when it starts before that one, and cells in a still-open
+// window are never demoted — they are actively folding. Returns how
+// many cells it demoted.
 func (st *Store) EnforceCap(nowMS int64) int64 {
 	if !st.CompactionEnabled() {
 		return 0
 	}
 	open := st.WindowFor(nowMS)
 	var n int64
-	for {
-		over := st.cells.Load() - st.maxCells
-		if over <= 0 {
-			return n
+	for st.cells.Load() > st.maxCells {
+		found, demoted := st.evictColdestGlobal(open)
+		if !found {
+			break
 		}
-		keys := st.closedKeys(open)
-		if len(keys) == 0 {
-			return n
-		}
-		for _, k := range coldestKeys(keys, int(min(over, int64(len(keys))))) {
-			if st.cells.Load() <= st.maxCells {
-				return n
-			}
-			if st.evict(&st.shards[keyHash(k)%uint64(len(st.shards))], k) {
-				n++
-			}
+		if demoted {
+			n++
 		}
 	}
-}
-
-// closedKeys returns the keys of every fine cell in a window that
-// starts before openMS, taking shard locks one at a time.
-func (st *Store) closedKeys(openMS int64) []Key {
-	var keys []Key
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for k := range sh.cells {
-			if k.WindowMS < openMS {
-				keys = append(keys, k)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return keys
+	return n
 }
 
 // colder orders keys coldest first: the older window, then keyLess.
@@ -282,9 +255,10 @@ func (st *Store) evictColdestLocked(sh *storeShard, newWindowMS int64) bool {
 // older cell existed — true even when a concurrent compaction or
 // eviction removed the victim first, since either way the caller's
 // retry may find room; false only when nothing older is left anywhere.
-func (st *Store) evictColdestGlobal(newWindowMS int64) (found bool) {
+// demoted reports whether this call demoted the victim itself.
+func (st *Store) evictColdestGlobal(newWindowMS int64) (found, demoted bool) {
 	if !st.CompactionEnabled() {
-		return false
+		return false, false
 	}
 	var vk Key
 	vs := -1
@@ -299,10 +273,9 @@ func (st *Store) evictColdestGlobal(newWindowMS int64) (found bool) {
 		sh.mu.Unlock()
 	}
 	if vs < 0 {
-		return false
+		return false, false
 	}
-	st.evict(&st.shards[vs], vk)
-	return true
+	return true, st.evict(&st.shards[vs], vk)
 }
 
 // evict unlinks fine cell k from shard sh under the shard lock, then

@@ -624,7 +624,7 @@ func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration,
 				// concurrent fold may take the freed slot first, so
 				// keep evicting until the mint wins or nothing older
 				// is left anywhere.
-				if st.evictColdestGlobal(k.WindowMS) {
+				if found, _ := st.evictColdestGlobal(k.WindowMS); found {
 					continue
 				}
 				st.dropped.Add(int64(len(sums)))

@@ -173,7 +173,7 @@ func (s *Stack) nextIPID() uint16 {
 // sendIP pushes a fully-formed IP packet down: syscall latency, bpf
 // stamp at dev_queue_xmit, then the device.
 func (s *Stack) sendIP(p *packet.Packet) {
-	s.sim.PostPacket(s.sample(s.cfg.SendLatency), s.xmit, p)
+	simtime.PostWith(s.sim, s.sample(s.cfg.SendLatency), s.xmit, p)
 }
 
 func (s *Stack) devQueueXmit(p *packet.Packet) {
@@ -190,7 +190,7 @@ func (s *Stack) DeliverFromDevice(p *packet.Packet) {
 	now := s.sim.Now()
 	s.bpf.capture(p, now)
 	s.tr.Addf(now, "kernel", "netif_rx", "pkt=%d", p.ID)
-	s.sim.PostPacket(s.sample(s.cfg.RecvLatency), s.demuxFn, p)
+	simtime.PostWith(s.sim, s.sample(s.cfg.RecvLatency), s.demuxFn, p)
 }
 
 func (s *Stack) demux(p *packet.Packet) {
@@ -235,7 +235,7 @@ func (s *Stack) demuxICMP(p *packet.Packet) {
 	}
 	if ic.IsEchoRequest() {
 		// Reply in kernel space, as real hosts do.
-		s.sim.PostPacket(s.sample(s.cfg.EchoLatency), s.echoFn, p)
+		simtime.PostWith(s.sim, s.sample(s.cfg.EchoLatency), s.echoFn, p)
 		return
 	}
 	if fn, ok := s.icmp[ic.ID]; ok {

@@ -200,7 +200,7 @@ func (a *AP) WiredDeliver(ipPkt *packet.Packet) {
 	if a.cfg.ForwardLatency != nil {
 		delay = a.cfg.ForwardLatency.Sample(a.sim)
 	}
-	a.sim.PostPacket(delay, a.forward, ipPkt)
+	simtime.PostWith(a.sim, delay, a.forward, ipPkt)
 }
 
 // forwardDown sends a bridged packet on to the station that owns its

@@ -120,10 +120,9 @@ type Medium struct {
 	taps     []Tap
 
 	// busy is set while air holds the frame occupying the channel;
-	// airDone, bound once, is posted to end its access round.
-	busy    bool
-	air     onAir
-	airDone func()
+	// endRound is posted to end its access round.
+	busy bool
+	air  onAir
 }
 
 // onAir is the access round in progress: the job dequeued from
@@ -137,14 +136,12 @@ type onAir struct {
 
 // New creates a medium over the given PHY.
 func New(sim *simtime.Sim, params phy.Params, opts Options) *Medium {
-	m := &Medium{
+	return &Medium{
 		sim:   sim,
 		phy:   params,
 		opts:  opts,
 		index: make(map[packet.MACAddr]int),
 	}
-	m.airDone = m.endRound
-	return m
 }
 
 // Attach joins a station to the channel.
@@ -258,7 +255,7 @@ func (m *Medium) kick() {
 	start := m.sim.Now() + access
 
 	m.air = onAir{job: job, src: winner, collided: collided, start: start, end: start + airtime}
-	m.sim.Post(busyFor, m.airDone)
+	simtime.PostWith(m.sim, busyFor, (*Medium).endRound, m)
 }
 
 // endRound ends the access round in m.air: a collided frame is retried

@@ -98,8 +98,6 @@ type Bus struct {
 	// lastActivity is when data last moved across the bus.
 	lastActivity time.Duration
 	pending      []func()
-	// wakeDone is wake, bound once.
-	wakeDone func()
 
 	// OnPower, when set, observes sleep transitions (energy accounting).
 	OnPower func(asleep bool)
@@ -125,7 +123,6 @@ func New(sim *simtime.Sim, cfg Config, tr *trace.Trace) *Bus {
 		cfg.IdleTime = 5
 	}
 	b := &Bus{sim: sim, cfg: cfg, tr: tr, lastActivity: sim.Now()}
-	b.wakeDone = b.wake
 	// The Sim keeps the ticker armed; nothing ever stops it.
 	simtime.NewTicker(sim, cfg.WatchdogInterval, cfg.WatchdogInterval, b.onWatchdog)
 	return b
@@ -206,7 +203,7 @@ func (b *Bus) Acquire(dir Direction, fn func()) {
 		lat = b.cfg.WakeRxLatency.Sample(b.sim)
 	}
 	b.tr.Addf(b.sim.Now(), b.cfg.Name, "bus_waking", "dir=%s lat=%v", dir, lat)
-	b.sim.Post(lat, b.wakeDone)
+	simtime.PostWith(b.sim, lat, (*Bus).wake, b)
 }
 
 // wake completes a wake and runs the acquisitions that waited for it.

@@ -20,7 +20,7 @@ type refEvent struct {
 // Timer.Stop and Step sequences and requires every fired callback to be
 // the one a sort by (when, seq) over the reference's pending set names.
 // Posted events recycle through the free list throughout. The second
-// pass posts every other event as a packet event (PostPacket), whose
+// pass posts every other event as a packet event (PostWith), whose
 // handler names the event by the packet it was handed, so packet and
 // closure events share one order and a recycled event never delivers a
 // stale packet.
@@ -63,7 +63,7 @@ func queueMatchesSortedReference(t *testing.T, packets bool) {
 				id := nextID
 				nextID++
 				if packets && id%2 == 1 {
-					s.PostPacket(d, onPkt, &packet.Packet{ID: uint64(id)})
+					PostWith(s, d, onPkt, &packet.Packet{ID: uint64(id)})
 				} else {
 					s.Post(d, func() { fired = id })
 				}
@@ -252,10 +252,10 @@ func TestPacketPostAllocatesNothing(t *testing.T) {
 			t.Fatalf("handler got packet %v, want %v", got, p)
 		}
 		n++
-		s.PostPacket(time.Duration(n%5)*time.Microsecond, fire, got)
+		PostWith(s, time.Duration(n%5)*time.Microsecond, fire, got)
 	}
 	for k := 0; k < 16; k++ {
-		s.PostPacket(time.Duration(k)*time.Microsecond, fire, p)
+		PostWith(s, time.Duration(k)*time.Microsecond, fire, p)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { s.Step() }); allocs != 0 {
 		t.Fatalf("a packet post and fire allocates %.1f times, want 0", allocs)

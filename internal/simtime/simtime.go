@@ -9,14 +9,13 @@
 // are deterministic for a fixed seed, which is what makes the paper's
 // tables reproducible bit-for-bit.
 //
-// An event is one of two shapes. A closure event (Post, PostAt) runs a
-// func(). A packet event (PostPacket) carries a *packet.Packet and a
-// handler that takes it, so a component that moves packets binds its
-// handler once (as a method value stored at construction) and then
-// posts each packet without making a closure. A component whose event
-// needs more than a packet keeps a pooled record of its own and posts a
-// func() bound once to that record. Both shapes share one queue and one
-// (when, seq) order.
+// Every event has one shape: a callback and one argument. Post and
+// PostAt queue a func() (the argument is unused). PostWith queues
+// fn(arg) for a pointer arg, so a component that moves packets or
+// pooled per-transfer records binds fn once (a method value stored at
+// construction, or a plain function) and then posts each one without
+// making a closure. All events share one queue and one (when, seq)
+// order.
 //
 // A posted event is fire-and-forget: nobody holds it, so it returns to
 // the Sim's free list once it fires and the next post reuses it.
@@ -31,25 +30,36 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"repro/internal/packet"
 )
 
-// event is one queued callback: fn, or onPkt applied to pkt. Events
-// are ordered by (when, seq); seq is drawn from the Sim each time the
-// event is armed, so the order is total and events armed for the same
-// instant fire first-in, first-out.
+// event is one queued call, fn.call(arg). Events are ordered by
+// (when, seq); seq is drawn from the Sim each time the event is armed,
+// so the order is total and events armed for the same instant fire
+// first-in, first-out.
 type event struct {
-	when  time.Duration
-	seq   uint64
-	fn    func()
-	onPkt func(*packet.Packet)
-	pkt   *packet.Packet
-	idx   int // heap index; -1 when not queued
+	when time.Duration
+	seq  uint64
+	fn   caller
+	arg  any
+	idx  int // heap index; -1 when not queued
 	// pooled marks a posted event: it goes back to the free list once it
 	// fires. Timer and Ticker events are never pooled.
 	pooled bool
 }
+
+// caller is an event's callback. Both implementations are func types,
+// so storing one in an event allocates nothing.
+type caller interface{ call(arg any) }
+
+// thunk is a func() callback; it ignores the argument.
+type thunk func()
+
+func (f thunk) call(any) { f() }
+
+// handler is a callback that takes one *T.
+type handler[T any] func(*T)
+
+func (f handler[T]) call(arg any) { f(arg.(*T)) }
 
 func (e *event) less(o *event) bool {
 	if e.when != o.when {
@@ -104,22 +114,22 @@ func (s *Sim) PostAt(t time.Duration, fn func()) {
 		panic("simtime: nil event callback")
 	}
 	e := s.alloc()
-	e.fn = fn
+	e.fn = thunk(fn)
 	s.arm(e, t)
 }
 
-// PostPacket queues fn(p) to run after delay d (d < 0 is clamped to 0).
+// PostWith queues fn(arg) to run after delay d (d < 0 is clamped to 0).
 // fn should be bound once by its owner, not made per call: then the
 // post allocates nothing. Like Post, the event cannot be cancelled.
-func (s *Sim) PostPacket(d time.Duration, fn func(*packet.Packet), p *packet.Packet) {
+func PostWith[T any](s *Sim, d time.Duration, fn func(*T), arg *T) {
 	if fn == nil {
-		panic("simtime: nil packet handler")
+		panic("simtime: nil event callback")
 	}
 	if d < 0 {
 		d = 0
 	}
 	e := s.alloc()
-	e.onPkt, e.pkt = fn, p
+	e.fn, e.arg = handler[T](fn), arg
 	s.arm(e, s.now+d)
 }
 
@@ -166,40 +176,6 @@ func (s *Sim) cancel(e *event) {
 	if i != last {
 		s.fix(i)
 	}
-}
-
-// pop removes and returns the earliest event. It walks the hole left
-// at the root down to a leaf along the earlier child, one comparison a
-// level, then sifts the last entry up from there: that entry is late,
-// so it rarely rises far.
-func (s *Sim) pop() *event {
-	q := s.queue
-	e := q[0]
-	e.idx = -1
-	last := len(q) - 1
-	x := q[last]
-	q[last] = nil
-	q = q[:last]
-	s.queue = q
-	if last == 0 {
-		return e
-	}
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= last {
-			break
-		}
-		if r := c + 1; r < last && q[r].less(q[c]) {
-			c = r
-		}
-		q[i] = q[c]
-		q[i].idx = i
-		i = c
-	}
-	q[i] = x
-	s.up(i)
-	return e
 }
 
 func (s *Sim) fix(i int) {
@@ -259,21 +235,18 @@ func (s *Sim) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	e := s.pop()
+	e := s.queue[0]
+	s.cancel(e)
 	if e.when > s.now {
 		s.now = e.when
 	}
 	s.executed++
-	fn, onPkt, pkt := e.fn, e.onPkt, e.pkt
+	fn, arg := e.fn, e.arg
 	if e.pooled {
-		e.fn, e.onPkt, e.pkt = nil, nil, nil
+		e.fn, e.arg = nil, nil
 		s.free = append(s.free, e)
 	}
-	if onPkt != nil {
-		onPkt(pkt)
-	} else {
-		fn()
-	}
+	fn.call(arg)
 	return true
 }
 

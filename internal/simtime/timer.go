@@ -19,7 +19,7 @@ func NewTimer(sim *Sim, fn func()) *Timer {
 	if fn == nil {
 		panic("simtime: nil timer callback")
 	}
-	return &Timer{sim: sim, ev: event{fn: fn, idx: -1}}
+	return &Timer{sim: sim, ev: event{fn: thunk(fn), idx: -1}}
 }
 
 // Reset (re)arms the timer to fire after d (d < 0 is clamped to 0). It
@@ -70,7 +70,7 @@ func NewTicker(sim *Sim, period, offset time.Duration, fn func()) *Ticker {
 		panic("simtime: nil ticker callback")
 	}
 	t := &Ticker{sim: sim, period: period, fn: fn, phase: sim.Now() + offset}
-	t.ev = event{fn: t.tick, idx: -1}
+	t.ev = event{fn: thunk(t.tick), idx: -1}
 	if offset < 0 {
 		offset = 0
 	}

@@ -103,7 +103,7 @@ func (n *Network) AttachHost(node Node, ingress, egress simtime.Dist) func(*pack
 	p := &port{node: node, ingress: ingress, egress: egress, deliver: node.DeliverFromDevice}
 	n.ports[node.IP()] = p
 	return func(pkt *packet.Packet) {
-		n.sim.PostPacket(n.sample(p.ingress), n.routeFn, pkt)
+		simtime.PostWith(n.sim, n.sample(p.ingress), n.routeFn, pkt)
 	}
 }
 
@@ -135,7 +135,7 @@ func (n *Network) FromWLAN(p *packet.Packet) {
 		return
 	}
 	ip.TTL--
-	n.sim.PostPacket(n.sample(n.cfg.FabricLatency), n.routeFn, p)
+	simtime.PostWith(n.sim, n.sample(n.cfg.FabricLatency), n.routeFn, p)
 }
 
 // route forwards a packet inside the wired segment.
@@ -147,7 +147,7 @@ func (n *Network) route(p *packet.Packet) {
 	if prt, ok := n.ports[ip.Dst]; ok {
 		n.Stats.Forwarded.Add(1)
 		d := n.sample(n.cfg.FabricLatency) + n.sample(prt.egress)
-		n.sim.PostPacket(d, prt.deliver, p)
+		simtime.PostWith(n.sim, d, prt.deliver, p)
 		return
 	}
 	if n.wlanSubnet != nil && n.wlanSubnet(ip.Dst) && n.toWLAN != nil {
@@ -160,7 +160,7 @@ func (n *Network) route(p *packet.Packet) {
 		}
 		ip.TTL--
 		n.Stats.Forwarded.Add(1)
-		n.sim.PostPacket(n.sample(n.cfg.FabricLatency), n.toWLAN, p)
+		simtime.PostWith(n.sim, n.sample(n.cfg.FabricLatency), n.toWLAN, p)
 		return
 	}
 	// No route: the packet is dropped.
@@ -184,7 +184,7 @@ func (n *Network) maybeTimeExceeded(orig *packet.Packet) {
 	)
 	// The error goes back the way the packet came.
 	if n.wlanSubnet != nil && n.wlanSubnet(ip.Src) && n.toWLAN != nil {
-		n.sim.PostPacket(n.sample(n.cfg.FabricLatency), n.toWLAN, reply)
+		simtime.PostWith(n.sim, n.sample(n.cfg.FabricLatency), n.toWLAN, reply)
 		return
 	}
 	n.route(reply)
