@@ -16,9 +16,10 @@ race:
 	$(GO) test -race ./...
 
 # Allocation tests, run without the race detector: it changes
-# allocation counts, so TestSessionAllocs skips itself under -race.
+# allocation counts, so TestSessionAllocs and
+# TestStoreFoldChurnAllocatesNothing skip themselves under -race.
 allocs:
-	$(GO) test -count=1 -run 'TestSessionAllocs|TestPacketPostAllocatesNothing|TestInlineHeaderSlots' ./internal/fleet ./internal/simtime ./internal/packet
+	$(GO) test -count=1 -run 'TestSessionAllocs|TestPacketPostAllocatesNothing|TestInlineHeaderSlots|TestStoreFoldChurnAllocatesNothing' ./internal/fleet ./internal/simtime ./internal/packet ./internal/ingest
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...

@@ -42,6 +42,9 @@ const (
 
 	flagReset     = 1 << 0
 	flagKnowledge = 1 << 1
+	// flagsKnown is every flag this version defines. A frame setting
+	// any other bit is refused: a new flag is a new gossipWireVersion.
+	flagsKnown = flagReset | flagKnowledge
 )
 
 var gossipMagic = []byte{'A', 'C', 'M', 'G'}
@@ -168,6 +171,9 @@ func DecodeDelta(data []byte) (*Delta, error) {
 	flags, err := d.Byte()
 	if err != nil {
 		return nil, err
+	}
+	if flags&^byte(flagsKnown) != 0 {
+		return nil, fmt.Errorf("cluster: unknown gossip flag bits %#x", flags&^byte(flagsKnown))
 	}
 	out := &Delta{Reset: flags&flagReset != 0}
 	for _, p := range [...]*string{&out.NodeID, &out.BootID} {

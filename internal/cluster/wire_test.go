@@ -187,11 +187,14 @@ func hostileGossipFrames(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	frames := map[string][]byte{
-		"empty":       {},
-		"bad-magic":   []byte("NOPE"),
-		"bad-version": {'A', 'C', 'M', 'G', 99, 0},
-		"truncated":   valid[:len(valid)-3],
-		"trailing":    append(append([]byte{}, valid...), 0xAA),
+		// Flags 0x30 on an otherwise well-formed empty delta: no bit
+		// this version defines, so re-encoding would drop them.
+		"unknown-flags": binary.AppendUvarint(binary.AppendUvarint(header(0x30), 0), 0),
+		"empty":         {},
+		"bad-magic":     []byte("NOPE"),
+		"bad-version":   {'A', 'C', 'M', 'G', 99, 0},
+		"truncated":     valid[:len(valid)-3],
+		"trailing":      append(append([]byte{}, valid...), 0xAA),
 	}
 	// node-id length bomb: declares 2^60 bytes for the id string.
 	frames["nodeid-bomb"] = append([]byte{'A', 'C', 'M', 'G', gossipWireVersion, 0}, maxUvarint...)
@@ -295,6 +298,31 @@ func TestHostileGossipFramesRejected(t *testing.T) {
 	// The cap sentinel error is used for declared-length violations.
 	if _, err := DecodeDelta(hostileGossipFrames(t)["removal-count-bomb"]); !errors.Is(err, wirebuf.ErrFrameTooBig) {
 		t.Errorf("removal-count-bomb: want ErrFrameTooBig, got %v", err)
+	}
+}
+
+// TestDecodeDeltaRefusesUnknownFlags: each flag bit this version does
+// not define is refused on an otherwise valid frame, as the ACMB
+// summary wire refuses its unknown bits: an accepted frame would
+// re-encode without them.
+func TestDecodeDeltaRefusesUnknownFlags(t *testing.T) {
+	valid, err := AppendDelta(nil, &Delta{NodeID: "n", BootID: "b", Epoch: 3, Reset: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagsAt := len(gossipMagic) + 1 // after the version byte
+	if _, err := DecodeDelta(valid); err != nil {
+		t.Fatalf("valid frame refused: %v", err)
+	}
+	for bit := 0; bit < 8; bit++ {
+		if byte(1)<<bit&(flagReset|flagKnowledge) != 0 {
+			continue
+		}
+		frame := append([]byte{}, valid...)
+		frame[flagsAt] |= 1 << bit
+		if d, err := DecodeDelta(frame); err == nil {
+			t.Errorf("flags %#x accepted as %+v", frame[flagsAt], d)
+		}
 	}
 }
 

@@ -244,13 +244,56 @@ func BenchmarkStoreFoldSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreFoldChurn prices the churn shape: every summary a new
-// identity, folded at the cell cap, so each fold mints a fine cell and
-// evicts an older one into a per-identity rollup, and the rollup tier
-// collapses into the overflow cell at its own cap. ns/op and allocs/op
-// are per summary, measured after the rollup tier has filled.
+// BenchmarkStoreFoldChurn prices the churn shape (see churnFolder).
+// ns/op and allocs/op are per summary, measured after the rollup tier
+// has filled.
 func BenchmarkStoreFoldChurn(b *testing.B) {
 	b.ReportAllocs()
+	_, fold := churnFolder(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fold()
+	}
+}
+
+// TestStoreFoldChurnAllocatesNothing gates BenchmarkStoreFoldChurn's
+// fold at zero allocations per summary: past warm-up, the mint, the
+// fold-time eviction, the rollup absorb and the rollup collapse reuse
+// recycled cells and kept capacity. It skips under the race detector,
+// which allocates for its own bookkeeping; make allocs runs it.
+func TestStoreFoldChurnAllocatesNothing(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts under -race are not the program's")
+	}
+	st, fold := churnFolder(t)
+	overflow := func() int64 {
+		st.rollupMu.Lock()
+		defer st.rollupMu.Unlock()
+		if c := st.rollups[Key{Device: OverflowLabel, Group: OverflowLabel, WindowMS: overflowWindowMS}]; c != nil {
+			return c.Sessions
+		}
+		return 0
+	}
+	const runs = 2048 // two collapse passes of the rollup tier, and more
+	evicted, collapsed := st.Evicted(), overflow()
+	if a := testing.AllocsPerRun(runs, fold); a != 0 {
+		t.Fatalf("the churn fold allocates %v times per summary; want 0", a)
+	}
+	// AllocsPerRun makes one warm-up call before its runs.
+	if n := st.Evicted() - evicted; n != runs+1 {
+		t.Fatalf("%d of %d folds evicted a cell", n, runs+1)
+	}
+	if overflow() == collapsed {
+		t.Fatal("no rollup collapsed into the overflow cell during the measured folds")
+	}
+}
+
+// churnFolder returns a store at its cell cap and a fold that adds one
+// summary of a new identity to it: every call mints a fine cell and
+// evicts an older one into a per-identity rollup, and every capCells/8
+// calls the rollup tier collapses into the overflow cell at its own
+// cap. Both tiers have filled before it returns.
+func churnFolder(tb testing.TB) (*Store, func()) {
 	const capCells = 1024
 	st := NewStore(time.Second, 0)
 	st.SetMaxCells(capCells)
@@ -267,17 +310,14 @@ func BenchmarkStoreFoldChurn(b *testing.B) {
 		s[0].TimeMS = int64(n/capCells) * 1000 // a new window every capCells identities
 		k := st.KeyFor(&s[0])
 		if st.FoldRun(k, keyHash(k), s, corrs, srcs) == 0 {
-			b.Fatal("churn fold dropped")
+			tb.Fatal("churn fold dropped")
 		}
 		n++
 	}
 	for n < 3*capCells {
 		fold()
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fold()
-	}
+	return st, fold
 }
 
 // BenchmarkDecodeBatch prices wire parsing, usually the hot half of the

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"slices"
 	"sync"
 	"time"
 )
@@ -154,31 +153,24 @@ func (st *Store) rollupKey(k Key) Key {
 // cutoffMS into its rollup cell, returning how many cells (and the
 // sessions they carried) were demoted — lossless for
 // counts/moments/histograms, bounded-error for sketch quantiles per the
-// agg merge laws.
+// agg merge laws. Expiry follows the window, so each shard's expired
+// cells are the head of its cold order and leave it coldest first.
 func (st *Store) Compact(cutoffMS int64) (cells, sessions int64) {
 	if !st.CompactionEnabled() {
 		return 0, 0
 	}
+	// A window has closed at the cutoff when it starts before this.
+	closed := cutoffMS - st.windowMS + 1
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		var expired []*Cell
-		for k, c := range sh.cells {
-			if k.WindowMS+st.windowMS <= cutoffMS {
-				delete(sh.cells, k)
-				expired = append(expired, c)
-			}
-		}
-		sh.mu.Unlock()
-		if len(expired) == 0 {
-			continue
-		}
-		st.cells.Add(int64(-len(expired)))
-		for _, c := range expired {
+		for c := sh.takeColdest(closed); c != nil; c = sh.takeColdest(closed) {
+			st.cells.Add(-1)
 			sessions += c.Sessions
+			cells++
 			st.absorbIntoRollup(c)
 		}
-		cells += int64(len(expired))
+		sh.mu.Unlock()
 	}
 	st.compacted.Add(cells)
 	st.compactedSessions.Add(sessions)
@@ -212,7 +204,8 @@ func (st *Store) EnforceCap(nowMS int64) int64 {
 }
 
 // colder orders keys coldest first: the older window, then keyLess.
-// Every eviction and collapse picks its victims in this order.
+// Every eviction, compaction and collapse takes its victims in this
+// order.
 func colder(a, b Key) bool {
 	if a.WindowMS != b.WindowMS {
 		return a.WindowMS < b.WindowMS
@@ -220,27 +213,81 @@ func colder(a, b Key) bool {
 	return keyLess(a, b)
 }
 
+// coldOrder is a binary min-heap of cells in colder order, so its head
+// is the coldest cell. Each store shard keeps one over its fine cells
+// and the store one over its rollups (the overflow cell excepted):
+// every retention victim is a head, taken in O(log n) instead of a
+// scan. A cell's key never changes while it is in a heap.
+type coldOrder []*Cell
+
+func (h coldOrder) less(i, j int) bool { return colder(h[i].Key, h[j].Key) }
+
+func (h *coldOrder) push(c *Cell) {
+	*h = append(*h, c)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+// pop removes and returns the head; the heap must not be empty.
+func (h *coldOrder) pop() *Cell {
+	s := *h
+	c, n := s[0], len(s)-1
+	s[0], s[n] = s[n], nil
+	s = s[:n]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		if r := l + 1; r < n && s.less(r, l) {
+			l = r
+		}
+		if !s.less(l, i) {
+			break
+		}
+		s[i], s[l] = s[l], s[i]
+		i = l
+	}
+	*h = s
+	return c
+}
+
+// takeColdest unlinks and returns the shard's coldest cell when its
+// window starts before beforeMS, else nil. Called with sh.mu held.
+func (sh *storeShard) takeColdest(beforeMS int64) *Cell {
+	if len(sh.cold) == 0 || sh.cold[0].Key.WindowMS >= beforeMS {
+		return nil
+	}
+	c := sh.cold.pop()
+	delete(sh.cells, c.Key)
+	return c
+}
+
 // evictColdestLocked demotes this shard's coldest cell into its rollup
-// to make room for a new cell, called with sh.mu held. Only cells in a
-// window strictly older than the incoming key's qualify — a
-// same-window cardinality flood finds nothing to evict and is dropped
-// (and counted) by the caller instead of churning live cells.
+// to make room for a new cell, called with sh.mu held, and counts it
+// as evicted. Only a cell in a window strictly older than the incoming
+// key's qualifies — a same-window cardinality flood finds nothing to
+// evict and is dropped (and counted) by the caller instead of churning
+// live cells.
 func (st *Store) evictColdestLocked(sh *storeShard, newWindowMS int64) bool {
 	if !st.CompactionEnabled() {
 		return false
 	}
-	var victim *Cell
-	for k, c := range sh.cells {
-		if k.WindowMS < newWindowMS && (victim == nil || colder(k, victim.Key)) {
-			victim = c
-		}
-	}
+	victim := sh.takeColdest(newWindowMS)
 	if victim == nil {
 		return false
 	}
-	delete(sh.cells, victim.Key)
 	st.cells.Add(-1)
-	st.demote(victim)
+	st.evicted.Add(1)
+	st.compactedSessions.Add(victim.Sessions)
+	st.absorbIntoRollup(victim)
 	return true
 }
 
@@ -250,12 +297,13 @@ func (st *Store) evictColdestLocked(sh *storeShard, newWindowMS int64) bool {
 // can receive more new-window cells than it holds old-window victims,
 // so shard-local eviction alone strands cold cells in other shards and
 // forces drops even though the store as a whole has room to reclaim.
-// Shard locks are taken one at a time (never nested), so this cannot
-// deadlock against concurrent folds. found reports whether a strictly
-// older cell existed — true even when a concurrent compaction or
-// eviction removed the victim first, since either way the caller's
-// retry may find room; false only when nothing older is left anywhere.
-// demoted reports whether this call demoted the victim itself.
+// It compares the shard heads, then evicts the winner's, taking shard
+// locks one at a time (never nested), so it cannot deadlock against
+// concurrent folds. found reports whether a strictly older cell
+// existed — true even when a concurrent compaction or eviction took
+// that shard's older cells first, since either way the caller's retry
+// may find room; false only when nothing older is left anywhere.
+// demoted reports whether this call demoted a cell itself.
 func (st *Store) evictColdestGlobal(newWindowMS int64) (found, demoted bool) {
 	if !st.CompactionEnabled() {
 		return false, false
@@ -265,42 +313,19 @@ func (st *Store) evictColdestGlobal(newWindowMS int64) (found, demoted bool) {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		for k := range sh.cells {
-			if k.WindowMS < newWindowMS && (vs < 0 || colder(k, vk)) {
-				vk, vs = k, i
-			}
+		if len(sh.cold) > 0 && sh.cold[0].Key.WindowMS < newWindowMS && (vs < 0 || colder(sh.cold[0].Key, vk)) {
+			vk, vs = sh.cold[0].Key, i
 		}
 		sh.mu.Unlock()
 	}
 	if vs < 0 {
 		return false, false
 	}
-	return true, st.evict(&st.shards[vs], vk)
-}
-
-// evict unlinks fine cell k from shard sh under the shard lock, then
-// demotes it. False when the cell was already gone (a concurrent
-// compaction or eviction took it).
-func (st *Store) evict(sh *storeShard, k Key) bool {
+	sh := &st.shards[vs]
 	sh.mu.Lock()
-	c, ok := sh.cells[k]
-	if ok {
-		delete(sh.cells, k)
-		st.cells.Add(-1)
-	}
+	demoted = st.evictColdestLocked(sh, newWindowMS)
 	sh.mu.Unlock()
-	if ok {
-		st.demote(c)
-	}
-	return ok
-}
-
-// demote counts an unlinked fine cell as evicted and absorbs it into
-// its rollup.
-func (st *Store) demote(c *Cell) {
-	st.evicted.Add(1)
-	st.compactedSessions.Add(c.Sessions)
-	st.absorbIntoRollup(c)
+	return true, demoted
 }
 
 // absorbIntoRollup merges one demoted fine cell into its rollup cell,
@@ -320,6 +345,7 @@ func (st *Store) absorbIntoRollup(c *Cell) {
 		dst = st.mintCell(rk)
 		dst.SpanMS = st.rollupMS
 		st.rollups[rk] = dst
+		st.rollupCold.push(dst)
 		st.rollupN.Add(1)
 	}
 	dst.Merge(c)
@@ -330,35 +356,23 @@ func (st *Store) absorbIntoRollup(c *Cell) {
 }
 
 // capRollupsLocked bounds the rollup tier at MaxCells: past it, the
-// coldest non-overflow rollups collapse into the single overflow cell
-// (identity and window dropped, totals preserved) and are recycled.
-// Evicts down to ~7/8 of the cap in one pass so the scan amortizes
-// instead of running per absorbed cell. The pass orders only its
-// victims — rollupN−target of them, plus one when it mints the
-// overflow cell — not the whole tier. Called with rollupMu held.
+// coldest non-overflow rollups — the heads of rollupCold — collapse
+// into the single overflow cell (identity and window dropped, totals
+// preserved) and are recycled. Evicts down to ~7/8 of the cap in one
+// pass, so a pass runs once per MaxCells/8 rollup mints rather than per
+// absorbed cell. Minting the overflow cell counts against the tier, so
+// that pass takes one victim more. Called with rollupMu held.
 func (st *Store) capRollupsLocked() {
-	n := st.rollupN.Load()
-	if n <= st.maxCells {
+	if st.rollupN.Load() <= st.maxCells {
 		return
 	}
 	target := st.maxCells - st.maxCells/8
 	ok := Key{Device: OverflowLabel, Group: OverflowLabel, WindowMS: overflowWindowMS}
-	victims := n - target
-	if _, exists := st.rollups[ok]; !exists {
-		victims++
-	}
-	all := st.rollupScratch[:0]
-	for k := range st.rollups {
-		if k.WindowMS != overflowWindowMS {
-			all = append(all, k)
-		}
-	}
-	for _, k := range coldestKeys(all, int(min(victims, int64(len(all))))) {
-		if st.rollupN.Load() <= target {
-			break
-		}
-		c := st.rollups[k]
-		delete(st.rollups, k)
+	// target is at least 1, so past it the tier holds a rollup besides
+	// the overflow cell, and rollupCold is not empty.
+	for st.rollupN.Load() > target {
+		c := st.rollupCold.pop()
+		delete(st.rollups, c.Key)
 		st.rollupN.Add(-1)
 		dst, exists := st.rollups[ok]
 		if !exists {
@@ -368,68 +382,10 @@ func (st *Store) capRollupsLocked() {
 			st.rollupN.Add(1)
 		}
 		dst.Merge(c)
-		st.recycle(c)
 		dst.Epoch = st.epoch.Add(1)
-		st.logRemoval(k)
+		st.logRemoval(c.Key)
+		st.recycle(c)
 	}
-	clear(all) // drop the key strings until the next pass
-	st.rollupScratch = all[:0]
-}
-
-// coldestKeys reorders keys so that its first n entries are the n
-// coldest in colder order, sorted, and returns them; 0 <= n <=
-// len(keys). A quickselect partitions the rest without ordering it.
-// colder is a strict total order over distinct keys, so the result is
-// exactly the first n keys of a full sort.
-func coldestKeys(keys []Key, n int) []Key {
-	lo, hi := 0, len(keys)-1
-	for n > 0 && lo < hi {
-		p := partitionColder(keys, lo, hi)
-		switch {
-		case p == n-1:
-			lo = hi
-		case p < n-1:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
-	}
-	out := keys[:n]
-	slices.SortFunc(out, func(a, b Key) int {
-		if colder(a, b) {
-			return -1
-		}
-		if colder(b, a) {
-			return 1
-		}
-		return 0
-	})
-	return out
-}
-
-// partitionColder partitions keys[lo..hi] around a median-of-three
-// pivot and returns the pivot's final index: everything before it is
-// colder, everything after it warmer.
-func partitionColder(keys []Key, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	if colder(keys[mid], keys[lo]) {
-		keys[mid], keys[lo] = keys[lo], keys[mid]
-	}
-	if colder(keys[hi], keys[lo]) {
-		keys[hi], keys[lo] = keys[lo], keys[hi]
-	}
-	if colder(keys[mid], keys[hi]) {
-		keys[mid], keys[hi] = keys[hi], keys[mid]
-	}
-	pivot, i := keys[hi], lo
-	for j := lo; j < hi; j++ {
-		if colder(keys[j], pivot) {
-			keys[i], keys[j] = keys[j], keys[i]
-			i++
-		}
-	}
-	keys[i], keys[hi] = keys[hi], keys[i]
-	return i
 }
 
 // logRemoval records a deleted cell key at a fresh epoch so stream

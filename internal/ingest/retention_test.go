@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -307,38 +308,6 @@ func TestRollupOverflowCollapse(t *testing.T) {
 	} {
 		if !reflect.DeepEqual(got, wantKeys) {
 			t.Errorf("%s keys %+v; Snapshot has %+v", name, got, wantKeys)
-		}
-	}
-}
-
-// TestColdestKeysMatchesSort: the collapse pass's partial selection
-// picks exactly the prefix a full colder-order sort would, in the same
-// order — over random keys, many sharing a window, for every victim
-// count from none to all.
-func TestColdestKeysMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 300; trial++ {
-		seen := map[Key]bool{}
-		var keys []Key
-		for n := rng.Intn(200); len(keys) < n; {
-			k := Key{
-				Device:   fmt.Sprintf("dev-%d", rng.Intn(60)),
-				Group:    fmt.Sprintf("g%d", rng.Intn(3)),
-				Scenario: fmt.Sprintf("s%d", rng.Intn(2)),
-				WindowMS: int64(rng.Intn(4)) * 1000,
-			}
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-		want := append([]Key(nil), keys...)
-		sort.Slice(want, func(i, j int) bool { return colder(want[i], want[j]) })
-		for _, n := range []int{0, 1, rng.Intn(len(keys) + 1), len(keys) / 8, len(keys)} {
-			got := coldestKeys(append([]Key(nil), keys...), n)
-			if !reflect.DeepEqual(got, want[:n]) && (n > 0 || len(got) != 0) {
-				t.Fatalf("trial %d: %d coldest of %d keys = %v, full sort gives %v", trial, n, len(keys), got, want[:n])
-			}
 		}
 	}
 }
@@ -930,4 +899,267 @@ func TestCellRowsMergeRemintedTwin(t *testing.T) {
 			t.Fatalf("single-node row %+v differs from merged %+v", stats[0], StatsFor(c))
 		}
 	}
+}
+
+// retentionModel replays retention's rules over plain maps of session
+// counts and picks every victim by a full colder-order sort of the tier
+// as it stands, so a store that keeps its cells in any other order, or
+// takes a wrong victim, logs removals the model does not.
+type retentionModel struct {
+	windowMS, rollupMS, maxCells int64
+	fine                         []map[Key]int64 // per store shard
+	rollups                      map[Key]int64   // the overflow cell excepted
+	overflow                     int64
+	hasOverflow                  bool
+	dropped                      int64
+	removed                      []Key // removals logged, in order
+
+	// How often each kind of victim was taken, so the test can show it
+	// exercised every path.
+	local, global, capped, compacted, collapsed int
+}
+
+func (m *retentionModel) allShards() []int {
+	all := make([]int, len(m.fine))
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+func (m *retentionModel) cells() (n int64) {
+	for _, sh := range m.fine {
+		n += int64(len(sh))
+	}
+	return n
+}
+
+// coldest returns the coldest fine cell of the given shards whose
+// window starts before beforeMS, by sorting all of them.
+func (m *retentionModel) coldest(shards []int, beforeMS int64) (k Key, shard int, ok bool) {
+	type entry struct {
+		k     Key
+		shard int
+	}
+	var all []entry
+	for _, i := range shards {
+		for k := range m.fine[i] {
+			if k.WindowMS < beforeMS {
+				all = append(all, entry{k, i})
+			}
+		}
+	}
+	if len(all) == 0 {
+		return Key{}, 0, false
+	}
+	sort.Slice(all, func(i, j int) bool { return colder(all[i].k, all[j].k) })
+	return all[0].k, all[0].shard, true
+}
+
+func (m *retentionModel) demote(shard int, k Key) {
+	s := m.fine[shard][k]
+	delete(m.fine[shard], k)
+	m.removed = append(m.removed, k)
+	m.rollups[Key{Device: k.Device, Group: k.Group, Scenario: k.Scenario, WindowMS: k.WindowMS - k.WindowMS%m.rollupMS}] += s
+	n := int64(len(m.rollups))
+	if m.hasOverflow {
+		n++
+	}
+	if n <= m.maxCells {
+		return
+	}
+	keys := make([]Key, 0, len(m.rollups))
+	for rk := range m.rollups {
+		keys = append(keys, rk)
+	}
+	sort.Slice(keys, func(i, j int) bool { return colder(keys[i], keys[j]) })
+	for _, rk := range keys {
+		if n <= m.maxCells-m.maxCells/8 {
+			break
+		}
+		m.overflow += m.rollups[rk]
+		delete(m.rollups, rk)
+		m.removed = append(m.removed, rk)
+		m.collapsed++
+		if !m.hasOverflow {
+			m.hasOverflow = true
+			n++
+		}
+		n--
+	}
+}
+
+func (m *retentionModel) fold(k Key, shard int) bool {
+	for {
+		if _, ok := m.fine[shard][k]; ok {
+			m.fine[shard][k]++
+			return true
+		}
+		if m.cells() >= m.maxCells {
+			if v, _, ok := m.coldest([]int{shard}, k.WindowMS); ok {
+				m.local++
+				m.demote(shard, v)
+			} else if v, vs, ok := m.coldest(m.allShards(), k.WindowMS); ok {
+				m.global++
+				m.demote(vs, v)
+				continue
+			} else {
+				m.dropped++
+				return false
+			}
+		}
+		m.fine[shard][k] = 1
+		return true
+	}
+}
+
+func (m *retentionModel) compact(cutoffMS int64) (cells, sessions int64) {
+	for i, sh := range m.fine {
+		var expired []Key
+		for k, s := range sh {
+			if k.WindowMS+m.windowMS <= cutoffMS {
+				expired = append(expired, k)
+				sessions += s
+			}
+		}
+		sort.Slice(expired, func(a, b int) bool { return colder(expired[a], expired[b]) })
+		for _, k := range expired {
+			m.compacted++
+			m.demote(i, k)
+		}
+		cells += int64(len(expired))
+	}
+	return cells, sessions
+}
+
+func (m *retentionModel) enforceCap(openMS int64) (n int64) {
+	for m.cells() > m.maxCells {
+		v, vs, ok := m.coldest(m.allShards(), openMS)
+		if !ok {
+			break
+		}
+		m.capped++
+		m.demote(vs, v)
+		n++
+	}
+	return n
+}
+
+// TestRetentionVictimsMatchSort is the differential test of retention's
+// victim choice. On one goroutine, each seed runs random folds (new
+// keys, repeated keys, and late windows older than the last cutoff),
+// Compact passes and EnforceCap passes against retentionModel. Every
+// removal the store logs — fold-time eviction, shard-local and global,
+// EnforceCap, Compact and rollup collapse — must be the model's, in the
+// same order; both tiers must hold the model's cells and sessions; and
+// sessions are conserved: folded = fine + rollup + overflow + dropped.
+func TestRetentionVictimsMatchSort(t *testing.T) {
+	const shards, windowMS, ops = 4, 1000, 2000
+	var total retentionModel
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rollup := []time.Duration{time.Second, 3 * time.Second, 10 * time.Second}[rng.Intn(3)]
+		capCells := int64(8 + rng.Intn(57))
+		st := NewStore(windowMS*time.Millisecond, shards)
+		st.SetMaxCells(capCells)
+		st.EnableCompaction(rollup)
+		m := &retentionModel{windowMS: windowMS, rollupMS: rollup.Milliseconds(), maxCells: capCells,
+			fine: make([]map[Key]int64, shards), rollups: map[Key]int64{}}
+		for i := range m.fine {
+			m.fine[i] = map[Key]int64{}
+		}
+		devices := int(3 * capCells)
+		var folded int64
+		now, cutoffW := int64(20), int64(0) // window indices
+		for op := 0; op < ops; op++ {
+			before := st.Epoch()
+			m.removed = m.removed[:0]
+			var what string
+			switch r := rng.Intn(100); {
+			case r < 70:
+				w := now - int64(rng.Intn(3))
+				if rng.Intn(8) == 0 {
+					w = int64(rng.Intn(int(cutoffW) + 1)) // late: at or before the last cutoff
+				}
+				s := Summary{Device: fmt.Sprintf("dev-%d", rng.Intn(devices)), Group: fmt.Sprintf("g%d", rng.Intn(3)),
+					Scenario: "test", TimeMS: w*windowMS + int64(rng.Intn(windowMS)), RTTs: []int64{1000}, Sent: 1}
+				k := st.KeyFor(&s)
+				what = fmt.Sprintf("fold %+v", k)
+				folded++
+				got, want := st.Fold(&s, 0, SourceNone), m.fold(k, int(keyHash(k)%shards))
+				if got != want {
+					t.Fatalf("seed %d op %d: %s accepted=%v, model %v", seed, op, what, got, want)
+				}
+			case r < 80:
+				now++
+			case r < 90:
+				cutoffW = now - int64(rng.Intn(4))
+				what = fmt.Sprintf("Compact(%d)", cutoffW*windowMS)
+				gc, gs := st.Compact(cutoffW * windowMS)
+				wc, ws := m.compact(cutoffW * windowMS)
+				if gc != wc || gs != ws {
+					t.Fatalf("seed %d op %d: %s = %d cells, %d sessions; model %d, %d", seed, op, what, gc, gs, wc, ws)
+				}
+			default:
+				// A cap below the resident count, as a racing mint can
+				// leave the tier, for one pass.
+				lowered := capCells/2 + rng.Int63n(capCells/2+1)
+				nowMS := now*windowMS + int64(rng.Intn(windowMS))
+				what = fmt.Sprintf("EnforceCap(%d) at cap %d", nowMS, lowered)
+				st.SetMaxCells(lowered)
+				m.maxCells = lowered
+				got := st.EnforceCap(nowMS)
+				want := m.enforceCap(now * windowMS)
+				st.SetMaxCells(capCells)
+				m.maxCells = capCells
+				if got != want {
+					t.Fatalf("seed %d op %d: %s demoted %d cells; model %d", seed, op, what, got, want)
+				}
+			}
+			removed, ok := st.removals.Since(before, st.Epoch())
+			if !ok || !slices.Equal(removed, m.removed) {
+				t.Fatalf("seed %d op %d: %s removed %v\nfull sort removes %v", seed, op, what, removed, m.removed)
+			}
+
+			var fine, rolled, overflow int64
+			for i := range st.shards {
+				got := map[Key]int64{}
+				for k, c := range st.shards[i].cells {
+					got[k] = c.Sessions
+					fine += c.Sessions
+				}
+				if !maps.Equal(got, m.fine[i]) {
+					t.Fatalf("seed %d op %d: after %s shard %d holds %v; model %v", seed, op, what, i, got, m.fine[i])
+				}
+			}
+			got := map[Key]int64{}
+			for k, c := range st.rollups {
+				if k.WindowMS == overflowWindowMS {
+					overflow += c.Sessions
+					continue
+				}
+				got[k] = c.Sessions
+				rolled += c.Sessions
+			}
+			if !maps.Equal(got, m.rollups) || overflow != m.overflow {
+				t.Fatalf("seed %d op %d: after %s rollups %v + overflow %d; model %v + %d",
+					seed, op, what, got, overflow, m.rollups, m.overflow)
+			}
+			if sum := fine + rolled + overflow + st.Dropped(); sum != folded || st.Dropped() != m.dropped {
+				t.Fatalf("seed %d op %d: after %s folded %d sessions, stored %d fine + %d rollup + %d overflow + %d dropped",
+					seed, op, what, folded, fine, rolled, overflow, st.Dropped())
+			}
+		}
+		total.local += m.local
+		total.global += m.global
+		total.capped += m.capped
+		total.compacted += m.compacted
+		total.collapsed += m.collapsed
+	}
+	if total.local == 0 || total.global == 0 || total.capped == 0 || total.compacted == 0 || total.collapsed == 0 {
+		t.Fatalf("victims by path: local %d, global %d, EnforceCap %d, Compact %d, collapse %d; want every path taken",
+			total.local, total.global, total.capped, total.compacted, total.collapsed)
+	}
+	t.Logf("victims by path: local %d, global %d, EnforceCap %d, Compact %d, collapse %d",
+		total.local, total.global, total.capped, total.compacted, total.collapsed)
 }

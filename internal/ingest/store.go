@@ -426,7 +426,7 @@ type Store struct {
 	rollupMS          int64
 	rollupMu          sync.Mutex
 	rollups           map[Key]*Cell
-	rollupScratch     []Key // capRollupsLocked's key list, reused under rollupMu
+	rollupCold        coldOrder // the rollups but the overflow cell, coldest first
 	rollupN           atomic.Int64
 	evicted           atomic.Int64 // fine cells folded into rollups at the cap
 	compacted         atomic.Int64 // fine cells folded into rollups by retention
@@ -444,13 +444,15 @@ type Store struct {
 	free   []*Cell
 }
 
-// storeShard is one lock stripe. fs is touched only under mu. When the
-// shard count is a multiple of the pipe count (32 shards and a
-// power-of-two worker count), every key of a shard routes to one pipe,
-// so its scratch stays warm on one fold worker.
+// storeShard is one lock stripe. cold holds the same cells as cells,
+// coldest first (see retention.go). cold and fs are touched only under
+// mu. When the shard count is a multiple of the pipe count (32 shards
+// and a power-of-two worker count), every key of a shard routes to one
+// pipe, so its scratch stays warm on one fold worker.
 type storeShard struct {
 	mu    sync.Mutex
 	cells map[Key]*Cell
+	cold  coldOrder
 	fs    foldScratch
 }
 
@@ -632,6 +634,7 @@ func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration,
 			}
 			c = st.mintCell(k)
 			sh.cells[k] = c
+			sh.cold.push(c)
 			st.cells.Add(1)
 		}
 		for i := range sums {
